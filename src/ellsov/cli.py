@@ -323,18 +323,13 @@ def _task_eqg_hw(cfg, params, rng, tol, csv_dir):
     return {"checks": checks, "metrics": metrics}
 
 
-def _spectral_point(params, rng):
-    avoid = tuple(z + 2 * params.eta for z in params.zs)
-    return params.sample_generic(rng, margin=5e-2, avoid=avoid)
-
-
 def _task_irf_build(cfg, params, rng, tol, csv_dir):
     block = cfg.get("irf", {})
     pairs = int(block.get("commuting_pairs", 3))
     sov_comm = paths_comm = 0.0
     for _ in range(pairs):
-        za = _spectral_point(params, rng)
-        zb = _spectral_point(params, rng)
+        za = irf.sample_spectral(params, rng)
+        zb = irf.sample_spectral(params, rng)
         a, b = irf.build_T_irf_sov(params, za), irf.build_T_irf_sov(params, zb)
         sov_comm = max(
             sov_comm, float(np.max(np.abs(a @ b - b @ a)) / np.max(np.abs(a @ b)))
@@ -379,7 +374,7 @@ def _task_irf_spectrum(cfg, params, rng, tol, csv_dir):
     if "z0" in block:
         z0 = _as_complex(block["z0"], "irf.z0")
     else:
-        z0 = _spectral_point(params, rng)
+        z0 = irf.sample_spectral(params, rng)
     certs = irf.certify_spectrum(params, z0, tol=tol, rng=rng, gap_tol=gap_tol)
 
     worst = 0.0

@@ -40,6 +40,7 @@ __all__ = [
     "kappa_factor",
     "DualReconciliation",
     "reconcile_constructions",
+    "sample_spectral",
     "SpectralCertificate",
     "certify_spectrum",
     "eigenvalue_character",
@@ -227,12 +228,13 @@ def build_T_irf_sov(params: ModelParams, zeta: complex) -> np.ndarray:
     # whose k = i factor is theta(0) = 0 exactly
     flip_coeff = {}
     for i in range(n):
+        off_branch = 1.0 + 0.0j
+        for zk in zs:
+            off_branch *= ev.theta(zk - zs[i])
         for s in (-1, 1):
             on_branch = 1.0 + 0.0j
-            off_branch = 1.0 + 0.0j
             for zk in zs:
                 on_branch *= ev.theta(zk - zs[i] + 2 * s * eta)
-                off_branch *= ev.theta(zk - zs[i])
             if abs(off_branch) > 1e-10 * max(1.0, abs(on_branch)):
                 raise ParameterError(
                     "off-grid shift coefficient fails to vanish at site %d" % i
@@ -252,23 +254,30 @@ def build_T_irf_sov(params: ModelParams, zeta: complex) -> np.ndarray:
         for sj in (-1, 1)
     }
     th_lam = {k: ev.theta(-eta * k) for k in range(-n, n + 1, 2)}
+    # the row prefactor theta(lam - zdisp + x_i), lam = -eta * sum(sigma), depends
+    # on the row only through (sum(sigma), i, sigma_i): 2 n^2 values in all
+    head = {
+        (total, i, s): ev.theta(-eta * total - zdisp + (-zs[i] + s * eta))
+        for total in range(-n, n + 1, 2)
+        for i in range(n)
+        for s in (-1, 1)
+        if abs(total - s) <= n - 1
+    }
 
     sigmas = _grid_sigmas(n)
-    index = {s: i for i, s in enumerate(sigmas)}
     dim = len(sigmas)
     t = np.zeros((dim, dim), dtype=complex)
     for row, sig in enumerate(sigmas):
-        lam = -eta * sum(sig)
-        denom = th_lam[sum(sig)]
+        total = sum(sig)
+        denom = th_lam[total]
         for i in range(n):
-            xi = -zs[i] + sig[i] * eta
-            pref = ev.theta(lam - zdisp + xi) / denom
+            pref = head[(total, i, sig[i])] / denom
             for j in range(n):
                 if j == i:
                     continue
                 pref *= spect[(j, sig[j])] / cross[(i, sig[i], j, sig[j])]
-            flipped = tuple(s if k != i else -s for k, s in enumerate(sig))
-            t[row, index[flipped]] = pref * flip_coeff[(i, sig[i])]
+            # site i is bit n-1-i of the grid index, so flipping sigma_i flips that bit
+            t[row, row ^ (1 << (n - 1 - i))] = pref * flip_coeff[(i, sig[i])]
     return t
 
 
@@ -311,7 +320,8 @@ class DualReconciliation:
         return mapped
 
 
-def _sample_spectral(params: ModelParams, rng: np.random.Generator) -> complex:
+def sample_spectral(params: ModelParams, rng: np.random.Generator) -> complex:
+    """Seeded generic spectral parameter for the transfer matrices."""
     # clear the path-construction poles at z_i + 2 eta by a wide margin
     avoid = tuple(zi + 2 * params.eta for zi in params.zs)
     return params.sample_generic(rng, margin=5e-2, avoid=avoid)
@@ -331,7 +341,7 @@ def reconcile_constructions(
     """
     params.validate_for_irf()
     ev = params.evaluator()
-    z0 = _sample_spectral(params, rng)
+    z0 = sample_spectral(params, rng)
     tp = build_T_irf_paths(params, z0)
     ts = build_T_irf_sov(params, z0 - params.eta)
     kap = 1.0 + 0.0j
@@ -363,7 +373,7 @@ def reconcile_constructions(
     conj_inv = np.linalg.inv(conj)
     residual = 0.0
     for _ in range(samples):
-        zf = _sample_spectral(params, rng)
+        zf = sample_spectral(params, rng)
         lhs = build_T_irf_paths(params, zf)
         kapf = 1.0 + 0.0j
         for zi in params.zs:
@@ -423,27 +433,32 @@ class SpectralCertificate:
         return ok
 
 
-def _draw_nodes(
+def _draw_basis(
     params: ModelParams, chi: Character, rng: np.random.Generator, count: int
-) -> list[complex]:
-    """Generic nodes admitting interpolation at level `count` for chi."""
+) -> spaces.ThetaSpaceBasis:
+    """Cardinal basis at level `count` for chi over generic nodes."""
     ev = params.evaluator()
-    zero = [0.0] * count
     for _ in range(64):
         nodes = [params.sample_generic(rng, margin=5e-2) for _ in range(count)]
         try:
-            spaces.interpolate(ev, count, chi, nodes, zero)
+            return spaces.ThetaSpaceBasis(ev, count, chi, nodes)
         except (spaces.DegenerateNodesError, spaces.ResonantCharacterError):
             continue
-        return nodes
     raise ParameterError("no admissible interpolation nodes found for the character")
 
 
 def _clusters(mu: np.ndarray, gap_tol: float) -> list[list[int]]:
-    """Connected components of |mu_i - mu_j| < gap_tol * scale."""
-    scale = max(float(np.max(np.abs(mu))), 1.0)
-    order = sorted(range(len(mu)), key=lambda i: (mu[i].real, mu[i].imag))
-    parent = list(range(len(mu)))
+    """Connected components of |mu_i - mu_j| < gap_tol * scale.
+
+    Components are listed by their first member in (real, imag) order,
+    members in that order.  Two eigenvalues closer than the threshold
+    are closer in real part too, so after sorting by real part each
+    eigenvalue is compared only with the successors inside that window.
+    """
+    thresh = gap_tol * max(float(np.max(np.abs(mu))), 1.0)
+    vals = mu.tolist()
+    order = sorted(range(len(vals)), key=lambda i: (vals[i].real, vals[i].imag))
+    parent = list(range(len(vals)))
 
     def find(i):
         while parent[i] != i:
@@ -451,10 +466,13 @@ def _clusters(mu: np.ndarray, gap_tol: float) -> list[list[int]]:
             i = parent[i]
         return i
 
-    for a in range(len(mu)):
-        for b in range(a + 1, len(mu)):
-            if abs(mu[a] - mu[b]) < gap_tol * scale:
+    for pos, a in enumerate(order):
+        nxt = pos + 1
+        while nxt < len(order) and vals[order[nxt]].real - vals[a].real < thresh:
+            b = order[nxt]
+            if abs(vals[a] - vals[b]) < thresh:
                 parent[find(a)] = find(b)
+            nxt += 1
     groups: dict[int, list[int]] = {}
     for i in order:
         groups.setdefault(find(i), []).append(i)
@@ -476,18 +494,24 @@ def certify_spectrum(
     the antiperiodic character, validated at fresh points, and checked
     against the n quadratic relations.  The factorized eigenvector is
     rebuilt from the separated two-point data and compared by angle.
+
+    Every eigenvalue function lies in the same level-n space, so all
+    clusters are fitted on one cardinal basis: each evaluation point
+    costs one vector of theta values, shared by all certificates (and by
+    later calls of their eps).  Each sample matrix is applied once to
+    the side-by-side cluster bases.
     """
     params.validate_for_irf()
     rng = np.random.default_rng(20250811) if rng is None else rng
     n = params.n
     ev = params.evaluator()
     chi0 = eigenvalue_character(params)
-    nodes = _draw_nodes(params, chi0, rng, n)
+    basis = _draw_basis(params, chi0, rng, n)
 
     t0 = build_T_irf_sov(params, z0)
     mu, vecs = np.linalg.eig(t0)
-    node_mats = [build_T_irf_sov(params, zs) for zs in nodes]
-    val_pts = [_sample_spectral(params, rng) for _ in range(validation_points)]
+    node_mats = [build_T_irf_sov(params, zs) for zs in basis.nodes]
+    val_pts = [sample_spectral(params, rng) for _ in range(validation_points)]
     val_mats = [build_T_irf_sov(params, zv) for zv in val_pts]
 
     # z-independent data of the quadratic relations
@@ -502,34 +526,47 @@ def certify_spectrum(
         prod_plus.append(pp)
         prod_minus.append(pm)
 
-    sigma_lists = _grid_sigmas(n)
-    certs = []
-    for group in _clusters(mu, gap_tol):
-        others = [abs(mu[i] - mu[j]) for i in group for j in range(len(mu)) if j not in group]
-        gap = float(min(others)) if others else float("inf")
-        basis, _ = np.linalg.qr(vecs[:, group])
-        dim = basis.shape[1]
-        degenerate = bool(dim > 1 or gap < gap_tol * max(float(np.max(np.abs(mu))), 1.0))
+    groups = _clusters(mu, gap_tol)
+    mu_scale = max(float(np.max(np.abs(mu))), 1.0)
+    # orthonormal cluster bases side by side, and every sample matrix applied once
+    bases = [np.linalg.qr(vecs[:, group])[0] for group in groups]
+    ends = np.cumsum([b.shape[1] for b in bases])
+    stacked = np.concatenate(bases, axis=1)
+    node_images = [tmat @ stacked for tmat in node_mats]
+    val_images = [tmat @ stacked for tmat in val_mats]
+    negative = np.array(_grid_sigmas(n)) < 0
 
-        def sample_ratio(tmat):
+    certs = []
+    for group, basis_g, end in zip(groups, bases, ends):
+        cols = slice(end - basis_g.shape[1], end)
+        outside = np.ones(len(mu), dtype=bool)
+        outside[group] = False
+        if outside.any():
+            gap = float(np.min(np.abs(mu[group][:, None] - mu[outside][None, :])))
+        else:
+            gap = float("inf")
+        dim = basis_g.shape[1]
+        degenerate = bool(dim > 1 or gap < gap_tol * mu_scale)
+
+        def sample_ratio(image):
             # tr(V* T V)/dim; the deviation from a scalar block is recorded
-            block = basis.conj().T @ (tmat @ basis)
+            block = basis_g.conj().T @ image[:, cols]
             val = complex(np.trace(block)) / dim
             dev = float(np.max(np.abs(block - val * np.eye(dim))))
             return val, dev
 
         vals = []
         cluster_dev = 0.0
-        for tmat in node_mats:
-            val, dev = sample_ratio(tmat)
+        for image in node_images:
+            val, dev = sample_ratio(image)
             vals.append(val)
             cluster_dev = max(cluster_dev, dev)
-        eps = spaces.interpolate(ev, n, chi0, nodes, vals)
+        eps = basis.fit(vals)
         scale = max(max(abs(v) for v in vals), 1e-300)
 
         member_dev = 0.0
-        for zv, tmat in zip(val_pts, val_mats):
-            val, dev = sample_ratio(tmat)
+        for zv, image in zip(val_pts, val_images):
+            val, dev = sample_ratio(image)
             cluster_dev = max(cluster_dev, dev)
             member_dev = max(member_dev, abs(val - eps(zv)))
             scale = max(scale, abs(val))
@@ -549,21 +586,21 @@ def certify_spectrum(
             r2 = ep * qm
             second.append(abs(l2 - r2) / max(abs(l2), abs(r2), 1e-300))
 
-        u = np.ones(2 ** n, dtype=complex)
-        for idx, sig in enumerate(sigma_lists):
-            for i, s in enumerate(sig):
-                u[idx] *= qpairs[i][0] if s < 0 else qpairs[i][1]
+        # u(sigma) = prod_i (q_minus_i if sigma_i < 0 else q_plus_i)
+        q_minus = np.array([p[0] for p in qpairs])
+        q_plus = np.array([p[1] for p in qpairs])
+        u = np.where(negative, q_minus, q_plus).prod(axis=1)
         un = np.linalg.norm(u)
         if un == 0.0:
             angle = float(np.pi / 2)
         else:
-            overlap = np.linalg.norm(basis.conj().T @ (u / un))
+            overlap = np.linalg.norm(basis_g.conj().T @ (u / un))
             angle = float(np.arccos(min(1.0, overlap)))
 
         certs.append(
             SpectralCertificate(
                 eigenvalue=complex(np.mean(mu[group])),
-                vectors=basis,
+                vectors=basis_g,
                 eps=eps,
                 membership_residual=member_dev / scale,
                 cluster_residual=cluster_dev / scale,
@@ -573,7 +610,7 @@ def certify_spectrum(
                 reconstruction=u,
                 angle=angle,
                 degenerate=degenerate,
-                gap=float(gap),
+                gap=gap,
                 tol=tol,
             )
         )

@@ -23,7 +23,6 @@ __all__ = [
     "jdiv",
     "jderiv",
     "jet_exp",
-    "jet_theta",
     "jet_theta_reflected",
     "jet_zeta_bar",
     "jet_wp_bar",
@@ -83,10 +82,6 @@ def jet_exp(c: complex, x0: complex, degree: int) -> np.ndarray:
     for k in range(1, degree + 1):
         out[k] = out[k - 1] * c / k
     return out
-
-
-def jet_theta(ev: ThetaEvaluator, x0: complex, degree: int) -> np.ndarray:
-    return ev.theta_taylor(x0, degree)
 
 
 def jet_theta_reflected(ev: ThetaEvaluator, x0: complex, degree: int) -> np.ndarray:

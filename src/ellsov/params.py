@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 
 import numpy as np
@@ -35,6 +36,11 @@ class ModelParams:
         object.__setattr__(self, "eta", complex(self.eta))
         object.__setattr__(self, "zs", tuple(complex(z) for z in self.zs))
         object.__setattr__(self, "lams", tuple(int(l) for l in self.lams))
+        if not cmath.isfinite(self.eta):
+            raise ParameterError("eta = %r is not finite" % (self.eta,))
+        for i, z in enumerate(self.zs):
+            if not cmath.isfinite(z):
+                raise ParameterError("site %d coordinate %r is not finite" % (i, z))
         if len(self.zs) != len(self.lams):
             raise ParameterError("sites and weights must have equal length")
         if len(self.zs) == 0:

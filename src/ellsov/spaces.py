@@ -148,33 +148,80 @@ def character_of(p: EllipticPoly, tau: complex) -> Character:
 # -- interpolation -----------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
-class ThetaInterpolant:
-    """Cardinal-node interpolant inside a level-k character space."""
+# points whose cardinal vector one basis keeps; a fixed bound, so a
+# long-lived interpolant cannot grow memory without limit
+_CARDINAL_CACHE_SIZE = 1024
 
-    ev: ThetaEvaluator
-    k: int
-    chi: Character
-    nodes: tuple[complex, ...]
-    values: tuple[complex, ...]
-    a: complex
-    b: complex
+
+class ThetaSpaceBasis:
+    """Cardinal basis of a level-k character space over generic nodes.
+
+    The basis owns the interpolation data, computed once: the exponent
+    a, the shift b, theta(b) and the k(k-1) node-difference thetas.
+    cardinal_vector(z) returns the k cardinal functions at z,
+
+        L_j(z) = exp(2 pi i a (z - z_j)) theta(z - z_j + b) / theta(b)
+                 * prod_{l != j} theta(z - z_l) / theta(z_j - z_l),
+
+    with L_j(z_l) = delta_jl, so the member with node values v is
+    v . L(z).  L(z) is memoized per point, which lets every interpolant
+    fitted on this basis share one set of theta evaluations per point.
+    """
+
+    def __init__(self, ev: ThetaEvaluator, k: int, chi: Character, nodes: Sequence[complex]):
+        nodes = tuple(complex(z) for z in nodes)
+        a, b = _interpolation_data(ev, k, chi, nodes)
+        self.ev = ev
+        self.k = k
+        self.chi = chi
+        self.nodes = nodes
+        self.a = a
+        self.b = b
+        self._nodes = np.array(nodes, dtype=complex)
+        self._diag = np.eye(k, dtype=bool)
+        diffs = np.array(
+            [[1.0 if l == j else ev.theta(zj - zl) for l, zl in enumerate(nodes)]
+             for j, zj in enumerate(nodes)],
+            dtype=complex,
+        )
+        self._denoms = ev.theta(b) * diffs.prod(axis=1)
+        self._cache: dict[complex, np.ndarray] = {}
+
+    def cardinal_vector(self, z: complex) -> np.ndarray:
+        """L(z), the k cardinal functions at z (read-only, shared)."""
+        z = complex(z)
+        vec = self._cache.get(z)
+        if vec is not None:
+            return vec
+        ev = self.ev
+        tz = np.array([ev.theta(z - zl) for zl in self.nodes], dtype=complex)
+        shifted = np.array([ev.theta(z - zj + self.b) for zj in self.nodes], dtype=complex)
+        # row j holds theta(z - z_l) for l != j and a one on the diagonal
+        others = np.where(self._diag, 1.0, tz).prod(axis=1)
+        vec = np.exp(_2PI_I * self.a * (z - self._nodes)) * shifted * others / self._denoms
+        vec.setflags(write=False)
+        if len(self._cache) >= _CARDINAL_CACHE_SIZE:
+            del self._cache[next(iter(self._cache))]
+        self._cache[z] = vec
+        return vec
+
+    def fit(self, values: Sequence[complex]) -> "ThetaInterpolant":
+        values = np.array(values, dtype=complex)
+        if values.shape != (self.k,):
+            raise ValueError("need exactly k node values")
+        values.setflags(write=False)
+        return ThetaInterpolant(self, values)
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class ThetaInterpolant:
+    """Member of a level-k character space, given by its values at the basis nodes."""
+
+    basis: ThetaSpaceBasis
+    values: np.ndarray
 
     def __call__(self, z: complex) -> complex:
-        ev = self.ev
-        total = 0j
-        tb = ev.theta(self.b)
-        for j, zj in enumerate(self.nodes):
-            if self.values[j] == 0:
-                continue
-            term = self.values[j] * cmath.exp(_2PI_I * self.a * (z - zj))
-            term *= ev.theta(z - zj + self.b) / tb
-            for l, zl in enumerate(self.nodes):
-                if l == j:
-                    continue
-                term *= ev.theta(z - zl) / ev.theta(zj - zl)
-            total += term
-        return total
+        return complex(self.values @ self.basis.cardinal_vector(z))
 
 
 def _interpolation_data(ev: ThetaEvaluator, k: int, chi: Character, nodes: Sequence[complex]):
@@ -207,28 +254,7 @@ def interpolate(
     nodes: Sequence[complex],
     values: Sequence[complex],
 ) -> ThetaInterpolant:
-    a, b = _interpolation_data(ev, k, chi, nodes)
-    return ThetaInterpolant(
-        ev, k, chi, tuple(complex(z) for z in nodes), tuple(complex(v) for v in values), a, b
-    )
-
-
-@dataclasses.dataclass(frozen=True)
-class ThetaSpaceBasis:
-    """Cardinal basis of a level-k space over generic nodes."""
-
-    ev: ThetaEvaluator
-    k: int
-    chi: Character
-    nodes: tuple[complex, ...]
-
-    def cardinal(self, j: int) -> ThetaInterpolant:
-        values = [0.0] * self.k
-        values[j] = 1.0
-        return interpolate(self.ev, self.k, self.chi, self.nodes, values)
-
-    def fit(self, values: Sequence[complex]) -> ThetaInterpolant:
-        return interpolate(self.ev, self.k, self.chi, self.nodes, values)
+    return ThetaSpaceBasis(ev, k, chi, nodes).fit(values)
 
 
 def sample_generic(
@@ -254,10 +280,9 @@ def make_basis(
     for _ in range(64):
         nodes = [sample_generic(rng, ev.lattice, 10 * ev.rho) for _ in range(k)]
         try:
-            _interpolation_data(ev, k, chi, nodes)
+            return ThetaSpaceBasis(ev, k, chi, nodes)
         except (DegenerateNodesError, ResonantCharacterError):
             continue
-        return ThetaSpaceBasis(ev, k, chi, tuple(nodes))
     raise ResonantCharacterError("no admissible node set found for the character")
 
 

@@ -32,6 +32,8 @@ __all__ = [
     "LatticeError",
     "TruncationError",
     "PoleProximityError",
+    "NonFiniteArgumentError",
+    "ThetaOverflowError",
     "Lattice",
     "ThetaEvaluator",
 ]
@@ -59,6 +61,14 @@ class PoleProximityError(ThetaError):
     """Argument is closer to the lattice than the configured margin."""
 
 
+class NonFiniteArgumentError(ThetaError):
+    """Argument is NaN or infinite."""
+
+
+class ThetaOverflowError(ThetaError):
+    """Argument is so far from the fundamental cell that the value overflows."""
+
+
 @dataclasses.dataclass(frozen=True)
 class Lattice:
     """Period lattice Z + tau*Z with Im tau bounded away from zero."""
@@ -69,6 +79,8 @@ class Lattice:
     def __post_init__(self):
         tau = complex(self.tau)
         object.__setattr__(self, "tau", tau)
+        if not cmath.isfinite(tau):
+            raise LatticeError("Lattice invariant violated: tau = %r is not finite" % (tau,))
         if not (tau.imag >= self.min_im_tau):
             raise LatticeError(
                 "Lattice invariant violated: Im tau = %r is below the floor %r"
@@ -78,9 +90,17 @@ class Lattice:
     def reduce(self, z: complex) -> tuple[complex, int, int]:
         """Write z = z0 + r + s*tau with Im z0 in [0, Im tau), Re z0 in [0, 1)."""
         z = complex(z)
-        s = math.floor(z.imag / self.tau.imag)
-        z1 = z - s * self.tau
-        r = math.floor(z1.real)
+        try:
+            s = math.floor(z.imag / self.tau.imag)
+            z1 = z - s * self.tau
+            r = math.floor(z1.real)
+        except (ValueError, OverflowError):
+            # math.floor rejects NaN with ValueError and infinities with OverflowError
+            if cmath.isfinite(z):
+                raise ThetaOverflowError(
+                    "argument %r is too far from the fundamental cell to reduce" % (z,)
+                ) from None
+            raise NonFiniteArgumentError("argument %r is not finite" % (z,)) from None
         z0 = z1 - r
         return z0, r, s
 
@@ -90,10 +110,6 @@ class Lattice:
         return min(
             abs(z0), abs(z0 - 1.0), abs(z0 - tau), abs(z0 - 1.0 - tau)
         )
-
-    def congruent(self, x: complex, y: complex, margin: float) -> bool:
-        """True when x = y modulo the lattice, up to margin."""
-        return self.dist_to_lattice(x - y) < margin
 
 
 @dataclasses.dataclass(frozen=True)
@@ -174,7 +190,10 @@ class ThetaEvaluator:
         inner = self._series_jet(z0, degree)
         tau = self.lattice.tau
         parity = -1.0 if (r + s) % 2 else 1.0
-        mult0 = parity * cmath.exp(-1j * _PI * (s * s * tau + 2.0 * s * z0))
+        try:
+            mult0 = parity * cmath.exp(-1j * _PI * (s * s * tau + 2.0 * s * z0))
+        except OverflowError:
+            raise _overflow(z) from None
         # theta(z + d) = mult0 * exp(-2*pi*i*s*d) * theta(z0 + d)
         out = np.zeros(degree + 1, dtype=complex)
         if s == 0:
@@ -189,7 +208,10 @@ class ThetaEvaluator:
             acc = 0j
             for i in range(k + 1):
                 acc += expjet[i] * inner[k - i]
-            out[k] = mult0 * acc
+            val = mult0 * acc
+            if not cmath.isfinite(val):
+                raise _overflow(z)
+            out[k] = val
         return out
 
     def theta(self, z: complex, d: int = 0) -> complex:
@@ -254,6 +276,12 @@ class ThetaEvaluator:
         return complex(
             self.dtheta0() * (jet[1] - jet[0] * zl) / (self.theta(z) * self.theta(lam))
         )
+
+
+def _overflow(z: complex) -> ThetaOverflowError:
+    return ThetaOverflowError(
+        "theta overflows double precision at %r, too far from the fundamental cell" % (z,)
+    )
 
 
 @functools.lru_cache(maxsize=256)

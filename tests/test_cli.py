@@ -71,6 +71,19 @@ def test_lattice_invariant_exit2(tmp_path, capsys):
     assert "Lattice invariant violated" in capsys.readouterr().err
 
 
+def test_non_finite_model_exit2(tmp_path, capsys):
+    # JSON admits NaN and Infinity literals; they must fail as config errors
+    nan_eta = rewrite_config(
+        tmp_path, "irf_n3.json", "naneta.json", lambda c: c.update(eta=[float("nan"), 0.1])
+    )
+    assert cli.main(["irf", "build", "--config", nan_eta]) == 2
+    inf_site = rewrite_config(
+        tmp_path, "irf_n3.json", "infsite.json", lambda c: c["sites"][1].update(z=[0.4, float("inf")])
+    )
+    assert cli.main(["irf", "spectrum", "--config", inf_site]) == 2
+    assert "not finite" in capsys.readouterr().err
+
+
 def test_schema_gates(tmp_path):
     even_n = rewrite_config(
         tmp_path, "irf_n3.json", "even.json", lambda c: c.update(sites=c["sites"][:2])

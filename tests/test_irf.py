@@ -22,6 +22,7 @@ from ellsov.irf import (
     reconcile_constructions,
 )
 from ellsov.params import ModelParams, ParameterError
+from ellsov.theta import ThetaEvaluator
 
 from conftest import TAU, sample_point
 
@@ -221,6 +222,62 @@ def test_certify_spectrum(lattice, rng):
             assert abs(c.eps(z + r + s * tau) - expect) <= 1e-9 * abs(expect)
 
     assert elapsed < 10.0
+
+
+def test_certify_spectrum_theta_count(lattice, monkeypatch):
+    """Five sites: every certificate shares one cardinal basis, so theta calls
+    stay far below the 22,390 that per-certificate interpolation made."""
+    params = make_params(lattice, Z5)
+    calls = [0]
+    original = ThetaEvaluator.theta_taylor
+
+    def counting(self, z, degree):
+        calls[0] += 1
+        return original(self, z, degree)
+
+    monkeypatch.setattr(ThetaEvaluator, "theta_taylor", counting)
+    certs = certify_spectrum(params, 0.41 + 0.37j, rng=np.random.default_rng(7))
+    assert len(certs) == 32 and all(c.passed for c in certs)
+    assert calls[0] <= 3000
+
+
+def pairwise_clusters(mu, gap_tol):
+    """Union over all pairs closer than gap_tol * scale, as a reference."""
+    scale = max(float(np.max(np.abs(mu))), 1.0)
+    order = sorted(range(len(mu)), key=lambda i: (mu[i].real, mu[i].imag))
+    parent = list(range(len(mu)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for a in range(len(mu)):
+        for b in range(a + 1, len(mu)):
+            if abs(mu[a] - mu[b]) < gap_tol * scale:
+                parent[find(a)] = find(b)
+    groups = {}
+    for i in order:
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
+def test_clusters_match_pairwise_reference():
+    rng = np.random.default_rng(4242)
+    gap_tol = 1e-7
+    for trial in range(40):
+        size = int(rng.integers(1, 200))
+        mu = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) * 10.0 ** rng.uniform(-2, 3)
+        scale = max(float(np.max(np.abs(mu))), 1.0)
+        # plant near-degenerate clusters: chains just inside the threshold,
+        # near misses just outside it, exact repeats and equal real parts
+        for _ in range(int(rng.integers(0, 6))):
+            i = int(rng.integers(size))
+            step = gap_tol * scale * rng.choice([0.3, 0.9, 1.1, 0.0])
+            chain = mu[i] + step * np.exp(1j * rng.uniform(0, 2 * np.pi)) * np.arange(1, 4)
+            mu = np.concatenate([mu, chain, [complex(mu[i].real, mu[i].imag + 5.0)]])
+        mu = mu[rng.permutation(len(mu))]
+        assert irf._clusters(mu, gap_tol) == pairwise_clusters(mu, gap_tol)
 
 
 def test_certify_rejects_impostor(lattice, rng):

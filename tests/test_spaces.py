@@ -25,6 +25,7 @@ from ellsov.spaces import (
     phi_of_character,
     solve_difference_bethe,
 )
+from ellsov.theta import ThetaEvaluator
 
 from conftest import sample_point
 
@@ -88,6 +89,75 @@ def test_interpolant_lives_in_the_space(ev, rng):
         z = sample_point(rng, ev.lattice)
         expect = expected_multiplier(chi, k, z, r, s, tau) * f(z)
         assert abs(f(z + r + s * tau) - expect) <= 1e-9 * max(1.0, abs(expect))
+
+
+def per_term_interpolant(basis, values, z):
+    """The loop form of the cardinal interpolant, term by term, as a reference."""
+    ev = basis.ev
+    total = 0j
+    tb = ev.theta(basis.b)
+    for j, zj in enumerate(basis.nodes):
+        if values[j] == 0:
+            continue
+        term = values[j] * cmath.exp(2j * PI * basis.a * (z - zj))
+        term *= ev.theta(z - zj + basis.b) / tb
+        for l, zl in enumerate(basis.nodes):
+            if l == j:
+                continue
+            term *= ev.theta(z - zl) / ev.theta(zj - zl)
+        total += term
+    return total
+
+
+def test_cardinal_vector_matches_per_term_formula(ev, rng):
+    """values . L(z) equals the term-by-term interpolant, zero values included."""
+    tau = ev.lattice.tau
+    for k in (1, 2, 3, 5, 7):
+        chi = Character(
+            (-1.0) ** k * cmath.exp(complex(*rng.uniform(-0.5, 0.5, 2))),
+            (-1.0) ** k * cmath.exp(complex(*rng.uniform(-0.5, 0.5, 2))),
+        )
+        basis = make_basis(ev, k, chi, rng)
+        for trial in range(4):
+            values = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+            if trial % 2 and k > 1:
+                values[rng.choice(k, size=k // 2, replace=False)] = 0.0
+            f = basis.fit(values)
+            for _ in range(5):
+                z = sample_point(rng, ev.lattice, spread=1.5)
+                expect = per_term_interpolant(basis, values, z)
+                terms = sum(abs(v * c) for v, c in zip(values, basis.cardinal_vector(z)))
+                assert abs(f(z) - expect) <= 1e-13 * max(abs(expect), terms)
+        # cardinal property at the nodes
+        for j, zj in enumerate(basis.nodes):
+            assert_allclose(basis.cardinal_vector(zj), np.eye(k)[j], atol=1e-12)
+
+
+def test_basis_shares_cardinal_vectors(ev, rng, monkeypatch):
+    """Interpolants on one basis reuse one L(z) per point; the memo stays bounded."""
+    chi = Character(-cmath.exp(0.2j), -cmath.exp(0.1 - 0.3j))
+    basis = make_basis(ev, 3, chi, rng)
+    f = basis.fit([1.0, 2.0j, -0.5])
+    g = basis.fit([0.0, 1.0, 1.0 + 1.0j])
+    z = sample_point(rng, ev.lattice)
+    calls = []
+    original = ThetaEvaluator.theta_taylor
+    monkeypatch.setattr(
+        ThetaEvaluator, "theta_taylor", lambda self, *a: calls.append(a) or original(self, *a)
+    )
+    f(z)
+    assert len(calls) == 6  # theta(z - z_l) and theta(z - z_j + b) for each node
+    g(z)
+    f(z)
+    assert len(calls) == 6
+    monkeypatch.undo()
+    vec = basis.cardinal_vector(z)
+    assert not vec.flags.writeable
+    for i in range(spaces._CARDINAL_CACHE_SIZE + 10):
+        basis.cardinal_vector(0.1 + 0.3j + 1e-4 * i)
+    assert len(basis._cache) == spaces._CARDINAL_CACHE_SIZE
+    with pytest.raises(ValueError):
+        basis.fit([1.0, 2.0])
 
 
 def test_degenerate_nodes_rejected(ev, rng):

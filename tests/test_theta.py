@@ -8,7 +8,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ellsov.theta import Lattice, LatticeError, PoleProximityError, ThetaEvaluator
+from ellsov.theta import (
+    Lattice,
+    LatticeError,
+    NonFiniteArgumentError,
+    PoleProximityError,
+    ThetaError,
+    ThetaEvaluator,
+    ThetaOverflowError,
+)
 
 from conftest import sample_point
 
@@ -37,6 +45,9 @@ def test_lattice_rejects_flat_tau():
         Lattice(0.5 + 0.0j)
     with pytest.raises(LatticeError, match="Lattice invariant violated"):
         Lattice(0.5 - 1.0j)
+    for tau in (complex(math.nan, 1.0), complex(0.3, math.inf), complex(math.inf, 1.0)):
+        with pytest.raises(LatticeError, match="not finite"):
+            Lattice(tau)
 
 
 def test_reduction_identity(lattice, rng):
@@ -247,3 +258,38 @@ def test_far_argument_stability(ev, rng):
     expect = mp_theta(tau, far)
     got = ev.theta(far)
     assert abs(got - expect) <= 1e-9 * max(1.0, abs(expect))
+
+
+def test_non_finite_arguments_are_typed(ev):
+    bad = (
+        complex(math.nan, 0.2),
+        complex(0.3, math.nan),
+        complex(math.inf, 0.2),
+        complex(0.3, -math.inf),
+    )
+    for z in bad:
+        with pytest.raises(NonFiniteArgumentError):
+            ev.lattice.reduce(z)
+        with pytest.raises(NonFiniteArgumentError):
+            ev.theta(z)
+        with pytest.raises(NonFiniteArgumentError):
+            ev.zeta_bar(z)
+    assert issubclass(NonFiniteArgumentError, ThetaError)
+
+
+def test_overflow_far_from_cell_is_typed(ev):
+    tau = ev.lattice.tau
+    # |theta| grows like exp(pi Im(tau) s^2) at s cells out; s = 16 passes 1e308
+    for z in (0.2 + 16 * tau, 0.2 - 16 * tau, 0.7 + 40 * tau, complex(1e300, 1e300)):
+        with pytest.raises(ThetaOverflowError):
+            ev.theta(z)
+        with pytest.raises(ThetaOverflowError):
+            ev.theta_taylor(z, 3)
+    assert issubclass(ThetaOverflowError, ThetaError)
+    # just inside the range the value is still finite and quasi-periodic
+    z = 0.2 + 0.3j
+    s = 12
+    mult = (-1.0) ** s * cmath.exp(-1j * PI * (s * s * tau + 2 * s * z))
+    far = ev.theta(z + s * tau)
+    assert cmath.isfinite(far)
+    assert abs(far - mult * ev.theta(z)) <= 1e-12 * abs(far)
