@@ -20,9 +20,6 @@ import numpy as np
 from .params import ModelParams, ParameterError
 from .theta import ThetaEvaluator
 
-Coeff = Callable[[complex], complex]
-
-
 # ---------------------------------------------------------------------------
 # R-matrix
 
@@ -155,83 +152,76 @@ class S0Grid:
 class ShiftOp:
     """Sparse lambda-difference operator on functions of (lambda, grid point).
 
-    terms maps (target, source, k) to a coefficient closure of lambda; the
-    term contributes coeff(lambda) * f(lambda + k * step)[source] to the
-    value at the target point.  k is an exact integer so repeated
-    composition never accumulates floating shift error.
+    blocks(lambda) maps each offset k to a dim x dim matrix M_k; the operator
+    sends f to sum_k M_k(lambda) @ f(lambda + k * step).  k is an exact
+    integer so repeated composition never accumulates floating shift error.
     """
 
     dim: int
     step: complex
-    terms: dict[tuple[int, int, int], Coeff]
+    blocks: Callable[[complex], dict[int, np.ndarray]]
 
     @classmethod
     def zero(cls, dim: int, step: complex) -> "ShiftOp":
-        return cls(dim, step, {})
+        return cls(dim, step, lambda lam: {})
 
     @classmethod
     def diagonal(cls, dim: int, step: complex, fn: Callable[[complex, int], complex],
                  k: int = 0) -> "ShiftOp":
-        terms = {
-            (i, i, k): (lambda lam, i=i: fn(lam, i)) for i in range(dim)
-        }
-        return cls(dim, step, terms)
+        return cls(dim, step, lambda lam: {
+            k: np.diag(np.array([fn(lam, i) for i in range(dim)], dtype=complex))
+        })
 
     def apply(self, f: Callable[[complex], np.ndarray], lam: complex) -> np.ndarray:
         out = np.zeros(self.dim, dtype=complex)
-        cache: dict[int, np.ndarray] = {}
-        for (t, s, k), coeff in self.terms.items():
-            if k not in cache:
-                cache[k] = np.asarray(f(lam + k * self.step))
-            out[t] += coeff(lam) * cache[k][s]
+        for k, m in self.blocks(lam).items():
+            out += m @ np.asarray(f(lam + k * self.step))
         return out
 
     def matrices(self, lam: complex) -> dict[int, np.ndarray]:
-        out: dict[int, np.ndarray] = {}
-        for (t, s, k), coeff in self.terms.items():
-            if k not in out:
-                out[k] = np.zeros((self.dim, self.dim), dtype=complex)
-            out[k][t, s] += coeff(lam)
-        return out
+        return self.blocks(lam)
 
     def compose(self, other: "ShiftOp") -> "ShiftOp":
         """self after other, with the lambda-argument of other shifted by self's k."""
         if self.dim != other.dim:
             raise ValueError("grid dimension mismatch")
-        pairs: dict[tuple[int, int, int], list[tuple[Coeff, Coeff, int]]] = {}
-        by_target: dict[int, list[tuple[tuple[int, int, int], Coeff]]] = {}
-        for key, coeff in other.terms.items():
-            by_target.setdefault(key[0], []).append((key, coeff))
-        for (t, mid, k1), ca in self.terms.items():
-            for (_, s, k2), cb in by_target.get(mid, []):
-                pairs.setdefault((t, s, k1 + k2), []).append((ca, cb, k1))
         step = self.step
 
-        def make(plist):
-            return lambda lam: sum(ca(lam) * cb(lam + k1 * step) for ca, cb, k1 in plist)
+        def blocks(lam):
+            out: dict[int, np.ndarray] = {}
+            for k1, a in self.blocks(lam).items():
+                for k2, b in other.blocks(lam + k1 * step).items():
+                    _accumulate(out, k1 + k2, a @ b)
+            return out
 
-        return ShiftOp(self.dim, step, {key: make(pl) for key, pl in pairs.items()})
+        return ShiftOp(self.dim, step, blocks)
 
     def __add__(self, other: "ShiftOp") -> "ShiftOp":
-        terms = dict(self.terms)
-        for key, coeff in other.terms.items():
-            if key in terms:
-                terms[key] = (lambda lam, a=terms[key], b=coeff: a(lam) + b(lam))
-            else:
-                terms[key] = coeff
-        return ShiftOp(self.dim, self.step, terms)
+        def blocks(lam):
+            out = dict(self.blocks(lam))
+            for k, m in other.blocks(lam).items():
+                _accumulate(out, k, m)
+            return out
+
+        return ShiftOp(self.dim, self.step, blocks)
 
     def scaled(self, g) -> "ShiftOp":
         """Left multiplication by a scalar or by a function of lambda."""
-        fn = g if callable(g) else (lambda lam, g=g: g)
-        return ShiftOp(
-            self.dim,
-            self.step,
-            {key: (lambda lam, c=c, fn=fn: fn(lam) * c(lam)) for key, c in self.terms.items()},
-        )
+        fn = g if callable(g) else (lambda lam: g)
+
+        def blocks(lam):
+            s = fn(lam)
+            return {k: s * m for k, m in self.blocks(lam).items()}
+
+        return ShiftOp(self.dim, self.step, blocks)
 
     def __sub__(self, other: "ShiftOp") -> "ShiftOp":
         return self + other.scaled(-1.0)
+
+
+def _accumulate(out: dict[int, np.ndarray], k: int, m: np.ndarray) -> None:
+    """out[k] += m without writing into an array that out may share."""
+    out[k] = out[k] + m if k in out else m
 
 
 def shift_residual(a: ShiftOp, b: ShiftOp, lam_samples: Sequence[complex]) -> float:
@@ -333,29 +323,32 @@ def build_quadruple(params: ModelParams) -> OperatorQuadruple:
             k=-1,
         )
 
+    def hop_op(z: complex, dm: int, coefficient) -> ShiftOp:
+        """Move one m_i by dm with lambda offset -dm: b for dm = -1, c for dm = +1.
+
+        Off-grid sources are dropped: their coefficient carries Delta_+(-x_i),
+        zero at m_i = 0, for b and Delta_-(-x_i), zero at m_i = Lambda_i, for c.
+        """
+        hops = [
+            (idx, src, i)
+            for idx in range(grid.dim)
+            for i in range(n)
+            if (src := grid.shifted(idx, i, dm)) is not None
+        ]
+
+        def blocks(lam):
+            m = np.zeros((grid.dim, grid.dim), dtype=complex)
+            for t, s, i in hops:
+                m[t, s] = coefficient(ev, params, grid, z, lam, t, i)
+            return {-dm: m}
+
+        return ShiftOp(grid.dim, step, blocks)
+
     def b_op(z: complex) -> ShiftOp:
-        terms: dict[tuple[int, int, int], Coeff] = {}
-        for idx in range(grid.dim):
-            for i in range(n):
-                src = grid.shifted(idx, i, -1)
-                if src is None:
-                    continue  # coefficient Delta_+(-x_i) vanishes at m_i = 0
-                terms[(idx, src, +1)] = (
-                    lambda lam, idx=idx, i=i, z=z: _b_coefficient(ev, params, grid, z, lam, idx, i)
-                )
-        return ShiftOp(grid.dim, step, terms)
+        return hop_op(z, -1, _b_coefficient)
 
     def c_op(z: complex) -> ShiftOp:
-        terms: dict[tuple[int, int, int], Coeff] = {}
-        for idx in range(grid.dim):
-            for i in range(n):
-                src = grid.shifted(idx, i, +1)
-                if src is None:
-                    continue  # coefficient Delta_-(-x_i) vanishes at m_i = Lambda_i
-                terms[(idx, src, -1)] = (
-                    lambda lam, idx=idx, i=i, z=z: _c_coefficient(ev, params, grid, z, lam, idx, i)
-                )
-        return ShiftOp(grid.dim, step, terms)
+        return hop_op(z, +1, _c_coefficient)
 
     def a_inverse(z: complex) -> ShiftOp:
         return ShiftOp.diagonal(
@@ -481,18 +474,10 @@ def central_element_residual(
     eta = params.eta
     combo = quad.a(z + 2 * eta).compose(quad.d(z)) - quad.c(z + 2 * eta).compose(quad.b(z))
     # undo the weight-dependent prefactor per target grid point
-    central = ShiftOp(
-        grid.dim,
-        combo.step,
-        {
-            key: (
-                lambda lam, c=c, t=key[0]: ev.theta(lam)
-                / ev.theta(lam - 2 * eta * grid.weights[t])
-                * c(lam)
-            )
-            for key, c in combo.terms.items()
-        },
-    )
+    central = ShiftOp.diagonal(
+        grid.dim, combo.step,
+        lambda lam, t: ev.theta(lam) / ev.theta(lam - 2 * eta * grid.weights[t]),
+    ).compose(combo)
     det_z = det_scalar(params, z)
     scalar = ShiftOp.diagonal(grid.dim, combo.step, lambda lam, idx: det_z)
     out = {"scalar_residual": shift_residual(central, scalar, lam_samples) / max(1.0, abs(det_z))}
@@ -511,21 +496,23 @@ def central_element_residual(
 
 def _l_hat(quad: OperatorQuadruple, z: complex, factor: int) -> ShiftOp:
     """Embed the 2x2 operator matrix [[a,b],[c,d]](z) at V-factor 0 or 1."""
-    n = quad.grid.dim
-    block = [[quad.a(z), quad.b(z)], [quad.c(z), quad.d(z)]]
-    terms: dict[tuple[int, int, int], Coeff] = {}
+    ops = [[quad.a(z), quad.b(z)], [quad.c(z), quad.d(z)]]
+    units = []
     for row in (0, 1):
         for col in (0, 1):
-            for (t, s, k), coeff in block[row][col].terms.items():
-                for spec in (0, 1):
-                    if factor == 0:
-                        tt = (row * 2 + spec) * n + t
-                        ss = (col * 2 + spec) * n + s
-                    else:
-                        tt = (spec * 2 + row) * n + t
-                        ss = (spec * 2 + col) * n + s
-                    terms[(tt, ss, k)] = coeff
-    return ShiftOp(4 * n, block[0][0].step, terms)
+            unit = np.zeros((2, 2))
+            unit[row, col] = 1.0
+            aux = np.kron(unit, np.eye(2)) if factor == 0 else np.kron(np.eye(2), unit)
+            units.append((aux, ops[row][col]))
+
+    def blocks(lam):
+        out: dict[int, np.ndarray] = {}
+        for aux, op in units:
+            for k, m in op.blocks(lam).items():
+                _accumulate(out, k, np.kron(aux, m))
+        return out
+
+    return ShiftOp(4 * quad.grid.dim, ops[0][0].step, blocks)
 
 
 def _mult_r(
@@ -535,21 +522,27 @@ def _mult_r(
     ev = params.evaluator()
     eta = params.eta
     n = grid.dim
-    terms: dict[tuple[int, int, int], Coeff] = {}
-    for rowpair in range(4):
-        for colpair in range(4):
-            for g in range(n):
-                if mode == "w_shift":
-                    shift = -2 * eta * grid.weights[g]
-                else:
-                    mu = (1 - 2 * (colpair // 2)) + (1 - 2 * (colpair % 2))
-                    shift = 2 * eta * mu
-                terms[(rowpair * n + g, colpair * n + g, 0)] = (
-                    lambda lam, rp=rowpair, cp=colpair, sh=shift: _r_matrix_raw(
-                        ev, eta, u, lam + sh
-                    )[rp, cp]
-                )
-    return ShiftOp(4 * n, 2 * eta, terms)
+    # the (V x V column, grid point) pairs that read R at each lambda shift
+    by_shift: dict[complex, list[tuple[int, int]]] = {}
+    for colpair in range(4):
+        for g in range(n):
+            if mode == "w_shift":
+                shift = -2 * eta * grid.weights[g]
+            else:
+                mu = (1 - 2 * (colpair // 2)) + (1 - 2 * (colpair % 2))
+                shift = 2 * eta * mu
+            by_shift.setdefault(shift, []).append((colpair, g))
+    rows = np.arange(4) * n
+
+    def blocks(lam):
+        m = np.zeros((4 * n, 4 * n), dtype=complex)
+        for shift, cells in by_shift.items():
+            r = _r_matrix_raw(ev, eta, u, lam + shift)
+            for colpair, g in cells:
+                m[rows + g, colpair * n + g] = r[:, colpair]
+        return {0: m}
+
+    return ShiftOp(4 * n, 2 * eta, blocks)
 
 
 def rll_residual(
@@ -641,8 +634,10 @@ def residue_sum(params: ModelParams, grid_index: int, i: int, n_points: int = 51
         return out
 
     poles = [-x for x in xs] + [-x - 2 * eta for x in xs]
+    # the poles need only be apart modulo the lattice: a closer translate
+    # of another pole inside the circle would add its residue
     sep = min(
-        abs(p - q) for a, p in enumerate(poles) for q in poles[a + 1:]
+        params.lattice.dist_to_lattice(p - q) for a, p in enumerate(poles) for q in poles[a + 1:]
     )
     radius = min(0.1, 0.3 * sep)
     total = 0.0 + 0j

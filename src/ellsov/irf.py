@@ -340,13 +340,10 @@ def reconcile_constructions(
     too clustered to pair up eigenvalues.
     """
     params.validate_for_irf()
-    ev = params.evaluator()
     z0 = sample_spectral(params, rng)
     tp = build_T_irf_paths(params, z0)
     ts = build_T_irf_sov(params, z0 - params.eta)
-    kap = 1.0 + 0.0j
-    for zi in params.zs:
-        kap /= ev.theta(z0 - zi - 2 * params.eta)
+    kap = kappa_factor(params, z0 - params.eta)
     literal = float(
         np.max(np.abs(tp - build_T_irf_sov(params, z0))) / np.max(np.abs(tp))
     )
@@ -375,9 +372,7 @@ def reconcile_constructions(
     for _ in range(samples):
         zf = sample_spectral(params, rng)
         lhs = build_T_irf_paths(params, zf)
-        kapf = 1.0 + 0.0j
-        for zi in params.zs:
-            kapf /= ev.theta(zf - zi - 2 * params.eta)
+        kapf = kappa_factor(params, zf - params.eta)
         rhs = constant * kapf * conj @ build_T_irf_sov(params, zf - params.eta) @ conj_inv
         residual = max(residual, float(np.max(np.abs(lhs - rhs)) / np.max(np.abs(lhs))))
     return DualReconciliation(

@@ -261,13 +261,10 @@ def sample_generic(
     rng: np.random.Generator,
     lattice: Lattice,
     margin: float,
-    reject: Callable[[complex], bool] | None = None,
 ) -> complex:
     for _ in range(4000):
         z = complex(rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0) * lattice.tau.imag)
         if lattice.dist_to_lattice(z) < margin:
-            continue
-        if reject is not None and reject(z):
             continue
         return z
     raise SpacesError("could not sample a generic point")

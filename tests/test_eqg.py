@@ -23,6 +23,7 @@ from ellsov.eqg import (
     shift_residual,
 )
 from ellsov.params import ModelParams, ParameterError
+from ellsov.theta import ThetaEvaluator
 
 from conftest import sample_point
 
@@ -126,9 +127,12 @@ def test_h_grading(lattice):
     quad = build_quadruple(params)
     grid = quad.grid
     z = 0.41 + 0.18j
+    lam = 0.37 + 0.29j
     for op, change in ((quad.a(z), 0), (quad.b(z), -2), (quad.c(z), 2), (quad.d(z), 0)):
-        for (t, s, _k) in op.terms:
-            assert grid.weights[t] - grid.weights[s] == change
+        entries = [np.nonzero(m) for m in op.matrices(lam).values()]
+        assert sum(len(t) for t, _s in entries) > 0
+        for t, s in entries:
+            assert np.all(grid.weights[t] - grid.weights[s] == change)
 
 
 def test_n1_example(lattice, rng):
@@ -163,7 +167,7 @@ def test_n1_example(lattice, rng):
                 assert abs(mats["c"][-1][idx, src] - c_ex) <= 1e-10 * max(1.0, abs(c_ex))
 
 
-@pytest.mark.parametrize("zs,lams", [(Z1, (1,)), (Z2, (1, 1))])
+@pytest.mark.parametrize("zs,lams", [(Z1, (1,)), (Z2, (1, 1)), (Z3, (1, 1, 1))])
 def test_rll_relations(lattice, rng, zs, lams):
     params = make_params(lattice, zs, lams)
     z = sample_point(rng, lattice)
@@ -172,6 +176,26 @@ def test_rll_relations(lattice, rng, zs, lams):
     report = rll_residual(params, z, w, samples)
     assert report["max_residual"] <= 1e-9
     assert np.max(np.asarray(report["block_residuals"])) <= 1e-9
+
+
+def test_rll_theta_count(lattice, rng, monkeypatch):
+    """Each operator matrix is filled once per lambda it is read at, so two
+    sites stay far below the 104,016 calls of per-term coefficient closures."""
+    params = make_params(lattice, Z2, (1, 1))
+    calls = [0]
+    original = ThetaEvaluator.theta_taylor
+
+    def counting(self, z, degree):
+        calls[0] += 1
+        return original(self, z, degree)
+
+    monkeypatch.setattr(ThetaEvaluator, "theta_taylor", counting)
+    z = sample_point(rng, lattice)
+    w = sample_point(rng, lattice)
+    samples = [sample_point(rng, lattice) for _ in range(5)]
+    report = rll_residual(params, z, w, samples)
+    assert report["max_residual"] <= 1e-9
+    assert calls[0] <= 20_000
 
 
 def test_ab_exchange(lattice, rng):
@@ -263,6 +287,21 @@ def test_residue_sum(lattice):
     params = make_params(lattice, Z2, (2, 2))
     grid = S0Grid(params)
     for gi in (0, grid.dim // 2):
+        for i in (0, 1):
+            assert abs(residue_sum(params, gi, i)) <= 1e-10
+
+
+def test_residue_sum_poles_close_mod_lattice(lattice):
+    """Poles 0.37 apart in the plane but 0.081 apart modulo the lattice: the
+    quadrature radius must follow the lattice distance, or a circle encloses
+    a translate of another pole and the sum comes out near 1."""
+    params = ModelParams(
+        lattice=lattice,
+        eta=0.244551 - 0.091536j,
+        zs=(0.797729 + 1.046006j, 0.206087 + 0.872536j),
+        lams=(1, 1),
+    )
+    for gi in (0, 3):
         for i in (0, 1):
             assert abs(residue_sum(params, gi, i)) <= 1e-10
 
