@@ -77,12 +77,14 @@ def _r_on_three(
     """Embed R(u, lambda - 2 eta h^(dyn)) into End(V x V x V) acting at pos."""
     pair_index = {(0, 0): 0, (0, 1): 1, (1, 0): 2, (1, 1): 3}
     p, q = pos
+    # lambda_eff depends on the basis vector only through its dyn component
+    if dyn is None:
+        rs = [_r_matrix_raw(ev, eta, u, lam)]
+    else:
+        rs = [_r_matrix_raw(ev, eta, u, lam - 2 * eta * (1 - 2 * s)) for s in (0, 1)]
     out = np.zeros((8, 8), dtype=complex)
     for src in itertools.product((0, 1), repeat=3):
-        lam_eff = lam
-        if dyn is not None:
-            lam_eff = lam - 2 * eta * (1 - 2 * src[dyn])
-        r = _r_matrix_raw(ev, eta, u, lam_eff)
+        r = rs[0 if dyn is None else src[dyn]]
         col = pair_index[(src[p], src[q])]
         for row in range(4):
             if r[row, col] == 0:

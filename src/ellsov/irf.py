@@ -34,7 +34,6 @@ __all__ = [
     "PathState",
     "path_states",
     "BoltzmannWeights",
-    "boltzmann_weights",
     "build_T_irf_paths",
     "build_T_irf_sov",
     "kappa_factor",
@@ -127,8 +126,6 @@ class BoltzmannWeights:
     all-ascending weight W(l+1, l+2, l+1, l | z) equals one.
     """
 
-    _IDX = {2: 0, -2: 1}
-
     def __init__(self, params: ModelParams, z: complex):
         self.params = params
         self.z = complex(z)
@@ -144,16 +141,15 @@ class BoltzmannWeights:
         for diff in (c2 - d2, b2 - c2, b2 - a2, a2 - d2):
             if diff != 2 and diff != -2:
                 return 0.0j
-        row = 2 * self._IDX[b2 - a2] + self._IDX[a2 - d2]
-        col = 2 * self._IDX[c2 - d2] + self._IDX[b2 - c2]
-        return self._r_for(d2)[row, col]
+        return self._r_for(d2)[self._slots(c2, b2, a2, d2)]
+
+    @staticmethod
+    def _slots(c2, b2, a2, d2):
+        """R-matrix (row, col) of admissible faces, entrywise on arrays; step up is slot 0."""
+        return 2 * (b2 < a2) + (a2 < d2), 2 * (c2 < d2) + (b2 < c2)
 
     def value(self, c, b, a, d) -> complex:
         return self.value_doubled(_twice(c), _twice(b), _twice(a), _twice(d))
-
-
-def boltzmann_weights(params: ModelParams, z: complex) -> BoltzmannWeights:
-    return BoltzmannWeights(params, z)
 
 
 # ---------------------------------------------------------------------------
@@ -165,26 +161,30 @@ def build_T_irf_paths(params: ModelParams, z: complex) -> np.ndarray:
 
     Entry [b, a] is the product over columns of the face weight
     W(a_{i+1}, a_i, b_i, b_{i+1} | z - z_i); it vanishes unless the two
-    paths differ by one at every node.
+    paths differ by one at every node, which leaves 3^n - 1 entries.
+    The node product uses the scalar complex-product formula on real and
+    imaginary arrays (numpy's complex multiply rounds differently), so
+    each entry equals the pair-by-pair product bit for bit.
     """
     params.validate_for_irf()
     n = params.n
-    states = path_states(n)
-    weights = [BoltzmannWeights(params, z - zi) for zi in params.zs]
-    dim = len(states)
+    heights = np.array([st.twice_heights for st in path_states(n)], dtype=np.int8)
+    dim = len(heights)
+    support = np.ones((dim, dim), dtype=bool)
+    for i in range(n + 1):
+        support &= np.abs(heights[:, None, i] - heights[None, :, i]) == 2
+    rows, cols = np.nonzero(support)
+    b, a = heights[rows], heights[cols]
+    re, im = np.ones(len(rows)), np.zeros(len(rows))
+    for i, zi in enumerate(params.zs):
+        weights = BoltzmannWeights(params, z - zi)
+        corners, which = np.unique(b[:, i + 1], return_inverse=True)
+        rmats = np.array([weights._r_for(int(d2)) for d2 in corners])
+        w = rmats[(which,) + BoltzmannWeights._slots(a[:, i + 1], a[:, i], b[:, i], b[:, i + 1])]
+        re, im = re * w.real - im * w.imag, re * w.imag + im * w.real
     t = np.zeros((dim, dim), dtype=complex)
-    for acol, astate in enumerate(states):
-        ah = astate.twice_heights
-        for brow, bstate in enumerate(states):
-            bh = bstate.twice_heights
-            if any(abs(ah[i] - bh[i]) != 2 for i in range(n + 1)):
-                continue
-            val = 1.0 + 0.0j
-            for i in range(n):
-                val *= weights[i].value_doubled(ah[i + 1], ah[i], bh[i], bh[i + 1])
-                if val == 0.0:
-                    break
-            t[brow, acol] = val
+    t.real[rows, cols] = re
+    t.imag[rows, cols] = im
     return t
 
 
@@ -327,6 +327,17 @@ def sample_spectral(params: ModelParams, rng: np.random.Generator) -> complex:
     return params.sample_generic(rng, margin=5e-2, avoid=avoid)
 
 
+def _pair_spectra(mu: np.ndarray, target: np.ndarray, tol: float) -> np.ndarray:
+    """perm with |mu[l] - target[perm[l]]| < tol, the only target that close."""
+    close = np.abs(mu[:, None] - target[None, :]) < tol
+    if np.any(np.count_nonzero(close, axis=1) != 1):
+        raise ParameterError("eigenvalue pairing between the two constructions is ambiguous")
+    perm = np.argmax(close, axis=1)
+    if np.unique(perm).size != len(mu):
+        raise ParameterError("eigenvalue pairing is not a bijection")
+    return perm
+
+
 def reconcile_constructions(
     params: ModelParams,
     rng: np.random.Generator,
@@ -350,22 +361,9 @@ def reconcile_constructions(
     mu, vp = np.linalg.eig(tp)
     nu, vs = np.linalg.eig(ts)
     constant = -1.0 + 0.0j
-    scale = float(np.max(np.abs(mu)))
-    perm = []
-    for l in range(len(mu)):
-        cands = [
-            k
-            for k in range(len(nu))
-            if abs(mu[l] - constant * kap * nu[k]) < 1e-8 * scale
-        ]
-        if len(cands) != 1:
-            raise ParameterError(
-                "eigenvalue pairing between the two constructions is ambiguous"
-            )
-        perm.append(cands[0])
-    if sorted(perm) != list(range(len(mu))):
-        raise ParameterError("eigenvalue pairing is not a bijection")
+    perm = _pair_spectra(mu, constant * kap * nu, 1e-8 * float(np.max(np.abs(mu))))
     conj = vp @ np.linalg.inv(vs[:, perm])
+    del tp, ts, vp, vs
 
     conj_inv = np.linalg.inv(conj)
     residual = 0.0

@@ -76,6 +76,24 @@ def test_qybe(lattice, rng):
         assert qybe_residual(params, z, w, lam) <= 1e-9
 
 
+def test_qybe_r_matrix_count(lattice, rng, monkeypatch):
+    """lambda_eff takes one value per plain embedding and two per dynamical
+    one, so a QYBE residual needs 3 + 3 * 2 R-matrices, not one per basis
+    vector of each embedding (48)."""
+    params = make_params(lattice, Z1, (1,))
+    calls = [0]
+    original = eqg._r_matrix_raw
+
+    def counting(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(eqg, "_r_matrix_raw", counting)
+    z, w, lam = (sample_point(rng, lattice) for _ in range(3))
+    assert qybe_residual(params, z, w, lam) <= 1e-9
+    assert calls[0] <= 9
+
+
 def test_ktwist(lattice, rng):
     params = make_params(lattice, Z1, (1,))
     k = k_matrix()

@@ -98,6 +98,61 @@ def test_paths_one_site_closed_form(lattice, rng):
         assert_allclose(t[1, 0], off, rtol=1e-13)
 
 
+def reference_paths(params, z):
+    """The path transfer matrix as a loop over all state pairs, as an oracle."""
+    states = path_states(params.n)
+    weights = [BoltzmannWeights(params, z - zi) for zi in params.zs]
+    t = np.zeros((len(states), len(states)), dtype=complex)
+    for acol, astate in enumerate(states):
+        ah = astate.twice_heights
+        for brow, bstate in enumerate(states):
+            bh = bstate.twice_heights
+            if any(abs(ah[i] - bh[i]) != 2 for i in range(params.n + 1)):
+                continue
+            val = 1.0 + 0.0j
+            for i in range(params.n):
+                val *= weights[i].value_doubled(ah[i + 1], ah[i], bh[i], bh[i + 1])
+                if val == 0.0:
+                    break
+            t[brow, acol] = val
+    return t
+
+
+def test_paths_match_reference_loop(lattice):
+    # the index-form build reproduces the pair loop bit for bit
+    rng2 = np.random.default_rng(11)
+    for zs in (Z1, Z3, Z5, Z9[:7]):
+        params = make_params(lattice, zs)
+        for _ in range(2):
+            z = spectral_point(params, rng2)
+            assert np.array_equal(build_T_irf_paths(params, z), reference_paths(params, z))
+
+
+def test_paths_support_size(lattice):
+    # two paths are neighbours when they differ by one at every node:
+    # 3^n - 1 such pairs, each with a generically nonzero weight
+    rng2 = np.random.default_rng(13)
+    for n in (1, 3, 5, 7, 9):
+        params = make_params(lattice, Z9[:n])
+        t = build_T_irf_paths(params, spectral_point(params, rng2))
+        assert np.count_nonzero(t) == 3 ** n - 1
+
+
+def test_paths_theta_count(lattice, monkeypatch):
+    """Five sites: one R-matrix per (site, corner height), 480 theta calls."""
+    params = make_params(lattice, Z5)
+    calls = [0]
+    original = ThetaEvaluator.theta_taylor
+
+    def counting(self, z, degree):
+        calls[0] += 1
+        return original(self, z, degree)
+
+    monkeypatch.setattr(ThetaEvaluator, "theta_taylor", counting)
+    build_T_irf_paths(params, 0.41 + 0.37j)
+    assert calls[0] <= 480
+
+
 def test_sov_one_site_closed_form(lattice, rng):
     params = make_params(lattice, Z1)
     ev = params.evaluator()
@@ -155,6 +210,19 @@ def test_dual_reconciliation(lattice, rng):
     sov_rows = np.count_nonzero(build_T_irf_sov(params, z), axis=1)
     assert np.all(sov_rows == 3)
     assert sorted(paths_rows) != sorted(sov_rows)
+
+
+def test_pair_spectra():
+    rng2 = np.random.default_rng(17)
+    target = rng2.normal(size=64) + 1j * rng2.normal(size=64)
+    perm = rng2.permutation(64)
+    mu = target[perm] + 1e-12
+    assert np.array_equal(irf._pair_spectra(mu, target, 1e-9), perm)
+    # a duplicated target gives one eigenvalue two candidates
+    doubled = target.copy()
+    doubled[perm[1]] = doubled[perm[0]]
+    with pytest.raises(ParameterError, match="ambiguous"):
+        irf._pair_spectra(mu, doubled, 1e-9)
 
 
 def test_eigenvalue_map(lattice, rng):
