@@ -233,7 +233,7 @@ def _task_gaudin_bethe(cfg, params, rng, tol, csv_dir):
     degree = int(block.get("degree", 8))
     try:
         sol = gaudin.solve_gaudin_bethe(params, rng, m=block.get("bethe_m"))
-    except RuntimeError as exc:
+    except spaces.SpacesError as exc:
         return {
             "checks": [_check("solver_converged", 1.0, 1e-10)],
             "metrics": {"solver_error": str(exc)},

@@ -10,16 +10,15 @@ through the requested Taylor degree.
 
 from __future__ import annotations
 
-import cmath
 import dataclasses
-import math
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import jets
-from .jets import LambdaDiffOp, jmul
+from .jets import LambdaDiffOp
 from .params import ModelParams, ParameterError
+from .spaces import damped_newton
 from .theta import ThetaEvaluator
 
 __all__ = [
@@ -325,80 +324,47 @@ def _gaudin_equations(ev: ThetaEvaluator, params: ModelParams, c: complex, roots
     return res
 
 
+def _gaudin_jacobian(ev: ThetaEvaluator, params: ModelParams, roots: np.ndarray) -> np.ndarray:
+    m = len(roots)
+    jac = np.zeros((m, m + 1), dtype=complex)
+    for j in range(m):
+        jac[j, 0] = -2.0
+        diag = 0j
+        for zl, ll in zip(params.zs, params.lams):
+            diag -= ll * ev.wp_bar(roots[j] - zl)
+        for k in range(m):
+            if k != j:
+                wp = ev.wp_bar(roots[j] - roots[k])
+                diag += 2.0 * wp
+                jac[j, 1 + k] = -2.0 * wp
+        jac[j, 1 + j] = diag
+    return jac
+
+
 def solve_gaudin_bethe(
     params: ModelParams,
     rng: np.random.Generator,
     m: int | None = None,
-    target: float = 1e-11,
-    max_iters: int = 200,
-    max_restarts: int = 8,
 ) -> GaudinBetheResult:
-    """Damped least-squares Newton on the n-site Gaudin Bethe equations.
+    """spaces.damped_newton on the n-site Gaudin Bethe equations in (c, w_1..w_m).
 
-    The system has m equations in m+1 unknowns (c, w_1..w_m); the extra
-    direction is harmless, Newton just picks the minimum-norm step.
+    The target is absolute (scale 1); each start draws the roots, then c.
     """
     params.validate_even_weight_sum()
     ev = params.evaluator()
     if m is None:
         m = sum(params.lams) // 2
-    last: Exception | None = None
-    for _ in range(max_restarts):
-        roots = np.array(
-            [params.sample_generic(rng, avoid=params.zs) for _ in range(m)], dtype=complex
-        )
-        c = complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4))
-        try:
-            return _gaudin_newton(ev, params, c, roots, target, max_iters)
-        except Exception as exc:  # restart on pole hits and stagnation alike
-            last = exc
-    raise RuntimeError("Gaudin Bethe solver failed after restarts: %s" % last)
 
+    def start():
+        roots = [params.sample_generic(rng, avoid=params.zs) for _ in range(m)]
+        return np.array([complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4))] + roots)
 
-def _gaudin_newton(ev, params, c, roots, target, max_iters):
-    m = len(roots)
-    res = _gaudin_equations(ev, params, c, roots)
-    norm = float(np.max(np.abs(res)))
-    for it in range(max_iters):
-        if norm <= target:
-            return GaudinBetheResult(
-                c=complex(c), roots=tuple(complex(w) for w in roots),
-                residual=norm, iterations=it,
-            )
-        jac = np.zeros((m, m + 1), dtype=complex)
-        for j in range(m):
-            jac[j, 0] = -2.0
-            diag = 0j
-            for zl, ll in zip(params.zs, params.lams):
-                diag -= ll * ev.wp_bar(roots[j] - zl)
-            for k in range(m):
-                if k != j:
-                    diag += 2.0 * ev.wp_bar(roots[j] - roots[k])
-                    jac[j, 1 + k] = -2.0 * ev.wp_bar(roots[j] - roots[k])
-            jac[j, 1 + j] = diag
-        step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
-        damp = 1.0
-        for _ in range(20):
-            nc = c + damp * step[0]
-            nroots = roots + damp * step[1:]
-            try:
-                nres = _gaudin_equations(ev, params, nc, nroots)
-            except Exception:
-                damp *= 0.5
-                continue
-            nnorm = float(np.max(np.abs(nres)))
-            if nnorm < norm or nnorm <= target:
-                c, roots, res, norm = nc, nroots, nres, nnorm
-                break
-            damp *= 0.5
-        else:
-            raise RuntimeError("step halving exhausted at residual %g" % norm)
-    if norm <= target:
-        return GaudinBetheResult(
-            c=complex(c), roots=tuple(complex(w) for w in roots), residual=norm,
-            iterations=max_iters,
-        )
-    raise RuntimeError("no convergence after %d iterations" % max_iters)
+    x, residual, iterations = damped_newton(
+        lambda x: (_gaudin_equations(ev, params, x[0], x[1:]), 1.0),
+        lambda x: _gaudin_jacobian(ev, params, x[1:]),
+        start,
+    )
+    return GaudinBetheResult(complex(x[0]), tuple(complex(w) for w in x[1:]), residual, iterations)
 
 
 def bethe_eigenvector(

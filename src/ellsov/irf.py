@@ -718,7 +718,6 @@ class ContinuousBethe:
 def continuous_bethe(
     params: ModelParams,
     rng: np.random.Generator,
-    target: float = 1e-11,
 ) -> ContinuousBethe:
     """Solve the root system for Q and package the factorized eigenfunction.
 
@@ -736,9 +735,7 @@ def continuous_bethe(
     a_minus = EllipticPoly(
         0.0, tuple(-zk + params.eta * lk for zk, lk in zip(params.zs, params.lams))
     )
-    sol = spaces.solve_difference_bethe(
-        ev, a_plus, a_minus, 2 * params.eta, m, rng, target=target
-    )
+    sol = spaces.solve_difference_bethe(ev, a_plus, a_minus, 2 * params.eta, m, rng)
     q = EllipticPoly(sol.a, sol.roots)
     chi = Character(
         (-1.0) ** m * cmath.exp(sol.a),

@@ -11,8 +11,7 @@ produced as matrix jets on demand.
 from __future__ import annotations
 
 import dataclasses
-import math
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 

@@ -91,14 +91,5 @@ class ModelParams:
     def sample_generic(
         self, rng: np.random.Generator, margin: float | None = None, avoid=()
     ) -> complex:
-        """Seeded generic point in the cell, away from the lattice and `avoid` shifts."""
-        margin = self.rho * 100 if margin is None else margin
-        tau = self.lattice.tau
-        for _ in range(4000):
-            z = complex(rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0) * tau.imag)
-            if self.lattice.dist_to_lattice(z) < margin:
-                continue
-            if any(self.lattice.dist_to_lattice(z - p) < margin for p in avoid):
-                continue
-            return z
-        raise ParameterError("failed to sample a generic point")
+        """Lattice.sample_generic with the default margin 100 rho."""
+        return self.lattice.sample_generic(rng, self.rho * 100 if margin is None else margin, avoid)

@@ -9,9 +9,9 @@ and form a k-dimensional space (k >= 1).  Every member factors as
 exp(a*z) * prod_j theta(z - w_j) with k zeros per cell; the zero sum is
 pinned modulo the lattice by the character.  This module provides that
 factored form, node-based interpolation, a membership test, zero
-counting by contour integration of the logarithmic derivative, and a
-damped least-squares Newton solver for the Bethe system attached to the
-scalar difference equation
+counting by contour integration of the logarithmic derivative, and
+damped_newton, the one Newton solver of the package.  It solves the Gaudin
+Bethe system (gaudin.py) and the Bethe system of the difference equation
 
     A_plus(z) Q(z - gamma) + A_minus(z) Q(z + gamma) = eps(z) Q(z).
 """
@@ -49,6 +49,7 @@ __all__ = [
     "make_basis",
     "membership_test",
     "count_zeros",
+    "damped_newton",
     "solve_difference_bethe",
 ]
 
@@ -257,25 +258,12 @@ def interpolate(
     return ThetaSpaceBasis(ev, k, chi, nodes).fit(values)
 
 
-def sample_generic(
-    rng: np.random.Generator,
-    lattice: Lattice,
-    margin: float,
-) -> complex:
-    for _ in range(4000):
-        z = complex(rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0) * lattice.tau.imag)
-        if lattice.dist_to_lattice(z) < margin:
-            continue
-        return z
-    raise SpacesError("could not sample a generic point")
-
-
 def make_basis(
     ev: ThetaEvaluator, k: int, chi: Character, rng: np.random.Generator
 ) -> ThetaSpaceBasis:
     """Draw generic nodes (seeded) until the interpolation data is well posed."""
     for _ in range(64):
-        nodes = [sample_generic(rng, ev.lattice, 10 * ev.rho) for _ in range(k)]
+        nodes = [ev.lattice.sample_generic(rng, 10 * ev.rho) for _ in range(k)]
         try:
             return ThetaSpaceBasis(ev, k, chi, nodes)
         except (DegenerateNodesError, ResonantCharacterError):
@@ -314,13 +302,13 @@ def membership_test(
     scale = max(max(abs(v) for v in values), 1e-300)
     deviation = 0.0
     for _ in range(max(k, 3)):
-        z = sample_generic(rng, ev.lattice, 10 * ev.rho)
+        z = ev.lattice.sample_generic(rng, 10 * ev.rho)
         deviation = max(deviation, abs(f(z) - interp(z)))
         scale = max(scale, abs(f(z)))
     qp = 0.0
     tau = ev.lattice.tau
     for (r, s) in ((1, 0), (0, 1), (1, 1)):
-        z = sample_generic(rng, ev.lattice, 10 * ev.rho)
+        z = ev.lattice.sample_generic(rng, 10 * ev.rho)
         expect = expected_multiplier(chi, k, z, r, s, tau) * f(z)
         qp = max(qp, abs(f(z + r + s * tau) - expect))
         scale = max(scale, abs(expect))
@@ -371,6 +359,66 @@ def count_zeros(
     return total / _2PI_I
 
 
+# -- damped Newton -------------------------------------------------------
+
+# no caller tunes these, so they are constants
+_TARGET = 1e-11
+_MAX_ITERS = 200
+_MAX_HALVINGS = 20
+_MAX_RESTARTS = 8
+_RESTARTABLE = (NoConvergenceError, InvalidSolutionError, PoleProximityError, ZeroDivisionError)
+
+
+def damped_newton(residual, jacobian, start, accept=None) -> tuple[np.ndarray, float, int]:
+    """Damped least-squares Newton for r(x) = 0; returns (x, max|r| / scale, iterations).
+
+    residual(x) returns (r, scale), and x solves once max|r| <= 1e-11 * scale.
+    The step is the minimum-norm least-squares solution of J s = -r, as the
+    Bethe systems have m equations in m + 1 unknowns; it is halved, up to 20
+    times, until max|r| drops.  start() draws each start point; accept(x)
+    may reject a solution by raising InvalidSolutionError.  A start that
+    fails with one of _RESTARTABLE gives way to the next; after 8 starts
+    NoConvergenceError is raised.  Any other error propagates.
+    """
+    last: Exception | None = None
+    for _ in range(_MAX_RESTARTS):
+        x = start()
+        try:
+            return _newton_run(residual, jacobian, x, accept)
+        except _RESTARTABLE as exc:
+            last = exc
+    raise NoConvergenceError("all %d Newton restarts failed: %s" % (_MAX_RESTARTS, last))
+
+
+def _newton_run(residual, jacobian, x, accept):
+    res, scale = residual(x)
+    norm = float(np.max(np.abs(res)))
+    iterations = 0
+    while not norm <= _TARGET * scale:  # a NaN residual never converges
+        if iterations == _MAX_ITERS:
+            raise NoConvergenceError("no convergence after %d iterations (residual %g)" % (iterations, norm))
+        step, *_ = np.linalg.lstsq(jacobian(x), -res, rcond=None)
+        damp = 1.0
+        for _ in range(_MAX_HALVINGS):
+            nx = x + damp * step
+            try:
+                nres, nscale = residual(nx)
+            except PoleProximityError:
+                damp *= 0.5
+                continue
+            nnorm = float(np.max(np.abs(nres)))
+            if nnorm < norm or nnorm <= _TARGET * nscale:
+                x, res, scale, norm = nx, nres, nscale, nnorm
+                break
+            damp *= 0.5
+        else:
+            raise NoConvergenceError("step halving exhausted at residual %g" % norm)
+        iterations += 1
+    if accept is not None:
+        accept(x)
+    return x, norm / scale, iterations
+
+
 # -- difference-equation Bethe solver ----------------------------------
 
 
@@ -397,35 +445,34 @@ def check_difference_compatibility(
         raise CompatibilityError("difference-equation characters violate the tau compatibility")
 
 
-def _bethe_residuals(ev, A_plus, A_minus, gamma, a, roots):
-    """Residual form summed over all roots, including j = i."""
-    m = len(roots)
-    res = np.zeros(m, dtype=complex)
-    scale = 0.0
+def _bethe_terms(ev, A_plus, A_minus, gamma, a, roots):
+    """The summands (t1_i, t2_i) of equation i, with products over all roots (j = i too)."""
     ea_m = cmath.exp(-gamma * a)
     ea_p = cmath.exp(gamma * a)
-    for i in range(m):
-        t1 = eval_elliptic_poly(ev, A_plus, roots[i]) * ea_m
-        t2 = eval_elliptic_poly(ev, A_minus, roots[i]) * ea_p
-        for j in range(m):
-            t1 *= ev.theta(roots[i] - roots[j] - gamma)
-            t2 *= ev.theta(roots[i] - roots[j] + gamma)
-        res[i] = t1 + t2
+    terms = []
+    for wi in roots:
+        t1 = eval_elliptic_poly(ev, A_plus, wi) * ea_m
+        t2 = eval_elliptic_poly(ev, A_minus, wi) * ea_p
+        for wj in roots:
+            t1 *= ev.theta(wi - wj - gamma)
+            t2 *= ev.theta(wi - wj + gamma)
+        terms.append((t1, t2))
+    return terms
+
+
+def _bethe_residuals(ev, A_plus, A_minus, gamma, a, roots):
+    """Residuals t1_i + t2_i and the scale max |t| of the relative target."""
+    terms = _bethe_terms(ev, A_plus, A_minus, gamma, a, roots)
+    scale = 0.0
+    for t1, t2 in terms:
         scale = max(scale, abs(t1), abs(t2))
-    return res, max(scale, 1e-300)
+    return np.array([t1 + t2 for t1, t2 in terms], dtype=complex), max(scale, 1e-300)
 
 
 def _bethe_jacobian(ev, A_plus, A_minus, gamma, a, roots):
     m = len(roots)
     jac = np.zeros((m, m + 1), dtype=complex)
-    ea_m = cmath.exp(-gamma * a)
-    ea_p = cmath.exp(gamma * a)
-    for i in range(m):
-        t1 = eval_elliptic_poly(ev, A_plus, roots[i]) * ea_m
-        t2 = eval_elliptic_poly(ev, A_minus, roots[i]) * ea_p
-        for j in range(m):
-            t1 *= ev.theta(roots[i] - roots[j] - gamma)
-            t2 *= ev.theta(roots[i] - roots[j] + gamma)
+    for i, (t1, t2) in enumerate(_bethe_terms(ev, A_plus, A_minus, gamma, a, roots)):
         jac[i, 0] = -gamma * t1 + gamma * t2
         for l in range(m):
             if l == i:
@@ -451,73 +498,29 @@ def solve_difference_bethe(
     gamma: complex,
     m: int,
     rng: np.random.Generator,
-    target: float = 1e-11,
-    max_iters: int = 200,
-    max_restarts: int = 8,
 ) -> BetheSolution:
-    """Damped least-squares Newton for the m-root Bethe system.
+    """damped_newton on the m-root Bethe system in the unknowns (a, w_1..w_m).
 
-    The system has m equations in the m+1 unknowns (a, w_1..w_m), so the
-    Newton step is the minimum-norm least-squares solution; steps are
-    halved (up to 20 times) whenever the residual does not drop.
+    Each start draws the m roots, then a; a converged root set whose roots
+    collide modulo the lattice is rejected and the solver restarts.
     """
-    tau = ev.lattice.tau
-    chi_p = character_of(A_plus, tau)
-    chi_m = character_of(A_minus, tau)
-    check_difference_compatibility(chi_p, chi_m, gamma, m)
     lat = ev.lattice
-    last_exc: Exception | None = None
-    for _ in range(max_restarts):
-        roots = np.array(
-            [sample_generic(rng, lat, 20 * ev.rho) for _ in range(m)], dtype=complex
-        )
-        a = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
-        try:
-            return _newton_run(ev, A_plus, A_minus, gamma, a, roots, target, max_iters)
-        except (NoConvergenceError, InvalidSolutionError, PoleProximityError, ZeroDivisionError) as exc:
-            last_exc = exc
-    raise NoConvergenceError("all Bethe restarts failed: %s" % last_exc)
+    check_difference_compatibility(character_of(A_plus, lat.tau), character_of(A_minus, lat.tau), gamma, m)
+
+    def start():
+        roots = [lat.sample_generic(rng, 20 * ev.rho) for _ in range(m)]
+        return np.array([complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))] + roots)
+
+    x, residual, iterations = damped_newton(
+        lambda x: _bethe_residuals(ev, A_plus, A_minus, gamma, x[0], x[1:]),
+        lambda x: _bethe_jacobian(ev, A_plus, A_minus, gamma, x[0], x[1:]),
+        start,
+        accept=lambda x: _check_root_separation(ev, x[1:]),
+    )
+    return BetheSolution(complex(x[0]), tuple(complex(w) for w in x[1:]), residual, iterations)
 
 
-def _newton_run(ev, A_plus, A_minus, gamma, a, roots, target, max_iters):
-    m = len(roots)
-    res, scale = _bethe_residuals(ev, A_plus, A_minus, gamma, a, roots)
-    norm = float(np.max(np.abs(res)))
-    for it in range(max_iters):
-        if norm <= target * scale:
-            _check_root_separation(ev, roots, gamma)
-            return BetheSolution(
-                a=complex(a), roots=tuple(complex(w) for w in roots), residual=norm / scale,
-                iterations=it,
-            )
-        jac = _bethe_jacobian(ev, A_plus, A_minus, gamma, a, roots)
-        step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
-        damp = 1.0
-        for _ in range(20):
-            na = a + damp * step[0]
-            nroots = roots + damp * step[1:]
-            try:
-                nres, nscale = _bethe_residuals(ev, A_plus, A_minus, gamma, na, nroots)
-            except PoleProximityError:
-                damp *= 0.5
-                continue
-            nnorm = float(np.max(np.abs(nres)))
-            if nnorm < norm or nnorm <= target * nscale:
-                a, roots, res, scale, norm = na, nroots, nres, nscale, nnorm
-                break
-            damp *= 0.5
-        else:
-            raise NoConvergenceError("step halving exhausted at residual %g" % norm)
-    if norm <= target * scale:
-        _check_root_separation(ev, roots, gamma)
-        return BetheSolution(
-            a=complex(a), roots=tuple(complex(w) for w in roots), residual=norm / scale,
-            iterations=max_iters,
-        )
-    raise NoConvergenceError("no convergence after %d iterations (residual %g)" % (max_iters, norm))
-
-
-def _check_root_separation(ev, roots, gamma):
+def _check_root_separation(ev, roots):
     lat = ev.lattice
     for i in range(len(roots)):
         for j in range(i + 1, len(roots)):

@@ -111,6 +111,14 @@ class Lattice:
             abs(z0), abs(z0 - 1.0), abs(z0 - tau), abs(z0 - 1.0 - tau)
         )
 
+    def sample_generic(self, rng: np.random.Generator, margin: float, avoid=()) -> complex:
+        """Seeded point of the cell at least margin from the lattice and each `avoid` shift."""
+        for _ in range(4000):
+            z = complex(rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0) * self.tau.imag)
+            if all(self.dist_to_lattice(z - p) >= margin for p in (0.0, *avoid)):
+                return z
+        raise LatticeError("failed to sample a generic point")
+
 
 @dataclasses.dataclass(frozen=True)
 class ThetaEvaluator:

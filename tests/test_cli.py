@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from ellsov import cli
+from ellsov import cli, gaudin
+from ellsov.theta import PoleProximityError
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -170,6 +171,22 @@ def test_partition_report(tmp_path):
         "construction_consistency",
     }
     assert len(report["metrics"]["rows"]) == 4
+
+
+def test_gaudin_bethe_solver_failure(tmp_path, monkeypatch):
+    """A Gaudin solve that fails on every start is a failed check with exit 1."""
+
+    def at_pole(*args):
+        raise PoleProximityError("residual evaluated at a pole")
+
+    monkeypatch.setattr(gaudin, "_gaudin_equations", at_pole)
+    code, report = run_to_file(
+        tmp_path, ["gaudin", "bethe", "--config", str(CONFIGS / "gaudin_n2.json")]
+    )
+    assert code == 1
+    assert report["pass"] is False
+    assert [(c["name"], c["pass"]) for c in report["checks"]] == [("solver_converged", False)]
+    assert "residual evaluated at a pole" in report["metrics"]["solver_error"]
 
 
 def test_bethe_report(tmp_path):

@@ -251,6 +251,20 @@ def test_bethe_solver(lattice, rng):
             assert abs(wj - zl) > 1e-6
 
 
+def test_bethe_solver_untyped_error_propagates(lattice, rng, monkeypatch):
+    """Only typed numeric failures restart the solver; a program error surfaces at once."""
+    calls = []
+
+    def broken(*args):
+        calls.append(args)
+        raise TypeError("broken residual")
+
+    monkeypatch.setattr(gaudin, "_gaudin_equations", broken)
+    with pytest.raises(TypeError, match="broken residual"):
+        solve_gaudin_bethe(make_params(lattice, Z2, (1, 1)), rng)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("zs,lams", [(Z1, (4,)), (Z2, (1, 1)), (Z2, (2, 2))])
 def test_bethe_eigenvector(lattice, rng, zs, lams):
     """u = e^{c lambda} f(w_1)...f(w_m) v_0 is a joint eigenvector; eigenvalues sum to 0."""

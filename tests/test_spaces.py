@@ -25,7 +25,7 @@ from ellsov.spaces import (
     phi_of_character,
     solve_difference_bethe,
 )
-from ellsov.theta import ThetaEvaluator
+from ellsov.theta import PoleProximityError, ThetaEvaluator
 
 from conftest import sample_point
 
@@ -228,6 +228,34 @@ def test_bethe_solution_solves_difference_equation(ev, rng):
     chi_eps = induced_eigenvalue_character(character_of(A_plus, tau), gamma, m)
     report = membership_test(ev, eps, n, chi_eps, rng)
     assert report.passed
+
+
+def test_damped_newton_restarts():
+    """One equation in two unknowns: minimum-norm steps, and restarts on typed failures."""
+    jac = lambda x: np.array([[1.0, 1.0]], dtype=complex)
+    rejected = []
+
+    def residual(x):
+        if x[0] == 5.0:
+            raise PoleProximityError("start on a pole")
+        return np.array([x[0] + x[1] - 2.0]), 1.0
+
+    def accept(x):
+        if not rejected:
+            rejected.append(x)
+            raise spaces.InvalidSolutionError("first solution rejected")
+
+    starts = [np.array([5.0, 0.0], dtype=complex), np.zeros(2, dtype=complex),
+              np.array([3.0, 1.0], dtype=complex)]
+    x, res, iterations = spaces.damped_newton(residual, jac, lambda: starts.pop(0), accept)
+    # start 1 sits on a pole, start 2 converges to (1, 1) and is rejected,
+    # start 3 steps from (3, 1) to the nearest solution (2, 0)
+    assert not starts
+    assert_allclose(rejected[0], [1.0, 1.0], atol=1e-14)
+    assert_allclose(x, [2.0, 0.0], atol=1e-14)
+    assert res <= 1e-11 and iterations == 1
+    with pytest.raises(spaces.NoConvergenceError, match="all 8 Newton restarts failed"):
+        spaces.damped_newton(residual, jac, lambda: np.array([5.0, 0.0], dtype=complex))
 
 
 def test_compatibility_guard(ev, rng):
