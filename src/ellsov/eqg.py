@@ -119,18 +119,21 @@ def qybe_residual(params: ModelParams, z: complex, w: complex, lam: complex) -> 
 
 
 class S0Grid:
-    """Multi-index grid m_i = 0..Lambda_i with x_i(m) = -z_i - eta(Lambda_i - 2 m_i)."""
+    """Multi-index grid m_i = 0..Lambda_i with x_i(m) = -z_i - eta(Lambda_i - 2 m_i).
+
+    Points come in itertools.product order, the last site varying
+    fastest: the Kronecker order of the Gaudin tensor basis and, at
+    Lambda_i = 1, the order of both IRF state sets.  weights holds the
+    sl2 weight sum_i (Lambda_i - 2 m_i) of each point.
+    """
 
     def __init__(self, params: ModelParams):
         self.params = params
         self.points = list(itertools.product(*(range(l + 1) for l in params.lams)))
         self._index = {m: i for i, m in enumerate(self.points)}
-        lams = np.asarray(params.lams)
-        self.weights = np.array([int(np.sum(lams - 2 * np.asarray(m))) for m in self.points])
-        zs = np.asarray(params.zs)
-        self.xs = np.array(
-            [-zs - params.eta * (lams - 2 * np.asarray(m)) for m in self.points]
-        )
+        steps = np.asarray(params.lams) - 2 * np.array(self.points)
+        self.weights = steps.sum(axis=1)
+        self.xs = -np.asarray(params.zs) - params.eta * steps
 
     @property
     def dim(self) -> int:
@@ -139,9 +142,6 @@ class S0Grid:
     @property
     def hw_index(self) -> int:
         return self._index[(0,) * len(self.params.lams)]
-
-    def index(self, m: tuple[int, ...]) -> int:
-        return self._index[m]
 
     def shifted(self, idx: int, i: int, dm: int) -> int | None:
         """Index of the grid point with m_i changed by dm, None if off the grid."""
@@ -614,7 +614,11 @@ def ab_exchange_residual(
     return shift_residual(lhs, rhs, lam_samples) / scale
 
 
-def residue_sum(params: ModelParams, grid_index: int, i: int, n_points: int = 512) -> complex:
+# quadrature points on each residue circle of residue_sum
+_RESIDUE_POINTS = 512
+
+
+def residue_sum(params: ModelParams, grid_index: int, i: int) -> complex:
     """Contour sum of the residues of the elliptic auxiliary function.
 
     The function has poles only at v = -x_j and v = -x_j - 2 eta; being
@@ -643,8 +647,8 @@ def residue_sum(params: ModelParams, grid_index: int, i: int, n_points: int = 51
     )
     radius = min(0.1, 0.3 * sep)
     total = 0.0 + 0j
-    ts = np.exp(2j * np.pi * np.arange(n_points) / n_points)
+    ts = np.exp(2j * np.pi * np.arange(_RESIDUE_POINTS) / _RESIDUE_POINTS)
     for p in poles:
         vals = np.array([f(p + radius * t) for t in ts])
-        total += np.sum(vals * radius * ts) / n_points
+        total += np.sum(vals * radius * ts) / _RESIDUE_POINTS
     return total

@@ -6,6 +6,10 @@ act on the zero-weight subspace as first/second order differential
 operators in the dynamical variable lambda; their coefficients are
 produced as lambda-jets so that compositions and commutators stay exact
 through the requested Taylor degree.
+
+The tensor basis vector v_{m_1} x .. x v_{m_n} is labelled by the
+multi-index m of :class:`ellsov.eqg.S0Grid`, in the grid's order, so the
+zero-weight subspace is spanned by the grid points of weight zero.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from . import jets
+from .eqg import S0Grid
 from .jets import LambdaDiffOp
 from .params import ModelParams, ParameterError
 from .spaces import damped_newton
@@ -70,11 +75,10 @@ class Sl2Rep:
         return 0.5 * (self.h @ self.h) + self.e @ self.f + self.f @ self.e
 
 
-def _site_operators(lams: Sequence[int]):
-    """Per-site e, f, h acting on the full tensor product."""
+def _site_operators(lams: Sequence[int]) -> list[tuple[np.ndarray, ...]]:
+    """Per-site (e, f, h) acting on the full tensor product, in S0Grid order."""
     reps = [Sl2Rep(l) for l in lams]
     dims = [r.dim for r in reps]
-    total = int(np.prod(dims))
     ops = []
     for i, rep in enumerate(reps):
         left = int(np.prod(dims[:i])) if i > 0 else 1
@@ -84,15 +88,7 @@ def _site_operators(lams: Sequence[int]):
         ops.append(
             tuple(np.kron(np.kron(eye_l, m), eye_r) for m in (rep.e, rep.f, rep.h))
         )
-    weights = np.zeros(total)
-    for idx in range(total):
-        rem, w = idx, 0
-        for d, l in zip(reversed(dims), reversed(list(lams))):
-            k = rem % d
-            rem //= d
-            w += l - 2 * k
-        weights[idx] = w
-    return ops, weights, total
+    return ops
 
 
 @dataclasses.dataclass(frozen=True)
@@ -118,11 +114,11 @@ class ZeroWeightSpace:
 
 
 def zero_weight_space(params: ModelParams) -> ZeroWeightSpace:
-    _, weights, total = _site_operators(params.lams)
-    idx = tuple(int(i) for i in np.nonzero(weights == 0)[0])
+    grid = S0Grid(params)
+    idx = tuple(int(i) for i in np.nonzero(grid.weights == 0)[0])
     if not idx:
         raise ParameterError("zero-weight subspace is empty: total weight parity is odd")
-    return ZeroWeightSpace(params, idx, total)
+    return ZeroWeightSpace(params, idx, grid.dim)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -137,7 +133,8 @@ class FieldOps:
 def build_field_ops(params: ModelParams, z: complex, lam: complex) -> FieldOps:
     """Pointwise field operators at spectral point z and dynamical point lambda."""
     ev = params.evaluator()
-    ops, _, total = _site_operators(params.lams)
+    ops = _site_operators(params.lams)
+    total = len(ops[0][0])
     h = np.zeros((total, total), dtype=complex)
     e = np.zeros((total, total), dtype=complex)
     f = np.zeros((total, total), dtype=complex)
@@ -155,8 +152,9 @@ class GaudinContext:
         params.validate_distinct_sites()
         self.params = params
         self.ev = params.evaluator()
-        self.ops, self.weights, self.total = _site_operators(params.lams)
+        self.ops = _site_operators(params.lams)
         self.space = zero_weight_space(params)
+        self.total = self.space.total_dim
 
     def restricted(self, op: np.ndarray) -> np.ndarray:
         return self.space.restrict(op)
@@ -270,7 +268,6 @@ def build_S(params: ModelParams, z: complex) -> LambdaDiffOp:
     hz = ctx.restricted(h_full)
 
     def c0(lam0: complex, degree: int) -> np.ndarray:
-        zero_mat = np.zeros((ctx.total, ctx.total), dtype=complex)
         e_jet = np.zeros((degree + 1, ctx.total, ctx.total), dtype=complex)
         f_jet = np.zeros((degree + 1, ctx.total, ctx.total), dtype=complex)
         for (ei, fi, hi), zi in zip(ctx.ops, params_.zs):

@@ -20,19 +20,16 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
-import itertools
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import spaces
-from .eqg import r_matrix
+from .eqg import S0Grid, r_matrix
 from .params import ModelParams, ParameterError
 from .spaces import BetheSolution, Character, EllipticPoly, ThetaInterpolant
 
 __all__ = [
-    "PathState",
-    "path_states",
     "BoltzmannWeights",
     "build_T_irf_paths",
     "build_T_irf_sov",
@@ -50,6 +47,10 @@ __all__ = [
 ]
 
 _2PI_I = 2j * cmath.pi
+# fresh spectral points at which reconcile_constructions checks the bridge
+# and certify_spectrum validates each fitted eigenvalue function
+_RECONCILE_SAMPLES = 2
+_VALIDATION_POINTS = 3
 
 
 def _twice(height) -> int:
@@ -59,57 +60,6 @@ def _twice(height) -> int:
     if abs(doubled - rounded) > 1e-9:
         raise ValueError("height %r is not a half-integer" % (height,))
     return int(rounded)
-
-
-@dataclasses.dataclass(frozen=True)
-class PathState:
-    """Height path a_1..a_{n+1}, stored as doubled integers.
-
-    Steps are +-1 and the path is antiperiodic, a_{n+1} = -a_1.
-    """
-
-    twice_heights: tuple[int, ...]
-
-    def __post_init__(self):
-        a = self.twice_heights
-        if len(a) < 2:
-            raise ValueError("a path needs at least two heights")
-        if a[-1] != -a[0]:
-            raise ValueError("path endpoints must satisfy a_{n+1} = -a_1")
-        if any(abs(a[i + 1] - a[i]) != 2 for i in range(len(a) - 1)):
-            raise ValueError("path heights must step by exactly one")
-
-    @staticmethod
-    def from_sigmas(sigmas: Sequence[int]) -> "PathState":
-        # antiperiodicity fixes the starting height: 2 a_1 = sum sigma
-        start = sum(sigmas)
-        heights = [start]
-        for s in sigmas:
-            heights.append(heights[-1] - 2 * s)
-        return PathState(tuple(heights))
-
-    @property
-    def n(self) -> int:
-        return len(self.twice_heights) - 1
-
-    @property
-    def heights(self) -> tuple[float, ...]:
-        return tuple(h / 2.0 for h in self.twice_heights)
-
-    @property
-    def sigmas(self) -> tuple[int, ...]:
-        a = self.twice_heights
-        return tuple((a[i] - a[i + 1]) // 2 for i in range(len(a) - 1))
-
-
-def path_states(n: int) -> list[PathState]:
-    """All 2^n antiperiodic paths, ordered by the shared multi-index m."""
-    if n % 2 == 0:
-        raise ParameterError("antiperiodic height paths need an odd number of steps")
-    return [
-        PathState.from_sigmas([1 - 2 * mi for mi in m])
-        for m in itertools.product(range(2), repeat=n)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +118,11 @@ def build_T_irf_paths(params: ModelParams, z: complex) -> np.ndarray:
     """
     params.validate_for_irf()
     n = params.n
-    heights = np.array([st.twice_heights for st in path_states(n)], dtype=np.int8)
+    # doubled heights from the path sign 1 - 2m: antiperiodicity fixes
+    # 2 a_1 = sum sigma, and each step is -2 sigma_i
+    sigma = 1 - 2 * np.array(S0Grid(params).points)
+    steps = np.hstack([sigma.sum(axis=1, keepdims=True), -2 * sigma])
+    heights = np.cumsum(steps, axis=1).astype(np.int8)
     dim = len(heights)
     support = np.ones((dim, dim), dtype=bool)
     for i in range(n + 1):
@@ -190,12 +144,6 @@ def build_T_irf_paths(params: ModelParams, z: complex) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # transfer matrix, separated (one-flip) construction
-
-
-def _grid_sigmas(n: int) -> list[tuple[int, ...]]:
-    return [
-        tuple(2 * mi - 1 for mi in m) for m in itertools.product(range(2), repeat=n)
-    ]
 
 
 def build_T_irf_sov(params: ModelParams, zeta: complex) -> np.ndarray:
@@ -264,7 +212,8 @@ def build_T_irf_sov(params: ModelParams, zeta: complex) -> np.ndarray:
         if abs(total - s) <= n - 1
     }
 
-    sigmas = _grid_sigmas(n)
+    # the grid sign 2m - 1 of each row
+    sigmas = (2 * np.array(S0Grid(params).points) - 1).tolist()
     dim = len(sigmas)
     t = np.zeros((dim, dim), dtype=complex)
     for row, sig in enumerate(sigmas):
@@ -338,11 +287,7 @@ def _pair_spectra(mu: np.ndarray, target: np.ndarray, tol: float) -> np.ndarray:
     return perm
 
 
-def reconcile_constructions(
-    params: ModelParams,
-    rng: np.random.Generator,
-    samples: int = 2,
-) -> DualReconciliation:
+def reconcile_constructions(params: ModelParams, rng: np.random.Generator) -> DualReconciliation:
     """Match the two constructions through their (shared) eigenbases.
 
     The constant is fixed to -1 by the one-site case; the sign ambiguity
@@ -367,7 +312,7 @@ def reconcile_constructions(
 
     conj_inv = np.linalg.inv(conj)
     residual = 0.0
-    for _ in range(samples):
+    for _ in range(_RECONCILE_SAMPLES):
         zf = sample_spectral(params, rng)
         lhs = build_T_irf_paths(params, zf)
         kapf = kappa_factor(params, zf - params.eta)
@@ -426,20 +371,6 @@ class SpectralCertificate:
         return ok
 
 
-def _draw_basis(
-    params: ModelParams, chi: Character, rng: np.random.Generator, count: int
-) -> spaces.ThetaSpaceBasis:
-    """Cardinal basis at level `count` for chi over generic nodes."""
-    ev = params.evaluator()
-    for _ in range(64):
-        nodes = [params.sample_generic(rng, margin=5e-2) for _ in range(count)]
-        try:
-            return spaces.ThetaSpaceBasis(ev, count, chi, nodes)
-        except (spaces.DegenerateNodesError, spaces.ResonantCharacterError):
-            continue
-    raise ParameterError("no admissible interpolation nodes found for the character")
-
-
 def _clusters(mu: np.ndarray, gap_tol: float) -> list[list[int]]:
     """Connected components of |mu_i - mu_j| < gap_tol * scale.
 
@@ -478,7 +409,6 @@ def certify_spectrum(
     tol: float = 1e-8,
     rng: np.random.Generator | None = None,
     gap_tol: float = 1e-7,
-    validation_points: int = 3,
 ) -> list[SpectralCertificate]:
     """Diagonalize the grid transfer matrix at z0 and certify every eigenvalue.
 
@@ -499,12 +429,15 @@ def certify_spectrum(
     n = params.n
     ev = params.evaluator()
     chi0 = eigenvalue_character(params)
-    basis = _draw_basis(params, chi0, rng, n)
+    try:
+        basis = spaces.make_basis(ev, n, chi0, rng, margin=5e-2)
+    except spaces.ResonantCharacterError as exc:
+        raise ParameterError(str(exc)) from exc
 
     t0 = build_T_irf_sov(params, z0)
     mu, vecs = np.linalg.eig(t0)
     node_mats = [build_T_irf_sov(params, zs) for zs in basis.nodes]
-    val_pts = [sample_spectral(params, rng) for _ in range(validation_points)]
+    val_pts = [sample_spectral(params, rng) for _ in range(_VALIDATION_POINTS)]
     val_mats = [build_T_irf_sov(params, zv) for zv in val_pts]
 
     # z-independent data of the quadratic relations
@@ -527,7 +460,8 @@ def certify_spectrum(
     stacked = np.concatenate(bases, axis=1)
     node_images = [tmat @ stacked for tmat in node_mats]
     val_images = [tmat @ stacked for tmat in val_mats]
-    negative = np.array(_grid_sigmas(n)) < 0
+    # the grid sign 2m - 1 is negative where m_i = 0
+    negative = np.array(S0Grid(params).points) == 0
 
     certs = []
     for group, basis_g, end in zip(groups, bases, ends):
@@ -703,16 +637,10 @@ class ContinuousBethe:
 
     def eps_value(self, z: complex) -> complex:
         """Transfer eigenvalue; entire in z thanks to the root conditions."""
-        ev = self.params.evaluator()
-        gamma = 2 * self.params.eta
-        x = -complex(z)
-        qx = spaces.eval_elliptic_poly(ev, self.q, x)
-        num = spaces.eval_elliptic_poly(ev, self.a_plus, x) * spaces.eval_elliptic_poly(
-            ev, self.q, x - gamma
-        ) + spaces.eval_elliptic_poly(ev, self.a_minus, x) * spaces.eval_elliptic_poly(
-            ev, self.q, x + gamma
+        eps = spaces.difference_eigenvalue(
+            self.params.evaluator(), self.a_plus, self.a_minus, 2 * self.params.eta, self.solution
         )
-        return num / qx
+        return eps(-complex(z))
 
 
 def continuous_bethe(

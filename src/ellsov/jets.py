@@ -196,33 +196,6 @@ class LambdaDiffOp:
             out += mjet_vec(cf(lam0, d_out), du, d_out)
         return out
 
-    def __add__(self, other: "LambdaDiffOp") -> "LambdaDiffOp":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        n = max(len(self.coeffs), len(other.coeffs))
-
-        def pair(d):
-            fns = []
-            if d < len(self.coeffs):
-                fns.append(self.coeffs[d])
-            if d < len(other.coeffs):
-                fns.append(other.coeffs[d])
-            if len(fns) == 1:
-                return fns[0]
-            f, g = fns
-            return lambda lam0, degree: f(lam0, degree) + g(lam0, degree)
-
-        return LambdaDiffOp(self.dim, tuple(pair(d) for d in range(n)))
-
-    def scaled(self, factor: complex) -> "LambdaDiffOp":
-        return LambdaDiffOp(
-            self.dim,
-            tuple(
-                (lambda f: lambda lam0, degree: factor * f(lam0, degree))(cf)
-                for cf in self.coeffs
-            ),
-        )
-
 
 def commutator_jet(
     op1: LambdaDiffOp, op2: LambdaDiffOp, lam0: complex, ujet: np.ndarray

@@ -30,7 +30,6 @@ class ModelParams:
     lams: tuple[int, ...]
     rho: float = 1e-6
     trunc_tol: float = 1e-16
-    max_terms: int = 64
 
     def __post_init__(self):
         object.__setattr__(self, "eta", complex(self.eta))
@@ -55,9 +54,7 @@ class ModelParams:
         return len(self.zs)
 
     def evaluator(self) -> ThetaEvaluator:
-        return ThetaEvaluator(
-            self.lattice, trunc_tol=self.trunc_tol, max_terms=self.max_terms, rho=self.rho
-        )
+        return ThetaEvaluator(self.lattice, trunc_tol=self.trunc_tol, rho=self.rho)
 
     def validate_distinct_sites(self) -> None:
         for i in range(self.n):

@@ -107,7 +107,7 @@ def expected_multiplier(chi: Character, k: int, z: complex, r: int, s: int, tau:
 
 @dataclasses.dataclass(frozen=True)
 class EllipticPoly:
-    """exp(a*z) * prod_j theta(z - w_j), zeros stored reduced to the cell."""
+    """exp(a*z) * prod_j theta(z - w_j); `make` reduces the zeros to the cell."""
 
     a: complex
     zeros: tuple[complex, ...]
@@ -259,11 +259,19 @@ def interpolate(
 
 
 def make_basis(
-    ev: ThetaEvaluator, k: int, chi: Character, rng: np.random.Generator
+    ev: ThetaEvaluator,
+    k: int,
+    chi: Character,
+    rng: np.random.Generator,
+    margin: float | None = None,
 ) -> ThetaSpaceBasis:
-    """Draw generic nodes (seeded) until the interpolation data is well posed."""
+    """Draw generic nodes (seeded) until the interpolation data is well posed.
+
+    The nodes keep `margin` (default 10 rho) from the lattice.
+    """
+    margin = 10 * ev.rho if margin is None else margin
     for _ in range(64):
-        nodes = [ev.lattice.sample_generic(rng, 10 * ev.rho) for _ in range(k)]
+        nodes = [ev.lattice.sample_generic(rng, margin) for _ in range(k)]
         try:
             return ThetaSpaceBasis(ev, k, chi, nodes)
         except (DegenerateNodesError, ResonantCharacterError):
@@ -315,13 +323,12 @@ def membership_test(
     return MembershipReport(deviation=deviation, qp_residual=qp, scale=scale, tol=tol)
 
 
-def count_zeros(
-    ev: ThetaEvaluator,
-    p: EllipticPoly,
-    base: complex | None = None,
-    npts: int = 160,
-) -> complex:
-    """(1/2 pi i) * contour integral of p'/p over the cell boundary from `base`.
+# Gauss-Legendre nodes per cell edge in count_zeros
+_ZERO_COUNT_NODES = 160
+
+
+def count_zeros(ev: ThetaEvaluator, p: EllipticPoly) -> complex:
+    """(1/2 pi i) * contour integral of p'/p over the boundary of a cell.
 
     The logarithmic derivative is in closed form, so Gauss-Legendre on the
     four edges converges fast as long as no zero sits near the boundary;
@@ -329,22 +336,21 @@ def count_zeros(
     """
     lat = ev.lattice
     tau = lat.tau
-    if base is None:
-        base = 0.2511 + 0.1873 * tau
-        # nudge the cell corner until all zeros stay clear of the edges
-        for _ in range(40):
-            ok = True
-            for w in p.zeros:
-                z0, _, _ = lat.reduce(w - base)
-                if min(z0.real, 1.0 - z0.real) < 0.04 or min(
-                    z0.imag, tau.imag - z0.imag
-                ) < 0.04 * tau.imag:
-                    ok = False
-                    break
-            if ok:
+    base = 0.2511 + 0.1873 * tau
+    # nudge the cell corner until all zeros stay clear of the edges
+    for _ in range(40):
+        ok = True
+        for w in p.zeros:
+            z0, _, _ = lat.reduce(w - base)
+            if min(z0.real, 1.0 - z0.real) < 0.04 or min(
+                z0.imag, tau.imag - z0.imag
+            ) < 0.04 * tau.imag:
+                ok = False
                 break
-            base += 0.0371 + 0.0159 * tau
-    xs, wts = np.polynomial.legendre.leggauss(npts)
+        if ok:
+            break
+        base += 0.0371 + 0.0159 * tau
+    xs, wts = np.polynomial.legendre.leggauss(_ZERO_COUNT_NODES)
     xs = 0.5 * (xs + 1.0)
     wts = 0.5 * wts
     total = 0j
@@ -429,19 +435,20 @@ class BetheSolution:
     residual: float
     iterations: int
 
-    def q_poly(self, lattice: Lattice) -> EllipticPoly:
-        return EllipticPoly.make(lattice, self.a, self.roots)
+
+# relative tolerance of the character compatibility check
+_COMPATIBILITY_TOL = 1e-8
 
 
 def check_difference_compatibility(
-    chi_plus: Character, chi_minus: Character, gamma: complex, m: int, tol: float = 1e-8
+    chi_plus: Character, chi_minus: Character, gamma: complex, m: int
 ) -> None:
     """Necessary condition chi_plus = chi_minus * exp(-4 pi i gamma m s) on generators."""
-    if abs(chi_plus.chi1 - chi_minus.chi1) > tol * max(1.0, abs(chi_plus.chi1)):
+    if abs(chi_plus.chi1 - chi_minus.chi1) > _COMPATIBILITY_TOL * max(1.0, abs(chi_plus.chi1)):
         raise CompatibilityError("difference-equation characters disagree on the 1-generator")
     lhs = chi_plus.chiTau * cmath.exp(_2PI_I * gamma * m)
     rhs = chi_minus.chiTau * cmath.exp(-_2PI_I * gamma * m)
-    if abs(lhs - rhs) > tol * max(1.0, abs(lhs)):
+    if abs(lhs - rhs) > _COMPATIBILITY_TOL * max(1.0, abs(lhs)):
         raise CompatibilityError("difference-equation characters violate the tau compatibility")
 
 
@@ -535,8 +542,12 @@ def difference_eigenvalue(
     gamma: complex,
     sol: BetheSolution,
 ) -> Callable[[complex], complex]:
-    """eps(z) = (A_plus(z) Q(z-gamma) + A_minus(z) Q(z+gamma)) / Q(z)."""
-    q = sol.q_poly(ev.lattice)
+    """eps(z) = (A_plus(z) Q(z-gamma) + A_minus(z) Q(z+gamma)) / Q(z).
+
+    Q keeps the solver's raw roots: reducing a root to the cell by a tau
+    translate multiplies Q by an exponential and changes its character.
+    """
+    q = EllipticPoly(sol.a, sol.roots)
 
     def eps(z: complex) -> complex:
         qz = eval_elliptic_poly(ev, q, z)

@@ -69,22 +69,25 @@ class ThetaOverflowError(ThetaError):
     """Argument is so far from the fundamental cell that the value overflows."""
 
 
+# floor on Im tau below which a Lattice is rejected
+_MIN_IM_TAU = 1e-3
+
+
 @dataclasses.dataclass(frozen=True)
 class Lattice:
     """Period lattice Z + tau*Z with Im tau bounded away from zero."""
 
     tau: complex
-    min_im_tau: float = 1e-3
 
     def __post_init__(self):
         tau = complex(self.tau)
         object.__setattr__(self, "tau", tau)
         if not cmath.isfinite(tau):
             raise LatticeError("Lattice invariant violated: tau = %r is not finite" % (tau,))
-        if not (tau.imag >= self.min_im_tau):
+        if not (tau.imag >= _MIN_IM_TAU):
             raise LatticeError(
                 "Lattice invariant violated: Im tau = %r is below the floor %r"
-                % (tau.imag, self.min_im_tau)
+                % (tau.imag, _MIN_IM_TAU)
             )
 
     def reduce(self, z: complex) -> tuple[complex, int, int]:

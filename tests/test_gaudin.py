@@ -75,6 +75,22 @@ def test_zero_weight_space(lattice):
         zero_weight_space(make_params(lattice, Z2, (1, 2)))
 
 
+def test_zero_weight_indices(lattice):
+    # Kronecker order, last site fastest: read each index's weight digit by digit
+    for zs, lams in ((Z3, (1, 1, 2)), (Z2, (2, 2))):
+        total = int(np.prod([l + 1 for l in lams]))
+        expect = []
+        for idx in range(total):
+            rem, weight = idx, 0
+            for l in reversed(lams):
+                weight += l - 2 * (rem % (l + 1))
+                rem //= l + 1
+            if weight == 0:
+                expect.append(idx)
+        space = zero_weight_space(make_params(lattice, zs, lams))
+        assert space.indices == tuple(expect) and space.total_dim == total
+
+
 def test_field_commutator(lattice, rng):
     """[e(z), f(z)] = sum_i (wp_bar(z - z_i) - wp_bar(lambda)) h^(i)."""
     params = make_params(lattice, Z2, (2, 2))

@@ -8,9 +8,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ellsov import irf, spaces
+from ellsov.eqg import S0Grid
 from ellsov.irf import (
     BoltzmannWeights,
-    PathState,
     apply_transfer_continuous,
     build_T_irf_paths,
     build_T_irf_sov,
@@ -18,7 +18,6 @@ from ellsov.irf import (
     continuous_bethe,
     eigenvalue_character,
     partition_function,
-    path_states,
     reconcile_constructions,
 )
 from ellsov.params import ModelParams, ParameterError
@@ -42,20 +41,17 @@ def spectral_point(params, rng):
     return params.sample_generic(rng, margin=5e-2, avoid=avoid)
 
 
-def test_path_states():
+def test_s0grid_weight_one(lattice):
+    # both IRF state sets are the rows of S0Grid at weight 1, in product order
     for n in (1, 3, 5):
-        states = path_states(n)
-        assert len(states) == 2 ** n
-        for st in states:
-            assert st.twice_heights[-1] == -st.twice_heights[0]
-            assert all(s in (-1, 1) for s in st.sigmas)
-            assert PathState.from_sigmas(st.sigmas) == st
-    with pytest.raises(ParameterError):
-        path_states(2)
-    with pytest.raises(ValueError):
-        PathState((1, -1, 1))  # periodic, not antiperiodic
-    with pytest.raises(ValueError):
-        PathState((1, 5, -1))
+        grid = S0Grid(make_params(lattice, Z5[:n]))
+        ms = list(itertools.product(range(2), repeat=n))
+        assert grid.points == ms and grid.dim == 2 ** n
+        assert grid.weights.tolist() == [n - 2 * sum(m) for m in ms]
+        for m, heights in zip(ms, path_heights(n)):
+            # antiperiodic paths a_{n+1} = -a_1 with steps 1 - 2 m_i
+            assert heights[-1] == -heights[0]
+            assert [(heights[i] - heights[i + 1]) // 2 for i in range(n)] == [1 - 2 * mi for mi in m]
 
 
 def test_boltzmann_weights(lattice, rng):
@@ -98,15 +94,25 @@ def test_paths_one_site_closed_form(lattice, rng):
         assert_allclose(t[1, 0], off, rtol=1e-13)
 
 
+def path_heights(n):
+    """Doubled heights of the antiperiodic paths with signs 1 - 2 m, m in product order."""
+    paths = []
+    for m in itertools.product(range(2), repeat=n):
+        sigmas = [1 - 2 * mi for mi in m]
+        heights = [sum(sigmas)]  # antiperiodicity fixes 2 a_1 = sum sigma
+        for s in sigmas:
+            heights.append(heights[-1] - 2 * s)
+        paths.append(heights)
+    return paths
+
+
 def reference_paths(params, z):
     """The path transfer matrix as a loop over all state pairs, as an oracle."""
-    states = path_states(params.n)
+    states = path_heights(params.n)
     weights = [BoltzmannWeights(params, z - zi) for zi in params.zs]
     t = np.zeros((len(states), len(states)), dtype=complex)
-    for acol, astate in enumerate(states):
-        ah = astate.twice_heights
-        for brow, bstate in enumerate(states):
-            bh = bstate.twice_heights
+    for acol, ah in enumerate(states):
+        for brow, bh in enumerate(states):
             if any(abs(ah[i] - bh[i]) != 2 for i in range(params.n + 1)):
                 continue
             val = 1.0 + 0.0j
@@ -257,6 +263,16 @@ def test_validation_rejects_bad_setups(lattice):
     resonant = (Z1[0], Z1[0] + 2 * ETA, 0.9 + 0.4j)
     with pytest.raises(ParameterError):
         build_T_irf_sov(ModelParams(lattice, ETA, resonant, (1, 1, 1)), 0.3)
+
+
+def test_certify_spectrum_without_nodes_is_parameter_error(lattice, monkeypatch):
+    # no admissible interpolation nodes: the typed error the CLI maps to exit 2
+    def resonant(*args):
+        raise spaces.ResonantCharacterError("resonant node sum")
+
+    monkeypatch.setattr(spaces, "ThetaSpaceBasis", resonant)
+    with pytest.raises(ParameterError):
+        certify_spectrum(make_params(lattice, Z3), 0.37 + 0.29j)
 
 
 def test_certify_spectrum(lattice, rng):

@@ -230,6 +230,23 @@ def test_bethe_solution_solves_difference_equation(ev, rng):
     assert report.passed
 
 
+def test_difference_eigenvalue_root_outside_cell(ev):
+    """eps keeps Q's character when a converged root lies off the fundamental cell."""
+    lat = ev.lattice
+    eta = 0.171 + 0.043j
+    gamma = 2.0 * eta
+    zs = [0.23 + 0.31j, 0.67 + 0.52j, 0.12 + 0.8j, 0.5 + 0.1j]
+    A_plus = EllipticPoly.make(lat, 0.0, [-z - eta for z in zs])
+    A_minus = EllipticPoly.make(lat, 0.0, [-z + eta for z in zs])
+    rng = np.random.default_rng(17)
+    sol = solve_difference_bethe(ev, A_plus, A_minus, gamma, 2, rng)
+    # a root a tau translate away from the cell: reducing it would change Q's character
+    assert any(lat.reduce(w)[2] != 0 for w in sol.roots)
+    eps = difference_eigenvalue(ev, A_plus, A_minus, gamma, sol)
+    chi_eps = induced_eigenvalue_character(character_of(A_plus, lat.tau), gamma, 2)
+    assert membership_test(ev, eps, len(zs), chi_eps, rng, tol=1e-12).passed
+
+
 def test_damped_newton_restarts():
     """One equation in two unknowns: minimum-norm steps, and restarts on typed failures."""
     jac = lambda x: np.array([[1.0, 1.0]], dtype=complex)
