@@ -362,7 +362,6 @@ def _serialize_certificate(cert) -> dict:
         "membership_residual": cert.membership_residual,
         "cluster_residual": cert.cluster_residual,
         "quadratic_residuals": list(cert.quadratic_residuals),
-        "second_line_residuals": list(cert.second_line_residuals),
         "q_pairs": [list(p) for p in cert.q_pairs],
         "reconstruction": list(cert.reconstruction),
     }
@@ -384,7 +383,6 @@ def _task_irf_spectrum(cfg, params, rng, tol, csv_dir):
             c.membership_residual,
             c.cluster_residual,
             max(c.quadratic_residuals),
-            max(c.second_line_residuals),
         )
     angles = [c.angle for c in certs if not c.degenerate]
     recon = np.stack(
@@ -487,14 +485,15 @@ def _task_irf_bethe(cfg, params, rng, tol, csv_dir):
         lhs = irf.apply_transfer_continuous(params, zeta, cb.u_value, xs)
         rhs = cb.eps_value(zeta) * cb.u_value(xs)
         eigen = max(eigen, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
-    chi_q = spaces.character_of(cb.q, params.lattice.tau)
-    chi_dev = max(
-        abs(cb.chi.chi1 - chi_q.chi1) / max(1.0, abs(chi_q.chi1)),
-        abs(cb.chi.chiTau - chi_q.chiTau) / max(1.0, abs(chi_q.chiTau)),
-    )
     m = sum(params.lams) // 2
     ev = params.evaluator()
     member = spaces.membership_test(ev, cb.q_value, m, cb.chi, rng)
+    # eps carries the character the difference equation induces from A_plus
+    eps = spaces.difference_eigenvalue(ev, cb.a_plus, cb.a_minus, 2 * params.eta, cb.solution)
+    chi_plus = spaces.character_of(cb.a_plus, params.lattice.tau)
+    chi_eps = spaces.induced_eigenvalue_character(chi_plus, 2 * params.eta, m)
+    zchar = params.sample_generic(rng, margin=5e-2, avoid=cb.solution.roots)
+    chi_dev = spaces.multiplier_deviation(ev, eps, cb.a_plus.order, chi_eps, zchar)
     checks = [
         _check("solver_converged", cb.solution.residual, 1e-10),
         _check("eigen_residual", eigen, 1e-8),

@@ -81,13 +81,9 @@ def _site_operators(lams: Sequence[int]) -> list[tuple[np.ndarray, ...]]:
     dims = [r.dim for r in reps]
     ops = []
     for i, rep in enumerate(reps):
-        left = int(np.prod(dims[:i])) if i > 0 else 1
-        right = int(np.prod(dims[i + 1:])) if i + 1 < len(dims) else 1
-        eye_l = np.eye(left, dtype=complex)
-        eye_r = np.eye(right, dtype=complex)
-        ops.append(
-            tuple(np.kron(np.kron(eye_l, m), eye_r) for m in (rep.e, rep.f, rep.h))
-        )
+        eye_l = np.eye(int(np.prod(dims[:i])), dtype=complex)
+        eye_r = np.eye(int(np.prod(dims[i + 1:])), dtype=complex)
+        ops.append(tuple(np.kron(np.kron(eye_l, m), eye_r) for m in (rep.e, rep.f, rep.h)))
     return ops
 
 
@@ -156,16 +152,13 @@ class GaudinContext:
         self.space = zero_weight_space(params)
         self.total = self.space.total_dim
 
-    def restricted(self, op: np.ndarray) -> np.ndarray:
-        return self.space.restrict(op)
-
 
 def _hamiltonian_j(ctx: GaudinContext, j: int) -> LambdaDiffOp:
     """H_j = -h^(j) d/dlambda + sum_{k != j} pairwise kernel terms, on M[0]."""
     params, ev = ctx.params, ctx.ev
     dim = ctx.space.dim
     ej, fj, hj = ctx.ops[j]
-    c1 = -ctx.restricted(hj)
+    c1 = -ctx.space.restrict(hj)
 
     pair_hh = []
     pair_ef = []
@@ -175,9 +168,9 @@ def _hamiltonian_j(ctx: GaudinContext, j: int) -> LambdaDiffOp:
             continue
         ek, fk, hk = ctx.ops[k]
         zjk = params.zs[j] - params.zs[k]
-        pair_hh.append((0.5 * ev.zeta_bar(zjk), ctx.restricted(hj @ hk)))
-        pair_ef.append((zjk, ctx.restricted(ej @ fk)))
-        pair_fe.append((zjk, ctx.restricted(fj @ ek)))
+        pair_hh.append((0.5 * ev.zeta_bar(zjk), ctx.space.restrict(hj @ hk)))
+        pair_ef.append((zjk, ctx.space.restrict(ej @ fk)))
+        pair_fe.append((zjk, ctx.space.restrict(fj @ ek)))
 
     def c0(lam0: complex, degree: int) -> np.ndarray:
         out = np.zeros((degree + 1, dim, dim), dtype=complex)
@@ -216,16 +209,16 @@ def _hamiltonian_0(ctx: GaudinContext) -> LambdaDiffOp:
     cross_ef: list[tuple[complex, np.ndarray]] = []
     for j in range(params.n):
         ej, fj, hj = ctx.ops[j]
-        hh_const += 0.125 * diag_hh * ctx.restricted(hj @ hj)
-        diag_ef += ctx.restricted(ej @ fj + fj @ ej)
+        hh_const += 0.125 * diag_hh * ctx.space.restrict(hj @ hj)
+        diag_ef += ctx.space.restrict(ej @ fj + fj @ ej)
         for k in range(params.n):
             if k == j:
                 continue
             ek, fk, hk = ctx.ops[k]
             zjk = params.zs[j] - params.zs[k]
             tj = ev.theta_taylor(zjk, 2)
-            hh_const += 0.125 * (2.0 * tj[2] / tj[0]) * ctx.restricted(hj @ hk)
-            cross_ef.append((zjk, ctx.restricted(ej @ fk)))
+            hh_const += 0.125 * (2.0 * tj[2] / tj[0]) * ctx.space.restrict(hj @ hk)
+            cross_ef.append((zjk, ctx.space.restrict(ej @ fk)))
 
     def c0(lam0: complex, degree: int) -> np.ndarray:
         out = np.zeros((degree + 1, dim, dim), dtype=complex)
@@ -265,7 +258,7 @@ def build_S(params: ModelParams, z: complex) -> LambdaDiffOp:
     h_full = np.zeros((ctx.total, ctx.total), dtype=complex)
     for (ei, fi, hi), zi in zip(ctx.ops, params_.zs):
         h_full += ev.zeta_bar(z - zi) * hi
-    hz = ctx.restricted(h_full)
+    hz = ctx.space.restrict(h_full)
 
     def c0(lam0: complex, degree: int) -> np.ndarray:
         e_jet = np.zeros((degree + 1, ctx.total, ctx.total), dtype=complex)
@@ -275,10 +268,8 @@ def build_S(params: ModelParams, z: complex) -> LambdaDiffOp:
             sp = jets.jet_sigma(ev, lam0, z - zi, degree)
             e_jet += sn[:, None, None] * ei[None, :, :]
             f_jet += sp[:, None, None] * fi[None, :, :]
-        anti = jets.mjet_mul(e_jet, f_jet, degree) + jets.mjet_mul(f_jet, e_jet, degree)
-        out = np.zeros((degree + 1, dim, dim), dtype=complex)
-        for k in range(degree + 1):
-            out[k] = 0.5 * ctx.restricted(anti[k])
+        anti = jets.jmul(e_jet, f_jet, degree) + jets.jmul(f_jet, e_jet, degree)
+        out = np.stack([0.5 * ctx.space.restrict(a) for a in anti])
         out[0] += 0.25 * (hz @ hz)
         return out
 
@@ -356,11 +347,10 @@ def solve_gaudin_bethe(
         roots = [params.sample_generic(rng, avoid=params.zs) for _ in range(m)]
         return np.array([complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4))] + roots)
 
-    x, residual, iterations = damped_newton(
-        lambda x: (_gaudin_equations(ev, params, x[0], x[1:]), 1.0),
-        lambda x: _gaudin_jacobian(ev, params, x[1:]),
-        start,
-    )
+    def system(x):
+        return _gaudin_equations(ev, params, x[0], x[1:]), 1.0, lambda: _gaudin_jacobian(ev, params, x[1:])
+
+    x, residual, iterations = damped_newton(system, start)
     return GaudinBetheResult(complex(x[0]), tuple(complex(w) for w in x[1:]), residual, iterations)
 
 
@@ -380,21 +370,14 @@ def bethe_eigenvector(
     """
     ctx = GaudinContext(params)
     ev = ctx.ev
-    total = ctx.total
-    v0 = np.zeros((degree + 1, total), dtype=complex)
-    v0[0, 0] = 1.0  # index 0 is the top vector of every factor
-    vec = v0
+    vec = np.zeros((degree + 1, ctx.total), dtype=complex)
+    vec[0, 0] = 1.0  # index 0 is the top vector of every factor
     for w in roots:
-        f_jet = np.zeros((degree + 1, total, total), dtype=complex)
-        for (ei, fi, hi), zi in zip(ctx.ops, params.zs):
-            if frozen_lambda:
-                sp = np.zeros(degree + 1, dtype=complex)
-                sp[0] = ev.sigma(lam0, w - zi)
-            else:
-                sp = jets.jet_sigma(ev, lam0, w - zi, degree)
-            f_jet += sp[:, None, None] * fi[None, :, :]
-        vec = jets.mjet_vec(f_jet, vec, degree)
-    expj = jets.jet_exp(c, lam0, degree)
-    vec = np.stack([sum(expj[i] * vec[k - i] for i in range(k + 1)) for k in range(degree + 1)])
-    idx = np.asarray(ctx.space.indices)
-    return vec[:, idx]
+        if frozen_lambda:  # a degree-0 jet
+            sps = [np.array([ev.sigma(lam0, w - zi)]) for zi in params.zs]
+        else:
+            sps = [jets.jet_sigma(ev, lam0, w - zi, degree) for zi in params.zs]
+        f_jet = sum(sp[:, None, None] * fi for sp, (_, fi, _) in zip(sps, ctx.ops))
+        vec = jets.jmul(f_jet, vec, degree)
+    vec = jets.jmul(jets.jet_exp(c, lam0, degree), vec, degree)
+    return vec[:, np.asarray(ctx.space.indices)]

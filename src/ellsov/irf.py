@@ -28,6 +28,7 @@ from . import spaces
 from .eqg import S0Grid, r_matrix
 from .params import ModelParams, ParameterError
 from .spaces import BetheSolution, Character, EllipticPoly, ThetaInterpolant
+from .theta import ThetaEvaluator
 
 __all__ = [
     "BoltzmannWeights",
@@ -146,6 +147,30 @@ def build_T_irf_paths(params: ModelParams, z: complex) -> np.ndarray:
 # transfer matrix, separated (one-flip) construction
 
 
+def _flip_coefficients(params: ModelParams, ev: ThetaEvaluator) -> dict:
+    """prod_k theta(z_k - z_i + 2 s eta) per (i, s), the coefficient of flipping sigma_i = s.
+
+    The opposite shift's coefficient prod_k theta(z_k - z_i) has the factor
+    theta(0) = 0 at k = i; it is certified to vanish before it is dropped.
+    """
+    zs = params.zs
+    flip_coeff = {}
+    for i in range(params.n):
+        off_branch = 1.0 + 0.0j
+        for zk in zs:
+            off_branch *= ev.theta(zk - zs[i])
+        for s in (-1, 1):
+            on_branch = 1.0 + 0.0j
+            for zk in zs:
+                on_branch *= ev.theta(zk - zs[i] + 2 * s * params.eta)
+            if abs(off_branch) > 1e-10 * max(1.0, abs(on_branch)):
+                raise ParameterError(
+                    "off-grid shift coefficient fails to vanish at site %d" % i
+                )
+            flip_coeff[(i, s)] = on_branch
+    return flip_coeff
+
+
 def build_T_irf_sov(params: ModelParams, zeta: complex) -> np.ndarray:
     """One-flip difference operator on the grid x_i = -z_i + sigma_i eta.
 
@@ -171,23 +196,7 @@ def build_T_irf_sov(params: ModelParams, zeta: complex) -> np.ndarray:
     if lat.dist_to_lattice(2 * eta) < params.rho:
         raise ParameterError("shift 2 eta sits within rho of the lattice")
 
-    # flip coefficient and the certified-zero opposite branch, per (i, sigma_i);
-    # the opposite shift's coefficient reduces to prod_k theta(z_k - z_i),
-    # whose k = i factor is theta(0) = 0 exactly
-    flip_coeff = {}
-    for i in range(n):
-        off_branch = 1.0 + 0.0j
-        for zk in zs:
-            off_branch *= ev.theta(zk - zs[i])
-        for s in (-1, 1):
-            on_branch = 1.0 + 0.0j
-            for zk in zs:
-                on_branch *= ev.theta(zk - zs[i] + 2 * s * eta)
-            if abs(off_branch) > 1e-10 * max(1.0, abs(on_branch)):
-                raise ParameterError(
-                    "off-grid shift coefficient fails to vanish at site %d" % i
-                )
-            flip_coeff[(i, s)] = on_branch
+    flip_coeff = _flip_coefficients(params, ev)
 
     # theta(zdisp - x_j) takes 2n distinct values across the whole grid
     spect = {
@@ -351,7 +360,6 @@ class SpectralCertificate:
     membership_residual: float
     cluster_residual: float
     quadratic_residuals: tuple[float, ...]
-    second_line_residuals: tuple[float, ...]
     q_pairs: tuple[tuple[complex, complex], ...]
     reconstruction: np.ndarray
     angle: float
@@ -365,7 +373,6 @@ class SpectralCertificate:
         ok = self.membership_residual <= self.tol
         ok = ok and self.cluster_residual <= self.tol
         ok = ok and max(self.quadratic_residuals) <= self.tol
-        ok = ok and max(self.second_line_residuals) <= self.tol
         if not self.degenerate:
             ok = ok and self.angle <= self.angle_tol
         return ok
@@ -440,17 +447,8 @@ def certify_spectrum(
     val_pts = [sample_spectral(params, rng) for _ in range(_VALIDATION_POINTS)]
     val_mats = [build_T_irf_sov(params, zv) for zv in val_pts]
 
-    # z-independent data of the quadratic relations
-    prod_plus = []
-    prod_minus = []
-    for i in range(n):
-        pp = 1.0 + 0.0j
-        pm = 1.0 + 0.0j
-        for zk in params.zs:
-            pp *= ev.theta(zk - params.zs[i] + 2 * params.eta)
-            pm *= ev.theta(zk - params.zs[i] - 2 * params.eta)
-        prod_plus.append(pp)
-        prod_minus.append(pm)
+    # z-independent data of the quadratic relations: the flip coefficients
+    flip_coeff = _flip_coefficients(params, ev)
 
     groups = _clusters(mu, gap_tol)
     mu_scale = max(float(np.max(np.abs(mu))), 1.0)
@@ -500,18 +498,13 @@ def certify_spectrum(
 
         quad = []
         qpairs = []
-        second = []
         for i in range(n):
             em = eps(params.zs[i] - params.eta)
             ep = eps(params.zs[i] + params.eta)
             lhs = em * ep
-            rhs = prod_plus[i] * prod_minus[i]
+            rhs = flip_coeff[(i, 1)] * flip_coeff[(i, -1)]
             quad.append(abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
-            qm, qp = em, prod_plus[i]
-            qpairs.append((qm, qp))
-            l2 = prod_minus[i] * qp
-            r2 = ep * qm
-            second.append(abs(l2 - r2) / max(abs(l2), abs(r2), 1e-300))
+            qpairs.append((em, flip_coeff[(i, 1)]))
 
         # u(sigma) = prod_i (q_minus_i if sigma_i < 0 else q_plus_i)
         q_minus = np.array([p[0] for p in qpairs])
@@ -532,7 +525,6 @@ def certify_spectrum(
                 membership_residual=member_dev / scale,
                 cluster_residual=cluster_dev / scale,
                 quadratic_residuals=tuple(quad),
-                second_line_residuals=tuple(second),
                 q_pairs=tuple(qpairs),
                 reconstruction=u,
                 angle=angle,
@@ -665,10 +657,11 @@ def continuous_bethe(
     )
     sol = spaces.solve_difference_bethe(ev, a_plus, a_minus, 2 * params.eta, m, rng)
     q = EllipticPoly(sol.a, sol.roots)
-    chi = Character(
-        (-1.0) ** m * cmath.exp(sol.a),
-        (-1.0) ** m * cmath.exp(sol.a * params.lattice.tau + _2PI_I * sum(sol.roots)),
-    )
     return ContinuousBethe(
-        params=params, solution=sol, q=q, a_plus=a_plus, a_minus=a_minus, chi=chi
+        params=params,
+        solution=sol,
+        q=q,
+        a_plus=a_plus,
+        a_minus=a_minus,
+        chi=spaces.character_of(q, params.lattice.tau),
     )

@@ -3,14 +3,16 @@
 A jet is a plain complex ndarray of Taylor coefficients a[k] =
 f^(k)(x0)/k!, k = 0..D, so jets compose by convolution.  Matrix- and
 vector-valued jets put the degree on the leading axis: (D+1, d, d) and
-(D+1, d).  All differential-operator work (Gaudin Hamiltonians, the
-generating kernel S) runs through LambdaDiffOp, whose coefficients are
-produced as matrix jets on demand.
+(D+1, d).  jmul is the one truncated product and jderiv the one
+derivative, for jets of every rank.  All differential-operator work
+(Gaudin Hamiltonians, the generating kernel S) runs through
+LambdaDiffOp, whose coefficients are produced as matrix jets on demand.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import operator
 from typing import Callable
 
 import numpy as np
@@ -28,26 +30,26 @@ __all__ = [
     "jet_sigma",
     "jet_sigma_neg",
     "jet_sigma_dlambda",
-    "mjet_const",
-    "mjet_mul",
-    "mjet_vec",
-    "vjet_deriv",
     "LambdaDiffOp",
 ]
 
 
 def jmul(a: np.ndarray, b: np.ndarray, degree: int | None = None) -> np.ndarray:
-    """Product of two scalar jets, truncated."""
+    """Truncated product of two jets; either may be the shorter.
+
+    A matrix jet a (ndim 3) multiplies with @, any other a with * (as numpy
+    scalars for scalar jets: the np.multiply ufunc rounds complex products
+    differently), so a scalar jet also scales a vector or matrix jet.
+    """
     if degree is None:
         degree = min(len(a), len(b)) - 1
-    out = np.zeros(degree + 1, dtype=complex)
-    for k in range(degree + 1):
-        lo = max(0, k - (len(b) - 1))
-        hi = min(k, len(a) - 1)
-        acc = 0j
-        for i in range(lo, hi + 1):
-            acc += a[i] * b[k - i]
-        out[k] = acc
+    mul = operator.matmul if a.ndim == 3 else operator.mul
+    first = mul(a[0], b[0])  # the whole degree-0 term, and the coefficient shape
+    out = np.zeros((degree + 1,) + np.shape(first), dtype=complex)
+    out[0] += first
+    for k in range(1, degree + 1):
+        for i in range(max(0, k - len(b) + 1), min(k, len(a) - 1) + 1):
+            out[k] += mul(a[i], b[k - i])
     return out
 
 
@@ -68,9 +70,9 @@ def jdiv(a: np.ndarray, b: np.ndarray, degree: int | None = None) -> np.ndarray:
 
 
 def jderiv(a: np.ndarray) -> np.ndarray:
-    """Jet of f' from the jet of f (degree drops by one)."""
+    """Jet of f' from the jet of f, on the leading axis (degree drops by one)."""
     if len(a) == 1:
-        return np.zeros(1, dtype=complex)
+        return np.zeros_like(a, dtype=complex)
     return np.array([(k + 1) * a[k + 1] for k in range(len(a) - 1)], dtype=complex)
 
 
@@ -119,51 +121,13 @@ def jet_sigma_dlambda(ev: ThetaEvaluator, lam0: complex, z: complex, degree: int
     return jmul(s, diff, degree)
 
 
-# -- matrix jets -------------------------------------------------------
-
-
-def mjet_const(mat: np.ndarray, degree: int) -> np.ndarray:
-    dim = mat.shape[0]
-    out = np.zeros((degree + 1, dim, dim), dtype=complex)
-    out[0] = mat
-    return out
-
-
-def mjet_mul(a: np.ndarray, b: np.ndarray, degree: int | None = None) -> np.ndarray:
-    """Degree-convolved product of matrix jets."""
-    if degree is None:
-        degree = min(a.shape[0], b.shape[0]) - 1
-    dim = a.shape[1]
-    out = np.zeros((degree + 1, dim, b.shape[2]), dtype=complex)
-    for k in range(degree + 1):
-        for i in range(max(0, k - b.shape[0] + 1), min(k, a.shape[0] - 1) + 1):
-            out[k] += a[i] @ b[k - i]
-    return out
-
-
-def mjet_vec(a: np.ndarray, v: np.ndarray, degree: int | None = None) -> np.ndarray:
-    """Apply a matrix jet to a vector jet."""
-    if degree is None:
-        degree = min(a.shape[0], v.shape[0]) - 1
-    out = np.zeros((degree + 1, a.shape[1]), dtype=complex)
-    for k in range(degree + 1):
-        for i in range(max(0, k - v.shape[0] + 1), min(k, a.shape[0] - 1) + 1):
-            out[k] += a[i] @ v[k - i]
-    return out
-
-
-def vjet_deriv(v: np.ndarray) -> np.ndarray:
-    if v.shape[0] == 1:
-        return np.zeros_like(v)
-    return np.stack([(k + 1) * v[k + 1] for k in range(v.shape[0] - 1)])
-
-
 @dataclasses.dataclass(frozen=True)
 class LambdaDiffOp:
     """Differential operator sum_d c_d(lambda) d^d/dlambda^d of order <= 2.
 
     Coefficients are callables (lam0, degree) -> matrix jet of shape
-    (degree+1, dim, dim); entry d of `coeffs` is c_d.
+    (degree+1, dim, dim), or (1, dim, dim) for a constant coefficient,
+    which jmul takes as a degree-0 jet; entry d of `coeffs` is c_d.
     """
 
     dim: int
@@ -180,7 +144,7 @@ class LambdaDiffOp:
     @staticmethod
     def const_coeff(mat: np.ndarray) -> Callable[[complex, int], np.ndarray]:
         mat = np.asarray(mat, dtype=complex)
-        return lambda lam0, degree: mjet_const(mat, degree)
+        return lambda lam0, degree: mat[None]
 
     def apply_jet(self, lam0: complex, ujet: np.ndarray) -> np.ndarray:
         """Value jet of (Op u) at lam0; input degree D gives output degree D - order."""
@@ -192,8 +156,8 @@ class LambdaDiffOp:
         du = ujet
         for d, cf in enumerate(self.coeffs):
             if d > 0:
-                du = vjet_deriv(du)
-            out += mjet_vec(cf(lam0, d_out), du, d_out)
+                du = jderiv(du)
+            out += jmul(cf(lam0, d_out), du, d_out)
         return out
 
 

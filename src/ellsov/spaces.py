@@ -45,6 +45,7 @@ __all__ = [
     "character_of",
     "phi_of_character",
     "expected_multiplier",
+    "multiplier_deviation",
     "interpolate",
     "make_basis",
     "membership_test",
@@ -103,6 +104,16 @@ def phi_of_character(chi: Character, tau: complex) -> complex:
 def expected_multiplier(chi: Character, k: int, z: complex, r: int, s: int, tau: complex) -> complex:
     """Multiplier of a level-k, character-chi function under z -> z + r + s*tau."""
     return chi.value(r, s) * cmath.exp(-1j * _PI * k * (s * s * tau + 2 * s * z))
+
+
+def multiplier_deviation(ev: ThetaEvaluator, f: Callable, k: int, chi: Character, z: complex) -> float:
+    """Largest relative miss of f(z + w) / f(z), w = 1 and tau, against a level-k chi."""
+    tau = ev.lattice.tau
+    dev = 0.0
+    for (r, s) in ((1, 0), (0, 1)):
+        expect = expected_multiplier(chi, k, z, r, s, tau)
+        dev = max(dev, abs(f(z + r + s * tau) / f(z) - expect) / abs(expect))
+    return dev
 
 
 @dataclasses.dataclass(frozen=True)
@@ -375,10 +386,11 @@ _MAX_RESTARTS = 8
 _RESTARTABLE = (NoConvergenceError, InvalidSolutionError, PoleProximityError, ZeroDivisionError)
 
 
-def damped_newton(residual, jacobian, start, accept=None) -> tuple[np.ndarray, float, int]:
+def damped_newton(system, start, accept=None) -> tuple[np.ndarray, float, int]:
     """Damped least-squares Newton for r(x) = 0; returns (x, max|r| / scale, iterations).
 
-    residual(x) returns (r, scale), and x solves once max|r| <= 1e-11 * scale.
+    system(x) returns (r, scale, jacobian): x solves once max|r| <= 1e-11 *
+    scale, and jacobian() builds J at x from what system computed there.
     The step is the minimum-norm least-squares solution of J s = -r, as the
     Bethe systems have m equations in m + 1 unknowns; it is halved, up to 20
     times, until max|r| drops.  start() draws each start point; accept(x)
@@ -390,31 +402,31 @@ def damped_newton(residual, jacobian, start, accept=None) -> tuple[np.ndarray, f
     for _ in range(_MAX_RESTARTS):
         x = start()
         try:
-            return _newton_run(residual, jacobian, x, accept)
+            return _newton_run(system, x, accept)
         except _RESTARTABLE as exc:
             last = exc
     raise NoConvergenceError("all %d Newton restarts failed: %s" % (_MAX_RESTARTS, last))
 
 
-def _newton_run(residual, jacobian, x, accept):
-    res, scale = residual(x)
+def _newton_run(system, x, accept):
+    res, scale, jacobian = system(x)
     norm = float(np.max(np.abs(res)))
     iterations = 0
     while not norm <= _TARGET * scale:  # a NaN residual never converges
         if iterations == _MAX_ITERS:
             raise NoConvergenceError("no convergence after %d iterations (residual %g)" % (iterations, norm))
-        step, *_ = np.linalg.lstsq(jacobian(x), -res, rcond=None)
+        step, *_ = np.linalg.lstsq(jacobian(), -res, rcond=None)
         damp = 1.0
         for _ in range(_MAX_HALVINGS):
             nx = x + damp * step
             try:
-                nres, nscale = residual(nx)
+                nres, nscale, njacobian = system(nx)
             except PoleProximityError:
                 damp *= 0.5
                 continue
             nnorm = float(np.max(np.abs(nres)))
             if nnorm < norm or nnorm <= _TARGET * nscale:
-                x, res, scale, norm = nx, nres, nscale, nnorm
+                x, res, scale, norm, jacobian = nx, nres, nscale, nnorm, njacobian
                 break
             damp *= 0.5
         else:
@@ -467,19 +479,21 @@ def _bethe_terms(ev, A_plus, A_minus, gamma, a, roots):
     return terms
 
 
-def _bethe_residuals(ev, A_plus, A_minus, gamma, a, roots):
-    """Residuals t1_i + t2_i and the scale max |t| of the relative target."""
+def _bethe_system(ev, A_plus, A_minus, gamma, a, roots):
+    """Residuals t1_i + t2_i, the scale max |t| of the relative target, and the Jacobian."""
     terms = _bethe_terms(ev, A_plus, A_minus, gamma, a, roots)
     scale = 0.0
     for t1, t2 in terms:
         scale = max(scale, abs(t1), abs(t2))
-    return np.array([t1 + t2 for t1, t2 in terms], dtype=complex), max(scale, 1e-300)
+    res = np.array([t1 + t2 for t1, t2 in terms], dtype=complex)
+    return res, max(scale, 1e-300), lambda: _bethe_jacobian(ev, A_plus, A_minus, gamma, roots, terms)
 
 
-def _bethe_jacobian(ev, A_plus, A_minus, gamma, a, roots):
+def _bethe_jacobian(ev, A_plus, A_minus, gamma, roots, terms):
+    """Jacobian in (a, w_1..w_m) from the _bethe_terms of the same point."""
     m = len(roots)
     jac = np.zeros((m, m + 1), dtype=complex)
-    for i, (t1, t2) in enumerate(_bethe_terms(ev, A_plus, A_minus, gamma, a, roots)):
+    for i, (t1, t2) in enumerate(terms):
         jac[i, 0] = -gamma * t1 + gamma * t2
         for l in range(m):
             if l == i:
@@ -519,8 +533,7 @@ def solve_difference_bethe(
         return np.array([complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))] + roots)
 
     x, residual, iterations = damped_newton(
-        lambda x: _bethe_residuals(ev, A_plus, A_minus, gamma, x[0], x[1:]),
-        lambda x: _bethe_jacobian(ev, A_plus, A_minus, gamma, x[0], x[1:]),
+        lambda x: _bethe_system(ev, A_plus, A_minus, gamma, x[0], x[1:]),
         start,
         accept=lambda x: _check_root_separation(ev, x[1:]),
     )

@@ -108,10 +108,10 @@ def test_field_commutator(lattice, rng):
         assert np.max(np.abs(comm - expect)) <= 1e-11 * scale
 
         # on the zero-weight space the wp_bar(lambda) part dies with sum h^(i)
-        restr = ctx.restricted(comm)
+        restr = ctx.space.restrict(comm)
         expect0 = np.zeros_like(restr)
         for (_, _, hi), zi in zip(ctx.ops, params.zs):
-            expect0 += ev.wp_bar(z - zi) * ctx.restricted(hi)
+            expect0 += ev.wp_bar(z - zi) * ctx.space.restrict(hi)
         assert np.max(np.abs(restr - expect0)) <= 1e-11 * scale
 
 
@@ -184,17 +184,18 @@ def test_s_alternative_form(lattice, rng):
         hp_full += -ev.wp_bar(z - zi) * hi
         e_jet += jets.jet_sigma_neg(ev, LAM0, z - zi, DEGREE)[:, None, None] * ei
         f_jet += jets.jet_sigma(ev, LAM0, z - zi, DEGREE)[:, None, None] * fi
-    hr = ctx.restricted(h_full)
-    fe = jets.mjet_mul(f_jet, e_jet, DEGREE)
-    fe_r = np.stack([ctx.restricted(fe[d]) for d in range(DEGREE + 1)])
+    hr = ctx.space.restrict(h_full)
+    fe = jets.jmul(f_jet, e_jet, DEGREE)
+    fe_r = np.stack([ctx.space.restrict(fe[d]) for d in range(DEGREE + 1)])
 
+    # constant matrices enter as degree-0 jets
     d_out = DEGREE - 2
-    up = jets.vjet_deriv(u)
-    got = jets.vjet_deriv(up)
-    got -= jets.mjet_vec(jets.mjet_const(hr, d_out), up, d_out)
-    const = 0.25 * hr @ hr - 0.5 * ctx.restricted(hp_full)
-    got += jets.mjet_vec(jets.mjet_const(const, d_out), u, d_out)
-    got += jets.mjet_vec(fe_r, u, d_out)
+    up = jets.jderiv(u)
+    got = jets.jderiv(up)
+    got -= jets.jmul(hr[None], up, d_out)
+    const = 0.25 * hr @ hr - 0.5 * ctx.space.restrict(hp_full)
+    got += jets.jmul(const[None], u, d_out)
+    got += jets.jmul(fe_r, u, d_out)
 
     want = build_S(params, z).apply_jet(LAM0, u)
     scale = max(1.0, float(np.max(np.abs(want))))

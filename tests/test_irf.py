@@ -289,7 +289,6 @@ def test_certify_spectrum(lattice, rng):
         assert c.membership_residual <= 1e-10
         assert c.cluster_residual <= 1e-10
         assert max(c.quadratic_residuals) <= 1e-10
-        assert max(c.second_line_residuals) <= 1e-10
         assert c.angle <= 1e-6
         assert len(c.q_pairs) == 3
 
@@ -493,6 +492,29 @@ def test_continuous_bethe_eigenvalue_membership(lattice, rng):
     assert report.passed
     with pytest.raises(ParameterError):
         continuous_bethe(ModelParams(lattice, ETA, Z3, (1, 1, 1)), rng)
+
+
+def test_eps_character_negative_control(lattice, rng):
+    """The CLI's character_match comparison: eps's multipliers under z -> z + 1
+    and z -> z + tau match the character induced with 2 eta, and miss the one
+    induced with -2 eta."""
+    cases = [
+        ((0.12 + 0.23j, 0.57 + 0.71j), (1, 1)),
+        ((0.12 + 0.23j, 0.57 + 0.71j, 0.34 + 0.52j), (2, 1, 1)),
+        ((0.23 + 0.31j, 0.67 + 0.52j, 0.12 + 0.8j, 0.5 + 0.1j), (1, 1, 1, 1)),
+    ]
+    for zs, lams in cases:
+        params = ModelParams(lattice, ETA, zs, lams)
+        cb = continuous_bethe(params, rng)
+        ev = params.evaluator()
+        m = sum(lams) // 2
+        eps = spaces.difference_eigenvalue(ev, cb.a_plus, cb.a_minus, 2 * ETA, cb.solution)
+        chi_plus = spaces.character_of(cb.a_plus, TAU)
+        z = params.sample_generic(rng, margin=5e-2, avoid=cb.solution.roots)
+        for gamma, within in ((2 * ETA, True), (-2 * ETA, False)):
+            chi = spaces.induced_eigenvalue_character(chi_plus, gamma, m)
+            dev = spaces.multiplier_deviation(ev, eps, len(zs), chi, z)
+            assert (dev <= 1e-9) if within else (dev >= 0.5)
 
 
 def test_nine_sites_dense_spectrum(lattice, rng):

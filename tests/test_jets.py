@@ -14,6 +14,38 @@ from conftest import sample_point
 PI = math.pi
 
 
+# The per-rank loops that jets.jmul and jets.jderiv replaced, kept as references.
+
+
+def reference_scalar_mul(a, b, degree):
+    out = np.zeros(degree + 1, dtype=complex)
+    for k in range(degree + 1):
+        acc = 0j
+        for i in range(max(0, k - (len(b) - 1)), min(k, len(a) - 1) + 1):
+            acc += a[i] * b[k - i]
+        out[k] = acc
+    return out
+
+
+def reference_matrix_mul(a, b, degree):
+    """Matrix jet times matrix jet (b of ndim 3) or vector jet (ndim 2)."""
+    out = np.zeros((degree + 1, a.shape[1]) + b.shape[2:], dtype=complex)
+    for k in range(degree + 1):
+        for i in range(max(0, k - b.shape[0] + 1), min(k, a.shape[0] - 1) + 1):
+            out[k] += a[i] @ b[k - i]
+    return out
+
+
+def reference_vector_deriv(v):
+    if v.shape[0] == 1:
+        return np.zeros_like(v)
+    return np.stack([(k + 1) * v[k + 1] for k in range(v.shape[0] - 1)])
+
+
+def complex_normal(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 def jet_oracle(f, x0, degree, radius=0.05, npts=256):
     """Taylor coefficients of f at x0 by Cauchy quadrature."""
     out = np.zeros(degree + 1, dtype=complex)
@@ -115,10 +147,41 @@ def test_matrix_jet_product(rng):
     d = 3
     a = rng.standard_normal((4, d, d)) + 1j * rng.standard_normal((4, d, d))
     b = rng.standard_normal((4, d, d)) + 1j * rng.standard_normal((4, d, d))
-    prod = jets.mjet_mul(a, b)
+    prod = jets.jmul(a, b)
     # compare against scalar expansion entry by entry at a numeric point
     eps = 1e-3
     av = sum(a[k] * eps ** k for k in range(4))
     bv = sum(b[k] * eps ** k for k in range(4))
     pv = sum(prod[k] * eps ** k for k in range(4))
     assert np.max(np.abs(av @ bv - pv)) < 1e-10
+
+
+def test_jmul_equals_reference_loops(rng):
+    """jmul reproduces each per-rank loop bit for bit, for equal and unequal lengths.
+
+    The scalar loop multiplies numpy scalars; the np.multiply ufunc rounds
+    about 4 in 10 complex products differently, so a jmul through it fails
+    here on the 12-term jets.
+    """
+    for la, lb, degree in ((12, 12, None), (1, 6, 5), (6, 1, 4), (3, 5, 4)):
+        a = complex_normal(rng, la)
+        b = complex_normal(rng, lb)
+        deg = min(la, lb) - 1 if degree is None else degree
+        assert np.array_equal(jets.jmul(a, b, degree), reference_scalar_mul(a, b, deg))
+        m = complex_normal(rng, (la, 4, 4))
+        v = complex_normal(rng, (lb, 4))
+        w = complex_normal(rng, (lb, 4, 3))
+        assert np.array_equal(jets.jmul(m, v, degree), reference_matrix_mul(m, v, deg))
+        assert np.array_equal(jets.jmul(m, w, degree), reference_matrix_mul(m, w, deg))
+        # a scalar jet scales a vector jet coefficient by coefficient
+        scaled = jets.jmul(a, v, degree)
+        for k in range(deg + 1):
+            terms = [a[i] * v[k - i] for i in range(max(0, k - lb + 1), min(k, la - 1) + 1)]
+            assert np.array_equal(scaled[k], sum(terms, np.zeros(4, dtype=complex)))
+
+
+def test_jderiv_equals_vector_reference(rng):
+    for length in (1, 2, 6):
+        v = complex_normal(rng, (length, 5))
+        assert np.array_equal(jets.jderiv(v), reference_vector_deriv(v))
+        assert np.array_equal(jets.jderiv(v[:, 0]), reference_vector_deriv(v)[:, 0])

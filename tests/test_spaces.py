@@ -247,15 +247,34 @@ def test_difference_eigenvalue_root_outside_cell(ev):
     assert membership_test(ev, eps, len(zs), chi_eps, rng, tol=1e-12).passed
 
 
+def test_bethe_solver_theta_count(ev, monkeypatch):
+    """The Jacobian reuses the theta products of the accepted residual evaluation."""
+    lat = ev.lattice
+    eta = 0.171 + 0.043j
+    zs = [0.23 + 0.31j, 0.67 + 0.52j, 0.12 + 0.8j, 0.5 + 0.1j]
+    A_plus = EllipticPoly.make(lat, 0.0, [-z - eta for z in zs])
+    A_minus = EllipticPoly.make(lat, 0.0, [-z + eta for z in zs])
+    calls = [0]
+    original = ThetaEvaluator.theta_taylor
+
+    def counting(self, z, degree):
+        calls[0] += 1
+        return original(self, z, degree)
+
+    monkeypatch.setattr(ThetaEvaluator, "theta_taylor", counting)
+    sol = solve_difference_bethe(ev, A_plus, A_minus, 2.0 * eta, 2, np.random.default_rng(17))
+    assert sol.iterations == 9
+    assert calls[0] <= 1400
+
+
 def test_damped_newton_restarts():
     """One equation in two unknowns: minimum-norm steps, and restarts on typed failures."""
-    jac = lambda x: np.array([[1.0, 1.0]], dtype=complex)
     rejected = []
 
-    def residual(x):
+    def system(x):
         if x[0] == 5.0:
             raise PoleProximityError("start on a pole")
-        return np.array([x[0] + x[1] - 2.0]), 1.0
+        return np.array([x[0] + x[1] - 2.0]), 1.0, lambda: np.array([[1.0, 1.0]], dtype=complex)
 
     def accept(x):
         if not rejected:
@@ -264,7 +283,7 @@ def test_damped_newton_restarts():
 
     starts = [np.array([5.0, 0.0], dtype=complex), np.zeros(2, dtype=complex),
               np.array([3.0, 1.0], dtype=complex)]
-    x, res, iterations = spaces.damped_newton(residual, jac, lambda: starts.pop(0), accept)
+    x, res, iterations = spaces.damped_newton(system, lambda: starts.pop(0), accept)
     # start 1 sits on a pole, start 2 converges to (1, 1) and is rejected,
     # start 3 steps from (3, 1) to the nearest solution (2, 0)
     assert not starts
@@ -272,7 +291,7 @@ def test_damped_newton_restarts():
     assert_allclose(x, [2.0, 0.0], atol=1e-14)
     assert res <= 1e-11 and iterations == 1
     with pytest.raises(spaces.NoConvergenceError, match="all 8 Newton restarts failed"):
-        spaces.damped_newton(residual, jac, lambda: np.array([5.0, 0.0], dtype=complex))
+        spaces.damped_newton(system, lambda: np.array([5.0, 0.0], dtype=complex))
 
 
 def test_compatibility_guard(ev, rng):
