@@ -94,23 +94,14 @@ def build_params(cfg: dict) -> ModelParams:
         raise ConfigError(str(exc))
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+def _json_default(obj):
+    """Encode what json cannot: complex as [re, im], numpy arrays and scalars."""
     if isinstance(obj, (complex, np.complexfloating)):
         c = complex(obj)
         return [c.real, c.imag]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    return obj
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError("%s is not JSON serializable" % type(obj).__name__)
 
 
 def _check(name: str, residual: float, tolerance: float) -> dict:
@@ -363,7 +354,6 @@ def _serialize_certificate(cert) -> dict:
         "cluster_residual": cert.cluster_residual,
         "quadratic_residuals": list(cert.quadratic_residuals),
         "q_pairs": [list(p) for p in cert.q_pairs],
-        "reconstruction": list(cert.reconstruction),
     }
 
 
@@ -604,7 +594,7 @@ def main(argv=None) -> int:
         report["csv_files"] = body["csv_files"]
     report["timing"] = {"seconds": elapsed}
 
-    text = json.dumps(_jsonable(report), indent=2, sort_keys=True)
+    text = json.dumps(report, indent=2, sort_keys=True, default=_json_default)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

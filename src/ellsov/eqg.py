@@ -24,23 +24,17 @@ from .theta import ThetaEvaluator
 # R-matrix
 
 
-def _alpha(ev: ThetaEvaluator, eta: complex, z: complex, lam: complex) -> complex:
-    return ev.theta(lam + 2 * eta) * ev.theta(z) / (ev.theta(lam) * ev.theta(z - 2 * eta))
-
-
-def _beta(ev: ThetaEvaluator, eta: complex, z: complex, lam: complex) -> complex:
-    return -ev.theta(lam + z) * ev.theta(2 * eta) / (ev.theta(lam) * ev.theta(z - 2 * eta))
-
-
 def _r_matrix_raw(ev: ThetaEvaluator, eta: complex, z: complex, lam: complex) -> np.ndarray:
-    # basis order e[1]e[1], e[1]e[-1], e[-1]e[1], e[-1]e[-1]
+    # basis order e[1]e[1], e[1]e[-1], e[-1]e[1], e[-1]e[-1]; row 1 reads
+    # lambda and row 2 -lambda, and each of the 9 theta arguments is evaluated once
+    th_z, th_shift, th_2eta = ev.theta(z), ev.theta(z - 2 * eta), ev.theta(2 * eta)
     r = np.zeros((4, 4), dtype=complex)
     r[0, 0] = 1.0
     r[3, 3] = 1.0
-    r[1, 1] = _alpha(ev, eta, z, lam)
-    r[2, 2] = _alpha(ev, eta, z, -lam)
-    r[1, 2] = _beta(ev, eta, z, lam)
-    r[2, 1] = _beta(ev, eta, z, -lam)
+    for row, col, lam_s in ((1, 2, lam), (2, 1, -lam)):
+        th_lam = ev.theta(lam_s)
+        r[row, row] = ev.theta(lam_s + 2 * eta) * th_z / (th_lam * th_shift)
+        r[row, col] = -ev.theta(lam_s + z) * th_2eta / (th_lam * th_shift)
     return r
 
 

@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
-from typing import Callable, Sequence
+import functools
+import types
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -28,7 +30,6 @@ from . import spaces
 from .eqg import S0Grid, r_matrix
 from .params import ModelParams, ParameterError
 from .spaces import BetheSolution, Character, EllipticPoly, ThetaInterpolant
-from .theta import ThetaEvaluator
 
 __all__ = [
     "BoltzmannWeights",
@@ -147,12 +148,16 @@ def build_T_irf_paths(params: ModelParams, z: complex) -> np.ndarray:
 # transfer matrix, separated (one-flip) construction
 
 
-def _flip_coefficients(params: ModelParams, ev: ThetaEvaluator) -> dict:
+@functools.lru_cache(maxsize=64)
+def _flip_coefficients(params: ModelParams) -> Mapping[tuple[int, int], complex]:
     """prod_k theta(z_k - z_i + 2 s eta) per (i, s), the coefficient of flipping sigma_i = s.
 
     The opposite shift's coefficient prod_k theta(z_k - z_i) has the factor
     theta(0) = 0 at k = i; it is certified to vanish before it is dropped.
+    The coefficients depend on the model alone, so each model computes
+    them once; the cached mapping is read-only.
     """
+    ev = params.evaluator()
     zs = params.zs
     flip_coeff = {}
     for i in range(params.n):
@@ -168,7 +173,7 @@ def _flip_coefficients(params: ModelParams, ev: ThetaEvaluator) -> dict:
                     "off-grid shift coefficient fails to vanish at site %d" % i
                 )
             flip_coeff[(i, s)] = on_branch
-    return flip_coeff
+    return types.MappingProxyType(flip_coeff)
 
 
 def build_T_irf_sov(params: ModelParams, zeta: complex) -> np.ndarray:
@@ -196,7 +201,7 @@ def build_T_irf_sov(params: ModelParams, zeta: complex) -> np.ndarray:
     if lat.dist_to_lattice(2 * eta) < params.rho:
         raise ParameterError("shift 2 eta sits within rho of the lattice")
 
-    flip_coeff = _flip_coefficients(params, ev)
+    flip_coeff = _flip_coefficients(params)
 
     # theta(zdisp - x_j) takes 2n distinct values across the whole grid
     spect = {
@@ -448,7 +453,7 @@ def certify_spectrum(
     val_mats = [build_T_irf_sov(params, zv) for zv in val_pts]
 
     # z-independent data of the quadratic relations: the flip coefficients
-    flip_coeff = _flip_coefficients(params, ev)
+    flip_coeff = _flip_coefficients(params)
 
     groups = _clusters(mu, gap_tol)
     mu_scale = max(float(np.max(np.abs(mu))), 1.0)

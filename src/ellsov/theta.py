@@ -50,7 +50,7 @@ class LatticeError(ThetaError):
 
 
 class TruncationError(ThetaError):
-    """Series did not reach the requested tolerance within max_terms."""
+    """Series did not reach the requested tolerance within the term limit."""
 
     def __init__(self, message: str, tail_bound: float):
         super().__init__(message)
@@ -71,6 +71,8 @@ class ThetaOverflowError(ThetaError):
 
 # floor on Im tau below which a Lattice is rejected
 _MIN_IM_TAU = 1e-3
+# q-series terms summed before a TruncationError
+_MAX_TERMS = 64
 
 
 @dataclasses.dataclass(frozen=True)
@@ -135,7 +137,6 @@ class ThetaEvaluator:
 
     lattice: Lattice
     trunc_tol: float = 1e-16
-    max_terms: int = 64
     rho: float = 1e-6
 
     # -- core series ---------------------------------------------------
@@ -154,7 +155,7 @@ class ThetaEvaluator:
         max_term = 0.0
         converged = False
         tail = math.inf
-        for j in range(self.max_terms):
+        for j in range(_MAX_TERMS):
             half = j + 0.5
             base = 1j * _PI * tau * half * half
             ph = 1j * _PI * (2 * j + 1)
@@ -183,7 +184,7 @@ class ThetaEvaluator:
             bound = math.exp(min(tail, 700.0))
             raise TruncationError(
                 "theta series truncation: tolerance %g not reached within %d terms"
-                % (self.trunc_tol, self.max_terms),
+                % (self.trunc_tol, _MAX_TERMS),
                 tail_bound=bound,
             )
         fact = 1.0

@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ellsov import cli, gaudin
@@ -23,6 +24,44 @@ def rewrite_config(tmp_path, base, name, mutate):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def reference_jsonable(obj):
+    """The former recursive converter that the encoder hook replaces."""
+    if isinstance(obj, dict):
+        return {str(k): reference_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [reference_jsonable(v) for v in obj]
+    if isinstance(obj, (complex, np.complexfloating)):
+        c = complex(obj)
+        return [c.real, c.imag]
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    if isinstance(obj, (np.floating,)):
+        return float(obj)
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, np.ndarray):
+        return reference_jsonable(obj.tolist())
+    return obj
+
+
+def test_json_default_matches_reference():
+    obj = {
+        "complex": 0.1 + 2.5e-17j,
+        "np_complex": np.complex128(-3.0 + 1e300j),
+        "matrix": np.array([[1 + 2j, -0.0 + 0j], [np.pi * 1j, 1e-310]]),
+        "flag": np.bool_(True),
+        "count": np.int64(-7),
+        "value": np.float64(1.0) / 3,
+        "nan": float("nan"),
+        "pair": (1, np.float64(2.5), [np.complex128(1j)]),
+        "nested": {"b": [np.bool_(False)], "a": None},
+    }
+    expect = json.dumps(reference_jsonable(obj), indent=2, sort_keys=True)
+    assert json.dumps(obj, indent=2, sort_keys=True, default=cli._json_default) == expect
+    with pytest.raises(TypeError):
+        json.dumps({"x": object()}, default=cli._json_default)
 
 
 def test_report_shape(tmp_path):
@@ -143,6 +182,20 @@ def test_spectrum_bundled_config(tmp_path):
     certs = report["certificates"]
     assert len(certs) == 8
     assert all(c["passed"] for c in certs)
+    # each certificate keeps the n separated pairs, not the 2^n-entry vector
+    keys = {
+        "eigenvalue",
+        "passed",
+        "degenerate",
+        "gap",
+        "angle",
+        "membership_residual",
+        "cluster_residual",
+        "quadratic_residuals",
+        "q_pairs",
+    }
+    assert all(set(c) == keys for c in certs)
+    assert all(len(c["q_pairs"]) == 3 for c in certs)
     files = sorted(csv_dir.glob("spectrum_eps_*.csv"))
     assert len(files) == 8
     header, first = files[0].read_text().splitlines()[:2]
