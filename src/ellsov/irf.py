@@ -21,8 +21,7 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import functools
-import types
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -148,32 +147,78 @@ def build_T_irf_paths(params: ModelParams, z: complex) -> np.ndarray:
 # transfer matrix, separated (one-flip) construction
 
 
-@functools.lru_cache(maxsize=64)
-def _flip_coefficients(params: ModelParams) -> Mapping[tuple[int, int], complex]:
-    """prod_k theta(z_k - z_i + 2 s eta) per (i, s), the coefficient of flipping sigma_i = s.
+@dataclasses.dataclass(frozen=True)
+class _GridModel:
+    """The zeta-independent part of build_T_irf_sov, computed once per model.
 
-    The opposite shift's coefficient prod_k theta(z_k - z_i) has the factor
-    theta(0) = 0 at k = i; it is certified to vanish before it is dropped.
-    The coefficients depend on the model alone, so each model computes
-    them once; the cached mapping is read-only.
+    flip[i][m] is the coefficient of flipping site i from grid sign 2m - 1.
+    heads holds (lambda, x_i, theta(lambda)) per prefactor slot (None where
+    no row reaches it) and cross the pairs (2j + m_j, theta(x_i - x_j)).
+    factors[f, r, i] indexes row r's f-th factor at site i in the per-zeta
+    values: the prefactor, the n - 1 cross quotients, the flip coefficient.
     """
-    ev = params.evaluator()
-    zs = params.zs
-    flip_coeff = {}
-    for i in range(params.n):
+
+    flip: tuple[tuple[complex, complex], ...]
+    heads: tuple[tuple[complex, complex, complex] | None, ...]
+    cross: tuple[tuple[int, complex], ...]
+    bits: np.ndarray
+    factors: np.ndarray
+
+
+@functools.lru_cache(maxsize=8)  # an entry holds (n + 1) n 2^n indices
+def _grid_model(params: ModelParams) -> _GridModel:
+    """Lattice checks, flip coefficients, cross thetas and grid indices, read-only.
+
+    Flipping sigma_i = s carries prod_k theta(z_k - z_i + 2 s eta); the
+    opposite shift's coefficient prod_k theta(z_k - z_i) has the factor
+    theta(0) = 0 at k = i, and it is certified to vanish before it is
+    dropped.
+    """
+    n, eta, zs, ev = params.n, params.eta, params.zs, params.evaluator()
+    # dynamical denominators theta(lambda) at lambda = -eta * (odd sum)
+    for k in range(1, n + 1, 2):
+        if params.lattice.dist_to_lattice(k * eta) < params.rho:
+            raise ParameterError("grid value lambda = %d eta sits within rho of the lattice" % k)
+    if params.lattice.dist_to_lattice(2 * eta) < params.rho:
+        raise ParameterError("shift 2 eta sits within rho of the lattice")
+    flip = []
+    for i in range(n):
         off_branch = 1.0 + 0.0j
         for zk in zs:
             off_branch *= ev.theta(zk - zs[i])
+        flip.append([])
         for s in (-1, 1):
             on_branch = 1.0 + 0.0j
             for zk in zs:
-                on_branch *= ev.theta(zk - zs[i] + 2 * s * params.eta)
+                on_branch *= ev.theta(zk - zs[i] + 2 * s * eta)
             if abs(off_branch) > 1e-10 * max(1.0, abs(on_branch)):
-                raise ParameterError(
-                    "off-grid shift coefficient fails to vanish at site %d" % i
-                )
-            flip_coeff[(i, s)] = on_branch
-    return types.MappingProxyType(flip_coeff)
+                raise ParameterError("off-grid shift coefficient fails to vanish at site %d" % i)
+            flip[i].append(on_branch)
+    others = [[j for j in range(n) if j != i] for i in range(n)]
+    cross = tuple(
+        (2 * j + (sj + 1) // 2, ev.theta(-zs[i] + zs[j] + (si - sj) * eta))
+        for i in range(n) for si in (-1, 1) for j in others[i] for sj in (-1, 1)
+    )
+    denom = {t: ev.theta(-eta * t) for t in range(-n, n + 1, 2)}
+    # the row prefactor depends on the row only through (sum m, i, m_i): 2 n^2 slots
+    heads = tuple(
+        (-eta * t, -zs[i] + s * eta, denom[t]) if abs(t - s) <= n - 1 else None
+        for t in range(-n, n + 1, 2) for i in range(n) for s in (-1, 1)
+    )
+    bits = np.array(S0Grid(params).points, dtype=int)
+    sites = np.arange(n)
+    # cross factor k of site i divides by theta(x_i - x_j), j the k-th site other than i
+    other_bits = np.moveaxis(bits[:, np.array(others, dtype=int).reshape(n, n - 1)], 2, 0)
+    cross_factors = 2 * ((2 * sites + bits) * (n - 1) + np.arange(n - 1)[:, None, None])
+    cross_factors += other_bits
+    factors = np.concatenate([
+        ((bits.sum(axis=1, keepdims=True) * n + sites) * 2 + bits)[None],
+        len(heads) + cross_factors,
+        (len(heads) + len(cross) + 2 * sites + bits)[None],
+    ])
+    bits.setflags(write=False)
+    factors.setflags(write=False)
+    return _GridModel(tuple(map(tuple, flip)), heads, cross, bits, factors)
 
 
 def build_T_irf_sov(params: ModelParams, zeta: complex) -> np.ndarray:
@@ -181,66 +226,32 @@ def build_T_irf_sov(params: ModelParams, zeta: complex) -> np.ndarray:
 
     The displayed operator reads off the evaluation point -zeta; each
     term flips one sigma_i, the opposite shift leaving the grid carries a
-    coefficient with an exact zero factor (certified below before it is
-    dropped).  Entries are entire in zeta.
+    coefficient with an exact zero factor (certified before it is
+    dropped).  Entries are entire in zeta.  Row r's term at site i is
+    theta(lam - zdisp + x_i)/theta(lam) * prod_{j != i} theta(zdisp - x_j)/
+    theta(x_i - x_j) * flip, in this order.  The quotients are Python
+    scalars and the product runs on real and imaginary arrays with the
+    scalar complex-product formula, so each entry equals the scalar
+    product bit for bit.
     """
     params.validate_for_irf()
-    n = params.n
+    model = _grid_model(params)
     ev = params.evaluator()
-    eta = params.eta
-    zs = params.zs
-    lat = params.lattice
-    zdisp = -complex(zeta)
-
-    # dynamical denominators theta(lambda) at lambda = -eta * (odd sum)
-    for k in range(1, n + 1, 2):
-        if lat.dist_to_lattice(k * eta) < params.rho:
-            raise ParameterError(
-                "grid value lambda = %d eta sits within rho of the lattice" % k
-            )
-    if lat.dist_to_lattice(2 * eta) < params.rho:
-        raise ParameterError("shift 2 eta sits within rho of the lattice")
-
-    flip_coeff = _flip_coefficients(params)
-
+    eta, n, zdisp = params.eta, params.n, -complex(zeta)
     # theta(zdisp - x_j) takes 2n distinct values across the whole grid
-    spect = {
-        (j, s): ev.theta(zdisp + zs[j] - s * eta) for j in range(n) for s in (-1, 1)
-    }
-    cross = {
-        (i, si, j, sj): ev.theta(-zs[i] + zs[j] + (si - sj) * eta)
-        for i in range(n)
-        for j in range(n)
-        if i != j
-        for si in (-1, 1)
-        for sj in (-1, 1)
-    }
-    th_lam = {k: ev.theta(-eta * k) for k in range(-n, n + 1, 2)}
-    # the row prefactor theta(lam - zdisp + x_i), lam = -eta * sum(sigma), depends
-    # on the row only through (sum(sigma), i, sigma_i): 2 n^2 values in all
-    head = {
-        (total, i, s): ev.theta(-eta * total - zdisp + (-zs[i] + s * eta))
-        for total in range(-n, n + 1, 2)
-        for i in range(n)
-        for s in (-1, 1)
-        if abs(total - s) <= n - 1
-    }
-
-    # the grid sign 2m - 1 of each row
-    sigmas = (2 * np.array(S0Grid(params).points) - 1).tolist()
-    dim = len(sigmas)
-    t = np.zeros((dim, dim), dtype=complex)
-    for row, sig in enumerate(sigmas):
-        total = sum(sig)
-        denom = th_lam[total]
-        for i in range(n):
-            pref = head[(total, i, sig[i])] / denom
-            for j in range(n):
-                if j == i:
-                    continue
-                pref *= spect[(j, sig[j])] / cross[(i, sig[i], j, sig[j])]
-            # site i is bit n-1-i of the grid index, so flipping sigma_i flips that bit
-            t[row, row ^ (1 << (n - 1 - i))] = pref * flip_coeff[(i, sig[i])]
+    spect = [ev.theta(zdisp + zj - s * eta) for zj in params.zs for s in (-1, 1)]
+    values = [0j if h is None else ev.theta(h[0] - zdisp + h[1]) / h[2] for h in model.heads]
+    values += [spect[k] / c for k, c in model.cross]
+    w = np.array(values + [f for pair in model.flip for f in pair])[model.factors]
+    re, im = w[0].real, w[0].imag
+    for f in w[1:]:
+        re, im = re * f.real - im * f.imag, re * f.imag + im * f.real
+    rows = np.arange(2 ** n)[:, None]
+    # site i is bit n-1-i of the grid index, so flipping sigma_i flips that bit
+    cols = rows ^ (1 << (n - 1 - np.arange(n)))
+    t = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    t.real[rows, cols] = re
+    t.imag[rows, cols] = im
     return t
 
 
@@ -448,23 +459,22 @@ def certify_spectrum(
 
     t0 = build_T_irf_sov(params, z0)
     mu, vecs = np.linalg.eig(t0)
-    node_mats = [build_T_irf_sov(params, zs) for zs in basis.nodes]
     val_pts = [sample_spectral(params, rng) for _ in range(_VALIDATION_POINTS)]
-    val_mats = [build_T_irf_sov(params, zv) for zv in val_pts]
 
-    # z-independent data of the quadratic relations: the flip coefficients
-    flip_coeff = _flip_coefficients(params)
+    # z-independent data of the quadratic relations (the flip coefficients) and the grid signs
+    model = _grid_model(params)
 
     groups = _clusters(mu, gap_tol)
     mu_scale = max(float(np.max(np.abs(mu))), 1.0)
     # orthonormal cluster bases side by side, and every sample matrix applied once
+    # as soon as it is built, its images stacked per kind
     bases = [np.linalg.qr(vecs[:, group])[0] for group in groups]
     ends = np.cumsum([b.shape[1] for b in bases])
     stacked = np.concatenate(bases, axis=1)
-    node_images = [tmat @ stacked for tmat in node_mats]
-    val_images = [tmat @ stacked for tmat in val_mats]
+    node_images = np.stack([build_T_irf_sov(params, zs) @ stacked for zs in basis.nodes])
+    val_images = np.stack([build_T_irf_sov(params, zv) @ stacked for zv in val_pts])
     # the grid sign 2m - 1 is negative where m_i = 0
-    negative = np.array(S0Grid(params).points) == 0
+    negative = model.bits == 0
 
     certs = []
     for group, basis_g, end in zip(groups, bases, ends):
@@ -478,28 +488,19 @@ def certify_spectrum(
         dim = basis_g.shape[1]
         degenerate = bool(dim > 1 or gap < gap_tol * mu_scale)
 
-        def sample_ratio(image):
-            # tr(V* T V)/dim; the deviation from a scalar block is recorded
-            block = basis_g.conj().T @ image[:, cols]
-            val = complex(np.trace(block)) / dim
-            dev = float(np.max(np.abs(block - val * np.eye(dim))))
-            return val, dev
+        def sample_ratios(images):
+            # tr(V* T V)/dim per sample matrix, and each block's deviation from a scalar
+            blocks = basis_g.conj().T @ images[:, :, cols]
+            vals = [complex(tr) / dim for tr in np.trace(blocks, axis1=1, axis2=2)]
+            devs = np.abs(blocks - np.array(vals)[:, None, None] * np.eye(dim)).max(axis=(1, 2))
+            return vals, devs.tolist()
 
-        vals = []
-        cluster_dev = 0.0
-        for image in node_images:
-            val, dev = sample_ratio(image)
-            vals.append(val)
-            cluster_dev = max(cluster_dev, dev)
+        vals, node_devs = sample_ratios(node_images)
         eps = basis.fit(vals)
-        scale = max(max(abs(v) for v in vals), 1e-300)
-
-        member_dev = 0.0
-        for zv, image in zip(val_pts, val_images):
-            val, dev = sample_ratio(image)
-            cluster_dev = max(cluster_dev, dev)
-            member_dev = max(member_dev, abs(val - eps(zv)))
-            scale = max(scale, abs(val))
+        checks, val_devs = sample_ratios(val_images)
+        cluster_dev = max(0.0, *node_devs, *val_devs)
+        member_dev = max(0.0, *(abs(val - eps(zv)) for zv, val in zip(val_pts, checks)))
+        scale = max(max(abs(v) for v in vals), 1e-300, *(abs(v) for v in checks))
 
         quad = []
         qpairs = []
@@ -507,9 +508,9 @@ def certify_spectrum(
             em = eps(params.zs[i] - params.eta)
             ep = eps(params.zs[i] + params.eta)
             lhs = em * ep
-            rhs = flip_coeff[(i, 1)] * flip_coeff[(i, -1)]
+            rhs = model.flip[i][1] * model.flip[i][0]
             quad.append(abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
-            qpairs.append((em, flip_coeff[(i, 1)]))
+            qpairs.append((em, model.flip[i][1]))
 
         # u(sigma) = prod_i (q_minus_i if sigma_i < 0 else q_plus_i)
         q_minus = np.array([p[0] for p in qpairs])

@@ -115,10 +115,9 @@ def jet_sigma_neg(ev: ThetaEvaluator, lam0: complex, z: complex, degree: int) ->
 
 
 def jet_sigma_dlambda(ev: ThetaEvaluator, lam0: complex, z: complex, degree: int) -> np.ndarray:
-    """Jet in lambda of (d/dlambda) sigma_lambda(z)."""
-    s = jet_sigma(ev, lam0, z, degree)
-    diff = jet_zeta_bar(ev, lam0 - z, degree) - jet_zeta_bar(ev, lam0, degree)
-    return jmul(s, diff, degree)
+    """Jet in lambda of (d/dlambda) sigma_lambda(z), with no pole of zeta_bar(lambda - z)
+    at lambda = z for sigma's zero to cancel: the derivative of sigma's jet."""
+    return jderiv(jet_sigma(ev, lam0, z, degree + 1))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -161,6 +161,91 @@ def test_paths_theta_count(lattice, monkeypatch):
     assert calls[0] <= 270
 
 
+def reference_sov(params, zeta):
+    """The grid transfer matrix as the former loop over rows and site pairs, as an oracle."""
+    n, ev, eta, zs = params.n, params.evaluator(), params.eta, params.zs
+    zdisp = -complex(zeta)
+    flip_coeff = {}
+    for i in range(n):
+        for s in (-1, 1):
+            on_branch = 1.0 + 0.0j
+            for zk in zs:
+                on_branch *= ev.theta(zk - zs[i] + 2 * s * eta)
+            flip_coeff[(i, s)] = on_branch
+    spect = {(j, s): ev.theta(zdisp + zs[j] - s * eta) for j in range(n) for s in (-1, 1)}
+    cross = {
+        (i, si, j, sj): ev.theta(-zs[i] + zs[j] + (si - sj) * eta)
+        for i in range(n) for j in range(n) if i != j for si in (-1, 1) for sj in (-1, 1)
+    }
+    th_lam = {k: ev.theta(-eta * k) for k in range(-n, n + 1, 2)}
+    head = {
+        (total, i, s): ev.theta(-eta * total - zdisp + (-zs[i] + s * eta))
+        for total in range(-n, n + 1, 2) for i in range(n) for s in (-1, 1)
+        if abs(total - s) <= n - 1
+    }
+    sigmas = (2 * np.array(S0Grid(params).points) - 1).tolist()
+    t = np.zeros((len(sigmas), len(sigmas)), dtype=complex)
+    for row, sig in enumerate(sigmas):
+        total = sum(sig)
+        for i in range(n):
+            pref = head[(total, i, sig[i])] / th_lam[total]
+            for j in range(n):
+                if j != i:
+                    pref *= spect[(j, sig[j])] / cross[(i, sig[i], j, sig[j])]
+            t[row, row ^ (1 << (n - 1 - i))] = pref * flip_coeff[(i, sig[i])]
+    return t
+
+
+def test_sov_match_reference_loop(lattice):
+    # the index-form build reproduces the row loop bit for bit
+    rng2 = np.random.default_rng(19)
+    for zs in (Z1, Z3, Z5, Z9[:7], Z9):
+        params = make_params(lattice, zs)
+        for _ in range(2):
+            zeta = spectral_point(params, rng2)
+            assert np.array_equal(build_T_irf_sov(params, zeta), reference_sov(params, zeta))
+
+
+def test_sov_cold_build_equals_warm(lattice):
+    # the per-model data is a cache, never a second source of values
+    params = make_params(lattice, Z5)
+    irf._grid_model.cache_clear()
+    cold = build_T_irf_sov(params, 0.41 + 0.37j)
+    assert irf._grid_model.cache_info().misses == 1
+    warm = build_T_irf_sov(params, 0.41 + 0.37j)
+    assert irf._grid_model.cache_info().hits == 1
+    assert np.array_equal(cold, warm)
+    assert not irf._grid_model(params).factors.flags.writeable
+
+
+def test_sov_cache_key_includes_eta(lattice):
+    # negative control: two models that differ only in eta share no cached data
+    first = make_params(lattice, Z3)
+    second = ModelParams(lattice=lattice, eta=ETA + 0.01, zs=Z3, lams=(1, 1, 1))
+    zeta = 0.41 + 0.37j
+    a, b = build_T_irf_sov(first, zeta), build_T_irf_sov(second, zeta)
+    assert not np.allclose(a, b)
+    assert np.array_equal(b, reference_sov(second, zeta))
+
+
+def test_sov_repeat_build_theta_count(lattice, monkeypatch):
+    """Five sites: once the model's data is cached, a build evaluates only
+    the 2n spectral and 2n^2 prefactor thetas, 60 in all (146 when every
+    build recomputed the cross thetas and theta(lambda))."""
+    params = make_params(lattice, Z5)
+    build_T_irf_sov(params, 0.41 + 0.37j)
+    calls = [0]
+    original = ThetaEvaluator.theta_taylor
+
+    def counting(self, z, degree):
+        calls[0] += 1
+        return original(self, z, degree)
+
+    monkeypatch.setattr(ThetaEvaluator, "theta_taylor", counting)
+    build_T_irf_sov(params, 0.29 - 0.13j)
+    assert calls[0] <= 60
+
+
 def test_sov_one_site_closed_form(lattice, rng):
     params = make_params(lattice, Z1)
     ev = params.evaluator()
@@ -314,8 +399,11 @@ def test_certify_spectrum(lattice, rng):
 
 def test_certify_spectrum_theta_count(lattice, monkeypatch):
     """Five sites: every certificate shares one cardinal basis, so theta calls
-    stay far below the 22,390 that per-certificate interpolation made, and
-    the 75 flip-coefficient products are computed once, not once per matrix."""
+    stay far below the 22,390 that per-certificate interpolation made; the
+    flip coefficients, cross thetas and theta(lambda) are computed once per
+    model, and each of the 9 grid matrices evaluates only its 60
+    zeta-dependent thetas (1,540 when each matrix recomputed the cross
+    thetas and theta(lambda))."""
     params = make_params(lattice, Z5)
     calls = [0]
     original = ThetaEvaluator.theta_taylor
@@ -325,9 +413,50 @@ def test_certify_spectrum_theta_count(lattice, monkeypatch):
         return original(self, z, degree)
 
     monkeypatch.setattr(ThetaEvaluator, "theta_taylor", counting)
+    irf._grid_model.cache_clear()
     certs = certify_spectrum(params, 0.41 + 0.37j, rng=np.random.default_rng(7))
     assert len(certs) == 32 and all(c.passed for c in certs)
-    assert calls[0] <= 1540
+    assert calls[0] <= 852
+
+
+def test_certify_ratios_match_reference_loop(lattice):
+    """Each cluster reads its sample ratios from one batched product; the
+    former loop over sample matrices gives the same residuals bit for bit."""
+    params = make_params(lattice, Z5)
+    certs = certify_spectrum(params, 0.41 + 0.37j, rng=np.random.default_rng(7))
+    # replay certify_spectrum's draws: the basis nodes, then the validation points
+    rng2 = np.random.default_rng(7)
+    chi0 = eigenvalue_character(params)
+    basis = spaces.make_basis(params.evaluator(), params.n, chi0, rng2, margin=5e-2)
+    val_pts = [irf.sample_spectral(params, rng2) for _ in range(3)]
+    stacked = np.concatenate([c.vectors for c in certs], axis=1)
+    node_images = [build_T_irf_sov(params, z) @ stacked for z in basis.nodes]
+    val_images = [build_T_irf_sov(params, z) @ stacked for z in val_pts]
+    end = 0
+    for c in certs:
+        dim = c.vectors.shape[1]
+        cols = slice(end, end + dim)
+        end += dim
+
+        def sample_ratio(image):
+            block = c.vectors.conj().T @ image[:, cols]
+            val = complex(np.trace(block)) / dim
+            return val, float(np.max(np.abs(block - val * np.eye(dim))))
+
+        vals, cluster_dev = [], 0.0
+        for image in node_images:
+            val, dev = sample_ratio(image)
+            vals.append(val)
+            cluster_dev = max(cluster_dev, dev)
+        scale = max(max(abs(v) for v in vals), 1e-300)
+        member_dev = 0.0
+        for zv, image in zip(val_pts, val_images):
+            val, dev = sample_ratio(image)
+            cluster_dev = max(cluster_dev, dev)
+            member_dev = max(member_dev, abs(val - c.eps(zv)))
+            scale = max(scale, abs(val))
+        assert c.cluster_residual == cluster_dev / scale
+        assert c.membership_residual == member_dev / scale
 
 
 def test_reconstruction_from_q_pairs(lattice):

@@ -114,6 +114,18 @@ def test_sigma_dlambda_jet(ev, rng):
     assert abs(got[0] - ev.sigma_dlambda(lam0, z)) <= 1e-10 * max(1.0, abs(got[0]))
 
 
+def test_sigma_dlambda_jet_near_pole_of_bracket(ev):
+    # within 1e-3 of lambda = z the former sigma * (zeta_bar(lam - z) - zeta_bar(lam))
+    # product cancelled sigma's zero against the bracket's pole: 5e-5 relative
+    # error at degree 4 here; the oracle is the cancellation-free scalar form
+    z = 0.37 + 0.29j
+    lam0 = z + 5e-4 * cmath.exp(0.7j)
+    got = jets.jet_sigma_dlambda(ev, lam0, z, 4)
+    assert abs(got[0] - ev.sigma_dlambda(lam0, z)) <= 1e-14 * abs(got[0])
+    oracle = jet_oracle(lambda u: ev.sigma_dlambda(u, z), lam0, 4)
+    assert_allclose(got, oracle, rtol=1e-10)
+
+
 def test_lambda_diff_op_apply(rng):
     # Op = c0(lam) + c1 d/dlam acting on a polynomial jet, checked by hand
     dim = 2
