@@ -104,6 +104,13 @@ def _json_default(obj):
     raise TypeError("%s is not JSON serializable" % type(obj).__name__)
 
 
+def _count(block: dict, key: str, default: int) -> int:
+    value = block.get(key, default)
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ConfigError("%s must be a positive integer" % key)
+    return value
+
+
 def _check(name: str, residual: float, tolerance: float) -> dict:
     residual = float(residual)
     return {
@@ -127,7 +134,7 @@ def _random_jet(rng: np.random.Generator, dim: int, degree: int) -> np.ndarray:
 def _task_theta_eval(cfg, params, rng, tol, csv_dir):
     ev = params.evaluator()
     block = cfg.get("theta", {})
-    samples = int(block.get("samples", 100))
+    samples = _count(block, "samples", 100)
     tau = params.lattice.tau
     qp = odd = 0.0
     for _ in range(samples):
@@ -175,7 +182,7 @@ def _task_gaudin_check(cfg, params, rng, tol, csv_dir):
     u = _random_jet(rng, dim, degree)
 
     comm = 0.0
-    for _ in range(int(block.get("lambda_samples", 3))):
+    for _ in range(_count(block, "lambda_samples", 3)):
         lam0 = params.sample_generic(rng, margin=5e-2)
         applied = [H.apply_jet(lam0, u) for H in hams]
         scale = max(1.0, max(float(np.max(np.abs(a))) for a in applied))
@@ -262,7 +269,7 @@ def _task_gaudin_bethe(cfg, params, rng, tol, csv_dir):
 
 def _task_eqg_rll(cfg, params, rng, tol, csv_dir):
     block = cfg.get("eqg", {})
-    lam_count = int(block.get("lambda_samples", 5))
+    lam_count = _count(block, "lambda_samples", 5)
     lat = params.lattice
     lam_samples = [params.sample_generic(rng, margin=5e-2) for _ in range(lam_count)]
     z = params.sample_generic(rng, margin=5e-2)
@@ -270,7 +277,7 @@ def _task_eqg_rll(cfg, params, rng, tol, csv_dir):
     rep = eqg.rll_residual(params, z, w, lam_samples)
 
     qybe = 0.0
-    for _ in range(int(block.get("qybe_samples", 20))):
+    for _ in range(_count(block, "qybe_samples", 20)):
         zq = params.sample_generic(rng, margin=5e-2)
         wq = params.sample_generic(rng, margin=5e-2)
         lamq = params.sample_generic(rng, margin=5e-2)
@@ -300,7 +307,7 @@ def _task_eqg_rll(cfg, params, rng, tol, csv_dir):
 
 def _task_eqg_hw(cfg, params, rng, tol, csv_dir):
     block = cfg.get("eqg", {})
-    count = int(block.get("lambda_samples", 3))
+    count = _count(block, "lambda_samples", 3)
     z_samples = [params.sample_generic(rng, margin=5e-2) for _ in range(count)]
     lam_samples = [params.sample_generic(rng, margin=5e-2) for _ in range(count)]
     rep = eqg.highest_weight_check(params, z_samples, lam_samples)
@@ -316,16 +323,17 @@ def _task_eqg_hw(cfg, params, rng, tol, csv_dir):
 
 def _task_irf_build(cfg, params, rng, tol, csv_dir):
     block = cfg.get("irf", {})
-    pairs = int(block.get("commuting_pairs", 3))
+    pairs = _count(block, "commuting_pairs", 3)
     comm = {"sov": 0.0, "paths": 0.0}
     for _ in range(pairs):
         za = irf.sample_spectral(params, rng)
         zb = irf.sample_spectral(params, rng)
         for kind, build in (("sov", irf.build_T_irf_sov), ("paths", irf.build_T_irf_paths)):
             a, b = build(params, za), build(params, zb)
-            ab = a @ b  # one product per commutator, reused as its scale
-            comm[kind] = max(comm[kind], float(np.max(np.abs(ab - b @ a)) / np.max(np.abs(ab))))
-            del a, b, ab  # dense dim x dim each; none is needed by the next build
+            ab, ba = irf._concurrently(lambda: a @ b, lambda: b @ a)
+            ba -= ab  # |ba - ab| equals |ab - ba| bit for bit; ab is also the scale
+            comm[kind] = max(comm[kind], float(np.max(np.abs(ba)) / np.max(np.abs(ab))))
+            del a, b, ab, ba  # dense dim x dim each; none is needed by the next build
     rec = irf.reconcile_constructions(params, rng)
     checks = [
         _check("sov_family_commutes", comm["sov"], tol),
@@ -336,6 +344,8 @@ def _task_irf_build(cfg, params, rng, tol, csv_dir):
         "dimension": 2 ** params.n,
         "bridge_constant": rec.constant,
         "literal_entrywise_gap": rec.literal_gap,
+        "bridge_condition": rec.condition,
+        "paths_min_relative_gap": rec.min_gap,
     }
     return {"checks": checks, "metrics": metrics}
 
@@ -405,7 +415,7 @@ def _task_irf_spectrum(cfg, params, rng, tol, csv_dir):
     }
     if csv_dir:
         os.makedirs(csv_dir, exist_ok=True)
-        count = int(block.get("csv_points", 129))
+        count = _count(block, "csv_points", 129)
         offset = 0.37 * tau
         ts = np.linspace(0.0, 1.0, count)
         for k, c in enumerate(certs):
@@ -466,7 +476,7 @@ def _task_irf_bethe(cfg, params, rng, tol, csv_dir):
             "metrics": {"solver_error": str(exc)},
         }
     eigen = 0.0
-    for _ in range(int(block.get("eigen_samples", 3))):
+    for _ in range(_count(block, "eigen_samples", 3)):
         xs = [params.sample_generic(rng, margin=5e-2) for _ in params.zs]
         zeta = params.sample_generic(rng, margin=5e-2)
         lhs = irf.apply_transfer_continuous(params, zeta, cb.u_value, xs)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ellsov import cli, gaudin
+from ellsov import cli, gaudin, irf
 from ellsov.theta import PoleProximityError
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -145,6 +145,47 @@ def test_schema_gates(tmp_path):
         tmp_path, "irf_n3.json", "norows.json", lambda c: c["irf"].pop("rows")
     )
     assert cli.main(["irf", "partition", "--config", no_rows]) == 2
+
+
+@pytest.mark.parametrize("value", [0, -1, "x", 2.7, True])
+def test_counts_must_be_positive_integers(tmp_path, capsys, value):
+    cfg = rewrite_config(
+        tmp_path, "irf_n3.json", "count.json", lambda c: c["irf"].update(commuting_pairs=value)
+    )
+    assert cli.main(["irf", "build", "--config", cfg]) == 2
+    assert "commuting_pairs must be a positive integer" in capsys.readouterr().err
+
+
+def reference_commutators(cfg):
+    """irf build's commutator residuals, both products on the calling thread."""
+    params = cli.build_params(cfg)
+    rng = np.random.default_rng(cfg["seed"])
+    comm = {"sov": 0.0, "paths": 0.0}
+    for _ in range(cfg["irf"]["commuting_pairs"]):
+        za = irf.sample_spectral(params, rng)
+        zb = irf.sample_spectral(params, rng)
+        for kind, build in (("sov", irf.build_T_irf_sov), ("paths", irf.build_T_irf_paths)):
+            a, b = build(params, za), build(params, zb)
+            ab = a @ b
+            comm[kind] = max(comm[kind], float(np.max(np.abs(ab - b @ a)) / np.max(np.abs(ab))))
+    return comm
+
+
+def test_irf_build_commutators_match_reference(tmp_path):
+    seven = [{"z": [0.66, 0.34], "lambda": 1}, {"z": [0.05, 0.64], "lambda": 1}]
+    for name, mutate in (
+        ("five.json", lambda c: None),
+        ("seven.json", lambda c: c["sites"].extend(seven)),
+    ):
+        path = rewrite_config(tmp_path, "irf_n5.json", name, mutate)
+        code, report = run_to_file(tmp_path, ["irf", "build", "--config", path])
+        assert code in (0, 1)
+        residuals = {c["name"]: c["residual"] for c in report["checks"]}
+        comm = reference_commutators(json.loads(Path(path).read_text()))
+        assert residuals["sov_family_commutes"] == comm["sov"]
+        assert residuals["paths_family_commutes"] == comm["paths"]
+        metrics = report["metrics"]
+        assert metrics["bridge_condition"] >= 1.0 and metrics["paths_min_relative_gap"] > 0.0
 
 
 def test_unknown_action_exits():

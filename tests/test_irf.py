@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import threading
 import time
 
 import numpy as np
@@ -294,6 +295,9 @@ def test_dual_reconciliation(lattice, rng):
         assert rec.constant == -1.0
         assert rec.residual <= tol
         assert rec.literal_gap > 0.1
+        assert rec.condition == pytest.approx(np.linalg.cond(rec.conjugation, 1), rel=1e-12)
+        assert math.isfinite(rec.condition) and rec.condition >= 1.0
+        assert math.isfinite(rec.min_gap) and rec.min_gap > 0.0
     # from three sites on no relabelling or rescaling of states carries one
     # matrix to the other: both keep each row's count of nonzeros, and the
     # grid rows have one per site where the path rows have three or four
@@ -303,6 +307,52 @@ def test_dual_reconciliation(lattice, rng):
     sov_rows = np.count_nonzero(build_T_irf_sov(params, z), axis=1)
     assert np.all(sov_rows == 3)
     assert sorted(paths_rows) != sorted(sov_rows)
+
+
+def reference_reconcile(params, rng):
+    """The bridge with both eigs on the calling thread, in the former order."""
+    z0 = irf.sample_spectral(params, rng)
+    tp = build_T_irf_paths(params, z0)
+    ts = build_T_irf_sov(params, z0 - ETA)
+    kap = irf.kappa_factor(params, z0 - ETA)
+    literal = float(np.max(np.abs(tp - build_T_irf_sov(params, z0))) / np.max(np.abs(tp)))
+    mu, vp = np.linalg.eig(tp)
+    nu, vs = np.linalg.eig(ts)
+    constant = -1.0 + 0.0j
+    perm = irf._pair_spectra(mu, constant * kap * nu, 1e-8 * float(np.max(np.abs(mu))))
+    conj = vp @ np.linalg.inv(vs[:, perm])
+    conj_inv = np.linalg.inv(conj)
+    residual = 0.0
+    for _ in range(2):
+        zf = irf.sample_spectral(params, rng)
+        lhs = build_T_irf_paths(params, zf)
+        kapf = irf.kappa_factor(params, zf - ETA)
+        rhs = constant * kapf * conj @ build_T_irf_sov(params, zf - ETA) @ conj_inv
+        residual = max(residual, float(np.max(np.abs(lhs - rhs)) / np.max(np.abs(lhs))))
+    return conj, residual, literal
+
+
+def test_reconcile_matches_sequential_reference(lattice):
+    # the overlapped eigs and in-place differences leave every byte as it was
+    for zs in (Z5, Z9[:7]):
+        params = make_params(lattice, zs)
+        rec = reconcile_constructions(params, np.random.default_rng(5))
+        conj, residual, literal = reference_reconcile(params, np.random.default_rng(5))
+        assert np.array_equal(rec.conjugation, conj)
+        assert rec.residual == residual
+        assert rec.literal_gap == literal
+
+
+def test_concurrently_threads_and_errors():
+    caller = threading.get_ident()
+    here, there = irf._concurrently(threading.get_ident, threading.get_ident)
+    assert here == caller and there != caller
+
+    def fail():
+        raise np.linalg.LinAlgError("worker failed")
+
+    with pytest.raises(np.linalg.LinAlgError, match="worker failed"):
+        irf._concurrently(lambda: None, fail)
 
 
 def test_pair_spectra():
