@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from . import eqg, gaudin, irf, jets, spaces
+from . import eqg, gaudin, irf, spaces
 from .params import ModelParams, ParameterError
 from .theta import Lattice, ThetaError
 
@@ -87,8 +87,8 @@ def build_params(cfg: dict) -> ModelParams:
             eta=eta,
             zs=tuple(zs),
             lams=tuple(lams),
-            rho=float(tols.get("rho", 1e-6)),
-            trunc_tol=float(tols.get("trunc_tol", 1e-16)),
+            rho=_positive(tols, "rho", 1e-6),
+            trunc_tol=_positive(tols, "trunc_tol", 1e-16),
         )
     except (ParameterError, ThetaError) as exc:
         raise ConfigError(str(exc))
@@ -104,10 +104,28 @@ def _json_default(obj):
     raise TypeError("%s is not JSON serializable" % type(obj).__name__)
 
 
-def _count(block: dict, key: str, default: int) -> int:
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _count(block: dict, key: str, default: int, least: int = 1) -> int:
     value = block.get(key, default)
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ConfigError("%s must be a positive integer" % key)
+    if not _is_int(value) or value < least:
+        raise ConfigError("%s must be a positive integer, at least %d" % (key, least))
+    return value
+
+
+def _positive(block: dict, key: str, default: float) -> float:
+    value = block.get(key, default)
+    if not (_is_int(value) or isinstance(value, float)) or not 0 < value < math.inf:
+        raise ConfigError("%s must be a positive finite number" % key)
+    return float(value)
+
+
+def _list(block: dict, key: str) -> list:
+    value = block.get(key, [])
+    if not isinstance(value, list):
+        raise ConfigError("%s must be a list" % key)
     return value
 
 
@@ -128,12 +146,12 @@ def _random_jet(rng: np.random.Generator, dim: int, degree: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# task bodies; each returns {"checks": [...], "metrics": {...}, ...}
+# task bodies; each gets its group's config block and returns
+# {"checks": [...], "metrics": {...}, ...}
 
 
-def _task_theta_eval(cfg, params, rng, tol, csv_dir):
+def _task_theta_eval(block, params, rng, tol, csv_dir):
     ev = params.evaluator()
-    block = cfg.get("theta", {})
     samples = _count(block, "samples", 100)
     tau = params.lattice.tau
     qp = odd = 0.0
@@ -155,7 +173,7 @@ def _task_theta_eval(cfg, params, rng, tol, csv_dir):
             expect = math.factorial(d) * taylor[d]
             jet_dev = max(jet_dev, abs(ev.theta(z, d) - expect) / max(1.0, abs(expect)))
     values = []
-    for i, pt in enumerate(block.get("points", [])):
+    for i, pt in enumerate(_list(block, "points")):
         z = _as_complex(pt, "theta.points[%d]" % i)
         values.append(
             {
@@ -174,9 +192,8 @@ def _task_theta_eval(cfg, params, rng, tol, csv_dir):
     return {"checks": checks, "metrics": {"samples": samples, "values": values}}
 
 
-def _task_gaudin_check(cfg, params, rng, tol, csv_dir):
-    block = cfg.get("gaudin", {})
-    degree = int(block.get("degree", 8))
+def _task_gaudin_check(block, params, rng, tol, csv_dir):
+    degree = _count(block, "degree", 8, least=4)  # S(z1) S(z2) u takes four derivatives
     hams = gaudin.build_hamiltonians(params)
     dim = gaudin.zero_weight_space(params).dim
     u = _random_jet(rng, dim, degree)
@@ -188,15 +205,14 @@ def _task_gaudin_check(cfg, params, rng, tol, csv_dir):
         scale = max(1.0, max(float(np.max(np.abs(a))) for a in applied))
         for i in range(len(hams)):
             for j in range(i + 1, len(hams)):
-                dev = np.max(np.abs(jets.commutator_jet(hams[i], hams[j], lam0, u)))
-                comm = max(comm, float(dev) / scale)
+                dev = hams[i].apply_jet(lam0, applied[j]) - hams[j].apply_jet(lam0, applied[i])
+                comm = max(comm, float(np.max(np.abs(dev))) / scale)
 
+    # the Hamiltonian sum and the S-decomposition share one lam0 and its H_j u
     lam0 = params.sample_generic(rng, margin=5e-2)
-    total = hams[1].apply_jet(lam0, u)
-    scale = max(1.0, float(np.max(np.abs(total))))
-    for H in hams[2:]:
-        total += H.apply_jet(lam0, u)
-    ham_sum = float(np.max(np.abs(total))) / scale
+    applied = [H.apply_jet(lam0, u) for H in hams]
+    scale = max(1.0, float(np.max(np.abs(applied[1]))))
+    ham_sum = float(np.max(np.abs(sum(applied[1:])))) / scale
 
     ev = params.evaluator()
     s_dev = 0.0
@@ -204,9 +220,9 @@ def _task_gaudin_check(cfg, params, rng, tol, csv_dir):
         z = params.sample_generic(rng, avoid=params.zs)
         lhs = gaudin.build_S(params, z).apply_jet(lam0, u)
         rows = lhs.shape[0]
-        rhs = hams[0].apply_jet(lam0, u)
+        rhs = applied[0].copy()
         for k, zk in enumerate(params.zs):
-            rhs += ev.zeta_bar(z - zk) * hams[k + 1].apply_jet(lam0, u)[:rows]
+            rhs += ev.zeta_bar(z - zk) * applied[k + 1][:rows]
             rhs += gaudin.spectral_weight(params, k) * ev.wp_bar(z - zk) * u[:rows]
         scale = max(1.0, float(np.max(np.abs(lhs))))
         s_dev = max(s_dev, float(np.max(np.abs(lhs - rhs))) / scale)
@@ -214,8 +230,10 @@ def _task_gaudin_check(cfg, params, rng, tol, csv_dir):
     z1 = params.sample_generic(rng, avoid=params.zs)
     z2 = params.sample_generic(rng, avoid=params.zs)
     s1, s2 = gaudin.build_S(params, z1), gaudin.build_S(params, z2)
-    scale = max(1.0, float(np.max(np.abs(s1.apply_jet(lam0, u)))))
-    ss = float(np.max(np.abs(jets.commutator_jet(s1, s2, lam0, u)))) / scale
+    s1u = s1.apply_jet(lam0, u)
+    scale = max(1.0, float(np.max(np.abs(s1u))))
+    dev = s1.apply_jet(lam0, s2.apply_jet(lam0, u)) - s2.apply_jet(lam0, s1u)
+    ss = float(np.max(np.abs(dev))) / scale
 
     checks = [
         _check("hamiltonians_commute", comm, tol),
@@ -226,11 +244,10 @@ def _task_gaudin_check(cfg, params, rng, tol, csv_dir):
     return {"checks": checks, "metrics": {"zero_weight_dim": dim, "degree": degree}}
 
 
-def _task_gaudin_bethe(cfg, params, rng, tol, csv_dir):
-    block = cfg.get("gaudin", {})
-    degree = int(block.get("degree", 8))
+def _task_gaudin_bethe(block, params, rng, tol, csv_dir):
+    degree = _count(block, "degree", 8, least=2)  # H_0 takes two derivatives
     try:
-        sol = gaudin.solve_gaudin_bethe(params, rng, m=block.get("bethe_m"))
+        sol = gaudin.solve_gaudin_bethe(params, rng)
     except spaces.SpacesError as exc:
         return {
             "checks": [_check("solver_converged", 1.0, 1e-10)],
@@ -267,8 +284,7 @@ def _task_gaudin_bethe(cfg, params, rng, tol, csv_dir):
     return {"checks": checks, "metrics": metrics}
 
 
-def _task_eqg_rll(cfg, params, rng, tol, csv_dir):
-    block = cfg.get("eqg", {})
+def _task_eqg_rll(block, params, rng, tol, csv_dir):
     lam_count = _count(block, "lambda_samples", 5)
     lat = params.lattice
     lam_samples = [params.sample_generic(rng, margin=5e-2) for _ in range(lam_count)]
@@ -305,8 +321,7 @@ def _task_eqg_rll(cfg, params, rng, tol, csv_dir):
     return {"checks": checks, "metrics": metrics}
 
 
-def _task_eqg_hw(cfg, params, rng, tol, csv_dir):
-    block = cfg.get("eqg", {})
+def _task_eqg_hw(block, params, rng, tol, csv_dir):
     count = _count(block, "lambda_samples", 3)
     z_samples = [params.sample_generic(rng, margin=5e-2) for _ in range(count)]
     lam_samples = [params.sample_generic(rng, margin=5e-2) for _ in range(count)]
@@ -321,8 +336,7 @@ def _task_eqg_hw(cfg, params, rng, tol, csv_dir):
     return {"checks": checks, "metrics": metrics}
 
 
-def _task_irf_build(cfg, params, rng, tol, csv_dir):
-    block = cfg.get("irf", {})
+def _task_irf_build(block, params, rng, tol, csv_dir):
     pairs = _count(block, "commuting_pairs", 3)
     comm = {"sov": 0.0, "paths": 0.0}
     for _ in range(pairs):
@@ -364,14 +378,12 @@ def _serialize_certificate(cert) -> dict:
     }
 
 
-def _task_irf_spectrum(cfg, params, rng, tol, csv_dir):
-    block = cfg.get("irf", {})
-    gap_tol = float(cfg.get("tolerances", {}).get("gap_tol", 1e-7))
+def _task_irf_spectrum(block, params, rng, tol, csv_dir):
     if "z0" in block:
         z0 = _as_complex(block["z0"], "irf.z0")
     else:
         z0 = irf.sample_spectral(params, rng)
-    certs = irf.certify_spectrum(params, z0, tol=tol, rng=rng, gap_tol=gap_tol)
+    certs = irf.certify_spectrum(params, z0, tol=tol, rng=rng)
 
     worst = 0.0
     for c in certs:
@@ -398,7 +410,7 @@ def _task_irf_spectrum(cfg, params, rng, tol, csv_dir):
 
     checks = [
         _check("certificate_residuals", worst, tol),
-        _check("reconstruction_angle", max(angles) if angles else 0.0, 1e-6),
+        _check("reconstruction_angle", max(angles) if angles else 0.0, irf._ANGLE_TOL),
         _check("reconstruction_span", max(0.0, 1e-6 - min_sv), 0.0),
         _check("character_laws", law, tol),
     ]
@@ -434,11 +446,11 @@ def _task_irf_spectrum(cfg, params, rng, tol, csv_dir):
     return body
 
 
-def _task_irf_partition(cfg, params, rng, tol, csv_dir):
-    block = cfg.get("irf", {})
-    if "rows" not in block or not block["rows"]:
+def _task_irf_partition(block, params, rng, tol, csv_dir):
+    rows = _list(block, "rows")
+    if not rows:
         raise ConfigError("irf.rows must list the row parameters for partition tasks")
-    ws = [_as_complex(w, "irf.rows[%d]" % i) for i, w in enumerate(block["rows"])]
+    ws = [_as_complex(w, "irf.rows[%d]" % i) for i, w in enumerate(rows)]
     perm = list(rng.permutation(len(ws)))
     devs = {}
     values = {}
@@ -466,8 +478,7 @@ def _task_irf_partition(cfg, params, rng, tol, csv_dir):
     return {"checks": checks, "metrics": metrics}
 
 
-def _task_irf_bethe(cfg, params, rng, tol, csv_dir):
-    block = cfg.get("irf", {})
+def _task_irf_bethe(block, params, rng, tol, csv_dir):
     try:
         cb = irf.continuous_bethe(params, rng)
     except spaces.SpacesError as exc:
@@ -518,23 +529,6 @@ _DISPATCH = {
     "irf bethe": _task_irf_bethe,
 }
 
-# schema-level gates per task family
-_NEEDS_IRF_GRID = {"irf build", "irf spectrum", "irf partition"}
-_NEEDS_EVEN_WEIGHT = {"gaudin bethe", "irf bethe"}
-
-
-def _validate_task(task: str, params: ModelParams) -> None:
-    try:
-        if task in _NEEDS_IRF_GRID:
-            params.validate_for_irf()
-        if task in _NEEDS_EVEN_WEIGHT:
-            params.validate_even_weight_sum()
-        if task.startswith("gaudin"):
-            params.validate_distinct_sites()
-    except ParameterError as exc:
-        raise ConfigError(str(exc))
-
-
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="model config JSON")
@@ -548,44 +542,41 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="ellsov", description="verification suites for the elliptic transfer stack"
     )
     groups = parser.add_subparsers(dest="group", required=True)
-    for group, actions in (
-        ("theta", ["eval"]),
-        ("gaudin", ["check", "bethe"]),
-        ("eqg", ["rll-check", "hw-check"]),
-        ("irf", ["build", "spectrum", "partition", "bethe"]),
-    ):
-        gp = groups.add_parser(group)
-        sub = gp.add_subparsers(dest="action", required=True)
-        for action in actions:
-            sub.add_parser(action, parents=[common])
+    actions = {}
+    for task in _DISPATCH:
+        group, action = task.split()
+        if group not in actions:
+            actions[group] = groups.add_parser(group).add_subparsers(dest="action", required=True)
+        actions[group].add_parser(action, parents=[common])
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     task = "%s %s" % (args.group, args.action)
+    # the library's validators are the task gates: their ParameterError exits 2
     try:
         cfg = load_config(args.config)
         params = build_params(cfg)
-        _validate_task(task, params)
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-        tols = cfg.get("tolerances", {})
-        tol = args.tol if args.tol is not None else float(tols.get("residual_tol", 1e-9))
-    except ConfigError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return 2
-
-    rng = np.random.default_rng(seed)
-    start = time.perf_counter()
-    try:
-        body = _DISPATCH[task](cfg, params, rng, tol, args.emit_csv)
+        block = cfg.get(args.group, {})
+        if not isinstance(block, dict):
+            raise ConfigError("%s must be an object" % args.group)
+        seed = cfg.get("seed", 0) if args.seed is None else args.seed
+        if not _is_int(seed) or seed < 0:
+            raise ConfigError("seed must be a non-negative integer")
+        # build_params has checked that tolerances is an object
+        tols = cfg.get("tolerances", {}) if args.tol is None else {"residual_tol": args.tol}
+        tol = _positive(tols, "residual_tol", 1e-9)
+        rng = np.random.default_rng(seed)
+        start = time.perf_counter()
+        body = _DISPATCH[task](block, params, rng, tol, args.emit_csv)
+        elapsed = time.perf_counter() - start
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
     except (ParameterError, ThetaError) as exc:
         print("config error: model outside task hypotheses: %s" % exc, file=sys.stderr)
         return 2
-    elapsed = time.perf_counter() - start
 
     report = {
         "task": task,

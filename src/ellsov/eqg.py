@@ -608,8 +608,11 @@ def ab_exchange_residual(
     return shift_residual(lhs, rhs, lam_samples) / scale
 
 
-# quadrature points on each residue circle of residue_sum
-_RESIDUE_POINTS = 512
+# quadrature points on each residue circle of residue_sum.  The circle's
+# radius is at most 0.3 of the distance to the nearest other pole modulo
+# the lattice, so the trapezoid rule's error falls like 0.3^N: 32 points
+# already agree with 512 to 1e-14, and 64 leave a wide margin.
+_RESIDUE_POINTS = 64
 
 
 def residue_sum(params: ModelParams, grid_index: int, i: int) -> complex:

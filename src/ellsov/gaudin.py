@@ -329,19 +329,17 @@ def _gaudin_jacobian(ev: ThetaEvaluator, params: ModelParams, roots: np.ndarray)
     return jac
 
 
-def solve_gaudin_bethe(
-    params: ModelParams,
-    rng: np.random.Generator,
-    m: int | None = None,
-) -> GaudinBetheResult:
+def solve_gaudin_bethe(params: ModelParams, rng: np.random.Generator) -> GaudinBetheResult:
     """spaces.damped_newton on the n-site Gaudin Bethe equations in (c, w_1..w_m).
 
-    The target is absolute (scale 1); each start draws the roots, then c.
+    m = sum(Lambda_i)/2 roots: the Bethe vector f(w_1)..f(w_m) v_0 lies in
+    the zero-weight space only for that m.  The target is absolute
+    (scale 1); each start draws the roots, then c.
     """
+    params.validate_distinct_sites()
     params.validate_even_weight_sum()
     ev = params.evaluator()
-    if m is None:
-        m = sum(params.lams) // 2
+    m = sum(params.lams) // 2
 
     def start():
         roots = [params.sample_generic(rng, avoid=params.zs) for _ in range(m)]

@@ -52,6 +52,11 @@ _2PI_I = 2j * cmath.pi
 # and certify_spectrum validates each fitted eigenvalue function
 _RECONCILE_SAMPLES = 2
 _VALIDATION_POINTS = 3
+# certify_spectrum: eigenvalues closer than _GAP_TOL * max(|mu|, 1) form one
+# cluster, and a simple eigenvalue's reconstruction angle must stay within
+# _ANGLE_TOL
+_GAP_TOL = 1e-7
+_ANGLE_TOL = 1e-6
 
 
 def _twice(height) -> int:
@@ -402,7 +407,6 @@ class SpectralCertificate:
     degenerate: bool
     gap: float
     tol: float
-    angle_tol: float = 1e-6
 
     @property
     def passed(self) -> bool:
@@ -410,7 +414,7 @@ class SpectralCertificate:
         ok = ok and self.cluster_residual <= self.tol
         ok = ok and max(self.quadratic_residuals) <= self.tol
         if not self.degenerate:
-            ok = ok and self.angle <= self.angle_tol
+            ok = ok and self.angle <= _ANGLE_TOL
         return ok
 
 
@@ -451,7 +455,6 @@ def certify_spectrum(
     z0: complex,
     tol: float = 1e-8,
     rng: np.random.Generator | None = None,
-    gap_tol: float = 1e-7,
 ) -> list[SpectralCertificate]:
     """Diagonalize the grid transfer matrix at z0 and certify every eigenvalue.
 
@@ -484,7 +487,7 @@ def certify_spectrum(
     # z-independent data of the quadratic relations (the flip coefficients) and the grid signs
     model = _grid_model(params)
 
-    groups = _clusters(mu, gap_tol)
+    groups = _clusters(mu, _GAP_TOL)
     mu_scale = max(float(np.max(np.abs(mu))), 1.0)
     # orthonormal cluster bases side by side, and every sample matrix applied once
     # as soon as it is built, its images stacked per kind
@@ -506,7 +509,7 @@ def certify_spectrum(
         else:
             gap = float("inf")
         dim = basis_g.shape[1]
-        degenerate = bool(dim > 1 or gap < gap_tol * mu_scale)
+        degenerate = bool(dim > 1 or gap < _GAP_TOL * mu_scale)
 
         def sample_ratios(images):
             # tr(V* T V)/dim per sample matrix, and each block's deviation from a scalar

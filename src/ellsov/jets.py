@@ -24,7 +24,6 @@ __all__ = [
     "jdiv",
     "jderiv",
     "jet_exp",
-    "jet_theta_reflected",
     "jet_zeta_bar",
     "jet_wp_bar",
     "jet_sigma",
@@ -85,13 +84,6 @@ def jet_exp(c: complex, x0: complex, degree: int) -> np.ndarray:
     return out
 
 
-def jet_theta_reflected(ev: ThetaEvaluator, x0: complex, degree: int) -> np.ndarray:
-    """Jet of x -> theta(-x) at x0, i.e. theta at -x0 with alternating signs."""
-    jet = ev.theta_taylor(-x0, degree).copy()
-    jet[1::2] *= -1.0
-    return jet
-
-
 def jet_zeta_bar(ev: ThetaEvaluator, x0: complex, degree: int) -> np.ndarray:
     tj = ev.theta_taylor(x0, degree + 1)
     return jdiv(jderiv(tj), tj[: degree + 1], degree)
@@ -108,10 +100,10 @@ def jet_sigma(ev: ThetaEvaluator, lam0: complex, z: complex, degree: int) -> np.
 
 
 def jet_sigma_neg(ev: ThetaEvaluator, lam0: complex, z: complex, degree: int) -> np.ndarray:
-    """Jet in lambda of sigma_{-lambda}(z) at lam0."""
-    num = jet_theta_reflected(ev, lam0 + z, degree) * (ev.dtheta0() / ev.theta(z))
-    den = jet_theta_reflected(ev, lam0, degree)
-    return jdiv(num, den, degree)
+    """Jet in lambda of sigma_{-lambda}(z) at lam0: sigma's jet at -lam0, odd terms negated."""
+    jet = jet_sigma(ev, -lam0, z, degree)
+    jet[1::2] *= -1.0
+    return jet
 
 
 def jet_sigma_dlambda(ev: ThetaEvaluator, lam0: complex, z: complex, degree: int) -> np.ndarray:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ellsov import cli, gaudin, irf
+from ellsov import cli, gaudin, irf, jets
 from ellsov.theta import PoleProximityError
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -145,6 +145,84 @@ def test_schema_gates(tmp_path):
         tmp_path, "irf_n3.json", "norows.json", lambda c: c["irf"].pop("rows")
     )
     assert cli.main(["irf", "partition", "--config", no_rows]) == 2
+    colliding = rewrite_config(
+        tmp_path,
+        "gaudin_n2.json",
+        "collide.json",
+        lambda c: c["sites"][1].update(z=[1.12, 0.23]),
+    )
+    assert cli.main(["gaudin", "bethe", "--config", colliding]) == 2
+    not_object = rewrite_config(
+        tmp_path, "eqg_n1.json", "block.json", lambda c: c.update(eqg=[5, 20])
+    )
+    assert cli.main(["eqg", "hw-check", "--config", not_object]) == 2
+
+
+def set_tolerance(key, value):
+    return lambda c: c["tolerances"].update({key: value})
+
+
+def set_block(group, key, value):
+    return lambda c: c[group].update({key: value})
+
+
+# (task, config, edit, the field the error must name)
+MALFORMED = {
+    "seed_string": ("theta eval", "theta.json", lambda c: c.update(seed="x"), "seed"),
+    "seed_float": ("theta eval", "theta.json", lambda c: c.update(seed=2.5), "seed"),
+    "seed_bool": ("theta eval", "theta.json", lambda c: c.update(seed=True), "seed"),
+    "seed_negative": ("theta eval", "theta.json", lambda c: c.update(seed=-1), "seed"),
+    "residual_tol_string": (
+        "theta eval", "theta.json", set_tolerance("residual_tol", "x"), "residual_tol"
+    ),
+    "residual_tol_negative": (
+        "theta eval", "theta.json", set_tolerance("residual_tol", -1e-9), "residual_tol"
+    ),
+    "rho_string": ("theta eval", "theta.json", set_tolerance("rho", "x"), "rho"),
+    "rho_nan": ("theta eval", "theta.json", set_tolerance("rho", float("nan")), "rho"),
+    "trunc_tol_zero": ("theta eval", "theta.json", set_tolerance("trunc_tol", 0), "trunc_tol"),
+    "trunc_tol_inf": (
+        "theta eval", "theta.json", set_tolerance("trunc_tol", float("inf")), "trunc_tol"
+    ),
+    "check_degree_3": (
+        "gaudin check", "gaudin_n2.json", set_block("gaudin", "degree", 3), "degree"
+    ),
+    "check_degree_string": (
+        "gaudin check", "gaudin_n2.json", set_block("gaudin", "degree", "x"), "degree"
+    ),
+    "bethe_degree_1": (
+        "gaudin bethe", "gaudin_n2.json", set_block("gaudin", "degree", 1), "degree"
+    ),
+    "irf_block_list": ("irf build", "irf_n3.json", lambda c: c.update(irf=[1]), "irf"),
+    "rows_int": ("irf partition", "irf_n3.json", set_block("irf", "rows", 5), "rows"),
+    "points_int": ("theta eval", "theta.json", set_block("theta", "points", 5), "points"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_field_exits_2(tmp_path, capsys, case):
+    task, base, mutate, field = MALFORMED[case]
+    cfg = rewrite_config(tmp_path, base, "bad.json", mutate)
+    assert cli.main(task.split() + ["--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: %s " % field), err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9", "0"])
+def test_tol_flag_must_be_positive_finite(capsys, tol):
+    argv = ["theta", "eval", "--config", str(CONFIGS / "theta.json"), "--tol=" + tol]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("config error: residual_tol ")
+
+
+def test_degree_floors_run(tmp_path):
+    """The smallest admitted degrees still run every check."""
+    for task, degree, checks in (("gaudin check", 4, 4), ("gaudin bethe", 2, 3)):
+        edit = set_block("gaudin", "degree", degree)
+        cfg = rewrite_config(tmp_path, "gaudin_n2.json", "deg.json", edit)
+        code, report = run_to_file(tmp_path, task.split() + ["--config", cfg])
+        assert code in (0, 1)
+        assert len(report["checks"]) == checks
 
 
 @pytest.mark.parametrize("value", [0, -1, "x", 2.7, True])
@@ -186,6 +264,64 @@ def test_irf_build_commutators_match_reference(tmp_path):
         assert residuals["paths_family_commutes"] == comm["paths"]
         metrics = report["metrics"]
         assert metrics["bridge_condition"] >= 1.0 and metrics["paths_min_relative_gap"] > 0.0
+
+
+def reference_gaudin_check(cfg, seed):
+    """gaudin check's residuals with every operator applied afresh, as a reference."""
+    params = cli.build_params(cfg)
+    rng = np.random.default_rng(seed)
+    block = cfg["gaudin"]
+    degree = block["degree"]
+    hams = gaudin.build_hamiltonians(params)
+    dim = gaudin.zero_weight_space(params).dim
+    u = rng.standard_normal((degree + 1, dim)) + 1j * rng.standard_normal((degree + 1, dim))
+    comm = 0.0
+    for _ in range(block["lambda_samples"]):
+        lam0 = params.sample_generic(rng, margin=5e-2)
+        applied = [H.apply_jet(lam0, u) for H in hams]
+        scale = max(1.0, max(float(np.max(np.abs(a))) for a in applied))
+        for i in range(len(hams)):
+            for j in range(i + 1, len(hams)):
+                dev = np.max(np.abs(jets.commutator_jet(hams[i], hams[j], lam0, u)))
+                comm = max(comm, float(dev) / scale)
+    lam0 = params.sample_generic(rng, margin=5e-2)
+    total = hams[1].apply_jet(lam0, u)
+    scale = max(1.0, float(np.max(np.abs(total))))
+    for H in hams[2:]:
+        total += H.apply_jet(lam0, u)
+    ham_sum = float(np.max(np.abs(total))) / scale
+    ev = params.evaluator()
+    s_dev = 0.0
+    for _ in range(3):
+        z = params.sample_generic(rng, avoid=params.zs)
+        lhs = gaudin.build_S(params, z).apply_jet(lam0, u)
+        rows = lhs.shape[0]
+        rhs = hams[0].apply_jet(lam0, u)
+        for k, zk in enumerate(params.zs):
+            rhs += ev.zeta_bar(z - zk) * hams[k + 1].apply_jet(lam0, u)[:rows]
+            rhs += gaudin.spectral_weight(params, k) * ev.wp_bar(z - zk) * u[:rows]
+        scale = max(1.0, float(np.max(np.abs(lhs))))
+        s_dev = max(s_dev, float(np.max(np.abs(lhs - rhs))) / scale)
+    z1 = params.sample_generic(rng, avoid=params.zs)
+    z2 = params.sample_generic(rng, avoid=params.zs)
+    s1, s2 = gaudin.build_S(params, z1), gaudin.build_S(params, z2)
+    scale = max(1.0, float(np.max(np.abs(s1.apply_jet(lam0, u)))))
+    ss = float(np.max(np.abs(jets.commutator_jet(s1, s2, lam0, u)))) / scale
+    return {
+        "hamiltonians_commute": comm,
+        "hamiltonian_sum_vanishes": ham_sum,
+        "s_decomposition": s_dev,
+        "s_family_commutes": ss,
+    }
+
+
+def test_gaudin_check_matches_reference(tmp_path):
+    for base, seed in (("gaudin_n2.json", 3), ("gaudin_n3.json", 4), ("gaudin_n3.json", 9)):
+        cfg = json.loads((CONFIGS / base).read_text())
+        argv = ["gaudin", "check", "--config", str(CONFIGS / base), "--seed", str(seed)]
+        _, report = run_to_file(tmp_path, argv)
+        residuals = {c["name"]: c["residual"] for c in report["checks"]}
+        assert residuals == reference_gaudin_check(cfg, seed)
 
 
 def test_unknown_action_exits():

@@ -282,6 +282,17 @@ def test_bethe_solver_untyped_error_propagates(lattice, rng, monkeypatch):
     assert len(calls) == 1
 
 
+def test_bethe_solver_rejects_colliding_sites(lattice, rng, monkeypatch):
+    """Sites that collide modulo the lattice fail before the Newton solve starts."""
+
+    def unreachable(*args):
+        raise AssertionError("the Newton solve ran")
+
+    monkeypatch.setattr(gaudin, "damped_newton", unreachable)
+    with pytest.raises(ParameterError, match="collide"):
+        solve_gaudin_bethe(make_params(lattice, (Z2[0], Z2[0] + 1.0), (1, 1)), rng)
+
+
 @pytest.mark.parametrize("zs,lams", [(Z1, (4,)), (Z2, (1, 1)), (Z2, (2, 2))])
 def test_bethe_eigenvector(lattice, rng, zs, lams):
     """u = e^{c lambda} f(w_1)...f(w_m) v_0 is a joint eigenvector; eigenvalues sum to 0."""

@@ -92,6 +92,27 @@ def test_sigma_jets_match_oracle(ev, rng):
     assert_allclose(got_neg, oracle_neg, rtol=1e-8, atol=1e-10)
 
 
+def reference_sigma_neg(ev, lam0, z, degree):
+    """The former two-reflection formula: theta(-x) jets at lam0 + z and lam0."""
+
+    def reflected(x0):
+        jet = ev.theta_taylor(-x0, degree).copy()
+        jet[1::2] *= -1.0
+        return jet
+
+    num = reflected(lam0 + z) * (ev.dtheta0() / ev.theta(z))
+    return jets.jdiv(num, reflected(lam0), degree)
+
+
+def test_sigma_neg_equals_two_reflection_reference(ev, rng):
+    for _ in range(40):
+        lam0 = sample_point(rng, ev.lattice, margin=0.05, spread=2.0)
+        z = sample_point(rng, ev.lattice, margin=0.05, spread=2.0)
+        for degree in (0, 1, 4, 8, 9):
+            got = jets.jet_sigma_neg(ev, lam0, z, degree)
+            assert np.array_equal(got, reference_sigma_neg(ev, lam0, z, degree))
+
+
 def test_zeta_wp_jets(ev, rng):
     x0 = sample_point(rng, ev.lattice, margin=0.15)
     zj = jets.jet_zeta_bar(ev, x0, 4)
