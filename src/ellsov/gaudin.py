@@ -161,26 +161,27 @@ def _hamiltonian_j(ctx: GaudinContext, j: int) -> LambdaDiffOp:
     c1 = -ctx.space.restrict(hj)
 
     pair_hh = []
-    pair_ef = []
-    pair_fe = []
+    zjks = []
+    mats_ef = []
+    mats_fe = []
     for k in range(params.n):
         if k == j:
             continue
         ek, fk, hk = ctx.ops[k]
         zjk = params.zs[j] - params.zs[k]
         pair_hh.append((0.5 * ev.zeta_bar(zjk), ctx.space.restrict(hj @ hk)))
-        pair_ef.append((zjk, ctx.space.restrict(ej @ fk)))
-        pair_fe.append((zjk, ctx.space.restrict(fj @ ek)))
+        zjks.append(zjk)
+        mats_ef.append(ctx.space.restrict(ej @ fk))
+        mats_fe.append(ctx.space.restrict(fj @ ek))
+    theta_zjks = [ev.theta(zjk) for zjk in zjks]
 
     def c0(lam0: complex, degree: int) -> np.ndarray:
         out = np.zeros((degree + 1, dim, dim), dtype=complex)
         for coeff, mat in pair_hh:
             out[0] += coeff * mat
-        for zjk, mat in pair_ef:
-            sj = jets.jet_sigma(ev, lam0, zjk, degree)
+        for sj, mat in zip(jets.jet_sigma(ev, lam0, zjks, degree, theta_zjks), mats_ef):
             out += sj[:, None, None] * mat[None, :, :]
-        for zjk, mat in pair_fe:
-            sj = jets.jet_sigma_neg(ev, lam0, zjk, degree)
+        for sj, mat in zip(jets.jet_sigma_neg(ev, lam0, zjks, degree, theta_zjks), mats_fe):
             out += sj[:, None, None] * mat[None, :, :]
         return out
 
@@ -206,7 +207,8 @@ def _hamiltonian_0(ctx: GaudinContext) -> LambdaDiffOp:
 
     hh_const = np.zeros((dim, dim), dtype=complex)
     diag_ef = np.zeros((dim, dim), dtype=complex)
-    cross_ef: list[tuple[complex, np.ndarray]] = []
+    zjks: list[complex] = []
+    mats_ef: list[np.ndarray] = []
     for j in range(params.n):
         ej, fj, hj = ctx.ops[j]
         hh_const += 0.125 * diag_hh * ctx.space.restrict(hj @ hj)
@@ -218,15 +220,16 @@ def _hamiltonian_0(ctx: GaudinContext) -> LambdaDiffOp:
             zjk = params.zs[j] - params.zs[k]
             tj = ev.theta_taylor(zjk, 2)
             hh_const += 0.125 * (2.0 * tj[2] / tj[0]) * ctx.space.restrict(hj @ hk)
-            cross_ef.append((zjk, ctx.space.restrict(ej @ fk)))
+            zjks.append(zjk)
+            mats_ef.append(ctx.space.restrict(ej @ fk))
+    theta_zjks = [ev.theta(zjk) for zjk in zjks]
 
     def c0(lam0: complex, degree: int) -> np.ndarray:
         out = np.zeros((degree + 1, dim, dim), dtype=complex)
         out[0] += hh_const
         wp = jets.jet_wp_bar(ev, lam0, degree)
         out -= 0.5 * wp[:, None, None] * diag_ef[None, :, :]
-        for zjk, mat in cross_ef:
-            sj = jets.jet_sigma_dlambda(ev, lam0, zjk, degree)
+        for sj, mat in zip(jets.jet_sigma_dlambda(ev, lam0, zjks, degree, theta_zjks), mats_ef):
             out -= sj[:, None, None] * mat[None, :, :]
         return out
 
@@ -259,13 +262,15 @@ def build_S(params: ModelParams, z: complex) -> LambdaDiffOp:
     for (ei, fi, hi), zi in zip(ctx.ops, params_.zs):
         h_full += ev.zeta_bar(z - zi) * hi
     hz = ctx.space.restrict(h_full)
+    dzs = [z - zi for zi in params_.zs]
+    theta_dzs = [ev.theta(dz) for dz in dzs]
 
     def c0(lam0: complex, degree: int) -> np.ndarray:
         e_jet = np.zeros((degree + 1, ctx.total, ctx.total), dtype=complex)
         f_jet = np.zeros((degree + 1, ctx.total, ctx.total), dtype=complex)
-        for (ei, fi, hi), zi in zip(ctx.ops, params_.zs):
-            sn = jets.jet_sigma_neg(ev, lam0, z - zi, degree)
-            sp = jets.jet_sigma(ev, lam0, z - zi, degree)
+        sns = jets.jet_sigma_neg(ev, lam0, dzs, degree, theta_dzs)
+        sps = jets.jet_sigma(ev, lam0, dzs, degree, theta_dzs)
+        for (ei, fi, hi), sn, sp in zip(ctx.ops, sns, sps):
             e_jet += sn[:, None, None] * ei[None, :, :]
             f_jet += sp[:, None, None] * fi[None, :, :]
         anti = jets.jmul(e_jet, f_jet, degree) + jets.jmul(f_jet, e_jet, degree)
@@ -374,7 +379,7 @@ def bethe_eigenvector(
         if frozen_lambda:  # a degree-0 jet
             sps = [np.array([ev.sigma(lam0, w - zi)]) for zi in params.zs]
         else:
-            sps = [jets.jet_sigma(ev, lam0, w - zi, degree) for zi in params.zs]
+            sps = jets.jet_sigma(ev, lam0, [w - zi for zi in params.zs], degree)
         f_jet = sum(sp[:, None, None] * fi for sp, (_, fi, _) in zip(sps, ctx.ops))
         vec = jets.jmul(f_jet, vec, degree)
     vec = jets.jmul(jets.jet_exp(c, lam0, degree), vec, degree)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import operator
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -93,23 +93,52 @@ def jet_wp_bar(ev: ThetaEvaluator, x0: complex, degree: int) -> np.ndarray:
     return -jderiv(jet_zeta_bar(ev, x0, degree + 1))
 
 
-def jet_sigma(ev: ThetaEvaluator, lam0: complex, z: complex, degree: int) -> np.ndarray:
-    """Jet in lambda of sigma_lambda(z) at lam0."""
-    num = ev.theta_taylor(lam0 - z, degree) * (ev.dtheta0() / ev.theta(z))
-    return jdiv(num, ev.theta_taylor(lam0, degree), degree)
+def jet_sigma(
+    ev: ThetaEvaluator,
+    lam0: complex,
+    zs: Sequence[complex],
+    degree: int,
+    theta_zs: Sequence[complex] | None = None,
+) -> list[np.ndarray]:
+    """Jets in lambda of sigma_lambda(z) at lam0, one per z of zs.
+
+    The denominator jet theta(lambda) and theta'(0) are evaluated once for
+    all of zs; theta_zs, when given, holds theta(z) for each z.
+    """
+    den = ev.theta_taylor(lam0, degree)
+    dtheta0 = ev.dtheta0()
+    if theta_zs is None:
+        theta_zs = [ev.theta(z) for z in zs]
+    return [
+        jdiv(ev.theta_taylor(lam0 - z, degree) * (dtheta0 / tz), den, degree)
+        for z, tz in zip(zs, theta_zs)
+    ]
 
 
-def jet_sigma_neg(ev: ThetaEvaluator, lam0: complex, z: complex, degree: int) -> np.ndarray:
-    """Jet in lambda of sigma_{-lambda}(z) at lam0: sigma's jet at -lam0, odd terms negated."""
-    jet = jet_sigma(ev, -lam0, z, degree)
-    jet[1::2] *= -1.0
-    return jet
+def jet_sigma_neg(
+    ev: ThetaEvaluator,
+    lam0: complex,
+    zs: Sequence[complex],
+    degree: int,
+    theta_zs: Sequence[complex] | None = None,
+) -> list[np.ndarray]:
+    """Jets in lambda of sigma_{-lambda}(z) at lam0: sigma's jets at -lam0, odd terms negated."""
+    out = jet_sigma(ev, -lam0, zs, degree, theta_zs)
+    for jet in out:
+        jet[1::2] *= -1.0
+    return out
 
 
-def jet_sigma_dlambda(ev: ThetaEvaluator, lam0: complex, z: complex, degree: int) -> np.ndarray:
-    """Jet in lambda of (d/dlambda) sigma_lambda(z), with no pole of zeta_bar(lambda - z)
-    at lambda = z for sigma's zero to cancel: the derivative of sigma's jet."""
-    return jderiv(jet_sigma(ev, lam0, z, degree + 1))
+def jet_sigma_dlambda(
+    ev: ThetaEvaluator,
+    lam0: complex,
+    zs: Sequence[complex],
+    degree: int,
+    theta_zs: Sequence[complex] | None = None,
+) -> list[np.ndarray]:
+    """Jets in lambda of (d/dlambda) sigma_lambda(z), with no pole of zeta_bar(lambda - z)
+    at lambda = z for sigma's zero to cancel: the derivatives of sigma's jets."""
+    return [jderiv(jet) for jet in jet_sigma(ev, lam0, zs, degree + 1, theta_zs)]
 
 
 @dataclasses.dataclass(frozen=True)

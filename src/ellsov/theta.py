@@ -24,6 +24,7 @@ import cmath
 import dataclasses
 import functools
 import math
+import threading
 
 import numpy as np
 
@@ -146,47 +147,47 @@ class ThetaEvaluator:
 
         Terms are paired as sin-combinations written with both exponentials
         carrying the full q-power, so nothing overflows and theta(0) is an
-        exact zero.
+        exact zero.  The z-independent part of each term comes from the
+        (tau, degree) table of _term_table; only the two exponentials, the
+        accumulation and the stopping test run per call.
         """
         tau = self.lattice.tau
+        table = _term_table(tau, degree)
         coefs = [0j] * (degree + 1)
+        acc = 0j
         im0 = abs(z0.imag)
         log_tol = math.log(self.trunc_tol)
         max_term = 0.0
-        converged = False
-        tail = math.inf
+        limit = -math.inf
         for j in range(_MAX_TERMS):
-            half = j + 0.5
-            base = 1j * _PI * tau * half * half
-            ph = 1j * _PI * (2 * j + 1)
+            if j == len(table):
+                _append_term(table, tau, degree, j)
+            base, ph, sign, weights, power, quad, lin, deg_log = table[j]
             ep = cmath.exp(base + ph * z0)
             em = cmath.exp(base - ph * z0)
-            sign = -1.0 if j % 2 else 1.0
-            wk = 1.0 + 0j
-            for k in range(degree + 1):
-                # k-th derivative of the paired term; (-1)^k flips the e^{-} piece
-                piece = wk * ep - ((-1.0) ** k) * wk * em
-                coefs[k] += sign * piece / 1j
-                wk *= ph
-            size = (abs(ep) + abs(em)) * max(1.0, abs(ph)) ** degree
-            max_term = max(max_term, size)
-            nh = half + 1.0
-            log_next = (
-                -_PI * tau.imag * nh * nh
-                + 2.0 * _PI * nh * im0
-                + degree * math.log(_PI * (2 * j + 3))
-            )
-            tail = log_next
-            if log_next < log_tol + math.log(max_term):
-                converged = True
+            if degree == 0:
+                acc += sign * (ep - em) / 1j
+            else:
+                for k, (wk, wk_alt) in enumerate(weights):
+                    # k-th derivative of the paired term; wk_alt = (-1)^k wk flips the e^{-} piece
+                    coefs[k] += sign * (wk * ep - wk_alt * em) / 1j
+            size = (abs(ep) + abs(em)) * power
+            # >= keeps the rule log_next < log_tol + log(largest term so far) exact,
+            # down to its math.log(0.0) when the first term underflows to zero
+            if size >= max_term:
+                max_term = size
+                limit = log_tol + math.log(max_term)
+            log_next = quad + lin * im0 + deg_log
+            if log_next < limit:
                 break
-        if not converged:
-            bound = math.exp(min(tail, 700.0))
+        else:
             raise TruncationError(
                 "theta series truncation: tolerance %g not reached within %d terms"
                 % (self.trunc_tol, _MAX_TERMS),
-                tail_bound=bound,
+                tail_bound=math.exp(min(log_next, 700.0)),
             )
+        if degree == 0:
+            return [acc / 1.0]  # 0! as below: a complex division by 1.0 can flip a signed zero
         fact = 1.0
         for k in range(degree + 1):
             if k > 1:
@@ -294,6 +295,52 @@ def _overflow(z: complex) -> ThetaOverflowError:
     return ThetaOverflowError(
         "theta overflows double precision at %r, too far from the fundamental cell" % (z,)
     )
+
+
+# (tau, degree) term tables kept; each holds at most _MAX_TERMS rows
+_TERM_TABLES = 64
+_TABLE_LOCK = threading.Lock()
+
+
+@functools.lru_cache(maxsize=_TERM_TABLES)
+def _term_table(tau: complex, degree: int) -> list[tuple]:
+    """The z-independent data of the q-series terms for one (tau, degree).
+
+    Row j holds base_j, ph_j, sign_j, the derivative weights
+    (ph_j^k, (-1)^k ph_j^k) for k = 0..degree, max(1, |ph_j|)^degree and
+    the three parts of the bound on term j + 1.  Rows are appended by
+    _series_jet up to the last term its stopping rule reaches.
+    """
+    return []
+
+
+def _append_term(table: list[tuple], tau: complex, degree: int, j: int) -> None:
+    """Append row j of a (tau, degree) table.
+
+    Each value is computed by the expression, in the evaluation order, that
+    a per-call evaluation of term j would use, so every coefficient keeps its bits.
+    """
+    half = j + 0.5
+    ph = 1j * _PI * (2 * j + 1)
+    weights = []
+    wk = 1.0 + 0j
+    for k in range(degree + 1):
+        weights.append((wk, ((-1.0) ** k) * wk))
+        wk *= ph
+    nh = half + 1.0
+    row = (
+        1j * _PI * tau * half * half,
+        ph,
+        -1.0 if j % 2 else 1.0,
+        tuple(weights),
+        max(1.0, abs(ph)) ** degree,
+        -_PI * tau.imag * nh * nh,
+        2.0 * _PI * nh,
+        degree * math.log(_PI * (2 * j + 3)),
+    )
+    with _TABLE_LOCK:
+        if len(table) == j:  # another thread may have appended it meanwhile
+            table.append(row)
 
 
 @functools.lru_cache(maxsize=256)

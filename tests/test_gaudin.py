@@ -43,6 +43,96 @@ def rayleigh(out, u):
     return out[0][i] / u[0][i]
 
 
+# The operators' lambda-dependent coefficients as they were built before the
+# batched sigma jets: per pair, the scalar jet recomputes theta(lambda) and
+# theta(z_jk).  The operators must reproduce them bit for bit.
+
+
+def reference_sigma(ev, lam0, z, degree):
+    num = ev.theta_taylor(lam0 - z, degree) * (ev.dtheta0() / ev.theta(z))
+    return jets.jdiv(num, ev.theta_taylor(lam0, degree), degree)
+
+
+def reference_sigma_neg(ev, lam0, z, degree):
+    jet = reference_sigma(ev, -lam0, z, degree)
+    jet[1::2] *= -1.0
+    return jet
+
+
+def reference_c0_hamiltonian_j(ctx, j, lam0, degree):
+    ev, zs, r = ctx.ev, ctx.params.zs, ctx.space.restrict
+    ej, fj, hj = ctx.ops[j]
+    others = [k for k in range(ctx.params.n) if k != j]
+    out = np.zeros((degree + 1, ctx.space.dim, ctx.space.dim), dtype=complex)
+    for k in others:
+        out[0] += (0.5 * ev.zeta_bar(zs[j] - zs[k])) * r(hj @ ctx.ops[k][2])
+    for k in others:
+        sj = reference_sigma(ev, lam0, zs[j] - zs[k], degree)
+        out += sj[:, None, None] * r(ej @ ctx.ops[k][1])[None, :, :]
+    for k in others:
+        sj = reference_sigma_neg(ev, lam0, zs[j] - zs[k], degree)
+        out += sj[:, None, None] * r(fj @ ctx.ops[k][0])[None, :, :]
+    return out
+
+
+def reference_c0_hamiltonian_0(ctx, lam0, degree):
+    ev, zs, r, dim = ctx.ev, ctx.params.zs, ctx.space.restrict, ctx.space.dim
+    jet0 = ev.theta0_jet(3)
+    diag_hh = 6.0 * jet0[3] / jet0[1]
+    hh_const = np.zeros((dim, dim), dtype=complex)
+    diag_ef = np.zeros((dim, dim), dtype=complex)
+    cross_ef = []
+    for j, (ej, fj, hj) in enumerate(ctx.ops):
+        hh_const += 0.125 * diag_hh * r(hj @ hj)
+        diag_ef += r(ej @ fj + fj @ ej)
+        for k, (ek, fk, hk) in enumerate(ctx.ops):
+            if k != j:
+                tj = ev.theta_taylor(zs[j] - zs[k], 2)
+                hh_const += 0.125 * (2.0 * tj[2] / tj[0]) * r(hj @ hk)
+                cross_ef.append((zs[j] - zs[k], r(ej @ fk)))
+    out = np.zeros((degree + 1, dim, dim), dtype=complex)
+    out[0] += hh_const
+    out -= 0.5 * jets.jet_wp_bar(ev, lam0, degree)[:, None, None] * diag_ef[None, :, :]
+    for zjk, mat in cross_ef:
+        sj = jets.jderiv(reference_sigma(ev, lam0, zjk, degree + 1))
+        out -= sj[:, None, None] * mat[None, :, :]
+    return out
+
+
+def reference_c0_S(ctx, z, lam0, degree):
+    ev, zs, r = ctx.ev, ctx.params.zs, ctx.space.restrict
+    h_full = np.zeros((ctx.total, ctx.total), dtype=complex)
+    e_jet = np.zeros((degree + 1, ctx.total, ctx.total), dtype=complex)
+    f_jet = np.zeros((degree + 1, ctx.total, ctx.total), dtype=complex)
+    for (ei, fi, hi), zi in zip(ctx.ops, zs):
+        h_full += ev.zeta_bar(z - zi) * hi
+        e_jet += reference_sigma_neg(ev, lam0, z - zi, degree)[:, None, None] * ei[None, :, :]
+        f_jet += reference_sigma(ev, lam0, z - zi, degree)[:, None, None] * fi[None, :, :]
+    hz = r(h_full)
+    anti = jets.jmul(e_jet, f_jet, degree) + jets.jmul(f_jet, e_jet, degree)
+    out = np.stack([0.5 * r(a) for a in anti])
+    out[0] += 0.25 * (hz @ hz)
+    return out
+
+
+@pytest.mark.parametrize("zs,lams", FAMILIES)
+def test_batched_sigma_jets_equal_per_pair_reference(lattice, rng, zs, lams):
+    params = make_params(lattice, zs, lams)
+    ctx = GaudinContext(params)
+    hams = build_hamiltonians(params)
+    z = params.sample_generic(rng, avoid=params.zs)
+    s_op = build_S(params, z)
+    for lam0 in (LAM0, params.sample_generic(rng), zs[1] - zs[0] + 0.01 + 0.02j):
+        for degree in (0, 3, DEGREE):
+            got = hams[0].coeffs[0](lam0, degree)
+            assert np.array_equal(got, reference_c0_hamiltonian_0(ctx, lam0, degree))
+            for j in range(params.n):
+                got = hams[1 + j].coeffs[0](lam0, degree)
+                assert np.array_equal(got, reference_c0_hamiltonian_j(ctx, j, lam0, degree))
+            got = s_op.coeffs[0](lam0, degree)
+            assert np.array_equal(got, reference_c0_S(ctx, z, lam0, degree))
+
+
 def test_rep_relations():
     """[e,f] = h, [h,e] = 2e, [h,f] = -2f, and the Casimir is scalar; all exact."""
     for lam in (1, 2, 3):
@@ -182,8 +272,8 @@ def test_s_alternative_form(lattice, rng):
     for (ei, fi, hi), zi in zip(ctx.ops, params.zs):
         h_full += ev.zeta_bar(z - zi) * hi
         hp_full += -ev.wp_bar(z - zi) * hi
-        e_jet += jets.jet_sigma_neg(ev, LAM0, z - zi, DEGREE)[:, None, None] * ei
-        f_jet += jets.jet_sigma(ev, LAM0, z - zi, DEGREE)[:, None, None] * fi
+        e_jet += jets.jet_sigma_neg(ev, LAM0, [z - zi], DEGREE)[0][:, None, None] * ei
+        f_jet += jets.jet_sigma(ev, LAM0, [z - zi], DEGREE)[0][:, None, None] * fi
     hr = ctx.space.restrict(h_full)
     fe = jets.jmul(f_jet, e_jet, DEGREE)
     fe_r = np.stack([ctx.space.restrict(fe[d]) for d in range(DEGREE + 1)])

@@ -83,11 +83,11 @@ def test_jet_exp(rng):
 def test_sigma_jets_match_oracle(ev, rng):
     lam0 = sample_point(rng, ev.lattice, margin=0.15)
     z = sample_point(rng, ev.lattice, margin=0.15)
-    got = jets.jet_sigma(ev, lam0, z, 4)
+    (got,) = jets.jet_sigma(ev, lam0, [z], 4)
     oracle = jet_oracle(lambda u: ev.sigma(u, z), lam0, 4)
     assert_allclose(got, oracle, rtol=1e-8, atol=1e-10)
 
-    got_neg = jets.jet_sigma_neg(ev, lam0, z, 4)
+    (got_neg,) = jets.jet_sigma_neg(ev, lam0, [z], 4)
     oracle_neg = jet_oracle(lambda u: ev.sigma(-u, z), lam0, 4)
     assert_allclose(got_neg, oracle_neg, rtol=1e-8, atol=1e-10)
 
@@ -109,7 +109,7 @@ def test_sigma_neg_equals_two_reflection_reference(ev, rng):
         lam0 = sample_point(rng, ev.lattice, margin=0.05, spread=2.0)
         z = sample_point(rng, ev.lattice, margin=0.05, spread=2.0)
         for degree in (0, 1, 4, 8, 9):
-            got = jets.jet_sigma_neg(ev, lam0, z, degree)
+            (got,) = jets.jet_sigma_neg(ev, lam0, [z], degree)
             assert np.array_equal(got, reference_sigma_neg(ev, lam0, z, degree))
 
 
@@ -128,9 +128,9 @@ def test_zeta_wp_jets(ev, rng):
 def test_sigma_dlambda_jet(ev, rng):
     lam0 = sample_point(rng, ev.lattice, margin=0.15)
     z = sample_point(rng, ev.lattice, margin=0.15)
-    got = jets.jet_sigma_dlambda(ev, lam0, z, 3)
+    (got,) = jets.jet_sigma_dlambda(ev, lam0, [z], 3)
     # jet of the derivative = derivative of the jet
-    check = jets.jderiv(jets.jet_sigma(ev, lam0, z, 4))
+    check = jets.jderiv(jets.jet_sigma(ev, lam0, [z], 4)[0])
     assert_allclose(got, check, rtol=1e-9, atol=1e-11)
     assert abs(got[0] - ev.sigma_dlambda(lam0, z)) <= 1e-10 * max(1.0, abs(got[0]))
 
@@ -141,7 +141,7 @@ def test_sigma_dlambda_jet_near_pole_of_bracket(ev):
     # error at degree 4 here; the oracle is the cancellation-free scalar form
     z = 0.37 + 0.29j
     lam0 = z + 5e-4 * cmath.exp(0.7j)
-    got = jets.jet_sigma_dlambda(ev, lam0, z, 4)
+    (got,) = jets.jet_sigma_dlambda(ev, lam0, [z], 4)
     assert abs(got[0] - ev.sigma_dlambda(lam0, z)) <= 1e-14 * abs(got[0])
     oracle = jet_oracle(lambda u: ev.sigma_dlambda(u, z), lam0, 4)
     assert_allclose(got, oracle, rtol=1e-10)

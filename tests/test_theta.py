@@ -2,12 +2,16 @@
 
 import cmath
 import math
+import sys
+import threading
+import time
 
 import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from ellsov import theta as theta_module
 from ellsov.theta import (
     Lattice,
     LatticeError,
@@ -16,11 +20,106 @@ from ellsov.theta import (
     ThetaError,
     ThetaEvaluator,
     ThetaOverflowError,
+    TruncationError,
 )
 
-from conftest import sample_point
+from conftest import TAU, sample_point
 
 PI = math.pi
+
+
+# The series and the Taylor wrapper as they were before the (tau, degree)
+# term tables: every term's constants are recomputed on each call.  The
+# kernel must reproduce them bit for bit.
+
+
+def reference_series(ev, z0, degree):
+    """Taylor coefficients at a reduced point, and the number of terms summed."""
+    tau = ev.lattice.tau
+    coefs = [0j] * (degree + 1)
+    im0 = abs(z0.imag)
+    log_tol = math.log(ev.trunc_tol)
+    max_term = 0.0
+    converged = False
+    tail = math.inf
+    for j in range(theta_module._MAX_TERMS):
+        half = j + 0.5
+        base = 1j * PI * tau * half * half
+        ph = 1j * PI * (2 * j + 1)
+        ep = cmath.exp(base + ph * z0)
+        em = cmath.exp(base - ph * z0)
+        sign = -1.0 if j % 2 else 1.0
+        wk = 1.0 + 0j
+        for k in range(degree + 1):
+            piece = wk * ep - ((-1.0) ** k) * wk * em
+            coefs[k] += sign * piece / 1j
+            wk *= ph
+        size = (abs(ep) + abs(em)) * max(1.0, abs(ph)) ** degree
+        max_term = max(max_term, size)
+        nh = half + 1.0
+        log_next = (
+            -PI * tau.imag * nh * nh
+            + 2.0 * PI * nh * im0
+            + degree * math.log(PI * (2 * j + 3))
+        )
+        tail = log_next
+        if log_next < log_tol + math.log(max_term):
+            converged = True
+            break
+    if not converged:
+        bound = math.exp(min(tail, 700.0))
+        raise TruncationError(
+            "theta series truncation: tolerance %g not reached within %d terms"
+            % (ev.trunc_tol, theta_module._MAX_TERMS),
+            tail_bound=bound,
+        )
+    fact = 1.0
+    for k in range(degree + 1):
+        if k > 1:
+            fact *= k
+        coefs[k] /= fact
+    return coefs, j + 1
+
+
+def reference_taylor(ev, z, degree):
+    """theta^(k)(z)/k! for k = 0..degree, and the number of series terms summed."""
+    z0, r, s = ev.lattice.reduce(z)
+    inner, terms = reference_series(ev, z0, degree)
+    tau = ev.lattice.tau
+    parity = -1.0 if (r + s) % 2 else 1.0
+    try:
+        mult0 = parity * cmath.exp(-1j * PI * (s * s * tau + 2.0 * s * z0))
+    except OverflowError:
+        raise theta_module._overflow(z) from None
+    out = np.zeros(degree + 1, dtype=complex)
+    if s == 0:
+        for k in range(degree + 1):
+            out[k] = mult0 * inner[k]
+        return out, terms
+    w = -2j * PI * s
+    expjet = [1.0 + 0j]
+    for k in range(1, degree + 1):
+        expjet.append(expjet[-1] * w / k)
+    for k in range(degree + 1):
+        acc = 0j
+        for i in range(k + 1):
+            acc += expjet[i] * inner[k - i]
+        val = mult0 * acc
+        if not cmath.isfinite(val):
+            raise theta_module._overflow(z)
+        out[k] = val
+    return out, terms
+
+
+def hexes(jet):
+    """Real and imaginary parts as float.hex strings, so signed zeros count."""
+    return [(complex(c).real.hex(), complex(c).imag.hex()) for c in jet]
+
+
+def assert_matches_reference(ev, z, degree):
+    want, terms = reference_taylor(ev, z, degree)
+    assert hexes(ev.theta_taylor(z, degree)) == hexes(want), (ev.lattice.tau, z, degree)
+    return terms
 
 
 def mp_theta(tau, z, d=0):
@@ -294,3 +393,105 @@ def test_overflow_far_from_cell_is_typed(ev):
     far = ev.theta(z + s * tau)
     assert cmath.isfinite(far)
     assert abs(far - mult * ev.theta(z)) <= 1e-12 * abs(far)
+
+
+# -- the term tables against the reference kernel -------------------------
+
+
+def test_kernel_matches_reference_bit_for_bit(ev):
+    rng = np.random.default_rng(14)
+    for x, y in rng.uniform(-3.0, 3.0, size=(2000, 2)):
+        for degree in range(11):
+            assert_matches_reference(ev, complex(x, y), degree)
+
+
+def test_kernel_matches_reference_on_lattice_and_real_axis(ev):
+    tau = ev.lattice.tau
+    for degree in range(11):
+        for z in (0.0, 1.0, tau, 1.0 + tau):
+            assert_matches_reference(ev, z, degree)
+            assert ev.theta_taylor(z, degree)[0] == 0.0
+        for x in np.linspace(-3.0, 3.0, 61):
+            assert_matches_reference(ev, complex(x, 0.0), degree)
+            assert_matches_reference(ev, complex(x, -0.0), degree)
+
+
+def test_kernel_errors_match_reference(ev):
+    for z in (0.2 + 16 * ev.lattice.tau, 0.7 - 40 * ev.lattice.tau):
+        for degree in (0, 3):
+            with pytest.raises(ThetaOverflowError) as want:
+                reference_taylor(ev, z, degree)
+            with pytest.raises(ThetaOverflowError) as got:
+                ev.theta_taylor(z, degree)
+            assert str(got.value) == str(want.value)
+    flat = ThetaEvaluator(Lattice(0.3 + 0.002j))
+    for z in (0.37 + 0.0006j, 0.37 + 0.0019j, -1.2 + 0.3j):
+        for degree in (0, 1, 5):
+            with pytest.raises(TruncationError) as want:
+                reference_taylor(flat, z, degree)
+            with pytest.raises(TruncationError) as got:
+                flat.theta_taylor(z, degree)
+            assert str(got.value) == str(want.value)
+            assert got.value.tail_bound.hex() == want.value.tail_bound.hex()
+
+
+def test_term_tables_are_keyed_by_tau_and_degree():
+    evs = [ThetaEvaluator(Lattice(tau)) for tau in (0.31 + 1.07j, 0.5j, -0.2 + 0.8j)]
+    rng = np.random.default_rng(15)
+    for x, y in rng.uniform(-2.0, 2.0, size=(60, 2)):
+        for degree in (0, 8, 0):
+            for ev in evs:
+                assert_matches_reference(ev, complex(x, y), degree)
+
+
+def test_term_tables_grow_only_as_far_as_the_series_reaches():
+    theta_module._term_table.cache_clear()
+    ev = ThetaEvaluator(Lattice(TAU))
+    rng = np.random.default_rng(16)
+    most_terms = {}
+    for k, (x, y) in enumerate(rng.uniform(-3.0, 3.0, size=(1000, 2))):
+        degree = k % 11
+        terms = assert_matches_reference(ev, complex(x, y), degree)
+        most_terms[degree] = max(most_terms.get(degree, 0), terms)
+    for degree, terms in most_terms.items():
+        assert len(theta_module._term_table(TAU, degree)) <= terms
+
+
+def test_term_tables_grow_consistently_under_threads(monkeypatch):
+    """Threads that grow one fresh table at once still append each row once, in order.
+
+    Each thread sleeps between finding row j missing and building it, so the
+    others find it missing too.
+    """
+    append = theta_module._append_term
+
+    def preempted_append(*args):
+        time.sleep(1e-4)
+        append(*args)
+
+    monkeypatch.setattr(theta_module, "_append_term", preempted_append)
+    evs = [ThetaEvaluator(Lattice(complex(0.01 * k, 0.3 + 0.01 * k))) for k in range(10)]
+    z = 0.37 + 0.29j  # high in the cell: tables of 9 to 12 rows
+    want = [hexes(reference_taylor(ev, z, d)[0]) for ev in evs for d in (0, 3)]
+    got = [[] for _ in range(4)]
+    barrier = threading.Barrier(len(got), timeout=60)
+
+    def work(out):
+        for ev in evs:
+            for d in (0, 3):
+                barrier.wait()
+                out.append(hexes(ev.theta_taylor(z, d)))
+
+    theta_module._term_table.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(out,)) for out in got]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [want] * len(got)
