@@ -158,15 +158,9 @@ class ShiftOp:
     blocks: Callable[[complex], dict[int, np.ndarray]]
 
     @classmethod
-    def zero(cls, dim: int, step: complex) -> "ShiftOp":
-        return cls(dim, step, lambda lam: {})
-
-    @classmethod
-    def diagonal(cls, dim: int, step: complex, fn: Callable[[complex, int], complex],
-                 k: int = 0) -> "ShiftOp":
-        return cls(dim, step, lambda lam: {
-            k: np.diag(np.array([fn(lam, i) for i in range(dim)], dtype=complex))
-        })
+    def diagonal(cls, dim: int, step: complex, entries: Callable, k: int = 0) -> "ShiftOp":
+        """The operator with the list entries(lambda) on the diagonal of its block k."""
+        return cls(dim, step, lambda lam: {k: np.diag(np.array(entries(lam), dtype=complex))})
 
     def apply(self, f: Callable[[complex], np.ndarray], lam: complex) -> np.ndarray:
         out = np.zeros(self.dim, dtype=complex)
@@ -220,15 +214,20 @@ def _accumulate(out: dict[int, np.ndarray], k: int, m: np.ndarray) -> None:
     out[k] = out[k] + m if k in out else m
 
 
-def shift_residual(a: ShiftOp, b: ShiftOp, lam_samples: Sequence[complex]) -> float:
-    """Max entrywise deviation between two shift operators at sampled lambda."""
-    worst = 0.0
+def _offset_pairs(a: ShiftOp, b: ShiftOp | None, lam_samples: Sequence[complex]):
+    """(A_k, B_k) for each offset k of a or b at each lambda; missing blocks and b = None read 0."""
+    zero = np.zeros((a.dim, a.dim))
     for lam in lam_samples:
-        ma, mb = a.matrices(lam), b.matrices(lam)
+        ma, mb = a.matrices(lam), {} if b is None else b.matrices(lam)
         for k in set(ma) | set(mb):
-            da = ma.get(k, np.zeros((a.dim, a.dim)))
-            db = mb.get(k, np.zeros((a.dim, a.dim)))
-            worst = max(worst, float(np.max(np.abs(da - db))))
+            yield ma.get(k, zero), mb.get(k, zero)
+
+
+def shift_residual(a: ShiftOp, b: ShiftOp | None, lam_samples: Sequence[complex]) -> float:
+    """Max entrywise deviation between two shift operators at sampled lambda (a's size if b = None)."""
+    worst = 0.0
+    for da, db in _offset_pairs(a, b, lam_samples):
+        worst = max(worst, float(np.max(np.abs(da - db))))
     return worst
 
 
@@ -236,42 +235,20 @@ def shift_residual(a: ShiftOp, b: ShiftOp, lam_samples: Sequence[complex]) -> fl
 # The operator quadruple
 
 
-def _delta(ev: ThetaEvaluator, params: ModelParams, x: complex, sign: int) -> complex:
-    """Delta_+ (sign=+1) or Delta_- (sign=-1) evaluated at z = x."""
-    out = 1.0 + 0j
-    for zi, li in zip(params.zs, params.lams):
-        out *= ev.theta(x - zi - sign * li * params.eta)
-    return out
+def _hop_factors(ev: ThetaEvaluator, params: ModelParams, xs, i: int, z: complex, sign: int):
+    """The lambda-independent factors of a hop of site i onto the x-values xs.
 
-
-def _offdiag_product(ev: ThetaEvaluator, xs: np.ndarray, i: int, z: complex) -> complex:
-    out = 1.0 + 0j
+    They are prod_{j != i} theta(z + x_j)/theta(x_i - x_j) and Delta_+(-x_i)
+    (sign = +1) or Delta_-(-x_i) (sign = -1).
+    """
+    off = 1.0 + 0j
     for j in range(len(xs)):
         if j != i:
-            out *= ev.theta(z + xs[j]) / ev.theta(xs[i] - xs[j])
-    return out
-
-
-def _a_coefficient(ev, params, grid, z, lam, idx) -> complex:
-    xs = grid.xs[idx]
-    pref = np.prod([ev.theta(z + x) for x in xs])
-    arg = lam - params.eta * grid.weights[idx] + params.eta * sum(params.lams)
-    return pref * ev.theta(arg) / ev.theta(lam)
-
-
-def _b_coefficient(ev, params, grid, z, lam, idx, i, sign=1) -> complex:
-    xs = grid.xs[idx]
-    val = -ev.theta(lam + z + xs[i]) / ev.theta(lam)
-    val *= _offdiag_product(ev, xs, i, z)
-    return val * _delta(ev, params, -xs[i], sign)
-
-
-def _c_coefficient(ev, params, grid, z, lam, idx, i, sign=-1) -> complex:
-    xs = grid.xs[idx]
-    s = complex(np.sum(xs + np.asarray(params.zs)))
-    val = -ev.theta(-lam + z + xs[i] - 2 * s) / ev.theta(lam)
-    val *= _offdiag_product(ev, xs, i, z)
-    return val * _delta(ev, params, -xs[i], sign)
+            off *= ev.theta(z + xs[j]) / ev.theta(xs[i] - xs[j])
+    delta = 1.0 + 0j
+    for zk, lk in zip(params.zs, params.lams):
+        delta *= ev.theta(-xs[i] - zk - sign * lk * params.eta)
+    return off, delta
 
 
 def det_scalar(params: ModelParams, z: complex) -> complex:
@@ -285,14 +262,13 @@ def det_scalar(params: ModelParams, z: complex) -> complex:
 
 @dataclasses.dataclass(frozen=True)
 class OperatorQuadruple:
-    """a, b, c, d as ShiftOp-valued functions of z, plus the scalar determinant."""
+    """a, b, c, d as ShiftOp-valued functions of z."""
 
     grid: S0Grid
     a: Callable[[complex], ShiftOp]
     b: Callable[[complex], ShiftOp]
     c: Callable[[complex], ShiftOp]
     d: Callable[[complex], ShiftOp]
-    det: Callable[[complex], complex]
 
 
 def build_quadruple(params: ModelParams) -> OperatorQuadruple:
@@ -304,6 +280,8 @@ def build_quadruple(params: ModelParams) -> OperatorQuadruple:
     appear.  d is solved from
         a(z + 2 eta) d(z) - c(z + 2 eta) b(z) = theta(lambda - 2 eta h)/theta(lambda) Det(z)
     by composing with the inverse of the diagonal operator a(z + 2 eta).
+    Each operator computes its lambda-independent theta factors when it
+    is built; its blocks evaluate only the thetas that depend on lambda.
     """
     params.validate_distinct_sites()
     ev = params.evaluator()
@@ -311,59 +289,64 @@ def build_quadruple(params: ModelParams) -> OperatorQuadruple:
     grid = S0Grid(params)
     n = len(params.zs)
     step = 2 * eta
+    top = eta * sum(params.lams)
 
     def a_op(z: complex) -> ShiftOp:
-        return ShiftOp.diagonal(
-            grid.dim, step,
-            lambda lam, idx: _a_coefficient(ev, params, grid, z, lam, idx),
-            k=-1,
-        )
+        sites = [np.prod([ev.theta(z + x) for x in xs]) for xs in grid.xs]
+        shifts = [eta * h for h in grid.weights]
 
-    def hop_op(z: complex, dm: int, coefficient) -> ShiftOp:
+        def entries(lam):
+            th_lam = ev.theta(lam)
+            return [p * ev.theta(lam - sh + top) / th_lam for p, sh in zip(sites, shifts)]
+
+        return ShiftOp.diagonal(grid.dim, step, entries, k=-1)
+
+    def hop_op(z: complex, dm: int, argument) -> ShiftOp:
         """Move one m_i by dm with lambda offset -dm: b for dm = -1, c for dm = +1.
 
         Off-grid sources are dropped: their coefficient carries Delta_+(-x_i),
         zero at m_i = 0, for b and Delta_-(-x_i), zero at m_i = Lambda_i, for c.
+        argument(lam, t, x_i) is the hop's lambda-dependent theta argument.
         """
         hops = [
-            (idx, src, i)
-            for idx in range(grid.dim)
+            (t, src, xs[i], *_hop_factors(ev, params, xs, i, z, -dm))
+            for t, xs in enumerate(grid.xs)
             for i in range(n)
-            if (src := grid.shifted(idx, i, dm)) is not None
+            if (src := grid.shifted(t, i, dm)) is not None
         ]
 
         def blocks(lam):
+            th_lam = ev.theta(lam)
             m = np.zeros((grid.dim, grid.dim), dtype=complex)
-            for t, s, i in hops:
-                m[t, s] = coefficient(ev, params, grid, z, lam, t, i)
+            for t, src, x, off, delta in hops:
+                m[t, src] = -ev.theta(argument(lam, t, x)) / th_lam * off * delta
             return {-dm: m}
 
         return ShiftOp(grid.dim, step, blocks)
 
     def b_op(z: complex) -> ShiftOp:
-        return hop_op(z, -1, _b_coefficient)
+        return hop_op(z, -1, lambda lam, t, x: lam + z + x)
 
     def c_op(z: complex) -> ShiftOp:
-        return hop_op(z, +1, _c_coefficient)
-
-    def a_inverse(z: complex) -> ShiftOp:
-        return ShiftOp.diagonal(
-            grid.dim, step,
-            lambda lam, idx: 1.0 / _a_coefficient(ev, params, grid, z, lam + step, idx),
-            k=+1,
-        )
+        # 2 s at each target, s = sum_j (x_j + z_j)
+        two_s = [2 * complex(np.sum(xs + np.asarray(params.zs))) for xs in grid.xs]
+        return hop_op(z, +1, lambda lam, t, x: -lam + z + x - two_s[t])
 
     def d_op(z: complex) -> ShiftOp:
         det_z = det_scalar(params, z)
-        diag = ShiftOp.diagonal(
-            grid.dim, step,
-            lambda lam, idx: ev.theta(lam - 2 * eta * grid.weights[idx]) / ev.theta(lam) * det_z,
-        )
-        inner = diag + c_op(z + 2 * eta).compose(b_op(z))
-        return a_inverse(z + 2 * eta).compose(inner)
 
-    return OperatorQuadruple(grid=grid, a=a_op, b=b_op, c=c_op, d=d_op,
-                             det=lambda z: det_scalar(params, z))
+        def weight_entries(lam):
+            th_lam = ev.theta(lam)
+            return [ev.theta(lam - step * h) / th_lam * det_z for h in grid.weights]
+
+        inner = ShiftOp.diagonal(grid.dim, step, weight_entries) + c_op(z + step).compose(b_op(z))
+        # a(z + 2 eta) has offset -1, so its inverse reads it at lambda + 2 eta
+        a_next = a_op(z + step)
+        a_inverse = ShiftOp.diagonal(
+            grid.dim, step, lambda lam: 1.0 / np.diag(a_next.blocks(lam + step)[-1]), k=1)
+        return a_inverse.compose(inner)
+
+    return OperatorQuadruple(grid=grid, a=a_op, b=b_op, c=c_op, d=d_op)
 
 
 def restriction_closure(params: ModelParams, z: complex, lam: complex) -> dict:
@@ -376,21 +359,19 @@ def restriction_closure(params: ModelParams, z: complex, lam: complex) -> dict:
     """
     ev = params.evaluator()
     grid = S0Grid(params)
-    n = len(params.zs)
+    th_lam = ev.theta(lam)
     report: dict[str, dict[str, float]] = {"b": {}, "c": {}}
     for sign, tag in ((+1, "delta_plus"), (-1, "delta_minus")):
-        worst_b = 0.0
-        worst_c = 0.0
-        for idx, m in enumerate(grid.points):
-            for i in range(n):
+        worst_b = worst_c = 0.0
+        for m, xs in zip(grid.points, grid.xs):
+            two_s = 2 * complex(np.sum(xs + np.asarray(params.zs)))
+            for i in range(len(m)):
                 if m[i] == 0:  # b would read m_i = -1 here
-                    worst_b = max(
-                        worst_b, abs(_b_coefficient(ev, params, grid, z, lam, idx, i, sign))
-                    )
+                    off, delta = _hop_factors(ev, params, xs, i, z, sign)
+                    worst_b = max(worst_b, abs(-ev.theta(lam + z + xs[i]) / th_lam * off * delta))
                 if m[i] == params.lams[i]:  # c would read m_i = Lambda_i + 1 here
-                    worst_c = max(
-                        worst_c, abs(_c_coefficient(ev, params, grid, z, lam, idx, i, sign))
-                    )
+                    off, delta = _hop_factors(ev, params, xs, i, z, sign)
+                    worst_c = max(worst_c, abs(-ev.theta(-lam + z + xs[i] - two_s) / th_lam * off * delta))
         report["b"][tag] = worst_b
         report["c"][tag] = worst_c
     report["b_closes_with"] = "delta_plus" if report["b"]["delta_plus"] <= report["b"]["delta_minus"] else "delta_minus"
@@ -472,17 +453,15 @@ def central_element_residual(
     # undo the weight-dependent prefactor per target grid point
     central = ShiftOp.diagonal(
         grid.dim, combo.step,
-        lambda lam, t: ev.theta(lam) / ev.theta(lam - 2 * eta * grid.weights[t]),
+        lambda lam: [ev.theta(lam) / ev.theta(lam - 2 * eta * h) for h in grid.weights],
     ).compose(combo)
     det_z = det_scalar(params, z)
-    scalar = ShiftOp.diagonal(grid.dim, combo.step, lambda lam, idx: det_z)
+    scalar = ShiftOp.diagonal(grid.dim, combo.step, lambda lam: [det_z] * grid.dim)
     out = {"scalar_residual": shift_residual(central, scalar, lam_samples) / max(1.0, abs(det_z))}
     for name, op in (("a", quad.a(w)), ("b", quad.b(w)), ("c", quad.c(w))):
         comm = central.compose(op) - op.compose(central)
-        scale = max(1.0, shift_residual(op.compose(scalar), ShiftOp.zero(grid.dim, op.step), lam_samples))
-        out[f"commutator_{name}"] = shift_residual(
-            comm, ShiftOp.zero(grid.dim, op.step), lam_samples
-        ) / scale
+        scale = max(1.0, shift_residual(op.compose(scalar), None, lam_samples))
+        out[f"commutator_{name}"] = shift_residual(comm, None, lam_samples) / scale
     return out
 
 
@@ -556,25 +535,16 @@ def rll_residual(
     quad = build_quadruple(params)
     grid = quad.grid
     n = grid.dim
-    lhs = _mult_r(params, grid, z - w, "w_shift").compose(
-        _l_hat(quad, z, 0).compose(_l_hat(quad, w, 1))
-    )
-    rhs = _l_hat(quad, w, 1).compose(_l_hat(quad, z, 0)).compose(
-        _mult_r(params, grid, z - w, "vv_shift")
-    )
+    # each side reads the same two operators, whose factors are computed once
+    l_z, l_w = _l_hat(quad, z, 0), _l_hat(quad, w, 1)
+    lhs = _mult_r(params, grid, z - w, "w_shift").compose(l_z.compose(l_w))
+    rhs = l_w.compose(l_z).compose(_mult_r(params, grid, z - w, "vv_shift"))
     blocks = np.zeros((4, 4))
     scale = 1.0
-    for lam in lam_samples:
-        ml, mr = lhs.matrices(lam), rhs.matrices(lam)
-        for k in set(ml) | set(mr):
-            da = ml.get(k, np.zeros((4 * n, 4 * n)))
-            db = mr.get(k, np.zeros((4 * n, 4 * n)))
-            scale = max(scale, float(np.max(np.abs(db))))
-            diff = np.abs(da - db)
-            for rp in range(4):
-                for cp in range(4):
-                    sub = diff[rp * n:(rp + 1) * n, cp * n:(cp + 1) * n]
-                    blocks[rp, cp] = max(blocks[rp, cp], float(np.max(sub)))
+    for da, db in _offset_pairs(lhs, rhs, lam_samples):
+        scale = max(scale, float(np.max(np.abs(db))))
+        # the worst entry of each (V x V row, V x V column) block of the difference
+        blocks = np.maximum(blocks, np.abs(da - db).reshape(4, n, 4, n).max(axis=(1, 3)))
     return {
         "max_residual": float(np.max(blocks)) / scale,
         "block_residuals": (blocks / scale).tolist(),
@@ -602,9 +572,7 @@ def ab_exchange_residual(
         )
 
     rhs = quad.b(w).compose(quad.a(z)).scaled(c1) + quad.a(w).compose(quad.b(z)).scaled(c2)
-    scale = max(
-        1.0, shift_residual(lhs, ShiftOp.zero(lhs.dim, lhs.step), lam_samples)
-    )
+    scale = max(1.0, shift_residual(lhs, None, lam_samples))
     return shift_residual(lhs, rhs, lam_samples) / scale
 
 

@@ -465,16 +465,17 @@ def check_difference_compatibility(
 
 
 def _bethe_terms(ev, A_plus, A_minus, gamma, a, roots):
-    """The summands (t1_i, t2_i) of equation i, with products over all roots (j = i too)."""
+    """The summands (t1_i, t2_i) of equation i, with products over all roots (j = i: theta(-/+gamma))."""
     ea_m = cmath.exp(-gamma * a)
     ea_p = cmath.exp(gamma * a)
+    th_m, th_p = ev.theta(0j - gamma), ev.theta(0j + gamma)
     terms = []
-    for wi in roots:
+    for i, wi in enumerate(roots):
         t1 = eval_elliptic_poly(ev, A_plus, wi) * ea_m
         t2 = eval_elliptic_poly(ev, A_minus, wi) * ea_p
-        for wj in roots:
-            t1 *= ev.theta(wi - wj - gamma)
-            t2 *= ev.theta(wi - wj + gamma)
+        for j, wj in enumerate(roots):
+            t1 *= th_m if j == i else ev.theta(wi - wj - gamma)
+            t2 *= th_p if j == i else ev.theta(wi - wj + gamma)
         terms.append((t1, t2))
     return terms
 

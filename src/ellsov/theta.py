@@ -67,13 +67,18 @@ class NonFiniteArgumentError(ThetaError):
 
 
 class ThetaOverflowError(ThetaError):
-    """Argument is so far from the fundamental cell that the value overflows."""
+    """The value overflows: the argument is too far from the cell, or the degree too high."""
 
 
 # floor on Im tau below which a Lattice is rejected
 _MIN_IM_TAU = 1e-3
 # q-series terms summed before a TruncationError
 _MAX_TERMS = 64
+# Ceilings that keep every series quantity finite: on the reduced cell terms 0
+# and 1 reach exp(3 pi Im tau / 4), later ones stay below 1, term j has weight
+# (pi (2j + 1))^degree and 128 (127 pi)^117, 128 exp(3 pi 187 / 4) (3 pi)^117 < 1.8e308
+_MAX_DEGREE = 117
+_MAX_IM_TAU = 187.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -87,10 +92,10 @@ class Lattice:
         object.__setattr__(self, "tau", tau)
         if not cmath.isfinite(tau):
             raise LatticeError("Lattice invariant violated: tau = %r is not finite" % (tau,))
-        if not (tau.imag >= _MIN_IM_TAU):
+        if not (_MIN_IM_TAU <= tau.imag <= _MAX_IM_TAU):
             raise LatticeError(
-                "Lattice invariant violated: Im tau = %r is below the floor %r"
-                % (tau.imag, _MIN_IM_TAU)
+                "Lattice invariant violated: Im tau = %r is outside [%r, %r]"
+                % (tau.imag, _MIN_IM_TAU, _MAX_IM_TAU)
             )
 
     def reduce(self, z: complex) -> tuple[complex, int, int]:
@@ -199,6 +204,8 @@ class ThetaEvaluator:
         """Taylor coefficients theta^(k)(z)/k! for k = 0..degree."""
         if degree < 0:
             raise ValueError("degree must be >= 0")
+        if degree > _MAX_DEGREE:
+            raise ThetaOverflowError("degree %d is above the limit %d" % (degree, _MAX_DEGREE))
         z0, r, s = self.lattice.reduce(z)
         inner = self._series_jet(z0, degree)
         tau = self.lattice.tau

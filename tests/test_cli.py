@@ -111,6 +111,19 @@ def test_lattice_invariant_exit2(tmp_path, capsys):
     assert "Lattice invariant violated" in capsys.readouterr().err
 
 
+def test_kernel_range_exit2(tmp_path, capsys):
+    """A tau above the Im tau ceiling and a jet degree above the kernel's
+    limit exit 2 with a message, not with a traceback."""
+    tall = rewrite_config(tmp_path, "theta.json", "tall.json", lambda c: c.update(tau=[0, 1000]))
+    assert cli.main(["theta", "eval", "--config", tall]) == 2
+    assert "Lattice invariant violated" in capsys.readouterr().err
+    deep = rewrite_config(
+        tmp_path, "gaudin_n2.json", "deep.json", lambda c: c["gaudin"].update(degree=400)
+    )
+    assert cli.main(["gaudin", "check", "--config", deep]) == 2
+    assert "degree" in capsys.readouterr().err
+
+
 def test_non_finite_model_exit2(tmp_path, capsys):
     # JSON admits NaN and Infinity literals; they must fail as config errors
     nan_eta = rewrite_config(

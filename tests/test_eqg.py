@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from ellsov import eqg
 from ellsov.eqg import (
+    OperatorQuadruple,
     ShiftOp,
     S0Grid,
     ab_exchange_residual,
@@ -35,6 +36,137 @@ Z3 = (0.12 + 0.23j, 0.57 + 0.71j, 0.34 + 0.52j)
 
 def make_params(lattice, zs, lams):
     return ModelParams(lattice=lattice, eta=ETA, zs=zs, lams=lams)
+
+
+# The quadruple as it was built before each operator kept its
+# lambda-independent factors: every coefficient is recomputed from scratch
+# at every lambda.  The operators must equal these entry for entry.
+
+
+def _ref_delta(ev, params, x, sign):
+    out = 1.0 + 0j
+    for zi, li in zip(params.zs, params.lams):
+        out *= ev.theta(x - zi - sign * li * params.eta)
+    return out
+
+
+def _ref_offdiag_product(ev, xs, i, z):
+    out = 1.0 + 0j
+    for j in range(len(xs)):
+        if j != i:
+            out *= ev.theta(z + xs[j]) / ev.theta(xs[i] - xs[j])
+    return out
+
+
+def _ref_a_coefficient(ev, params, grid, z, lam, idx):
+    xs = grid.xs[idx]
+    pref = np.prod([ev.theta(z + x) for x in xs])
+    arg = lam - params.eta * grid.weights[idx] + params.eta * sum(params.lams)
+    return pref * ev.theta(arg) / ev.theta(lam)
+
+
+def _ref_b_coefficient(ev, params, grid, z, lam, idx, i, sign=1):
+    xs = grid.xs[idx]
+    val = -ev.theta(lam + z + xs[i]) / ev.theta(lam)
+    val *= _ref_offdiag_product(ev, xs, i, z)
+    return val * _ref_delta(ev, params, -xs[i], sign)
+
+
+def _ref_c_coefficient(ev, params, grid, z, lam, idx, i, sign=-1):
+    xs = grid.xs[idx]
+    s = complex(np.sum(xs + np.asarray(params.zs)))
+    val = -ev.theta(-lam + z + xs[i] - 2 * s) / ev.theta(lam)
+    val *= _ref_offdiag_product(ev, xs, i, z)
+    return val * _ref_delta(ev, params, -xs[i], sign)
+
+
+def reference_quadruple(params):
+    ev = params.evaluator()
+    eta = params.eta
+    grid = S0Grid(params)
+    step = 2 * eta
+
+    def diagonal(fn, k):
+        return ShiftOp(grid.dim, step, lambda lam: {
+            k: np.diag(np.array([fn(lam, i) for i in range(grid.dim)], dtype=complex))
+        })
+
+    def a_op(z):
+        return diagonal(lambda lam, idx: _ref_a_coefficient(ev, params, grid, z, lam, idx), -1)
+
+    def hop_op(z, dm, coefficient):
+        hops = [
+            (idx, src, i)
+            for idx in range(grid.dim)
+            for i in range(params.n)
+            if (src := grid.shifted(idx, i, dm)) is not None
+        ]
+
+        def blocks(lam):
+            m = np.zeros((grid.dim, grid.dim), dtype=complex)
+            for t, s, i in hops:
+                m[t, s] = coefficient(ev, params, grid, z, lam, t, i)
+            return {-dm: m}
+
+        return ShiftOp(grid.dim, step, blocks)
+
+    def b_op(z):
+        return hop_op(z, -1, _ref_b_coefficient)
+
+    def c_op(z):
+        return hop_op(z, +1, _ref_c_coefficient)
+
+    def a_inverse(z):
+        return diagonal(
+            lambda lam, idx: 1.0 / _ref_a_coefficient(ev, params, grid, z, lam + step, idx), +1
+        )
+
+    def d_op(z):
+        det_z = det_scalar(params, z)
+        diag = diagonal(
+            lambda lam, idx: ev.theta(lam - 2 * eta * grid.weights[idx]) / ev.theta(lam) * det_z, 0
+        )
+        inner = diag + c_op(z + 2 * eta).compose(b_op(z))
+        return a_inverse(z + 2 * eta).compose(inner)
+
+    return OperatorQuadruple(grid=grid, a=a_op, b=b_op, c=c_op, d=d_op)
+
+
+def reference_restriction_closure(params, z, lam):
+    ev = params.evaluator()
+    grid = S0Grid(params)
+    report = {"b": {}, "c": {}}
+    for sign, tag in ((+1, "delta_plus"), (-1, "delta_minus")):
+        worst_b = 0.0
+        worst_c = 0.0
+        for idx, m in enumerate(grid.points):
+            for i in range(params.n):
+                if m[i] == 0:
+                    worst_b = max(
+                        worst_b, abs(_ref_b_coefficient(ev, params, grid, z, lam, idx, i, sign))
+                    )
+                if m[i] == params.lams[i]:
+                    worst_c = max(
+                        worst_c, abs(_ref_c_coefficient(ev, params, grid, z, lam, idx, i, sign))
+                    )
+        report["b"][tag] = worst_b
+        report["c"][tag] = worst_c
+    report["b_closes_with"] = "delta_plus" if report["b"]["delta_plus"] <= report["b"]["delta_minus"] else "delta_minus"
+    report["c_closes_with"] = "delta_minus" if report["c"]["delta_minus"] <= report["c"]["delta_plus"] else "delta_plus"
+    return report
+
+
+def count_theta(monkeypatch):
+    """Record every argument of ThetaEvaluator.theta_taylor from now on."""
+    args = []
+    original = ThetaEvaluator.theta_taylor
+
+    def counting(self, z, degree):
+        args.append(complex(z))
+        return original(self, z, degree)
+
+    monkeypatch.setattr(ThetaEvaluator, "theta_taylor", counting)
+    return args
 
 
 def test_r_matrix_structure(lattice, rng):
@@ -197,23 +329,44 @@ def test_rll_relations(lattice, rng, zs, lams):
 
 
 def test_rll_theta_count(lattice, rng, monkeypatch):
-    """Each operator matrix is filled once per lambda it is read at, so two
-    sites stay far below the 104,016 calls of per-term coefficient closures."""
+    """Each operator evaluates its lambda-independent factors once, when it is
+    built: one RLL check at two sites reads the same 475 distinct theta
+    arguments as the per-entry coefficients in 1,758 calls, not 4,628, and
+    reports the same numbers."""
     params = make_params(lattice, Z2, (1, 1))
-    calls = [0]
-    original = ThetaEvaluator.theta_taylor
-
-    def counting(self, z, degree):
-        calls[0] += 1
-        return original(self, z, degree)
-
-    monkeypatch.setattr(ThetaEvaluator, "theta_taylor", counting)
     z = sample_point(rng, lattice)
     w = sample_point(rng, lattice)
     samples = [sample_point(rng, lattice) for _ in range(5)]
+    args = count_theta(monkeypatch)
     report = rll_residual(params, z, w, samples)
+    calls, distinct = len(args), set(args)
     assert report["max_residual"] <= 1e-9
-    assert calls[0] <= 20_000
+    assert len(distinct) == 475
+    assert calls <= 1_758
+
+    args.clear()
+    monkeypatch.setattr(eqg, "build_quadruple", reference_quadruple)
+    assert rll_residual(params, z, w, samples) == report
+    assert set(args) == distinct
+    assert len(args) == 4_628
+
+
+def test_central_element_theta_count(lattice, rng, monkeypatch):
+    """The centrality check reads its operators' factor tables too: 1,166
+    theta calls at two sites, not the per-entry coefficients' 3,608."""
+    params = make_params(lattice, Z2, (1, 1))
+    z = sample_point(rng, lattice)
+    w = sample_point(rng, lattice)
+    samples = [sample_point(rng, lattice) for _ in range(3)]
+    args = count_theta(monkeypatch)
+    report = central_element_residual(params, z, w, samples)
+    assert report["scalar_residual"] <= 1e-10
+    assert len(args) <= 1_166
+
+    args.clear()
+    monkeypatch.setattr(eqg, "build_quadruple", reference_quadruple)
+    assert central_element_residual(params, z, w, samples) == report
+    assert len(args) == 3_608
 
 
 def test_ab_exchange(lattice, rng):
@@ -230,6 +383,7 @@ def test_restriction_closure(lattice, rng):
     z = sample_point(rng, lattice)
     lam = sample_point(rng, lattice)
     report = restriction_closure(params, z, lam)
+    assert report == reference_restriction_closure(params, z, lam)
     scale = max(1.0, report["b"]["delta_minus"], report["c"]["delta_plus"])
     assert report["b"]["delta_plus"] <= 1e-12 * scale
     assert report["c"]["delta_minus"] <= 1e-12 * scale
@@ -324,6 +478,33 @@ def test_residue_sum_poles_close_mod_lattice(lattice):
             assert abs(residue_sum(params, gi, i)) <= 1e-10
 
 
-def test_zero_op_is_empty(lattice):
-    op = ShiftOp.zero(3, 2 * ETA)
-    assert op.matrices(0.3 + 0.2j) == {}
+def test_shift_residual_against_zero(lattice, rng):
+    """b = None is the zero operator: the residual is the largest entry of a."""
+    params = make_params(lattice, Z2, (1, 1))
+    quad = build_quadruple(params)
+    z = sample_point(rng, lattice)
+    lams = [sample_point(rng, lattice) for _ in range(2)]
+    op = quad.a(z).compose(quad.b(z)) + quad.c(z)
+    size = max(float(np.max(np.abs(m))) for lam in lams for m in op.matrices(lam).values())
+    assert shift_residual(op, None, lams) == size > 0.0
+    assert shift_residual(op, op, lams) == 0.0
+
+
+@pytest.mark.parametrize("lams", [(1,), (1, 1), (2, 1), (2, 2), (1, 1, 1)])
+def test_quadruple_matches_reference(lattice, rng, lams):
+    """a, b, c and d equal the per-entry coefficients bit for bit.
+
+    Two spectral parameters per quadruple: a factor table that ignored z
+    would serve the second one the first one's factors.
+    """
+    params = make_params(lattice, Z3[: len(lams)], lams)
+    quad, ref = build_quadruple(params), reference_quadruple(params)
+    for z in (sample_point(rng, lattice), sample_point(rng, lattice)):
+        lam_samples = [sample_point(rng, lattice) for _ in range(3)]
+        for name in "abcd":
+            op, ref_op = getattr(quad, name)(z), getattr(ref, name)(z)
+            for lam in lam_samples:
+                got, want = op.matrices(lam), ref_op.matrices(lam)
+                assert got.keys() == want.keys()
+                for k in want:
+                    assert np.array_equal(got[k], want[k]), (name, k)

@@ -149,6 +149,35 @@ def test_lattice_rejects_flat_tau():
             Lattice(tau)
 
 
+def test_large_im_tau_is_a_typed_error():
+    """Above the ceiling the first term underflows or the largest one
+    overflows; the Lattice rejects such a tau instead of the series failing
+    with a bare ValueError or OverflowError."""
+    with pytest.raises(LatticeError, match="Lattice invariant violated"):
+        Lattice(1000j)
+    with pytest.raises(LatticeError, match="Lattice invariant violated"):
+        Lattice(0.3 + 187.001j)
+    # at the ceiling the whole reduced cell works, up to the degree limit
+    ev = ThetaEvaluator(Lattice(0.3 + 187.0j))
+    for z in (0.3, 0.3 + 93.5j, 0.3 + 186.999j, 0.8 - 0.3j):
+        for degree in (0, 1, 117):
+            assert np.all(np.isfinite(ev.theta_taylor(z, degree)))
+            assert_matches_reference(ev, z, degree)
+
+
+def test_degree_limit_is_a_typed_error(ev):
+    """Degree 185 overflowed max(1, |ph|)^degree with a bare OverflowError,
+    and from 171 on k! overflowed to inf and zeroed the top coefficients."""
+    for degree in (118, 171, 185, 400):
+        with pytest.raises(ThetaOverflowError, match="degree"):
+            ev.theta_taylor(0.31 + 0.42j, degree)
+    # the limit holds on a flat lattice too, where many more terms are summed
+    flat = ThetaEvaluator(Lattice(0.3 + 0.05j))
+    for e in (ev, flat):
+        jet = e.theta_taylor(0.61 + 0.3 * e.lattice.tau, 117)
+        assert np.all(np.isfinite(jet)) and jet[117] != 0
+
+
 def test_reduction_identity(lattice, rng):
     for _ in range(50):
         z = complex(rng.uniform(-6, 6), rng.uniform(-6, 6))
