@@ -465,7 +465,11 @@ def check_difference_compatibility(
 
 
 def _bethe_terms(ev, A_plus, A_minus, gamma, a, roots):
-    """The summands (t1_i, t2_i) of equation i, with products over all roots (j = i: theta(-/+gamma))."""
+    """The summands (t1_i, t2_i) of equation i, with products over all roots (j = i: theta(-/+gamma)).
+
+    Scalar theta_taylor throughout: solve_difference_bethe certifies the
+    accepted point with it, independently of the batched Newton system.
+    """
     ea_m = cmath.exp(-gamma * a)
     ea_p = cmath.exp(gamma * a)
     th_m, th_p = ev.theta(0j - gamma), ev.theta(0j + gamma)
@@ -480,37 +484,61 @@ def _bethe_terms(ev, A_plus, A_minus, gamma, a, roots):
     return terms
 
 
-def _bethe_system(ev, A_plus, A_minus, gamma, a, roots):
-    """Residuals t1_i + t2_i, the scale max |t| of the relative target, and the Jacobian."""
-    terms = _bethe_terms(ev, A_plus, A_minus, gamma, a, roots)
-    scale = 0.0
-    for t1, t2 in terms:
-        scale = max(scale, abs(t1), abs(t2))
-    res = np.array([t1 + t2 for t1, t2 in terms], dtype=complex)
-    return res, max(scale, 1e-300), lambda: _bethe_jacobian(ev, A_plus, A_minus, gamma, roots, terms)
+def _bethe_system(ev, A_plus, A_minus, gamma, m):
+    """damped_newton's system(x) for the m-root Bethe system, x = (a, w_1..w_m).
 
+    Equation i is t_i0 + t_i1 = 0, where t_i0 = A_plus(w_i) exp(-gamma a)
+    theta(-gamma) prod_{j != i} theta(w_i - w_j - gamma), and t_i1 is the
+    same with A_minus and +gamma.  One evaluation makes one degree-1
+    theta_array call, over the m * 2n site arguments w_i - (zeros of A_plus
+    and A_minus) and the 2m(m - 1) root-pair arguments w_i - w_j -/+ gamma.
+    The residual takes the values of that batch and the Jacobian its
+    theta'/theta.  theta(-/+gamma) is evaluated once, here.
+    """
+    # argument q is design[q] . x + offset[q]; member[g, q] marks the thetas of
+    # t_g, g = 2i + c, and t_g carries exp(expo[g] . x) and the constant const[g]
+    design, offset, member = [], [], []
+    expo = np.zeros((2 * m, m + 1), dtype=complex)
+    unit = np.eye(m + 1, dtype=complex)
+    for i in range(m):
+        for c, (poly, shift) in enumerate(((A_plus, -gamma), (A_minus, gamma))):
+            g = 2 * i + c
+            expo[g, 0], expo[g, 1 + i] = shift, poly.a
+            for zero in poly.zeros:
+                design.append(unit[1 + i])
+                offset.append(-zero)
+                member.append(g)
+            for j in range(m):
+                if j != i:
+                    design.append(unit[1 + i] - unit[1 + j])
+                    offset.append(shift)
+                    member.append(g)
+    design, offset = np.array(design).reshape(-1, m + 1), np.array(offset, dtype=complex)
+    member = np.arange(2 * m)[:, None] == np.array(member, dtype=int)
+    const = np.tile([ev.theta(0j - gamma), ev.theta(0j + gamma)], m)
+    lat, rho = ev.lattice, ev.rho
 
-def _bethe_jacobian(ev, A_plus, A_minus, gamma, roots, terms):
-    """Jacobian in (a, w_1..w_m) from the _bethe_terms of the same point."""
-    m = len(roots)
-    jac = np.zeros((m, m + 1), dtype=complex)
-    for i, (t1, t2) in enumerate(terms):
-        jac[i, 0] = -gamma * t1 + gamma * t2
-        for l in range(m):
-            if l == i:
-                d1 = elliptic_poly_logderiv(ev, A_plus, roots[i])
-                d2 = elliptic_poly_logderiv(ev, A_minus, roots[i])
-                for j in range(m):
-                    if j != i:
-                        d1 += ev.zeta_bar(roots[i] - roots[j] - gamma)
-                        d2 += ev.zeta_bar(roots[i] - roots[j] + gamma)
-                # the j = i factor theta(-gamma)/theta(gamma) is constant in roots[i]
-                jac[i, 1 + l] = t1 * d1 + t2 * d2
-            else:
-                jac[i, 1 + l] = -t1 * ev.zeta_bar(roots[i] - roots[l] - gamma) - t2 * ev.zeta_bar(
-                    roots[i] - roots[l] + gamma
+    def system(x):
+        args = design @ x + offset
+        jets = ev.theta_array(args, 1)
+        t = np.exp(expo @ x) * const * np.where(member, jets[:, 0], 1.0).prod(axis=1)
+        scale = max(float(np.abs(t).max()), 1e-300)
+
+        def jacobian():
+            dist = [lat.dist_to_lattice(z) for z in args]
+            near = int(np.argmin(dist))
+            if dist[near] < rho:
+                raise PoleProximityError(
+                    "pole proximity: Bethe system argument %r is within %g of the period lattice (margin %g)"
+                    % (complex(args[near]), dist[near], rho)
                 )
-    return jac
+            # d t_g / dx = t_g (expo[g] + sum_q member[g, q] theta'/theta(arg_q) design[q])
+            dlog = expo + (member * (jets[:, 1] / jets[:, 0])) @ design
+            return (t[:, None] * dlog).reshape(m, 2, m + 1).sum(axis=1)
+
+        return t.reshape(m, 2).sum(axis=1), scale, jacobian
+
+    return system
 
 
 def solve_difference_bethe(
@@ -533,12 +561,17 @@ def solve_difference_bethe(
         roots = [lat.sample_generic(rng, 20 * ev.rho) for _ in range(m)]
         return np.array([complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))] + roots)
 
-    x, residual, iterations = damped_newton(
-        lambda x: _bethe_system(ev, A_plus, A_minus, gamma, x[0], x[1:]),
+    x, _, iterations = damped_newton(
+        _bethe_system(ev, A_plus, A_minus, gamma, m),
         start,
         accept=lambda x: _check_root_separation(ev, x[1:]),
     )
-    return BetheSolution(complex(x[0]), tuple(complex(w) for w in x[1:]), residual, iterations)
+    a, roots = complex(x[0]), tuple(complex(w) for w in x[1:])
+    # the reported residual comes from the scalar kernel at the accepted point
+    terms = _bethe_terms(ev, A_plus, A_minus, gamma, a, roots)
+    scale = max(max(abs(t1), abs(t2)) for t1, t2 in terms)
+    residual = max(abs(t1 + t2) for t1, t2 in terms) / max(scale, 1e-300)
+    return BetheSolution(a, roots, residual, iterations)
 
 
 def _check_root_separation(ev, roots):

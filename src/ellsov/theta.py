@@ -115,12 +115,46 @@ class Lattice:
         z0 = z1 - r
         return z0, r, s
 
+    def reduce_array(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """reduce on a complex array; r and s come back as float arrays.
+
+        Each point fails as reduce would: the first one that does not
+        reduce raises NonFiniteArgumentError or ThetaOverflowError.
+        """
+        zs = np.asarray(zs, dtype=complex)
+        tau = self.tau
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = np.floor(zs.imag / tau.imag)
+            z1 = zs - s * tau
+            r = np.floor(z1.real)
+            ok = np.isfinite(r + s)
+        if not ok.all():
+            z = complex(zs[np.argmin(ok)])
+            if not cmath.isfinite(z):
+                raise NonFiniteArgumentError("argument %r is not finite" % (z,))
+            raise ThetaOverflowError("argument %r is too far from the fundamental cell to reduce" % (z,))
+        return z1 - r, r, s
+
     def dist_to_lattice(self, z: complex) -> float:
+        """Distance from z to the nearest lattice point m + n tau.
+
+        z0 = reduce(z) lies in [0, 1] x [0, Im tau).  Row n of the lattice
+        holds its nearest point to z0 at m = floor(Re(z0 - n tau)) or m + 1.
+        Rows 0 and 1 give a first distance.  Rows n >= 2 and n <= -1 lie at
+        least Im tau away; past that they are visited outwards while their gap
+        |Im z0 - n Im tau| is below the best distance.
+        """
         z0, _, _ = self.reduce(z)
         tau = self.tau
-        return min(
-            abs(z0), abs(z0 - 1.0), abs(z0 - tau), abs(z0 - 1.0 - tau)
-        )
+        m = math.floor(z0.real - tau.real)
+        best = min(abs(z0), abs(z0 - 1.0), abs(z0 - m - tau), abs(z0 - (m + 1) - tau))
+        if best > tau.imag:  # else every farther row is too far
+            for n, step in ((2, 1), (-1, -1)):
+                while abs(z0.imag - n * tau.imag) < best:
+                    m = math.floor(z0.real - n * tau.real)
+                    best = min(best, abs(z0 - m - n * tau), abs(z0 - (m + 1) - n * tau))
+                    n += step
+        return best
 
     def sample_generic(self, rng: np.random.Generator, margin: float, avoid=()) -> complex:
         """Seeded point of the cell at least margin from the lattice and each `avoid` shift."""
@@ -232,6 +266,71 @@ class ThetaEvaluator:
             if not cmath.isfinite(val):
                 raise _overflow(z)
             out[k] = val
+        return out
+
+    def theta_array(self, zs: np.ndarray, degree: int) -> np.ndarray:
+        """(N, degree + 1) array whose row i stands in for theta_taylor(zs[i], degree).
+
+        The same series and multiplier on arrays, to a tolerance rather than
+        bit for bit.  Every point sums the same number of terms: the fewest
+        whose bound on the next term, taken at the top of the reduced cell
+        (Im z0 = Im tau), is below trunc_tol * exp(-pi Im tau / 4), and no
+        term 0 on the reduced cell is smaller than exp(-pi Im tau / 4).
+        Errors are the ThetaError subclasses theta_taylor raises.
+        """
+        if degree < 0:
+            raise ValueError("degree must be >= 0")
+        if degree > _MAX_DEGREE:
+            raise ThetaOverflowError("degree %d is above the limit %d" % (degree, _MAX_DEGREE))
+        zs = np.asarray(zs, dtype=complex)
+        if zs.ndim != 1:
+            raise ValueError("zs must be one-dimensional")
+        z0, r, s = self.lattice.reduce_array(zs)
+        tau = self.lattice.tau
+        table = _term_table(tau, degree)
+        limit = math.log(self.trunc_tol) - _PI * tau.imag / 4.0
+        for j in range(_MAX_TERMS):
+            if j == len(table):
+                _append_term(table, tau, degree, j)
+            quad, lin, deg_log = table[j][5:]
+            log_next = quad + lin * tau.imag + deg_log
+            if log_next < limit:
+                break
+        else:
+            raise TruncationError(
+                "theta series truncation: tolerance %g not reached within %d terms"
+                % (self.trunc_tol, _MAX_TERMS),
+                tail_bound=math.exp(min(log_next, 700.0)),
+            )
+        rows = table[: j + 1]
+        # row c * terms + j of grid is (base_j, +/-ph_j, +/-sign_j) and of weights
+        # (+/-ph_j)^k, k = 0..degree, for the exponential exp(base_j +/- ph_j z0)
+        # (c = 0: +, c = 1: -); theta^(k)(z0) / k! = sum_rows sign weight exp / (i k!)
+        grid = np.array(
+            [v for row in rows for v in row[:3]] + [v for row in rows for v in (row[0], -row[1], -row[2])]
+        ).reshape(-1, 3)
+        weights = np.array(
+            [wk for row in rows for wk, _ in row[3]] + [wk for row in rows for _, wk in row[3]]
+        ).reshape(-1, degree + 1)
+        ifact = [1j]
+        for k in range(1, degree + 1):
+            ifact.append(ifact[-1] * k)
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = np.exp(grid[:, :1] + grid[:, 1:2] * z0) * grid[:, 2:]
+            inner = (terms.T @ weights) / ifact
+            # theta(z + d) = mult0 * exp(-2*pi*i*s*d) * theta(z0 + d), as a jet in d.  The
+            # exponent of mult0 is written as in theta_taylor: it reaches about 270 at
+            # |Im z| = 10, where another rounding order moves the value by about 3e-14
+            mult = np.exp(-1j * _PI * (s * s * tau + 2.0 * s * z0))
+            mult = np.where((r + s) % 2, -mult, mult)
+            out = mult[:, None] * inner
+            w = -2j * _PI * s
+            for i in range(1, degree + 1):
+                mult = mult * w / i
+                out[:, i:] += mult[:, None] * inner[:, :-i]
+            finite = np.isfinite(out).all()
+        if not finite:
+            raise _overflow(complex(zs[np.argmin(np.isfinite(out).all(axis=1))]))
         return out
 
     def theta(self, z: complex, d: int = 0) -> complex:

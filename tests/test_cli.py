@@ -124,6 +124,17 @@ def test_kernel_range_exit2(tmp_path, capsys):
     assert "degree" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tau", [[0.0, 0.1], [5.0, 0.1]])
+def test_point_next_to_the_lattice_exits2(tmp_path, capsys, tau):
+    """Z + tau Z is one lattice for both taus; -1e-9 i lies next to its point 0."""
+    cfg = rewrite_config(
+        tmp_path, "theta.json", "near.json",
+        lambda c: (c.update(tau=tau), c["theta"].update(points=[[0.0, -1e-9]])),
+    )
+    assert cli.main(["theta", "eval", "--config", cfg]) == 2
+    assert "pole proximity" in capsys.readouterr().err
+
+
 def test_non_finite_model_exit2(tmp_path, capsys):
     # JSON admits NaN and Infinity literals; they must fail as config errors
     nan_eta = rewrite_config(
@@ -454,3 +465,13 @@ def test_bethe_report(tmp_path):
     # character_match compares two independent computations, so it is not exactly 0
     match = next(c for c in report["checks"] if c["name"] == "character_match")
     assert 0.0 < match["residual"] <= 1e-9
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3, 4, 5])
+def test_bethe_report_two_roots(tmp_path, seed):
+    """Four sites of weight 1: m = 2, so the system has root-pair arguments."""
+    argv = ["irf", "bethe", "--config", str(CONFIGS / "irf_bethe_n4.json")]
+    code, report = run_to_file(tmp_path, argv + ([] if seed is None else ["--seed", str(seed)]))
+    assert code == 0
+    assert len(report["metrics"]["roots"]) == 2
+    assert all(c["pass"] for c in report["checks"])

@@ -248,23 +248,31 @@ def test_difference_eigenvalue_root_outside_cell(ev):
 
 
 def test_bethe_solver_theta_count(ev, monkeypatch):
-    """The Jacobian reuses the theta products of the accepted residual evaluation."""
+    """One theta_array call per system evaluation, none in the Jacobian; scalar calls
+    only for theta(-/+gamma) and the certificate at the accepted point."""
     lat = ev.lattice
     eta = 0.171 + 0.043j
     zs = [0.23 + 0.31j, 0.67 + 0.52j, 0.12 + 0.8j, 0.5 + 0.1j]
     A_plus = EllipticPoly.make(lat, 0.0, [-z - eta for z in zs])
     A_minus = EllipticPoly.make(lat, 0.0, [-z + eta for z in zs])
-    calls = [0]
-    original = ThetaEvaluator.theta_taylor
+    calls = {"theta_taylor": 0, "theta_array": 0, "system": 0}
 
-    def counting(self, z, degree):
-        calls[0] += 1
-        return original(self, z, degree)
+    def counting(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
 
-    monkeypatch.setattr(ThetaEvaluator, "theta_taylor", counting)
+        return wrapper
+
+    for name in ("theta_taylor", "theta_array"):
+        monkeypatch.setattr(ThetaEvaluator, name, counting(name, getattr(ThetaEvaluator, name)))
+    make_system = spaces._bethe_system
+    monkeypatch.setattr(spaces, "_bethe_system", lambda *args: counting("system", make_system(*args)))
     sol = solve_difference_bethe(ev, A_plus, A_minus, 2.0 * eta, 2, np.random.default_rng(17))
     assert sol.iterations == 9
-    assert calls[0] <= 1336
+    # theta(-/+gamma) once, then the 2 * (2 * 4 + 2) factors of the certificate and its theta(-/+gamma)
+    assert calls["theta_taylor"] == 24
+    assert 0 < calls["theta_array"] <= calls["system"]
 
 
 def test_damped_newton_restarts():
@@ -331,3 +339,73 @@ def test_bethe_terms_match_per_factor_loop(ev, rng):
             roots = np.array([sample_point(rng, lat) for _ in range(m)])
             got = spaces._bethe_terms(ev, A_plus, A_minus, 2.0 * eta, a, roots)
             assert got == reference_bethe_terms(ev, A_plus, A_minus, 2.0 * eta, a, roots)
+
+
+def reference_bethe_jacobian(ev, A_plus, A_minus, gamma, roots, terms):
+    """The Jacobian in (a, w_1..w_m) by scalar zeta_bar calls, from the terms of the same point."""
+    m = len(roots)
+    jac = np.zeros((m, m + 1), dtype=complex)
+    for i, (t1, t2) in enumerate(terms):
+        jac[i, 0] = -gamma * t1 + gamma * t2
+        for l in range(m):
+            if l == i:
+                d1 = spaces.elliptic_poly_logderiv(ev, A_plus, roots[i])
+                d2 = spaces.elliptic_poly_logderiv(ev, A_minus, roots[i])
+                for j in range(m):
+                    if j != i:
+                        d1 += ev.zeta_bar(roots[i] - roots[j] - gamma)
+                        d2 += ev.zeta_bar(roots[i] - roots[j] + gamma)
+                # the j = i factor theta(-gamma)/theta(gamma) is constant in roots[i]
+                jac[i, 1 + l] = t1 * d1 + t2 * d2
+            else:
+                jac[i, 1 + l] = -t1 * ev.zeta_bar(roots[i] - roots[l] - gamma) - t2 * ev.zeta_bar(
+                    roots[i] - roots[l] + gamma
+                )
+    return jac
+
+
+def bethe_data(lat, a_plus=0.0, a_minus=0.0):
+    eta = 0.171 + 0.043j
+    zs = [0.23 + 0.31j, 0.67 + 0.52j, 0.12 + 0.8j, 0.5 + 0.1j]
+    A_plus = EllipticPoly.make(lat, a_plus, [-z - eta for z in zs])
+    A_minus = EllipticPoly.make(lat, a_minus, [-z + eta for z in zs[:3]])
+    return A_plus, A_minus, 2.0 * eta
+
+
+def test_bethe_system_matches_scalar_reference(ev, rng):
+    """Residual, scale and Jacobian of the batched system against the scalar loops.
+
+    A_minus has one zero fewer than A_plus, and both carry an exponent, so the
+    site products and the logarithmic derivatives are split per polynomial.
+    """
+    lat = ev.lattice
+    A_plus, A_minus, gamma = bethe_data(lat, 0.3 - 0.2j, -0.1 + 0.4j)
+    for m in (1, 2, 3):
+        system = spaces._bethe_system(ev, A_plus, A_minus, gamma, m)
+        for _ in range(4):
+            a = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
+            roots = np.array([sample_point(rng, lat, spread=1.5) for _ in range(m)])
+            terms = reference_bethe_terms(ev, A_plus, A_minus, gamma, a, roots)
+            want_scale = max(max(abs(t1), abs(t2)) for t1, t2 in terms)
+            res, scale, jacobian = system(np.concatenate(([a], roots)))
+            assert_allclose(res, [t1 + t2 for t1, t2 in terms], rtol=1e-12, atol=1e-12 * want_scale)
+            assert_allclose(scale, want_scale, rtol=1e-12)
+            want = reference_bethe_jacobian(ev, A_plus, A_minus, gamma, roots, terms)
+            assert_allclose(jacobian(), want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+
+
+def test_bethe_jacobian_pole_guard(ev, rng):
+    """A root within rho/2 of a zero of A_plus: the residual evaluates, the Jacobian refuses."""
+    lat = ev.lattice
+    A_plus, A_minus, gamma = bethe_data(lat)
+    system = spaces._bethe_system(ev, A_plus, A_minus, gamma, 2)
+    near = A_plus.zeros[1] + 2.0 + lat.tau + 0.5 * ev.rho * cmath.exp(0.7j)
+    x = np.array([0.1 - 0.2j, near, sample_point(rng, lat)])
+    res, scale, jacobian = system(x)
+    assert np.all(np.isfinite(res)) and scale > 0
+    with pytest.raises(PoleProximityError):
+        jacobian()
+    # the same point in the scalar reference raises in zeta_bar
+    terms = reference_bethe_terms(ev, A_plus, A_minus, gamma, x[0], x[1:])
+    with pytest.raises(PoleProximityError):
+        reference_bethe_jacobian(ev, A_plus, A_minus, gamma, x[1:], terms)

@@ -524,3 +524,125 @@ def test_term_tables_grow_consistently_under_threads(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert got == [want] * len(got)
+
+
+# -- the array kernel against the scalar one --------------------------------
+
+
+def test_theta_array_matches_theta_taylor(ev):
+    """Every row within a tolerance of theta_taylor, on 10,000+ (point, degree) pairs.
+
+    The error is taken relative to the max-norm of the scalar jet of degree
+    max(degree, 1): next to a zero theta itself vanishes, and the cancellation
+    in its series is on the scale of theta'.
+    """
+    tau = ev.lattice.tau
+    rng = np.random.default_rng(22)
+    lattice_points = [m + n * tau for m in range(-3, 4) for n in range(-3, 4)]
+    near = [p + 1e-8 * cmath.exp(2j * PI * rng.uniform()) for p in lattice_points for _ in range(3)]
+    far = list(rng.uniform(-10.0, 10.0, 2500) + 1j * rng.uniform(-10.0, 10.0, 2500))
+    zs = np.array(far + lattice_points + near)
+    for degree in range(4):
+        got = ev.theta_array(zs, degree)
+        assert got.shape == (len(zs), degree + 1)
+        tol = 1e-14 if degree < 3 else 5e-14
+        for z, row in zip(zs, got):
+            want = ev.theta_taylor(z, degree)
+            scale = np.max(np.abs(ev.theta_taylor(z, max(degree, 1))))
+            assert np.max(np.abs(row - want)) <= tol * scale, (z, degree)
+    # the zeros reduce to the origin, where the series is an exact zero
+    assert np.all(ev.theta_array(np.array([0.0, 1.0, tau, -2.0 * tau]), 0) == 0.0)
+
+
+def test_theta_array_matches_mpmath(ev, rng):
+    tau = ev.lattice.tau
+    zs = np.array([sample_point(rng, ev.lattice, spread=2.0) for _ in range(16)])
+    got = ev.theta_array(zs, 3)
+    for z, row in zip(zs, got):
+        for d in range(4):
+            expect = mp_theta(tau, z, d) / math.factorial(d)
+            assert abs(row[d] - expect) <= 1e-10 * max(1.0, abs(expect))
+
+
+def test_theta_array_errors_are_typed(ev):
+    tau = ev.lattice.tau
+    good = [0.3 + 0.2j, -1.7 + 4.0j]
+    for bad in (complex(math.nan, 0.2), complex(0.3, math.inf), complex(-math.inf, 0.0)):
+        with pytest.raises(NonFiniteArgumentError):
+            ev.theta_array(np.array(good + [bad]), 1)
+    for far in (0.2 + 16 * tau, 0.7 - 40 * tau, complex(1e300, 1e300)):
+        with pytest.raises(ThetaOverflowError):
+            ev.theta_array(np.array([far] + good), 0)
+        with pytest.raises(ThetaOverflowError):
+            ev.theta_taylor(far, 0)
+    with pytest.raises(ThetaOverflowError, match="degree"):
+        ev.theta_array(np.array(good), 118)
+    with pytest.raises(ValueError):
+        ev.theta_array(np.array(good), -1)
+    flat = ThetaEvaluator(Lattice(0.3 + 0.002j))
+    for kernel in (lambda z: flat.theta_taylor(z, 1), lambda z: flat.theta_array(np.array([z]), 1)):
+        with pytest.raises(TruncationError) as err:
+            kernel(0.37 + 0.0006j)
+        assert err.value.tail_bound > 0
+    # at the top of the admitted range the array kernel works across the cell
+    steep = ThetaEvaluator(Lattice(0.3 + 187.0j))
+    zs = np.array([0.3, 0.3 + 93.5j, 0.3 + 186.999j, 0.8 - 0.3j])
+    for degree, tol in ((0, 1e-14), (1, 1e-14), (3, 5e-14), (117, 1e-10)):
+        # at degree 117 the jet of the multiplier, exp(-2 pi i s d), sums terms up to
+        # e^(2 pi) times larger than the coefficients it produces, in both kernels
+        got = steep.theta_array(zs, degree)
+        assert np.all(np.isfinite(got))
+        for z, row in zip(zs, got):
+            want = steep.theta_taylor(z, degree)
+            assert np.max(np.abs(row - want)) <= tol * np.max(np.abs(want))
+
+
+def test_theta_array_empty_input(ev):
+    for degree in (0, 3):
+        assert ev.theta_array(np.array([], dtype=complex), degree).shape == (0, degree + 1)
+
+
+# -- lattice distance ---------------------------------------------------------
+
+
+def four_corner_distance(lattice, z):
+    """dist_to_lattice as it was: the corners 0, 1, tau and 1 + tau of the reduced cell."""
+    z0, _, _ = lattice.reduce(z)
+    tau = lattice.tau
+    return min(abs(z0), abs(z0 - 1.0), abs(z0 - tau), abs(z0 - 1.0 - tau))
+
+
+@pytest.mark.parametrize("re_tau", [-0.8, 0.31, 1.3, 5.0])
+@pytest.mark.parametrize("im_tau", [0.1, 1.07])
+def test_dist_to_lattice_is_the_nearest_point(re_tau, im_tau):
+    """Equal to a brute-force minimum over m + n tau, |m|, |n| <= 3, whatever Re tau."""
+    lattice = Lattice(complex(re_tau, im_tau))
+    tau = lattice.tau
+    rng = np.random.default_rng(23)
+    zs = [u + v * tau for u, v in rng.uniform(-0.5, 0.5, size=(400, 2))]
+    zs += [m + n * tau + complex(*rng.normal(0.0, 1e-9, 2))
+           for m in range(-2, 3) for n in range(-2, 3)]
+    for z in zs:
+        brute = min(abs(z - m - n * tau) for m in range(-3, 4) for n in range(-3, 4))
+        assert abs(lattice.dist_to_lattice(z) - brute) <= 1e-12
+
+
+def test_dist_to_lattice_keeps_its_bits_at_the_bundled_tau(lattice):
+    rng = np.random.default_rng(24)
+    tau = lattice.tau
+    zs = [complex(x, y) for x, y in rng.uniform(-5.0, 5.0, size=(4000, 2))]
+    zs += [m + n * tau + complex(*rng.normal(0.0, 1e-7, 2)) for m in range(-3, 4) for n in range(-3, 4)]
+    for z in zs:
+        assert lattice.dist_to_lattice(z).hex() == four_corner_distance(lattice, z).hex()
+
+
+def test_pole_guard_far_from_the_real_cell():
+    """At tau = 5 + 0.1i the point -1e-9 i sits next to the lattice point 0 = (tau - 5) - tau."""
+    ev = ThetaEvaluator(Lattice(5.0 + 0.1j))
+    z = -1e-9j
+    assert ev.lattice.dist_to_lattice(z) <= 1.1e-9
+    assert four_corner_distance(ev.lattice, z) > 0.09
+    with pytest.raises(PoleProximityError):
+        ev.zeta_bar(z)
+    with pytest.raises(PoleProximityError):
+        ev.wp_bar(z)
