@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import os
@@ -94,14 +95,18 @@ def build_params(cfg: dict) -> ModelParams:
         raise ConfigError(str(exc))
 
 
-def _json_default(obj):
-    """Encode what json cannot: complex as [re, im], numpy arrays and scalars."""
+def _plain(obj):
+    """obj in JSON types: complex as [re, im], numpy arrays as lists, numpy scalars as numbers."""
+    if isinstance(obj, dict):
+        return {key: _plain(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(value) for value in obj]
     if isinstance(obj, (complex, np.complexfloating)):
         c = complex(obj)
         return [c.real, c.imag]
     if isinstance(obj, (np.ndarray, np.generic)):
-        return obj.tolist()
-    raise TypeError("%s is not JSON serializable" % type(obj).__name__)
+        return _plain(obj.tolist())
+    return obj
 
 
 def _is_int(value) -> bool:
@@ -529,6 +534,7 @@ _DISPATCH = {
     "irf bethe": _task_irf_bethe,
 }
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="model config JSON")
@@ -592,7 +598,7 @@ def main(argv=None) -> int:
         report["csv_files"] = body["csv_files"]
     report["timing"] = {"seconds": elapsed}
 
-    text = json.dumps(report, indent=2, sort_keys=True, default=_json_default)
+    text = json.dumps(_plain(report), indent=2, sort_keys=True)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

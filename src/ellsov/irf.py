@@ -234,18 +234,23 @@ def build_T_irf_sov(params: ModelParams, zeta: complex) -> np.ndarray:
     coefficient with an exact zero factor (certified before it is
     dropped).  Entries are entire in zeta.  Row r's term at site i is
     theta(lam - zdisp + x_i)/theta(lam) * prod_{j != i} theta(zdisp - x_j)/
-    theta(x_i - x_j) * flip, in this order.  The quotients are Python
-    scalars and the product runs on real and imaginary arrays with the
-    scalar complex-product formula, so each entry equals the scalar
-    product bit for bit.
+    theta(x_i - x_j) * flip, in this order.  The zeta-dependent thetas come
+    from one theta_array call, the rest from the per-model cache.  The
+    quotients are Python scalars and the product runs on real and
+    imaginary arrays with the scalar complex-product formula, so each
+    entry equals the scalar product of the same factors bit for bit.
     """
     params.validate_for_irf()
     model = _grid_model(params)
     ev = params.evaluator()
     eta, n, zdisp = params.eta, params.n, -complex(zeta)
-    # theta(zdisp - x_j) takes 2n distinct values across the whole grid
-    spect = [ev.theta(zdisp + zj - s * eta) for zj in params.zs for s in (-1, 1)]
-    values = [0j if h is None else ev.theta(h[0] - zdisp + h[1]) / h[2] for h in model.heads]
+    # theta(zdisp - x_j) takes 2n distinct values across the whole grid; they and
+    # the live prefactor thetas come from one array-kernel call
+    args = [zdisp + zj - s * eta for zj in params.zs for s in (-1, 1)]
+    args += [h[0] - zdisp + h[1] for h in model.heads if h is not None]
+    thetas = ev.theta_array(np.array(args), 0)[:, 0].tolist()
+    spect, heads = thetas[: 2 * n], iter(thetas[2 * n :])
+    values = [0j if h is None else next(heads) / h[2] for h in model.heads]
     values += [spect[k] / c for k, c in model.cross]
     w = np.array(values + [f for pair in model.flip for f in pair])[model.factors]
     re, im = w[0].real, w[0].imag
@@ -468,7 +473,9 @@ def certify_spectrum(
     clusters are fitted on one cardinal basis: each evaluation point
     costs one vector of theta values, shared by all certificates (and by
     later calls of their eps).  Each sample matrix is applied once to
-    the side-by-side cluster bases.
+    the side-by-side cluster bases and its image dropped once the ratios
+    are read; validation, the quadratic relations and the reconstructions
+    run for all clusters at once.
     """
     params.validate_for_irf()
     rng = np.random.default_rng(20250811) if rng is None else rng
@@ -482,6 +489,7 @@ def certify_spectrum(
 
     t0 = build_T_irf_sov(params, z0)
     mu, vecs = np.linalg.eig(t0)
+    del t0
     val_pts = [sample_spectral(params, rng) for _ in range(_VALIDATION_POINTS)]
 
     # z-independent data of the quadratic relations (the flip coefficients) and the grid signs
@@ -489,75 +497,92 @@ def certify_spectrum(
 
     groups = _clusters(mu, _GAP_TOL)
     mu_scale = max(float(np.max(np.abs(mu))), 1.0)
-    # orthonormal cluster bases side by side, and every sample matrix applied once
-    # as soon as it is built, its images stacked per kind
-    bases = [np.linalg.qr(vecs[:, group])[0] for group in groups]
-    ends = np.cumsum([b.shape[1] for b in bases])
+    # orthonormal cluster bases side by side: a unit column for a simple eigenvalue
+    bases = [
+        vecs[:, g] / np.linalg.norm(vecs[:, g]) if len(g) == 1 else np.linalg.qr(vecs[:, g])[0]
+        for g in groups
+    ]
+    dims = np.array([len(g) for g in groups])
+    starts = np.cumsum(dims) - dims
     stacked = np.concatenate(bases, axis=1)
-    node_images = np.stack([build_T_irf_sov(params, zs) @ stacked for zs in basis.nodes])
-    val_images = np.stack([build_T_irf_sov(params, zv) @ stacked for zv in val_pts])
+    del vecs
+    unit = dims == 1
+    units = stacked[:, starts[unit]].conj()
+    blocks = np.flatnonzero(~unit)
+    # ratios[k, p]: cluster k's eigenvalue of the p-th sample matrix, nodes first;
+    # a simple eigenvalue's ratio is v* T v, a cluster's the mean of its block's trace
+    points = list(basis.nodes) + val_pts
+    ratios = np.empty((len(groups), len(points)), dtype=complex)
+    cluster_dev = np.zeros(len(groups))
+    for p, zp in enumerate(points):
+        image = build_T_irf_sov(params, zp) @ stacked
+        ratios[unit, p] = np.einsum("rk,rk->k", units, image[:, starts[unit]])
+        for k in blocks:
+            cols = slice(starts[k], starts[k] + dims[k])
+            block = bases[k].conj().T @ image[:, cols]
+            ratios[k, p] = complex(np.trace(block)) / dims[k]
+            dev = float(np.max(np.abs(block - ratios[k, p] * np.eye(dims[k]))))
+            cluster_dev[k] = max(cluster_dev[k], dev)
+        del image
+    scale = np.maximum(np.max(np.abs(ratios), axis=1), 1e-300)
+
+    # every eigenvalue function at the validation points and at z_i -/+ eta, as one
+    # product with the shared basis's cardinal vectors
+    zs = params.zs
+    evals = val_pts + [zi - params.eta for zi in zs] + [zi + params.eta for zi in zs]
+    cards = np.stack([basis.cardinal_vector(z) for z in evals], axis=1)
+    fitted = ratios[:, :n] @ cards
+    member_dev = np.max(np.abs(ratios[:, n:] - fitted[:, : len(val_pts)]), axis=1)
+    em, ep = fitted[:, len(val_pts) : -n], fitted[:, -n:]
+    lhs = em * ep
+    rhs = np.array([f[1] * f[0] for f in model.flip])
+    quad = np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
+    q_plus = [f[1] for f in model.flip]
+
+    # u(sigma) = prod_i (q_minus_i if sigma_i < 0 else q_plus_i), one site at a time
+    # with the scalar complex-product formula, so it equals math.prod of the pairs;
     # the grid sign 2m - 1 is negative where m_i = 0
     negative = model.bits == 0
+    re, im = np.ones((len(groups), len(negative))), np.zeros((len(groups), len(negative)))
+    for i in range(n):
+        f = np.where(negative[:, i], em[:, i, None], q_plus[i])
+        re, im = re * f.real - im * f.imag, re * f.imag + im * f.real
+    recon = np.empty(re.shape, dtype=complex)
+    recon.real, recon.imag = re, im
+    del re, im, f
+    norms = np.linalg.norm(recon, axis=1)
+    found = norms > 0.0
+    normed = recon / np.where(found, norms, 1.0)[:, None]
+    overlap = np.zeros(len(groups))
+    overlap[unit] = np.abs(np.einsum("rk,kr->k", units, normed[unit]))
+    for k in blocks:
+        overlap[k] = np.linalg.norm(bases[k].conj().T @ normed[k])
+    angles = np.where(found, np.arccos(np.minimum(1.0, overlap)), np.pi / 2)
+
+    # distance from each cluster to the rest of the spectrum
+    label = np.empty(len(mu), dtype=int)
+    for k, group in enumerate(groups):
+        label[group] = k
+    dist = np.abs(mu[:, None] - mu[None, :])
+    dist[label[:, None] == label[None, :]] = np.inf
+    nearest = dist.min(axis=1)
+    del dist
 
     certs = []
-    for group, basis_g, end in zip(groups, bases, ends):
-        cols = slice(end - basis_g.shape[1], end)
-        outside = np.ones(len(mu), dtype=bool)
-        outside[group] = False
-        if outside.any():
-            gap = float(np.min(np.abs(mu[group][:, None] - mu[outside][None, :])))
-        else:
-            gap = float("inf")
-        dim = basis_g.shape[1]
-        degenerate = bool(dim > 1 or gap < _GAP_TOL * mu_scale)
-
-        def sample_ratios(images):
-            # tr(V* T V)/dim per sample matrix, and each block's deviation from a scalar
-            blocks = basis_g.conj().T @ images[:, :, cols]
-            vals = [complex(tr) / dim for tr in np.trace(blocks, axis1=1, axis2=2)]
-            devs = np.abs(blocks - np.array(vals)[:, None, None] * np.eye(dim)).max(axis=(1, 2))
-            return vals, devs.tolist()
-
-        vals, node_devs = sample_ratios(node_images)
-        eps = basis.fit(vals)
-        checks, val_devs = sample_ratios(val_images)
-        cluster_dev = max(0.0, *node_devs, *val_devs)
-        member_dev = max(0.0, *(abs(val - eps(zv)) for zv, val in zip(val_pts, checks)))
-        scale = max(max(abs(v) for v in vals), 1e-300, *(abs(v) for v in checks))
-
-        quad = []
-        qpairs = []
-        for i in range(n):
-            em = eps(params.zs[i] - params.eta)
-            ep = eps(params.zs[i] + params.eta)
-            lhs = em * ep
-            rhs = model.flip[i][1] * model.flip[i][0]
-            quad.append(abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
-            qpairs.append((em, model.flip[i][1]))
-
-        # u(sigma) = prod_i (q_minus_i if sigma_i < 0 else q_plus_i)
-        q_minus = np.array([p[0] for p in qpairs])
-        q_plus = np.array([p[1] for p in qpairs])
-        u = np.where(negative, q_minus, q_plus).prod(axis=1)
-        un = np.linalg.norm(u)
-        if un == 0.0:
-            angle = float(np.pi / 2)
-        else:
-            overlap = np.linalg.norm(basis_g.conj().T @ (u / un))
-            angle = float(np.arccos(min(1.0, overlap)))
-
+    for k, group in enumerate(groups):
+        gap = float(np.min(nearest[group]))
         certs.append(
             SpectralCertificate(
                 eigenvalue=complex(np.mean(mu[group])),
-                vectors=basis_g,
-                eps=eps,
-                membership_residual=member_dev / scale,
-                cluster_residual=cluster_dev / scale,
-                quadratic_residuals=tuple(quad),
-                q_pairs=tuple(qpairs),
-                reconstruction=u,
-                angle=angle,
-                degenerate=degenerate,
+                vectors=bases[k],
+                eps=basis.fit(ratios[k, :n]),
+                membership_residual=float(member_dev[k] / scale[k]),
+                cluster_residual=float(cluster_dev[k] / scale[k]),
+                quadratic_residuals=tuple(quad[k].tolist()),
+                q_pairs=tuple(zip(em[k].tolist(), q_plus)),
+                reconstruction=recon[k],
+                angle=float(angles[k]),
+                degenerate=bool(dims[k] > 1 or gap < _GAP_TOL * mu_scale),
                 gap=gap,
                 tol=tol,
             )

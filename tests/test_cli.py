@@ -46,6 +46,16 @@ def reference_jsonable(obj):
     return obj
 
 
+def reference_json_default(obj):
+    """The former encoder hook that json.dumps called per value; cli._plain replaces it."""
+    if isinstance(obj, (complex, np.complexfloating)):
+        c = complex(obj)
+        return [c.real, c.imag]
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError("%s is not JSON serializable" % type(obj).__name__)
+
+
 def test_json_default_matches_reference():
     obj = {
         "complex": 0.1 + 2.5e-17j,
@@ -59,9 +69,57 @@ def test_json_default_matches_reference():
         "nested": {"b": [np.bool_(False)], "a": None},
     }
     expect = json.dumps(reference_jsonable(obj), indent=2, sort_keys=True)
-    assert json.dumps(obj, indent=2, sort_keys=True, default=cli._json_default) == expect
+    assert json.dumps(obj, indent=2, sort_keys=True, default=reference_json_default) == expect
+    assert json.dumps(cli._plain(obj), indent=2, sort_keys=True) == expect
     with pytest.raises(TypeError):
-        json.dumps({"x": object()}, default=cli._json_default)
+        json.dumps(cli._plain({"x": object()}))
+
+
+def test_report_bytes_match_encoder_hook(tmp_path, monkeypatch):
+    """Every task on every bundled config that carries its group: the report
+    file holds the bytes the former per-value hook wrote for the same report."""
+    reports = []
+    plain = cli._plain
+
+    def capture(obj):
+        reports.append(obj)
+        return plain(obj)
+
+    monkeypatch.setattr(cli, "_plain", capture)
+    written = 0
+    for task in cli._DISPATCH:
+        group = task.split()[0]
+        for config in sorted(CONFIGS.glob("*.json")):
+            if group not in json.loads(config.read_text()):
+                continue
+            out = tmp_path / ("%s-%s.json" % (task.replace(" ", "-"), config.stem))
+            extra = ["--emit-csv", str(tmp_path / "csv")] if task == "irf spectrum" else []
+            reports.clear()
+            code = cli.main(task.split() + ["--config", str(config), "--out", str(out)] + extra)
+            if code == 2:
+                assert not out.exists()
+                continue
+            expect = json.dumps(reports[0], indent=2, sort_keys=True, default=reference_json_default)
+            assert out.read_text() == expect + "\n"
+            written += 1
+    assert written == 16
+
+
+def test_parser_built_once(tmp_path):
+    cli._build_parser.cache_clear()
+    argv = ["irf", "spectrum", "--config", str(CONFIGS / "irf_n3.json")]
+    _, first = run_to_file(tmp_path, argv, "first.json")
+    _, second = run_to_file(tmp_path, argv, "second.json")
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    first.pop("timing"), second.pop("timing")
+    assert first == second
+    # a parse error on the shared parser leaves it usable
+    with pytest.raises(SystemExit):
+        cli.main(["irf", "nonsense", "--config", str(CONFIGS / "irf_n3.json")])
+    _, third = run_to_file(tmp_path, argv, "third.json")
+    third.pop("timing")
+    assert third == first and cli._build_parser.cache_info().misses == 1
 
 
 def test_report_shape(tmp_path):

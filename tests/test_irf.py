@@ -162,8 +162,10 @@ def test_paths_theta_count(lattice, monkeypatch):
     assert calls[0] <= 270
 
 
-def reference_sov(params, zeta):
-    """The grid transfer matrix as the former loop over rows and site pairs, as an oracle."""
+def reference_sov(params, zeta, nudge=None):
+    """The grid transfer matrix as the former loop over rows and site pairs, on
+    the scalar kernel, as an oracle; nudge = (j, s, factor) scales one spectral
+    theta(zdisp + z_j - s eta)."""
     n, ev, eta, zs = params.n, params.evaluator(), params.eta, params.zs
     zdisp = -complex(zeta)
     flip_coeff = {}
@@ -174,6 +176,8 @@ def reference_sov(params, zeta):
                 on_branch *= ev.theta(zk - zs[i] + 2 * s * eta)
             flip_coeff[(i, s)] = on_branch
     spect = {(j, s): ev.theta(zdisp + zs[j] - s * eta) for j in range(n) for s in (-1, 1)}
+    if nudge is not None:
+        spect[nudge[:2]] *= nudge[2]
     cross = {
         (i, si, j, sj): ev.theta(-zs[i] + zs[j] + (si - sj) * eta)
         for i in range(n) for j in range(n) if i != j for si in (-1, 1) for sj in (-1, 1)
@@ -197,14 +201,28 @@ def reference_sov(params, zeta):
     return t
 
 
+def relative_entry_gap(t, ref):
+    """Largest entrywise relative difference; the zero patterns must agree exactly."""
+    assert np.array_equal(t == 0, ref == 0)
+    live = ref != 0
+    return float(np.max(np.abs(t[live] - ref[live]) / np.abs(ref[live])))
+
+
 def test_sov_match_reference_loop(lattice):
-    # the index-form build reproduces the row loop bit for bit
+    # the index-form build on the array kernel has the row loop's zeros
+    # exactly and its other entries to rounding
     rng2 = np.random.default_rng(19)
     for zs in (Z1, Z3, Z5, Z9[:7], Z9):
         params = make_params(lattice, zs)
         for _ in range(2):
             zeta = spectral_point(params, rng2)
-            assert np.array_equal(build_T_irf_sov(params, zeta), reference_sov(params, zeta))
+            t = build_T_irf_sov(params, zeta)
+            assert relative_entry_gap(t, reference_sov(params, zeta)) <= 1e-13
+    # negative control: one spectral theta off by 1e-10 breaks the bound
+    params = make_params(lattice, Z5)
+    zeta = spectral_point(params, rng2)
+    nudged = reference_sov(params, zeta, nudge=(2, 1, 1.0 + 1e-10))
+    assert relative_entry_gap(build_T_irf_sov(params, zeta), nudged) > 1e-13
 
 
 def test_sov_cold_build_equals_warm(lattice):
@@ -224,27 +242,43 @@ def test_sov_cache_key_includes_eta(lattice):
     first = make_params(lattice, Z3)
     second = ModelParams(lattice=lattice, eta=ETA + 0.01, zs=Z3, lams=(1, 1, 1))
     zeta = 0.41 + 0.37j
+    irf._grid_model.cache_clear()
     a, b = build_T_irf_sov(first, zeta), build_T_irf_sov(second, zeta)
     assert not np.allclose(a, b)
-    assert np.array_equal(b, reference_sov(second, zeta))
+    # second's build must not have read first's entry: it equals its own cold build
+    assert irf._grid_model.cache_info().misses == 2
+    irf._grid_model.cache_clear()
+    assert np.array_equal(b, build_T_irf_sov(second, zeta))
+    assert relative_entry_gap(b, reference_sov(second, zeta)) <= 1e-13
+
+
+def count_theta_calls(monkeypatch):
+    """Wrap both theta kernels; returns {name: [calls, points]}, updated live."""
+    counts = {}
+    for name in ("theta_taylor", "theta_array"):
+        original = getattr(ThetaEvaluator, name)
+        counts[name] = [0, 0]
+
+        def counting(self, z, degree, _original=original, _count=counts[name]):
+            _count[0] += 1
+            _count[1] += np.size(z)
+            return _original(self, z, degree)
+
+        monkeypatch.setattr(ThetaEvaluator, name, counting)
+    return counts
 
 
 def test_sov_repeat_build_theta_count(lattice, monkeypatch):
     """Five sites: once the model's data is cached, a build evaluates only
-    the 2n spectral and 2n^2 prefactor thetas, 60 in all (146 when every
-    build recomputed the cross thetas and theta(lambda))."""
+    the 2n spectral and 2n^2 prefactor thetas, 60 in all, in one array call
+    (60 scalar calls before, 146 when every build recomputed the cross
+    thetas and theta(lambda))."""
     params = make_params(lattice, Z5)
     build_T_irf_sov(params, 0.41 + 0.37j)
-    calls = [0]
-    original = ThetaEvaluator.theta_taylor
-
-    def counting(self, z, degree):
-        calls[0] += 1
-        return original(self, z, degree)
-
-    monkeypatch.setattr(ThetaEvaluator, "theta_taylor", counting)
+    counts = count_theta_calls(monkeypatch)
     build_T_irf_sov(params, 0.29 - 0.13j)
-    assert calls[0] <= 60
+    assert counts["theta_taylor"][0] == 0
+    assert counts["theta_array"] == [1, 60]
 
 
 def test_sov_one_site_closed_form(lattice, rng):
@@ -449,39 +483,35 @@ def test_certify_spectrum(lattice, rng):
 
 def test_certify_spectrum_theta_count(lattice, monkeypatch):
     """Five sites: every certificate shares one cardinal basis, so theta calls
-    stay far below the 22,390 that per-certificate interpolation made; the
-    flip coefficients, cross thetas and theta(lambda) are computed once per
-    model, and each of the 9 grid matrices evaluates only its 60
-    zeta-dependent thetas (1,540 when each matrix recomputed the cross
-    thetas and theta(lambda))."""
+    stay far below the 22,390 that per-certificate interpolation made.  The
+    model's flip coefficients, cross thetas and theta(lambda) (161), the
+    basis (21) and the cardinal vectors at 3 validation points and the 10
+    points z_i -/+ eta (130) take 312 scalar calls; each of the 9 grid
+    matrices takes its 60 zeta-dependent thetas in one array call.  Before
+    the array calls: 852 scalar calls, and 1,540 when each matrix
+    recomputed the cross thetas and theta(lambda)."""
     params = make_params(lattice, Z5)
-    calls = [0]
-    original = ThetaEvaluator.theta_taylor
-
-    def counting(self, z, degree):
-        calls[0] += 1
-        return original(self, z, degree)
-
-    monkeypatch.setattr(ThetaEvaluator, "theta_taylor", counting)
+    counts = count_theta_calls(monkeypatch)
     irf._grid_model.cache_clear()
     certs = certify_spectrum(params, 0.41 + 0.37j, rng=np.random.default_rng(7))
     assert len(certs) == 32 and all(c.passed for c in certs)
-    assert calls[0] <= 852
+    assert counts["theta_taylor"][0] == 312
+    assert counts["theta_array"] == [9, 540]
 
 
-def test_certify_ratios_match_reference_loop(lattice):
-    """Each cluster reads its sample ratios from one batched product; the
-    former loop over sample matrices gives the same residuals bit for bit."""
-    params = make_params(lattice, Z5)
-    certs = certify_spectrum(params, 0.41 + 0.37j, rng=np.random.default_rng(7))
+def reference_certificates(params, certs, seed):
+    """The former per-cluster loop over sample matrices: per certificate its
+    node ratios, cluster deviation, validation deviation, scale and angle."""
     # replay certify_spectrum's draws: the basis nodes, then the validation points
-    rng2 = np.random.default_rng(7)
+    rng2 = np.random.default_rng(seed)
     chi0 = eigenvalue_character(params)
     basis = spaces.make_basis(params.evaluator(), params.n, chi0, rng2, margin=5e-2)
     val_pts = [irf.sample_spectral(params, rng2) for _ in range(3)]
     stacked = np.concatenate([c.vectors for c in certs], axis=1)
     node_images = [build_T_irf_sov(params, z) @ stacked for z in basis.nodes]
     val_images = [build_T_irf_sov(params, z) @ stacked for z in val_pts]
+    signs = [[2 * m - 1 for m in point] for point in S0Grid(params).points]
+    out = []
     end = 0
     for c in certs:
         dim = c.vectors.shape[1]
@@ -499,14 +529,63 @@ def test_certify_ratios_match_reference_loop(lattice):
             vals.append(val)
             cluster_dev = max(cluster_dev, dev)
         scale = max(max(abs(v) for v in vals), 1e-300)
+        eps = basis.fit(vals)
         member_dev = 0.0
         for zv, image in zip(val_pts, val_images):
             val, dev = sample_ratio(image)
             cluster_dev = max(cluster_dev, dev)
-            member_dev = max(member_dev, abs(val - c.eps(zv)))
+            member_dev = max(member_dev, abs(val - eps(zv)))
             scale = max(scale, abs(val))
-        assert c.cluster_residual == cluster_dev / scale
-        assert c.membership_residual == member_dev / scale
+        qm = [eps(zi - ETA) for zi in params.zs]
+        qp = [pair[1] for pair in c.q_pairs]
+        u = np.array([math.prod(qm[i] if s < 0 else qp[i] for i, s in enumerate(sig)) for sig in signs])
+        overlap = np.linalg.norm(c.vectors.conj().T @ (u / np.linalg.norm(u)))
+        out.append((vals, cluster_dev / scale, member_dev / scale, math.acos(min(1.0, overlap))))
+    return out
+
+
+def test_certify_ratios_match_reference_loop(lattice):
+    """The batched pass reads each simple eigenvalue's ratios as v* T v from
+    one column-wise product per sample matrix; the former loop over sample
+    matrices and clusters gives the same node values to rounding, and a
+    simple eigenvalue's cluster residual stays an exact zero."""
+    params = make_params(lattice, Z5)
+    certs = certify_spectrum(params, 0.41 + 0.37j, rng=np.random.default_rng(7))
+    assert all(c.vectors.shape[1] == 1 for c in certs)
+    for c, (vals, cluster_res, member_res, angle) in zip(
+        certs, reference_certificates(params, certs, 7)
+    ):
+        assert_allclose(c.eps.values, vals, rtol=1e-12)
+        assert c.cluster_residual == 0.0 == cluster_res
+        assert abs(c.membership_residual - member_res) <= 1e-13
+        assert abs(c.angle - angle) <= 1e-7
+
+
+def test_certify_block_path_matches_reference_loop(lattice, monkeypatch):
+    """No seeded model has reached a cluster of two eigenvalues, so two are
+    merged by hand: the block path's ratios, cluster deviation and subspace
+    angle match the former loop, and the merged certificate fails."""
+    original = irf._clusters
+
+    def merged(mu, gap_tol):
+        groups = original(mu, gap_tol)
+        return [groups[0] + groups[1]] + groups[2:]
+
+    monkeypatch.setattr(irf, "_clusters", merged)
+    params = make_params(lattice, Z5)
+    certs = certify_spectrum(params, 0.41 + 0.37j, rng=np.random.default_rng(7))
+    assert len(certs) == 31 and certs[0].vectors.shape[1] == 2
+    assert certs[0].degenerate and not certs[0].passed
+    assert all(c.passed for c in certs[1:])
+    for c, (vals, cluster_res, member_res, angle) in zip(
+        certs, reference_certificates(params, certs, 7)
+    ):
+        assert_allclose(c.eps.values, vals, rtol=1e-12)
+        assert_allclose(c.cluster_residual, cluster_res, rtol=1e-12)
+        assert abs(c.membership_residual - member_res) <= 1e-13
+        assert abs(c.angle - angle) <= 1e-7
+    # the two eigenvalues differ, so their block is far from a scalar
+    assert certs[0].cluster_residual > 1e-3
 
 
 def test_reconstruction_from_q_pairs(lattice):
