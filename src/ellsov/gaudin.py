@@ -363,23 +363,16 @@ def bethe_eigenvector(
     roots: Sequence[complex],
     lam0: complex,
     degree: int,
-    frozen_lambda: bool = False,
 ) -> np.ndarray:
     """Jet of u(lambda) = e^{c lambda} f(w_1) ... f(w_m) v_0 on the zero-weight space.
 
-    With frozen_lambda=False the lowering fields carry the running
-    lambda through every factor; with True they are all evaluated at
-    lam0.  Both readings are exposed so the eigen-residual can decide.
+    The lowering fields carry the running lambda through every factor.
     """
     ctx = GaudinContext(params)
-    ev = ctx.ev
     vec = np.zeros((degree + 1, ctx.total), dtype=complex)
     vec[0, 0] = 1.0  # index 0 is the top vector of every factor
     for w in roots:
-        if frozen_lambda:  # a degree-0 jet
-            sps = [np.array([ev.sigma(lam0, w - zi)]) for zi in params.zs]
-        else:
-            sps = jets.jet_sigma(ev, lam0, [w - zi for zi in params.zs], degree)
+        sps = jets.jet_sigma(ctx.ev, lam0, [w - zi for zi in params.zs], degree)
         f_jet = sum(sp[:, None, None] * fi for sp, (_, fi, _) in zip(sps, ctx.ops))
         vec = jets.jmul(f_jet, vec, degree)
     vec = jets.jmul(jets.jet_exp(c, lam0, degree), vec, degree)

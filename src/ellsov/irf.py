@@ -31,7 +31,6 @@ from .params import ModelParams, ParameterError
 from .spaces import BetheSolution, Character, EllipticPoly, ThetaInterpolant
 
 __all__ = [
-    "BoltzmannWeights",
     "build_T_irf_paths",
     "build_T_irf_sov",
     "kappa_factor",
@@ -59,57 +58,17 @@ _GAP_TOL = 1e-7
 _ANGLE_TOL = 1e-6
 
 
-def _twice(height) -> int:
-    """Exact integer 2*height; heights live in (1/2) Z."""
-    doubled = 2.0 * float(height)
-    rounded = round(doubled)
-    if abs(doubled - rounded) > 1e-9:
-        raise ValueError("height %r is not a half-integer" % (height,))
-    return int(rounded)
-
-
-# ---------------------------------------------------------------------------
-# local face weights
-
-
-class BoltzmannWeights:
-    """Face weights W(c, b, a, d | z) read off the dynamical R-matrix.
-
-    The four arguments are the heights around a face; the weight vanishes
-    unless all four differences c-d, b-c, b-a, a-d are +-1.  The dynamical
-    parameter of the R-matrix is pinned to -2 eta d, so the weight depends
-    on the corner height d itself and not only on the differences.  The
-    all-ascending weight W(l+1, l+2, l+1, l | z) equals one.
-    """
-
-    def __init__(self, params: ModelParams, z: complex):
-        self.params = params
-        self.z = complex(z)
-        self._cache: dict[int, np.ndarray] = {}
-
-    def _r_for(self, d2: int) -> np.ndarray:
-        if d2 not in self._cache:
-            self._cache[d2] = r_matrix(self.params, self.z, -self.params.eta * d2)
-        return self._cache[d2]
-
-    def value_doubled(self, c2: int, b2: int, a2: int, d2: int) -> complex:
-        """Weight with doubled-height integer arguments."""
-        for diff in (c2 - d2, b2 - c2, b2 - a2, a2 - d2):
-            if diff != 2 and diff != -2:
-                return 0.0j
-        return self._r_for(d2)[self._slots(c2, b2, a2, d2)]
-
-    @staticmethod
-    def _slots(c2, b2, a2, d2):
-        """R-matrix (row, col) of admissible faces, entrywise on arrays; step up is slot 0."""
-        return 2 * (b2 < a2) + (a2 < d2), 2 * (c2 < d2) + (b2 < c2)
-
-    def value(self, c, b, a, d) -> complex:
-        return self.value_doubled(_twice(c), _twice(b), _twice(a), _twice(d))
-
-
 # ---------------------------------------------------------------------------
 # transfer matrix, path construction
+
+
+def _face_slots(c2, b2, a2, d2):
+    """R-matrix (row, col) of the face W(c, b, a, d), entrywise on doubled heights.
+
+    A step up is slot 0.  The dynamical parameter of the R-matrix is pinned
+    to -2 eta d, so the weight depends on the corner height d itself.
+    """
+    return 2 * (b2 < a2) + (a2 < d2), 2 * (c2 < d2) + (b2 < c2)
 
 
 def build_T_irf_paths(params: ModelParams, z: complex) -> np.ndarray:
@@ -137,10 +96,10 @@ def build_T_irf_paths(params: ModelParams, z: complex) -> np.ndarray:
     b, a = heights[rows], heights[cols]
     re, im = np.ones(len(rows)), np.zeros(len(rows))
     for i, zi in enumerate(params.zs):
-        weights = BoltzmannWeights(params, z - zi)
+        # one R-matrix per distinct corner height d of this column
         corners, which = np.unique(b[:, i + 1], return_inverse=True)
-        rmats = np.array([weights._r_for(int(d2)) for d2 in corners])
-        w = rmats[(which,) + BoltzmannWeights._slots(a[:, i + 1], a[:, i], b[:, i], b[:, i + 1])]
+        rmats = np.array([r_matrix(params, complex(z - zi), -params.eta * int(d2)) for d2 in corners])
+        w = rmats[(which,) + _face_slots(a[:, i + 1], a[:, i], b[:, i], b[:, i + 1])]
         re, im = re * w.real - im * w.imag, re * w.imag + im * w.real
     t = np.zeros((dim, dim), dtype=complex)
     t.real[rows, cols] = re
@@ -365,7 +324,8 @@ def reconcile_constructions(params: ModelParams, rng: np.random.Generator) -> Du
     # diagnostics only now that vp and vs are freed, below the eig-phase peak
     conj_inv = np.linalg.inv(conj)
     condition = float(np.linalg.norm(conj, 1) * np.linalg.norm(conj_inv, 1))
-    min_gap = min(float(np.min(np.abs(mu[i + 1 :] - mu[i]))) for i in range(len(mu) - 1)) / scale
+    off_diagonal = ~np.eye(len(mu), dtype=bool)
+    min_gap = float(np.min(np.abs(mu[:, None] - mu[None, :]), where=off_diagonal, initial=np.inf)) / scale
     residual = 0.0
     for _ in range(_RECONCILE_SAMPLES):
         zf = sample_spectral(params, rng)
@@ -423,18 +383,15 @@ class SpectralCertificate:
         return ok
 
 
-def _clusters(mu: np.ndarray, gap_tol: float) -> list[list[int]]:
-    """Connected components of |mu_i - mu_j| < gap_tol * scale.
+def _clusters(mu: np.ndarray, gap_tol: float) -> tuple[list[list[int]], np.ndarray]:
+    """Connected components of |mu_i - mu_j| < gap_tol * scale, and that distance matrix.
 
-    Components are listed by their first member in (real, imag) order,
-    members in that order.  Two eigenvalues closer than the threshold
-    are closer in real part too, so after sorting by real part each
-    eigenvalue is compared only with the successors inside that window.
+    Components are the union over the close pairs, listed by their first
+    member in (real, imag) order, members in that order.
     """
-    thresh = gap_tol * max(float(np.max(np.abs(mu))), 1.0)
-    vals = mu.tolist()
-    order = sorted(range(len(vals)), key=lambda i: (vals[i].real, vals[i].imag))
-    parent = list(range(len(vals)))
+    dist = np.abs(mu[:, None] - mu[None, :])
+    close = np.triu(dist < gap_tol * max(float(np.max(np.abs(mu))), 1.0), 1)
+    parent = list(range(len(mu)))
 
     def find(i):
         while parent[i] != i:
@@ -442,24 +399,20 @@ def _clusters(mu: np.ndarray, gap_tol: float) -> list[list[int]]:
             i = parent[i]
         return i
 
-    for pos, a in enumerate(order):
-        nxt = pos + 1
-        while nxt < len(order) and vals[order[nxt]].real - vals[a].real < thresh:
-            b = order[nxt]
-            if abs(vals[a] - vals[b]) < thresh:
-                parent[find(a)] = find(b)
-            nxt += 1
+    for i, j in zip(*np.nonzero(close)):
+        parent[find(i)] = find(j)
     groups: dict[int, list[int]] = {}
-    for i in order:
+    for i in sorted(range(len(mu)), key=lambda i: (mu[i].real, mu[i].imag)):
         groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
+    return list(groups.values()), dist
 
 
 def certify_spectrum(
     params: ModelParams,
     z0: complex,
     tol: float = 1e-8,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> list[SpectralCertificate]:
     """Diagonalize the grid transfer matrix at z0 and certify every eigenvalue.
 
@@ -478,7 +431,6 @@ def certify_spectrum(
     run for all clusters at once.
     """
     params.validate_for_irf()
-    rng = np.random.default_rng(20250811) if rng is None else rng
     n = params.n
     ev = params.evaluator()
     chi0 = eigenvalue_character(params)
@@ -495,8 +447,15 @@ def certify_spectrum(
     # z-independent data of the quadratic relations (the flip coefficients) and the grid signs
     model = _grid_model(params)
 
-    groups = _clusters(mu, _GAP_TOL)
+    groups, dist = _clusters(mu, _GAP_TOL)
     mu_scale = max(float(np.max(np.abs(mu))), 1.0)
+    # distance from each cluster to the rest of the spectrum
+    label = np.empty(len(mu), dtype=int)
+    for k, group in enumerate(groups):
+        label[group] = k
+    dist[label[:, None] == label[None, :]] = np.inf
+    nearest = dist.min(axis=1)
+    del dist
     # orthonormal cluster bases side by side: a unit column for a simple eigenvalue
     bases = [
         vecs[:, g] / np.linalg.norm(vecs[:, g]) if len(g) == 1 else np.linalg.qr(vecs[:, g])[0]
@@ -524,6 +483,7 @@ def certify_spectrum(
             dev = float(np.max(np.abs(block - ratios[k, p] * np.eye(dims[k]))))
             cluster_dev[k] = max(cluster_dev[k], dev)
         del image
+    del stacked
     scale = np.maximum(np.max(np.abs(ratios), axis=1), 1e-300)
 
     # every eigenvalue function at the validation points and at z_i -/+ eta, as one
@@ -552,21 +512,15 @@ def certify_spectrum(
     del re, im, f
     norms = np.linalg.norm(recon, axis=1)
     found = norms > 0.0
-    normed = recon / np.where(found, norms, 1.0)[:, None]
-    overlap = np.zeros(len(groups))
-    overlap[unit] = np.abs(np.einsum("rk,kr->k", units, normed[unit]))
+    # the sine of the angle is the norm of the part of u/|u| outside the cluster basis
+    # (arccos of the overlap resolves nothing below 1.5e-8)
+    outside = recon / np.where(found, norms, 1.0)[:, None]
+    projection = np.einsum("rk,kr->k", units, outside[unit])[:, None] * units.T.conj()
+    outside[unit] -= projection
+    del projection
     for k in blocks:
-        overlap[k] = np.linalg.norm(bases[k].conj().T @ normed[k])
-    angles = np.where(found, np.arccos(np.minimum(1.0, overlap)), np.pi / 2)
-
-    # distance from each cluster to the rest of the spectrum
-    label = np.empty(len(mu), dtype=int)
-    for k, group in enumerate(groups):
-        label[group] = k
-    dist = np.abs(mu[:, None] - mu[None, :])
-    dist[label[:, None] == label[None, :]] = np.inf
-    nearest = dist.min(axis=1)
-    del dist
+        outside[k] -= bases[k] @ (bases[k].conj().T @ outside[k])
+    angles = np.where(found, np.arcsin(np.minimum(1.0, np.linalg.norm(outside, axis=1))), np.pi / 2)
 
     certs = []
     for k, group in enumerate(groups):

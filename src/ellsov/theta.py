@@ -220,11 +220,7 @@ class ThetaEvaluator:
             if log_next < limit:
                 break
         else:
-            raise TruncationError(
-                "theta series truncation: tolerance %g not reached within %d terms"
-                % (self.trunc_tol, _MAX_TERMS),
-                tail_bound=math.exp(min(log_next, 700.0)),
-            )
+            raise _truncation(self.trunc_tol, log_next)
         if degree == 0:
             return [acc / 1.0]  # 0! as below: a complex division by 1.0 can flip a signed zero
         fact = 1.0
@@ -236,10 +232,7 @@ class ThetaEvaluator:
 
     def theta_taylor(self, z: complex, degree: int) -> np.ndarray:
         """Taylor coefficients theta^(k)(z)/k! for k = 0..degree."""
-        if degree < 0:
-            raise ValueError("degree must be >= 0")
-        if degree > _MAX_DEGREE:
-            raise ThetaOverflowError("degree %d is above the limit %d" % (degree, _MAX_DEGREE))
+        _check_degree(degree)
         z0, r, s = self.lattice.reduce(z)
         inner = self._series_jet(z0, degree)
         tau = self.lattice.tau
@@ -278,10 +271,7 @@ class ThetaEvaluator:
         term 0 on the reduced cell is smaller than exp(-pi Im tau / 4).
         Errors are the ThetaError subclasses theta_taylor raises.
         """
-        if degree < 0:
-            raise ValueError("degree must be >= 0")
-        if degree > _MAX_DEGREE:
-            raise ThetaOverflowError("degree %d is above the limit %d" % (degree, _MAX_DEGREE))
+        _check_degree(degree)
         zs = np.asarray(zs, dtype=complex)
         if zs.ndim != 1:
             raise ValueError("zs must be one-dimensional")
@@ -297,11 +287,7 @@ class ThetaEvaluator:
             if log_next < limit:
                 break
         else:
-            raise TruncationError(
-                "theta series truncation: tolerance %g not reached within %d terms"
-                % (self.trunc_tol, _MAX_TERMS),
-                tail_bound=math.exp(min(log_next, 700.0)),
-            )
+            raise _truncation(self.trunc_tol, log_next)
         rows = table[: j + 1]
         # row c * terms + j of grid is (base_j, +/-ph_j, +/-sign_j) and of weights
         # (+/-ph_j)^k, k = 0..degree, for the exponential exp(base_j +/- ph_j z0)
@@ -395,6 +381,21 @@ class ThetaEvaluator:
         return complex(
             self.dtheta0() * (jet[1] - jet[0] * zl) / (self.theta(z) * self.theta(lam))
         )
+
+
+def _check_degree(degree: int) -> None:
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
+    if degree > _MAX_DEGREE:
+        raise ThetaOverflowError("degree %d is above the limit %d" % (degree, _MAX_DEGREE))
+
+
+def _truncation(trunc_tol: float, log_next: float) -> TruncationError:
+    """The series missed trunc_tol within _MAX_TERMS; log_next bounds the next term."""
+    return TruncationError(
+        "theta series truncation: tolerance %g not reached within %d terms" % (trunc_tol, _MAX_TERMS),
+        tail_bound=math.exp(min(log_next, 700.0)),
+    )
 
 
 def _overflow(z: complex) -> ThetaOverflowError:

@@ -425,12 +425,25 @@ def test_bethe_eigenvector(lattice, rng, zs, lams):
         assert np.max(np.abs(out - q * u[: out.shape[0]])) <= 1e-8 * scale
 
 
+def frozen_eigenvector(params, c, roots, lam0, degree):
+    """bethe_eigenvector with every lowering field evaluated at lam0 (degree-0 sigma jets)."""
+    ctx = GaudinContext(params)
+    vec = np.zeros((degree + 1, ctx.total), dtype=complex)
+    vec[0, 0] = 1.0
+    for w in roots:
+        sps = [np.array([ctx.ev.sigma(lam0, w - zi)]) for zi in params.zs]
+        f_jet = sum(sp[:, None, None] * fi for sp, (_, fi, _) in zip(sps, ctx.ops))
+        vec = jets.jmul(f_jet, vec, degree)
+    vec = jets.jmul(jets.jet_exp(c, lam0, degree), vec, degree)
+    return vec[:, np.asarray(ctx.space.indices)]
+
+
 def test_frozen_lambda_reading_fails(lattice, rng):
     # freezing lambda inside the lowering fields breaks the eigen relation
     params = make_params(lattice, Z2, (1, 1))
     hams = build_hamiltonians(params)
     sol = solve_gaudin_bethe(params, rng)
-    u = bethe_eigenvector(params, sol.c, sol.roots, LAM0, DEGREE, frozen_lambda=True)
+    u = frozen_eigenvector(params, sol.c, sol.roots, LAM0, DEGREE)
     scale = float(np.max(np.abs(u)))
     out = hams[0].apply_jet(LAM0, u)
     ej = rayleigh(out, u)

@@ -10,9 +10,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ellsov import irf, spaces
-from ellsov.eqg import S0Grid
+from ellsov.eqg import S0Grid, r_matrix
 from ellsov.irf import (
-    BoltzmannWeights,
     apply_transfer_continuous,
     build_T_irf_paths,
     build_T_irf_sov,
@@ -54,6 +53,50 @@ def test_s0grid_weight_one(lattice):
             # antiperiodic paths a_{n+1} = -a_1 with steps 1 - 2 m_i
             assert heights[-1] == -heights[0]
             assert [(heights[i] - heights[i + 1]) // 2 for i in range(n)] == [1 - 2 * mi for mi in m]
+
+
+def _twice(height):
+    """Exact integer 2*height; heights live in (1/2) Z."""
+    doubled = 2.0 * float(height)
+    rounded = round(doubled)
+    if abs(doubled - rounded) > 1e-9:
+        raise ValueError("height %r is not a half-integer" % (height,))
+    return int(rounded)
+
+
+# R-matrix slot of a step between doubled heights: up is 0, down is 1
+_STEP_SLOT = {2: 0, -2: 1}
+
+
+class BoltzmannWeights:
+    """Face weights W(c, b, a, d | z) read off the dynamical R-matrix, one face at a time.
+
+    The four arguments are the heights around a face; the weight vanishes
+    unless all four differences c-d, b-c, b-a, a-d are +-1.  The dynamical
+    parameter of the R-matrix is pinned to -2 eta d, so the weight depends
+    on the corner height d itself and not only on the differences.  The
+    all-ascending weight W(l+1, l+2, l+1, l | z) equals one.  The oracle of
+    the index-form build_T_irf_paths.
+    """
+
+    def __init__(self, params, z):
+        self.params = params
+        self.z = complex(z)
+        self._cache = {}
+
+    def value_doubled(self, c2, b2, a2, d2):
+        """Weight with doubled-height integer arguments."""
+        try:
+            row = 2 * _STEP_SLOT[b2 - a2] + _STEP_SLOT[a2 - d2]
+            col = 2 * _STEP_SLOT[c2 - d2] + _STEP_SLOT[b2 - c2]
+        except KeyError:  # a difference other than +-1
+            return 0.0j
+        if d2 not in self._cache:
+            self._cache[d2] = r_matrix(self.params, self.z, -self.params.eta * d2)
+        return self._cache[d2][row, col]
+
+    def value(self, c, b, a, d):
+        return self.value_doubled(_twice(c), _twice(b), _twice(a), _twice(d))
 
 
 def test_boltzmann_weights(lattice, rng):
@@ -443,7 +486,7 @@ def test_certify_spectrum_without_nodes_is_parameter_error(lattice, monkeypatch)
 
     monkeypatch.setattr(spaces, "ThetaSpaceBasis", resonant)
     with pytest.raises(ParameterError):
-        certify_spectrum(make_params(lattice, Z3), 0.37 + 0.29j)
+        certify_spectrum(make_params(lattice, Z3), 0.37 + 0.29j, rng=np.random.default_rng(20250811))
 
 
 def test_certify_spectrum(lattice, rng):
@@ -501,7 +544,8 @@ def test_certify_spectrum_theta_count(lattice, monkeypatch):
 
 def reference_certificates(params, certs, seed):
     """The former per-cluster loop over sample matrices: per certificate its
-    node ratios, cluster deviation, validation deviation, scale and angle."""
+    node ratios, cluster deviation, validation deviation, scale and angle
+    (by its sine, the part of u/|u| outside the cluster basis)."""
     # replay certify_spectrum's draws: the basis nodes, then the validation points
     rng2 = np.random.default_rng(seed)
     chi0 = eigenvalue_character(params)
@@ -539,8 +583,9 @@ def reference_certificates(params, certs, seed):
         qm = [eps(zi - ETA) for zi in params.zs]
         qp = [pair[1] for pair in c.q_pairs]
         u = np.array([math.prod(qm[i] if s < 0 else qp[i] for i, s in enumerate(sig)) for sig in signs])
-        overlap = np.linalg.norm(c.vectors.conj().T @ (u / np.linalg.norm(u)))
-        out.append((vals, cluster_dev / scale, member_dev / scale, math.acos(min(1.0, overlap))))
+        un = u / np.linalg.norm(u)
+        outside = np.linalg.norm(un - c.vectors @ (c.vectors.conj().T @ un))
+        out.append((vals, cluster_dev / scale, member_dev / scale, math.asin(min(1.0, outside))))
     return out
 
 
@@ -558,7 +603,7 @@ def test_certify_ratios_match_reference_loop(lattice):
         assert_allclose(c.eps.values, vals, rtol=1e-12)
         assert c.cluster_residual == 0.0 == cluster_res
         assert abs(c.membership_residual - member_res) <= 1e-13
-        assert abs(c.angle - angle) <= 1e-7
+        assert abs(c.angle - angle) <= 1e-12
 
 
 def test_certify_block_path_matches_reference_loop(lattice, monkeypatch):
@@ -568,8 +613,8 @@ def test_certify_block_path_matches_reference_loop(lattice, monkeypatch):
     original = irf._clusters
 
     def merged(mu, gap_tol):
-        groups = original(mu, gap_tol)
-        return [groups[0] + groups[1]] + groups[2:]
+        groups, dist = original(mu, gap_tol)
+        return [groups[0] + groups[1]] + groups[2:], dist
 
     monkeypatch.setattr(irf, "_clusters", merged)
     params = make_params(lattice, Z5)
@@ -583,7 +628,7 @@ def test_certify_block_path_matches_reference_loop(lattice, monkeypatch):
         assert_allclose(c.eps.values, vals, rtol=1e-12)
         assert_allclose(c.cluster_residual, cluster_res, rtol=1e-12)
         assert abs(c.membership_residual - member_res) <= 1e-13
-        assert abs(c.angle - angle) <= 1e-7
+        assert abs(c.angle - angle) <= 1e-12
     # the two eigenvalues differ, so their block is far from a scalar
     assert certs[0].cluster_residual > 1e-3
 
@@ -639,7 +684,51 @@ def test_clusters_match_pairwise_reference():
             chain = mu[i] + step * np.exp(1j * rng.uniform(0, 2 * np.pi)) * np.arange(1, 4)
             mu = np.concatenate([mu, chain, [complex(mu[i].real, mu[i].imag + 5.0)]])
         mu = mu[rng.permutation(len(mu))]
-        assert irf._clusters(mu, gap_tol) == pairwise_clusters(mu, gap_tol)
+        groups, dist = irf._clusters(mu, gap_tol)
+        assert groups == pairwise_clusters(mu, gap_tol)
+        assert np.array_equal(dist, np.abs(mu[:, None] - mu[None, :]))
+
+
+def test_clusters_long_chain():
+    # 256 eigenvalues, each 0.9 threshold from the next (scale 1): one group
+    gap_tol = 1e-7
+    step = 0.9 * gap_tol * np.exp(0.7j)
+    mu = (0.3 + 0.2j + step * np.arange(256))[np.random.default_rng(9).permutation(256)]
+    groups, _ = irf._clusters(mu, gap_tol)
+    assert len(groups) == 1 and sorted(groups[0]) == list(range(256))
+    assert groups == pairwise_clusters(mu, gap_tol)
+
+
+def test_reconstruction_angle_resolves_small_rotations(lattice, monkeypatch):
+    """Each eigensolver vector turned by 1e-10 reads an angle of 1e-10 to
+    1e-12; arccos of the overlap, cos(1e-10) = 1.0 in double precision,
+    read 0.0.  The turn is orthogonal to v and to every T(z)^H v (T(z) lies
+    in the span of T at n + 1 generic points), so the ratios v* T(z) v move
+    only at second order and the reconstruction stays where it was."""
+    turn = 1e-10
+    params = make_params(lattice, Z5)
+    rng2 = np.random.default_rng(3)
+    family = [build_T_irf_sov(params, spectral_point(params, rng2)) for _ in range(6)]
+    eig = np.linalg.eig
+
+    def rotated(a):
+        mu, vecs = eig(a)
+        vecs = vecs / np.linalg.norm(vecs, axis=0)
+        for k in range(len(mu)):
+            v = vecs[:, k]
+            fixed = np.linalg.qr(np.stack([v] + [t.conj().T @ v for t in family], axis=1))[0]
+            w = rng2.standard_normal(len(v)) + 1j * rng2.standard_normal(len(v))
+            w -= fixed @ (fixed.conj().T @ w)
+            vecs[:, k] = math.cos(turn) * v + math.sin(turn) * w / np.linalg.norm(w)
+        return mu, vecs
+
+    plain = certify_spectrum(params, 0.41 + 0.37j, rng=np.random.default_rng(7))
+    assert max(c.angle for c in plain) <= 1e-13
+    monkeypatch.setattr(np.linalg, "eig", rotated)
+    certs = certify_spectrum(params, 0.41 + 0.37j, rng=np.random.default_rng(7))
+    assert len(certs) == 32 and all(c.passed for c in certs)
+    for c in certs:
+        assert abs(c.angle - turn) <= 1e-12
 
 
 def test_certify_rejects_impostor(lattice, rng):
