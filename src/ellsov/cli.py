@@ -348,11 +348,8 @@ def _task_irf_build(block, params, rng, tol, csv_dir):
         za = irf.sample_spectral(params, rng)
         zb = irf.sample_spectral(params, rng)
         for kind, build in (("sov", irf.build_T_irf_sov), ("paths", irf.build_T_irf_paths)):
-            a, b = build(params, za), build(params, zb)
-            ab, ba = irf._concurrently(lambda: a @ b, lambda: b @ a)
-            ba -= ab  # |ba - ab| equals |ab - ba| bit for bit; ab is also the scale
-            comm[kind] = max(comm[kind], float(np.max(np.abs(ba)) / np.max(np.abs(ab))))
-            del a, b, ab, ba  # dense dim x dim each; none is needed by the next build
+            res = irf._commutator_residual(build(params, za), build(params, zb), params.n)
+            comm[kind] = max(comm[kind], res)
     rec = irf.reconcile_constructions(params, rng)
     checks = [
         _check("sov_family_commutes", comm["sov"], tol),

@@ -285,16 +285,78 @@ def _pair_spectra(mu: np.ndarray, target: np.ndarray, tol: float) -> np.ndarray:
     return perm
 
 
-def _concurrently(f: Callable, g: Callable) -> tuple:
-    """(f(), g()) with g on one worker thread, whose exception is raised here.
+@functools.cache
+def _parity_order(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Grid indices with an even and with an odd sum m (popcount parity), read-only."""
+    odd = np.bitwise_count(np.arange(2 ** n)) % 2 == 1
+    order = np.flatnonzero(~odd), np.flatnonzero(odd)
+    for idx in order:
+        idx.setflags(write=False)
+    return order
 
-    For independent dense LAPACK/BLAS calls, which release the GIL.
+
+def _parity_blocks(t: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(B, C) with t = [[0, B], [C, 0]] in the parity order (even sums m first).
+
+    Both transfer matrices flip the parity of sum m: each grid term flips
+    one sigma_i, and each face-weight row moves the first height by one.
+    A nonzero same-parity entry is a ParameterError.
     """
-    from concurrent.futures import ThreadPoolExecutor  # only irf build pays its import
+    even, odd = _parity_order(n)
+    if np.count_nonzero(t[np.ix_(even, even)]) or np.count_nonzero(t[np.ix_(odd, odd)]):
+        raise ParameterError("transfer matrix has a nonzero entry between states of equal parity")
+    return t[np.ix_(even, odd)], t[np.ix_(odd, even)]
 
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        second = pool.submit(g)
-        return f(), second.result()
+
+def _commutator_residual(a: np.ndarray, b: np.ndarray, n: int) -> float:
+    """max |a b - b a| / max |a b| for two transfer matrices, on their parity blocks.
+
+    a b = diag(B_a C_b, C_a B_b) and b a = diag(B_b C_a, C_b B_a); every
+    entry of each product equals the dense product's.
+    """
+    (b_a, c_a), (b_b, c_b) = _parity_blocks(a, n), _parity_blocks(b, n)
+    dev = scale = 0.0
+    for x_a, y_b, x_b, y_a in ((b_a, c_b, b_b, c_a), (c_a, b_b, c_b, b_a)):
+        ab, ba = x_a @ y_b, x_b @ y_a
+        ba -= ab  # |ba - ab| equals |ab - ba| bit for bit; ab is also the scale
+        dev, scale = max(dev, float(np.max(np.abs(ba)))), max(scale, float(np.max(np.abs(ab))))
+        del ab, ba
+    return dev / scale
+
+
+def _chiral_eig(t: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(nu, x, y): the eigenpairs of t = [[0, B], [C, 0]] are (+nu, [x; y]) and (-nu, [x; -y]).
+
+    x holds the even-parity rows and y the odd ones, in the order of
+    _parity_order.  eig(B C) at half the size gives nu^2 and x, and
+    y = C x / nu.  Squaring loses the digits of small |nu|, so two
+    first-order refinement steps (Dongarra, Moler & Wilkinson 1983) run on
+    the unsquared t, in blocks: with G = x^-1 B y and H = y^-1 C x,
+    nu = diag(G + H) / 2, F11 = (G + H) / 2 / (nu_j - nu_i) off the
+    diagonal and F21 = (G - H) / 2 / (nu_j + nu_i) with its diagonal, the
+    x/y mismatch of each +/- pair; x += x (F11 + F21), y += y (F11 - F21).
+    Denominators below _GAP_TOL * max |nu| (clusters, nu_i near -nu_j) get
+    no correction.  A (near) zero nu cannot be split into its +/- pair and
+    is a ParameterError.
+    """
+    b, c = _parity_blocks(t, n)
+    sq, x = np.linalg.eig(b @ c)
+    nu = np.sqrt(sq)
+    tol = _GAP_TOL * float(np.max(np.abs(nu)))
+    if not np.min(np.abs(nu)) > tol:  # also a zero or non-finite matrix
+        raise ParameterError("transfer matrix has a (near) zero eigenvalue; its +/- pair does not split")
+    y = (c @ x) / nu
+    for _ in range(2):
+        g = np.linalg.solve(x, b @ y)
+        h = np.linalg.solve(y, c @ x)
+        s, d = (g + h) / 2, (g - h) / 2
+        del g, h
+        nu = s.diagonal().copy()
+        minus, plus = nu[None, :] - nu[:, None], nu[None, :] + nu[:, None]
+        f11 = np.divide(s, minus, out=np.zeros_like(s), where=np.abs(minus) > tol)
+        f21 = np.divide(d, plus, out=np.zeros_like(d), where=np.abs(plus) > tol)
+        x, y = x + x @ (f11 + f21), y + y @ (f11 - f21)
+    return nu, x, y
 
 
 def reconcile_constructions(params: ModelParams, rng: np.random.Generator) -> DualReconciliation:
@@ -302,39 +364,59 @@ def reconcile_constructions(params: ModelParams, rng: np.random.Generator) -> Du
 
     The constant is fixed to -1 by the one-site case; the sign ambiguity
     left by the plus/minus symmetric grid spectrum is resolved the same
-    way for every n.  Raises ParameterError when the probe spectrum is
-    too clustered to pair up eigenvalues.
+    way for every n.  Both sides are diagonalized by _chiral_eig, and
+    +/-nu_p is paired with +/-kappa nu_s as whole spectra, which reads each
+    pair's sign.  The conjugation is then block-diagonal in the parity
+    order: x_p x_s^-1 on the even states and (y_p sign) y_s^-1 on the odd
+    ones, so the bridge's products, inverses and residual run on
+    2^(n-1)-square blocks.  Raises ParameterError when the probe spectrum
+    is too clustered to pair up eigenvalues.
     """
     params.validate_for_irf()
+    n = params.n
     z0 = sample_spectral(params, rng)
     tp = build_T_irf_paths(params, z0)
-    ts = build_T_irf_sov(params, z0 - params.eta)
     kap = kappa_factor(params, z0 - params.eta)
     literal = float(
         np.max(np.abs(tp - build_T_irf_sov(params, z0))) / np.max(np.abs(tp))
     )
-    (mu, vp), (nu, vs) = _concurrently(lambda: np.linalg.eig(tp), lambda: np.linalg.eig(ts))
-    del tp, ts
+    nu_p, xp, yp = _chiral_eig(tp, n)
+    del tp
+    nu_s, xs, ys = _chiral_eig(build_T_irf_sov(params, z0 - params.eta), n)
     constant = -1.0 + 0.0j
-    scale = float(np.max(np.abs(mu)))
-    perm = _pair_spectra(mu, constant * kap * nu, 1e-8 * scale)
-    conj = vp @ np.linalg.inv(vs[:, perm])
-    del vp, vs
+    half = len(nu_p)
+    mu = np.concatenate([nu_p, -nu_p])
+    scale = float(np.max(np.abs(nu_p)))
+    target = constant * kap * nu_s
+    perm = _pair_spectra(mu, np.concatenate([target, -target]), 1e-8 * scale)[:half]
+    sign = np.where(perm < half, 1.0, -1.0)
+    perm %= half
+    blocks = (xp @ np.linalg.inv(xs[:, perm]), (yp * sign) @ np.linalg.inv(ys[:, perm]))
+    del xp, yp, xs, ys
 
-    # diagnostics only now that vp and vs are freed, below the eig-phase peak
-    conj_inv = np.linalg.inv(conj)
-    condition = float(np.linalg.norm(conj, 1) * np.linalg.norm(conj_inv, 1))
+    inverses = tuple(np.linalg.inv(k) for k in blocks)
+    # a block-diagonal matrix's 1-norm is its blocks' largest
+    condition = float(
+        max(np.linalg.norm(k, 1) for k in blocks) * max(np.linalg.norm(k, 1) for k in inverses)
+    )
     off_diagonal = ~np.eye(len(mu), dtype=bool)
     min_gap = float(np.min(np.abs(mu[:, None] - mu[None, :]), where=off_diagonal, initial=np.inf)) / scale
+    del off_diagonal
     residual = 0.0
     for _ in range(_RECONCILE_SAMPLES):
         zf = sample_spectral(params, rng)
-        kapf = kappa_factor(params, zf - params.eta)
-        rhs = constant * kapf * conj @ build_T_irf_sov(params, zf - params.eta) @ conj_inv
-        lhs = build_T_irf_paths(params, zf)  # after rhs: not alive during its products
-        rhs -= lhs  # |rhs - lhs| equals |lhs - rhs| bit for bit
-        residual = max(residual, float(np.max(np.abs(rhs)) / np.max(np.abs(lhs))))
+        kapf = constant * kappa_factor(params, zf - params.eta)
+        bs, cs = _parity_blocks(build_T_irf_sov(params, zf - params.eta), n)
+        # the same-parity blocks are 0 on both sides: only B and C can differ
+        rhs = (kapf * blocks[0] @ bs @ inverses[1], kapf * blocks[1] @ cs @ inverses[0])
+        del bs, cs
+        lhs = _parity_blocks(build_T_irf_paths(params, zf), n)
+        dev = max(float(np.max(np.abs(r - l))) for r, l in zip(rhs, lhs))
+        residual = max(residual, dev / max(float(np.max(np.abs(l))) for l in lhs))
         del lhs, rhs  # not alive while the next sample's pair is built
+    even, odd = _parity_order(n)
+    conj = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    conj[np.ix_(even, even)], conj[np.ix_(odd, odd)] = blocks
     return DualReconciliation(constant, conj, residual, literal, condition, min_gap)
 
 
@@ -439,9 +521,14 @@ def certify_spectrum(
     except spaces.ResonantCharacterError as exc:
         raise ParameterError(str(exc)) from exc
 
-    t0 = build_T_irf_sov(params, z0)
-    mu, vecs = np.linalg.eig(t0)
-    del t0
+    nu, x, y = _chiral_eig(build_T_irf_sov(params, z0), n)
+    half = len(nu)
+    mu = np.concatenate([nu, -nu])
+    even, odd = _parity_order(n)
+    vecs = np.empty((2 * half, 2 * half), dtype=complex)
+    vecs[even, :half], vecs[even, half:] = x, x
+    vecs[odd, :half], vecs[odd, half:] = y, -y
+    del x, y
     val_pts = [sample_spectral(params, rng) for _ in range(_VALIDATION_POINTS)]
 
     # z-independent data of the quadratic relations (the flip coefficients) and the grid signs
@@ -551,16 +638,30 @@ def certify_spectrum(
 def partition_function(
     params: ModelParams, ws: Sequence[complex], kind: str = "paths"
 ) -> complex:
-    """Trace of the ordered transfer-matrix product over the given rows."""
+    """Trace of the ordered transfer-matrix product over the given rows.
+
+    Every row is [[0, B], [C, 0]] in the parity order, so an even product
+    is diag(B_1 C_2 B_3 .., C_1 B_2 C_3 ..), two chains of 2^(n-1)-square
+    blocks, and an odd product has no diagonal block: its trace is exactly
+    0j.  Every row is still built and its parity structure checked.
+    """
     if kind not in ("paths", "sov"):
         raise ValueError("kind must be 'paths' or 'sov'")
     if len(ws) == 0:
         raise ParameterError("the partition trace needs at least one row")
     build = build_T_irf_paths if kind == "paths" else build_T_irf_sov
-    out = build(params, ws[0])
-    for w in ws[1:]:
-        out = out @ build(params, w)
-    return complex(np.trace(out))
+    chains = []
+    for k, w in enumerate(ws):
+        b, c = _parity_blocks(build(params, w), params.n)
+        if len(ws) % 2:
+            continue
+        # B and C alternate along both chains, which start B_1 and C_1
+        if k % 2:
+            b, c = c, b
+        chains = [b, c] if k == 0 else [chains[0] @ b, chains[1] @ c]
+    if not chains:
+        return 0j
+    return complex(np.trace(chains[0]) + np.trace(chains[1]))
 
 
 # ---------------------------------------------------------------------------

@@ -525,7 +525,7 @@ def _bethe_system(ev, A_plus, A_minus, gamma, m):
         scale = max(float(np.abs(t).max()), 1e-300)
 
         def jacobian():
-            dist = [lat.dist_to_lattice(z) for z in args]
+            dist = lat.dist_to_lattice_array(args)
             near = int(np.argmin(dist))
             if dist[near] < rho:
                 raise PoleProximityError(

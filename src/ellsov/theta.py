@@ -156,6 +156,24 @@ class Lattice:
                     n += step
         return best
 
+    def dist_to_lattice_array(self, zs: np.ndarray) -> np.ndarray:
+        """dist_to_lattice on a complex array, with the same float operations.
+
+        One reduce_array pass and rows 0 and 1 on arrays; the rare points
+        whose distance exceeds Im tau take the scalar row walk.  The moduli
+        are np.hypot of the parts, which rounds as abs(complex) does (numpy's
+        complex abs does not always).
+        """
+        zs = np.asarray(zs, dtype=complex)
+        z0, _, _ = self.reduce_array(zs)
+        tau = self.tau
+        m = np.floor(z0.real - tau.real)
+        corners = (z0, z0 - 1.0, z0 - m - tau, z0 - (m + 1) - tau)
+        best = np.minimum.reduce([np.hypot(c.real, c.imag) for c in corners])
+        for k in np.flatnonzero(best > tau.imag):
+            best[k] = self.dist_to_lattice(zs[k])
+        return best
+
     def sample_generic(self, rng: np.random.Generator, margin: float, avoid=()) -> complex:
         """Seeded point of the cell at least margin from the lattice and each `avoid` shift."""
         for _ in range(4000):

@@ -2,7 +2,6 @@
 
 import itertools
 import math
-import threading
 import time
 
 import numpy as np
@@ -387,7 +386,7 @@ def test_dual_reconciliation(lattice, rng):
 
 
 def reference_reconcile(params, rng):
-    """The bridge with both eigs on the calling thread, in the former order."""
+    """The bridge from dense eigs of both matrices, as before the parity split."""
     z0 = irf.sample_spectral(params, rng)
     tp = build_T_irf_paths(params, z0)
     ts = build_T_irf_sov(params, z0 - ETA)
@@ -410,26 +409,24 @@ def reference_reconcile(params, rng):
 
 
 def test_reconcile_matches_sequential_reference(lattice):
-    # the overlapped eigs and in-place differences leave every byte as it was
+    """The block-diagonal conjugation against the dense-eig bridge.
+
+    The two conjugations differ by a diagonal scaling of the eigenbasis,
+    which cancels in conj T conj^-1, so the residuals are compared, not the
+    bytes: within 10x of the dense reference and within the criterion
+    tolerance.  The parity blocks of the new conjugation are exact zeros.
+    """
     for zs in (Z5, Z9[:7]):
         params = make_params(lattice, zs)
         rec = reconcile_constructions(params, np.random.default_rng(5))
         conj, residual, literal = reference_reconcile(params, np.random.default_rng(5))
-        assert np.array_equal(rec.conjugation, conj)
-        assert rec.residual == residual
+        assert rec.residual <= max(10 * residual, 1e-15) and rec.residual <= 1e-9
         assert rec.literal_gap == literal
-
-
-def test_concurrently_threads_and_errors():
-    caller = threading.get_ident()
-    here, there = irf._concurrently(threading.get_ident, threading.get_ident)
-    assert here == caller and there != caller
-
-    def fail():
-        raise np.linalg.LinAlgError("worker failed")
-
-    with pytest.raises(np.linalg.LinAlgError, match="worker failed"):
-        irf._concurrently(lambda: None, fail)
+        even, odd = irf._parity_order(params.n)
+        assert np.count_nonzero(rec.conjugation[np.ix_(even, odd)]) == 0
+        assert np.count_nonzero(rec.conjugation[np.ix_(odd, even)]) == 0
+        # the dense reference is not block-diagonal: its eig scales each +/- pair apart
+        assert np.count_nonzero(conj[np.ix_(even, odd)]) > 0
 
 
 def test_pair_spectra():
@@ -443,6 +440,137 @@ def test_pair_spectra():
     doubled[perm[1]] = doubled[perm[0]]
     with pytest.raises(ParameterError, match="ambiguous"):
         irf._pair_spectra(mu, doubled, 1e-9)
+
+
+def test_transfer_matrices_flip_parity(lattice, rng):
+    # each grid term flips one sigma_i and each face-weight row moves a_1 by
+    # one, so both matrices map even sums m onto odd ones and back
+    for n in (1, 3, 5, 7, 9):
+        params = make_params(lattice, Z9[:n])
+        z = spectral_point(params, rng)
+        even, odd = irf._parity_order(n)
+        assert len(even) == len(odd) == 2 ** (n - 1)
+        assert np.all(np.bitwise_count(even) % 2 == 0) and np.all(np.bitwise_count(odd) % 2 == 1)
+        for build in (build_T_irf_paths, build_T_irf_sov):
+            t = build(params, z)
+            assert np.count_nonzero(t[np.ix_(even, even)]) == 0
+            assert np.count_nonzero(t[np.ix_(odd, odd)]) == 0
+            b, c = irf._parity_blocks(t, n)
+            assert np.array_equal(b, t[np.ix_(even, odd)]) and np.array_equal(c, t[np.ix_(odd, even)])
+
+
+def chiral_check(t, n, nu, x, y):
+    """(residual, kappa) of the eigenpairs (+/-nu, [x; +/-y]) of t in the parity order.
+
+    The residual is max |t v - lambda v| over max |lambda| for unit v.  The
+    left eigenvectors are the rows of [[x, x], [y, -y]]^-1, which is
+    [[x^-1, y^-1], [x^-1, -y^-1]] / 2, so kappa_l = |v_l| |w_l| / |w_l^H v_l|
+    needs only the two half-size inverses.
+    """
+    b, c = irf._parity_blocks(t, n)
+    norms = np.sqrt(np.linalg.norm(x, axis=0) ** 2 + np.linalg.norm(y, axis=0) ** 2)
+    xu, yu = x / norms, y / norms
+    # (+nu, [x; y]) leaves B y - nu x and C x - nu y, and (-nu, [x; -y]) their negatives
+    residual = max(np.max(np.abs(b @ yu - xu * nu)), np.max(np.abs(c @ xu - yu * nu)))
+    rows = np.linalg.norm(np.linalg.inv(x), axis=1) ** 2 + np.linalg.norm(np.linalg.inv(y), axis=1) ** 2
+    kappa = norms * np.sqrt(rows) / 2
+    return residual / np.max(np.abs(nu)), np.concatenate([kappa, kappa])
+
+
+def test_chiral_eig_matches_lapack(lattice, rng):
+    for n in (1, 3, 5, 7, 9):
+        params = make_params(lattice, Z9[:n])
+        z = spectral_point(params, rng)
+        for build in (build_T_irf_paths, build_T_irf_sov):
+            t = build(params, z)
+            nu, x, y = irf._chiral_eig(t, n)
+            assert nu.shape == (2 ** (n - 1),) and x.shape == y.shape == (2 ** (n - 1),) * 2
+            residual, kappa = chiral_check(t, n, nu, x, y)
+            ref_mu, ref_v = np.linalg.eig(t)
+            ref_v /= np.linalg.norm(ref_v, axis=0)
+            scale = float(np.max(np.abs(ref_mu)))
+            ref_residual = float(np.max(np.abs(t @ ref_v - ref_v * ref_mu))) / scale
+            assert residual <= ref_residual and residual <= 1e-13, (n, build.__name__)
+            # both spectra agree to rounding times each eigenvalue's condition
+            # (the 9-site path matrix has kappa up to 1.4e4)
+            mu = np.concatenate([nu, -nu])
+            dist = np.abs(mu[:, None] - ref_mu[None, :])
+            pair = np.argmin(dist, axis=1)
+            assert sorted(pair) == list(range(2 ** n))
+            assert np.all(dist[np.arange(2 ** n), pair] <= np.maximum(1e-12, 1e-14 * kappa) * scale)
+
+
+def test_chiral_eig_rejects_broken_structure(lattice):
+    params = make_params(lattice, Z3)
+    t = build_T_irf_sov(params, 0.41 + 0.37j)
+    even, odd = irf._parity_order(3)
+    assert np.all(np.isfinite(irf._chiral_eig(t, 3)[0]))
+    for rows in (even, odd):
+        bad = t.copy()
+        bad[rows[1], rows[2]] = 1e-300
+        with pytest.raises(ParameterError, match="equal parity"):
+            irf._chiral_eig(bad, 3)
+    # a zero (or tiny) row of B makes B C singular: nu = 0 has no +/- pair to split
+    for factor in (0.0, 1e-20):
+        singular = t.copy()
+        singular[even[0], odd] *= factor
+        with pytest.raises(ParameterError, match="zero eigenvalue"):
+            irf._chiral_eig(singular, 3)
+    with pytest.raises(ParameterError, match="zero eigenvalue"):
+        irf._chiral_eig(np.zeros_like(t), 3)
+
+
+def test_chiral_eig_skips_cluster_denominators():
+    """Exact and near-equal nu, and +/-2i, whose squares straddle the branch
+    cut of sqrt so that the computed nu_i + nu_j can vanish: denominators
+    below _GAP_TOL * scale get no correction, and every eigenpair stays
+    accurate and finite."""
+    rng2 = np.random.default_rng(11)
+    true_nu = np.array([1.0, 1.0, 1.0 + 1e-10, 2j, -2j, 0.5 + 0.3j, 3.0, -0.7 + 0.2j])
+    x = rng2.standard_normal((8, 8)) + 1j * rng2.standard_normal((8, 8))
+    y = rng2.standard_normal((8, 8)) + 1j * rng2.standard_normal((8, 8))
+    even, odd = irf._parity_order(4)
+    t = np.zeros((16, 16), dtype=complex)
+    t[np.ix_(even, odd)] = x @ np.diag(true_nu) @ np.linalg.inv(y)
+    t[np.ix_(odd, even)] = y @ np.diag(true_nu) @ np.linalg.inv(x)
+    nu, xs, ys = irf._chiral_eig(t, 4)
+    assert np.all(np.isfinite(nu)) and np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))
+    residual, _ = chiral_check(t, 4, nu, xs, ys)
+    assert residual <= 1e-13
+    mu, expect = np.concatenate([nu, -nu]), np.concatenate([true_nu, -true_nu])
+    # the same multiset: every value within 1e-12 of the other side, with equal counts near each
+    dist = np.abs(mu[:, None] - expect[None, :])
+    assert np.max(dist.min(axis=0)) <= 1e-12 and np.max(dist.min(axis=1)) <= 1e-12
+    near = np.abs(expect[:, None] - expect[None, :]) <= 1e-9
+    assert np.array_equal(np.count_nonzero(dist <= 1e-9, axis=0), np.count_nonzero(near, axis=0))
+
+
+def test_certify_spectrum_at_a_crossing(lattice):
+    """At a point z* where two eigenvalue functions cross, the eigensolver
+    meets an exactly degenerate pair (and its negative).  Its cluster
+    denominators get no correction, certify_spectrum forms two 2-dim
+    clusters spanning the crossing eigenvectors, flags them degenerate and
+    certifies every other eigenvalue; the clusters fail, as they must,
+    because the two functions differ away from z*."""
+    params = make_params(lattice, Z3)
+    certs = certify_spectrum(params, 0.39 + 0.41j, rng=np.random.default_rng(7))
+    a, b = certs[0], certs[1]
+    z0, z1 = 0.3 + 0.4j, 0.31 + 0.42j
+    for _ in range(60):  # secant on eps_a - eps_b, a level-3 theta function
+        f0, f1 = a.eps(z0) - b.eps(z0), a.eps(z1) - b.eps(z1)
+        if f1 == f0:
+            break
+        z0, z1 = z1, z1 - f1 * (z1 - z0) / (f1 - f0)
+    assert abs(a.eps(z1) - b.eps(z1)) <= 1e-13 * abs(a.eps(z1))
+    crossing = certify_spectrum(params, z1, rng=np.random.default_rng(7))
+    clusters = [c for c in crossing if c.vectors.shape[1] > 1]
+    assert len(crossing) == 6 and len(clusters) == 2
+    assert all(c.passed and not c.degenerate for c in crossing if c.vectors.shape[1] == 1)
+    assert all(c.degenerate and not c.passed for c in clusters)
+    # a's and b's eigenvectors (from the generic point) lie in one cluster's span
+    pair = np.concatenate([a.vectors, b.vectors], axis=1)
+    inside = max(np.linalg.norm(c.vectors.conj().T @ pair, axis=0).min() for c in clusters)
+    assert inside >= 1 - 1e-10
 
 
 def test_eigenvalue_map(lattice, rng):
@@ -702,29 +830,35 @@ def test_clusters_long_chain():
 def test_reconstruction_angle_resolves_small_rotations(lattice, monkeypatch):
     """Each eigensolver vector turned by 1e-10 reads an angle of 1e-10 to
     1e-12; arccos of the overlap, cos(1e-10) = 1.0 in double precision,
-    read 0.0.  The turn is orthogonal to v and to every T(z)^H v (T(z) lies
-    in the span of T at n + 1 generic points), so the ratios v* T(z) v move
-    only at second order and the reconstruction stays where it was."""
+    read 0.0.  The turn w of v = [x; y] is orthogonal to v and to every
+    T(z)^H v (T(z) lies in the span of T at n + 1 generic points), so the
+    ratios v* T(z) v move only at second order and the reconstruction
+    stays where it was.  The partner [x; -y] = P v (P is -1 on the odd
+    states) turns by P w, orthogonal to P v and to every T(z)^H P v because
+    T anticommutes with P."""
     turn = 1e-10
     params = make_params(lattice, Z5)
     rng2 = np.random.default_rng(3)
     family = [build_T_irf_sov(params, spectral_point(params, rng2)) for _ in range(6)]
-    eig = np.linalg.eig
+    even, odd = irf._parity_order(params.n)
+    chiral_eig = irf._chiral_eig
 
-    def rotated(a):
-        mu, vecs = eig(a)
-        vecs = vecs / np.linalg.norm(vecs, axis=0)
-        for k in range(len(mu)):
+    def rotated(t, n):
+        nu, x, y = chiral_eig(t, n)
+        vecs = np.empty((2 ** n, len(nu)), dtype=complex)
+        vecs[even], vecs[odd] = x, y
+        vecs /= np.linalg.norm(vecs, axis=0)
+        for k in range(len(nu)):
             v = vecs[:, k]
             fixed = np.linalg.qr(np.stack([v] + [t.conj().T @ v for t in family], axis=1))[0]
             w = rng2.standard_normal(len(v)) + 1j * rng2.standard_normal(len(v))
             w -= fixed @ (fixed.conj().T @ w)
             vecs[:, k] = math.cos(turn) * v + math.sin(turn) * w / np.linalg.norm(w)
-        return mu, vecs
+        return nu, vecs[even], vecs[odd]
 
     plain = certify_spectrum(params, 0.41 + 0.37j, rng=np.random.default_rng(7))
     assert max(c.angle for c in plain) <= 1e-13
-    monkeypatch.setattr(np.linalg, "eig", rotated)
+    monkeypatch.setattr(irf, "_chiral_eig", rotated)
     certs = certify_spectrum(params, 0.41 + 0.37j, rng=np.random.default_rng(7))
     assert len(certs) == 32 and all(c.passed for c in certs)
     for c in certs:
@@ -768,6 +902,24 @@ def test_partition_function(lattice, rng):
         partition_function(params, ws, kind="rows")
     with pytest.raises(ParameterError):
         partition_function(params, [], kind="sov")
+
+
+def test_partition_function_parity_blocks(lattice, rng):
+    # an odd product of rows has no diagonal block: its trace is exactly 0; an
+    # even one is two chains of half-size blocks, equal to the dense trace
+    for zs in (Z3, Z5):
+        params = make_params(lattice, zs)
+        ws = [spectral_point(params, rng) for _ in range(4)]
+        for kind, build in (("paths", build_T_irf_paths), ("sov", build_T_irf_sov)):
+            for rows in (1, 3):
+                assert partition_function(params, ws[:rows], kind=kind) == 0j
+            for rows in (2, 4):
+                dense = build(params, ws[0])
+                for w in ws[1:rows]:
+                    dense = dense @ build(params, w)
+                ref = complex(np.trace(dense))
+                got = partition_function(params, ws[:rows], kind=kind)
+                assert abs(got - ref) <= 1e-12 * abs(ref)
 
 
 def test_partition_single_row_matches_spectrum(lattice, rng):

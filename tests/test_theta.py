@@ -636,6 +636,22 @@ def test_dist_to_lattice_keeps_its_bits_at_the_bundled_tau(lattice):
         assert lattice.dist_to_lattice(z).hex() == four_corner_distance(lattice, z).hex()
 
 
+@pytest.mark.parametrize("re_tau, im_tau", [(0.31, 1.07), (0.0, 0.4), (4.7, 0.1), (-2.3, 0.25)])
+def test_dist_to_lattice_array_matches_scalar_bits(re_tau, im_tau):
+    """The array pass equals dist_to_lattice bit for bit, so a pole decision
+    (dist < rho) cannot change; small Im tau and large Re tau reach the
+    scalar row walk for the points farther than Im tau from rows 0 and 1."""
+    lattice = Lattice(complex(re_tau, im_tau))
+    tau = lattice.tau
+    rng = np.random.default_rng(25)
+    zs = [complex(x, y) for x, y in rng.uniform(-5.0, 5.0, size=(2000, 2))]
+    zs += [m + n * tau + complex(*rng.normal(0.0, 1e-9, 2)) for m in range(-3, 4) for n in range(-3, 4)]
+    got = lattice.dist_to_lattice_array(np.array(zs))
+    assert [d.hex() for d in got.tolist()] == [lattice.dist_to_lattice(z).hex() for z in zs]
+    with pytest.raises(NonFiniteArgumentError):
+        lattice.dist_to_lattice_array(np.array([0.1, complex("nan")]))
+
+
 def test_pole_guard_far_from_the_real_cell():
     """At tau = 5 + 0.1i the point -1e-9 i sits next to the lattice point 0 = (tau - 5) - tau."""
     ev = ThetaEvaluator(Lattice(5.0 + 0.1j))
