@@ -24,27 +24,44 @@ from .theta import ThetaEvaluator
 # R-matrix
 
 
-def _r_matrix_raw(ev: ThetaEvaluator, eta: complex, z: complex, lam: complex) -> np.ndarray:
-    # basis order e[1]e[1], e[1]e[-1], e[-1]e[1], e[-1]e[-1]; row 1 reads
-    # lambda and row 2 -lambda, and each of the 9 theta arguments is evaluated once
-    th_z, th_shift, th_2eta = ev.theta(z), ev.theta(z - 2 * eta), ev.theta(2 * eta)
-    r = np.zeros((4, 4), dtype=complex)
+def _r_fill(r: np.ndarray, th_z, th_shift, th_2eta, lam_thetas) -> None:
+    """Write R's entries into the zeroed 4x4 array r from its thetas.
+
+    Basis order e[1]e[1], e[1]e[-1], e[-1]e[1], e[-1]e[-1].  th_z, th_shift
+    and th_2eta are theta(z), theta(z - 2 eta) and theta(2 eta); lam_thetas
+    holds (theta(l), theta(l + 2 eta), theta(l + z)) for row 1's l = lambda
+    and row 2's l = -lambda.
+    """
     r[0, 0] = 1.0
     r[3, 3] = 1.0
-    for row, col, lam_s in ((1, 2, lam), (2, 1, -lam)):
-        th_lam = ev.theta(lam_s)
-        r[row, row] = ev.theta(lam_s + 2 * eta) * th_z / (th_lam * th_shift)
-        r[row, col] = -ev.theta(lam_s + z) * th_2eta / (th_lam * th_shift)
+    for (row, col), (th_lam, th_lam_2eta, th_lam_z) in zip(((1, 2), (2, 1)), lam_thetas):
+        r[row, row] = th_lam_2eta * th_z / (th_lam * th_shift)
+        r[row, col] = -th_lam_z * th_2eta / (th_lam * th_shift)
+
+
+def _r_matrix_raw(ev: ThetaEvaluator, eta: complex, z: complex, lam: complex) -> np.ndarray:
+    # each of the 9 theta arguments is evaluated once
+    th_z, th_shift, th_2eta = ev.theta(z), ev.theta(z - 2 * eta), ev.theta(2 * eta)
+    r = np.zeros((4, 4), dtype=complex)
+    lam_thetas = [(ev.theta(l), ev.theta(l + 2 * eta), ev.theta(l + z)) for l in (lam, -lam)]
+    _r_fill(r, th_z, th_shift, th_2eta, lam_thetas)
     return r
+
+
+def _check_lambda(params: ModelParams, lam: complex) -> None:
+    if params.lattice.dist_to_lattice(lam) < params.rho:
+        raise ParameterError("dynamical parameter lambda is within rho of a lattice point")
+
+
+def _check_spectral(params: ModelParams, z: complex) -> None:
+    if params.lattice.dist_to_lattice(z - 2 * params.eta) < params.rho:
+        raise ParameterError("spectral parameter z is within rho of 2 eta mod the lattice")
 
 
 def r_matrix(params: ModelParams, z: complex, lam: complex) -> np.ndarray:
     """The 4x4 dynamical R-matrix R(z, lambda) for step 2 eta."""
-    lat = params.lattice
-    if lat.dist_to_lattice(lam) < params.rho:
-        raise ParameterError("dynamical parameter lambda is within rho of a lattice point")
-    if lat.dist_to_lattice(z - 2 * params.eta) < params.rho:
-        raise ParameterError("spectral parameter z is within rho of 2 eta mod the lattice")
+    _check_lambda(params, lam)
+    _check_spectral(params, z)
     return _r_matrix_raw(params.evaluator(), params.eta, z, lam)
 
 

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import spaces
-from .eqg import S0Grid, r_matrix
+from .eqg import S0Grid, _check_lambda, _check_spectral, _r_fill
 from .params import ModelParams, ParameterError
 from .spaces import BetheSolution, Character, EllipticPoly, ThetaInterpolant
 
@@ -71,18 +71,29 @@ def _face_slots(c2, b2, a2, d2):
     return 2 * (b2 < a2) + (a2 < d2), 2 * (c2 < d2) + (b2 < c2)
 
 
-def build_T_irf_paths(params: ModelParams, z: complex) -> np.ndarray:
-    """Transfer matrix on the path basis, column i carrying z - z_i.
+@dataclasses.dataclass(frozen=True)
+class _PathModel:
+    """The z-independent part of build_T_irf_paths, computed once per model.
 
-    Entry [b, a] is the product over columns of the face weight
-    W(a_{i+1}, a_i, b_i, b_{i+1} | z - z_i); it vanishes unless the two
-    paths differ by one at every node, which leaves 3^n - 1 entries.
-    The node product uses the scalar complex-product formula on real and
-    imaginary arrays (numpy's complex multiply rounds differently), so
-    each entry equals the pair-by-pair product bit for bit.
+    rows, cols (uint16) list the 3^n - 1 neighbouring path pairs.  faces[i]
+    (uint8) indexes each pair's face at site i in that site's
+    (corners, 4, 4) R-matrix table as corner * 16 + 4 row + col.
+    corners[i] holds, per distinct corner height d of site i, the triples
+    (l, theta(l), theta(l + 2 eta)) for l = lambda and l = -lambda,
+    lambda = -2 eta d.
     """
-    params.validate_for_irf()
-    n = params.n
+
+    rows: np.ndarray
+    cols: np.ndarray
+    faces: np.ndarray
+    corners: tuple[tuple[tuple[tuple[complex, complex, complex], ...], ...], ...]
+    th_2eta: complex
+
+
+@functools.lru_cache(maxsize=8)  # an entry holds (3^n - 1)(4 + n) bytes of indices
+def _path_model(params: ModelParams) -> _PathModel:
+    """Support, face indices and the corner heights' lattice checks and thetas, read-only."""
+    n, eta, ev = params.n, params.eta, params.evaluator()
     # doubled heights from the path sign 1 - 2m: antiperiodicity fixes
     # 2 a_1 = sum sigma, and each step is -2 sigma_i
     sigma = 1 - 2 * np.array(S0Grid(params).points)
@@ -92,18 +103,58 @@ def build_T_irf_paths(params: ModelParams, z: complex) -> np.ndarray:
     support = np.ones((dim, dim), dtype=bool)
     for i in range(n + 1):
         support &= np.abs(heights[:, None, i] - heights[None, :, i]) == 2
-    rows, cols = np.nonzero(support)
+    rows, cols = (idx.astype(np.uint16) for idx in np.nonzero(support))
     b, a = heights[rows], heights[cols]
-    re, im = np.ones(len(rows)), np.zeros(len(rows))
-    for i, zi in enumerate(params.zs):
+    faces, corners, lam_thetas = [], [], {}
+    for i in range(n):
         # one R-matrix per distinct corner height d of this column
-        corners, which = np.unique(b[:, i + 1], return_inverse=True)
-        rmats = np.array([r_matrix(params, complex(z - zi), -params.eta * int(d2)) for d2 in corners])
-        w = rmats[(which,) + _face_slots(a[:, i + 1], a[:, i], b[:, i], b[:, i + 1])]
+        heights_d, which = np.unique(b[:, i + 1], return_inverse=True)
+        row, col = _face_slots(a[:, i + 1], a[:, i], b[:, i], b[:, i + 1])
+        faces.append((which * 16 + 4 * row + col).astype(np.uint8))
+        for d2 in map(int, heights_d):
+            if d2 not in lam_thetas:
+                lam = -eta * d2
+                _check_lambda(params, lam)
+                lam_thetas[d2] = tuple((l, ev.theta(l), ev.theta(l + 2 * eta)) for l in (lam, -lam))
+        corners.append(tuple(lam_thetas[int(d2)] for d2 in heights_d))
+    # uint16 pairs, and uint8 faces since a node has at most n + 1 corner
+    # heights, hold every n <= 15, far above any dense build
+    faces = np.array(faces)
+    for arr in (rows, cols, faces):
+        arr.setflags(write=False)
+    return _PathModel(rows, cols, faces, tuple(corners), ev.theta(2 * eta))
+
+
+def build_T_irf_paths(params: ModelParams, z: complex) -> np.ndarray:
+    """Transfer matrix on the path basis, column i carrying z - z_i.
+
+    Entry [b, a] is the product over columns of the face weight
+    W(a_{i+1}, a_i, b_i, b_{i+1} | z - z_i); it vanishes unless the two
+    paths differ by one at every node, which leaves 3^n - 1 entries.
+    Site i's R-matrices, one per corner height, share theta(z - z_i) and
+    theta(z - z_i - 2 eta); the z-independent data comes from the
+    per-model cache.  Each table entry is eqg.r_matrix's, and the node
+    product uses the scalar complex-product formula on real and imaginary
+    arrays (numpy's complex multiply rounds differently), so each entry
+    equals the pair-by-pair product bit for bit.
+    """
+    params.validate_for_irf()
+    model = _path_model(params)
+    ev, eta = params.evaluator(), params.eta
+    re, im = np.ones(len(model.rows)), np.zeros(len(model.rows))
+    for zi, corners, faces in zip(params.zs, model.corners, model.faces):
+        s = complex(z - zi)
+        _check_spectral(params, s)
+        th_z, th_shift = ev.theta(s), ev.theta(s - 2 * eta)
+        table = np.zeros((len(corners), 4, 4), dtype=complex)
+        for r, lam_thetas in zip(table, corners):
+            _r_fill(r, th_z, th_shift, model.th_2eta, [(th, th2, ev.theta(l + s)) for l, th, th2 in lam_thetas])
+        w = table.reshape(-1)[faces]
         re, im = re * w.real - im * w.imag, re * w.imag + im * w.real
+    dim = 2 ** params.n
     t = np.zeros((dim, dim), dtype=complex)
-    t.real[rows, cols] = re
-    t.imag[rows, cols] = im
+    t.real[model.rows, model.cols] = re
+    t.imag[model.rows, model.cols] = im
     return t
 
 
@@ -129,7 +180,7 @@ class _GridModel:
     factors: np.ndarray
 
 
-@functools.lru_cache(maxsize=8)  # an entry holds (n + 1) n 2^n indices
+@functools.lru_cache(maxsize=8)  # an entry holds (n + 1) n 2^n uint16 indices
 def _grid_model(params: ModelParams) -> _GridModel:
     """Lattice checks, flip coefficients, cross thetas and grid indices, read-only.
 
@@ -180,6 +231,7 @@ def _grid_model(params: ModelParams) -> _GridModel:
         len(heads) + cross_factors,
         (len(heads) + len(cross) + 2 * sites + bits)[None],
     ])
+    factors = factors.astype(np.uint16)  # indices below 6 n^2
     bits.setflags(write=False)
     factors.setflags(write=False)
     return _GridModel(tuple(map(tuple, flip)), heads, cross, bits, factors)

@@ -69,17 +69,14 @@ class ModelParams:
             raise ParameterError("IRF tasks require every site weight equal to 1")
         if self.n % 2 == 0:
             raise ParameterError("IRF tasks require an odd number of sites")
-        for i in range(self.n):
-            for j in range(self.n):
-                if i == j:
-                    continue
-                for ell in (-1, 0, 1):
-                    if self.lattice.dist_to_lattice(
-                        self.zs[i] - self.zs[j] - 2.0 * ell * self.eta
-                    ) < self.rho:
-                        raise ParameterError(
-                            "sites %d and %d are 2*eta-resonant modulo the lattice" % (i, j)
-                        )
+        # one array pass; the error names the first (i, j) of the loop over i, j, ell
+        pairs = [(i, j) for i in range(self.n) for j in range(self.n) if i != j]
+        shifts = [self.zs[i] - self.zs[j] - 2.0 * ell * self.eta for i, j in pairs for ell in (-1, 0, 1)]
+        dist = self.lattice.dist_to_lattice_array(np.array(shifts, dtype=complex))
+        close = np.flatnonzero(dist < self.rho)
+        if close.size:
+            i, j = pairs[close[0] // 3]
+            raise ParameterError("sites %d and %d are 2*eta-resonant modulo the lattice" % (i, j))
 
     def validate_even_weight_sum(self) -> None:
         if sum(self.lams) % 2 != 0:

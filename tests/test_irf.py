@@ -169,13 +169,18 @@ def reference_paths(params, z):
 
 
 def test_paths_match_reference_loop(lattice):
-    # the index-form build reproduces the pair loop bit for bit
+    # the index-form build reproduces the pair loop bit for bit, from a cold
+    # per-model cache and from a warm one
     rng2 = np.random.default_rng(11)
     for zs in (Z1, Z3, Z5, Z9[:7]):
         params = make_params(lattice, zs)
+        irf._path_model.cache_clear()
         for _ in range(2):
             z = spectral_point(params, rng2)
-            assert np.array_equal(build_T_irf_paths(params, z), reference_paths(params, z))
+            ref = reference_paths(params, z)
+            assert np.array_equal(build_T_irf_paths(params, z), ref)
+            assert np.array_equal(build_T_irf_paths(params, z), ref)
+        assert irf._path_model.cache_info().misses == 1
 
 
 def test_paths_support_size(lattice):
@@ -189,19 +194,69 @@ def test_paths_support_size(lattice):
 
 
 def test_paths_theta_count(lattice, monkeypatch):
-    """Five sites: one R-matrix per (site, corner height), 30 in all, each
-    evaluating theta once at each of its 9 distinct arguments."""
+    """Five sites: 30 distinct (site, corner height) pairs over 6 corner
+    heights.  A cold build evaluates theta(z - z_i) and theta(z - z_i - 2 eta)
+    per site (10), theta(l + z - z_i) for l = +/-lambda per pair (60),
+    theta(l) and theta(l + 2 eta) per corner height (24) and theta(2 eta)
+    once: 95, against 270 when each pair built its own R-matrix.  A repeat
+    build evaluates only the z-dependent ones, 2n + 2 * 30 = 70."""
     params = make_params(lattice, Z5)
-    calls = [0]
-    original = ThetaEvaluator.theta_taylor
-
-    def counting(self, z, degree):
-        calls[0] += 1
-        return original(self, z, degree)
-
-    monkeypatch.setattr(ThetaEvaluator, "theta_taylor", counting)
+    counts = count_theta_calls(monkeypatch)
+    irf._path_model.cache_clear()
     build_T_irf_paths(params, 0.41 + 0.37j)
-    assert calls[0] <= 270
+    assert counts["theta_taylor"][0] <= 95
+    pairs = sum(map(len, irf._path_model(params).corners))
+    assert pairs == 30
+    counts["theta_taylor"][0] = 0
+    build_T_irf_paths(params, 0.29 - 0.13j)
+    assert counts["theta_taylor"][0] == 2 * params.n + 2 * pairs == 70
+    assert counts["theta_array"][0] == 0
+
+
+def test_paths_cold_build_equals_warm(lattice):
+    # the per-model data is a cache, never a second source of values
+    params = make_params(lattice, Z9)
+    z = spectral_point(params, np.random.default_rng(23))
+    irf._path_model.cache_clear()
+    cold = build_T_irf_paths(params, z)
+    assert np.array_equal(cold, build_T_irf_paths(params, z))
+    assert irf._path_model.cache_info().hits == 1
+    model = irf._path_model(params)
+    arrays = (model.rows, model.cols, model.faces)
+    assert not any(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError):
+        model.faces[0, 0] = 0
+    # uint16 pairs and a uint8 face index per site: (3^n - 1)(4 + n) bytes,
+    # 256 kB at n = 9, under an lru_cache of 8 models
+    assert [a.dtype for a in arrays] == [np.uint16, np.uint16, np.uint8]
+    assert sum(a.nbytes for a in arrays) == (3 ** 9 - 1) * (4 + 9) < 300_000
+
+
+def test_paths_lambda_check_runs_in_the_cache(lattice):
+    # negative control: 3 eta = 1 is a lattice point and three sites have
+    # doubled corner heights +/-3, so the build raises r_matrix's error
+    params = ModelParams(lattice, 1 / 3, Z3, (1, 1, 1))
+    with pytest.raises(ParameterError) as expected:
+        r_matrix(params, 0.41 + 0.37j, -params.eta * 3)
+    irf._path_model.cache_clear()
+    with pytest.raises(ParameterError) as raised:
+        build_T_irf_paths(params, 0.41 + 0.37j)
+    assert str(raised.value) == str(expected.value)
+    assert irf._path_model.cache_info().currsize == 0
+
+
+def test_paths_spectral_check_on_warm_cache(lattice):
+    # negative control: the z - 2 eta check runs per build, not once per model
+    params = make_params(lattice, Z5)
+    build_T_irf_paths(params, 0.41 + 0.37j)
+    hits = irf._path_model.cache_info().hits
+    z = Z5[2] + 2 * ETA
+    with pytest.raises(ParameterError) as expected:
+        r_matrix(params, z - Z5[2], -ETA)
+    with pytest.raises(ParameterError) as raised:
+        build_T_irf_paths(params, z)
+    assert str(raised.value) == str(expected.value)
+    assert irf._path_model.cache_info().hits == hits + 1
 
 
 def reference_sov(params, zeta, nudge=None):

@@ -49,3 +49,30 @@ def test_sample_generic(lattice):
     # no point of the cell is 2 away from the lattice
     with pytest.raises(LatticeError, match="generic point"):
         params.sample_generic(rng, margin=2.0)
+
+
+def reference_resonant_pair(params):
+    """The first (i, j, ell) loop hit of the 2*eta-resonance check, scalar distances."""
+    for i in range(params.n):
+        for j in range(params.n):
+            for ell in (-1, 0, 1):
+                shift = params.zs[i] - params.zs[j] - 2.0 * ell * params.eta
+                if i != j and params.lattice.dist_to_lattice(shift) < params.rho:
+                    return i, j
+    return None
+
+
+@pytest.mark.parametrize(
+    "moves", [((2, 1, 2),), ((4, 3, -2),), ((3, 0, -2),), ((1, 4, 2),), ((4, 1, 2), (3, 0, -2))]
+)
+def test_resonance_error_names_first_pair(lattice, moves):
+    # each move sets site = partner + offset eta plus a lattice vector; the
+    # error names the first resonant (i, j) of the scalar loop over i, then j
+    zs = list(ZS) + [0.81 + 0.11j, 0.29 + 0.88j]
+    assert reference_resonant_pair(make(lattice, zs=tuple(zs))) is None
+    for site, partner, offset in moves:
+        zs[site] = zs[partner] + offset * (0.173 - 0.061j) + 1 + lattice.tau
+    params = make(lattice, zs=tuple(zs))
+    i, j = reference_resonant_pair(params)
+    with pytest.raises(ParameterError, match="sites %d and %d are" % (i, j)):
+        params.validate_for_irf()
