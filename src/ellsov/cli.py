@@ -348,7 +348,7 @@ def _task_irf_build(block, params, rng, tol, csv_dir):
         za = irf.sample_spectral(params, rng)
         zb = irf.sample_spectral(params, rng)
         for kind, build in (("sov", irf.build_T_irf_sov), ("paths", irf.build_T_irf_paths)):
-            res = irf._commutator_residual(build(params, za), build(params, zb), params.n)
+            res = irf._commutator_residual(build(params, za), build(params, zb))
             comm[kind] = max(comm[kind], res)
     rec = irf.reconcile_constructions(params, rng)
     checks = [

@@ -10,8 +10,9 @@ carry the same dynamical value lambda = eta (n - 2 sum m).
 
 Two independent matrix constructions are provided: the product of local
 face weights over the path basis, and the displayed one-flip difference
-operator on the grid.  They generate the same commuting family but are
-not equal entrywise; ``reconcile_constructions`` computes the exact
+operator on the grid.  Both flip the parity of sum m, so each is returned
+as its two parity blocks (B, C).  They generate the same commuting family
+but are not equal entrywise; ``reconcile_constructions`` computes the exact
 bridge (a spectral-parameter shift by eta, a scalar prefactor, and a
 z-independent change of basis).
 """
@@ -59,6 +60,38 @@ _ANGLE_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
+# parity blocks
+
+
+@functools.cache
+def _parity_order(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Grid indices with an even and with an odd sum m (popcount parity), read-only."""
+    odd = np.bitwise_count(np.arange(2 ** n)) % 2 == 1
+    order = np.flatnonzero(~odd), np.flatnonzero(odd)
+    for idx in order:
+        idx.setflags(write=False)
+    return order
+
+
+def _scatter_blocks(n: int, rows, cols, re, im) -> tuple[np.ndarray, np.ndarray]:
+    """(B, C) of t = [[0, B], [C, 0]] in the parity order, t holding re + i im at (rows, cols).
+
+    Both transfer matrices flip the parity of sum m: each grid term flips
+    one sigma_i, and each face-weight row moves the first height by one.
+    A parity class holds one of 2k and 2k + 1, so index r is row or column
+    r >> 1 of its block.  An equal-parity pair is a ParameterError.
+    """
+    rows, cols = np.broadcast_arrays(rows, cols)
+    parity = np.bitwise_count(rows) % 2
+    if np.any(parity == np.bitwise_count(cols) % 2):
+        raise ParameterError("transfer matrix has a nonzero entry between states of equal parity")
+    blocks = np.zeros((2, 2 ** (n - 1), 2 ** (n - 1)), dtype=complex)
+    blocks.real[parity, rows >> 1, cols >> 1] = re
+    blocks.imag[parity, rows >> 1, cols >> 1] = im
+    return blocks[0], blocks[1]
+
+
+# ---------------------------------------------------------------------------
 # transfer matrix, path construction
 
 
@@ -93,6 +126,7 @@ class _PathModel:
 @functools.lru_cache(maxsize=8)  # an entry holds (3^n - 1)(4 + n) bytes of indices
 def _path_model(params: ModelParams) -> _PathModel:
     """Support, face indices and the corner heights' lattice checks and thetas, read-only."""
+    params.validate_for_irf()
     n, eta, ev = params.n, params.eta, params.evaluator()
     # doubled heights from the path sign 1 - 2m: antiperiodicity fixes
     # 2 a_1 = sum sigma, and each step is -2 sigma_i
@@ -125,8 +159,8 @@ def _path_model(params: ModelParams) -> _PathModel:
     return _PathModel(rows, cols, faces, tuple(corners), ev.theta(2 * eta))
 
 
-def build_T_irf_paths(params: ModelParams, z: complex) -> np.ndarray:
-    """Transfer matrix on the path basis, column i carrying z - z_i.
+def build_T_irf_paths(params: ModelParams, z: complex) -> tuple[np.ndarray, np.ndarray]:
+    """Transfer matrix on the path basis, column i carrying z - z_i, as its parity blocks (B, C).
 
     Entry [b, a] is the product over columns of the face weight
     W(a_{i+1}, a_i, b_i, b_{i+1} | z - z_i); it vanishes unless the two
@@ -138,7 +172,6 @@ def build_T_irf_paths(params: ModelParams, z: complex) -> np.ndarray:
     arrays (numpy's complex multiply rounds differently), so each entry
     equals the pair-by-pair product bit for bit.
     """
-    params.validate_for_irf()
     model = _path_model(params)
     ev, eta = params.evaluator(), params.eta
     re, im = np.ones(len(model.rows)), np.zeros(len(model.rows))
@@ -151,11 +184,7 @@ def build_T_irf_paths(params: ModelParams, z: complex) -> np.ndarray:
             _r_fill(r, th_z, th_shift, model.th_2eta, [(th, th2, ev.theta(l + s)) for l, th, th2 in lam_thetas])
         w = table.reshape(-1)[faces]
         re, im = re * w.real - im * w.imag, re * w.imag + im * w.real
-    dim = 2 ** params.n
-    t = np.zeros((dim, dim), dtype=complex)
-    t.real[model.rows, model.cols] = re
-    t.imag[model.rows, model.cols] = im
-    return t
+    return _scatter_blocks(params.n, model.rows, model.cols, re, im)
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +218,7 @@ def _grid_model(params: ModelParams) -> _GridModel:
     theta(0) = 0 at k = i, and it is certified to vanish before it is
     dropped.
     """
+    params.validate_for_irf()
     n, eta, zs, ev = params.n, params.eta, params.zs, params.evaluator()
     # dynamical denominators theta(lambda) at lambda = -eta * (odd sum)
     for k in range(1, n + 1, 2):
@@ -237,8 +267,8 @@ def _grid_model(params: ModelParams) -> _GridModel:
     return _GridModel(tuple(map(tuple, flip)), heads, cross, bits, factors)
 
 
-def build_T_irf_sov(params: ModelParams, zeta: complex) -> np.ndarray:
-    """One-flip difference operator on the grid x_i = -z_i + sigma_i eta.
+def build_T_irf_sov(params: ModelParams, zeta: complex) -> tuple[np.ndarray, np.ndarray]:
+    """One-flip difference operator on the grid x_i = -z_i + sigma_i eta, as its parity blocks (B, C).
 
     The displayed operator reads off the evaluation point -zeta; each
     term flips one sigma_i, the opposite shift leaving the grid carries a
@@ -251,7 +281,6 @@ def build_T_irf_sov(params: ModelParams, zeta: complex) -> np.ndarray:
     imaginary arrays with the scalar complex-product formula, so each
     entry equals the scalar product of the same factors bit for bit.
     """
-    params.validate_for_irf()
     model = _grid_model(params)
     ev = params.evaluator()
     eta, n, zdisp = params.eta, params.n, -complex(zeta)
@@ -269,11 +298,7 @@ def build_T_irf_sov(params: ModelParams, zeta: complex) -> np.ndarray:
         re, im = re * f.real - im * f.imag, re * f.imag + im * f.real
     rows = np.arange(2 ** n)[:, None]
     # site i is bit n-1-i of the grid index, so flipping sigma_i flips that bit
-    cols = rows ^ (1 << (n - 1 - np.arange(n)))
-    t = np.zeros((2 ** n, 2 ** n), dtype=complex)
-    t.real[rows, cols] = re
-    t.imag[rows, cols] = im
-    return t
+    return _scatter_blocks(n, rows, rows ^ (1 << (n - 1 - np.arange(n))), re, im)
 
 
 # ---------------------------------------------------------------------------
@@ -293,16 +318,18 @@ def kappa_factor(params: ModelParams, w: complex) -> complex:
 class DualReconciliation:
     """Exact bridge T_paths(z) = constant * kappa(z - eta) * P T_sov(z - eta) P^{-1}.
 
-    The change of basis P and the constant are z-independent.  residual
-    is the relative error of the bridged identity at fresh sample points,
-    literal_gap the relative entrywise distance between the two raw
-    matrices (order one; the two constructions do not coincide literally).
-    condition is the 1-norm condition number of the conjugation, min_gap
-    the smallest eigenvalue distance of T_paths(z0) over its spectral radius.
+    The change of basis P and the constant are z-independent; P is
+    block-diagonal in the parity order and conjugation holds its blocks
+    (K_even, K_odd).  residual is the relative error of the bridged
+    identity at fresh sample points, literal_gap the relative entrywise
+    distance between the two raw matrices (order one; the two
+    constructions do not coincide literally).  condition is the 1-norm
+    condition number of P, min_gap the smallest eigenvalue distance of
+    T_paths(z0) over its spectral radius.
     """
 
     constant: complex
-    conjugation: np.ndarray
+    conjugation: tuple[np.ndarray, np.ndarray]
     residual: float
     literal_gap: float
     condition: float
@@ -337,36 +364,13 @@ def _pair_spectra(mu: np.ndarray, target: np.ndarray, tol: float) -> np.ndarray:
     return perm
 
 
-@functools.cache
-def _parity_order(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Grid indices with an even and with an odd sum m (popcount parity), read-only."""
-    odd = np.bitwise_count(np.arange(2 ** n)) % 2 == 1
-    order = np.flatnonzero(~odd), np.flatnonzero(odd)
-    for idx in order:
-        idx.setflags(write=False)
-    return order
-
-
-def _parity_blocks(t: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(B, C) with t = [[0, B], [C, 0]] in the parity order (even sums m first).
-
-    Both transfer matrices flip the parity of sum m: each grid term flips
-    one sigma_i, and each face-weight row moves the first height by one.
-    A nonzero same-parity entry is a ParameterError.
-    """
-    even, odd = _parity_order(n)
-    if np.count_nonzero(t[np.ix_(even, even)]) or np.count_nonzero(t[np.ix_(odd, odd)]):
-        raise ParameterError("transfer matrix has a nonzero entry between states of equal parity")
-    return t[np.ix_(even, odd)], t[np.ix_(odd, even)]
-
-
-def _commutator_residual(a: np.ndarray, b: np.ndarray, n: int) -> float:
-    """max |a b - b a| / max |a b| for two transfer matrices, on their parity blocks.
+def _commutator_residual(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]) -> float:
+    """max |a b - b a| / max |a b| for two transfer matrices given as their parity blocks.
 
     a b = diag(B_a C_b, C_a B_b) and b a = diag(B_b C_a, C_b B_a); every
     entry of each product equals the dense product's.
     """
-    (b_a, c_a), (b_b, c_b) = _parity_blocks(a, n), _parity_blocks(b, n)
+    (b_a, c_a), (b_b, c_b) = a, b
     dev = scale = 0.0
     for x_a, y_b, x_b, y_a in ((b_a, c_b, b_b, c_a), (c_a, b_b, c_b, b_a)):
         ab, ba = x_a @ y_b, x_b @ y_a
@@ -376,7 +380,7 @@ def _commutator_residual(a: np.ndarray, b: np.ndarray, n: int) -> float:
     return dev / scale
 
 
-def _chiral_eig(t: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _chiral_eig(b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(nu, x, y): the eigenpairs of t = [[0, B], [C, 0]] are (+nu, [x; y]) and (-nu, [x; -y]).
 
     x holds the even-parity rows and y the odd ones, in the order of
@@ -391,7 +395,6 @@ def _chiral_eig(t: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     no correction.  A (near) zero nu cannot be split into its +/- pair and
     is a ParameterError.
     """
-    b, c = _parity_blocks(t, n)
     sq, x = np.linalg.eig(b @ c)
     nu = np.sqrt(sq)
     tol = _GAP_TOL * float(np.max(np.abs(nu)))
@@ -424,17 +427,15 @@ def reconcile_constructions(params: ModelParams, rng: np.random.Generator) -> Du
     2^(n-1)-square blocks.  Raises ParameterError when the probe spectrum
     is too clustered to pair up eigenvalues.
     """
-    params.validate_for_irf()
-    n = params.n
     z0 = sample_spectral(params, rng)
     tp = build_T_irf_paths(params, z0)
     kap = kappa_factor(params, z0 - params.eta)
-    literal = float(
-        np.max(np.abs(tp - build_T_irf_sov(params, z0))) / np.max(np.abs(tp))
-    )
-    nu_p, xp, yp = _chiral_eig(tp, n)
+    # the same-parity blocks are 0 in both matrices
+    gap = max(float(np.max(np.abs(p - s))) for p, s in zip(tp, build_T_irf_sov(params, z0)))
+    literal = gap / max(float(np.max(np.abs(p))) for p in tp)
+    nu_p, xp, yp = _chiral_eig(*tp)
     del tp
-    nu_s, xs, ys = _chiral_eig(build_T_irf_sov(params, z0 - params.eta), n)
+    nu_s, xs, ys = _chiral_eig(*build_T_irf_sov(params, z0 - params.eta))
     constant = -1.0 + 0.0j
     half = len(nu_p)
     mu = np.concatenate([nu_p, -nu_p])
@@ -458,18 +459,15 @@ def reconcile_constructions(params: ModelParams, rng: np.random.Generator) -> Du
     for _ in range(_RECONCILE_SAMPLES):
         zf = sample_spectral(params, rng)
         kapf = constant * kappa_factor(params, zf - params.eta)
-        bs, cs = _parity_blocks(build_T_irf_sov(params, zf - params.eta), n)
+        bs, cs = build_T_irf_sov(params, zf - params.eta)
         # the same-parity blocks are 0 on both sides: only B and C can differ
         rhs = (kapf * blocks[0] @ bs @ inverses[1], kapf * blocks[1] @ cs @ inverses[0])
         del bs, cs
-        lhs = _parity_blocks(build_T_irf_paths(params, zf), n)
+        lhs = build_T_irf_paths(params, zf)
         dev = max(float(np.max(np.abs(r - l))) for r, l in zip(rhs, lhs))
         residual = max(residual, dev / max(float(np.max(np.abs(l))) for l in lhs))
         del lhs, rhs  # not alive while the next sample's pair is built
-    even, odd = _parity_order(n)
-    conj = np.zeros((2 ** n, 2 ** n), dtype=complex)
-    conj[np.ix_(even, even)], conj[np.ix_(odd, odd)] = blocks
-    return DualReconciliation(constant, conj, residual, literal, condition, min_gap)
+    return DualReconciliation(constant, blocks, residual, literal, condition, min_gap)
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +562,8 @@ def certify_spectrum(
     are read; validation, the quadratic relations and the reconstructions
     run for all clusters at once.
     """
-    params.validate_for_irf()
+    # z-independent data of the quadratic relations (the flip coefficients) and the grid signs
+    model = _grid_model(params)
     n = params.n
     ev = params.evaluator()
     chi0 = eigenvalue_character(params)
@@ -573,7 +572,7 @@ def certify_spectrum(
     except spaces.ResonantCharacterError as exc:
         raise ParameterError(str(exc)) from exc
 
-    nu, x, y = _chiral_eig(build_T_irf_sov(params, z0), n)
+    nu, x, y = _chiral_eig(*build_T_irf_sov(params, z0))
     half = len(nu)
     mu = np.concatenate([nu, -nu])
     even, odd = _parity_order(n)
@@ -582,9 +581,6 @@ def certify_spectrum(
     vecs[odd, :half], vecs[odd, half:] = y, -y
     del x, y
     val_pts = [sample_spectral(params, rng) for _ in range(_VALIDATION_POINTS)]
-
-    # z-independent data of the quadratic relations (the flip coefficients) and the grid signs
-    model = _grid_model(params)
 
     groups, dist = _clusters(mu, _GAP_TOL)
     mu_scale = max(float(np.max(np.abs(mu))), 1.0)
@@ -613,7 +609,10 @@ def certify_spectrum(
     ratios = np.empty((len(groups), len(points)), dtype=complex)
     cluster_dev = np.zeros(len(groups))
     for p, zp in enumerate(points):
-        image = build_T_irf_sov(params, zp) @ stacked
+        b, c = build_T_irf_sov(params, zp)
+        image = np.empty_like(stacked)
+        image[even], image[odd] = b @ stacked[odd], c @ stacked[even]
+        del b, c
         ratios[unit, p] = np.einsum("rk,rk->k", units, image[:, starts[unit]])
         for k in blocks:
             cols = slice(starts[k], starts[k] + dims[k])
@@ -704,7 +703,7 @@ def partition_function(
     build = build_T_irf_paths if kind == "paths" else build_T_irf_sov
     chains = []
     for k, w in enumerate(ws):
-        b, c = _parity_blocks(build(params, w), params.n)
+        b, c = build(params, w)
         if len(ws) % 2:
             continue
         # B and C alternate along both chains, which start B_1 and C_1

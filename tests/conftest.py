@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ellsov import irf
 from ellsov.theta import Lattice, ThetaEvaluator
 
 TAU = 0.31 + 1.07j
@@ -31,3 +32,13 @@ def sample_point(rng, lattice, margin=5e-2, spread=1.0):
         if lattice.dist_to_lattice(z) > margin:
             return z
     raise RuntimeError("sampling failed")
+
+
+def dense(blocks):
+    """The 2^n-square transfer matrix [[0, B], [C, 0]] of its parity blocks (B, C), in grid order."""
+    b, c = blocks
+    half = len(b)
+    even, odd = irf._parity_order(half.bit_length())  # half = 2^(n-1)
+    t = np.zeros((2 * half, 2 * half), dtype=complex)
+    t[np.ix_(even, odd)], t[np.ix_(odd, even)] = b, c
+    return t

@@ -23,7 +23,7 @@ from ellsov import eqg, gaudin, irf, jets, spaces
 from ellsov.params import ModelParams
 from ellsov.theta import Lattice, ThetaEvaluator
 
-from conftest import TAU, sample_point
+from conftest import TAU, dense, sample_point
 
 ETA = 0.173 - 0.061j
 Z1 = (0.12 + 0.23j,)
@@ -227,9 +227,9 @@ def test_criterion_09_irf_dual_construction(lattice, rng):
         for _ in range(5):
             za = params.sample_generic(rng, margin=5e-2, avoid=tuple(z + 2 * ETA for z in zs))
             zb = params.sample_generic(rng, margin=5e-2, avoid=tuple(z + 2 * ETA for z in zs))
-            a, b = irf.build_T_irf_sov(params, za), irf.build_T_irf_sov(params, zb)
+            a, b = dense(irf.build_T_irf_sov(params, za)), dense(irf.build_T_irf_sov(params, zb))
             assert np.max(np.abs(a @ b - b @ a)) <= 1e-9 * np.max(np.abs(a @ b))
-            a, b = irf.build_T_irf_paths(params, za), irf.build_T_irf_paths(params, zb)
+            a, b = dense(irf.build_T_irf_paths(params, za)), dense(irf.build_T_irf_paths(params, zb))
             assert np.max(np.abs(a @ b - b @ a)) <= 1e-9 * np.max(np.abs(a @ b))
     assert time.perf_counter() - start < 60.0
 
@@ -248,8 +248,8 @@ def test_criterion_09_irf_dual_construction(lattice, rng):
         # Phi from one probe point: pair the eigenvectors of T_paths(z0) with
         # those of -kappa(z0 - eta) T_sov(z0 - eta) by their eigenvalues
         z0 = params.sample_generic(rng, margin=5e-2, avoid=avoid)
-        mu, vp = np.linalg.eig(irf.build_T_irf_paths(params, z0))
-        nu, vs = np.linalg.eig(-kappa(z0 - ETA) * irf.build_T_irf_sov(params, z0 - ETA))
+        mu, vp = np.linalg.eig(dense(irf.build_T_irf_paths(params, z0)))
+        nu, vs = np.linalg.eig(-kappa(z0 - ETA) * dense(irf.build_T_irf_sov(params, z0 - ETA)))
         dist = np.abs(mu[:, None] - nu[None, :])
         pair = np.argmin(dist, axis=1)
         assert sorted(pair) == list(range(len(mu)))
@@ -260,14 +260,14 @@ def test_criterion_09_irf_dual_construction(lattice, rng):
         # entrywise at points that did not enter Phi
         for _ in range(2):
             z = params.sample_generic(rng, margin=5e-2, avoid=avoid)
-            tp = irf.build_T_irf_paths(params, z)
+            tp = dense(irf.build_T_irf_paths(params, z))
             scale = np.max(np.abs(tp))
 
             def gap(shift):
-                rhs = -kappa(z - ETA) * phi @ irf.build_T_irf_sov(params, z - shift) @ phi_inv
+                rhs = -kappa(z - ETA) * phi @ dense(irf.build_T_irf_sov(params, z - shift)) @ phi_inv
                 return float(np.max(np.abs(tp - rhs)) / scale)
 
-            literal = float(np.max(np.abs(tp - irf.build_T_irf_sov(params, z))) / scale)
+            literal = float(np.max(np.abs(tp - dense(irf.build_T_irf_sov(params, z)))) / scale)
             bridged = gap(ETA)
             assert bridged <= 1e-9, (
                 "T_paths(z) != -kappa(z - eta) Phi T_sov(z - eta) Phi^-1 for n = %d: "

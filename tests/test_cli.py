@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 from ellsov import cli, gaudin, irf, jets
+from ellsov.params import ModelParams
 from ellsov.theta import PoleProximityError
+
+from conftest import dense
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -325,7 +328,7 @@ def reference_commutators(cfg):
         za = irf.sample_spectral(params, rng)
         zb = irf.sample_spectral(params, rng)
         for kind, build in (("sov", irf.build_T_irf_sov), ("paths", irf.build_T_irf_paths)):
-            a, b = build(params, za), build(params, zb)
+            a, b = dense(build(params, za)), dense(build(params, zb))
             ab = a @ b
             comm[kind] = max(comm[kind], float(np.max(np.abs(ab - b @ a)) / np.max(np.abs(ab))))
     return comm
@@ -346,6 +349,26 @@ def test_irf_build_commutators_match_reference(tmp_path):
         assert residuals["paths_family_commutes"] == comm["paths"]
         metrics = report["metrics"]
         assert metrics["bridge_condition"] >= 1.0 and metrics["paths_min_relative_gap"] > 0.0
+
+
+def test_irf_tasks_validate_each_model_once(tmp_path, monkeypatch):
+    """validate_for_irf is the first statement of the two per-model caches, so
+    a task validates its model once per cache it fills: at most twice per
+    irf build or partition task and once per irf spectrum task."""
+    calls = []
+    original = ModelParams.validate_for_irf
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(ModelParams, "validate_for_irf", counted)
+    for task, config, limit in (("build", "irf_n5", 2), ("spectrum", "irf_n5", 1), ("partition", "irf_n3", 2)):
+        irf._path_model.cache_clear()
+        irf._grid_model.cache_clear()
+        calls.clear()
+        code, _ = run_to_file(tmp_path, ["irf", task, "--config", str(CONFIGS / ("%s.json" % config))])
+        assert code == 0 and 1 <= len(calls) <= limit, (task, len(calls))
 
 
 def reference_gaudin_check(cfg, seed):

@@ -23,7 +23,7 @@ from ellsov.irf import (
 from ellsov.params import ModelParams, ParameterError
 from ellsov.theta import ThetaEvaluator
 
-from conftest import TAU, sample_point
+from conftest import TAU, dense, sample_point
 
 ETA = 0.173 - 0.061j
 Z1 = (0.12 + 0.23j,)
@@ -129,7 +129,7 @@ def test_paths_one_site_closed_form(lattice, rng):
     rng2 = np.random.default_rng(7)
     for _ in range(4):
         z = spectral_point(params, rng2)
-        t = build_T_irf_paths(params, z)
+        t = dense(build_T_irf_paths(params, z))
         # single column, single face: the off-diagonal weight at corner -1/2
         s = z - Z1[0]
         off = -ev.theta(s - ETA) * ev.theta(2 * ETA) / (ev.theta(-ETA) * ev.theta(s - 2 * ETA))
@@ -178,8 +178,8 @@ def test_paths_match_reference_loop(lattice):
         for _ in range(2):
             z = spectral_point(params, rng2)
             ref = reference_paths(params, z)
-            assert np.array_equal(build_T_irf_paths(params, z), ref)
-            assert np.array_equal(build_T_irf_paths(params, z), ref)
+            assert np.array_equal(dense(build_T_irf_paths(params, z)), ref)
+            assert np.array_equal(dense(build_T_irf_paths(params, z)), ref)
         assert irf._path_model.cache_info().misses == 1
 
 
@@ -189,7 +189,7 @@ def test_paths_support_size(lattice):
     rng2 = np.random.default_rng(13)
     for n in (1, 3, 5, 7, 9):
         params = make_params(lattice, Z9[:n])
-        t = build_T_irf_paths(params, spectral_point(params, rng2))
+        t = dense(build_T_irf_paths(params, spectral_point(params, rng2)))
         assert np.count_nonzero(t) == 3 ** n - 1
 
 
@@ -218,8 +218,8 @@ def test_paths_cold_build_equals_warm(lattice):
     params = make_params(lattice, Z9)
     z = spectral_point(params, np.random.default_rng(23))
     irf._path_model.cache_clear()
-    cold = build_T_irf_paths(params, z)
-    assert np.array_equal(cold, build_T_irf_paths(params, z))
+    cold = dense(build_T_irf_paths(params, z))
+    assert np.array_equal(cold, dense(build_T_irf_paths(params, z)))
     assert irf._path_model.cache_info().hits == 1
     model = irf._path_model(params)
     arrays = (model.rows, model.cols, model.faces)
@@ -313,22 +313,22 @@ def test_sov_match_reference_loop(lattice):
         params = make_params(lattice, zs)
         for _ in range(2):
             zeta = spectral_point(params, rng2)
-            t = build_T_irf_sov(params, zeta)
+            t = dense(build_T_irf_sov(params, zeta))
             assert relative_entry_gap(t, reference_sov(params, zeta)) <= 1e-13
     # negative control: one spectral theta off by 1e-10 breaks the bound
     params = make_params(lattice, Z5)
     zeta = spectral_point(params, rng2)
     nudged = reference_sov(params, zeta, nudge=(2, 1, 1.0 + 1e-10))
-    assert relative_entry_gap(build_T_irf_sov(params, zeta), nudged) > 1e-13
+    assert relative_entry_gap(dense(build_T_irf_sov(params, zeta)), nudged) > 1e-13
 
 
 def test_sov_cold_build_equals_warm(lattice):
     # the per-model data is a cache, never a second source of values
     params = make_params(lattice, Z5)
     irf._grid_model.cache_clear()
-    cold = build_T_irf_sov(params, 0.41 + 0.37j)
+    cold = dense(build_T_irf_sov(params, 0.41 + 0.37j))
     assert irf._grid_model.cache_info().misses == 1
-    warm = build_T_irf_sov(params, 0.41 + 0.37j)
+    warm = dense(build_T_irf_sov(params, 0.41 + 0.37j))
     assert irf._grid_model.cache_info().hits == 1
     assert np.array_equal(cold, warm)
     assert not irf._grid_model(params).factors.flags.writeable
@@ -340,12 +340,12 @@ def test_sov_cache_key_includes_eta(lattice):
     second = ModelParams(lattice=lattice, eta=ETA + 0.01, zs=Z3, lams=(1, 1, 1))
     zeta = 0.41 + 0.37j
     irf._grid_model.cache_clear()
-    a, b = build_T_irf_sov(first, zeta), build_T_irf_sov(second, zeta)
+    a, b = dense(build_T_irf_sov(first, zeta)), dense(build_T_irf_sov(second, zeta))
     assert not np.allclose(a, b)
     # second's build must not have read first's entry: it equals its own cold build
     assert irf._grid_model.cache_info().misses == 2
     irf._grid_model.cache_clear()
-    assert np.array_equal(b, build_T_irf_sov(second, zeta))
+    assert np.array_equal(b, dense(build_T_irf_sov(second, zeta)))
     assert relative_entry_gap(b, reference_sov(second, zeta)) <= 1e-13
 
 
@@ -383,7 +383,7 @@ def test_sov_one_site_closed_form(lattice, rng):
     ev = params.evaluator()
     for _ in range(4):
         zeta = sample_point(rng, lattice)
-        t = build_T_irf_sov(params, zeta)
+        t = dense(build_T_irf_sov(params, zeta))
         closed = -ev.theta(zeta - Z1[0]) * ev.theta(2 * ETA) / ev.theta(ETA)
         assert t[0, 0] == 0.0 and t[1, 1] == 0.0
         assert_allclose(t[0, 1], closed, rtol=1e-13)
@@ -395,7 +395,7 @@ def test_sov_entry_is_theta_function_of_z(lattice, rng):
     params = make_params(lattice, Z3)
     ev = params.evaluator()
     chi0 = eigenvalue_character(params)
-    entry = lambda zeta: build_T_irf_sov(params, zeta)[0, 1]
+    entry = lambda zeta: dense(build_T_irf_sov(params, zeta))[0, 1]
     report = spaces.membership_test(ev, entry, 3, chi0, rng, tol=1e-9)
     assert report.passed
 
@@ -426,7 +426,11 @@ def test_dual_reconciliation(lattice, rng):
         assert rec.constant == -1.0
         assert rec.residual <= tol
         assert rec.literal_gap > 0.1
-        assert rec.condition == pytest.approx(np.linalg.cond(rec.conjugation, 1), rel=1e-12)
+        k_even, k_odd = rec.conjugation
+        half = len(k_even)
+        conj = np.zeros((2 * half, 2 * half), dtype=complex)
+        conj[:half, :half], conj[half:, half:] = k_even, k_odd
+        assert rec.condition == pytest.approx(np.linalg.cond(conj, 1), rel=1e-12)
         assert math.isfinite(rec.condition) and rec.condition >= 1.0
         assert math.isfinite(rec.min_gap) and rec.min_gap > 0.0
     # from three sites on no relabelling or rescaling of states carries one
@@ -434,8 +438,8 @@ def test_dual_reconciliation(lattice, rng):
     # grid rows have one per site where the path rows have three or four
     params = make_params(lattice, Z3)
     z = spectral_point(params, rng)
-    paths_rows = np.count_nonzero(build_T_irf_paths(params, z), axis=1)
-    sov_rows = np.count_nonzero(build_T_irf_sov(params, z), axis=1)
+    paths_rows = np.count_nonzero(dense(build_T_irf_paths(params, z)), axis=1)
+    sov_rows = np.count_nonzero(dense(build_T_irf_sov(params, z)), axis=1)
     assert np.all(sov_rows == 3)
     assert sorted(paths_rows) != sorted(sov_rows)
 
@@ -443,10 +447,10 @@ def test_dual_reconciliation(lattice, rng):
 def reference_reconcile(params, rng):
     """The bridge from dense eigs of both matrices, as before the parity split."""
     z0 = irf.sample_spectral(params, rng)
-    tp = build_T_irf_paths(params, z0)
-    ts = build_T_irf_sov(params, z0 - ETA)
+    tp = dense(build_T_irf_paths(params, z0))
+    ts = dense(build_T_irf_sov(params, z0 - ETA))
     kap = irf.kappa_factor(params, z0 - ETA)
-    literal = float(np.max(np.abs(tp - build_T_irf_sov(params, z0))) / np.max(np.abs(tp)))
+    literal = float(np.max(np.abs(tp - dense(build_T_irf_sov(params, z0)))) / np.max(np.abs(tp)))
     mu, vp = np.linalg.eig(tp)
     nu, vs = np.linalg.eig(ts)
     constant = -1.0 + 0.0j
@@ -456,9 +460,9 @@ def reference_reconcile(params, rng):
     residual = 0.0
     for _ in range(2):
         zf = irf.sample_spectral(params, rng)
-        lhs = build_T_irf_paths(params, zf)
+        lhs = dense(build_T_irf_paths(params, zf))
         kapf = irf.kappa_factor(params, zf - ETA)
-        rhs = constant * kapf * conj @ build_T_irf_sov(params, zf - ETA) @ conj_inv
+        rhs = constant * kapf * conj @ dense(build_T_irf_sov(params, zf - ETA)) @ conj_inv
         residual = max(residual, float(np.max(np.abs(lhs - rhs)) / np.max(np.abs(lhs))))
     return conj, residual, literal
 
@@ -469,7 +473,7 @@ def test_reconcile_matches_sequential_reference(lattice):
     The two conjugations differ by a diagonal scaling of the eigenbasis,
     which cancels in conj T conj^-1, so the residuals are compared, not the
     bytes: within 10x of the dense reference and within the criterion
-    tolerance.  The parity blocks of the new conjugation are exact zeros.
+    tolerance.  The new conjugation is stored as its two diagonal blocks.
     """
     for zs in (Z5, Z9[:7]):
         params = make_params(lattice, zs)
@@ -477,9 +481,9 @@ def test_reconcile_matches_sequential_reference(lattice):
         conj, residual, literal = reference_reconcile(params, np.random.default_rng(5))
         assert rec.residual <= max(10 * residual, 1e-15) and rec.residual <= 1e-9
         assert rec.literal_gap == literal
+        half = 2 ** (params.n - 1)
+        assert [k.shape for k in rec.conjugation] == [(half, half)] * 2
         even, odd = irf._parity_order(params.n)
-        assert np.count_nonzero(rec.conjugation[np.ix_(even, odd)]) == 0
-        assert np.count_nonzero(rec.conjugation[np.ix_(odd, even)]) == 0
         # the dense reference is not block-diagonal: its eig scales each +/- pair apart
         assert np.count_nonzero(conj[np.ix_(even, odd)]) > 0
 
@@ -499,30 +503,47 @@ def test_pair_spectra():
 
 def test_transfer_matrices_flip_parity(lattice, rng):
     # each grid term flips one sigma_i and each face-weight row moves a_1 by
-    # one, so both matrices map even sums m onto odd ones and back
-    for n in (1, 3, 5, 7, 9):
+    # one, so both reference loops map even sums m onto odd ones and back
+    for n in (1, 3, 5, 7):
         params = make_params(lattice, Z9[:n])
         z = spectral_point(params, rng)
         even, odd = irf._parity_order(n)
-        assert len(even) == len(odd) == 2 ** (n - 1)
+        for ref in (reference_paths(params, z), reference_sov(params, z)):
+            assert np.count_nonzero(ref[np.ix_(even, even)]) == 0
+            assert np.count_nonzero(ref[np.ix_(odd, odd)]) == 0
+    # each parity class holds one of 2k and 2k + 1, so index r sits at r >> 1 of its block
+    for n in range(1, 10):
+        even, odd = irf._parity_order(n)
         assert np.all(np.bitwise_count(even) % 2 == 0) and np.all(np.bitwise_count(odd) % 2 == 1)
+        assert np.array_equal(even >> 1, np.arange(2 ** (n - 1)))
+        assert np.array_equal(odd >> 1, np.arange(2 ** (n - 1)))
+    for n in (1, 3, 5, 7, 9):
+        params = make_params(lattice, Z9[:n])
+        z = spectral_point(params, rng)
         for build in (build_T_irf_paths, build_T_irf_sov):
-            t = build(params, z)
-            assert np.count_nonzero(t[np.ix_(even, even)]) == 0
-            assert np.count_nonzero(t[np.ix_(odd, odd)]) == 0
-            b, c = irf._parity_blocks(t, n)
-            assert np.array_equal(b, t[np.ix_(even, odd)]) and np.array_equal(c, t[np.ix_(odd, even)])
+            assert [m.shape for m in build(params, z)] == [(2 ** (n - 1), 2 ** (n - 1))] * 2
 
 
-def chiral_check(t, n, nu, x, y):
-    """(residual, kappa) of the eigenpairs (+/-nu, [x; +/-y]) of t in the parity order.
+def test_scatter_blocks_rejects_equal_parity():
+    # 1 <-> 3 flips the parity (one bit, two bits), 1 -> 7 does not (one bit, three bits)
+    re, im = np.array([2.0, 3.0]), np.array([0.5, 0.0])
+    t = dense(irf._scatter_blocks(3, np.array([1, 3]), np.array([3, 1]), re, im))
+    assert t[1, 3] == 2.0 + 0.5j and t[3, 1] == 3.0 and np.count_nonzero(t) == 2
+    for rows, cols in (([1, 7], [3, 1]), ([0], [3]), ([5], [6])):
+        ones = np.ones(len(rows))
+        with pytest.raises(ParameterError, match="equal parity"):
+            irf._scatter_blocks(3, np.array(rows), np.array(cols), ones, 0 * ones)
+
+
+def chiral_check(blocks, nu, x, y):
+    """(residual, kappa) of the eigenpairs (+/-nu, [x; +/-y]) of t = [[0, B], [C, 0]].
 
     The residual is max |t v - lambda v| over max |lambda| for unit v.  The
     left eigenvectors are the rows of [[x, x], [y, -y]]^-1, which is
     [[x^-1, y^-1], [x^-1, -y^-1]] / 2, so kappa_l = |v_l| |w_l| / |w_l^H v_l|
     needs only the two half-size inverses.
     """
-    b, c = irf._parity_blocks(t, n)
+    b, c = blocks
     norms = np.sqrt(np.linalg.norm(x, axis=0) ** 2 + np.linalg.norm(y, axis=0) ** 2)
     xu, yu = x / norms, y / norms
     # (+nu, [x; y]) leaves B y - nu x and C x - nu y, and (-nu, [x; -y]) their negatives
@@ -537,10 +558,11 @@ def test_chiral_eig_matches_lapack(lattice, rng):
         params = make_params(lattice, Z9[:n])
         z = spectral_point(params, rng)
         for build in (build_T_irf_paths, build_T_irf_sov):
-            t = build(params, z)
-            nu, x, y = irf._chiral_eig(t, n)
+            blocks = build(params, z)
+            nu, x, y = irf._chiral_eig(*blocks)
             assert nu.shape == (2 ** (n - 1),) and x.shape == y.shape == (2 ** (n - 1),) * 2
-            residual, kappa = chiral_check(t, n, nu, x, y)
+            residual, kappa = chiral_check(blocks, nu, x, y)
+            t = dense(blocks)
             ref_mu, ref_v = np.linalg.eig(t)
             ref_v /= np.linalg.norm(ref_v, axis=0)
             scale = float(np.max(np.abs(ref_mu)))
@@ -557,22 +579,16 @@ def test_chiral_eig_matches_lapack(lattice, rng):
 
 def test_chiral_eig_rejects_broken_structure(lattice):
     params = make_params(lattice, Z3)
-    t = build_T_irf_sov(params, 0.41 + 0.37j)
-    even, odd = irf._parity_order(3)
-    assert np.all(np.isfinite(irf._chiral_eig(t, 3)[0]))
-    for rows in (even, odd):
-        bad = t.copy()
-        bad[rows[1], rows[2]] = 1e-300
-        with pytest.raises(ParameterError, match="equal parity"):
-            irf._chiral_eig(bad, 3)
+    b, c = build_T_irf_sov(params, 0.41 + 0.37j)
+    assert np.all(np.isfinite(irf._chiral_eig(b, c)[0]))
     # a zero (or tiny) row of B makes B C singular: nu = 0 has no +/- pair to split
     for factor in (0.0, 1e-20):
-        singular = t.copy()
-        singular[even[0], odd] *= factor
+        singular = b.copy()
+        singular[0] *= factor
         with pytest.raises(ParameterError, match="zero eigenvalue"):
-            irf._chiral_eig(singular, 3)
+            irf._chiral_eig(singular, c)
     with pytest.raises(ParameterError, match="zero eigenvalue"):
-        irf._chiral_eig(np.zeros_like(t), 3)
+        irf._chiral_eig(np.zeros_like(b), np.zeros_like(c))
 
 
 def test_chiral_eig_skips_cluster_denominators():
@@ -584,13 +600,10 @@ def test_chiral_eig_skips_cluster_denominators():
     true_nu = np.array([1.0, 1.0, 1.0 + 1e-10, 2j, -2j, 0.5 + 0.3j, 3.0, -0.7 + 0.2j])
     x = rng2.standard_normal((8, 8)) + 1j * rng2.standard_normal((8, 8))
     y = rng2.standard_normal((8, 8)) + 1j * rng2.standard_normal((8, 8))
-    even, odd = irf._parity_order(4)
-    t = np.zeros((16, 16), dtype=complex)
-    t[np.ix_(even, odd)] = x @ np.diag(true_nu) @ np.linalg.inv(y)
-    t[np.ix_(odd, even)] = y @ np.diag(true_nu) @ np.linalg.inv(x)
-    nu, xs, ys = irf._chiral_eig(t, 4)
+    blocks = (x @ np.diag(true_nu) @ np.linalg.inv(y), y @ np.diag(true_nu) @ np.linalg.inv(x))
+    nu, xs, ys = irf._chiral_eig(*blocks)
     assert np.all(np.isfinite(nu)) and np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))
-    residual, _ = chiral_check(t, 4, nu, xs, ys)
+    residual, _ = chiral_check(blocks, nu, xs, ys)
     assert residual <= 1e-13
     mu, expect = np.concatenate([nu, -nu]), np.concatenate([true_nu, -true_nu])
     # the same multiset: every value within 1e-12 of the other side, with equal counts near each
@@ -633,7 +646,7 @@ def test_eigenvalue_map(lattice, rng):
     rec = reconcile_constructions(params, rng)
     certs = certify_spectrum(params, spectral_point(params, rng), tol=1e-8, rng=rng)
     zf = spectral_point(params, rng)
-    mu = np.linalg.eigvals(build_T_irf_paths(params, zf))
+    mu = np.linalg.eigvals(dense(build_T_irf_paths(params, zf)))
     scale = np.max(np.abs(mu))
     for cert in certs:
         mapped = rec.map_eigenvalue(params, cert.eps)(zf)
@@ -646,9 +659,9 @@ def test_commuting_families(lattice, rng):
         for _ in range(5):
             za = spectral_point(params, rng)
             zb = spectral_point(params, rng)
-            a, b = build_T_irf_sov(params, za), build_T_irf_sov(params, zb)
+            a, b = dense(build_T_irf_sov(params, za)), dense(build_T_irf_sov(params, zb))
             assert np.max(np.abs(a @ b - b @ a)) <= 1e-12 * np.max(np.abs(a @ b))
-            a, b = build_T_irf_paths(params, za), build_T_irf_paths(params, zb)
+            a, b = dense(build_T_irf_paths(params, za)), dense(build_T_irf_paths(params, zb))
             assert np.max(np.abs(a @ b - b @ a)) <= 1e-12 * np.max(np.abs(a @ b))
 
 
@@ -660,6 +673,12 @@ def test_validation_rejects_bad_setups(lattice):
     resonant = (Z1[0], Z1[0] + 2 * ETA, 0.9 + 0.4j)
     with pytest.raises(ParameterError):
         build_T_irf_sov(ModelParams(lattice, ETA, resonant, (1, 1, 1)), 0.3)
+    # the models are validated in the per-model caches, which keep no failed
+    # entry: every call raises, and certify_spectrum raises before drawing nodes
+    two_sites = ModelParams(lattice, ETA, Z1 + (0.9 + 0.4j,), (1, 1))
+    for _ in range(2):
+        with pytest.raises(ParameterError, match="odd number of sites"):
+            certify_spectrum(two_sites, 0.3, rng=np.random.default_rng(1))
 
 
 def test_certify_spectrum_without_nodes_is_parameter_error(lattice, monkeypatch):
@@ -735,8 +754,8 @@ def reference_certificates(params, certs, seed):
     basis = spaces.make_basis(params.evaluator(), params.n, chi0, rng2, margin=5e-2)
     val_pts = [irf.sample_spectral(params, rng2) for _ in range(3)]
     stacked = np.concatenate([c.vectors for c in certs], axis=1)
-    node_images = [build_T_irf_sov(params, z) @ stacked for z in basis.nodes]
-    val_images = [build_T_irf_sov(params, z) @ stacked for z in val_pts]
+    node_images = [dense(build_T_irf_sov(params, z)) @ stacked for z in basis.nodes]
+    val_images = [dense(build_T_irf_sov(params, z)) @ stacked for z in val_pts]
     signs = [[2 * m - 1 for m in point] for point in S0Grid(params).points]
     out = []
     end = 0
@@ -894,13 +913,13 @@ def test_reconstruction_angle_resolves_small_rotations(lattice, monkeypatch):
     turn = 1e-10
     params = make_params(lattice, Z5)
     rng2 = np.random.default_rng(3)
-    family = [build_T_irf_sov(params, spectral_point(params, rng2)) for _ in range(6)]
+    family = [dense(build_T_irf_sov(params, spectral_point(params, rng2))) for _ in range(6)]
     even, odd = irf._parity_order(params.n)
     chiral_eig = irf._chiral_eig
 
-    def rotated(t, n):
-        nu, x, y = chiral_eig(t, n)
-        vecs = np.empty((2 ** n, len(nu)), dtype=complex)
+    def rotated(b, c):
+        nu, x, y = chiral_eig(b, c)
+        vecs = np.empty((2 * len(nu), len(nu)), dtype=complex)
         vecs[even], vecs[odd] = x, y
         vecs /= np.linalg.norm(vecs, axis=0)
         for k in range(len(nu)):
@@ -969,10 +988,10 @@ def test_partition_function_parity_blocks(lattice, rng):
             for rows in (1, 3):
                 assert partition_function(params, ws[:rows], kind=kind) == 0j
             for rows in (2, 4):
-                dense = build(params, ws[0])
+                product = dense(build(params, ws[0]))
                 for w in ws[1:rows]:
-                    dense = dense @ build(params, w)
-                ref = complex(np.trace(dense))
+                    product = product @ dense(build(params, w))
+                ref = complex(np.trace(product))
                 got = partition_function(params, ws[:rows], kind=kind)
                 assert abs(got - ref) <= 1e-12 * abs(ref)
 
@@ -1010,7 +1029,7 @@ def test_continuous_operator_matches_grid_rows(lattice, rng):
         return val
 
     zeta = sample_point(rng, lattice)
-    t = build_T_irf_sov(params, zeta)
+    t = dense(build_T_irf_sov(params, zeta))
     grid = [tuple(2 * mi - 1 for mi in m) for m in itertools.product(range(2), repeat=3)]
     xs_of = lambda sig: [-z + s * ETA for z, s in zip(params.zs, sig)]
     uvec = np.array([u_any(xs_of(sig)) for sig in grid])
@@ -1087,7 +1106,7 @@ def test_eps_character_negative_control(lattice, rng):
 def test_nine_sites_dense_spectrum(lattice, rng):
     params = make_params(lattice, Z9)
     start = time.perf_counter()
-    t = build_T_irf_sov(params, 0.4 + 0.4j)
+    t = dense(build_T_irf_sov(params, 0.4 + 0.4j))
     mu = np.linalg.eigvals(t)
     elapsed = time.perf_counter() - start
     assert t.shape == (512, 512)
