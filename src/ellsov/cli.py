@@ -43,7 +43,10 @@ def _as_complex(value, name: str) -> complex:
         or not all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in value)
     ):
         raise ConfigError("%s must be a [re, im] pair" % name)
-    return complex(float(value[0]), float(value[1]))
+    try:
+        return complex(float(value[0]), float(value[1]))
+    except OverflowError:
+        raise ConfigError("%s must be a [re, im] pair within float range" % name)
 
 
 def load_config(path: str) -> dict:
@@ -95,18 +98,15 @@ def build_params(cfg: dict) -> ModelParams:
         raise ConfigError(str(exc))
 
 
-def _plain(obj):
-    """obj in JSON types: complex as [re, im], numpy arrays as lists, numpy scalars as numbers."""
-    if isinstance(obj, dict):
-        return {key: _plain(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(value) for value in obj]
+def _json_default(obj):
+    """json.dumps's hook for what it cannot encode: complex as [re, im],
+    numpy arrays and scalars through tolist(); anything else is a TypeError."""
     if isinstance(obj, (complex, np.complexfloating)):
         c = complex(obj)
         return [c.real, c.imag]
     if isinstance(obj, (np.ndarray, np.generic)):
-        return _plain(obj.tolist())
-    return obj
+        return obj.tolist()
+    raise TypeError("%s is not JSON serializable" % type(obj).__name__)
 
 
 def _is_int(value) -> bool:
@@ -122,7 +122,8 @@ def _count(block: dict, key: str, default: int, least: int = 1) -> int:
 
 def _positive(block: dict, key: str, default: float) -> float:
     value = block.get(key, default)
-    if not (_is_int(value) or isinstance(value, float)) or not 0 < value < math.inf:
+    # an int above the largest float would overflow float() below
+    if not (_is_int(value) or isinstance(value, float)) or not 0 < value <= sys.float_info.max:
         raise ConfigError("%s must be a positive finite number" % key)
     return float(value)
 
@@ -595,7 +596,7 @@ def main(argv=None) -> int:
         report["csv_files"] = body["csv_files"]
     report["timing"] = {"seconds": elapsed}
 
-    text = json.dumps(_plain(report), indent=2, sort_keys=True)
+    text = json.dumps(report, sort_keys=True, default=_json_default)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

@@ -366,38 +366,8 @@ def build_quadruple(params: ModelParams) -> OperatorQuadruple:
     return OperatorQuadruple(grid=grid, a=a_op, b=b_op, c=c_op, d=d_op)
 
 
-def restriction_closure(params: ModelParams, z: complex, lam: complex) -> dict:
-    """Magnitude of the would-be boundary coefficients of b and c.
-
-    For each operator and each Delta sign, reports the largest coefficient
-    that an off-grid read would carry.  The sign under which an operator
-    closes is the one with magnitude zero; the text naming the signs has
-    them crossed for b, so this is recorded rather than assumed.
-    """
-    ev = params.evaluator()
-    grid = S0Grid(params)
-    th_lam = ev.theta(lam)
-    report: dict[str, dict[str, float]] = {"b": {}, "c": {}}
-    for sign, tag in ((+1, "delta_plus"), (-1, "delta_minus")):
-        worst_b = worst_c = 0.0
-        for m, xs in zip(grid.points, grid.xs):
-            two_s = 2 * complex(np.sum(xs + np.asarray(params.zs)))
-            for i in range(len(m)):
-                if m[i] == 0:  # b would read m_i = -1 here
-                    off, delta = _hop_factors(ev, params, xs, i, z, sign)
-                    worst_b = max(worst_b, abs(-ev.theta(lam + z + xs[i]) / th_lam * off * delta))
-                if m[i] == params.lams[i]:  # c would read m_i = Lambda_i + 1 here
-                    off, delta = _hop_factors(ev, params, xs, i, z, sign)
-                    worst_c = max(worst_c, abs(-ev.theta(-lam + z + xs[i] - two_s) / th_lam * off * delta))
-        report["b"][tag] = worst_b
-        report["c"][tag] = worst_c
-    report["b_closes_with"] = "delta_plus" if report["b"]["delta_plus"] <= report["b"]["delta_minus"] else "delta_minus"
-    report["c_closes_with"] = "delta_minus" if report["c"]["delta_minus"] <= report["c"]["delta_plus"] else "delta_plus"
-    return report
-
-
 # ---------------------------------------------------------------------------
-# Highest weight and centrality
+# Highest weight
 
 
 def highest_weight_check(
@@ -453,33 +423,6 @@ def highest_weight_check(
             pair_res = max(abs(kappa * av[hw] - 1.0), abs(kappa * dv[hw] - dbar))
             report["pair_residual"] = max(report["pair_residual"], pair_res / max(1.0, abs(dbar)))
     return report
-
-
-def central_element_residual(
-    params: ModelParams,
-    z: complex,
-    w: complex,
-    lam_samples: Sequence[complex],
-) -> dict:
-    """The determinant combination is the scalar Det(z), hence commutes with a, b, c."""
-    ev = params.evaluator()
-    quad = build_quadruple(params)
-    grid = quad.grid
-    eta = params.eta
-    combo = quad.a(z + 2 * eta).compose(quad.d(z)) - quad.c(z + 2 * eta).compose(quad.b(z))
-    # undo the weight-dependent prefactor per target grid point
-    central = ShiftOp.diagonal(
-        grid.dim, combo.step,
-        lambda lam: [ev.theta(lam) / ev.theta(lam - 2 * eta * h) for h in grid.weights],
-    ).compose(combo)
-    det_z = det_scalar(params, z)
-    scalar = ShiftOp.diagonal(grid.dim, combo.step, lambda lam: [det_z] * grid.dim)
-    out = {"scalar_residual": shift_residual(central, scalar, lam_samples) / max(1.0, abs(det_z))}
-    for name, op in (("a", quad.a(w)), ("b", quad.b(w)), ("c", quad.c(w))):
-        comm = central.compose(op) - op.compose(central)
-        scale = max(1.0, shift_residual(op.compose(scalar), None, lam_samples))
-        out[f"commutator_{name}"] = shift_residual(comm, None, lam_samples) / scale
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -567,30 +510,6 @@ def rll_residual(
         "block_residuals": (blocks / scale).tolist(),
         "scale": scale,
     }
-
-
-def ab_exchange_residual(
-    params: ModelParams, z: complex, w: complex, lam_samples: Sequence[complex]
-) -> float:
-    """The displayed a-b exchange relation, checked directly."""
-    ev = params.evaluator()
-    eta = params.eta
-    quad = build_quadruple(params)
-    lhs = quad.a(z).compose(quad.b(w))
-
-    def c1(lam):
-        return ev.theta(z - w) * ev.theta(lam + 2 * eta) / (
-            ev.theta(z - w - 2 * eta) * ev.theta(lam)
-        )
-
-    def c2(lam):
-        return ev.theta(z - w - lam) * ev.theta(2 * eta) / (
-            ev.theta(z - w - 2 * eta) * ev.theta(lam)
-        )
-
-    rhs = quad.b(w).compose(quad.a(z)).scaled(c1) + quad.a(w).compose(quad.b(z)).scaled(c2)
-    scale = max(1.0, shift_residual(lhs, None, lam_samples))
-    return shift_residual(lhs, rhs, lam_samples) / scale
 
 
 # quadrature points on each residue circle of residue_sum.  The circle's

@@ -29,8 +29,6 @@ from .theta import ThetaEvaluator
 __all__ = [
     "Sl2Rep",
     "ZeroWeightSpace",
-    "FieldOps",
-    "build_field_ops",
     "build_hamiltonians",
     "build_S",
     "spectral_weight",
@@ -71,9 +69,6 @@ class Sl2Rep:
     def h(self) -> np.ndarray:
         return np.diag([complex(self.lam - 2 * k) for k in range(self.dim)])
 
-    def casimir(self) -> np.ndarray:
-        return 0.5 * (self.h @ self.h) + self.e @ self.f + self.f @ self.e
-
 
 def _site_operators(lams: Sequence[int]) -> list[tuple[np.ndarray, ...]]:
     """Per-site (e, f, h) acting on the full tensor product, in S0Grid order."""
@@ -103,11 +98,6 @@ class ZeroWeightSpace:
         idx = np.asarray(self.indices)
         return op[np.ix_(idx, idx)]
 
-    def embed(self, vec: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.total_dim, dtype=complex)
-        out[np.asarray(self.indices)] = vec
-        return out
-
 
 def zero_weight_space(params: ModelParams) -> ZeroWeightSpace:
     grid = S0Grid(params)
@@ -115,30 +105,6 @@ def zero_weight_space(params: ModelParams) -> ZeroWeightSpace:
     if not idx:
         raise ParameterError("zero-weight subspace is empty: total weight parity is odd")
     return ZeroWeightSpace(params, idx, grid.dim)
-
-
-@dataclasses.dataclass(frozen=True)
-class FieldOps:
-    """Matrices of h(z), e_lambda(z), f_lambda(z) on the full tensor product."""
-
-    h: np.ndarray
-    e: np.ndarray
-    f: np.ndarray
-
-
-def build_field_ops(params: ModelParams, z: complex, lam: complex) -> FieldOps:
-    """Pointwise field operators at spectral point z and dynamical point lambda."""
-    ev = params.evaluator()
-    ops = _site_operators(params.lams)
-    total = len(ops[0][0])
-    h = np.zeros((total, total), dtype=complex)
-    e = np.zeros((total, total), dtype=complex)
-    f = np.zeros((total, total), dtype=complex)
-    for (ei, fi, hi), zi in zip(ops, params.zs):
-        h += ev.zeta_bar(z - zi) * hi
-        e += ev.sigma(-lam, z - zi) * ei
-        f += ev.sigma(lam, z - zi) * fi
-    return FieldOps(h=h, e=e, f=f)
 
 
 class GaudinContext:

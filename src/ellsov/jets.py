@@ -180,11 +180,3 @@ class LambdaDiffOp:
             out += jmul(cf(lam0, d_out), du, d_out)
         return out
 
-
-def commutator_jet(
-    op1: LambdaDiffOp, op2: LambdaDiffOp, lam0: complex, ujet: np.ndarray
-) -> np.ndarray:
-    """Value jet of [op1, op2] u at lam0."""
-    a = op1.apply_jet(lam0, op2.apply_jet(lam0, ujet))
-    b = op2.apply_jet(lam0, op1.apply_jet(lam0, ujet))
-    return a - b

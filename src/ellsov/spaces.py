@@ -8,8 +8,7 @@ members satisfy
 and form a k-dimensional space (k >= 1).  Every member factors as
 exp(a*z) * prod_j theta(z - w_j) with k zeros per cell; the zero sum is
 pinned modulo the lattice by the character.  This module provides that
-factored form, node-based interpolation, a membership test, zero
-counting by contour integration of the logarithmic derivative, and
+factored form, node-based interpolation, a membership test, and
 damped_newton, the one Newton solver of the package.  It solves the Gaudin
 Bethe system (gaudin.py) and the Bethe system of the difference equation
 
@@ -41,15 +40,11 @@ __all__ = [
     "MembershipReport",
     "BetheSolution",
     "eval_elliptic_poly",
-    "elliptic_poly_logderiv",
     "character_of",
-    "phi_of_character",
     "expected_multiplier",
     "multiplier_deviation",
-    "interpolate",
     "make_basis",
     "membership_test",
-    "count_zeros",
     "damped_newton",
     "solve_difference_bethe",
 ]
@@ -92,14 +87,6 @@ class Character:
     def value(self, r: int, s: int) -> complex:
         return (self.chi1 ** r) * (self.chiTau ** s)
 
-    def inverse(self) -> "Character":
-        return Character(1.0 / self.chi1, 1.0 / self.chiTau)
-
-
-def phi_of_character(chi: Character, tau: complex) -> complex:
-    """phi(chi) = (log chiTau - tau log chi1) / (2 pi i), principal branches."""
-    return (cmath.log(chi.chiTau) - tau * cmath.log(chi.chi1)) / _2PI_I
-
 
 def expected_multiplier(chi: Character, k: int, z: complex, r: int, s: int, tau: complex) -> complex:
     """Multiplier of a level-k, character-chi function under z -> z + r + s*tau."""
@@ -137,14 +124,6 @@ def eval_elliptic_poly(ev: ThetaEvaluator, p: EllipticPoly, z: complex) -> compl
     val = cmath.exp(p.a * z)
     for w in p.zeros:
         val *= ev.theta(z - w)
-    return val
-
-
-def elliptic_poly_logderiv(ev: ThetaEvaluator, p: EllipticPoly, z: complex) -> complex:
-    """p'(z)/p(z) = a + sum_j zeta_bar(z - w_j), in closed form."""
-    val = p.a
-    for w in p.zeros:
-        val += ev.zeta_bar(z - w)
     return val
 
 
@@ -259,16 +238,6 @@ def _interpolation_data(ev: ThetaEvaluator, k: int, chi: Character, nodes: Seque
     return a, b
 
 
-def interpolate(
-    ev: ThetaEvaluator,
-    k: int,
-    chi: Character,
-    nodes: Sequence[complex],
-    values: Sequence[complex],
-) -> ThetaInterpolant:
-    return ThetaSpaceBasis(ev, k, chi, nodes).fit(values)
-
-
 def make_basis(
     ev: ThetaEvaluator,
     k: int,
@@ -332,48 +301,6 @@ def membership_test(
         qp = max(qp, abs(f(z + r + s * tau) - expect))
         scale = max(scale, abs(expect))
     return MembershipReport(deviation=deviation, qp_residual=qp, scale=scale, tol=tol)
-
-
-# Gauss-Legendre nodes per cell edge in count_zeros
-_ZERO_COUNT_NODES = 160
-
-
-def count_zeros(ev: ThetaEvaluator, p: EllipticPoly) -> complex:
-    """(1/2 pi i) * contour integral of p'/p over the boundary of a cell.
-
-    The logarithmic derivative is in closed form, so Gauss-Legendre on the
-    four edges converges fast as long as no zero sits near the boundary;
-    the base corner is shifted away from the zeros before integrating.
-    """
-    lat = ev.lattice
-    tau = lat.tau
-    base = 0.2511 + 0.1873 * tau
-    # nudge the cell corner until all zeros stay clear of the edges
-    for _ in range(40):
-        ok = True
-        for w in p.zeros:
-            z0, _, _ = lat.reduce(w - base)
-            if min(z0.real, 1.0 - z0.real) < 0.04 or min(
-                z0.imag, tau.imag - z0.imag
-            ) < 0.04 * tau.imag:
-                ok = False
-                break
-        if ok:
-            break
-        base += 0.0371 + 0.0159 * tau
-    xs, wts = np.polynomial.legendre.leggauss(_ZERO_COUNT_NODES)
-    xs = 0.5 * (xs + 1.0)
-    wts = 0.5 * wts
-    total = 0j
-    for start, step in (
-        (base, 1.0),
-        (base + 1.0, tau),
-        (base + 1.0 + tau, -1.0),
-        (base + tau, -tau),
-    ):
-        for x, w in zip(xs, wts):
-            total += w * step * elliptic_poly_logderiv(ev, p, start + x * step)
-    return total / _2PI_I
 
 
 # -- damped Newton -------------------------------------------------------

@@ -385,21 +385,6 @@ class ThetaEvaluator:
         t0, t1, t2 = jet[0], jet[1], 2.0 * jet[2]
         return complex((t1 / t0) ** 2 - t2 / t0)
 
-    def sigma_dlambda(self, lam: complex, z: complex) -> complex:
-        """d/dlambda of sigma_lambda(z), i.e. sigma_lambda(z)*(zeta_bar(lam-z) - zeta_bar(lam)).
-
-        Evaluated as theta'(0)*(theta'(lam-z) - theta(lam-z)*zeta_bar(lam)) /
-        (theta(z)*theta(lam)), which is the same function without the
-        0 * inf ambiguity when lam - z approaches the lattice.
-        """
-        self._require_off_lattice(z, "z")
-        self._require_off_lattice(lam, "lambda")
-        jet = self.theta_taylor(lam - z, 1)
-        zl = self.zeta_bar(lam)
-        return complex(
-            self.dtheta0() * (jet[1] - jet[0] * zl) / (self.theta(z) * self.theta(lam))
-        )
-
 
 def _check_degree(degree: int) -> None:
     if degree < 0:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ellsov import cli, gaudin, irf, jets
+from ellsov import cli, gaudin, irf
 from ellsov.params import ModelParams
 from ellsov.theta import PoleProximityError
 
@@ -50,7 +50,7 @@ def reference_jsonable(obj):
 
 
 def reference_json_default(obj):
-    """The former encoder hook that json.dumps called per value; cli._plain replaces it."""
+    """The encoder hook as specified: the values json cannot encode, else TypeError."""
     if isinstance(obj, (complex, np.complexfloating)):
         c = complex(obj)
         return [c.real, c.imag]
@@ -71,24 +71,24 @@ def test_json_default_matches_reference():
         "pair": (1, np.float64(2.5), [np.complex128(1j)]),
         "nested": {"b": [np.bool_(False)], "a": None},
     }
-    expect = json.dumps(reference_jsonable(obj), indent=2, sort_keys=True)
-    assert json.dumps(obj, indent=2, sort_keys=True, default=reference_json_default) == expect
-    assert json.dumps(cli._plain(obj), indent=2, sort_keys=True) == expect
+    expect = json.dumps(reference_jsonable(obj), sort_keys=True)
+    assert json.dumps(obj, sort_keys=True, default=reference_json_default) == expect
+    assert json.dumps(obj, sort_keys=True, default=cli._json_default) == expect
     with pytest.raises(TypeError):
-        json.dumps(cli._plain({"x": object()}))
+        json.dumps({"x": object()}, default=cli._json_default)
 
 
 def test_report_bytes_match_encoder_hook(tmp_path, monkeypatch):
     """Every task on every bundled config that carries its group: the report
-    file holds the bytes the former per-value hook wrote for the same report."""
+    file holds, on one line, the bytes of the fully converted report."""
     reports = []
-    plain = cli._plain
+    dumps = json.dumps
 
-    def capture(obj):
+    def capture(obj, **kwargs):
         reports.append(obj)
-        return plain(obj)
+        return dumps(obj, **kwargs)
 
-    monkeypatch.setattr(cli, "_plain", capture)
+    monkeypatch.setattr(json, "dumps", capture)
     written = 0
     for task in cli._DISPATCH:
         group = task.split()[0]
@@ -102,8 +102,9 @@ def test_report_bytes_match_encoder_hook(tmp_path, monkeypatch):
             if code == 2:
                 assert not out.exists()
                 continue
-            expect = json.dumps(reports[0], indent=2, sort_keys=True, default=reference_json_default)
+            expect = dumps(reference_jsonable(reports[0]), sort_keys=True)
             assert out.read_text() == expect + "\n"
+            assert dumps(reports[0], sort_keys=True, default=reference_json_default) == expect
             written += 1
     assert written == 16
 
@@ -293,6 +294,26 @@ def test_malformed_field_exits_2(tmp_path, capsys, case):
     assert err.startswith("config error: %s " % field), err
 
 
+# a JSON integer beyond float range in each field that float() converts:
+# (task on irf_n3.json, edit, the field the error must name)
+HUGE = 10**400
+OVERFLOWING = {
+    "tau": ("irf build", lambda c: c.update(tau=[0.31, HUGE]), "tau"),
+    "sites[0].z": ("irf build", lambda c: c["sites"][0].update(z=[HUGE, 0.23]), "sites[0].z"),
+    "irf.z0": ("irf spectrum", set_block("irf", "z0", [0.39, -HUGE]), "irf.z0"),
+    "tolerances.rho": ("irf build", set_tolerance("rho", HUGE), "rho"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOWING))
+def test_integer_beyond_float_range_exits_2(tmp_path, capsys, case):
+    task, mutate, field = OVERFLOWING[case]
+    cfg = rewrite_config(tmp_path, "irf_n3.json", "huge.json", mutate)
+    assert cli.main(task.split() + ["--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: %s " % field), err
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9", "0"])
 def test_tol_flag_must_be_positive_finite(capsys, tol):
     argv = ["theta", "eval", "--config", str(CONFIGS / "theta.json"), "--tol=" + tol]
@@ -387,7 +408,10 @@ def reference_gaudin_check(cfg, seed):
         scale = max(1.0, max(float(np.max(np.abs(a))) for a in applied))
         for i in range(len(hams)):
             for j in range(i + 1, len(hams)):
-                dev = np.max(np.abs(jets.commutator_jet(hams[i], hams[j], lam0, u)))
+                dev = np.max(np.abs(
+                    hams[i].apply_jet(lam0, hams[j].apply_jet(lam0, u))
+                    - hams[j].apply_jet(lam0, hams[i].apply_jet(lam0, u))
+                ))
                 comm = max(comm, float(dev) / scale)
     lam0 = params.sample_generic(rng, margin=5e-2)
     total = hams[1].apply_jet(lam0, u)
@@ -411,7 +435,8 @@ def reference_gaudin_check(cfg, seed):
     z2 = params.sample_generic(rng, avoid=params.zs)
     s1, s2 = gaudin.build_S(params, z1), gaudin.build_S(params, z2)
     scale = max(1.0, float(np.max(np.abs(s1.apply_jet(lam0, u)))))
-    ss = float(np.max(np.abs(jets.commutator_jet(s1, s2, lam0, u)))) / scale
+    s_comm = s1.apply_jet(lam0, s2.apply_jet(lam0, u)) - s2.apply_jet(lam0, s1.apply_jet(lam0, u))
+    ss = float(np.max(np.abs(s_comm))) / scale
     return {
         "hamiltonians_commute": comm,
         "hamiltonian_sum_vanishes": ham_sum,

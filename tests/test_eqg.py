@@ -9,9 +9,7 @@ from ellsov.eqg import (
     OperatorQuadruple,
     ShiftOp,
     S0Grid,
-    ab_exchange_residual,
     build_quadruple,
-    central_element_residual,
     det_scalar,
     highest_weight_check,
     k_matrix,
@@ -19,7 +17,6 @@ from ellsov.eqg import (
     qybe_residual,
     r_matrix,
     residue_sum,
-    restriction_closure,
     rll_residual,
     shift_residual,
 )
@@ -154,6 +151,28 @@ def reference_restriction_closure(params, z, lam):
     report["b_closes_with"] = "delta_plus" if report["b"]["delta_plus"] <= report["b"]["delta_minus"] else "delta_minus"
     report["c_closes_with"] = "delta_minus" if report["c"]["delta_minus"] <= report["c"]["delta_plus"] else "delta_plus"
     return report
+
+
+def central_element_residual(params, z, w, lam_samples):
+    """The determinant combination is the scalar Det(z), hence commutes with a, b, c."""
+    ev = params.evaluator()
+    quad = eqg.build_quadruple(params)
+    grid = quad.grid
+    eta = params.eta
+    combo = quad.a(z + 2 * eta).compose(quad.d(z)) - quad.c(z + 2 * eta).compose(quad.b(z))
+    # undo the weight-dependent prefactor per target grid point
+    central = ShiftOp.diagonal(
+        grid.dim, combo.step,
+        lambda lam: [ev.theta(lam) / ev.theta(lam - 2 * eta * h) for h in grid.weights],
+    ).compose(combo)
+    det_z = det_scalar(params, z)
+    scalar = ShiftOp.diagonal(grid.dim, combo.step, lambda lam: [det_z] * grid.dim)
+    out = {"scalar_residual": shift_residual(central, scalar, lam_samples) / max(1.0, abs(det_z))}
+    for name, op in (("a", quad.a(w)), ("b", quad.b(w)), ("c", quad.c(w))):
+        comm = central.compose(op) - op.compose(central)
+        scale = max(1.0, shift_residual(op.compose(scalar), None, lam_samples))
+        out[f"commutator_{name}"] = shift_residual(comm, None, lam_samples) / scale
+    return out
 
 
 def count_theta(monkeypatch):
@@ -369,12 +388,47 @@ def test_central_element_theta_count(lattice, rng, monkeypatch):
     assert len(args) == 3_608
 
 
-def test_ab_exchange(lattice, rng):
+def test_rll_residual_sees_perturbed_a_and_b(lattice, rng, monkeypatch):
+    """The sixteen relations hold the a-b exchange relation among them: a
+    1e-6 change of a(z) at grid point 0, or of b's site-0 hop factors (which
+    leaves a-b exchange, linear in b on both sides, intact), moves the
+    residual from below 1e-12 to above 1e-8."""
     params = make_params(lattice, Z2, (1, 1))
     z = sample_point(rng, lattice)
     w = sample_point(rng, lattice)
     samples = [sample_point(rng, lattice) for _ in range(4)]
-    assert ab_exchange_residual(params, z, w, samples) <= 1e-9
+    assert rll_residual(params, z, w, samples)["max_residual"] <= 1e-12
+
+    build = eqg.build_quadruple
+
+    def perturbed_a(params):
+        quad = build(params)
+
+        def a(z):
+            op = quad.a(z)
+
+            def blocks(lam):
+                m = op.blocks(lam)[-1].copy()
+                m[0, 0] *= 1.0 + 1e-6
+                return {-1: m}
+
+            return ShiftOp(op.dim, op.step, blocks)
+
+        return OperatorQuadruple(grid=quad.grid, a=a, b=quad.b, c=quad.c, d=quad.d)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(eqg, "build_quadruple", perturbed_a)
+        assert rll_residual(params, z, w, samples)["max_residual"] > 1e-8
+
+    hop_factors = eqg._hop_factors
+
+    def perturbed_b_hops(ev, params, xs, i, z, sign):
+        off, delta = hop_factors(ev, params, xs, i, z, sign)
+        # b hops with sign +1, c with sign -1
+        return (off * (1.0 + 1e-6), delta) if (i, sign) == (0, +1) else (off, delta)
+
+    monkeypatch.setattr(eqg, "_hop_factors", perturbed_b_hops)
+    assert rll_residual(params, z, w, samples)["max_residual"] > 1e-8
 
 
 def test_restriction_closure(lattice, rng):
@@ -382,8 +436,7 @@ def test_restriction_closure(lattice, rng):
     params = make_params(lattice, Z2, (2, 2))
     z = sample_point(rng, lattice)
     lam = sample_point(rng, lattice)
-    report = restriction_closure(params, z, lam)
-    assert report == reference_restriction_closure(params, z, lam)
+    report = reference_restriction_closure(params, z, lam)
     scale = max(1.0, report["b"]["delta_minus"], report["c"]["delta_plus"])
     assert report["b"]["delta_plus"] <= 1e-12 * scale
     assert report["c"]["delta_minus"] <= 1e-12 * scale

@@ -950,7 +950,7 @@ def test_certify_rejects_impostor(lattice, rng):
     for cert in certs[:3]:
         vals = [cert.eps(zn) for zn in nodes]
         vals[0] *= 1.0 + 1e-3
-        impostor = spaces.interpolate(ev, 3, chi0, nodes, vals)
+        impostor = spaces.ThetaSpaceBasis(ev, 3, chi0, nodes).fit(vals)
         worst = 0.0
         for i in range(3):
             em = impostor(params.zs[i] - ETA)
