@@ -212,40 +212,19 @@ class ShiftOp:
 
         return ShiftOp(self.dim, self.step, blocks)
 
-    def scaled(self, g) -> "ShiftOp":
-        """Left multiplication by a scalar or by a function of lambda."""
-        fn = g if callable(g) else (lambda lam: g)
-
-        def blocks(lam):
-            s = fn(lam)
-            return {k: s * m for k, m in self.blocks(lam).items()}
-
-        return ShiftOp(self.dim, self.step, blocks)
-
-    def __sub__(self, other: "ShiftOp") -> "ShiftOp":
-        return self + other.scaled(-1.0)
-
 
 def _accumulate(out: dict[int, np.ndarray], k: int, m: np.ndarray) -> None:
     """out[k] += m without writing into an array that out may share."""
     out[k] = out[k] + m if k in out else m
 
 
-def _offset_pairs(a: ShiftOp, b: ShiftOp | None, lam_samples: Sequence[complex]):
-    """(A_k, B_k) for each offset k of a or b at each lambda; missing blocks and b = None read 0."""
+def _offset_pairs(a: ShiftOp, b: ShiftOp, lam_samples: Sequence[complex]):
+    """(A_k, B_k) for each offset k of a or b at each lambda; a missing block reads 0."""
     zero = np.zeros((a.dim, a.dim))
     for lam in lam_samples:
-        ma, mb = a.matrices(lam), {} if b is None else b.matrices(lam)
+        ma, mb = a.matrices(lam), b.matrices(lam)
         for k in set(ma) | set(mb):
             yield ma.get(k, zero), mb.get(k, zero)
-
-
-def shift_residual(a: ShiftOp, b: ShiftOp | None, lam_samples: Sequence[complex]) -> float:
-    """Max entrywise deviation between two shift operators at sampled lambda (a's size if b = None)."""
-    worst = 0.0
-    for da, db in _offset_pairs(a, b, lam_samples):
-        worst = max(worst, float(np.max(np.abs(da - db))))
-    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -79,7 +79,8 @@ def _scatter_blocks(n: int, rows, cols, re, im) -> tuple[np.ndarray, np.ndarray]
     Both transfer matrices flip the parity of sum m: each grid term flips
     one sigma_i, and each face-weight row moves the first height by one.
     A parity class holds one of 2k and 2k + 1, so index r is row or column
-    r >> 1 of its block.  An equal-parity pair is a ParameterError.
+    r >> 1 of its block.  An equal-parity pair is a ParameterError.  The
+    grid build scatters through here; the path build fills B alone.
     """
     rows, cols = np.broadcast_arrays(rows, cols)
     parity = np.bitwise_count(rows) % 2
@@ -108,7 +109,8 @@ def _face_slots(c2, b2, a2, d2):
 class _PathModel:
     """The z-independent part of build_T_irf_paths, computed once per model.
 
-    rows, cols (uint16) list the 3^n - 1 neighbouring path pairs.  faces[i]
+    rows, cols (uint16) list the (3^n - 1)/2 neighbouring path pairs whose
+    row has even parity, as row and column of the block B.  faces[i]
     (uint8) indexes each pair's face at site i in that site's
     (corners, 4, 4) R-matrix table as corner * 16 + 4 row + col.
     corners[i] holds, per distinct corner height d of site i, the triples
@@ -123,9 +125,32 @@ class _PathModel:
     th_2eta: complex
 
 
-@functools.lru_cache(maxsize=8)  # an entry holds (3^n - 1)(4 + n) bytes of indices
+def _path_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols): the 3^n - 1 pairs of paths whose heights differ by one at every node.
+
+    Grown one site at a time from the two signs of delta = (a_1 - b_1) / 2.
+    Where delta stays, both paths take the same step (either one); where it
+    flips, they cross, b stepping by 2 delta and a by -2 delta.
+    Antiperiodicity negates every height of the last node against the
+    first, so delta must flip an odd number of times.  Site i is bit n-1-i of a path index, m_i = 1 being a
+    step of +2.
+    """
+    rows = cols = np.zeros(2, dtype=int)
+    delta = start = np.array([1, -1])
+    for _ in range(n):
+        # row bits of the three moves: both step with m = 0, both with m = 1, apart
+        bits = np.stack([0 * delta, 0 * delta + 1, (1 + delta) // 2], axis=1)
+        rows = (2 * rows[:, None] + bits).reshape(-1)
+        cols = (2 * cols[:, None] + bits * [1, 1, -1] + [0, 0, 1]).reshape(-1)
+        delta = (delta[:, None] * [1, 1, -1]).reshape(-1)
+        start = np.repeat(start, 3)
+    keep = delta == -start
+    return rows[keep], cols[keep]
+
+
+@functools.lru_cache(maxsize=8)  # an entry holds (3^n - 1)(4 + n)/2 bytes of indices
 def _path_model(params: ModelParams) -> _PathModel:
-    """Support, face indices and the corner heights' lattice checks and thetas, read-only."""
+    """Support, face indices and the corner heights' lattice checks and thetas of B, read-only."""
     params.validate_for_irf()
     n, eta, ev = params.n, params.eta, params.evaluator()
     # doubled heights from the path sign 1 - 2m: antiperiodicity fixes
@@ -133,11 +158,9 @@ def _path_model(params: ModelParams) -> _PathModel:
     sigma = 1 - 2 * np.array(S0Grid(params).points)
     steps = np.hstack([sigma.sum(axis=1, keepdims=True), -2 * sigma])
     heights = np.cumsum(steps, axis=1).astype(np.int8)
-    dim = len(heights)
-    support = np.ones((dim, dim), dtype=bool)
-    for i in range(n + 1):
-        support &= np.abs(heights[:, None, i] - heights[None, :, i]) == 2
-    rows, cols = (idx.astype(np.uint16) for idx in np.nonzero(support))
+    rows, cols = _path_pairs(n)
+    even = np.bitwise_count(rows) % 2 == 0  # the rows of B; C is its reflection
+    rows, cols = rows[even], cols[even]
     b, a = heights[rows], heights[cols]
     faces, corners, lam_thetas = [], [], {}
     for i in range(n):
@@ -151,9 +174,9 @@ def _path_model(params: ModelParams) -> _PathModel:
                 _check_lambda(params, lam)
                 lam_thetas[d2] = tuple((l, ev.theta(l), ev.theta(l + 2 * eta)) for l in (lam, -lam))
         corners.append(tuple(lam_thetas[int(d2)] for d2 in heights_d))
-    # uint16 pairs, and uint8 faces since a node has at most n + 1 corner
-    # heights, hold every n <= 15, far above any dense build
-    faces = np.array(faces)
+    # uint16 block indices hold every n <= 17, and uint8 faces, since a node
+    # has at most n + 1 corner heights, every n <= 15: far above any dense build
+    rows, cols, faces = (rows >> 1).astype(np.uint16), (cols >> 1).astype(np.uint16), np.array(faces)
     for arr in (rows, cols, faces):
         arr.setflags(write=False)
     return _PathModel(rows, cols, faces, tuple(corners), ev.theta(2 * eta))
@@ -165,6 +188,9 @@ def build_T_irf_paths(params: ModelParams, z: complex) -> tuple[np.ndarray, np.n
     Entry [b, a] is the product over columns of the face weight
     W(a_{i+1}, a_i, b_i, b_{i+1} | z - z_i); it vanishes unless the two
     paths differ by one at every node, which leaves 3^n - 1 entries.
+    The height reflection a -> -a (index r -> r XOR (2^n - 1), block
+    index k -> 2^(n-1) - 1 - k) leaves every face weight unchanged, so
+    C = B[::-1, ::-1] and only B's (3^n - 1)/2 entries are formed.
     Site i's R-matrices, one per corner height, share theta(z - z_i) and
     theta(z - z_i - 2 eta); the z-independent data comes from the
     per-model cache.  Each table entry is eqg.r_matrix's, and the node
@@ -184,7 +210,10 @@ def build_T_irf_paths(params: ModelParams, z: complex) -> tuple[np.ndarray, np.n
             _r_fill(r, th_z, th_shift, model.th_2eta, [(th, th2, ev.theta(l + s)) for l, th, th2 in lam_thetas])
         w = table.reshape(-1)[faces]
         re, im = re * w.real - im * w.imag, re * w.imag + im * w.real
-    return _scatter_blocks(params.n, model.rows, model.cols, re, im)
+    half = 2 ** (params.n - 1)
+    b = np.zeros((half, half), dtype=complex)
+    b.real[model.rows, model.cols], b.imag[model.rows, model.cols] = re, im
+    return b, b[::-1, ::-1].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -414,14 +443,38 @@ def _chiral_eig(b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     return nu, x, y
 
 
+def _reflected_eig(b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(nu, x, x[::-1]), _chiral_eig's eigenpairs of t = [[0, B], [B[::-1, ::-1], 0]].
+
+    With R the index reversal, C = R B R and (nu, u) an eigenpair of
+    M = B R, t [u; +/-R u] = +/-nu [u; +/-R u]: eig(M) at half the size
+    gives the spectrum with no squaring.  One first-order refinement step
+    (Dongarra, Moler & Wilkinson 1983) runs on M: with G = x^-1 M x,
+    nu = diag G and x += x F, F = G / (nu_j - nu_i) off the diagonal.
+    Denominators below _GAP_TOL * max |nu| get no correction, and a (near)
+    zero nu is a ParameterError, as in _chiral_eig.
+    """
+    m = np.ascontiguousarray(b[:, ::-1])
+    nu, x = np.linalg.eig(m)
+    tol = _GAP_TOL * float(np.max(np.abs(nu)))
+    if not np.min(np.abs(nu)) > tol:  # also a zero or non-finite matrix
+        raise ParameterError("transfer matrix has a (near) zero eigenvalue; its +/- pair does not split")
+    g = np.linalg.solve(x, m @ x)
+    nu = g.diagonal().copy()
+    minus = nu[None, :] - nu[:, None]
+    x = x + x @ np.divide(g, minus, out=np.zeros_like(g), where=np.abs(minus) > tol)
+    return nu, x, x[::-1]
+
+
 def reconcile_constructions(params: ModelParams, rng: np.random.Generator) -> DualReconciliation:
     """Match the two constructions through their (shared) eigenbases.
 
     The constant is fixed to -1 by the one-site case; the sign ambiguity
     left by the plus/minus symmetric grid spectrum is resolved the same
-    way for every n.  Both sides are diagonalized by _chiral_eig, and
-    +/-nu_p is paired with +/-kappa nu_s as whole spectra, which reads each
-    pair's sign.  The conjugation is then block-diagonal in the parity
+    way for every n.  T_paths is diagonalized by _reflected_eig, T_sov
+    (which has no reflection symmetry) by _chiral_eig, and +/-nu_p is
+    paired with +/-kappa nu_s as whole spectra, which reads each pair's
+    sign.  The conjugation is then block-diagonal in the parity
     order: x_p x_s^-1 on the even states and (y_p sign) y_s^-1 on the odd
     ones, so the bridge's products, inverses and residual run on
     2^(n-1)-square blocks.  Raises ParameterError when the probe spectrum
@@ -433,7 +486,7 @@ def reconcile_constructions(params: ModelParams, rng: np.random.Generator) -> Du
     # the same-parity blocks are 0 in both matrices
     gap = max(float(np.max(np.abs(p - s))) for p, s in zip(tp, build_T_irf_sov(params, z0)))
     literal = gap / max(float(np.max(np.abs(p))) for p in tp)
-    nu_p, xp, yp = _chiral_eig(*tp)
+    nu_p, xp, yp = _reflected_eig(tp[0])
     del tp
     nu_s, xs, ys = _chiral_eig(*build_T_irf_sov(params, z0 - params.eta))
     constant = -1.0 + 0.0j

@@ -18,7 +18,6 @@ from ellsov.eqg import (
     r_matrix,
     residue_sum,
     rll_residual,
-    shift_residual,
 )
 from ellsov.params import ModelParams, ParameterError
 from ellsov.theta import ThetaEvaluator
@@ -153,13 +152,29 @@ def reference_restriction_closure(params, z, lam):
     return report
 
 
+def shift_residual(a, b, lam_samples):
+    """Max entrywise deviation between two shift operators at sampled lambda
+    (a's size if b is None), on the walker eqg._offset_pairs."""
+    if b is None:
+        b = ShiftOp(a.dim, a.step, lambda lam: {})
+    worst = 0.0
+    for da, db in eqg._offset_pairs(a, b, lam_samples):
+        worst = max(worst, float(np.max(np.abs(da - db))))
+    return worst
+
+
+def difference(a, b):
+    """The shift operator a - b."""
+    return a + ShiftOp(b.dim, b.step, lambda lam: {k: -m for k, m in b.blocks(lam).items()})
+
+
 def central_element_residual(params, z, w, lam_samples):
     """The determinant combination is the scalar Det(z), hence commutes with a, b, c."""
     ev = params.evaluator()
     quad = eqg.build_quadruple(params)
     grid = quad.grid
     eta = params.eta
-    combo = quad.a(z + 2 * eta).compose(quad.d(z)) - quad.c(z + 2 * eta).compose(quad.b(z))
+    combo = difference(quad.a(z + 2 * eta).compose(quad.d(z)), quad.c(z + 2 * eta).compose(quad.b(z)))
     # undo the weight-dependent prefactor per target grid point
     central = ShiftOp.diagonal(
         grid.dim, combo.step,
@@ -169,7 +184,7 @@ def central_element_residual(params, z, w, lam_samples):
     scalar = ShiftOp.diagonal(grid.dim, combo.step, lambda lam: [det_z] * grid.dim)
     out = {"scalar_residual": shift_residual(central, scalar, lam_samples) / max(1.0, abs(det_z))}
     for name, op in (("a", quad.a(w)), ("b", quad.b(w)), ("c", quad.c(w))):
-        comm = central.compose(op) - op.compose(central)
+        comm = difference(central.compose(op), op.compose(central))
         scale = max(1.0, shift_residual(op.compose(scalar), None, lam_samples))
         out[f"commutator_{name}"] = shift_residual(comm, None, lam_samples) / scale
     return out

@@ -194,22 +194,24 @@ def test_paths_support_size(lattice):
 
 
 def test_paths_theta_count(lattice, monkeypatch):
-    """Five sites: 30 distinct (site, corner height) pairs over 6 corner
-    heights.  A cold build evaluates theta(z - z_i) and theta(z - z_i - 2 eta)
-    per site (10), theta(l + z - z_i) for l = +/-lambda per pair (60),
-    theta(l) and theta(l + 2 eta) per corner height (24) and theta(2 eta)
-    once: 95, against 270 when each pair built its own R-matrix.  A repeat
-    build evaluates only the z-dependent ones, 2n + 2 * 30 = 70."""
+    """Five sites: 15 distinct (site, corner height) pairs over 6 corner
+    heights on the rows of B, whose reflection gives C.  A cold build
+    evaluates theta(z - z_i) and theta(z - z_i - 2 eta) per site (10),
+    theta(l + z - z_i) for l = +/-lambda per pair (30), theta(l) and
+    theta(l + 2 eta) per corner height (24) and theta(2 eta) once: 65,
+    against 95 when C's 15 pairs were built too and 270 when each pair
+    built its own R-matrix.  A repeat build evaluates only the
+    z-dependent ones, 2n + 2 * 15 = 40 (70 with C's pairs)."""
     params = make_params(lattice, Z5)
     counts = count_theta_calls(monkeypatch)
     irf._path_model.cache_clear()
     build_T_irf_paths(params, 0.41 + 0.37j)
-    assert counts["theta_taylor"][0] <= 95
+    assert counts["theta_taylor"][0] == 65
     pairs = sum(map(len, irf._path_model(params).corners))
-    assert pairs == 30
+    assert pairs == 15
     counts["theta_taylor"][0] = 0
     build_T_irf_paths(params, 0.29 - 0.13j)
-    assert counts["theta_taylor"][0] == 2 * params.n + 2 * pairs == 70
+    assert counts["theta_taylor"][0] == 2 * params.n + 2 * pairs == 40
     assert counts["theta_array"][0] == 0
 
 
@@ -226,10 +228,47 @@ def test_paths_cold_build_equals_warm(lattice):
     assert not any(a.flags.writeable for a in arrays)
     with pytest.raises(ValueError):
         model.faces[0, 0] = 0
-    # uint16 pairs and a uint8 face index per site: (3^n - 1)(4 + n) bytes,
-    # 256 kB at n = 9, under an lru_cache of 8 models
+    # uint16 pairs and a uint8 face index per site for the (3^n - 1)/2 pairs
+    # of B: (3^n - 1)(4 + n)/2 bytes, 128 kB at n = 9, under an lru_cache of 8
     assert [a.dtype for a in arrays] == [np.uint16, np.uint16, np.uint8]
-    assert sum(a.nbytes for a in arrays) == (3 ** 9 - 1) * (4 + 9) < 300_000
+    assert sum(a.nbytes for a in arrays) == (3 ** 9 - 1) * (4 + 9) // 2 < 150_000
+
+
+def test_path_pairs_match_dense_mask():
+    # the pairs grown site by site are the neighbours of the dense node-by-node
+    # mask, each once; for odd n the even-parity rows are half of them
+    for n in range(1, 10):
+        heights = np.array(path_heights(n))
+        mask = np.all(np.abs(heights[:, None, :] - heights[None, :, :]) == 2, axis=2)
+        rows, cols = irf._path_pairs(n)
+        assert len(rows) == 3 ** n - 1
+        grown = np.zeros_like(mask)
+        grown[rows, cols] = True
+        assert np.array_equal(grown, mask)
+        if n % 2:
+            # every pair flips the parity, and B's rows are half of them
+            assert np.all(np.bitwise_count(rows) % 2 != np.bitwise_count(cols) % 2)
+            assert np.count_nonzero(np.bitwise_count(rows) % 2 == 0) == (3 ** n - 1) // 2
+
+
+def test_height_reflection_symmetry(lattice, rng):
+    """The reflection a -> -a maps path r to r XOR (2^n - 1) and keeps every
+    face weight, so the oracle has C = B[::-1, ::-1] bit for bit; the grid
+    matrix has no such symmetry (negative control)."""
+    for n in (1, 3, 5, 7):
+        params = make_params(lattice, Z9[:n])
+        z = spectral_point(params, rng)
+        even, odd = irf._parity_order(n)
+        flip = 2 ** n - 1
+        assert np.array_equal(even ^ flip, odd[::-1])
+        ref = reference_paths(params, z)
+        b, c = ref[np.ix_(even, odd)], ref[np.ix_(odd, even)]
+        assert np.array_equal(c, b[::-1, ::-1])
+        assert np.array_equal(ref[flip ^ np.arange(2 ** n)][:, flip ^ np.arange(2 ** n)], ref)
+        if n > 1:
+            sov = reference_sov(params, z)
+            b, c = sov[np.ix_(even, odd)], sov[np.ix_(odd, even)]
+            assert np.max(np.abs(c - b[::-1, ::-1])) > 0.1 * np.max(np.abs(b))
 
 
 def test_paths_lambda_check_runs_in_the_cache(lattice):
@@ -554,41 +593,61 @@ def chiral_check(blocks, nu, x, y):
 
 
 def test_chiral_eig_matches_lapack(lattice, rng):
+    """_chiral_eig on both matrices, and _reflected_eig on the path matrix,
+    against LAPACK's eig of the dense t: a residual at most LAPACK's and
+    1e-13 (_reflected_eig's also within 2x of _chiral_eig's on the same
+    blocks), and both spectra the same to rounding times each eigenvalue's
+    condition (up to 1.4e4 on the 9-site path matrix)."""
     for n in (1, 3, 5, 7, 9):
         params = make_params(lattice, Z9[:n])
         z = spectral_point(params, rng)
         for build in (build_T_irf_paths, build_T_irf_sov):
             blocks = build(params, z)
-            nu, x, y = irf._chiral_eig(*blocks)
-            assert nu.shape == (2 ** (n - 1),) and x.shape == y.shape == (2 ** (n - 1),) * 2
-            residual, kappa = chiral_check(blocks, nu, x, y)
             t = dense(blocks)
             ref_mu, ref_v = np.linalg.eig(t)
             ref_v /= np.linalg.norm(ref_v, axis=0)
             scale = float(np.max(np.abs(ref_mu)))
             ref_residual = float(np.max(np.abs(t @ ref_v - ref_v * ref_mu))) / scale
-            assert residual <= ref_residual and residual <= 1e-13, (n, build.__name__)
-            # both spectra agree to rounding times each eigenvalue's condition
-            # (the 9-site path matrix has kappa up to 1.4e4)
-            mu = np.concatenate([nu, -nu])
-            dist = np.abs(mu[:, None] - ref_mu[None, :])
-            pair = np.argmin(dist, axis=1)
-            assert sorted(pair) == list(range(2 ** n))
-            assert np.all(dist[np.arange(2 ** n), pair] <= np.maximum(1e-12, 1e-14 * kappa) * scale)
+            solved = [irf._chiral_eig(*blocks)]
+            if build is build_T_irf_paths:
+                solved.append(irf._reflected_eig(blocks[0]))
+                assert np.array_equal(solved[1][2], solved[1][1][::-1])
+            residuals = []
+            for nu, x, y in solved:
+                assert nu.shape == (2 ** (n - 1),) and x.shape == y.shape == (2 ** (n - 1),) * 2
+                residual, kappa = chiral_check(blocks, nu, x, y)
+                residuals.append(residual)
+                assert residual <= ref_residual and residual <= 1e-13, (n, build.__name__)
+                mu = np.concatenate([nu, -nu])
+                dist = np.abs(mu[:, None] - ref_mu[None, :])
+                pair = np.argmin(dist, axis=1)
+                assert sorted(pair) == list(range(2 ** n))
+                assert np.all(dist[np.arange(2 ** n), pair] <= np.maximum(1e-12, 1e-14 * kappa) * scale)
+            # on the path blocks, _reflected_eig's residual against _chiral_eig's
+            assert residuals[-1] <= 2 * residuals[0]
 
 
 def test_chiral_eig_rejects_broken_structure(lattice):
     params = make_params(lattice, Z3)
     b, c = build_T_irf_sov(params, 0.41 + 0.37j)
+    b_paths = build_T_irf_paths(params, 0.41 + 0.37j)[0]
     assert np.all(np.isfinite(irf._chiral_eig(b, c)[0]))
-    # a zero (or tiny) row of B makes B C singular: nu = 0 has no +/- pair to split
+    assert np.all(np.isfinite(irf._reflected_eig(b_paths)[0]))
+    # a zero (or tiny) row of B makes B C and B[:, ::-1] singular: nu = 0 has
+    # no +/- pair to split
     for factor in (0.0, 1e-20):
         singular = b.copy()
         singular[0] *= factor
         with pytest.raises(ParameterError, match="zero eigenvalue"):
             irf._chiral_eig(singular, c)
+        singular = b_paths.copy()
+        singular[0] *= factor
+        with pytest.raises(ParameterError, match="zero eigenvalue"):
+            irf._reflected_eig(singular)
     with pytest.raises(ParameterError, match="zero eigenvalue"):
         irf._chiral_eig(np.zeros_like(b), np.zeros_like(c))
+    with pytest.raises(ParameterError, match="zero eigenvalue"):
+        irf._reflected_eig(np.zeros_like(b))
 
 
 def test_chiral_eig_skips_cluster_denominators():
@@ -611,6 +670,15 @@ def test_chiral_eig_skips_cluster_denominators():
     assert np.max(dist.min(axis=0)) <= 1e-12 and np.max(dist.min(axis=1)) <= 1e-12
     near = np.abs(expect[:, None] - expect[None, :]) <= 1e-9
     assert np.array_equal(np.count_nonzero(dist <= 1e-9, axis=0), np.count_nonzero(near, axis=0))
+    # the same nu as the spectrum of M = B[:, ::-1], C = B[::-1, ::-1]: the
+    # cluster's denominators in _reflected_eig get no correction either
+    b = (x @ np.diag(true_nu) @ np.linalg.inv(x))[:, ::-1]
+    blocks = (b, b[::-1, ::-1])
+    nu, xs, ys = irf._reflected_eig(b)
+    assert np.all(np.isfinite(nu)) and np.all(np.isfinite(xs))
+    assert chiral_check(blocks, nu, xs, ys)[0] <= 1e-13
+    dist = np.abs(nu[:, None] - true_nu[None, :])
+    assert np.max(dist.min(axis=0)) <= 1e-12 and np.max(dist.min(axis=1)) <= 1e-12
 
 
 def test_certify_spectrum_at_a_crossing(lattice):
