@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -71,7 +72,7 @@ def k_matrix() -> np.ndarray:
 
 def ktwist_residual(params: ModelParams, z: complex, lam: complex) -> float:
     """|(K x K) R(z, lambda) - R(z, -lambda) (K x K)| for the spin flip K."""
-    kk = np.kron(k_matrix(), k_matrix())
+    kk = np.eye(4, dtype=complex)[::-1]  # K x K sends index 2a + b to 3 - (2a + b)
     lhs = kk @ r_matrix(params, z, lam)
     rhs = r_matrix(params, z, -lam) @ kk
     return float(np.max(np.abs(lhs - rhs)))
@@ -134,14 +135,17 @@ class S0Grid:
 
     Points come in itertools.product order, the last site varying
     fastest: the Kronecker order of the Gaudin tensor basis and, at
-    Lambda_i = 1, the order of both IRF state sets.  weights holds the
-    sl2 weight sum_i (Lambda_i - 2 m_i) of each point.
+    Lambda_i = 1, the order of both IRF state sets.  So moving m_i by one
+    moves the index by strides[i] = prod_{j > i} (Lambda_j + 1), and the
+    point m = 0 has index 0.  weights holds the sl2 weight
+    sum_i (Lambda_i - 2 m_i) of each point.
     """
 
     def __init__(self, params: ModelParams):
         self.params = params
         self.points = list(itertools.product(*(range(l + 1) for l in params.lams)))
-        self._index = {m: i for i, m in enumerate(self.points)}
+        dims = [l + 1 for l in params.lams]
+        self.strides = tuple(math.prod(dims[i + 1:]) for i in range(len(dims)))
         steps = np.asarray(params.lams) - 2 * np.array(self.points)
         self.weights = steps.sum(axis=1)
         self.xs = -np.asarray(params.zs) - params.eta * steps
@@ -150,15 +154,10 @@ class S0Grid:
     def dim(self) -> int:
         return len(self.points)
 
-    @property
-    def hw_index(self) -> int:
-        return self._index[(0,) * len(self.params.lams)]
-
     def shifted(self, idx: int, i: int, dm: int) -> int | None:
         """Index of the grid point with m_i changed by dm, None if off the grid."""
-        m = list(self.points[idx])
-        m[i] += dm
-        return self._index.get(tuple(m))
+        m = self.points[idx][i] + dm
+        return idx + dm * self.strides[i] if 0 <= m <= self.params.lams[i] else None
 
 
 @dataclasses.dataclass
@@ -358,7 +357,7 @@ def highest_weight_check(
     ev = params.evaluator()
     quad = build_quadruple(params)
     grid = quad.grid
-    hw = grid.hw_index
+    hw = 0  # the highest-weight point m = 0
     vhw = np.zeros(grid.dim, dtype=complex)
     vhw[hw] = 1.0
 
@@ -411,22 +410,24 @@ def highest_weight_check(
 def _l_hat(quad: OperatorQuadruple, z: complex, factor: int) -> ShiftOp:
     """Embed the 2x2 operator matrix [[a,b],[c,d]](z) at V-factor 0 or 1."""
     ops = [[quad.a(z), quad.b(z)], [quad.c(z), quad.d(z)]]
-    units = []
-    for row in (0, 1):
-        for col in (0, 1):
-            unit = np.zeros((2, 2))
-            unit[row, col] = 1.0
-            aux = np.kron(unit, np.eye(2)) if factor == 0 else np.kron(np.eye(2), unit)
-            units.append((aux, ops[row][col]))
+    dim = quad.grid.dim
+    # entry (row, col) keeps the other factor's index j: it fills the grid-sized
+    # blocks (2 row + j, 2 col + j) at factor 0 and (2 j + row, 2 j + col) at factor 1
+    places = [
+        [(2 * row + j, 2 * col + j) if factor == 0 else (2 * j + row, 2 * j + col) for j in (0, 1)]
+        for row in (0, 1) for col in (0, 1)
+    ]
 
     def blocks(lam):
         out: dict[int, np.ndarray] = {}
-        for aux, op in units:
+        for op, pairs in zip((op for row in ops for op in row), places):
             for k, m in op.blocks(lam).items():
-                _accumulate(out, k, np.kron(aux, m))
+                full = out.setdefault(k, np.zeros((4 * dim, 4 * dim), dtype=complex))
+                for a, b in pairs:
+                    full[a * dim:(a + 1) * dim, b * dim:(b + 1) * dim] = m
         return out
 
-    return ShiftOp(4 * quad.grid.dim, ops[0][0].step, blocks)
+    return ShiftOp(4 * dim, ops[0][0].step, blocks)
 
 
 def _mult_r(

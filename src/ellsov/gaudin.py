@@ -15,6 +15,7 @@ zero-weight subspace is spanned by the grid points of weight zero.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Sequence
 
 import numpy as np
@@ -27,8 +28,6 @@ from .spaces import damped_newton
 from .theta import ThetaEvaluator
 
 __all__ = [
-    "Sl2Rep",
-    "ZeroWeightSpace",
     "build_hamiltonians",
     "build_S",
     "spectral_weight",
@@ -38,107 +37,72 @@ __all__ = [
 ]
 
 
-@dataclasses.dataclass(frozen=True)
-class Sl2Rep:
-    """Irreducible sl2 module of highest weight lam, in the integer basis.
+def _site_operators(grid: S0Grid) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """Per-site (e, f, h) acting on the full tensor product, in S0Grid order.
 
-    f v_k = v_{k+1}, h v_k = (lam - 2k) v_k, e v_k = k (lam - k + 1) v_{k-1}.
+    Site i's module has the integer basis f v_k = v_{k+1}, h v_k = (Lambda_i - 2k) v_k,
+    e v_k = k (Lambda_i - k + 1) v_{k-1}; moving m_i by one moves the grid
+    index by the stride s_i, so e and f sit on the diagonals +s_i and -s_i.
+    """
+    ops = []
+    for k, lam, s in zip(np.array(grid.points).T, grid.params.lams, grid.strides):
+        e = np.diag((k * (lam - k + 1))[s:].astype(complex), s)
+        f = np.diag((k < lam)[:-s].astype(complex), -s)
+        ops.append((e, f, np.diag((lam - 2 * k).astype(complex))))
+    return tuple(ops)
+
+
+@dataclasses.dataclass(frozen=True)
+class _GaudinModel:
+    """The model-level data every Gaudin operator reads, read-only.
+
+    ops[i] is site i's (e, f, h) on the full tensor product of dimension
+    total; indices are the grid points of weight zero, which span M[0].
     """
 
-    lam: int
-
-    @property
-    def dim(self) -> int:
-        return self.lam + 1
-
-    @property
-    def e(self) -> np.ndarray:
-        m = np.zeros((self.dim, self.dim), dtype=complex)
-        for k in range(1, self.dim):
-            m[k - 1, k] = k * (self.lam - k + 1)
-        return m
-
-    @property
-    def f(self) -> np.ndarray:
-        m = np.zeros((self.dim, self.dim), dtype=complex)
-        for k in range(self.dim - 1):
-            m[k + 1, k] = 1.0
-        return m
-
-    @property
-    def h(self) -> np.ndarray:
-        return np.diag([complex(self.lam - 2 * k) for k in range(self.dim)])
-
-
-def _site_operators(lams: Sequence[int]) -> list[tuple[np.ndarray, ...]]:
-    """Per-site (e, f, h) acting on the full tensor product, in S0Grid order."""
-    reps = [Sl2Rep(l) for l in lams]
-    dims = [r.dim for r in reps]
-    ops = []
-    for i, rep in enumerate(reps):
-        eye_l = np.eye(int(np.prod(dims[:i])), dtype=complex)
-        eye_r = np.eye(int(np.prod(dims[i + 1:])), dtype=complex)
-        ops.append(tuple(np.kron(np.kron(eye_l, m), eye_r) for m in (rep.e, rep.f, rep.h)))
-    return ops
-
-
-@dataclasses.dataclass(frozen=True)
-class ZeroWeightSpace:
-    """Zero-weight subspace of the site tensor product, with index bookkeeping."""
-
     params: ModelParams
-    indices: tuple[int, ...]
-    total_dim: int
+    ev: ThetaEvaluator
+    ops: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    indices: np.ndarray
+    total: int
 
     @property
     def dim(self) -> int:
         return len(self.indices)
 
     def restrict(self, op: np.ndarray) -> np.ndarray:
-        idx = np.asarray(self.indices)
-        return op[np.ix_(idx, idx)]
+        return op[np.ix_(self.indices, self.indices)]
 
 
-def zero_weight_space(params: ModelParams) -> ZeroWeightSpace:
+@functools.lru_cache(maxsize=2)  # an entry holds 3n dense total^2 complex matrices
+def _gaudin_model(params: ModelParams) -> _GaudinModel:
+    """Distinct sites checked, site operators and zero-weight indices built, once per model.
+
+    The CLI runs one task per process; gaudin check and gaudin bethe run
+    on one model in one process share an entry, so two entries suffice.
+    """
+    params.validate_distinct_sites()
     grid = S0Grid(params)
-    idx = tuple(int(i) for i in np.nonzero(grid.weights == 0)[0])
-    if not idx:
+    indices = np.flatnonzero(grid.weights == 0)
+    if not indices.size:
         raise ParameterError("zero-weight subspace is empty: total weight parity is odd")
-    return ZeroWeightSpace(params, idx, grid.dim)
+    ops = _site_operators(grid)
+    for arr in (indices, *(m for site in ops for m in site)):
+        arr.setflags(write=False)
+    return _GaudinModel(params, params.evaluator(), ops, indices, grid.dim)
 
 
-class GaudinContext:
-    """Shared matrices and jet builders for one parameter set."""
-
-    def __init__(self, params: ModelParams):
-        params.validate_distinct_sites()
-        self.params = params
-        self.ev = params.evaluator()
-        self.ops = _site_operators(params.lams)
-        self.space = zero_weight_space(params)
-        self.total = self.space.total_dim
-
-
-def _hamiltonian_j(ctx: GaudinContext, j: int) -> LambdaDiffOp:
+def _hamiltonian_j(ctx: _GaudinModel, j: int) -> LambdaDiffOp:
     """H_j = -h^(j) d/dlambda + sum_{k != j} pairwise kernel terms, on M[0]."""
-    params, ev = ctx.params, ctx.ev
-    dim = ctx.space.dim
+    params, ev, dim = ctx.params, ctx.ev, ctx.dim
     ej, fj, hj = ctx.ops[j]
-    c1 = -ctx.space.restrict(hj)
+    c1 = -ctx.restrict(hj)
 
-    pair_hh = []
-    zjks = []
-    mats_ef = []
-    mats_fe = []
-    for k in range(params.n):
-        if k == j:
-            continue
-        ek, fk, hk = ctx.ops[k]
-        zjk = params.zs[j] - params.zs[k]
-        pair_hh.append((0.5 * ev.zeta_bar(zjk), ctx.space.restrict(hj @ hk)))
-        zjks.append(zjk)
-        mats_ef.append(ctx.space.restrict(ej @ fk))
-        mats_fe.append(ctx.space.restrict(fj @ ek))
+    others = [k for k in range(params.n) if k != j]
+    zjks = [params.zs[j] - params.zs[k] for k in others]
+    pair_hh = [(0.5 * ev.zeta_bar(zjk), ctx.restrict(hj @ ctx.ops[k][2])) for k, zjk in zip(others, zjks)]
+    mats_ef = [ctx.restrict(ej @ ctx.ops[k][1]) for k in others]
+    mats_fe = [ctx.restrict(fj @ ctx.ops[k][0]) for k in others]
     theta_zjks = [ev.theta(zjk) for zjk in zjks]
 
     def c0(lam0: complex, degree: int) -> np.ndarray:
@@ -154,7 +118,7 @@ def _hamiltonian_j(ctx: GaudinContext, j: int) -> LambdaDiffOp:
     return LambdaDiffOp(dim, (c0, LambdaDiffOp.const_coeff(c1)))
 
 
-def _hamiltonian_0(ctx: GaudinContext) -> LambdaDiffOp:
+def _hamiltonian_0(ctx: _GaudinModel) -> LambdaDiffOp:
     """The second-order member of the family: the z-constant term of S(z).
 
     On the zero-weight space this is
@@ -166,8 +130,7 @@ def _hamiltonian_0(ctx: GaudinContext) -> LambdaDiffOp:
     weight 1/8 and the ordered ef sum are forced by matching the pole
     expansion of S(z); the residue decomposition test referees them.
     """
-    params, ev = ctx.params, ctx.ev
-    dim = ctx.space.dim
+    params, ev, dim = ctx.params, ctx.ev, ctx.dim
     jet0 = ev.theta0_jet(3)
     diag_hh = 6.0 * jet0[3] / jet0[1]  # theta'''(0)/theta'(0)
 
@@ -177,17 +140,17 @@ def _hamiltonian_0(ctx: GaudinContext) -> LambdaDiffOp:
     mats_ef: list[np.ndarray] = []
     for j in range(params.n):
         ej, fj, hj = ctx.ops[j]
-        hh_const += 0.125 * diag_hh * ctx.space.restrict(hj @ hj)
-        diag_ef += ctx.space.restrict(ej @ fj + fj @ ej)
+        hh_const += 0.125 * diag_hh * ctx.restrict(hj @ hj)
+        diag_ef += ctx.restrict(ej @ fj + fj @ ej)
         for k in range(params.n):
             if k == j:
                 continue
             ek, fk, hk = ctx.ops[k]
             zjk = params.zs[j] - params.zs[k]
             tj = ev.theta_taylor(zjk, 2)
-            hh_const += 0.125 * (2.0 * tj[2] / tj[0]) * ctx.space.restrict(hj @ hk)
+            hh_const += 0.125 * (2.0 * tj[2] / tj[0]) * ctx.restrict(hj @ hk)
             zjks.append(zjk)
-            mats_ef.append(ctx.space.restrict(ej @ fk))
+            mats_ef.append(ctx.restrict(ej @ fk))
     theta_zjks = [ev.theta(zjk) for zjk in zjks]
 
     def c0(lam0: complex, degree: int) -> np.ndarray:
@@ -209,7 +172,7 @@ def _hamiltonian_0(ctx: GaudinContext) -> LambdaDiffOp:
 
 def build_hamiltonians(params: ModelParams) -> list[LambdaDiffOp]:
     """[H_0, H_1, ..., H_n] acting on the zero-weight space."""
-    ctx = GaudinContext(params)
+    ctx = _gaudin_model(params)
     return [_hamiltonian_0(ctx)] + [_hamiltonian_j(ctx, j) for j in range(params.n)]
 
 
@@ -220,15 +183,14 @@ def build_S(params: ModelParams, z: complex) -> LambdaDiffOp:
     S(z) at the sites come out as Casimir halves; see the residue
     decomposition test.
     """
-    ctx = GaudinContext(params)
-    params_, ev = ctx.params, ctx.ev
-    dim = ctx.space.dim
+    ctx = _gaudin_model(params)
+    ev, dim = ctx.ev, ctx.dim
 
     h_full = np.zeros((ctx.total, ctx.total), dtype=complex)
-    for (ei, fi, hi), zi in zip(ctx.ops, params_.zs):
+    for (ei, fi, hi), zi in zip(ctx.ops, params.zs):
         h_full += ev.zeta_bar(z - zi) * hi
-    hz = ctx.space.restrict(h_full)
-    dzs = [z - zi for zi in params_.zs]
+    hz = ctx.restrict(h_full)
+    dzs = [z - zi for zi in params.zs]
     theta_dzs = [ev.theta(dz) for dz in dzs]
 
     def c0(lam0: complex, degree: int) -> np.ndarray:
@@ -240,7 +202,7 @@ def build_S(params: ModelParams, z: complex) -> LambdaDiffOp:
             e_jet += sn[:, None, None] * ei[None, :, :]
             f_jet += sp[:, None, None] * fi[None, :, :]
         anti = jets.jmul(e_jet, f_jet, degree) + jets.jmul(f_jet, e_jet, degree)
-        out = np.stack([0.5 * ctx.space.restrict(a) for a in anti])
+        out = np.stack([0.5 * ctx.restrict(a) for a in anti])
         out[0] += 0.25 * (hz @ hz)
         return out
 
@@ -334,7 +296,7 @@ def bethe_eigenvector(
 
     The lowering fields carry the running lambda through every factor.
     """
-    ctx = GaudinContext(params)
+    ctx = _gaudin_model(params)
     vec = np.zeros((degree + 1, ctx.total), dtype=complex)
     vec[0, 0] = 1.0  # index 0 is the top vector of every factor
     for w in roots:
@@ -342,4 +304,4 @@ def bethe_eigenvector(
         f_jet = sum(sp[:, None, None] * fi for sp, (_, fi, _) in zip(sps, ctx.ops))
         vec = jets.jmul(f_jet, vec, degree)
     vec = jets.jmul(jets.jet_exp(c, lam0, degree), vec, degree)
-    return vec[:, np.asarray(ctx.space.indices)]
+    return vec[:, ctx.indices]

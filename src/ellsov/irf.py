@@ -169,11 +169,12 @@ def _path_model(params: ModelParams) -> _PathModel:
         row, col = _face_slots(a[:, i + 1], a[:, i], b[:, i], b[:, i + 1])
         faces.append((which * 16 + 4 * row + col).astype(np.uint8))
         for d2 in map(int, heights_d):
-            if d2 not in lam_thetas:
-                lam = -eta * d2
+            if abs(d2) not in lam_thetas:
+                lam = -eta * abs(d2)
                 _check_lambda(params, lam)
-                lam_thetas[d2] = tuple((l, ev.theta(l), ev.theta(l + 2 * eta)) for l in (lam, -lam))
-        corners.append(tuple(lam_thetas[int(d2)] for d2 in heights_d))
+                lam_thetas[abs(d2)] = tuple((l, ev.theta(l), ev.theta(l + 2 * eta)) for l in (lam, -lam))
+        # height -d2 reads the pair {lambda, -lambda} of d2 in swapped order
+        corners.append(tuple(lam_thetas[abs(d2)][:: -1 if d2 < 0 else 1] for d2 in map(int, heights_d)))
     # uint16 block indices hold every n <= 17, and uint8 faces, since a node
     # has at most n + 1 corner heights, every n <= 15: far above any dense build
     rows, cols, faces = (rows >> 1).astype(np.uint16), (cols >> 1).astype(np.uint16), np.array(faces)
@@ -636,7 +637,6 @@ def certify_spectrum(
     val_pts = [sample_spectral(params, rng) for _ in range(_VALIDATION_POINTS)]
 
     groups, dist = _clusters(mu, _GAP_TOL)
-    mu_scale = max(float(np.max(np.abs(mu))), 1.0)
     # distance from each cluster to the rest of the spectrum
     label = np.empty(len(mu), dtype=int)
     for k, group in enumerate(groups):
@@ -727,7 +727,7 @@ def certify_spectrum(
                 q_pairs=tuple(zip(em[k].tolist(), q_plus)),
                 reconstruction=recon[k],
                 angle=float(angles[k]),
-                degenerate=bool(dims[k] > 1 or gap < _GAP_TOL * mu_scale),
+                degenerate=bool(dims[k] > 1),
                 gap=gap,
                 tol=tol,
             )

@@ -399,7 +399,7 @@ def reference_gaudin_check(cfg, seed):
     block = cfg["gaudin"]
     degree = block["degree"]
     hams = gaudin.build_hamiltonians(params)
-    dim = gaudin.zero_weight_space(params).dim
+    dim = hams[0].dim
     u = rng.standard_normal((degree + 1, dim)) + 1j * rng.standard_normal((degree + 1, dim))
     comm = 0.0
     for _ in range(block["lambda_samples"]):

@@ -1,21 +1,21 @@
 """Dynamical Gaudin family: commuting operators, S(z) decomposition, Bethe vectors."""
 
 import dataclasses
+import functools
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ellsov import gaudin, jets
+from ellsov import cli, gaudin, jets
+from ellsov.eqg import S0Grid
 from ellsov.gaudin import (
-    GaudinContext,
-    Sl2Rep,
     bethe_eigenvector,
     build_hamiltonians,
     build_S,
     solve_gaudin_bethe,
     spectral_weight,
-    zero_weight_space,
 )
 from ellsov.params import ModelParams, ParameterError
 
@@ -25,14 +25,21 @@ ETA = 0.173 - 0.061j  # inert here; the container wants it
 Z1 = (0.12 + 0.23j,)
 Z2 = (0.12 + 0.23j, 0.57 + 0.71j)
 Z3 = (0.12 + 0.23j, 0.57 + 0.71j, 0.34 + 0.52j)
+Z4 = Z3 + (0.81 + 0.18j,)
 LAM0 = 0.21 + 0.33j
 DEGREE = 8
 
 FAMILIES = [(Z2, (1, 1)), (Z3, (1, 1, 2)), (Z2, (2, 2))]
+SITE_WEIGHTS = [(1,), (2,), (1, 1), (2, 2), (1, 1, 2), (3, 1, 2, 1)]
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def make_params(lattice, zs, lams):
     return ModelParams(lattice=lattice, eta=ETA, zs=zs, lams=lams)
+
+
+def weight_params(lattice, lams):
+    return make_params(lattice, Z4[: len(lams)], lams)
 
 
 def random_jet(rng, dim, degree=DEGREE):
@@ -42,6 +49,33 @@ def random_jet(rng, dim, degree=DEGREE):
 def rayleigh(out, u):
     i = int(np.argmax(np.abs(u[0])))
     return out[0][i] / u[0][i]
+
+
+def sl2_module(lam):
+    """(e, f, h) of the sl2 module of highest weight lam in the integer basis.
+
+    f v_k = v_{k+1}, h v_k = (lam - 2k) v_k, e v_k = k (lam - k + 1) v_{k-1}.
+    """
+    dim = lam + 1
+    e = np.zeros((dim, dim), dtype=complex)
+    f = np.zeros((dim, dim), dtype=complex)
+    for k in range(1, dim):
+        e[k - 1, k] = k * (lam - k + 1)
+    for k in range(dim - 1):
+        f[k + 1, k] = 1.0
+    h = np.diag([complex(lam - 2 * k) for k in range(dim)])
+    return e, f, h
+
+
+def kron_site_operators(lams):
+    """Per-site (e, f, h) on the tensor product as Kronecker products, the site operators' oracle."""
+    dims = [l + 1 for l in lams]
+    ops = []
+    for i, lam in enumerate(lams):
+        eye_l = np.eye(int(np.prod(dims[:i])), dtype=complex)
+        eye_r = np.eye(int(np.prod(dims[i + 1:])), dtype=complex)
+        ops.append(tuple(np.kron(np.kron(eye_l, m), eye_r) for m in sl2_module(lam)))
+    return ops
 
 
 @dataclasses.dataclass(frozen=True)
@@ -56,7 +90,7 @@ class FieldOps:
 def build_field_ops(params, z, lam):
     """Pointwise field operators at spectral point z and dynamical point lambda."""
     ev = params.evaluator()
-    ops = gaudin._site_operators(params.lams)
+    ops = gaudin._gaudin_model(params).ops
     total = len(ops[0][0])
     h = np.zeros((total, total), dtype=complex)
     e = np.zeros((total, total), dtype=complex)
@@ -85,10 +119,10 @@ def reference_sigma_neg(ev, lam0, z, degree):
 
 
 def reference_c0_hamiltonian_j(ctx, j, lam0, degree):
-    ev, zs, r = ctx.ev, ctx.params.zs, ctx.space.restrict
+    ev, zs, r = ctx.ev, ctx.params.zs, ctx.restrict
     ej, fj, hj = ctx.ops[j]
     others = [k for k in range(ctx.params.n) if k != j]
-    out = np.zeros((degree + 1, ctx.space.dim, ctx.space.dim), dtype=complex)
+    out = np.zeros((degree + 1, ctx.dim, ctx.dim), dtype=complex)
     for k in others:
         out[0] += (0.5 * ev.zeta_bar(zs[j] - zs[k])) * r(hj @ ctx.ops[k][2])
     for k in others:
@@ -101,7 +135,7 @@ def reference_c0_hamiltonian_j(ctx, j, lam0, degree):
 
 
 def reference_c0_hamiltonian_0(ctx, lam0, degree):
-    ev, zs, r, dim = ctx.ev, ctx.params.zs, ctx.space.restrict, ctx.space.dim
+    ev, zs, r, dim = ctx.ev, ctx.params.zs, ctx.restrict, ctx.dim
     jet0 = ev.theta0_jet(3)
     diag_hh = 6.0 * jet0[3] / jet0[1]
     hh_const = np.zeros((dim, dim), dtype=complex)
@@ -125,7 +159,7 @@ def reference_c0_hamiltonian_0(ctx, lam0, degree):
 
 
 def reference_c0_S(ctx, z, lam0, degree):
-    ev, zs, r = ctx.ev, ctx.params.zs, ctx.space.restrict
+    ev, zs, r = ctx.ev, ctx.params.zs, ctx.restrict
     h_full = np.zeros((ctx.total, ctx.total), dtype=complex)
     e_jet = np.zeros((degree + 1, ctx.total, ctx.total), dtype=complex)
     f_jet = np.zeros((degree + 1, ctx.total, ctx.total), dtype=complex)
@@ -143,7 +177,7 @@ def reference_c0_S(ctx, z, lam0, degree):
 @pytest.mark.parametrize("zs,lams", FAMILIES)
 def test_batched_sigma_jets_equal_per_pair_reference(lattice, rng, zs, lams):
     params = make_params(lattice, zs, lams)
-    ctx = GaudinContext(params)
+    ctx = gaudin._gaudin_model(params)
     hams = build_hamiltonians(params)
     z = params.sample_generic(rng, avoid=params.zs)
     s_op = build_S(params, z)
@@ -158,36 +192,82 @@ def test_batched_sigma_jets_equal_per_pair_reference(lattice, rng, zs, lams):
             assert np.array_equal(got, reference_c0_S(ctx, z, lam0, degree))
 
 
-def test_rep_relations():
-    """[e,f] = h, [h,e] = 2e, [h,f] = -2f, and the Casimir is scalar; all exact."""
-    for lam in (1, 2, 3):
-        rep = Sl2Rep(lam)
-        e, f, h = rep.e, rep.f, rep.h
-        assert rep.dim == lam + 1
-        np.testing.assert_array_equal(e @ f - f @ e, h)
-        np.testing.assert_array_equal(h @ e - e @ h, 2 * e)
-        np.testing.assert_array_equal(h @ f - f @ h, -2 * f)
-        casimir = 0.5 * (h @ h) + e @ f + f @ e
-        np.testing.assert_array_equal(casimir, 0.5 * lam * (lam + 2) * np.eye(lam + 1))
+@pytest.mark.parametrize("lams", SITE_WEIGHTS)
+def test_site_operators_match_kronecker(lattice, lams):
+    """The stride-diagonal site operators equal the Kronecker products entry for entry."""
+    grid = S0Grid(weight_params(lattice, lams))
+    ops = gaudin._site_operators(grid)
+    for got, want in zip(ops, kron_site_operators(lams), strict=True):
+        for a, b in zip(got, want, strict=True):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    # the strides S0Grid.shifted walks by agree with a lookup of the moved multi-index
+    index = {m: i for i, m in enumerate(grid.points)}
+    for idx, m in enumerate(grid.points):
+        for i in range(len(lams)):
+            for dm in (-1, 1):
+                moved = m[:i] + (m[i] + dm,) + m[i + 1:]
+                assert grid.shifted(idx, i, dm) == index.get(moved)
+
+
+def test_rep_relations(lattice):
+    """Per site: [e,f] = h, [h,e] = 2e, [h,f] = -2f, and the Casimir is scalar; all exact."""
+    for lams in SITE_WEIGHTS:
+        ops = gaudin._site_operators(S0Grid(weight_params(lattice, lams)))
+        total = int(np.prod([l + 1 for l in lams]))
+        for (e, f, h), lam in zip(ops, lams, strict=True):
+            np.testing.assert_array_equal(e @ f - f @ e, h)
+            np.testing.assert_array_equal(h @ e - e @ h, 2 * e)
+            np.testing.assert_array_equal(h @ f - f @ h, -2 * f)
+            casimir = 0.5 * (h @ h) + e @ f + f @ e
+            np.testing.assert_array_equal(casimir, 0.5 * lam * (lam + 2) * np.eye(total))
+
+
+def test_model_is_cached_and_read_only(lattice):
+    params = make_params(lattice, Z3, (1, 1, 2))
+    model = gaudin._gaudin_model(params)
+    assert gaudin._gaudin_model(params) is model
+    for arr in (model.indices, *(m for site in model.ops for m in site)):
+        with pytest.raises(ValueError):
+            arr[0] = 7
+    # an equal parameter set reads the same entry
+    assert gaudin._gaudin_model(make_params(lattice, Z3, (1, 1, 2))) is model
+
+
+def test_gaudin_check_builds_model_once(tmp_path, monkeypatch):
+    """One gaudin check task builds its model's context once."""
+    build = gaudin._gaudin_model.__wrapped__
+    calls = []
+
+    def counted(params):
+        calls.append(params)
+        return build(params)
+
+    monkeypatch.setattr(gaudin, "_gaudin_model", functools.lru_cache(maxsize=2)(counted))
+    out = tmp_path / "check.json"
+    argv = ["gaudin", "check", "--config", str(CONFIGS / "gaudin_n3.json"), "--out", str(out)]
+    assert cli.main(argv) == 0
+    # build_hamiltonians and the five build_S calls share the one build
+    assert len(calls) == 1 and gaudin._gaudin_model.cache_info().hits == 5
 
 
 def test_zero_weight_space(lattice):
     params = make_params(lattice, Z2, (1, 1))
-    space = zero_weight_space(params)
-    assert space.dim == 2 and space.total_dim == 4
+    space = gaudin._gaudin_model(params)
+    assert space.dim == 2 and space.total == 4
 
-    space3 = zero_weight_space(make_params(lattice, Z3, (1, 1, 2)))
-    assert space3.dim == 4 and space3.total_dim == 12
+    space3 = gaudin._gaudin_model(make_params(lattice, Z3, (1, 1, 2)))
+    assert space3.dim == 4 and space3.total == 12
 
     # restrict reads the zero-weight block through the index bookkeeping
     vec = np.arange(1, space.dim + 1, dtype=complex)
-    full = np.zeros(space.total_dim, dtype=complex)
+    full = np.zeros(space.total, dtype=complex)
     full[list(space.indices)] = vec
     assert_allclose(space.restrict(np.outer(full, full)), np.outer(vec, vec))
     assert np.count_nonzero(full) == space.dim
 
     with pytest.raises(ParameterError):
-        zero_weight_space(make_params(lattice, Z2, (1, 2)))
+        gaudin._gaudin_model(make_params(lattice, Z2, (1, 2)))
 
 
 def test_zero_weight_indices(lattice):
@@ -202,15 +282,15 @@ def test_zero_weight_indices(lattice):
                 rem //= l + 1
             if weight == 0:
                 expect.append(idx)
-        space = zero_weight_space(make_params(lattice, zs, lams))
-        assert space.indices == tuple(expect) and space.total_dim == total
+        space = gaudin._gaudin_model(make_params(lattice, zs, lams))
+        assert tuple(space.indices.tolist()) == tuple(expect) and space.total == total
 
 
 def test_field_commutator(lattice, rng):
     """[e(z), f(z)] = sum_i (wp_bar(z - z_i) - wp_bar(lambda)) h^(i)."""
     params = make_params(lattice, Z2, (2, 2))
     ev = params.evaluator()
-    ctx = GaudinContext(params)
+    ctx = gaudin._gaudin_model(params)
     for _ in range(3):
         z = params.sample_generic(rng, avoid=params.zs)
         lam = sample_point(rng, lattice)
@@ -223,10 +303,10 @@ def test_field_commutator(lattice, rng):
         assert np.max(np.abs(comm - expect)) <= 1e-11 * scale
 
         # on the zero-weight space the wp_bar(lambda) part dies with sum h^(i)
-        restr = ctx.space.restrict(comm)
+        restr = ctx.restrict(comm)
         expect0 = np.zeros_like(restr)
         for (_, _, hi), zi in zip(ctx.ops, params.zs):
-            expect0 += ev.wp_bar(z - zi) * ctx.space.restrict(hi)
+            expect0 += ev.wp_bar(z - zi) * ctx.restrict(hi)
         assert np.max(np.abs(restr - expect0)) <= 1e-11 * scale
 
 
@@ -234,7 +314,7 @@ def test_field_commutator(lattice, rng):
 def test_hamiltonians_commute(lattice, rng, zs, lams):
     params = make_params(lattice, zs, lams)
     hams = build_hamiltonians(params)
-    dim = zero_weight_space(params).dim
+    dim = gaudin._gaudin_model(params).dim
     u = random_jet(rng, dim)
     for lam0 in [sample_point(rng, lattice) for _ in range(3)]:
         applied = [H.apply_jet(lam0, u) for H in hams]
@@ -249,7 +329,7 @@ def test_hamiltonian_sum_vanishes(lattice, rng):
     # sum_{j>=1} H_j = 0 on the zero-weight space
     params = make_params(lattice, Z3, (1, 1, 2))
     hams = build_hamiltonians(params)
-    u = random_jet(rng, zero_weight_space(params).dim)
+    u = random_jet(rng, gaudin._gaudin_model(params).dim)
     total = hams[1].apply_jet(LAM0, u)
     for H in hams[2:]:
         total += H.apply_jet(LAM0, u)
@@ -263,7 +343,7 @@ def test_s_decomposition(lattice, rng, zs, lams):
     params = make_params(lattice, zs, lams)
     ev = params.evaluator()
     hams = build_hamiltonians(params)
-    u = random_jet(rng, zero_weight_space(params).dim)
+    u = random_jet(rng, gaudin._gaudin_model(params).dim)
     for _ in range(5):
         z = params.sample_generic(rng, avoid=params.zs)
         lhs = build_S(params, z).apply_jet(LAM0, u)
@@ -285,8 +365,8 @@ def test_s_alternative_form(lattice, rng):
     """
     params = make_params(lattice, Z2, (2, 2))
     ev = params.evaluator()
-    ctx = GaudinContext(params)
-    dim = ctx.space.dim
+    ctx = gaudin._gaudin_model(params)
+    dim = ctx.dim
     u = random_jet(rng, dim)
     z = params.sample_generic(rng, avoid=params.zs)
 
@@ -299,16 +379,16 @@ def test_s_alternative_form(lattice, rng):
         hp_full += -ev.wp_bar(z - zi) * hi
         e_jet += jets.jet_sigma_neg(ev, LAM0, [z - zi], DEGREE)[0][:, None, None] * ei
         f_jet += jets.jet_sigma(ev, LAM0, [z - zi], DEGREE)[0][:, None, None] * fi
-    hr = ctx.space.restrict(h_full)
+    hr = ctx.restrict(h_full)
     fe = jets.jmul(f_jet, e_jet, DEGREE)
-    fe_r = np.stack([ctx.space.restrict(fe[d]) for d in range(DEGREE + 1)])
+    fe_r = np.stack([ctx.restrict(fe[d]) for d in range(DEGREE + 1)])
 
     # constant matrices enter as degree-0 jets
     d_out = DEGREE - 2
     up = jets.jderiv(u)
     got = jets.jderiv(up)
     got -= jets.jmul(hr[None], up, d_out)
-    const = 0.25 * hr @ hr - 0.5 * ctx.space.restrict(hp_full)
+    const = 0.25 * hr @ hr - 0.5 * ctx.restrict(hp_full)
     got += jets.jmul(const[None], u, d_out)
     got += jets.jmul(fe_r, u, d_out)
 
@@ -323,7 +403,7 @@ def test_lame_reduction(lattice, rng, lam, factor):
     params = make_params(lattice, Z1, (lam,))
     ev = params.evaluator()
     hams = build_hamiltonians(params)
-    assert zero_weight_space(params).dim == 1
+    assert gaudin._gaudin_model(params).dim == 1
     u = random_jet(rng, 1)
     out = hams[0].apply_jet(LAM0, u)[:, 0]
     u0 = u[:, 0]
@@ -452,7 +532,7 @@ def test_bethe_eigenvector(lattice, rng, zs, lams):
 
 def frozen_eigenvector(params, c, roots, lam0, degree):
     """bethe_eigenvector with every lowering field evaluated at lam0 (degree-0 sigma jets)."""
-    ctx = GaudinContext(params)
+    ctx = gaudin._gaudin_model(params)
     vec = np.zeros((degree + 1, ctx.total), dtype=complex)
     vec[0, 0] = 1.0
     for w in roots:
@@ -460,7 +540,7 @@ def frozen_eigenvector(params, c, roots, lam0, degree):
         f_jet = sum(sp[:, None, None] * fi for sp, (_, fi, _) in zip(sps, ctx.ops))
         vec = jets.jmul(f_jet, vec, degree)
     vec = jets.jmul(jets.jet_exp(c, lam0, degree), vec, degree)
-    return vec[:, np.asarray(ctx.space.indices)]
+    return vec[:, ctx.indices]
 
 
 def test_frozen_lambda_reading_fails(lattice, rng):

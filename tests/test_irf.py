@@ -198,15 +198,17 @@ def test_paths_theta_count(lattice, monkeypatch):
     heights on the rows of B, whose reflection gives C.  A cold build
     evaluates theta(z - z_i) and theta(z - z_i - 2 eta) per site (10),
     theta(l + z - z_i) for l = +/-lambda per pair (30), theta(l) and
-    theta(l + 2 eta) per corner height (24) and theta(2 eta) once: 65,
-    against 95 when C's 15 pairs were built too and 270 when each pair
-    built its own R-matrix.  A repeat build evaluates only the
-    z-dependent ones, 2n + 2 * 15 = 40 (70 with C's pairs)."""
+    theta(l + 2 eta) per corner height pair {d, -d}, which share
+    {lambda, -lambda} (12), and theta(2 eta) once: 53, against 65 when
+    d and -d each evaluated theirs, 95 when C's 15 pairs were built too
+    and 270 when each pair built its own R-matrix.  A repeat build
+    evaluates only the z-dependent ones, 2n + 2 * 15 = 40 (70 with C's
+    pairs)."""
     params = make_params(lattice, Z5)
     counts = count_theta_calls(monkeypatch)
     irf._path_model.cache_clear()
     build_T_irf_paths(params, 0.41 + 0.37j)
-    assert counts["theta_taylor"][0] == 65
+    assert counts["theta_taylor"][0] == 53
     pairs = sum(map(len, irf._path_model(params).corners))
     assert pairs == 15
     counts["theta_taylor"][0] = 0
