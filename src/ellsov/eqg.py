@@ -66,10 +66,6 @@ def r_matrix(params: ModelParams, z: complex, lam: complex) -> np.ndarray:
     return _r_matrix_raw(params.evaluator(), params.eta, z, lam)
 
 
-def k_matrix() -> np.ndarray:
-    return np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-
-
 def ktwist_residual(params: ModelParams, z: complex, lam: complex) -> float:
     """|(K x K) R(z, lambda) - R(z, -lambda) (K x K)| for the spin flip K."""
     kk = np.eye(4, dtype=complex)[::-1]  # K x K sends index 2a + b to 3 - (2a + b)
@@ -79,33 +75,25 @@ def ktwist_residual(params: ModelParams, z: complex, lam: complex) -> float:
 
 
 def _r_on_three(
-    ev: ThetaEvaluator,
-    eta: complex,
-    u: complex,
-    lam: complex,
-    pos: tuple[int, int],
-    dyn: int | None,
+    ev: ThetaEvaluator, eta: complex, u: complex, lam: complex, pos: tuple[int, int], dyn: int | None
 ) -> np.ndarray:
-    """Embed R(u, lambda - 2 eta h^(dyn)) into End(V x V x V) acting at pos."""
-    pair_index = {(0, 0): 0, (0, 1): 1, (1, 0): 2, (1, 1): 3}
-    p, q = pos
+    """Embed R(u, lambda - 2 eta h^(dyn)) into End(V x V x V) at pos = (p, q), p < q.
+
+    dyn is the third factor or None.  R reshaped to (2, 2, 2, 2) is (d_p, d_q, s_p, s_q); it
+    fills the (d_0, d_1, d_2, s_0, s_1, s_2) tensor where the third factor keeps its state s.
+    """
+    (third,) = {0, 1, 2} - set(pos)
     # lambda_eff depends on the basis vector only through its dyn component
     if dyn is None:
-        rs = [_r_matrix_raw(ev, eta, u, lam)]
+        rs = [_r_matrix_raw(ev, eta, u, lam)] * 2
     else:
         rs = [_r_matrix_raw(ev, eta, u, lam - 2 * eta * (1 - 2 * s)) for s in (0, 1)]
-    out = np.zeros((8, 8), dtype=complex)
-    for src in itertools.product((0, 1), repeat=3):
-        r = rs[0 if dyn is None else src[dyn]]
-        col = pair_index[(src[p], src[q])]
-        for row in range(4):
-            if r[row, col] == 0:
-                continue
-            dst = list(src)
-            dst[p], dst[q] = divmod(row, 2)
-            out[int(np.ravel_multi_index(dst, (2, 2, 2))),
-                int(np.ravel_multi_index(src, (2, 2, 2)))] += r[row, col]
-    return out
+    out = np.zeros((2,) * 6, dtype=complex)
+    for s, r in enumerate(rs):
+        index = [slice(None)] * 6
+        index[third] = index[third + 3] = s
+        out[tuple(index)] = r.reshape(2, 2, 2, 2)
+    return out.reshape(8, 8)
 
 
 def qybe_residual(params: ModelParams, z: complex, w: complex, lam: complex) -> float:

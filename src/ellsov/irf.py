@@ -73,25 +73,6 @@ def _parity_order(n: int) -> tuple[np.ndarray, np.ndarray]:
     return order
 
 
-def _scatter_blocks(n: int, rows, cols, re, im) -> tuple[np.ndarray, np.ndarray]:
-    """(B, C) of t = [[0, B], [C, 0]] in the parity order, t holding re + i im at (rows, cols).
-
-    Both transfer matrices flip the parity of sum m: each grid term flips
-    one sigma_i, and each face-weight row moves the first height by one.
-    A parity class holds one of 2k and 2k + 1, so index r is row or column
-    r >> 1 of its block.  An equal-parity pair is a ParameterError.  The
-    grid build scatters through here; the path build fills B alone.
-    """
-    rows, cols = np.broadcast_arrays(rows, cols)
-    parity = np.bitwise_count(rows) % 2
-    if np.any(parity == np.bitwise_count(cols) % 2):
-        raise ParameterError("transfer matrix has a nonzero entry between states of equal parity")
-    blocks = np.zeros((2, 2 ** (n - 1), 2 ** (n - 1)), dtype=complex)
-    blocks.real[parity, rows >> 1, cols >> 1] = re
-    blocks.imag[parity, rows >> 1, cols >> 1] = im
-    return blocks[0], blocks[1]
-
-
 # ---------------------------------------------------------------------------
 # transfer matrix, path construction
 
@@ -327,8 +308,15 @@ def build_T_irf_sov(params: ModelParams, zeta: complex) -> tuple[np.ndarray, np.
     for f in w[1:]:
         re, im = re * f.real - im * f.imag, re * f.imag + im * f.real
     rows = np.arange(2 ** n)[:, None]
-    # site i is bit n-1-i of the grid index, so flipping sigma_i flips that bit
-    return _scatter_blocks(n, rows, rows ^ (1 << (n - 1 - np.arange(n))), re, im)
+    # site i is bit n-1-i of the grid index, so flipping sigma_i flips that bit and
+    # the parity of sum m.  A parity class holds one of 2k and 2k + 1, so index r is
+    # row or column r >> 1 of its block; row r's terms go to block B or C by its parity
+    cols = rows ^ (1 << (n - 1 - np.arange(n)))
+    parity = np.bitwise_count(rows) % 2
+    blocks = np.zeros((2, 2 ** (n - 1), 2 ** (n - 1)), dtype=complex)
+    blocks.real[parity, rows >> 1, cols >> 1] = re
+    blocks.imag[parity, rows >> 1, cols >> 1] = im
+    return blocks[0], blocks[1]
 
 
 # ---------------------------------------------------------------------------
@@ -398,15 +386,20 @@ def _commutator_residual(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, 
     """max |a b - b a| / max |a b| for two transfer matrices given as their parity blocks.
 
     a b = diag(B_a C_b, C_a B_b) and b a = diag(B_b C_a, C_b B_a); every
-    entry of each product equals the dense product's.
+    entry of each product equals the dense product's.  A NaN or inf entry
+    (the products overflow) or a zero a b leaves no scale: a ParameterError.
     """
     (b_a, c_a), (b_b, c_b) = a, b
-    dev = scale = 0.0
+    devs, scales = [], []
     for x_a, y_b, x_b, y_a in ((b_a, c_b, b_b, c_a), (c_a, b_b, c_b, b_a)):
         ab, ba = x_a @ y_b, x_b @ y_a
         ba -= ab  # |ba - ab| equals |ab - ba| bit for bit; ab is also the scale
-        dev, scale = max(dev, float(np.max(np.abs(ba)))), max(scale, float(np.max(np.abs(ab))))
+        devs.append(np.max(np.abs(ba)))
+        scales.append(np.max(np.abs(ab)))
         del ab, ba
+    dev, scale = float(np.max(devs)), float(np.max(scales))  # np.max, unlike max, keeps a NaN
+    if not (cmath.isfinite(complex(dev, scale)) and scale > 0.0):
+        raise ParameterError("transfer-matrix products are zero or not finite; the commutator has no scale")
     return dev / scale
 
 

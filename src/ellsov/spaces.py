@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .theta import Lattice, PoleProximityError, ThetaEvaluator
+from .theta import PoleProximityError, ThetaEvaluator
 
 __all__ = [
     "SpacesError",
@@ -105,15 +105,10 @@ def multiplier_deviation(ev: ThetaEvaluator, f: Callable, k: int, chi: Character
 
 @dataclasses.dataclass(frozen=True)
 class EllipticPoly:
-    """exp(a*z) * prod_j theta(z - w_j); `make` reduces the zeros to the cell."""
+    """exp(a*z) * prod_j theta(z - w_j)."""
 
     a: complex
     zeros: tuple[complex, ...]
-
-    @staticmethod
-    def make(lattice: Lattice, a: complex, zeros: Sequence[complex]) -> "EllipticPoly":
-        red = tuple(lattice.reduce(w)[0] for w in zeros)
-        return EllipticPoly(complex(a), red)
 
     @property
     def order(self) -> int:
@@ -264,11 +259,6 @@ class MembershipReport:
     deviation: float
     qp_residual: float
     scale: float
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return self.deviation <= self.tol * self.scale and self.qp_residual <= self.tol * self.scale
 
 
 def membership_test(
@@ -277,7 +267,6 @@ def membership_test(
     k: int,
     chi: Character,
     rng: np.random.Generator,
-    tol: float = 1e-8,
 ) -> MembershipReport:
     """Interpolate f from k generic samples and test it at validation points.
 
@@ -300,7 +289,7 @@ def membership_test(
         expect = expected_multiplier(chi, k, z, r, s, tau) * f(z)
         qp = max(qp, abs(f(z + r + s * tau) - expect))
         scale = max(scale, abs(expect))
-    return MembershipReport(deviation=deviation, qp_residual=qp, scale=scale, tol=tol)
+    return MembershipReport(deviation=deviation, qp_residual=qp, scale=scale)
 
 
 # -- damped Newton -------------------------------------------------------

@@ -12,10 +12,10 @@ multiplier, and sums the q-series there, so it stays stable far from
 the cell.  Derivatives are summed term by term, never by finite
 differences.
 
-Derived functions: sigma_lambda (the two-variable kernel with residue 1
-at z = 0), zeta_bar = theta'/theta and wp_bar = -zeta_bar' (both with
-the lattice-independent additive normalization), and the closed-form
-lambda-derivative of sigma.
+Derived functions: zeta_bar = theta'/theta and wp_bar = -zeta_bar' (both
+with the lattice-independent additive normalization).  The kernel
+sigma_lambda(z) = theta(lambda - z) theta'(0) / (theta(z) theta(lambda))
+is used through its lambda-jets in jets.py.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import cmath
 import dataclasses
 import functools
 import math
-import threading
 
 import numpy as np
 
@@ -205,21 +204,18 @@ class ThetaEvaluator:
         Terms are paired as sin-combinations written with both exponentials
         carrying the full q-power, so nothing overflows and theta(0) is an
         exact zero.  The z-independent part of each term comes from the
-        (tau, degree) table of _term_table; only the two exponentials, the
-        accumulation and the stopping test run per call.
+        rows of _term_table; only the two exponentials, the accumulation and
+        the stopping test run per call.
         """
-        tau = self.lattice.tau
-        table = _term_table(tau, degree)
         coefs = [0j] * (degree + 1)
         acc = 0j
         im0 = abs(z0.imag)
         log_tol = math.log(self.trunc_tol)
         max_term = 0.0
         limit = -math.inf
-        for j in range(_MAX_TERMS):
-            if j == len(table):
-                _append_term(table, tau, degree, j)
-            base, ph, sign, weights, power, quad, lin, deg_log = table[j]
+        for base, ph, sign, weights, power, quad, lin, deg_log in _term_table(
+            self.lattice.tau, degree, self.trunc_tol
+        ):
             ep = cmath.exp(base + ph * z0)
             em = cmath.exp(base - ph * z0)
             if degree == 0:
@@ -295,18 +291,10 @@ class ThetaEvaluator:
             raise ValueError("zs must be one-dimensional")
         z0, r, s = self.lattice.reduce_array(zs)
         tau = self.lattice.tau
-        table = _term_table(tau, degree)
-        limit = math.log(self.trunc_tol) - _PI * tau.imag / 4.0
-        for j in range(_MAX_TERMS):
-            if j == len(table):
-                _append_term(table, tau, degree, j)
-            quad, lin, deg_log = table[j][5:]
-            log_next = quad + lin * tau.imag + deg_log
-            if log_next < limit:
-                break
-        else:
+        rows = _term_table(tau, degree, self.trunc_tol)
+        log_next = _array_bound(rows[-1], tau)
+        if not log_next < _array_limit(tau, self.trunc_tol):
             raise _truncation(self.trunc_tol, log_next)
-        rows = table[: j + 1]
         # row c * terms + j of grid is (base_j, +/-ph_j, +/-sign_j) and of weights
         # (+/-ph_j)^k, k = 0..degree, for the exponential exp(base_j +/- ph_j z0)
         # (c = 0: +, c = 1: -); theta^(k)(z0) / k! = sum_rows sign weight exp / (i k!)
@@ -362,16 +350,6 @@ class ThetaEvaluator:
                 % (what, dist, self.rho)
             )
 
-    def sigma(self, lam: complex, z: complex) -> complex:
-        """sigma_lambda(z) = theta(lam - z) theta'(0) / (theta(z) theta(lam))."""
-        self._require_off_lattice(z, "z")
-        self._require_off_lattice(lam, "lambda")
-        return (
-            self.theta(lam - z)
-            * self.dtheta0()
-            / (self.theta(z) * self.theta(lam))
-        )
-
     def zeta_bar(self, z: complex) -> complex:
         """theta'(z)/theta(z); odd, with zeta_bar(z+tau) = zeta_bar(z) - 2*pi*i."""
         self._require_off_lattice(z, "z")
@@ -407,50 +385,62 @@ def _overflow(z: complex) -> ThetaOverflowError:
     )
 
 
-# (tau, degree) term tables kept; each holds at most _MAX_TERMS rows
+# (tau, degree, trunc_tol) term tables kept; each holds at most _MAX_TERMS rows
 _TERM_TABLES = 64
-_TABLE_LOCK = threading.Lock()
+
+
+def _array_limit(tau: complex, trunc_tol: float) -> float:
+    """log of theta_array's cut, trunc_tol * exp(-pi Im tau / 4)."""
+    return math.log(trunc_tol) - _PI * tau.imag / 4.0
+
+
+def _array_bound(row: tuple, tau: complex) -> float:
+    """log of a row's bound on the next term, taken at the top of the cell, Im z0 = Im tau."""
+    quad, lin, deg_log = row[5:]
+    return quad + lin * tau.imag + deg_log
 
 
 @functools.lru_cache(maxsize=_TERM_TABLES)
-def _term_table(tau: complex, degree: int) -> list[tuple]:
-    """The z-independent data of the q-series terms for one (tau, degree).
+def _term_table(tau: complex, degree: int, trunc_tol: float) -> tuple[tuple, ...]:
+    """The z-independent data of the q-series terms, built whole on the first call.
 
     Row j holds base_j, ph_j, sign_j, the derivative weights
     (ph_j^k, (-1)^k ph_j^k) for k = 0..degree, max(1, |ph_j|)^degree and
-    the three parts of the bound on term j + 1.  Rows are appended by
-    _series_jet up to the last term its stopping rule reaches.
+    the three parts of the bound on term j + 1.  Each value is computed by
+    the expression, in the evaluation order, that a per-call evaluation of
+    term j would use, so every coefficient keeps its bits.
+
+    The rows stop at theta_array's term count J: the first row whose bound
+    at Im z0 = Im tau is below _array_limit, or all _MAX_TERMS rows when
+    none is.  The scalar rule of _series_jet stops within those J rows:
+    its bound at a reduced point (Im z0 <= Im tau) is at most the array's,
+    and its running limit is at least the array's, because term 0 on the
+    reduced cell is at least exp(-pi Im tau / 4).
     """
-    return []
-
-
-def _append_term(table: list[tuple], tau: complex, degree: int, j: int) -> None:
-    """Append row j of a (tau, degree) table.
-
-    Each value is computed by the expression, in the evaluation order, that
-    a per-call evaluation of term j would use, so every coefficient keeps its bits.
-    """
-    half = j + 0.5
-    ph = 1j * _PI * (2 * j + 1)
-    weights = []
-    wk = 1.0 + 0j
-    for k in range(degree + 1):
-        weights.append((wk, ((-1.0) ** k) * wk))
-        wk *= ph
-    nh = half + 1.0
-    row = (
-        1j * _PI * tau * half * half,
-        ph,
-        -1.0 if j % 2 else 1.0,
-        tuple(weights),
-        max(1.0, abs(ph)) ** degree,
-        -_PI * tau.imag * nh * nh,
-        2.0 * _PI * nh,
-        degree * math.log(_PI * (2 * j + 3)),
-    )
-    with _TABLE_LOCK:
-        if len(table) == j:  # another thread may have appended it meanwhile
-            table.append(row)
+    limit = _array_limit(tau, trunc_tol)
+    rows = []
+    for j in range(_MAX_TERMS):
+        half = j + 0.5
+        ph = 1j * _PI * (2 * j + 1)
+        weights = []
+        wk = 1.0 + 0j
+        for k in range(degree + 1):
+            weights.append((wk, ((-1.0) ** k) * wk))
+            wk *= ph
+        nh = half + 1.0
+        rows.append((
+            1j * _PI * tau * half * half,
+            ph,
+            -1.0 if j % 2 else 1.0,
+            tuple(weights),
+            max(1.0, abs(ph)) ** degree,
+            -_PI * tau.imag * nh * nh,
+            2.0 * _PI * nh,
+            degree * math.log(_PI * (2 * j + 3)),
+        ))
+        if _array_bound(rows[-1], tau) < limit:
+            break
+    return tuple(rows)
 
 
 @functools.lru_cache(maxsize=256)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ellsov import irf
+from ellsov.spaces import EllipticPoly
 from ellsov.theta import Lattice, ThetaEvaluator
 
 TAU = 0.31 + 1.07j
@@ -36,6 +37,11 @@ def sample_point(rng, lattice, margin=5e-2, spread=1.0):
     raise RuntimeError("sampling failed")
 
 
+def hexes(values):
+    """Real and imaginary parts as float.hex strings, so signed zeros count."""
+    return [(complex(c).real.hex(), complex(c).imag.hex()) for c in values]
+
+
 def dense(blocks):
     """The 2^n-square transfer matrix [[0, B], [C, 0]] of its parity blocks (B, C), in grid order."""
     b, c = blocks
@@ -44,6 +50,13 @@ def dense(blocks):
     t = np.zeros((2 * half, 2 * half), dtype=complex)
     t[np.ix_(even, odd)], t[np.ix_(odd, even)] = b, c
     return t
+
+
+def sigma(ev, lam, z):
+    """sigma_lambda(z) = theta(lam - z) theta'(0) / (theta(z) theta(lam)), behind the kernel's pole guards."""
+    ev._require_off_lattice(z, "z")
+    ev._require_off_lattice(lam, "lambda")
+    return ev.theta(lam - z) * ev.dtheta0() / (ev.theta(z) * ev.theta(lam))
 
 
 def sigma_dlambda(ev, lam, z):
@@ -56,6 +69,16 @@ def sigma_dlambda(ev, lam, z):
     jet = ev.theta_taylor(lam - z, 1)
     zl = ev.zeta_bar(lam)
     return complex(ev.dtheta0() * (jet[1] - jet[0] * zl) / (ev.theta(z) * ev.theta(lam)))
+
+
+def elliptic_poly(lattice, a, zeros):
+    """The EllipticPoly exp(a z) prod_j theta(z - w_j) with its zeros reduced to the cell."""
+    return EllipticPoly(complex(a), tuple(lattice.reduce(w)[0] for w in zeros))
+
+
+def membership_passes(report, tol=1e-8):
+    """A spaces.membership_test report passes: both residuals within tol of its scale."""
+    return report.deviation <= tol * report.scale and report.qp_residual <= tol * report.scale
 
 
 def elliptic_poly_logderiv(ev, p, z):

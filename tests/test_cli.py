@@ -197,6 +197,17 @@ def test_point_next_to_the_lattice_exits2(tmp_path, capsys, tau):
     assert "pole proximity" in capsys.readouterr().err
 
 
+def test_overflowing_commutator_exits2(tmp_path, capsys):
+    """At Im tau = 100 the grid matrices overflow and the commutator scale
+    was 0: irf build ended in a bare ZeroDivisionError.  A non-finite or
+    zero product is a ParameterError, so the task exits 2."""
+    cfg = rewrite_config(tmp_path, "irf_n3.json", "steep.json", lambda c: c.update(tau=[0.31, 100.0]))
+    with pytest.warns(RuntimeWarning) as caught:
+        assert cli.main(["irf", "build", "--config", cfg]) == 2
+    assert any("overflow" in str(w.message) for w in caught)
+    assert "commutator has no scale" in capsys.readouterr().err
+
+
 def test_non_finite_model_exit2(tmp_path, capsys):
     # JSON admits NaN and Infinity literals; they must fail as config errors
     nan_eta = rewrite_config(

@@ -1,5 +1,7 @@
 """Dynamical R-matrix, shift-operator quadruple, RLL relations, highest weight."""
 
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -12,7 +14,6 @@ from ellsov.eqg import (
     build_quadruple,
     det_scalar,
     highest_weight_check,
-    k_matrix,
     ktwist_residual,
     qybe_residual,
     r_matrix,
@@ -22,7 +23,7 @@ from ellsov.eqg import (
 from ellsov.params import ModelParams, ParameterError
 from ellsov.theta import ThetaEvaluator
 
-from conftest import sample_point
+from conftest import hexes, sample_point
 
 ETA = 0.173 - 0.061j
 Z1 = (0.12 + 0.23j,)
@@ -242,6 +243,41 @@ def test_qybe(lattice, rng):
         assert qybe_residual(params, z, w, lam) <= 1e-9
 
 
+def reference_r_on_three(ev, eta, u, lam, pos, dyn):
+    """eqg._r_on_three as it was: a loop over the basis vectors of V x V x V."""
+    pair_index = {(0, 0): 0, (0, 1): 1, (1, 0): 2, (1, 1): 3}
+    p, q = pos
+    if dyn is None:
+        rs = [eqg._r_matrix_raw(ev, eta, u, lam)]
+    else:
+        rs = [eqg._r_matrix_raw(ev, eta, u, lam - 2 * eta * (1 - 2 * s)) for s in (0, 1)]
+    out = np.zeros((8, 8), dtype=complex)
+    for src in itertools.product((0, 1), repeat=3):
+        r = rs[0 if dyn is None else src[dyn]]
+        col = pair_index[(src[p], src[q])]
+        for row in range(4):
+            if r[row, col] == 0:
+                continue
+            dst = list(src)
+            dst[p], dst[q] = divmod(row, 2)
+            out[int(np.ravel_multi_index(dst, (2, 2, 2))),
+                int(np.ravel_multi_index(src, (2, 2, 2)))] += r[row, col]
+    return out
+
+
+def test_r_on_three_matches_the_basis_loop(lattice, rng):
+    """The tensor placement equals the basis-vector loop entry for entry, on
+    the three pairs of factors with the third factor dynamical or not."""
+    ev = ThetaEvaluator(lattice)
+    for _ in range(5):
+        u, lam = sample_point(rng, lattice), sample_point(rng, lattice)
+        for pos, third in (((0, 1), 2), ((0, 2), 1), ((1, 2), 0)):
+            for dyn in (third, None):
+                got = eqg._r_on_three(ev, ETA, u, lam, pos, dyn)
+                want = reference_r_on_three(ev, ETA, u, lam, pos, dyn)
+                assert hexes(got.ravel()) == hexes(want.ravel()), (pos, dyn)
+
+
 def test_qybe_r_matrix_count(lattice, rng, monkeypatch):
     """lambda_eff takes one value per plain embedding and two per dynamical
     one, so a QYBE residual needs 3 + 3 * 2 R-matrices, not one per basis
@@ -262,7 +298,7 @@ def test_qybe_r_matrix_count(lattice, rng, monkeypatch):
 
 def test_ktwist(lattice, rng):
     params = make_params(lattice, Z1, (1,))
-    k = k_matrix()
+    k = np.array([[0.0, 1.0], [1.0, 0.0]])  # the spin flip K
     np.testing.assert_array_equal(k @ k, np.eye(2))
     for _ in range(5):
         z = sample_point(rng, lattice)

@@ -19,7 +19,7 @@ from ellsov.gaudin import (
 )
 from ellsov.params import ModelParams, ParameterError
 
-from conftest import sample_point
+from conftest import sample_point, sigma
 
 ETA = 0.173 - 0.061j  # inert here; the container wants it
 Z1 = (0.12 + 0.23j,)
@@ -97,8 +97,8 @@ def build_field_ops(params, z, lam):
     f = np.zeros((total, total), dtype=complex)
     for (ei, fi, hi), zi in zip(ops, params.zs):
         h += ev.zeta_bar(z - zi) * hi
-        e += ev.sigma(-lam, z - zi) * ei
-        f += ev.sigma(lam, z - zi) * fi
+        e += sigma(ev, -lam, z - zi) * ei
+        f += sigma(ev, lam, z - zi) * fi
     return FieldOps(h=h, e=e, f=f)
 
 
@@ -536,7 +536,7 @@ def frozen_eigenvector(params, c, roots, lam0, degree):
     vec = np.zeros((degree + 1, ctx.total), dtype=complex)
     vec[0, 0] = 1.0
     for w in roots:
-        sps = [np.array([ctx.ev.sigma(lam0, w - zi)]) for zi in params.zs]
+        sps = [np.array([sigma(ctx.ev, lam0, w - zi)]) for zi in params.zs]
         f_jet = sum(sp[:, None, None] * fi for sp, (_, fi, _) in zip(sps, ctx.ops))
         vec = jets.jmul(f_jet, vec, degree)
     vec = jets.jmul(jets.jet_exp(c, lam0, degree), vec, degree)

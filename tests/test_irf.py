@@ -23,7 +23,7 @@ from ellsov.irf import (
 from ellsov.params import ModelParams, ParameterError
 from ellsov.theta import ThetaEvaluator
 
-from conftest import TAU, dense, sample_point
+from conftest import TAU, dense, membership_passes, sample_point
 
 ETA = 0.173 - 0.061j
 Z1 = (0.12 + 0.23j,)
@@ -437,8 +437,8 @@ def test_sov_entry_is_theta_function_of_z(lattice, rng):
     ev = params.evaluator()
     chi0 = eigenvalue_character(params)
     entry = lambda zeta: dense(build_T_irf_sov(params, zeta))[0, 1]
-    report = spaces.membership_test(ev, entry, 3, chi0, rng, tol=1e-9)
-    assert report.passed
+    report = spaces.membership_test(ev, entry, 3, chi0, rng)
+    assert membership_passes(report, 1e-9)
 
 
 def test_off_grid_coefficient_vanishes(lattice):
@@ -563,17 +563,6 @@ def test_transfer_matrices_flip_parity(lattice, rng):
         z = spectral_point(params, rng)
         for build in (build_T_irf_paths, build_T_irf_sov):
             assert [m.shape for m in build(params, z)] == [(2 ** (n - 1), 2 ** (n - 1))] * 2
-
-
-def test_scatter_blocks_rejects_equal_parity():
-    # 1 <-> 3 flips the parity (one bit, two bits), 1 -> 7 does not (one bit, three bits)
-    re, im = np.array([2.0, 3.0]), np.array([0.5, 0.0])
-    t = dense(irf._scatter_blocks(3, np.array([1, 3]), np.array([3, 1]), re, im))
-    assert t[1, 3] == 2.0 + 0.5j and t[3, 1] == 3.0 and np.count_nonzero(t) == 2
-    for rows, cols in (([1, 7], [3, 1]), ([0], [3]), ([5], [6])):
-        ones = np.ones(len(rows))
-        with pytest.raises(ParameterError, match="equal parity"):
-            irf._scatter_blocks(3, np.array(rows), np.array(cols), ones, 0 * ones)
 
 
 def chiral_check(blocks, nu, x, y):
@@ -1132,7 +1121,7 @@ def test_continuous_bethe_families(lattice, rng):
         ev = params.evaluator()
         m = sum(lams) // 2
         report = spaces.membership_test(ev, cb.q_value, m, cb.chi, rng)
-        assert report.passed
+        assert membership_passes(report)
 
 
 def test_continuous_bethe_eigenvalue_membership(lattice, rng):
@@ -1144,8 +1133,8 @@ def test_continuous_bethe_eigenvalue_membership(lattice, rng):
     chi_plus = spaces.character_of(cb.a_plus, TAU)
     chi_sep = spaces.induced_eigenvalue_character(chi_plus, 2 * ETA, 1)
     eps_sep = lambda x: cb.eps_value(-x)
-    report = spaces.membership_test(ev, eps_sep, 2, chi_sep, rng, tol=1e-9)
-    assert report.passed
+    report = spaces.membership_test(ev, eps_sep, 2, chi_sep, rng)
+    assert membership_passes(report, 1e-9)
     with pytest.raises(ParameterError):
         continuous_bethe(ModelParams(lattice, ETA, Z3, (1, 1, 1)), rng)
 

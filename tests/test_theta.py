@@ -2,9 +2,6 @@
 
 import cmath
 import math
-import sys
-import threading
-import time
 
 import mpmath
 import numpy as np
@@ -23,7 +20,7 @@ from ellsov.theta import (
     TruncationError,
 )
 
-from conftest import TAU, sample_point, sigma_dlambda
+from conftest import TAU, hexes, sample_point, sigma, sigma_dlambda
 
 PI = math.pi
 
@@ -109,11 +106,6 @@ def reference_taylor(ev, z, degree):
             raise theta_module._overflow(z)
         out[k] = val
     return out, terms
-
-
-def hexes(jet):
-    """Real and imaginary parts as float.hex strings, so signed zeros count."""
-    return [(complex(c).real.hex(), complex(c).imag.hex()) for c in jet]
 
 
 def assert_matches_reference(ev, z, degree):
@@ -272,8 +264,8 @@ def test_sigma_quasi_periodicity(ev, rng):
         z = sample_point(rng, ev.lattice)
         r = int(rng.integers(-2, 3))
         s = int(rng.integers(-2, 3))
-        lhs = ev.sigma(lam, z + r + s * ev.lattice.tau)
-        rhs = cmath.exp(2j * PI * s * lam) * ev.sigma(lam, z)
+        lhs = sigma(ev, lam, z + r + s * ev.lattice.tau)
+        rhs = cmath.exp(2j * PI * s * lam) * sigma(ev, lam, z)
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
 
 
@@ -281,9 +273,9 @@ def test_sigma_lambda_shifts(ev, rng):
     # sigma_{lam+1} = sigma_lam ; sigma_{lam+tau}(z) = e^{2 pi i z} sigma_lam(z)
     lam = sample_point(rng, ev.lattice)
     z = sample_point(rng, ev.lattice)
-    assert abs(ev.sigma(lam + 1.0, z) - ev.sigma(lam, z)) <= 1e-10 * abs(ev.sigma(lam, z))
-    lhs = ev.sigma(lam + ev.lattice.tau, z)
-    rhs = cmath.exp(2j * PI * z) * ev.sigma(lam, z)
+    assert abs(sigma(ev, lam + 1.0, z) - sigma(ev, lam, z)) <= 1e-10 * abs(sigma(ev, lam, z))
+    lhs = sigma(ev, lam + ev.lattice.tau, z)
+    rhs = cmath.exp(2j * PI * z) * sigma(ev, lam, z)
     assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
 
 
@@ -297,7 +289,7 @@ def test_sigma_laurent_coefficients(ev, rng):
         for m in range(npts):
             t = 2.0 * PI * m / npts
             w = radius * cmath.exp(1j * t)
-            acc += ev.sigma(lam, w) * w ** (-k) / npts
+            acc += sigma(ev, lam, w) * w ** (-k) / npts
         coef[k] = acc
     assert abs(coef[-1] - 1.0) <= 1e-9
     assert abs(coef[0] - (-ev.zeta_bar(lam))) <= 1e-9 * max(1.0, abs(coef[0]))
@@ -311,7 +303,7 @@ def test_sigma_reflection(ev, rng):
     # sigma_{-lam}(-z) = -sigma_lam(z)
     lam = sample_point(rng, ev.lattice)
     z = sample_point(rng, ev.lattice)
-    assert abs(ev.sigma(-lam, -z) + ev.sigma(lam, z)) <= 1e-10 * abs(ev.sigma(lam, z))
+    assert abs(sigma(ev, -lam, -z) + sigma(ev, lam, z)) <= 1e-10 * abs(sigma(ev, lam, z))
 
 
 def test_sigma_product_identity(ev, rng):
@@ -319,7 +311,7 @@ def test_sigma_product_identity(ev, rng):
     for _ in range(10):
         lam = sample_point(rng, ev.lattice)
         w = sample_point(rng, ev.lattice)
-        lhs = ev.sigma(lam, w) * ev.sigma(-lam, w)
+        lhs = sigma(ev, lam, w) * sigma(ev, -lam, w)
         rhs = ev.wp_bar(w) - ev.wp_bar(lam)
         assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs))
 
@@ -354,10 +346,10 @@ def test_sigma_dlambda_closed_form(ev, rng):
     for _ in range(5):
         lam = sample_point(rng, ev.lattice, margin=0.12)
         z = sample_point(rng, ev.lattice, margin=0.12)
-        expect = cauchy_derivative(lambda u: ev.sigma(u, z), lam, 1)
+        expect = cauchy_derivative(lambda u: sigma(ev, u, z), lam, 1)
         got = sigma_dlambda(ev, lam, z)
         assert abs(got - expect) <= 1e-9 * max(1.0, abs(expect))
-        direct = ev.sigma(lam, z) * (ev.zeta_bar(lam - z) - ev.zeta_bar(lam))
+        direct = sigma(ev, lam, z) * (ev.zeta_bar(lam - z) - ev.zeta_bar(lam))
         assert abs(got - direct) <= 1e-10 * max(1.0, abs(got))
 
 
@@ -374,7 +366,7 @@ def test_sigma_dlambda_small_z_limit(ev, rng):
 
 def test_pole_guards(ev):
     with pytest.raises(PoleProximityError):
-        ev.sigma(0.3, 1e-9)
+        sigma(ev, 0.3, 1e-9)
     with pytest.raises(PoleProximityError):
         ev.zeta_bar(1.0 + 1e-8)
 
@@ -473,57 +465,60 @@ def test_term_tables_are_keyed_by_tau_and_degree():
                 assert_matches_reference(ev, complex(x, y), degree)
 
 
-def test_term_tables_grow_only_as_far_as_the_series_reaches():
-    theta_module._term_table.cache_clear()
-    ev = ThetaEvaluator(Lattice(TAU))
-    rng = np.random.default_rng(16)
-    most_terms = {}
-    for k, (x, y) in enumerate(rng.uniform(-3.0, 3.0, size=(1000, 2))):
-        degree = k % 11
-        terms = assert_matches_reference(ev, complex(x, y), degree)
-        most_terms[degree] = max(most_terms.get(degree, 0), terms)
-    for degree, terms in most_terms.items():
-        assert len(theta_module._term_table(TAU, degree)) <= terms
+def array_term_count(tau, degree, trunc_tol):
+    """theta_array's term count J as the per-call kernel would find it, and
+    the log bound on the next term at the last term it tried."""
+    limit = math.log(trunc_tol) - PI * tau.imag / 4.0
+    for j in range(theta_module._MAX_TERMS):
+        nh = j + 1.5
+        log_next = -PI * tau.imag * nh * nh + 2.0 * PI * nh * tau.imag + degree * math.log(PI * (2 * j + 3))
+        if log_next < limit:
+            return j + 1, log_next
+    return None, log_next
 
 
-def test_term_tables_grow_consistently_under_threads(monkeypatch):
-    """Threads that grow one fresh table at once still append each row once, in order.
+def test_term_tables_hold_the_array_term_count():
+    """A table is a tuple of exactly J rows, built whole; when J would pass
+    the term limit it holds all of them, and theta_array raises the
+    TruncationError the per-call count gives, tail bound included."""
+    for degree in range(11):
+        table = theta_module._term_table(TAU, degree, 1e-16)
+        terms, _ = array_term_count(TAU, degree, 1e-16)
+        assert isinstance(table, tuple) and len(table) == terms
+        assert theta_module._term_table(TAU, degree, 1e-16) is table
+    flat = ThetaEvaluator(Lattice(0.3 + 0.002j))
+    for degree in (0, 1, 5):
+        table = theta_module._term_table(flat.lattice.tau, degree, flat.trunc_tol)
+        assert len(table) == theta_module._MAX_TERMS
+        terms, log_next = array_term_count(flat.lattice.tau, degree, flat.trunc_tol)
+        assert terms is None
+        with pytest.raises(TruncationError) as err:
+            flat.theta_array(np.array([0.37 + 0.0006j]), degree)
+        assert err.value.tail_bound.hex() == math.exp(min(log_next, 700.0)).hex()
 
-    Each thread sleeps between finding row j missing and building it, so the
-    others find it missing too.
-    """
-    append = theta_module._append_term
 
-    def preempted_append(*args):
-        time.sleep(1e-4)
-        append(*args)
-
-    monkeypatch.setattr(theta_module, "_append_term", preempted_append)
-    evs = [ThetaEvaluator(Lattice(complex(0.01 * k, 0.3 + 0.01 * k))) for k in range(10)]
-    z = 0.37 + 0.29j  # high in the cell: tables of 9 to 12 rows
-    want = [hexes(reference_taylor(ev, z, d)[0]) for ev in evs for d in (0, 3)]
-    got = [[] for _ in range(4)]
-    barrier = threading.Barrier(len(got), timeout=60)
-
-    def work(out):
-        for ev in evs:
-            for d in (0, 3):
-                barrier.wait()
-                out.append(hexes(ev.theta_taylor(z, d)))
-
-    theta_module._term_table.cache_clear()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(out,)) for out in got]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert got == [want] * len(got)
+def test_kernel_matches_reference_across_the_admitted_range():
+    """Seeded taus with Im tau log-uniform over [1e-3, 187], two trunc_tol
+    and degrees 0 to 5: values and errors (message and tail bound) equal
+    the per-call kernel's, whose rows the whole tables must cover."""
+    rng = np.random.default_rng(26)
+    errors = 0
+    for _ in range(3000):
+        tau = complex(rng.uniform(-1.0, 1.0), math.exp(rng.uniform(math.log(1e-3), math.log(187.0))))
+        ev = ThetaEvaluator(Lattice(tau), trunc_tol=float(rng.choice([1e-16, 1e-12])))
+        u, v = rng.uniform(-1.5, 1.5, 2)
+        z, degree = u + v * tau, int(rng.integers(0, 6))
+        try:
+            want = hexes(reference_taylor(ev, z, degree)[0])
+        except ThetaError as exc:
+            errors += 1
+            with pytest.raises(type(exc)) as got:
+                ev.theta_taylor(z, degree)
+            assert str(got.value) == str(exc)
+            assert getattr(got.value, "tail_bound", 0.0).hex() == getattr(exc, "tail_bound", 0.0).hex()
+        else:
+            assert hexes(ev.theta_taylor(z, degree)) == want, (tau, z, degree, ev.trunc_tol)
+    assert errors > 0
 
 
 # -- the array kernel against the scalar one --------------------------------
