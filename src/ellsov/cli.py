@@ -200,23 +200,24 @@ def _task_theta_eval(block, params, rng, tol, csv_dir):
 
 def _task_gaudin_check(block, params, rng, tol, csv_dir):
     degree = _count(block, "degree", 8, least=4)  # S(z1) S(z2) u takes four derivatives
-    hams = gaudin.build_hamiltonians(params)
-    dim = hams[0].dim
+    dim = gaudin._gaudin_model(params).dim
     u = _random_jet(rng, dim, degree)
 
+    # operators are built once per point; products apply them to their own outputs
     comm = 0.0
     for _ in range(_count(block, "lambda_samples", 3)):
         lam0 = params.sample_generic(rng, margin=5e-2)
-        applied = [H.apply_jet(lam0, u) for H in hams]
+        hams = gaudin.build_hamiltonians(params, lam0, degree)
+        applied = [H.apply_jet(u) for H in hams]
         scale = max(1.0, max(float(np.max(np.abs(a))) for a in applied))
         for i in range(len(hams)):
             for j in range(i + 1, len(hams)):
-                dev = hams[i].apply_jet(lam0, applied[j]) - hams[j].apply_jet(lam0, applied[i])
+                dev = hams[i].apply_jet(applied[j]) - hams[j].apply_jet(applied[i])
                 comm = max(comm, float(np.max(np.abs(dev))) / scale)
 
     # the Hamiltonian sum and the S-decomposition share one lam0 and its H_j u
     lam0 = params.sample_generic(rng, margin=5e-2)
-    applied = [H.apply_jet(lam0, u) for H in hams]
+    applied = [H.apply_jet(u) for H in gaudin.build_hamiltonians(params, lam0, degree)]
     scale = max(1.0, float(np.max(np.abs(applied[1]))))
     ham_sum = float(np.max(np.abs(sum(applied[1:])))) / scale
 
@@ -224,7 +225,7 @@ def _task_gaudin_check(block, params, rng, tol, csv_dir):
     s_dev = 0.0
     for _ in range(3):
         z = params.sample_generic(rng, avoid=params.zs)
-        lhs = gaudin.build_S(params, z).apply_jet(lam0, u)
+        lhs = gaudin.build_S(params, z, lam0, degree).apply_jet(u)
         rows = lhs.shape[0]
         rhs = applied[0].copy()
         for k, zk in enumerate(params.zs):
@@ -235,10 +236,10 @@ def _task_gaudin_check(block, params, rng, tol, csv_dir):
 
     z1 = params.sample_generic(rng, avoid=params.zs)
     z2 = params.sample_generic(rng, avoid=params.zs)
-    s1, s2 = gaudin.build_S(params, z1), gaudin.build_S(params, z2)
-    s1u = s1.apply_jet(lam0, u)
+    s1, s2 = gaudin.build_S(params, z1, lam0, degree), gaudin.build_S(params, z2, lam0, degree)
+    s1u = s1.apply_jet(u)
     scale = max(1.0, float(np.max(np.abs(s1u))))
-    dev = s1.apply_jet(lam0, s2.apply_jet(lam0, u)) - s2.apply_jet(lam0, s1u)
+    dev = s1.apply_jet(s2.apply_jet(u)) - s2.apply_jet(s1u)
     ss = float(np.max(np.abs(dev))) / scale
 
     checks = [
@@ -259,7 +260,6 @@ def _task_gaudin_bethe(block, params, rng, tol, csv_dir):
             "checks": [_check("solver_converged", 1.0, 1e-10)],
             "metrics": {"solver_error": str(exc)},
         }
-    hams = gaudin.build_hamiltonians(params)
     eigen_dev = 0.0
     eps = []
     for _ in range(2):
@@ -267,8 +267,8 @@ def _task_gaudin_bethe(block, params, rng, tol, csv_dir):
         u = gaudin.bethe_eigenvector(params, sol.c, sol.roots, lam0, degree)
         scale = float(np.max(np.abs(u)))
         eps = []
-        for H in hams:
-            out = H.apply_jet(lam0, u)
+        for H in gaudin.build_hamiltonians(params, lam0, degree):
+            out = H.apply_jet(u)
             i = int(np.argmax(np.abs(u[0])))
             ej = out[0][i] / u[0][i]
             eps.append(complex(ej))

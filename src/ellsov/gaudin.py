@@ -3,9 +3,10 @@
 The model lives on the tensor product of irreducible sl2 modules of
 highest weights Lambda_i attached to the sites z_i.  All Hamiltonians
 act on the zero-weight subspace as first/second order differential
-operators in the dynamical variable lambda; their coefficients are
-produced as lambda-jets so that compositions and commutators stay exact
-through the requested Taylor degree.
+operators in the dynamical variable lambda.  Each operator is built at
+one point lam0 for input jets up to a given Taylor degree: its
+coefficient jets are formed once, from lambda-free matrices and thetas
+cached per model, and compositions and commutators read them truncated.
 
 The tensor basis vector v_{m_1} x .. x v_{m_n} is labelled by the
 multi-index m of :class:`ellsov.eqg.S0Grid`, in the grid's order, so the
@@ -58,6 +59,11 @@ class _GaudinModel:
 
     ops[i] is site i's (e, f, h) on the full tensor product of dimension
     total; indices are the grid points of weight zero, which span M[0].
+    The lambda-free parts of the operators are restricted to M[0]: per
+    site j, h[j] = h^(j) and pair_hh[j] = sum_{k != j} zeta_bar(z_jk)/2
+    h^(j) h^(k); per ordered pair (j, k), j != k, j-major, z_jk = z_j - z_k,
+    theta(z_jk), mats_ef = e^(j) f^(k) and mats_fe = f^(j) e^(k); and
+    H_0's constant hh_const and sum_j (e^(j) f^(j) + f^(j) e^(j)), diag_ef.
     """
 
     params: ModelParams
@@ -65,6 +71,14 @@ class _GaudinModel:
     ops: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
     indices: np.ndarray
     total: int
+    h: np.ndarray
+    pair_hh: np.ndarray
+    zjks: tuple[complex, ...]
+    theta_zjks: tuple[complex, ...]
+    mats_ef: np.ndarray
+    mats_fe: np.ndarray
+    hh_const: np.ndarray
+    diag_ef: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -74,9 +88,10 @@ class _GaudinModel:
         return op[np.ix_(self.indices, self.indices)]
 
 
-@functools.lru_cache(maxsize=2)  # an entry holds 3n dense total^2 complex matrices
+@functools.lru_cache(maxsize=2)  # an entry holds 3n total^2 and 2n^2 + 2 dim^2 complex matrices
 def _gaudin_model(params: ModelParams) -> _GaudinModel:
-    """Distinct sites checked, site operators and zero-weight indices built, once per model.
+    """Distinct sites checked, site operators, zero-weight indices and the
+    operators' lambda-free matrices and thetas built, once per model.
 
     The CLI runs one task per process; gaudin check and gaudin bethe run
     on one model in one process share an entry, so two entries suffice.
@@ -87,41 +102,43 @@ def _gaudin_model(params: ModelParams) -> _GaudinModel:
     if not indices.size:
         raise ParameterError("zero-weight subspace is empty: total weight parity is odd")
     ops = _site_operators(grid)
-    for arr in (indices, *(m for site in ops for m in site)):
+    ev, n, dim, block = params.evaluator(), params.n, len(indices), np.ix_(indices, indices)
+    jet0 = ev.theta0_jet(3)
+    diag_hh = 6.0 * jet0[3] / jet0[1]  # theta'''(0)/theta'(0), the j = k ratio of H_0
+    hh_const = np.zeros((dim, dim), dtype=complex)
+    diag_ef = np.zeros((dim, dim), dtype=complex)
+    pair_hh = np.zeros((n, dim, dim), dtype=complex)
+    zjks, mats_ef, mats_fe = [], [], []
+    for j, (ej, fj, hj) in enumerate(ops):
+        hh_const += 0.125 * diag_hh * (hj @ hj)[block]
+        diag_ef += (ej @ fj + fj @ ej)[block]
+        for k, (ek, fk, hk) in enumerate(ops):
+            if k == j:
+                continue
+            zjk = params.zs[j] - params.zs[k]
+            hh = (hj @ hk)[block]
+            pair_hh[j] += (0.5 * ev.zeta_bar(zjk)) * hh
+            tj = ev.theta_taylor(zjk, 2)
+            hh_const += 0.125 * (2.0 * tj[2] / tj[0]) * hh
+            zjks.append(zjk)
+            mats_ef.append((ej @ fk)[block])
+            mats_fe.append((fj @ ek)[block])
+    h = np.array([site[2][block] for site in ops])
+    mats = (np.array(mats_ef).reshape(-1, dim, dim), np.array(mats_fe).reshape(-1, dim, dim))
+    for arr in (indices, *(m for site in ops for m in site), h, pair_hh, *mats, hh_const, diag_ef):
         arr.setflags(write=False)
-    return _GaudinModel(params, params.evaluator(), ops, indices, grid.dim)
+    return _GaudinModel(
+        params, ev, ops, indices, grid.dim, h, pair_hh,
+        tuple(zjks), tuple(ev.theta(zjk) for zjk in zjks), *mats, hh_const, diag_ef,
+    )
 
 
-def _hamiltonian_j(ctx: _GaudinModel, j: int) -> LambdaDiffOp:
-    """H_j = -h^(j) d/dlambda + sum_{k != j} pairwise kernel terms, on M[0]."""
-    params, ev, dim = ctx.params, ctx.ev, ctx.dim
-    ej, fj, hj = ctx.ops[j]
-    c1 = -ctx.restrict(hj)
+def build_hamiltonians(params: ModelParams, lam0: complex, degree: int) -> list[LambdaDiffOp]:
+    """[H_0, H_1, ..., H_n] on the zero-weight space at lam0, for input jets of degree <= degree.
 
-    others = [k for k in range(params.n) if k != j]
-    zjks = [params.zs[j] - params.zs[k] for k in others]
-    pair_hh = [(0.5 * ev.zeta_bar(zjk), ctx.restrict(hj @ ctx.ops[k][2])) for k, zjk in zip(others, zjks)]
-    mats_ef = [ctx.restrict(ej @ ctx.ops[k][1]) for k in others]
-    mats_fe = [ctx.restrict(fj @ ctx.ops[k][0]) for k in others]
-    theta_zjks = [ev.theta(zjk) for zjk in zjks]
-
-    def c0(lam0: complex, degree: int) -> np.ndarray:
-        out = np.zeros((degree + 1, dim, dim), dtype=complex)
-        for coeff, mat in pair_hh:
-            out[0] += coeff * mat
-        for sj, mat in zip(jets.jet_sigma(ev, lam0, zjks, degree, theta_zjks), mats_ef):
-            out += sj[:, None, None] * mat[None, :, :]
-        for sj, mat in zip(jets.jet_sigma_neg(ev, lam0, zjks, degree, theta_zjks), mats_fe):
-            out += sj[:, None, None] * mat[None, :, :]
-        return out
-
-    return LambdaDiffOp(dim, (c0, LambdaDiffOp.const_coeff(c1)))
-
-
-def _hamiltonian_0(ctx: _GaudinModel) -> LambdaDiffOp:
-    """The second-order member of the family: the z-constant term of S(z).
-
-    On the zero-weight space this is
+    H_j = -h^(j) d/dlambda + pair_hh[j] + sum_{k != j} (sigma_lambda(z_jk)
+    e^(j) f^(k) + sigma_{-lambda}(z_jk) f^(j) e^(k)).  H_0, the z-constant
+    term of S(z), is
         d^2/dlambda^2
         + (1/8) sum_{j,k} h^(j) h^(k) theta''(z_jk)/theta(z_jk)
         - (1/2) wp_bar(lambda) sum_j (e^(j) f^(j) + f^(j) e^(j))
@@ -129,87 +146,58 @@ def _hamiltonian_0(ctx: _GaudinModel) -> LambdaDiffOp:
     with the j = k ratio understood as theta'''(0)/theta'(0).  The hh
     weight 1/8 and the ordered ef sum are forced by matching the pole
     expansion of S(z); the residue decomposition test referees them.
+    Every operator reads one jet_sigma and one jet_sigma_neg call over all
+    ordered pairs, at degree - 1; H_0 takes the derivatives of the former,
+    with no pole of zeta_bar(lambda - z_jk) for sigma's zero to cancel.
     """
-    params, ev, dim = ctx.params, ctx.ev, ctx.dim
-    jet0 = ev.theta0_jet(3)
-    diag_hh = 6.0 * jet0[3] / jet0[1]  # theta'''(0)/theta'(0)
+    if degree < 2:
+        raise ValueError("H_0 takes two derivatives: degree must be at least 2")
+    ctx = _gaudin_model(params)
+    ev, dim, others = ctx.ev, ctx.dim, params.n - 1
+    sig = jets.jet_sigma(ev, lam0, ctx.zjks, degree - 1, ctx.theta_zjks)
+    sig_neg = jets.jet_sigma_neg(ev, lam0, ctx.zjks, degree - 1, ctx.theta_zjks)
 
-    hh_const = np.zeros((dim, dim), dtype=complex)
-    diag_ef = np.zeros((dim, dim), dtype=complex)
-    zjks: list[complex] = []
-    mats_ef: list[np.ndarray] = []
+    c0 = np.zeros((degree - 1, dim, dim), dtype=complex)
+    c0[0] += ctx.hh_const
+    c0 -= 0.5 * jets.jet_wp_bar(ev, lam0, degree - 2)[:, None, None] * ctx.diag_ef[None, :, :]
+    for sj, mat in zip(sig, ctx.mats_ef):
+        c0 -= jets.jderiv(sj)[:, None, None] * mat[None, :, :]
+    eye = np.eye(dim, dtype=complex)[None]
+    hams = [LambdaDiffOp(degree, (c0, np.zeros_like(eye), eye))]
     for j in range(params.n):
-        ej, fj, hj = ctx.ops[j]
-        hh_const += 0.125 * diag_hh * ctx.restrict(hj @ hj)
-        diag_ef += ctx.restrict(ej @ fj + fj @ ej)
-        for k in range(params.n):
-            if k == j:
-                continue
-            ek, fk, hk = ctx.ops[k]
-            zjk = params.zs[j] - params.zs[k]
-            tj = ev.theta_taylor(zjk, 2)
-            hh_const += 0.125 * (2.0 * tj[2] / tj[0]) * ctx.restrict(hj @ hk)
-            zjks.append(zjk)
-            mats_ef.append(ctx.restrict(ej @ fk))
-    theta_zjks = [ev.theta(zjk) for zjk in zjks]
-
-    def c0(lam0: complex, degree: int) -> np.ndarray:
-        out = np.zeros((degree + 1, dim, dim), dtype=complex)
-        out[0] += hh_const
-        wp = jets.jet_wp_bar(ev, lam0, degree)
-        out -= 0.5 * wp[:, None, None] * diag_ef[None, :, :]
-        for sj, mat in zip(jets.jet_sigma_dlambda(ev, lam0, zjks, degree, theta_zjks), mats_ef):
-            out -= sj[:, None, None] * mat[None, :, :]
-        return out
-
-    eye = np.eye(dim, dtype=complex)
-    zero = np.zeros((dim, dim), dtype=complex)
-    return LambdaDiffOp(
-        dim,
-        (c0, LambdaDiffOp.const_coeff(zero), LambdaDiffOp.const_coeff(eye)),
-    )
+        c0 = np.zeros((degree, dim, dim), dtype=complex)
+        c0[0] += ctx.pair_hh[j]
+        for sigs, mats in ((sig, ctx.mats_ef), (sig_neg, ctx.mats_fe)):
+            for p in range(j * others, (j + 1) * others):
+                c0 += sigs[p][:, None, None] * mats[p][None, :, :]
+        hams.append(LambdaDiffOp(degree, (c0, -ctx.h[j][None])))
+    return hams
 
 
-def build_hamiltonians(params: ModelParams) -> list[LambdaDiffOp]:
-    """[H_0, H_1, ..., H_n] acting on the zero-weight space."""
-    ctx = _gaudin_model(params)
-    return [_hamiltonian_0(ctx)] + [_hamiltonian_j(ctx, j) for j in range(params.n)]
+def build_S(params: ModelParams, z: complex, lam0: complex, degree: int) -> LambdaDiffOp:
+    """Generating kernel S(z) = (d/dlambda - h(z)/2)^2 + (e f + f e)/2 on M[0], at lam0.
 
-
-def build_S(params: ModelParams, z: complex) -> LambdaDiffOp:
-    """Generating kernel S(z) = (d/dlambda - h(z)/2)^2 + (e f + f e)/2 on M[0].
-
-    The symmetrized product carries the 1/2 so that the double poles of
-    S(z) at the sites come out as Casimir halves; see the residue
-    decomposition test.
+    For input jets of degree 2..degree.  The symmetrized product carries
+    the 1/2 so that the double poles of S(z) at the sites come out as
+    Casimir halves; see the residue decomposition test.
     """
     ctx = _gaudin_model(params)
-    ev, dim = ctx.ev, ctx.dim
-
-    h_full = np.zeros((ctx.total, ctx.total), dtype=complex)
-    for (ei, fi, hi), zi in zip(ctx.ops, params.zs):
-        h_full += ev.zeta_bar(z - zi) * hi
-    hz = ctx.restrict(h_full)
+    ev, dim, d_out = ctx.ev, ctx.dim, degree - 2
+    hz = sum(ev.zeta_bar(z - zi) * hi for hi, zi in zip(ctx.h, params.zs))
     dzs = [z - zi for zi in params.zs]
     theta_dzs = [ev.theta(dz) for dz in dzs]
 
-    def c0(lam0: complex, degree: int) -> np.ndarray:
-        e_jet = np.zeros((degree + 1, ctx.total, ctx.total), dtype=complex)
-        f_jet = np.zeros((degree + 1, ctx.total, ctx.total), dtype=complex)
-        sns = jets.jet_sigma_neg(ev, lam0, dzs, degree, theta_dzs)
-        sps = jets.jet_sigma(ev, lam0, dzs, degree, theta_dzs)
-        for (ei, fi, hi), sn, sp in zip(ctx.ops, sns, sps):
-            e_jet += sn[:, None, None] * ei[None, :, :]
-            f_jet += sp[:, None, None] * fi[None, :, :]
-        anti = jets.jmul(e_jet, f_jet, degree) + jets.jmul(f_jet, e_jet, degree)
-        out = np.stack([0.5 * ctx.restrict(a) for a in anti])
-        out[0] += 0.25 * (hz @ hz)
-        return out
-
-    return LambdaDiffOp(
-        dim,
-        (c0, LambdaDiffOp.const_coeff(-hz), LambdaDiffOp.const_coeff(np.eye(dim, dtype=complex))),
-    )
+    e_jet = np.zeros((d_out + 1, ctx.total, ctx.total), dtype=complex)
+    f_jet = np.zeros((d_out + 1, ctx.total, ctx.total), dtype=complex)
+    sns = jets.jet_sigma_neg(ev, lam0, dzs, d_out, theta_dzs)
+    sps = jets.jet_sigma(ev, lam0, dzs, d_out, theta_dzs)
+    for (ei, fi, _), sn, sp in zip(ctx.ops, sns, sps):
+        e_jet += sn[:, None, None] * ei[None, :, :]
+        f_jet += sp[:, None, None] * fi[None, :, :]
+    anti = jets.jmul(e_jet, f_jet, d_out) + jets.jmul(f_jet, e_jet, d_out)
+    c0 = np.stack([0.5 * ctx.restrict(a) for a in anti])
+    c0[0] += 0.25 * (hz @ hz)
+    return LambdaDiffOp(degree, (c0, -hz[None], np.eye(dim, dtype=complex)[None]))
 
 
 def spectral_weight(params: ModelParams, k: int) -> float:

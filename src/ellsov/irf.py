@@ -178,7 +178,8 @@ def build_T_irf_paths(params: ModelParams, z: complex) -> tuple[np.ndarray, np.n
     per-model cache.  Each table entry is eqg.r_matrix's, and the node
     product uses the scalar complex-product formula on real and imaginary
     arrays (numpy's complex multiply rounds differently), so each entry
-    equals the pair-by-pair product bit for bit.
+    equals the pair-by-pair product bit for bit; an entry that overflows
+    is a ParameterError.
     """
     model = _path_model(params)
     ev, eta = params.evaluator(), params.eta
@@ -191,7 +192,10 @@ def build_T_irf_paths(params: ModelParams, z: complex) -> tuple[np.ndarray, np.n
         for r, lam_thetas in zip(table, corners):
             _r_fill(r, th_z, th_shift, model.th_2eta, [(th, th2, ev.theta(l + s)) for l, th, th2 in lam_thetas])
         w = table.reshape(-1)[faces]
-        re, im = re * w.real - im * w.imag, re * w.imag + im * w.real
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite entry raises below
+            re, im = re * w.real - im * w.imag, re * w.imag + im * w.real
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise ParameterError("path transfer-matrix entries overflow double precision")
     half = 2 ** (params.n - 1)
     b = np.zeros((half, half), dtype=complex)
     b.real[model.rows, model.cols], b.imag[model.rows, model.cols] = re, im
@@ -290,7 +294,8 @@ def build_T_irf_sov(params: ModelParams, zeta: complex) -> tuple[np.ndarray, np.
     from one theta_array call, the rest from the per-model cache.  The
     quotients are Python scalars and the product runs on real and
     imaginary arrays with the scalar complex-product formula, so each
-    entry equals the scalar product of the same factors bit for bit.
+    entry equals the scalar product of the same factors bit for bit; an
+    entry that overflows is a ParameterError.
     """
     model = _grid_model(params)
     ev = params.evaluator()
@@ -305,8 +310,11 @@ def build_T_irf_sov(params: ModelParams, zeta: complex) -> tuple[np.ndarray, np.
     values += [spect[k] / c for k, c in model.cross]
     w = np.array(values + [f for pair in model.flip for f in pair])[model.factors]
     re, im = w[0].real, w[0].imag
-    for f in w[1:]:
-        re, im = re * f.real - im * f.imag, re * f.imag + im * f.real
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite entry raises below
+        for f in w[1:]:
+            re, im = re * f.real - im * f.imag, re * f.imag + im * f.real
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise ParameterError("grid transfer-matrix entries overflow double precision")
     rows = np.arange(2 ** n)[:, None]
     # site i is bit n-1-i of the grid index, so flipping sigma_i flips that bit and
     # the parity of sum m.  A parity class holds one of 2k and 2k + 1, so index r is
@@ -740,7 +748,9 @@ def partition_function(
     Every row is [[0, B], [C, 0]] in the parity order, so an even product
     is diag(B_1 C_2 B_3 .., C_1 B_2 C_3 ..), two chains of 2^(n-1)-square
     blocks, and an odd product has no diagonal block: its trace is exactly
-    0j.  Every row is still built and its parity structure checked.
+    0j.  Every row is still built and its parity structure checked.  The
+    blocks of a generic row are invertible, so a chain whose entries peak
+    outside the normal doubles has over- or underflowed: a ParameterError.
     """
     if kind not in ("paths", "sov"):
         raise ValueError("kind must be 'paths' or 'sov'")
@@ -758,6 +768,10 @@ def partition_function(
         chains = [b, c] if k == 0 else [chains[0] @ b, chains[1] @ c]
     if not chains:
         return 0j
+    for chain in chains:
+        peak = np.max(np.abs(chain))
+        if not np.finfo(float).tiny <= peak < np.inf:  # a NaN peak fails too
+            raise ParameterError("the row product leaves double range: its entries peak at %g" % peak)
     return complex(np.trace(chains[0]) + np.trace(chains[1]))
 
 

@@ -6,14 +6,16 @@ vector-valued jets put the degree on the leading axis: (D+1, d, d) and
 (D+1, d).  jmul is the one truncated product and jderiv the one
 derivative, for jets of every rank.  All differential-operator work
 (Gaudin Hamiltonians, the generating kernel S) runs through
-LambdaDiffOp, whose coefficients are produced as matrix jets on demand.
+LambdaDiffOp, which holds its coefficients as matrix jets at one point
+lam0, formed once when the operator is built; each application reads
+them truncated to its output degree.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import operator
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,7 +30,6 @@ __all__ = [
     "jet_wp_bar",
     "jet_sigma",
     "jet_sigma_neg",
-    "jet_sigma_dlambda",
     "LambdaDiffOp",
 ]
 
@@ -129,54 +130,42 @@ def jet_sigma_neg(
     return out
 
 
-def jet_sigma_dlambda(
-    ev: ThetaEvaluator,
-    lam0: complex,
-    zs: Sequence[complex],
-    degree: int,
-    theta_zs: Sequence[complex] | None = None,
-) -> list[np.ndarray]:
-    """Jets in lambda of (d/dlambda) sigma_lambda(z), with no pole of zeta_bar(lambda - z)
-    at lambda = z for sigma's zero to cancel: the derivatives of sigma's jets."""
-    return [jderiv(jet) for jet in jet_sigma(ev, lam0, zs, degree + 1, theta_zs)]
-
-
 @dataclasses.dataclass(frozen=True)
 class LambdaDiffOp:
-    """Differential operator sum_d c_d(lambda) d^d/dlambda^d of order <= 2.
+    """Differential operator sum_d c_d(lambda) d^d/dlambda^d of order <= 2, at one point lam0.
 
-    Coefficients are callables (lam0, degree) -> matrix jet of shape
-    (degree+1, dim, dim), or (1, dim, dim) for a constant coefficient,
-    which jmul takes as a degree-0 jet; entry d of `coeffs` is c_d.
+    Entry d of `coeffs` is the matrix jet of c_d at lam0: (degree - order + 1,
+    dim, dim), or (1, dim, dim) for a constant coefficient, which jmul takes
+    as a degree-0 jet.  The operator applies to value jets at lam0 of
+    degree order..degree, reading each coefficient truncated to the output
+    degree.
     """
 
-    dim: int
-    coeffs: tuple[Callable[[complex, int], np.ndarray], ...]
+    degree: int
+    coeffs: tuple[np.ndarray, ...]
 
     def __post_init__(self):
         if not 1 <= len(self.coeffs) <= 3:
             raise ValueError("operator order must be 0, 1 or 2")
+        if any(len(c) not in (1, self.degree - self.order + 1) for c in self.coeffs):
+            raise ValueError("coefficient jets must be constant or reach degree - order")
 
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    @staticmethod
-    def const_coeff(mat: np.ndarray) -> Callable[[complex, int], np.ndarray]:
-        mat = np.asarray(mat, dtype=complex)
-        return lambda lam0, degree: mat[None]
-
-    def apply_jet(self, lam0: complex, ujet: np.ndarray) -> np.ndarray:
+    def apply_jet(self, ujet: np.ndarray) -> np.ndarray:
         """Value jet of (Op u) at lam0; input degree D gives output degree D - order."""
         d_in = ujet.shape[0] - 1
         d_out = d_in - self.order
         if d_out < 0:
             raise ValueError("jet degree too low for operator order")
-        out = np.zeros((d_out + 1, self.dim), dtype=complex)
+        if d_in > self.degree:
+            raise ValueError("jet degree %d exceeds the operator's %d" % (d_in, self.degree))
+        out = np.zeros((d_out + 1,) + ujet.shape[1:], dtype=complex)
         du = ujet
         for d, cf in enumerate(self.coeffs):
             if d > 0:
                 du = jderiv(du)
-            out += jmul(cf(lam0, d_out), du, d_out)
+            out += jmul(cf, du, d_out)
         return out
-

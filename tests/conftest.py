@@ -129,3 +129,19 @@ def count_zeros(ev, p):
         for x, w in zip(xs, wts):
             total += w * step * elliptic_poly_logderiv(ev, p, start + x * step)
     return total / (2j * math.pi)
+
+
+def count_theta_calls(monkeypatch):
+    """Wrap both theta kernels; returns {name: [calls, points]}, updated live."""
+    counts = {}
+    for name in ("theta_taylor", "theta_array"):
+        original = getattr(ThetaEvaluator, name)
+        counts[name] = [0, 0]
+
+        def counting(self, z, degree, _original=original, _count=counts[name]):
+            _count[0] += 1
+            _count[1] += np.size(z)
+            return _original(self, z, degree)
+
+        monkeypatch.setattr(ThetaEvaluator, name, counting)
+    return counts

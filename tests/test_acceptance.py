@@ -164,39 +164,39 @@ def test_criterion_07_gaudin_family(lattice, rng):
     for zs, lams in ((Z2, (1, 1)), (Z3, (1, 1, 2)), (Z2, (2, 2))):
         params = make_params(lattice, zs, lams)
         ev = params.evaluator()
-        hams = gaudin.build_hamiltonians(params)
-        dim = hams[0].dim
+        dim = gaudin._gaudin_model(params).dim
         u = rng.standard_normal((degree + 1, dim)) + 1j * rng.standard_normal((degree + 1, dim))
         lam0 = sample_point(rng, lattice)
+        hams = gaudin.build_hamiltonians(params, lam0, degree)
 
-        applied = [H.apply_jet(lam0, u) for H in hams]
+        applied = [H.apply_jet(u) for H in hams]
         scale = max(1.0, max(float(np.max(np.abs(a))) for a in applied))
         for i in range(len(hams)):
             for j in range(i + 1, len(hams)):
-                comm = hams[i].apply_jet(lam0, applied[j]) - hams[j].apply_jet(lam0, applied[i])
+                comm = hams[i].apply_jet(applied[j]) - hams[j].apply_jet(applied[i])
                 assert np.max(np.abs(comm)) <= 1e-9 * scale
 
-        total = sum(H.apply_jet(lam0, u) for H in hams[1:])
+        total = sum(H.apply_jet(u) for H in hams[1:])
         assert np.max(np.abs(total)) <= 1e-9 * scale
 
         for k, lam_k in enumerate(lams):
             assert gaudin.spectral_weight(params, k) == 0.25 * lam_k * (lam_k + 2)
         for _ in range(2):
             z = params.sample_generic(rng, avoid=params.zs)
-            lhs = gaudin.build_S(params, z).apply_jet(lam0, u)
+            lhs = gaudin.build_S(params, z, lam0, degree).apply_jet(u)
             rows = lhs.shape[0]
-            rhs = hams[0].apply_jet(lam0, u)
+            rhs = hams[0].apply_jet(u)
             for k, zk in enumerate(params.zs):
-                rhs += ev.zeta_bar(z - zk) * hams[k + 1].apply_jet(lam0, u)[:rows]
+                rhs += ev.zeta_bar(z - zk) * hams[k + 1].apply_jet(u)[:rows]
                 rhs += gaudin.spectral_weight(params, k) * ev.wp_bar(z - zk) * u[:rows]
             s_scale = max(1.0, float(np.max(np.abs(lhs))))
             assert np.max(np.abs(lhs - rhs)) <= 1e-9 * s_scale
 
         z1 = params.sample_generic(rng, avoid=params.zs)
         z2 = params.sample_generic(rng, avoid=params.zs)
-        s1, s2 = gaudin.build_S(params, z1), gaudin.build_S(params, z2)
-        s_scale = max(1.0, float(np.max(np.abs(s1.apply_jet(lam0, u)))))
-        comm = s1.apply_jet(lam0, s2.apply_jet(lam0, u)) - s2.apply_jet(lam0, s1.apply_jet(lam0, u))
+        s1, s2 = gaudin.build_S(params, z1, lam0, degree), gaudin.build_S(params, z2, lam0, degree)
+        s_scale = max(1.0, float(np.max(np.abs(s1.apply_jet(u)))))
+        comm = s1.apply_jet(s2.apply_jet(u)) - s2.apply_jet(s1.apply_jet(u))
         assert np.max(np.abs(comm)) <= 1e-9 * s_scale
     assert time.perf_counter() - start < 60.0
 
@@ -205,13 +205,12 @@ def test_criterion_08_gaudin_bethe(lattice, rng):
     """Two sites of weight one: eigen-residual <= 1e-8, eigenvalue sum <= 1e-9."""
     params = make_params(lattice, Z2, (1, 1))
     sol = gaudin.solve_gaudin_bethe(params, rng)
-    hams = gaudin.build_hamiltonians(params)
     lam0 = sample_point(rng, lattice)
     u = gaudin.bethe_eigenvector(params, sol.c, sol.roots, lam0, 8)
     scale = float(np.max(np.abs(u)))
     eps = []
-    for H in hams:
-        out = H.apply_jet(lam0, u)
+    for H in gaudin.build_hamiltonians(params, lam0, 8):
+        out = H.apply_jet(u)
         i = int(np.argmax(np.abs(u[0])))
         ej = out[0][i] / u[0][i]
         eps.append(ej)

@@ -198,14 +198,25 @@ def test_point_next_to_the_lattice_exits2(tmp_path, capsys, tau):
 
 
 def test_overflowing_commutator_exits2(tmp_path, capsys):
-    """At Im tau = 100 the grid matrices overflow and the commutator scale
-    was 0: irf build ended in a bare ZeroDivisionError.  A non-finite or
-    zero product is a ParameterError, so the task exits 2."""
+    """At Im tau = 100 the grid matrices overflow: irf build once ended in a
+    bare ZeroDivisionError, then in a commutator with no scale after numpy's
+    overflow warnings.  The builder raises a ParameterError on its first
+    non-finite entry, silently, so the task exits 2."""
     cfg = rewrite_config(tmp_path, "irf_n3.json", "steep.json", lambda c: c.update(tau=[0.31, 100.0]))
-    with pytest.warns(RuntimeWarning) as caught:
-        assert cli.main(["irf", "build", "--config", cfg]) == 2
-    assert any("overflow" in str(w.message) for w in caught)
-    assert "commutator has no scale" in capsys.readouterr().err
+    assert cli.main(["irf", "build", "--config", cfg]) == 2
+    assert "grid transfer-matrix entries overflow" in capsys.readouterr().err
+
+
+def test_underflowing_partition_exits2(tmp_path, capsys):
+    """At Im tau = 100 the grid rows of irf partition are finite near 1e-101,
+    but their product underflows to zero and the bridge factor overflows: the
+    report once held construction_consistency NaN and value_sov 0.0 and the
+    task exited 1.  The row product's range is checked, so it exits 2."""
+    cfg = rewrite_config(tmp_path, "irf_n3.json", "steep.json", lambda c: c.update(tau=[0.31, 100.0]))
+    out = tmp_path / "partition.json"
+    assert cli.main(["irf", "partition", "--config", cfg, "--out", str(out)]) == 2
+    assert "row product leaves double range" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_non_finite_model_exit2(tmp_path, capsys):
@@ -404,49 +415,51 @@ def test_irf_tasks_validate_each_model_once(tmp_path, monkeypatch):
 
 
 def reference_gaudin_check(cfg, seed):
-    """gaudin check's residuals with every operator applied afresh, as a reference."""
+    """gaudin check's residuals with every operator built and applied afresh, as a reference."""
     params = cli.build_params(cfg)
     rng = np.random.default_rng(seed)
     block = cfg["gaudin"]
     degree = block["degree"]
-    hams = gaudin.build_hamiltonians(params)
-    dim = hams[0].dim
+    dim = gaudin._gaudin_model(params).dim
     u = rng.standard_normal((degree + 1, dim)) + 1j * rng.standard_normal((degree + 1, dim))
+
+    def ham(lam0, i, jet):
+        return gaudin.build_hamiltonians(params, lam0, degree)[i].apply_jet(jet)
+
+    def s_op(z, lam0, jet):
+        return gaudin.build_S(params, z, lam0, degree).apply_jet(jet)
+
+    count = params.n + 1
     comm = 0.0
     for _ in range(block["lambda_samples"]):
         lam0 = params.sample_generic(rng, margin=5e-2)
-        applied = [H.apply_jet(lam0, u) for H in hams]
-        scale = max(1.0, max(float(np.max(np.abs(a))) for a in applied))
-        for i in range(len(hams)):
-            for j in range(i + 1, len(hams)):
-                dev = np.max(np.abs(
-                    hams[i].apply_jet(lam0, hams[j].apply_jet(lam0, u))
-                    - hams[j].apply_jet(lam0, hams[i].apply_jet(lam0, u))
-                ))
+        scale = max(1.0, max(float(np.max(np.abs(ham(lam0, i, u)))) for i in range(count)))
+        for i in range(count):
+            for j in range(i + 1, count):
+                dev = np.max(np.abs(ham(lam0, i, ham(lam0, j, u)) - ham(lam0, j, ham(lam0, i, u))))
                 comm = max(comm, float(dev) / scale)
     lam0 = params.sample_generic(rng, margin=5e-2)
-    total = hams[1].apply_jet(lam0, u)
+    total = ham(lam0, 1, u)
     scale = max(1.0, float(np.max(np.abs(total))))
-    for H in hams[2:]:
-        total += H.apply_jet(lam0, u)
+    for i in range(2, count):
+        total += ham(lam0, i, u)
     ham_sum = float(np.max(np.abs(total))) / scale
     ev = params.evaluator()
     s_dev = 0.0
     for _ in range(3):
         z = params.sample_generic(rng, avoid=params.zs)
-        lhs = gaudin.build_S(params, z).apply_jet(lam0, u)
+        lhs = s_op(z, lam0, u)
         rows = lhs.shape[0]
-        rhs = hams[0].apply_jet(lam0, u)
+        rhs = ham(lam0, 0, u)
         for k, zk in enumerate(params.zs):
-            rhs += ev.zeta_bar(z - zk) * hams[k + 1].apply_jet(lam0, u)[:rows]
+            rhs += ev.zeta_bar(z - zk) * ham(lam0, k + 1, u)[:rows]
             rhs += gaudin.spectral_weight(params, k) * ev.wp_bar(z - zk) * u[:rows]
         scale = max(1.0, float(np.max(np.abs(lhs))))
         s_dev = max(s_dev, float(np.max(np.abs(lhs - rhs))) / scale)
     z1 = params.sample_generic(rng, avoid=params.zs)
     z2 = params.sample_generic(rng, avoid=params.zs)
-    s1, s2 = gaudin.build_S(params, z1), gaudin.build_S(params, z2)
-    scale = max(1.0, float(np.max(np.abs(s1.apply_jet(lam0, u)))))
-    s_comm = s1.apply_jet(lam0, s2.apply_jet(lam0, u)) - s2.apply_jet(lam0, s1.apply_jet(lam0, u))
+    scale = max(1.0, float(np.max(np.abs(s_op(z1, lam0, u)))))
+    s_comm = s_op(z1, lam0, s_op(z2, lam0, u)) - s_op(z2, lam0, s_op(z1, lam0, u))
     ss = float(np.max(np.abs(s_comm))) / scale
     return {
         "hamiltonians_commute": comm,

@@ -2,13 +2,14 @@
 
 import dataclasses
 import functools
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ellsov import cli, gaudin, jets
+from ellsov import cli, gaudin, jets, theta
 from ellsov.eqg import S0Grid
 from ellsov.gaudin import (
     bethe_eigenvector,
@@ -19,7 +20,7 @@ from ellsov.gaudin import (
 )
 from ellsov.params import ModelParams, ParameterError
 
-from conftest import sample_point, sigma
+from conftest import count_theta_calls, sample_point, sigma
 
 ETA = 0.173 - 0.061j  # inert here; the container wants it
 Z1 = (0.12 + 0.23j,)
@@ -176,20 +177,52 @@ def reference_c0_S(ctx, z, lam0, degree):
 
 @pytest.mark.parametrize("zs,lams", FAMILIES)
 def test_batched_sigma_jets_equal_per_pair_reference(lattice, rng, zs, lams):
+    """Each operator's coefficient jets, at its own degree (the operator's
+    degree less its order), equal the per-pair reference bit for bit."""
     params = make_params(lattice, zs, lams)
     ctx = gaudin._gaudin_model(params)
-    hams = build_hamiltonians(params)
     z = params.sample_generic(rng, avoid=params.zs)
-    s_op = build_S(params, z)
+    eye = np.eye(ctx.dim, dtype=complex)[None]
     for lam0 in (LAM0, params.sample_generic(rng), zs[1] - zs[0] + 0.01 + 0.02j):
-        for degree in (0, 3, DEGREE):
-            got = hams[0].coeffs[0](lam0, degree)
-            assert np.array_equal(got, reference_c0_hamiltonian_0(ctx, lam0, degree))
+        for degree in (2, 3, DEGREE):
+            hams = build_hamiltonians(params, lam0, degree)
+            assert np.array_equal(hams[0].coeffs[0], reference_c0_hamiltonian_0(ctx, lam0, degree - 2))
+            assert np.array_equal(hams[0].coeffs[2], eye) and not hams[0].coeffs[1].any()
             for j in range(params.n):
-                got = hams[1 + j].coeffs[0](lam0, degree)
-                assert np.array_equal(got, reference_c0_hamiltonian_j(ctx, j, lam0, degree))
-            got = s_op.coeffs[0](lam0, degree)
-            assert np.array_equal(got, reference_c0_S(ctx, z, lam0, degree))
+                got = hams[1 + j].coeffs
+                assert np.array_equal(got[0], reference_c0_hamiltonian_j(ctx, j, lam0, degree - 1))
+                assert np.array_equal(got[1], -ctx.restrict(ctx.ops[j][2])[None])
+            s_op = build_S(params, z, lam0, degree)
+            assert np.array_equal(s_op.coeffs[0], reference_c0_S(ctx, z, lam0, degree - 2))
+            assert np.array_equal(s_op.coeffs[2], eye)
+
+
+@pytest.mark.parametrize("base", ["gaudin_n2.json", "gaudin_n3.json"])
+def test_truncated_operators_equal_lower_degree(base):
+    """Operators built at degree D and applied to a degree D - 1 jet match
+    operators built at D - 1: coefficients read truncated carry no error
+    beyond rounding (the theta series' term count depends on the degree)."""
+    params = cli.build_params(json.loads((CONFIGS / base).read_text()))
+    rng = np.random.default_rng(5)
+    dim = gaudin._gaudin_model(params).dim
+    for degree in (3, DEGREE):
+        u = random_jet(rng, dim, degree - 1)
+        lam0 = params.sample_generic(rng, margin=5e-2)
+        z = params.sample_generic(rng, avoid=params.zs)
+        high = build_hamiltonians(params, lam0, degree) + [build_S(params, z, lam0, degree)]
+        low = build_hamiltonians(params, lam0, degree - 1) + [build_S(params, z, lam0, degree - 1)]
+        for a, b in zip(high, low, strict=True):
+            want = b.apply_jet(u)
+            got = a.apply_jet(u)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * float(np.max(np.abs(want)))
+            # a longer jet than the coefficients reach, or a shorter one than the order
+            with pytest.raises(ValueError, match="exceeds"):
+                b.apply_jet(random_jet(rng, dim, degree))
+            with pytest.raises(ValueError, match="too low"):
+                a.apply_jet(u[: a.order])
+    with pytest.raises(ValueError, match="at least 2"):
+        build_hamiltonians(params, LAM0, 1)
 
 
 @pytest.mark.parametrize("lams", SITE_WEIGHTS)
@@ -247,8 +280,33 @@ def test_gaudin_check_builds_model_once(tmp_path, monkeypatch):
     out = tmp_path / "check.json"
     argv = ["gaudin", "check", "--config", str(CONFIGS / "gaudin_n3.json"), "--out", str(out)]
     assert cli.main(argv) == 0
-    # build_hamiltonians and the five build_S calls share the one build
-    assert len(calls) == 1 and gaudin._gaudin_model.cache_info().hits == 5
+    # the dimension read, the four build_hamiltonians and the five build_S calls share the one build
+    assert len(calls) == 1 and gaudin._gaudin_model.cache_info().hits == 9
+
+
+def test_gaudin_check_work(monkeypatch, tmp_path):
+    """One cold gaudin check on configs/gaudin_n3.json: 168 theta_taylor
+    calls, the Hamiltonians built once per lam0 (4) and S once per (z, lam0)
+    (5).  When every apply_jet formed its coefficients afresh, the same check
+    made 468 theta_taylor calls and formed coefficients on each of its 59
+    applications, for 21 (operator, lam0) pairs."""
+    counts = count_theta_calls(monkeypatch)
+    builds = {"hams": [], "S": []}
+    for name, key in (("build_hamiltonians", "hams"), ("build_S", "S")):
+        original = getattr(gaudin, name)
+
+        def counted(params, *point, _original=original, _key=key):
+            builds[_key].append(point)
+            return _original(params, *point)
+
+        monkeypatch.setattr(gaudin, name, counted)
+    gaudin._gaudin_model.cache_clear()
+    theta._theta0_jet_cached.cache_clear()
+    argv = ["gaudin", "check", "--config", str(CONFIGS / "gaudin_n3.json"), "--out", str(tmp_path / "c.json")]
+    assert cli.main(argv) == 0
+    assert counts["theta_taylor"][0] == 168 and counts["theta_array"][0] == 0
+    assert len(builds["hams"]) == len(set(builds["hams"])) == 4
+    assert len(builds["S"]) == len(set(builds["S"])) == 5
 
 
 def test_zero_weight_space(lattice):
@@ -313,27 +371,27 @@ def test_field_commutator(lattice, rng):
 @pytest.mark.parametrize("zs,lams", FAMILIES)
 def test_hamiltonians_commute(lattice, rng, zs, lams):
     params = make_params(lattice, zs, lams)
-    hams = build_hamiltonians(params)
     dim = gaudin._gaudin_model(params).dim
     u = random_jet(rng, dim)
     for lam0 in [sample_point(rng, lattice) for _ in range(3)]:
-        applied = [H.apply_jet(lam0, u) for H in hams]
+        hams = build_hamiltonians(params, lam0, DEGREE)
+        applied = [H.apply_jet(u) for H in hams]
         scale = max(1.0, max(float(np.max(np.abs(a))) for a in applied))
         for i in range(len(hams)):
             for j in range(i + 1, len(hams)):
-                comm = hams[i].apply_jet(lam0, applied[j]) - hams[j].apply_jet(lam0, applied[i])
+                comm = hams[i].apply_jet(applied[j]) - hams[j].apply_jet(applied[i])
                 assert np.max(np.abs(comm)) <= 1e-9 * scale
 
 
 def test_hamiltonian_sum_vanishes(lattice, rng):
     # sum_{j>=1} H_j = 0 on the zero-weight space
     params = make_params(lattice, Z3, (1, 1, 2))
-    hams = build_hamiltonians(params)
+    hams = build_hamiltonians(params, LAM0, DEGREE)
     u = random_jet(rng, gaudin._gaudin_model(params).dim)
-    total = hams[1].apply_jet(LAM0, u)
+    total = hams[1].apply_jet(u)
     for H in hams[2:]:
-        total += H.apply_jet(LAM0, u)
-    scale = max(1.0, float(np.max(np.abs(hams[1].apply_jet(LAM0, u)))))
+        total += H.apply_jet(u)
+    scale = max(1.0, float(np.max(np.abs(hams[1].apply_jet(u)))))
     assert np.max(np.abs(total)) <= 1e-10 * scale
 
 
@@ -342,15 +400,15 @@ def test_s_decomposition(lattice, rng, zs, lams):
     """S(z) = sum_k c_k/2 wp_bar(z - z_k) + sum_k zeta_bar(z - z_k) H_k + H_0."""
     params = make_params(lattice, zs, lams)
     ev = params.evaluator()
-    hams = build_hamiltonians(params)
+    hams = build_hamiltonians(params, LAM0, DEGREE)
     u = random_jet(rng, gaudin._gaudin_model(params).dim)
     for _ in range(5):
         z = params.sample_generic(rng, avoid=params.zs)
-        lhs = build_S(params, z).apply_jet(LAM0, u)
+        lhs = build_S(params, z, LAM0, DEGREE).apply_jet(u)
         rows = lhs.shape[0]
-        rhs = hams[0].apply_jet(LAM0, u)
+        rhs = hams[0].apply_jet(u)
         for k, zk in enumerate(params.zs):
-            rhs += ev.zeta_bar(z - zk) * hams[k + 1].apply_jet(LAM0, u)[:rows]
+            rhs += ev.zeta_bar(z - zk) * hams[k + 1].apply_jet(u)[:rows]
             rhs += spectral_weight(params, k) * ev.wp_bar(z - zk) * u[:rows]
         scale = max(1.0, float(np.max(np.abs(lhs))))
         assert np.max(np.abs(lhs - rhs)) <= 1e-9 * scale
@@ -392,7 +450,7 @@ def test_s_alternative_form(lattice, rng):
     got += jets.jmul(const[None], u, d_out)
     got += jets.jmul(fe_r, u, d_out)
 
-    want = build_S(params, z).apply_jet(LAM0, u)
+    want = build_S(params, z, LAM0, DEGREE).apply_jet(u)
     scale = max(1.0, float(np.max(np.abs(want))))
     assert np.max(np.abs(got - want)) <= 1e-11 * scale
 
@@ -402,39 +460,37 @@ def test_lame_reduction(lattice, rng, lam, factor):
     """One site of weight L: H_0 u = u'' - L(L+2)/2 * wp_bar(lambda) u."""
     params = make_params(lattice, Z1, (lam,))
     ev = params.evaluator()
-    hams = build_hamiltonians(params)
+    hams = build_hamiltonians(params, LAM0, DEGREE)
     assert gaudin._gaudin_model(params).dim == 1
     u = random_jet(rng, 1)
-    out = hams[0].apply_jet(LAM0, u)[:, 0]
+    out = hams[0].apply_jet(u)[:, 0]
     u0 = u[:, 0]
     wp = jets.jet_wp_bar(ev, LAM0, DEGREE)
     want = jets.jderiv(jets.jderiv(u0)) - factor * jets.jmul(wp, u0)[: out.shape[0]]
     assert_allclose(out, want, rtol=0, atol=1e-12 * float(np.max(np.abs(want))))
 
     # the single residue operator acts as zero on the weight-zero line
-    assert np.max(np.abs(hams[1].apply_jet(LAM0, u))) <= 1e-14
+    assert np.max(np.abs(hams[1].apply_jet(u))) <= 1e-14
 
 
 def test_coefficient_periodicity(lattice, rng):
     """Unit lambda-shifts leave every coefficient jet alone; tau-shifts do not."""
     params = make_params(lattice, Z2, (1, 1))
     tau = lattice.tau
-    for H in build_hamiltonians(params):
-        for d, cf in enumerate(H.coeffs):
-            a = cf(LAM0, 5)
-            b = cf(LAM0 + 1.0, 5)
+    at = {lam: build_hamiltonians(params, lam, 7) for lam in (LAM0, LAM0 + 1.0, LAM0 + tau)}
+    for H, unit, moved in zip(at[LAM0], at[LAM0 + 1.0], at[LAM0 + tau], strict=True):
+        for a, b in zip(H.coeffs, unit.coeffs, strict=True):
             scale = max(1.0, float(np.max(np.abs(a))))
             assert np.max(np.abs(b - a)) <= 1e-10 * scale
-        moved = H.coeffs[0](LAM0 + tau, 5)
-        assert np.max(np.abs(moved - H.coeffs[0](LAM0, 5))) > 1e-3
+        assert np.max(np.abs(moved.coeffs[0] - H.coeffs[0])) > 1e-3
 
     # same statement in functional form, on u(lambda) = e^{mu lambda} w
     mu = 0.37 - 0.29j
     w = random_jet(rng, 2, degree=0)[0]
     jet = jets.jet_exp(mu, LAM0, DEGREE)[:, None] * w[None, :]
-    for H in build_hamiltonians(params):
-        lhs = H.apply_jet(LAM0 + 1.0, np.exp(mu) * jet)
-        rhs = np.exp(mu) * H.apply_jet(LAM0, jet)
+    for H, unit in zip(at[LAM0], at[LAM0 + 1.0], strict=True):
+        lhs = unit.apply_jet(np.exp(mu) * jet[:8])
+        rhs = np.exp(mu) * H.apply_jet(jet[:8])
         scale = max(1.0, float(np.max(np.abs(rhs))))
         assert np.max(np.abs(lhs - rhs)) <= 1e-10 * scale
 
@@ -492,7 +548,6 @@ def test_bethe_solver_rejects_colliding_sites(lattice, rng, monkeypatch):
 def test_bethe_eigenvector(lattice, rng, zs, lams):
     """u = e^{c lambda} f(w_1)...f(w_m) v_0 is a joint eigenvector; eigenvalues sum to 0."""
     params = make_params(lattice, zs, lams)
-    hams = build_hamiltonians(params)
     sol = solve_gaudin_bethe(params, rng)
 
     eps_per_point = []
@@ -500,8 +555,8 @@ def test_bethe_eigenvector(lattice, rng, zs, lams):
         u = bethe_eigenvector(params, sol.c, sol.roots, lam0, DEGREE)
         scale = float(np.max(np.abs(u)))
         eps = []
-        for H in hams:
-            out = H.apply_jet(lam0, u)
+        for H in build_hamiltonians(params, lam0, DEGREE):
+            out = H.apply_jet(u)
             ej = rayleigh(out, u)
             eps.append(ej)
             assert np.max(np.abs(out - ej * u[: out.shape[0]])) <= 1e-8 * scale
@@ -525,7 +580,7 @@ def test_bethe_eigenvector(lattice, rng, zs, lams):
         for k, zk in enumerate(params.zs):
             q += spectral_weight(params, k) * ev.wp_bar(z - zk)
             q += eps[k + 1] * ev.zeta_bar(z - zk)
-        out = build_S(params, z).apply_jet(lam0, u)
+        out = build_S(params, z, lam0, DEGREE).apply_jet(u)
         scale = float(np.max(np.abs(u)))
         assert np.max(np.abs(out - q * u[: out.shape[0]])) <= 1e-8 * scale
 
@@ -546,10 +601,9 @@ def frozen_eigenvector(params, c, roots, lam0, degree):
 def test_frozen_lambda_reading_fails(lattice, rng):
     # freezing lambda inside the lowering fields breaks the eigen relation
     params = make_params(lattice, Z2, (1, 1))
-    hams = build_hamiltonians(params)
     sol = solve_gaudin_bethe(params, rng)
     u = frozen_eigenvector(params, sol.c, sol.roots, LAM0, DEGREE)
     scale = float(np.max(np.abs(u)))
-    out = hams[0].apply_jet(LAM0, u)
+    out = build_hamiltonians(params, LAM0, DEGREE)[0].apply_jet(u)
     ej = rayleigh(out, u)
     assert np.max(np.abs(out - ej * u[: out.shape[0]])) > 1e-3 * scale

@@ -21,9 +21,8 @@ from ellsov.irf import (
     reconcile_constructions,
 )
 from ellsov.params import ModelParams, ParameterError
-from ellsov.theta import ThetaEvaluator
 
-from conftest import TAU, dense, membership_passes, sample_point
+from conftest import TAU, count_theta_calls, dense, membership_passes, sample_point
 
 ETA = 0.173 - 0.061j
 Z1 = (0.12 + 0.23j,)
@@ -388,22 +387,6 @@ def test_sov_cache_key_includes_eta(lattice):
     irf._grid_model.cache_clear()
     assert np.array_equal(b, dense(build_T_irf_sov(second, zeta)))
     assert relative_entry_gap(b, reference_sov(second, zeta)) <= 1e-13
-
-
-def count_theta_calls(monkeypatch):
-    """Wrap both theta kernels; returns {name: [calls, points]}, updated live."""
-    counts = {}
-    for name in ("theta_taylor", "theta_array"):
-        original = getattr(ThetaEvaluator, name)
-        counts[name] = [0, 0]
-
-        def counting(self, z, degree, _original=original, _count=counts[name]):
-            _count[0] += 1
-            _count[1] += np.size(z)
-            return _original(self, z, degree)
-
-        monkeypatch.setattr(ThetaEvaluator, name, counting)
-    return counts
 
 
 def test_sov_repeat_build_theta_count(lattice, monkeypatch):

@@ -4,6 +4,7 @@ import cmath
 import math
 
 import numpy as np
+import pytest
 from numpy.testing import assert_allclose
 
 from ellsov import jets
@@ -125,10 +126,17 @@ def test_zeta_wp_jets(ev, rng):
     assert_allclose(wj, -jets.jderiv(jets.jet_zeta_bar(ev, x0, 4)), atol=1e-10)
 
 
+def jet_sigma_dlambda(ev, lam0, zs, degree):
+    """Jets in lambda of (d/dlambda) sigma_lambda(z), as H_0 forms them: the
+    derivatives of sigma's jets, with no pole of zeta_bar(lambda - z) at
+    lambda = z for sigma's zero to cancel."""
+    return [jets.jderiv(jet) for jet in jets.jet_sigma(ev, lam0, zs, degree + 1)]
+
+
 def test_sigma_dlambda_jet(ev, rng):
     lam0 = sample_point(rng, ev.lattice, margin=0.15)
     z = sample_point(rng, ev.lattice, margin=0.15)
-    (got,) = jets.jet_sigma_dlambda(ev, lam0, [z], 3)
+    (got,) = jet_sigma_dlambda(ev, lam0, [z], 3)
     # jet of the derivative = derivative of the jet
     check = jets.jderiv(jets.jet_sigma(ev, lam0, [z], 4)[0])
     assert_allclose(got, check, rtol=1e-9, atol=1e-11)
@@ -141,7 +149,7 @@ def test_sigma_dlambda_jet_near_pole_of_bracket(ev):
     # error at degree 4 here; the oracle is the cancellation-free scalar form
     z = 0.37 + 0.29j
     lam0 = z + 5e-4 * cmath.exp(0.7j)
-    (got,) = jets.jet_sigma_dlambda(ev, lam0, [z], 4)
+    (got,) = jet_sigma_dlambda(ev, lam0, [z], 4)
     assert abs(got[0] - sigma_dlambda(ev, lam0, z)) <= 1e-14 * abs(got[0])
     oracle = jet_oracle(lambda u: sigma_dlambda(ev, u, z), lam0, 4)
     assert_allclose(got, oracle, rtol=1e-10)
@@ -153,27 +161,32 @@ def test_lambda_diff_op_apply(rng):
     m0 = np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex)
     m1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
-    def c0(lam0, degree):
-        out = np.zeros((degree + 1, dim, dim), dtype=complex)
-        out[0] = m0 * lam0
-        if degree >= 1:
-            out[1] = m0
-        return out
-
-    op = LambdaDiffOp(dim, (c0, LambdaDiffOp.const_coeff(m1)))
     lam0 = 0.3 + 0.2j
+    # at lam0, for input jets up to degree 2: c0 through degree 1, c1 constant
+    op = LambdaDiffOp(2, (np.stack([m0 * lam0, m0]), m1[None]))
+    assert op.order == 1
     # u(lam) = (lam^2, 1)
     ujet = np.zeros((3, dim), dtype=complex)
     ujet[0] = [lam0 ** 2, 1.0]
     ujet[1] = [2 * lam0, 0.0]
     ujet[2] = [1.0, 0.0]
-    out = op.apply_jet(lam0, ujet)
+    out = op.apply_jet(ujet)
     # expected value at lam0: lam*m0 @ u + m1 @ u'
     expect0 = lam0 * (m0 @ ujet[0]) + m1 @ ujet[1]
     assert_allclose(out[0], expect0, atol=1e-13)
     # expected first Taylor coefficient: d/dlam [lam*m0@u + m1@u']
     expect1 = m0 @ ujet[0] + lam0 * (m0 @ ujet[1]) + m1 @ (2 * ujet[2])
     assert_allclose(out[1], expect1, atol=1e-13)
+
+    # a shorter jet reads c0 truncated; a longer one than c0 allows, or one
+    # shorter than the order, is refused
+    assert np.array_equal(op.apply_jet(ujet[:2]), out[:1])
+    with pytest.raises(ValueError, match="exceeds"):
+        op.apply_jet(np.zeros((4, dim), dtype=complex))
+    with pytest.raises(ValueError, match="too low"):
+        op.apply_jet(ujet[:1])
+    with pytest.raises(ValueError):
+        LambdaDiffOp(3, (np.stack([m0 * lam0, m0]), m1[None]))
 
 
 def test_matrix_jet_product(rng):
