@@ -52,7 +52,7 @@ _2PI_I = 2j * cmath.pi
 # and certify_spectrum validates each fitted eigenvalue function
 _RECONCILE_SAMPLES = 2
 _VALIDATION_POINTS = 3
-# certify_spectrum: eigenvalues closer than _GAP_TOL * max(|mu|, 1) form one
+# certify_spectrum: eigenvalues closer than _GAP_TOL * max |mu| form one
 # cluster, and a simple eigenvalue's reconstruction angle must stay within
 # _ANGLE_TOL
 _GAP_TOL = 1e-7
@@ -172,7 +172,7 @@ def build_T_irf_paths(params: ModelParams, z: complex) -> tuple[np.ndarray, np.n
     paths differ by one at every node, which leaves 3^n - 1 entries.
     The height reflection a -> -a (index r -> r XOR (2^n - 1), block
     index k -> 2^(n-1) - 1 - k) leaves every face weight unchanged, so
-    C = B[::-1, ::-1] and only B's (3^n - 1)/2 entries are formed.
+    C is the view B[::-1, ::-1] and only B's (3^n - 1)/2 entries are formed.
     Site i's R-matrices, one per corner height, share theta(z - z_i) and
     theta(z - z_i - 2 eta); the z-independent data comes from the
     per-model cache.  Each table entry is eqg.r_matrix's, and the node
@@ -199,7 +199,7 @@ def build_T_irf_paths(params: ModelParams, z: complex) -> tuple[np.ndarray, np.n
     half = 2 ** (params.n - 1)
     b = np.zeros((half, half), dtype=complex)
     b.real[model.rows, model.cols], b.imag[model.rows, model.cols] = re, im
-    return b, b[::-1, ::-1].copy()
+    return b, b[::-1, ::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -379,13 +379,13 @@ def sample_spectral(params: ModelParams, rng: np.random.Generator) -> complex:
     return params.sample_generic(rng, margin=5e-2, avoid=avoid)
 
 
-def _pair_spectra(mu: np.ndarray, target: np.ndarray, tol: float) -> np.ndarray:
-    """perm with |mu[l] - target[perm[l]]| < tol, the only target that close."""
-    close = np.abs(mu[:, None] - target[None, :]) < tol
+def _pair_spectra(nu: np.ndarray, target: np.ndarray, tol: float) -> np.ndarray:
+    """perm with |nu[l] - [target, -target][perm[l]]| < tol, the only one of the 2h that close."""
+    close = np.abs(nu[:, None] - np.concatenate([target, -target])[None, :]) < tol
     if np.any(np.count_nonzero(close, axis=1) != 1):
         raise ParameterError("eigenvalue pairing between the two constructions is ambiguous")
     perm = np.argmax(close, axis=1)
-    if np.unique(perm).size != len(mu):
+    if np.unique(perm % len(nu)).size != len(nu):  # -nu pairs to perm + h mod 2h
         raise ParameterError("eigenvalue pairing is not a bijection")
     return perm
 
@@ -411,6 +411,14 @@ def _commutator_residual(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, 
     return dev / scale
 
 
+def _divide_gaps(f: np.ndarray, nu: np.ndarray, op: np.ufunc, tol: float) -> None:
+    """f[i, j] /= op(nu_j, nu_i) in place where that exceeds tol in modulus, and 0 elsewhere."""
+    den = op(nu[None, :], nu[:, None])
+    keep = np.abs(den) > tol
+    np.divide(f, den, out=f, where=keep)
+    f[~keep] = 0
+
+
 def _chiral_eig(b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(nu, x, y): the eigenpairs of t = [[0, B], [C, 0]] are (+nu, [x; y]) and (-nu, [x; -y]).
 
@@ -424,7 +432,8 @@ def _chiral_eig(b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     x/y mismatch of each +/- pair; x += x (F11 + F21), y += y (F11 - F21).
     Denominators below _GAP_TOL * max |nu| (clusters, nu_i near -nu_j) get
     no correction.  A (near) zero nu cannot be split into its +/- pair and
-    is a ParameterError.
+    is a ParameterError.  F11 and F21 fill the buffers of G + H and G - H,
+    and x + x F is formed as (x F) += x: six blocks besides B and C.
     """
     sq, x = np.linalg.eig(b @ c)
     nu = np.sqrt(sq)
@@ -435,13 +444,21 @@ def _chiral_eig(b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     for _ in range(2):
         g = np.linalg.solve(x, b @ y)
         h = np.linalg.solve(y, c @ x)
-        s, d = (g + h) / 2, (g - h) / 2
-        del g, h
-        nu = s.diagonal().copy()
-        minus, plus = nu[None, :] - nu[:, None], nu[None, :] + nu[:, None]
-        f11 = np.divide(s, minus, out=np.zeros_like(s), where=np.abs(minus) > tol)
-        f21 = np.divide(d, plus, out=np.zeros_like(d), where=np.abs(plus) > tol)
-        x, y = x + x @ (f11 + f21), y + y @ (f11 - f21)
+        d = g - h
+        g += h
+        del h
+        g /= 2
+        d /= 2
+        nu = g.diagonal().copy()
+        _divide_gaps(g, nu, np.subtract, tol)
+        _divide_gaps(d, nu, np.add, tol)
+        xf = x @ (g + d)
+        xf += x
+        g -= d
+        del d
+        yf = y @ g
+        yf += y
+        x, y = xf, yf
     return nu, x, y
 
 
@@ -452,9 +469,9 @@ def _reflected_eig(b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     M = B R, t [u; +/-R u] = +/-nu [u; +/-R u]: eig(M) at half the size
     gives the spectrum with no squaring.  One first-order refinement step
     (Dongarra, Moler & Wilkinson 1983) runs on M: with G = x^-1 M x,
-    nu = diag G and x += x F, F = G / (nu_j - nu_i) off the diagonal.
-    Denominators below _GAP_TOL * max |nu| get no correction, and a (near)
-    zero nu is a ParameterError, as in _chiral_eig.
+    nu = diag G and x += x F, F = G / (nu_j - nu_i) off the diagonal,
+    formed in G's buffer.  Denominators below _GAP_TOL * max |nu| get no
+    correction, and a (near) zero nu is a ParameterError, as in _chiral_eig.
     """
     m = np.ascontiguousarray(b[:, ::-1])
     nu, x = np.linalg.eig(m)
@@ -463,9 +480,10 @@ def _reflected_eig(b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ParameterError("transfer matrix has a (near) zero eigenvalue; its +/- pair does not split")
     g = np.linalg.solve(x, m @ x)
     nu = g.diagonal().copy()
-    minus = nu[None, :] - nu[:, None]
-    x = x + x @ np.divide(g, minus, out=np.zeros_like(g), where=np.abs(minus) > tol)
-    return nu, x, x[::-1]
+    _divide_gaps(g, nu, np.subtract, tol)
+    xf = x @ g
+    xf += x
+    return nu, xf, xf[::-1]
 
 
 def reconcile_constructions(params: ModelParams, rng: np.random.Generator) -> DualReconciliation:
@@ -479,37 +497,39 @@ def reconcile_constructions(params: ModelParams, rng: np.random.Generator) -> Du
     sign.  The conjugation is then block-diagonal in the parity
     order: x_p x_s^-1 on the even states and (y_p sign) y_s^-1 on the odd
     ones, so the bridge's products, inverses and residual run on
-    2^(n-1)-square blocks.  Raises ParameterError when the probe spectrum
-    is too clustered to pair up eigenvalues.
+    2^(n-1)-square blocks, and each eigenbasis is dropped once its block
+    is formed.  Raises ParameterError when the probe spectrum is too
+    clustered to pair up eigenvalues.
     """
     z0 = sample_spectral(params, rng)
+    # T_sov first: its solves then run beside its own blocks only, not the path eigenbasis
+    nu_s, xs, ys = _chiral_eig(*build_T_irf_sov(params, z0 - params.eta))
     tp = build_T_irf_paths(params, z0)
     kap = kappa_factor(params, z0 - params.eta)
-    # the same-parity blocks are 0 in both matrices
+    # same-parity blocks are 0; max |C| is max |B| (np.abs of C's reversed view can differ in the last bit)
     gap = max(float(np.max(np.abs(p - s))) for p, s in zip(tp, build_T_irf_sov(params, z0)))
-    literal = gap / max(float(np.max(np.abs(p))) for p in tp)
+    literal = gap / float(np.max(np.abs(tp[0])))
     nu_p, xp, yp = _reflected_eig(tp[0])
     del tp
-    nu_s, xs, ys = _chiral_eig(*build_T_irf_sov(params, z0 - params.eta))
     constant = -1.0 + 0.0j
     half = len(nu_p)
-    mu = np.concatenate([nu_p, -nu_p])
     scale = float(np.max(np.abs(nu_p)))
-    target = constant * kap * nu_s
-    perm = _pair_spectra(mu, np.concatenate([target, -target]), 1e-8 * scale)[:half]
+    perm = _pair_spectra(nu_p, constant * kap * nu_s, 1e-8 * scale)
     sign = np.where(perm < half, 1.0, -1.0)
     perm %= half
-    blocks = (xp @ np.linalg.inv(xs[:, perm]), (yp * sign) @ np.linalg.inv(ys[:, perm]))
-    del xp, yp, xs, ys
+    # the distances within [nu_p, -nu_p] are |nu_i - nu_j| (i != j) and |nu_i + nu_j|, exactly
+    within = np.min(np.abs(nu_p[:, None] - nu_p[None, :]), where=~np.eye(half, dtype=bool), initial=np.inf)
+    min_gap = float(min(within, np.min(np.abs(nu_p[:, None] + nu_p[None, :])))) / scale
+    k_even = xp @ np.linalg.inv(xs[:, perm])
+    del xs
+    blocks = (k_even, (yp * sign) @ np.linalg.inv(ys[:, perm]))
+    del xp, yp, ys, k_even
 
     inverses = tuple(np.linalg.inv(k) for k in blocks)
     # a block-diagonal matrix's 1-norm is its blocks' largest
     condition = float(
         max(np.linalg.norm(k, 1) for k in blocks) * max(np.linalg.norm(k, 1) for k in inverses)
     )
-    off_diagonal = ~np.eye(len(mu), dtype=bool)
-    min_gap = float(np.min(np.abs(mu[:, None] - mu[None, :]), where=off_diagonal, initial=np.inf)) / scale
-    del off_diagonal
     residual = 0.0
     for _ in range(_RECONCILE_SAMPLES):
         zf = sample_spectral(params, rng)
@@ -519,8 +539,8 @@ def reconcile_constructions(params: ModelParams, rng: np.random.Generator) -> Du
         rhs = (kapf * blocks[0] @ bs @ inverses[1], kapf * blocks[1] @ cs @ inverses[0])
         del bs, cs
         lhs = build_T_irf_paths(params, zf)
-        dev = max(float(np.max(np.abs(r - l))) for r, l in zip(rhs, lhs))
-        residual = max(residual, dev / max(float(np.max(np.abs(l))) for l in lhs))
+        dev = max(float(np.max(np.abs(np.subtract(r, l, out=r)))) for r, l in zip(rhs, lhs))  # r - l in r
+        residual = max(residual, dev / float(np.max(np.abs(lhs[0]))))
         del lhs, rhs  # not alive while the next sample's pair is built
     return DualReconciliation(constant, blocks, residual, literal, condition, min_gap)
 
@@ -577,7 +597,7 @@ def _clusters(mu: np.ndarray, gap_tol: float) -> tuple[list[list[int]], np.ndarr
     member in (real, imag) order, members in that order.
     """
     dist = np.abs(mu[:, None] - mu[None, :])
-    close = np.triu(dist < gap_tol * max(float(np.max(np.abs(mu))), 1.0), 1)
+    close = np.triu(dist < gap_tol * float(np.max(np.abs(mu))), 1)
     parent = list(range(len(mu)))
 
     def find(i):

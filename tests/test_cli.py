@@ -219,6 +219,19 @@ def test_underflowing_partition_exits2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_spectrum_at_steep_tau_exits0(tmp_path):
+    """At Im tau = 8 the eigenvalues of irf_n3 have moduli near 1e-7, so a
+    cluster threshold floored at 1e-7 * 1.0 merged all eight into one
+    cluster, and certificate_residuals read 1.5e16.  The threshold is
+    relative to the largest modulus, so each is certified on its own."""
+    cfg = rewrite_config(tmp_path, "irf_n3.json", "steep.json", lambda c: c.update(tau=[0.31, 8.0]))
+    out = tmp_path / "spectrum.json"
+    assert cli.main(["irf", "spectrum", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert all(check["pass"] for check in report["checks"])
+    assert len(report["metrics"]["eigenvalues"]) == 8
+
+
 def test_non_finite_model_exit2(tmp_path, capsys):
     # JSON admits NaN and Infinity literals; they must fail as config errors
     nan_eta = rewrite_config(

@@ -1,8 +1,10 @@
 """Face weights, dual transfer constructions, spectrum certificates, continuous roots."""
 
+import dataclasses
 import itertools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -478,7 +480,7 @@ def reference_reconcile(params, rng):
     mu, vp = np.linalg.eig(tp)
     nu, vs = np.linalg.eig(ts)
     constant = -1.0 + 0.0j
-    perm = irf._pair_spectra(mu, constant * kap * nu, 1e-8 * float(np.max(np.abs(mu))))
+    perm = pair_spectra_reference(mu, constant * kap * nu, 1e-8 * float(np.max(np.abs(mu))))
     conj = vp @ np.linalg.inv(vs[:, perm])
     conj_inv = np.linalg.inv(conj)
     residual = 0.0
@@ -512,17 +514,171 @@ def test_reconcile_matches_sequential_reference(lattice):
         assert np.count_nonzero(conj[np.ix_(even, odd)]) > 0
 
 
+def pair_spectra_reference(mu, target, tol):
+    """The former pairing of whole spectra: perm with |mu[l] - target[perm[l]]| < tol, unique."""
+    close = np.abs(mu[:, None] - target[None, :]) < tol
+    if np.any(np.count_nonzero(close, axis=1) != 1):
+        raise ParameterError("eigenvalue pairing between the two constructions is ambiguous")
+    perm = np.argmax(close, axis=1)
+    if np.unique(perm).size != len(mu):
+        raise ParameterError("eigenvalue pairing is not a bijection")
+    return perm
+
+
+def chiral_eig_reference(b, c):
+    """The former _chiral_eig, with a fresh array for every intermediate."""
+    sq, x = np.linalg.eig(b @ c)
+    nu = np.sqrt(sq)
+    tol = irf._GAP_TOL * float(np.max(np.abs(nu)))
+    if not np.min(np.abs(nu)) > tol:
+        raise ParameterError("transfer matrix has a (near) zero eigenvalue; its +/- pair does not split")
+    y = (c @ x) / nu
+    for _ in range(2):
+        g = np.linalg.solve(x, b @ y)
+        h = np.linalg.solve(y, c @ x)
+        s, d = (g + h) / 2, (g - h) / 2
+        nu = s.diagonal().copy()
+        minus, plus = nu[None, :] - nu[:, None], nu[None, :] + nu[:, None]
+        f11 = np.divide(s, minus, out=np.zeros_like(s), where=np.abs(minus) > tol)
+        f21 = np.divide(d, plus, out=np.zeros_like(d), where=np.abs(plus) > tol)
+        x, y = x + x @ (f11 + f21), y + y @ (f11 - f21)
+    return nu, x, y
+
+
+def reflected_eig_reference(b):
+    """The former _reflected_eig, with a fresh array for every intermediate."""
+    m = np.ascontiguousarray(b[:, ::-1])
+    nu, x = np.linalg.eig(m)
+    tol = irf._GAP_TOL * float(np.max(np.abs(nu)))
+    if not np.min(np.abs(nu)) > tol:
+        raise ParameterError("transfer matrix has a (near) zero eigenvalue; its +/- pair does not split")
+    g = np.linalg.solve(x, m @ x)
+    nu = g.diagonal().copy()
+    minus = nu[None, :] - nu[:, None]
+    x = x + x @ np.divide(g, minus, out=np.zeros_like(g), where=np.abs(minus) > tol)
+    return nu, x, x[::-1]
+
+
+def reconcile_reference(params, rng):
+    """The former reconcile_constructions: a copied C, the 2h x 2h pairing of
+    [nu_p, -nu_p] and min_gap over the 2h x 2h distance table."""
+    z0 = irf.sample_spectral(params, rng)
+    b = build_T_irf_paths(params, z0)[0]
+    tp = (b, b[::-1, ::-1].copy())
+    kap = irf.kappa_factor(params, z0 - ETA)
+    gap = max(float(np.max(np.abs(p - s))) for p, s in zip(tp, build_T_irf_sov(params, z0)))
+    literal = gap / max(float(np.max(np.abs(p))) for p in tp)
+    nu_p, xp, yp = reflected_eig_reference(tp[0])
+    nu_s, xs, ys = chiral_eig_reference(*build_T_irf_sov(params, z0 - ETA))
+    constant = -1.0 + 0.0j
+    half = len(nu_p)
+    mu = np.concatenate([nu_p, -nu_p])
+    scale = float(np.max(np.abs(nu_p)))
+    target = constant * kap * nu_s
+    perm = pair_spectra_reference(mu, np.concatenate([target, -target]), 1e-8 * scale)[:half]
+    sign = np.where(perm < half, 1.0, -1.0)
+    perm %= half
+    blocks = (xp @ np.linalg.inv(xs[:, perm]), (yp * sign) @ np.linalg.inv(ys[:, perm]))
+    inverses = tuple(np.linalg.inv(k) for k in blocks)
+    condition = float(
+        max(np.linalg.norm(k, 1) for k in blocks) * max(np.linalg.norm(k, 1) for k in inverses)
+    )
+    off_diagonal = ~np.eye(len(mu), dtype=bool)
+    min_gap = float(np.min(np.abs(mu[:, None] - mu[None, :]), where=off_diagonal, initial=np.inf)) / scale
+    residual = 0.0
+    for _ in range(2):
+        zf = irf.sample_spectral(params, rng)
+        kapf = constant * irf.kappa_factor(params, zf - ETA)
+        bs, cs = build_T_irf_sov(params, zf - ETA)
+        rhs = (kapf * blocks[0] @ bs @ inverses[1], kapf * blocks[1] @ cs @ inverses[0])
+        b = build_T_irf_paths(params, zf)[0]
+        lhs = (b, b[::-1, ::-1].copy())
+        dev = max(float(np.max(np.abs(r - l))) for r, l in zip(rhs, lhs))
+        residual = max(residual, dev / max(float(np.max(np.abs(l))) for l in lhs))
+    return irf.DualReconciliation(constant, blocks, residual, literal, condition, min_gap)
+
+
 def test_pair_spectra():
+    """nu against [t, -t] reads the same perm as the former 2h x 2h pairing
+    of [nu, -nu] against [t, -t] (its first half), and fails where it does."""
     rng2 = np.random.default_rng(17)
     target = rng2.normal(size=64) + 1j * rng2.normal(size=64)
-    perm = rng2.permutation(64)
-    mu = target[perm] + 1e-12
-    assert np.array_equal(irf._pair_spectra(mu, target, 1e-9), perm)
+    perm, sign = rng2.permutation(64), rng2.choice([1.0, -1.0], size=64)
+    nu = sign * target[perm] + 1e-12
+    full = np.concatenate([target, -target])
+    expect = perm + 64 * (sign < 0)
+    assert np.array_equal(irf._pair_spectra(nu, target, 1e-9), expect)
+    assert np.array_equal(pair_spectra_reference(np.concatenate([nu, -nu]), full, 1e-9)[:64], expect)
     # a duplicated target gives one eigenvalue two candidates
     doubled = target.copy()
     doubled[perm[1]] = doubled[perm[0]]
-    with pytest.raises(ParameterError, match="ambiguous"):
-        irf._pair_spectra(mu, doubled, 1e-9)
+    # +nu_0 and +nu_1 matched to -t_k and t_k: every row has one candidate,
+    # but -nu_1 then takes -t_k as well, so the pairing is not a bijection
+    crossed = nu.copy()
+    crossed[0] = -nu[1]
+    for n, t, match in ((nu, doubled, "ambiguous"), (crossed, target, "not a bijection")):
+        with pytest.raises(ParameterError, match=match):
+            irf._pair_spectra(n, t, 1e-9)
+        with pytest.raises(ParameterError, match=match):
+            pair_spectra_reference(np.concatenate([n, -n]), np.concatenate([t, -t]), 1e-9)
+
+
+def test_working_set_rewrite_is_bit_identical(lattice):
+    """The in-place refinements, the h x 2h pairing, the h x h gap tables and
+    the reversed-view C against the former code, bit for bit, on the Z9
+    prefixes: (nu, x, y) of both eigensolvers and every DualReconciliation
+    field, from cold per-model caches and warm."""
+    for n in (1, 3, 5, 7, 9):
+        params = make_params(lattice, Z9[:n])
+        irf._path_model.cache_clear()
+        irf._grid_model.cache_clear()
+        recs = [reconcile_constructions(params, np.random.default_rng(5)) for _ in ("cold", "warm")]
+        expect = reconcile_reference(params, np.random.default_rng(5))
+        for rec in recs:
+            for field in dataclasses.fields(rec):
+                got, ref = getattr(rec, field.name), getattr(expect, field.name)
+                if field.name == "conjugation":
+                    assert all(np.array_equal(a, r) for a, r in zip(got, ref)), n
+                else:
+                    assert got == ref, (n, field.name)
+        sov = build_T_irf_sov(params, 0.41 + 0.37j)
+        b = build_T_irf_paths(params, 0.41 + 0.37j)[0]
+        for got, ref in ((irf._chiral_eig(*sov), chiral_eig_reference(*sov)),
+                         (irf._reflected_eig(b), reflected_eig_reference(b))):
+            assert all(np.array_equal(a, r) for a, r in zip(got, ref)), n
+
+
+def traced_blocks(n, call):
+    """tracemalloc peak of call() above the memory traced before it, in 2^(n-1)-square complex blocks."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - base) / (16 * 4 ** (n - 1))
+
+
+def test_reconcile_working_set(lattice):
+    """The traced numpy peak of a warm reconcile_constructions at n = 7 and 9
+    and of _chiral_eig above its inputs at n = 9, in 2^(n-1)-square complex
+    blocks.  The former code read 16.1, 15.0 and 12.0 blocks: its first-order
+    updates held the f11/f21, minus/plus and zeros_like temporaries, C was a
+    copy, the pairing and min_gap ran on 2h x 2h tables, and T_sov's
+    eigensolver ran beside the path eigenbasis.  At n = 9 the peak is now in
+    the bridge samples: the conjugation and its inverse (four blocks),
+    T_sov's two, the first product and the second one's two temporaries."""
+    for n, pinned in ((7, 9.14), (9, 9.02)):
+        params = make_params(lattice, Z9[:n])
+        reconcile_constructions(params, np.random.default_rng(3))  # warm the per-model caches
+        peak = traced_blocks(n, lambda: reconcile_constructions(params, np.random.default_rng(3)))
+        assert abs(peak - pinned) <= 0.05, (n, peak)
+    params = make_params(lattice, Z9)
+    blocks = build_T_irf_sov(params, 0.41 + 0.37j)
+    irf._chiral_eig(*blocks)
+    peak = traced_blocks(9, lambda: irf._chiral_eig(*blocks))
+    assert abs(peak - 6.01) <= 0.05, peak
 
 
 def test_transfer_matrices_flip_parity(lattice, rng):
@@ -893,8 +1049,8 @@ def test_reconstruction_from_q_pairs(lattice):
 
 
 def pairwise_clusters(mu, gap_tol):
-    """Union over all pairs closer than gap_tol * scale, as a reference."""
-    scale = max(float(np.max(np.abs(mu))), 1.0)
+    """Union over all pairs closer than gap_tol * max |mu|, as a reference."""
+    scale = float(np.max(np.abs(mu)))
     order = sorted(range(len(mu)), key=lambda i: (mu[i].real, mu[i].imag))
     parent = list(range(len(mu)))
 
@@ -919,7 +1075,7 @@ def test_clusters_match_pairwise_reference():
     for trial in range(40):
         size = int(rng.integers(1, 200))
         mu = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) * 10.0 ** rng.uniform(-2, 3)
-        scale = max(float(np.max(np.abs(mu))), 1.0)
+        scale = float(np.max(np.abs(mu)))
         # plant near-degenerate clusters: chains just inside the threshold,
         # near misses just outside it, exact repeats and equal real parts
         for _ in range(int(rng.integers(0, 6))):
@@ -934,9 +1090,10 @@ def test_clusters_match_pairwise_reference():
 
 
 def test_clusters_long_chain():
-    # 256 eigenvalues, each 0.9 threshold from the next (scale 1): one group
+    # 256 eigenvalues, each 0.9 threshold from the next: the scale max |mu| is
+    # |0.3 + 0.2j| to 3e-5 relative, so the ratio stays 0.9 to that: one group
     gap_tol = 1e-7
-    step = 0.9 * gap_tol * np.exp(0.7j)
+    step = 0.9 * gap_tol * abs(0.3 + 0.2j) * np.exp(0.7j)
     mu = (0.3 + 0.2j + step * np.arange(256))[np.random.default_rng(9).permutation(256)]
     groups, _ = irf._clusters(mu, gap_tol)
     assert len(groups) == 1 and sorted(groups[0]) == list(range(256))
