@@ -11,7 +11,6 @@ schema error.
 from __future__ import annotations
 
 import argparse
-import cmath
 import functools
 import json
 import math
@@ -166,7 +165,7 @@ def _task_theta_eval(block, params, rng, tol, csv_dir):
         base = ev.theta(z)
         r = int(rng.integers(-2, 3))
         s = int(rng.integers(-2, 3))
-        mult = (-1.0) ** (r + s) * cmath.exp(-1j * math.pi * (s * s * tau + 2 * s * z))
+        mult = spaces.expected_multiplier(spaces.Character(-1.0, -1.0), 1, z, r, s, tau)
         shifted = ev.theta(z + r + s * tau)
         # the multiplier reaches 1e11 at |s| = 2, so compare at the shifted scale
         qp = max(qp, abs(shifted - mult * base) / max(1.0, abs(shifted)))
@@ -500,11 +499,10 @@ def _task_irf_bethe(block, params, rng, tol, csv_dir):
     ev = params.evaluator()
     member = spaces.membership_test(ev, cb.q_value, m, cb.chi, rng)
     # eps carries the character the difference equation induces from A_plus
-    eps = spaces.difference_eigenvalue(ev, cb.a_plus, cb.a_minus, 2 * params.eta, cb.solution)
     chi_plus = spaces.character_of(cb.a_plus, params.lattice.tau)
     chi_eps = spaces.induced_eigenvalue_character(chi_plus, 2 * params.eta, m)
     zchar = params.sample_generic(rng, margin=5e-2, avoid=cb.solution.roots)
-    chi_dev = spaces.multiplier_deviation(ev, eps, cb.a_plus.order, chi_eps, zchar)
+    chi_dev = spaces.multiplier_deviation(ev, cb.eps, cb.a_plus.order, chi_eps, zchar)
     checks = [
         _check("solver_converged", cb.solution.residual, 1e-10),
         _check("eigen_residual", eigen, 1e-8),

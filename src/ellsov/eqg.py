@@ -172,9 +172,6 @@ class ShiftOp:
             out += m @ np.asarray(f(lam + k * self.step))
         return out
 
-    def matrices(self, lam: complex) -> dict[int, np.ndarray]:
-        return self.blocks(lam)
-
     def compose(self, other: "ShiftOp") -> "ShiftOp":
         """self after other, with the lambda-argument of other shifted by self's k."""
         if self.dim != other.dim:
@@ -209,7 +206,7 @@ def _offset_pairs(a: ShiftOp, b: ShiftOp, lam_samples: Sequence[complex]):
     """(A_k, B_k) for each offset k of a or b at each lambda; a missing block reads 0."""
     zero = np.zeros((a.dim, a.dim))
     for lam in lam_samples:
-        ma, mb = a.matrices(lam), b.matrices(lam)
+        ma, mb = a.blocks(lam), b.blocks(lam)
         for k in set(ma) | set(mb):
             yield ma.get(k, zero), mb.get(k, zero)
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import functools
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,7 +30,7 @@ import numpy as np
 from . import spaces
 from .eqg import S0Grid, _check_lambda, _check_spectral, _r_fill
 from .params import ModelParams, ParameterError
-from .spaces import BetheSolution, Character, EllipticPoly, ThetaInterpolant
+from .spaces import BetheSolution, Character, EllipticPoly, ThetaInterpolant, eval_elliptic_poly
 
 __all__ = [
     "build_T_irf_paths",
@@ -799,46 +800,43 @@ def partition_function(
 # continuous variables
 
 
+def _shift_polys(params: ModelParams) -> tuple[EllipticPoly, EllipticPoly]:
+    """The shift coefficients A_plus, A_minus = prod_k theta(x + z_k +/- eta Lambda_k)."""
+    plus = tuple(-zk - params.eta * lk for zk, lk in zip(params.zs, params.lams))
+    minus = tuple(-zk + params.eta * lk for zk, lk in zip(params.zs, params.lams))
+    return EllipticPoly(0.0, plus), EllipticPoly(0.0, minus)
+
+
 def apply_transfer_continuous(
     params: ModelParams,
     zeta: complex,
     u: Callable[[Sequence[complex]], complex],
     xs: Sequence[complex],
 ) -> complex:
-    """The displayed difference operator at zeta, off the grid.
+    """The displayed difference operator at zeta, at arbitrary points xs:
 
-    xs are arbitrary complex points (the function u must be defined at
-    single-coordinate shifts by 2 eta); weights Lambda_i enter the shift
-    coefficients.  The dynamical value lambda = -sum (x_i + z_i) must
-    stay off the lattice.
+        T(zeta) u(x) = sum_i L_i(-zeta) [A_plus(x_i) u(x - 2 eta e_i) + A_minus(x_i) u(x + 2 eta e_i)]
+
+    with continuous_bethe's shift coefficients A_plus, A_minus and L the
+    level-n cardinal basis on the nodes xs for chi(1) = (-1)^n, chi(tau) =
+    (-1)^n e^{-2 pi i sum z_j}.  xs colliding modulo the lattice, or
+    -sum (x_i + z_i) within rho of it, raise ParameterError.
     """
-    ev = params.evaluator()
-    eta = params.eta
-    zs, lams = params.zs, params.lams
-    n = params.n
-    if len(xs) != n:
+    if len(xs) != params.n:
         raise ParameterError("need one coordinate per site")
-    zdisp = -complex(zeta)
-    lam = -sum(xi + zi for xi, zi in zip(xs, zs))
-    if params.lattice.dist_to_lattice(lam) < params.rho:
-        raise ParameterError("dynamical value -sum(x_i + z_i) is within rho of the lattice")
-    th_lam = ev.theta(lam)
-    total = 0.0j
-    for i in range(n):
-        pref = ev.theta(lam - zdisp + xs[i]) / th_lam
-        for j in range(n):
-            if j == i:
-                continue
-            pref *= ev.theta(zdisp - xs[j]) / ev.theta(xs[i] - xs[j])
-        down = 1.0 + 0.0j
-        up = 1.0 + 0.0j
-        for zk, lk in zip(zs, lams):
-            down *= ev.theta(xs[i] + zk + eta * lk)
-            up *= ev.theta(xs[i] + zk - eta * lk)
-        shifted_down = [x - 2 * eta if k == i else x for k, x in enumerate(xs)]
-        shifted_up = [x + 2 * eta if k == i else x for k, x in enumerate(xs)]
-        total += pref * (down * u(shifted_down) + up * u(shifted_up))
-    return total
+    ev, sgn = params.evaluator(), (-1.0) ** params.n
+    chi = Character(sgn, sgn * cmath.exp(-_2PI_I * sum(params.zs)))
+    try:
+        weights = spaces.ThetaSpaceBasis(ev, params.n, chi, xs).cardinal_vector(-complex(zeta))
+    except (spaces.DegenerateNodesError, spaces.ResonantCharacterError) as exc:
+        raise ParameterError(str(exc)) from exc
+    a_plus, a_minus = _shift_polys(params)
+    step, total = 2 * params.eta, 0.0j
+    for i, (xi, li) in enumerate(zip(xs, weights)):
+        down, up = list(xs), list(xs)
+        down[i], up[i] = xi - step, xi + step
+        total += li * (eval_elliptic_poly(ev, a_plus, xi) * u(down) + eval_elliptic_poly(ev, a_minus, xi) * u(up))
+    return complex(total)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -855,24 +853,18 @@ class ContinuousBethe:
     solution: BetheSolution
     q: EllipticPoly
     a_plus: EllipticPoly
-    a_minus: EllipticPoly
     chi: Character
+    eps: Callable[[complex], complex]  # the transfer eigenvalue in the separated variable x = -z
 
     def q_value(self, x: complex) -> complex:
-        return spaces.eval_elliptic_poly(self.params.evaluator(), self.q, x)
+        return eval_elliptic_poly(self.params.evaluator(), self.q, x)
 
     def u_value(self, xs: Sequence[complex]) -> complex:
-        val = 1.0 + 0.0j
-        for x in xs:
-            val *= self.q_value(x)
-        return val
+        return math.prod((self.q_value(x) for x in xs), start=1.0 + 0.0j)
 
     def eps_value(self, z: complex) -> complex:
-        """Transfer eigenvalue; entire in z thanks to the root conditions."""
-        eps = spaces.difference_eigenvalue(
-            self.params.evaluator(), self.a_plus, self.a_minus, 2 * self.params.eta, self.solution
-        )
-        return eps(-complex(z))
+        """Transfer eigenvalue at the spectral parameter z; entire in z thanks to the root conditions."""
+        return self.eps(-complex(z))
 
 
 def continuous_bethe(
@@ -889,19 +881,11 @@ def continuous_bethe(
     params.validate_even_weight_sum()
     m = sum(params.lams) // 2
     ev = params.evaluator()
-    a_plus = EllipticPoly(
-        0.0, tuple(-zk - params.eta * lk for zk, lk in zip(params.zs, params.lams))
-    )
-    a_minus = EllipticPoly(
-        0.0, tuple(-zk + params.eta * lk for zk, lk in zip(params.zs, params.lams))
-    )
+    a_plus, a_minus = _shift_polys(params)
     sol = spaces.solve_difference_bethe(ev, a_plus, a_minus, 2 * params.eta, m, rng)
     q = EllipticPoly(sol.a, sol.roots)
     return ContinuousBethe(
-        params=params,
-        solution=sol,
-        q=q,
-        a_plus=a_plus,
-        a_minus=a_minus,
+        params=params, solution=sol, q=q, a_plus=a_plus,
         chi=spaces.character_of(q, params.lattice.tau),
+        eps=spaces.difference_eigenvalue(ev, a_plus, a_minus, 2 * params.eta, sol),
     )

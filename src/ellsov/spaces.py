@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .theta import PoleProximityError, ThetaEvaluator
+from .theta import PoleProximityError, ThetaEvaluator, ThetaOverflowError
 
 __all__ = [
     "SpacesError",
@@ -90,7 +90,11 @@ class Character:
 
 def expected_multiplier(chi: Character, k: int, z: complex, r: int, s: int, tau: complex) -> complex:
     """Multiplier of a level-k, character-chi function under z -> z + r + s*tau."""
-    return chi.value(r, s) * cmath.exp(-1j * _PI * k * (s * s * tau + 2 * s * z))
+    try:
+        return chi.value(r, s) * cmath.exp(-1j * _PI * k * (s * s * tau + 2 * s * z))
+    except OverflowError:
+        msg = "the level-%d multiplier at %r under the shift %d + %d tau overflows double precision"
+        raise ThetaOverflowError(msg % (k, z, r, s)) from None
 
 
 def multiplier_deviation(ev: ThetaEvaluator, f: Callable, k: int, chi: Character, z: complex) -> float:

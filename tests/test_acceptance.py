@@ -131,7 +131,7 @@ def test_criterion_05_one_site_example(lattice, rng):
     for _ in range(3):
         z = sample_point(rng, lattice)
         lam = sample_point(rng, lattice)
-        mats = quad.d(z).matrices(lam)
+        mats = quad.d(z).blocks(lam)
         expect = np.zeros((grid.dim, grid.dim), dtype=complex)
         for idx in range(grid.dim):
             h = grid.weights[idx]

@@ -219,6 +219,23 @@ def test_underflowing_partition_exits2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "task, base, tau",
+    [("theta eval", "theta.json", [0.31, 100.0]), ("irf spectrum", "irf_n5.json", [0.31, 20.0])],
+)
+def test_overflowing_multiplier_exits2(tmp_path, capsys, task, base, tau):
+    """At these taus a sampled quasi-periodicity multiplier exp(-i pi k (s^2 tau
+    + 2 s z)) leaves double range: both tasks once ended in a bare
+    OverflowError traceback.  expected_multiplier raises ThetaOverflowError
+    with the point named, so they exit 2."""
+    cfg = rewrite_config(tmp_path, base, "steep.json", lambda c: c.update(tau=tau))
+    assert cli.main(task.split() + ["--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "multiplier at" in err and "overflows double precision" in err
+    assert "Traceback" not in err
+
+
 def test_spectrum_at_steep_tau_exits0(tmp_path):
     """At Im tau = 8 the eigenvalues of irf_n3 have moduli near 1e-7, so a
     cluster threshold floored at 1e-7 * 1.0 merged all eight into one

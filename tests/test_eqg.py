@@ -319,7 +319,7 @@ def test_shift_algebra(lattice, rng):
     rhs = a.compose(b.compose(c))
     scale = max(
         1.0,
-        max(float(np.max(np.abs(m))) for lam in lams for m in lhs.matrices(lam).values()),
+        max(float(np.max(np.abs(m))) for lam in lams for m in lhs.blocks(lam).values()),
     )
     assert shift_residual(lhs, rhs, lams) <= 1e-11 * scale
 
@@ -336,7 +336,7 @@ def test_shift_algebra(lattice, rng):
         mag = max(
             1.0,
             float(np.max(np.abs(direct))),
-            max(float(np.max(np.abs(m))) for m in comp.matrices(lam).values()),
+            max(float(np.max(np.abs(m))) for m in comp.blocks(lam).values()),
         )
         assert np.max(np.abs(comp.apply(fun, lam) - direct)) <= 1e-11 * mag
 
@@ -349,7 +349,7 @@ def test_h_grading(lattice):
     z = 0.41 + 0.18j
     lam = 0.37 + 0.29j
     for op, change in ((quad.a(z), 0), (quad.b(z), -2), (quad.c(z), 2), (quad.d(z), 0)):
-        entries = [np.nonzero(m) for m in op.matrices(lam).values()]
+        entries = [np.nonzero(m) for m in op.blocks(lam).values()]
         assert sum(len(t) for t, _s in entries) > 0
         for t, s in entries:
             assert np.all(grid.weights[t] - grid.weights[s] == change)
@@ -366,10 +366,10 @@ def test_n1_example(lattice, rng):
         z = sample_point(rng, lattice)
         lam = sample_point(rng, lattice)
         mats = {
-            "a": quad.a(z).matrices(lam),
-            "b": quad.b(z).matrices(lam),
-            "c": quad.c(z).matrices(lam),
-            "d": quad.d(z).matrices(lam),
+            "a": quad.a(z).blocks(lam),
+            "b": quad.b(z).blocks(lam),
+            "c": quad.c(z).blocks(lam),
+            "d": quad.d(z).blocks(lam),
         }
         for idx in range(grid.dim):
             h = grid.weights[idx]
@@ -589,7 +589,7 @@ def test_shift_residual_against_zero(lattice, rng):
     z = sample_point(rng, lattice)
     lams = [sample_point(rng, lattice) for _ in range(2)]
     op = quad.a(z).compose(quad.b(z)) + quad.c(z)
-    size = max(float(np.max(np.abs(m))) for lam in lams for m in op.matrices(lam).values())
+    size = max(float(np.max(np.abs(m))) for lam in lams for m in op.blocks(lam).values())
     assert shift_residual(op, None, lams) == size > 0.0
     assert shift_residual(op, op, lams) == 0.0
 
@@ -608,7 +608,7 @@ def test_quadruple_matches_reference(lattice, rng, lams):
         for name in "abcd":
             op, ref_op = getattr(quad, name)(z), getattr(ref, name)(z)
             for lam in lam_samples:
-                got, want = op.matrices(lam), ref_op.matrices(lam)
+                got, want = op.blocks(lam), ref_op.blocks(lam)
                 assert got.keys() == want.keys()
                 for k in want:
                     assert np.array_equal(got[k], want[k]), (name, k)

@@ -1216,8 +1216,9 @@ def test_partition_single_row_matches_spectrum(lattice, rng):
     assert abs(two - expect) <= 1e-9 * sum(abs(c.eps(w) * c.eps(w2)) for c in certs)
 
 
-def test_continuous_operator_matches_grid_rows(lattice, rng):
-    params = make_params(lattice, Z3)
+def continuous_grid_gap(params, lattice, rng):
+    """Largest miss of apply_transfer_continuous on the grid points against the
+    rows of build_T_irf_sov, each relative to max(|lhs|, |rhs|, 1)."""
     ev = params.evaluator()
     cs = [sample_point(rng, lattice) for _ in range(3)]
 
@@ -1232,10 +1233,45 @@ def test_continuous_operator_matches_grid_rows(lattice, rng):
     grid = [tuple(2 * mi - 1 for mi in m) for m in itertools.product(range(2), repeat=3)]
     xs_of = lambda sig: [-z + s * ETA for z, s in zip(params.zs, sig)]
     uvec = np.array([u_any(xs_of(sig)) for sig in grid])
+    gap = 0.0
     for row, sig in enumerate(grid):
         lhs = apply_transfer_continuous(params, zeta, u_any, xs_of(sig))
         rhs = t[row] @ uvec
-        assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), 1.0)
+        gap = max(gap, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0))
+    return gap
+
+
+def test_continuous_operator_matches_grid_rows(lattice, rng):
+    assert continuous_grid_gap(make_params(lattice, Z3), lattice, rng) <= 1e-12
+
+
+def test_continuous_operator_character_negative_control(lattice, rng, monkeypatch):
+    """The cardinal basis of the off-grid operator carries chi(tau) =
+    (-1)^n e^{-2 pi i sum z_j}.  With the eigenvalue character chi_0, whose
+    chi_0(tau) has e^{+2 pi i sum z_j}, it interpolates another function
+    and the grid rows miss by far more than 1e-12."""
+    params = make_params(lattice, Z3)
+    basis, wrong = spaces.ThetaSpaceBasis, irf.eigenvalue_character(params)
+    monkeypatch.setattr(spaces, "ThetaSpaceBasis", lambda ev, k, chi, nodes: basis(ev, k, wrong, nodes))
+    assert continuous_grid_gap(params, lattice, rng) > 1e-3
+
+
+def test_continuous_operator_typed_errors(lattice, rng):
+    """Coordinates that coincide modulo the lattice (theta(x_i - x_j) = 0, once
+    a bare ZeroDivisionError) and a dynamical value -sum (x_i + z_i) within
+    rho of the lattice are ParameterErrors."""
+    zs = (0.12 + 0.23j, 0.57 + 0.71j, 0.34 + 0.95j, 0.83 + 0.41j)
+    params = ModelParams(lattice, ETA, zs, (1, 1, 1, 1))
+    u = lambda xs: 1.0 + 0.0j
+    zeta = sample_point(rng, lattice)
+    xs = [sample_point(rng, lattice) for _ in zs]
+    assert isinstance(apply_transfer_continuous(params, zeta, u, xs), complex)
+    for twin in (xs[0], xs[0] + 1.0, xs[0] - TAU):
+        with pytest.raises(ParameterError, match="collide modulo the lattice"):
+            apply_transfer_continuous(params, zeta, u, [xs[0], twin] + xs[2:])
+    last = 1.0 + TAU - sum(xs[:3]) - sum(zs) + 1e-3 * params.rho
+    with pytest.raises(ParameterError, match="resonant locus"):
+        apply_transfer_continuous(params, zeta, u, xs[:3] + [last])
 
 
 def test_continuous_bethe_families(lattice, rng):
@@ -1293,12 +1329,11 @@ def test_eps_character_negative_control(lattice, rng):
         cb = continuous_bethe(params, rng)
         ev = params.evaluator()
         m = sum(lams) // 2
-        eps = spaces.difference_eigenvalue(ev, cb.a_plus, cb.a_minus, 2 * ETA, cb.solution)
         chi_plus = spaces.character_of(cb.a_plus, TAU)
         z = params.sample_generic(rng, margin=5e-2, avoid=cb.solution.roots)
         for gamma, within in ((2 * ETA, True), (-2 * ETA, False)):
             chi = spaces.induced_eigenvalue_character(chi_plus, gamma, m)
-            dev = spaces.multiplier_deviation(ev, eps, len(zs), chi, z)
+            dev = spaces.multiplier_deviation(ev, cb.eps, len(zs), chi, z)
             assert (dev <= 1e-9) if within else (dev >= 0.5)
 
 
