@@ -22,7 +22,6 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import functools
-import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,7 +29,7 @@ import numpy as np
 from . import spaces
 from .eqg import S0Grid, _check_lambda, _check_spectral, _r_fill
 from .params import ModelParams, ParameterError
-from .spaces import BetheSolution, Character, EllipticPoly, ThetaInterpolant, eval_elliptic_poly
+from .spaces import BetheSolution, Character, EllipticPoly, ThetaInterpolant
 
 __all__ = [
     "build_T_irf_paths",
@@ -835,7 +834,9 @@ def apply_transfer_continuous(
     for i, (xi, li) in enumerate(zip(xs, weights)):
         down, up = list(xs), list(xs)
         down[i], up[i] = xi - step, xi + step
-        total += li * (eval_elliptic_poly(ev, a_plus, xi) * u(down) + eval_elliptic_poly(ev, a_minus, xi) * u(up))
+        down_coeff = spaces.eval_elliptic_poly(ev, a_plus, xi)
+        up_coeff = spaces.eval_elliptic_poly(ev, a_minus, xi)
+        total += li * (down_coeff * u(down) + up_coeff * u(up))
     return complex(total)
 
 
@@ -857,13 +858,16 @@ class ContinuousBethe:
     eps: Callable[[complex], complex]  # the transfer eigenvalue in the separated variable x = -z
 
     def q_value(self, x: complex) -> complex:
-        return eval_elliptic_poly(self.params.evaluator(), self.q, x)
+        return spaces.eval_elliptic_poly(self.params.evaluator(), self.q, x)
 
     def u_value(self, xs: Sequence[complex]) -> complex:
-        return math.prod((self.q_value(x) for x in xs), start=1.0 + 0.0j)
+        val = 1.0 + 0.0j
+        for x in xs:
+            val *= self.q_value(x)
+        return val
 
     def eps_value(self, z: complex) -> complex:
-        """Transfer eigenvalue at the spectral parameter z; entire in z thanks to the root conditions."""
+        """Transfer eigenvalue; entire in z thanks to the root conditions."""
         return self.eps(-complex(z))
 
 
@@ -885,7 +889,10 @@ def continuous_bethe(
     sol = spaces.solve_difference_bethe(ev, a_plus, a_minus, 2 * params.eta, m, rng)
     q = EllipticPoly(sol.a, sol.roots)
     return ContinuousBethe(
-        params=params, solution=sol, q=q, a_plus=a_plus,
+        params=params,
+        solution=sol,
+        q=q,
+        a_plus=a_plus,
         chi=spaces.character_of(q, params.lattice.tau),
         eps=spaces.difference_eigenvalue(ev, a_plus, a_minus, 2 * params.eta, sol),
     )
