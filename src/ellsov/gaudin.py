@@ -24,7 +24,7 @@ import numpy as np
 from . import jets
 from .eqg import S0Grid
 from .jets import LambdaDiffOp
-from .params import ModelParams, ParameterError
+from .params import ModelParams
 from .spaces import damped_newton
 from .theta import ThetaEvaluator
 
@@ -97,10 +97,9 @@ def _gaudin_model(params: ModelParams) -> _GaudinModel:
     on one model in one process share an entry, so two entries suffice.
     """
     params.validate_distinct_sites()
+    params.validate_even_weight_sum()  # grid weights share the parity of the total weight
     grid = S0Grid(params)
     indices = np.flatnonzero(grid.weights == 0)
-    if not indices.size:
-        raise ParameterError("zero-weight subspace is empty: total weight parity is odd")
     ops = _site_operators(grid)
     ev, n, dim, block = params.evaluator(), params.n, len(indices), np.ix_(indices, indices)
     jet0 = ev.theta0_jet(3)

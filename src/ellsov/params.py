@@ -63,24 +63,30 @@ class ModelParams:
                     raise ParameterError("sites %d and %d collide modulo the lattice" % (i, j))
 
     def validate_for_irf(self) -> None:
-        """Hypotheses of the antiperiodic path construction."""
+        """Hypotheses of both antiperiodic transfer-matrix constructions."""
         self.validate_distinct_sites()
         if any(l != 1 for l in self.lams):
             raise ParameterError("IRF tasks require every site weight equal to 1")
         if self.n % 2 == 0:
             raise ParameterError("IRF tasks require an odd number of sites")
-        # one array pass; the error names the first (i, j) of the loop over i, j, ell
+        # one array pass over the pair shifts, the denominators' lambda = k eta (k odd, k <= n)
+        # and 2 eta; the error names the first (i, j) of the loop over i, j, ell
         pairs = [(i, j) for i in range(self.n) for j in range(self.n) if i != j]
         shifts = [self.zs[i] - self.zs[j] - 2.0 * ell * self.eta for i, j in pairs for ell in (-1, 0, 1)]
+        shifts += [k * self.eta for k in range(1, self.n + 1, 2)] + [2 * self.eta]
         dist = self.lattice.dist_to_lattice_array(np.array(shifts, dtype=complex))
         close = np.flatnonzero(dist < self.rho)
-        if close.size:
+        if close.size and close[0] < 3 * len(pairs):
             i, j = pairs[close[0] // 3]
             raise ParameterError("sites %d and %d are 2*eta-resonant modulo the lattice" % (i, j))
+        if close.size and close[0] < len(shifts) - 1:
+            raise ParameterError("dynamical parameter lambda is within rho of a lattice point")
+        if close.size:
+            raise ParameterError("shift 2 eta sits within rho of the lattice")
 
     def validate_even_weight_sum(self) -> None:
         if sum(self.lams) % 2 != 0:
-            raise ParameterError("Bethe tasks need an even total weight")
+            raise ParameterError("the total weight must be even")
 
     def sample_generic(
         self, rng: np.random.Generator, margin: float | None = None, avoid=()

@@ -174,7 +174,10 @@ class ThetaSpaceBasis:
              for j, zj in enumerate(nodes)],
             dtype=complex,
         )
-        self._denoms = ev.theta(b) * diffs.prod(axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite product raises below
+            self._denoms = ev.theta(b) * diffs.prod(axis=1)
+        if not np.isfinite(self._denoms).all():
+            raise ThetaOverflowError("cardinal-basis denominators overflow double precision")
         self._cache: dict[complex, np.ndarray] = {}
 
     def cardinal_vector(self, z: complex) -> np.ndarray:
@@ -341,7 +344,7 @@ def _newton_run(system, x, accept):
             nx = x + damp * step
             try:
                 nres, nscale, njacobian = system(nx)
-            except PoleProximityError:
+            except (PoleProximityError, ThetaOverflowError):
                 damp *= 0.5
                 continue
             nnorm = float(np.max(np.abs(nres)))
@@ -441,7 +444,11 @@ def _bethe_system(ev, A_plus, A_minus, gamma, m):
     def system(x):
         args = design @ x + offset
         jets = ev.theta_array(args, 1)
-        t = np.exp(expo @ x) * const * np.where(member, jets[:, 0], 1.0).prod(axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite term raises below
+            t = np.exp(expo @ x) * const * np.where(member, jets[:, 0], 1.0).prod(axis=1)
+        if not np.isfinite(t).all():  # named by the root of the first non-finite equation
+            w = complex(x[1 + int(np.argmin(np.isfinite(t))) // 2])
+            raise ThetaOverflowError("Bethe system overflows double precision at root %r" % (w,))
         scale = max(float(np.abs(t).max()), 1e-300)
 
         def jacobian():

@@ -236,6 +236,26 @@ def test_overflowing_multiplier_exits2(tmp_path, capsys, task, base, tau):
     assert "Traceback" not in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "task, base, tau",
+    [
+        ("irf bethe", "irf_bethe_n4.json", [0.31, 100.0]),
+        ("irf partition", "irf_n3.json", [0.31, 0.005]),
+        ("irf partition", "irf_n3.json", [0.31, 0.003]),
+        ("irf spectrum", "irf_n3.json", [0.31, 187.0]),
+    ],
+)
+def test_overflowing_products_exit2(tmp_path, capsys, task, base, tau):
+    """Products of finite thetas that leave double range: the Bethe system's
+    terms, the partition chain and the cardinal-basis denominators.  Each
+    task once escaped with numpy's overflow warning, and irf bethe without
+    it as a bare LinAlgError from the Newton step; each now exits 2."""
+    cfg = rewrite_config(tmp_path, base, "steep.json", lambda c: c.update(tau=tau))
+    assert cli.main(task.split() + ["--config", cfg]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_spectrum_at_steep_tau_exits0(tmp_path):
     """At Im tau = 8 the eigenvalues of irf_n3 have moduli near 1e-7, so a
     cluster threshold floored at 1e-7 * 1.0 merged all eight into one

@@ -287,6 +287,27 @@ def test_paths_lambda_check_runs_in_the_cache(lattice):
     assert irf._path_model.cache_info().currsize == 0
 
 
+@pytest.mark.parametrize(
+    "eta, message",
+    [(1 / 3, "dynamical parameter lambda is within rho of a lattice point"),
+     (1 / 2, "shift 2 eta sits within rho of the lattice")],
+    ids=["lambda_3eta", "shift_2eta"],
+)
+def test_irf_lattice_gate_is_the_validator(lattice, eta, message):
+    # negative controls: 3 eta = 1 puts the denominator theta(lambda) at
+    # lambda = 3 eta on the lattice, 2 eta = 1 the shift theta(2 eta); the
+    # validator rejects both, for both caches, and neither keeps an entry
+    params = ModelParams(lattice, eta, Z3, (1, 1, 1))
+    with pytest.raises(ParameterError, match=message):
+        params.validate_for_irf()
+    for cache, build in ((irf._grid_model, build_T_irf_sov), (irf._path_model, build_T_irf_paths)):
+        cache.cache_clear()
+        with pytest.raises(ParameterError) as raised:
+            build(params, 0.41 + 0.37j)
+        assert str(raised.value) == message
+        assert cache.cache_info().currsize == 0
+
+
 def test_paths_spectral_check_on_warm_cache(lattice):
     # negative control: the z - 2 eta check runs per build, not once per model
     params = make_params(lattice, Z5)
@@ -927,9 +948,9 @@ def test_certify_spectrum(lattice, rng):
 def test_certify_spectrum_theta_count(lattice, monkeypatch):
     """Five sites: every certificate shares one cardinal basis, so theta calls
     stay far below the 22,390 that per-certificate interpolation made.  The
-    model's flip coefficients, cross thetas and theta(lambda) (161), the
+    model's flip coefficients, cross thetas and theta(lambda) (136), the
     basis (21) and the cardinal vectors at 3 validation points and the 10
-    points z_i -/+ eta (130) take 312 scalar calls; each of the 9 grid
+    points z_i -/+ eta (130) take 287 scalar calls; each of the 9 grid
     matrices takes its 60 zeta-dependent thetas in one array call.  Before
     the array calls: 852 scalar calls, and 1,540 when each matrix
     recomputed the cross thetas and theta(lambda)."""
@@ -938,7 +959,7 @@ def test_certify_spectrum_theta_count(lattice, monkeypatch):
     irf._grid_model.cache_clear()
     certs = certify_spectrum(params, 0.41 + 0.37j, rng=np.random.default_rng(7))
     assert len(certs) == 32 and all(c.passed for c in certs)
-    assert counts["theta_taylor"][0] == 312
+    assert counts["theta_taylor"][0] == 287
     assert counts["theta_array"] == [9, 540]
 
 
