@@ -5,7 +5,7 @@ Every random draw comes from one seeded generator per run, so reports
 are reproducible byte for byte apart from the timing block.
 
 Exit codes: 0 all checks pass, 1 at least one check fails, 2 config or
-schema error.
+schema error, or a typed model or range error raised while the task runs.
 """
 
 from __future__ import annotations
@@ -576,8 +576,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
-    except (ParameterError, ThetaError) as exc:
-        print("config error: model outside task hypotheses: %s" % exc, file=sys.stderr)
+    except (ParameterError, ThetaError) as exc:  # build_params turns its own into ConfigError
+        print("task error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 2
 
     report = {

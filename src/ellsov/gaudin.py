@@ -186,13 +186,10 @@ def build_S(params: ModelParams, z: complex, lam0: complex, degree: int) -> Lamb
     dzs = [z - zi for zi in params.zs]
     theta_dzs = [ev.theta(dz) for dz in dzs]
 
-    e_jet = np.zeros((d_out + 1, ctx.total, ctx.total), dtype=complex)
-    f_jet = np.zeros((d_out + 1, ctx.total, ctx.total), dtype=complex)
     sns = jets.jet_sigma_neg(ev, lam0, dzs, d_out, theta_dzs)
     sps = jets.jet_sigma(ev, lam0, dzs, d_out, theta_dzs)
-    for (ei, fi, _), sn, sp in zip(ctx.ops, sns, sps):
-        e_jet += sn[:, None, None] * ei[None, :, :]
-        f_jet += sp[:, None, None] * fi[None, :, :]
+    e_jet = sum(sn[:, None, None] * ei[None, :, :] for (ei, _, _), sn in zip(ctx.ops, sns))
+    f_jet = sum(sp[:, None, None] * fi[None, :, :] for (_, fi, _), sp in zip(ctx.ops, sps))
     anti = jets.jmul(e_jet, f_jet, d_out) + jets.jmul(f_jet, e_jet, d_out)
     c0 = np.stack([0.5 * ctx.restrict(a) for a in anti])
     c0[0] += 0.25 * (hz @ hz)
@@ -216,37 +213,31 @@ class GaudinBetheResult:
     iterations: int
 
 
-def _gaudin_equations(ev: ThetaEvaluator, params: ModelParams, c: complex, roots: np.ndarray):
-    m = len(roots)
-    res = np.zeros(m, dtype=complex)
-    for j in range(m):
-        val = -2.0 * c
-        for zl, ll in zip(params.zs, params.lams):
-            val += ll * ev.zeta_bar(roots[j] - zl)
-        for k in range(m):
-            if k != j:
-                # root-root weight 2: v'' at a zero of e^{cy} prod_k theta(y-w_k)
-                # picks up theta'(w_j-w_k) from both product-rule branches
-                val -= 2.0 * ev.zeta_bar(roots[j] - roots[k])
-        res[j] = val
-    return res
+def _gaudin_equations(ev: ThetaEvaluator, params: ModelParams, x: np.ndarray):
+    """damped_newton's system(x) for the Gaudin Bethe equations, x = (c, w_1..w_m).
 
-
-def _gaudin_jacobian(ev: ThetaEvaluator, params: ModelParams, roots: np.ndarray) -> np.ndarray:
-    m = len(roots)
+    Equation j is -2c + sum_l Lambda_l zeta_bar(w_j - z_l) - 2 sum_{k != j}
+    zeta_bar(w_j - w_k) (v'' at a zero of e^{cy} prod_k theta(y - w_k) takes
+    theta'(w_j - w_k) from both product-rule branches).  All arguments, row j
+    w_j - z_l then w_j - w_k, take one distance pass and one theta_array call.
+    """
+    c, roots = x[0], x[1:]
+    m, n = len(roots), params.n
+    others = np.nonzero(~np.eye(m, dtype=bool))[1].reshape(m, m - 1)
+    args = np.hstack((roots[:, None] - np.array(params.zs), roots[:, None] - roots[others])).ravel()
+    dist = ev.lattice.dist_to_lattice_array(args)
+    if dist.min() < ev.rho:  # the scalar check raises, naming the first argument in row order
+        ev._require_off_lattice(args[np.argmax(dist < ev.rho)], "z")
+    jet = ev.theta_array(args, 2)
+    zb = (jet[:, 1] / jet[:, 0]).reshape(m, n + m - 1)
+    wp = (zb.ravel() ** 2 - 2.0 * jet[:, 2] / jet[:, 0]).reshape(m, n + m - 1)
+    lams = np.array(params.lams, dtype=float)
+    res = -2.0 * c + zb[:, :n] @ lams - 2.0 * zb[:, n:].sum(axis=1)
     jac = np.zeros((m, m + 1), dtype=complex)
-    for j in range(m):
-        jac[j, 0] = -2.0
-        diag = 0j
-        for zl, ll in zip(params.zs, params.lams):
-            diag -= ll * ev.wp_bar(roots[j] - zl)
-        for k in range(m):
-            if k != j:
-                wp = ev.wp_bar(roots[j] - roots[k])
-                diag += 2.0 * wp
-                jac[j, 1 + k] = -2.0 * wp
-        jac[j, 1 + j] = diag
-    return jac
+    jac[:, 0] = -2.0
+    np.put_along_axis(jac, 1 + others, -2.0 * wp[:, n:], axis=1)
+    np.fill_diagonal(jac[:, 1:], 2.0 * wp[:, n:].sum(axis=1) - wp[:, :n] @ lams)
+    return res, 1.0, lambda: jac
 
 
 def solve_gaudin_bethe(params: ModelParams, rng: np.random.Generator) -> GaudinBetheResult:
@@ -265,10 +256,7 @@ def solve_gaudin_bethe(params: ModelParams, rng: np.random.Generator) -> GaudinB
         roots = [params.sample_generic(rng, avoid=params.zs) for _ in range(m)]
         return np.array([complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4))] + roots)
 
-    def system(x):
-        return _gaudin_equations(ev, params, x[0], x[1:]), 1.0, lambda: _gaudin_jacobian(ev, params, x[1:])
-
-    x, residual, iterations = damped_newton(system, start)
+    x, residual, iterations = damped_newton(functools.partial(_gaudin_equations, ev, params), start)
     return GaudinBetheResult(complex(x[0]), tuple(complex(w) for w in x[1:]), residual, iterations)
 
 

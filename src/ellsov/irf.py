@@ -774,12 +774,13 @@ def partition_function(
             b, c = c, b
         with np.errstate(over="ignore", invalid="ignore"):  # the range check below raises
             chains = [b, c] if k == 0 else [chains[0] @ b, chains[1] @ c]
+        for chain in chains:
+            peak = np.max(np.abs(chain))
+            if not np.finfo(float).tiny <= peak < np.inf:  # a NaN peak is an overflow's inf * 0
+                way = "underflows" if peak < np.finfo(float).tiny else "overflows"
+                raise ParameterError("the row product leaves double range: it %s at row %d" % (way, k + 1))
     if not chains:
         return 0j
-    for chain in chains:
-        peak = np.max(np.abs(chain))
-        if not np.finfo(float).tiny <= peak < np.inf:  # a NaN peak fails too
-            raise ParameterError("the row product leaves double range: its entries peak at %g" % peak)
     return complex(np.trace(chains[0]) + np.trace(chains[1]))
 
 

@@ -14,7 +14,7 @@ them truncated to its output degree.
 from __future__ import annotations
 
 import dataclasses
-import operator
+import functools
 from typing import Sequence
 
 import numpy as np
@@ -37,19 +37,27 @@ __all__ = [
 def jmul(a: np.ndarray, b: np.ndarray, degree: int | None = None) -> np.ndarray:
     """Truncated product of two jets; either may be the shorter.
 
-    A matrix jet a (ndim 3) multiplies with @, any other a with * (as numpy
-    scalars for scalar jets: the np.multiply ufunc rounds complex products
-    differently), so a scalar jet also scales a vector or matrix jet.
+    A matrix jet a (ndim 3) forms every a[i] @ b[j] in one batched matmul (a
+    vector b[j] as one column) and adds them in the per-pair loop's order,
+    keeping its bits.  Any other a runs that loop with *, as numpy scalars
+    for scalar jets (np.multiply rounds complex products differently); a
+    scalar jet scales any jet.
     """
     if degree is None:
         degree = min(len(a), len(b)) - 1
-    mul = operator.matmul if a.ndim == 3 else operator.mul
-    first = mul(a[0], b[0])  # the whole degree-0 term, and the coefficient shape
+    if a.ndim == 3:
+        a, b = a[: degree + 1], b[: degree + 1]
+        prods = a[:, None] @ (b[None, ..., None] if b.ndim == 2 else b[None])
+        out = np.zeros((degree + 1,) + prods.shape[2:], dtype=complex)
+        for i in range(len(a)):
+            out[i : i + len(b)] += prods[i, : degree + 1 - i]
+        return out[..., 0] if b.ndim == 2 else out
+    first = a[0] * b[0]  # the whole degree-0 term, and the coefficient shape
     out = np.zeros((degree + 1,) + np.shape(first), dtype=complex)
     out[0] += first
     for k in range(1, degree + 1):
         for i in range(max(0, k - len(b) + 1), min(k, len(a) - 1) + 1):
-            out[k] += mul(a[i], b[k - i])
+            out[k] += a[i] * b[k - i]
     return out
 
 
@@ -73,7 +81,7 @@ def jderiv(a: np.ndarray) -> np.ndarray:
     """Jet of f' from the jet of f, on the leading axis (degree drops by one)."""
     if len(a) == 1:
         return np.zeros_like(a, dtype=complex)
-    return np.array([(k + 1) * a[k + 1] for k in range(len(a) - 1)], dtype=complex)
+    return a[1:] * np.arange(1, len(a)).reshape((-1,) + (1,) * (a.ndim - 1))
 
 
 def jet_exp(c: complex, x0: complex, degree: int) -> np.ndarray:
@@ -85,8 +93,18 @@ def jet_exp(c: complex, x0: complex, degree: int) -> np.ndarray:
     return out
 
 
+# three entries: gaudin bethe reads theta(lam0) thrice per lam0, with two other
+# jets between, and no entry outlives a task until a rerun of it reads it again
+@functools.lru_cache(maxsize=3)
+def _theta_jet(ev: ThetaEvaluator, x: complex, degree: int) -> np.ndarray:
+    """theta_taylor(x, degree), read-only: the theta(+/-lam0) jets operators at lam0 share."""
+    jet = ev.theta_taylor(x, degree)
+    jet.setflags(write=False)
+    return jet
+
+
 def jet_zeta_bar(ev: ThetaEvaluator, x0: complex, degree: int) -> np.ndarray:
-    tj = ev.theta_taylor(x0, degree + 1)
+    tj = _theta_jet(ev, x0, degree + 1)
     return jdiv(jderiv(tj), tj[: degree + 1], degree)
 
 
@@ -104,9 +122,10 @@ def jet_sigma(
     """Jets in lambda of sigma_lambda(z) at lam0, one per z of zs.
 
     The denominator jet theta(lambda) and theta'(0) are evaluated once for
-    all of zs; theta_zs, when given, holds theta(z) for each z.
+    all of zs, and the denominator is shared with the other operators
+    built at lam0; theta_zs, when given, holds theta(z) for each z.
     """
-    den = ev.theta_taylor(lam0, degree)
+    den = _theta_jet(ev, lam0, degree)
     dtheta0 = ev.dtheta0()
     if theta_zs is None:
         theta_zs = [ev.theta(z) for z in zs]

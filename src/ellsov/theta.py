@@ -291,22 +291,9 @@ class ThetaEvaluator:
             raise ValueError("zs must be one-dimensional")
         z0, r, s = self.lattice.reduce_array(zs)
         tau = self.lattice.tau
-        rows = _term_table(tau, degree, self.trunc_tol)
-        log_next = _array_bound(rows[-1], tau)
+        log_next, grid, weights, ifact = _array_table(tau, degree, self.trunc_tol)
         if not log_next < _array_limit(tau, self.trunc_tol):
             raise _truncation(self.trunc_tol, log_next)
-        # row c * terms + j of grid is (base_j, +/-ph_j, +/-sign_j) and of weights
-        # (+/-ph_j)^k, k = 0..degree, for the exponential exp(base_j +/- ph_j z0)
-        # (c = 0: +, c = 1: -); theta^(k)(z0) / k! = sum_rows sign weight exp / (i k!)
-        grid = np.array(
-            [v for row in rows for v in row[:3]] + [v for row in rows for v in (row[0], -row[1], -row[2])]
-        ).reshape(-1, 3)
-        weights = np.array(
-            [wk for row in rows for wk, _ in row[3]] + [wk for row in rows for _, wk in row[3]]
-        ).reshape(-1, degree + 1)
-        ifact = [1j]
-        for k in range(1, degree + 1):
-            ifact.append(ifact[-1] * k)
         with np.errstate(over="ignore", invalid="ignore"):
             terms = np.exp(grid[:, :1] + grid[:, 1:2] * z0) * grid[:, 2:]
             inner = (terms.T @ weights) / ifact
@@ -441,6 +428,27 @@ def _term_table(tau: complex, degree: int, trunc_tol: float) -> tuple[tuple, ...
         if _array_bound(rows[-1], tau) < limit:
             break
     return tuple(rows)
+
+
+@functools.lru_cache(maxsize=_TERM_TABLES)
+def _array_table(tau: complex, degree: int, trunc_tol: float) -> tuple:
+    """theta_array's data, read-only: the table's bound on its next term; grid rows
+    (base_j, +/-ph_j, +/-sign_j) and weights (+/-ph_j)^k per exp(base_j +/- ph_j z0),
+    all + rows first; ifact[k] = i k!, so theta^(k)(z0) / k! = sum sign weight exp / ifact."""
+    rows = _term_table(tau, degree, trunc_tol)
+    grid = np.array(
+        [v for row in rows for v in row[:3]] + [v for row in rows for v in (row[0], -row[1], -row[2])]
+    ).reshape(-1, 3)
+    weights = np.array(
+        [wk for row in rows for wk, _ in row[3]] + [wk for row in rows for _, wk in row[3]]
+    ).reshape(-1, degree + 1)
+    ifact = [1j]
+    for k in range(1, degree + 1):
+        ifact.append(ifact[-1] * k)
+    ifact = np.array(ifact)
+    for arr in (grid, weights, ifact):
+        arr.setflags(write=False)
+    return _array_bound(rows[-1], tau), grid, weights, ifact
 
 
 @functools.lru_cache(maxsize=256)

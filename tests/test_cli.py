@@ -256,6 +256,30 @@ def test_overflowing_products_exit2(tmp_path, capsys, task, base, tau):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("im_tau, step", [(0.005, "overflows at row 3"), (0.003, "overflows at row 2")])
+def test_partition_range_error_names_the_step(tmp_path, capsys, im_tau, step):
+    """The partition chain once overflowed to inf and a later row turned
+    inf * 0 into NaN, so the message read "its entries peak at nan".  Each
+    partial product is checked, so the message names the first row that
+    leaves double range and which way it left."""
+    cfg = rewrite_config(tmp_path, "irf_n3.json", "steep.json", lambda c: c.update(tau=[0.31, im_tau]))
+    assert cli.main(["irf", "partition", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "row product leaves double range" in err and step in err
+    assert "nan" not in err
+
+
+def test_task_error_is_not_a_config_error(tmp_path, capsys):
+    """A product that overflows on an admitted model once printed "config
+    error: model outside task hypotheses"; an error raised while a task runs
+    prints "task error" and its class, with exit 2 unchanged."""
+    cfg = rewrite_config(tmp_path, "irf_bethe_n4.json", "steep.json", lambda c: c.update(tau=[0.31, 100.0]))
+    assert cli.main(["irf", "bethe", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("task error: ThetaOverflowError: Bethe system overflows double precision")
+    assert "config error" not in err
+
+
 def test_spectrum_at_steep_tau_exits0(tmp_path):
     """At Im tau = 8 the eigenvalues of irf_n3 have moduli near 1e-7, so a
     cluster threshold floored at 1e-7 * 1.0 merged all eight into one

@@ -19,6 +19,7 @@ from ellsov.gaudin import (
     spectral_weight,
 )
 from ellsov.params import ModelParams, ParameterError
+from ellsov.theta import PoleProximityError
 
 from conftest import count_theta_calls, sample_point, sigma
 
@@ -285,11 +286,12 @@ def test_gaudin_check_builds_model_once(tmp_path, monkeypatch):
 
 
 def test_gaudin_check_work(monkeypatch, tmp_path):
-    """One cold gaudin check on configs/gaudin_n3.json: 168 theta_taylor
+    """One cold gaudin check on configs/gaudin_n3.json: 160 theta_taylor
     calls, the Hamiltonians built once per lam0 (4) and S once per (z, lam0)
     (5).  When every apply_jet formed its coefficients afresh, the same check
     made 468 theta_taylor calls and formed coefficients on each of its 59
-    applications, for 21 (operator, lam0) pairs."""
+    applications, for 21 (operator, lam0) pairs; when each S(z) evaluated
+    its own theta(lam0) and theta(-lam0) jets, it made 168."""
     counts = count_theta_calls(monkeypatch)
     builds = {"hams": [], "S": []}
     for name, key in (("build_hamiltonians", "hams"), ("build_S", "S")):
@@ -302,11 +304,42 @@ def test_gaudin_check_work(monkeypatch, tmp_path):
         monkeypatch.setattr(gaudin, name, counted)
     gaudin._gaudin_model.cache_clear()
     theta._theta0_jet_cached.cache_clear()
+    jets._theta_jet.cache_clear()
     argv = ["gaudin", "check", "--config", str(CONFIGS / "gaudin_n3.json"), "--out", str(tmp_path / "c.json")]
     assert cli.main(argv) == 0
-    assert counts["theta_taylor"][0] == 168 and counts["theta_array"][0] == 0
+    assert counts["theta_taylor"][0] == 160 and counts["theta_array"][0] == 0
     assert len(builds["hams"]) == len(set(builds["hams"])) == 4
     assert len(builds["S"]) == len(set(builds["S"])) == 5
+
+
+@pytest.mark.parametrize("task, other", [("check", "bethe"), ("bethe", "check")])
+def test_gaudin_task_theta_counts_cold_and_warm(monkeypatch, tmp_path, task, other):
+    """The shared theta(+/-lam0) jets keep too few entries for a rerun to read
+    one: with the model cached, a task counts the same theta calls with that
+    cache cleared, straight after itself and after the other task.  A cold
+    gaudin bethe on configs/gaudin_n3.json makes 74 theta_taylor calls and
+    one theta_array call per Newton evaluation, 11; with a scalar zeta_bar
+    and wp_bar per argument, and theta(lam0) evaluated three times per lam0,
+    it made 230 theta_taylor calls."""
+    counts = count_theta_calls(monkeypatch)
+    argv = ["--config", str(CONFIGS / "gaudin_n3.json"), "--out", str(tmp_path / "r.json")]
+
+    def run(name):
+        before = [count[0] for count in counts.values()]
+        assert cli.main(["gaudin", name] + argv) == 0
+        return [count[0] - b for count, b in zip(counts.values(), before)]
+
+    gaudin._gaudin_model.cache_clear()
+    theta._theta0_jet_cached.cache_clear()
+    jets._theta_jet.cache_clear()
+    if task == "bethe":
+        assert run(task) == [74, 11]
+    run(task)
+    jets._theta_jet.cache_clear()
+    cold = run(task)
+    assert run(task) == cold
+    run(other)
+    assert run(task) == cold
 
 
 def test_zero_weight_space(lattice):
@@ -493,6 +526,75 @@ def test_coefficient_periodicity(lattice, rng):
         rhs = np.exp(mu) * H.apply_jet(jet[:8])
         scale = max(1.0, float(np.max(np.abs(rhs))))
         assert np.max(np.abs(lhs - rhs)) <= 1e-10 * scale
+
+
+# The per-argument loops the batched Gaudin Newton system replaced, kept as its
+# reference: scalar zeta_bar for the residual, scalar wp_bar for the Jacobian.
+
+
+def reference_gaudin_equations(ev, params, c, roots):
+    m = len(roots)
+    res = np.zeros(m, dtype=complex)
+    for j in range(m):
+        val = -2.0 * c
+        for zl, ll in zip(params.zs, params.lams):
+            val += ll * ev.zeta_bar(roots[j] - zl)
+        for k in range(m):
+            if k != j:
+                val -= 2.0 * ev.zeta_bar(roots[j] - roots[k])
+        res[j] = val
+    return res
+
+
+def reference_gaudin_jacobian(ev, params, roots):
+    m = len(roots)
+    jac = np.zeros((m, m + 1), dtype=complex)
+    for j in range(m):
+        jac[j, 0] = -2.0
+        diag = 0j
+        for zl, ll in zip(params.zs, params.lams):
+            diag -= ll * ev.wp_bar(roots[j] - zl)
+        for k in range(m):
+            if k != j:
+                wp = ev.wp_bar(roots[j] - roots[k])
+                diag += 2.0 * wp
+                jac[j, 1 + k] = -2.0 * wp
+        jac[j, 1 + j] = diag
+    return jac
+
+
+@pytest.mark.parametrize("zs,lams", FAMILIES)
+def test_batched_gaudin_system_matches_scalar_reference(lattice, rng, zs, lams):
+    """Residual and Jacobian of one batched evaluation against the scalar loops,
+    1e-12 relative, at seeded points near the cell and farther out."""
+    params = make_params(lattice, zs, lams)
+    ev = params.evaluator()
+    m = sum(lams) // 2
+    for spread in (0.0, 2.0):
+        for _ in range(6):
+            roots = np.array([sample_point(rng, lattice, spread=spread) for _ in range(m)])
+            c = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+            res, _, jacobian = gaudin._gaudin_equations(ev, params, np.array([c, *roots]))
+            jac = jacobian()
+            want_res = reference_gaudin_equations(ev, params, c, roots)
+            want_jac = reference_gaudin_jacobian(ev, params, roots)
+            assert np.max(np.abs(res - want_res)) <= 1e-12 * np.max(np.abs(want_res))
+            assert np.max(np.abs(jac - want_jac)) <= 1e-12 * np.max(np.abs(want_jac))
+
+
+def test_batched_gaudin_system_pole_proximity(lattice, rng):
+    """A root within rho of a site, or of another root, modulo the lattice, raises
+    PoleProximityError, as the scalar zeta_bar does."""
+    tau = lattice.tau
+    params = make_params(lattice, Z2, (2, 2))
+    ev = params.evaluator()
+    free = params.sample_generic(rng, avoid=params.zs)
+    for roots in ([Z2[1] + 1.0 - tau + 3e-7j, free], [free, free + tau - 4e-7]):
+        roots = np.array(roots)
+        with pytest.raises(PoleProximityError, match="pole proximity"):
+            gaudin._gaudin_equations(ev, params, np.array([0.1j, *roots]))
+        with pytest.raises(PoleProximityError, match="pole proximity"):
+            reference_gaudin_equations(ev, params, 0.1j, roots)
 
 
 def test_bethe_solver(lattice, rng):

@@ -224,6 +224,16 @@ def test_jmul_equals_reference_loops(rng):
         for k in range(deg + 1):
             terms = [a[i] * v[k - i] for i in range(max(0, k - lb + 1), min(k, la - 1) + 1)]
             assert np.array_equal(scaled[k], sum(terms, np.zeros(4, dtype=complex)))
+    # matrix jets truncated below min length - 1, and rectangular coefficients
+    for la, lb, degree in ((9, 9, 5), (4, 7, 2), (7, 3, 0)):
+        m = complex_normal(rng, (la, 4, 4))
+        v = complex_normal(rng, (lb, 4))
+        w = complex_normal(rng, (lb, 4, 3))
+        assert np.array_equal(jets.jmul(m, v, degree), reference_matrix_mul(m, v, degree))
+        assert np.array_equal(jets.jmul(m, w, degree), reference_matrix_mul(m, w, degree))
+    tall, wide = complex_normal(rng, (9, 4, 12)), complex_normal(rng, (9, 12, 4))
+    for degree in (8, 4):
+        assert np.array_equal(jets.jmul(tall, wide, degree), reference_matrix_mul(tall, wide, degree))
 
 
 def test_jderiv_equals_vector_reference(rng):

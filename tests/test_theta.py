@@ -592,6 +592,54 @@ def test_theta_array_errors_are_typed(ev):
             assert np.max(np.abs(row - want)) <= tol * np.max(np.abs(want))
 
 
+def reference_theta_array(ev, zs, degree):
+    """theta_array as it was when it rebuilt grid, weights and 1/(i k!) from the
+    term table on every call (the truncation test left out)."""
+    zs = np.asarray(zs, dtype=complex)
+    z0, r, s = ev.lattice.reduce_array(zs)
+    tau = ev.lattice.tau
+    rows = theta_module._term_table(tau, degree, ev.trunc_tol)
+    grid = np.array(
+        [v for row in rows for v in row[:3]] + [v for row in rows for v in (row[0], -row[1], -row[2])]
+    ).reshape(-1, 3)
+    weights = np.array(
+        [wk for row in rows for wk, _ in row[3]] + [wk for row in rows for _, wk in row[3]]
+    ).reshape(-1, degree + 1)
+    ifact = [1j]
+    for k in range(1, degree + 1):
+        ifact.append(ifact[-1] * k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.exp(grid[:, :1] + grid[:, 1:2] * z0) * grid[:, 2:]
+        inner = (terms.T @ weights) / ifact
+        mult = np.exp(-1j * PI * (s * s * tau + 2.0 * s * z0))
+        mult = np.where((r + s) % 2, -mult, mult)
+        out = mult[:, None] * inner
+        w = -2j * PI * s
+        for i in range(1, degree + 1):
+            mult = mult * w / i
+            out[:, i:] += mult[:, None] * inner[:, :-i]
+    return out
+
+
+def test_theta_array_prebuilt_tables_keep_its_bits(ev):
+    """theta_array reads grid, weights and 1/(i k!) from one read-only build
+    per term table, and returns the bits of the per-call build."""
+    rng = np.random.default_rng(34)
+    steep = ThetaEvaluator(Lattice(0.3 + 187.0j))
+    for kernel in (ev, steep):
+        tau = kernel.lattice.tau
+        zs = np.concatenate([
+            rng.uniform(-3.0, 3.0, 40) + 1j * rng.uniform(-1.0, 1.0, 40) * min(tau.imag, 3.0),
+            [0.0, 1.0, tau, 0.3 + 0.5 * tau],
+        ])
+        for degree in (0, 1, 2, 3, 117):
+            got = kernel.theta_array(zs, degree)
+            assert hexes(got.ravel()) == hexes(reference_theta_array(kernel, zs, degree).ravel())
+            for arr in theta_module._array_table(tau, degree, kernel.trunc_tol)[1:]:
+                with pytest.raises(ValueError):
+                    arr[0] = 7
+
+
 def test_theta_array_empty_input(ev):
     for degree in (0, 3):
         assert ev.theta_array(np.array([], dtype=complex), degree).shape == (0, degree + 1)
