@@ -170,25 +170,22 @@ def _task_theta_eval(block, params, rng, tol, csv_dir):
         # the multiplier reaches 1e11 at |s| = 2, so compare at the shifted scale
         qp = max(qp, abs(shifted - mult * base) / max(1.0, abs(shifted)))
         odd = max(odd, abs(ev.theta(-z) + base) / max(1.0, abs(base)))
+    # theta^(d) from the degree-d jet against the degree-3 jet, whose series runs longer
+    zs = np.array([params.sample_generic(rng, margin=5e-2) for _ in range(min(samples, 20))])
+    taylor = ev.theta_array(zs, 3)
     jet_dev = 0.0
-    for _ in range(min(samples, 20)):
-        z = params.sample_generic(rng, margin=5e-2)
-        taylor = ev.theta_taylor(z, 3)
-        for d in (1, 2, 3):
-            expect = math.factorial(d) * taylor[d]
-            jet_dev = max(jet_dev, abs(ev.theta(z, d) - expect) / max(1.0, abs(expect)))
-    values = []
-    for i, pt in enumerate(_list(block, "points")):
-        z = _as_complex(pt, "theta.points[%d]" % i)
-        values.append(
-            {
-                "z": z,
-                "theta": ev.theta(z),
-                "theta_prime": ev.theta(z, 1),
-                "zeta_bar": ev.zeta_bar(z),
-                "wp_bar": ev.wp_bar(z),
-            }
-        )
+    for d in (1, 2, 3):
+        expect = math.factorial(d) * taylor[:, d]
+        got = math.factorial(d) * ev.theta_array(zs, d)[:, d]
+        jet_dev = max(jet_dev, float(np.max(np.abs(got - expect) / np.maximum(1.0, np.abs(expect)))))
+    points = [_as_complex(pt, "theta.points[%d]" % i) for i, pt in enumerate(_list(block, "points"))]
+    at = np.array(points, dtype=complex)
+    zeta, wp = ev.zeta_wp(at)
+    primes = ev.theta_array(at, 1)[:, 1]
+    values = [
+        {"z": z, "theta": ev.theta(z), "theta_prime": tp, "zeta_bar": zb, "wp_bar": w}
+        for z, tp, zb, w in zip(points, primes, zeta, wp)
+    ]
     checks = [
         _check("quasi_periodicity", qp, 1e-10),
         _check("oddness", odd, 1e-10),
@@ -227,9 +224,10 @@ def _task_gaudin_check(block, params, rng, tol, csv_dir):
         lhs = gaudin.build_S(params, z, lam0, degree).apply_jet(u)
         rows = lhs.shape[0]
         rhs = applied[0].copy()
-        for k, zk in enumerate(params.zs):
-            rhs += ev.zeta_bar(z - zk) * applied[k + 1][:rows]
-            rhs += gaudin.spectral_weight(params, k) * ev.wp_bar(z - zk) * u[:rows]
+        zeta, wp = ev.zeta_wp(z - np.array(params.zs))
+        for k in range(params.n):
+            rhs += zeta[k] * applied[k + 1][:rows]
+            rhs += gaudin.spectral_weight(params, k) * wp[k] * u[:rows]
         scale = max(1.0, float(np.max(np.abs(lhs))))
         s_dev = max(s_dev, float(np.max(np.abs(lhs - rhs))) / scale)
 

@@ -62,7 +62,7 @@ class _GaudinModel:
     The lambda-free parts of the operators are restricted to M[0]: per
     site j, h[j] = h^(j) and pair_hh[j] = sum_{k != j} zeta_bar(z_jk)/2
     h^(j) h^(k); per ordered pair (j, k), j != k, j-major, z_jk = z_j - z_k,
-    theta(z_jk), mats_ef = e^(j) f^(k) and mats_fe = f^(j) e^(k); and
+    mats_ef = e^(j) f^(k) and mats_fe = f^(j) e^(k); and
     H_0's constant hh_const and sum_j (e^(j) f^(j) + f^(j) e^(j)), diag_ef.
     """
 
@@ -74,7 +74,6 @@ class _GaudinModel:
     h: np.ndarray
     pair_hh: np.ndarray
     zjks: tuple[complex, ...]
-    theta_zjks: tuple[complex, ...]
     mats_ef: np.ndarray
     mats_fe: np.ndarray
     hh_const: np.ndarray
@@ -102,34 +101,32 @@ def _gaudin_model(params: ModelParams) -> _GaudinModel:
     indices = np.flatnonzero(grid.weights == 0)
     ops = _site_operators(grid)
     ev, n, dim, block = params.evaluator(), params.n, len(indices), np.ix_(indices, indices)
-    jet0 = ev.theta0_jet(3)
-    diag_hh = 6.0 * jet0[3] / jet0[1]  # theta'''(0)/theta'(0), the j = k ratio of H_0
+    zjks = tuple(params.zs[j] - params.zs[k] for j in range(n) for k in range(n) if k != j)
+    jet = ev.theta_array(np.array((0j,) + zjks), 3)  # theta at 0, then at each z_jk
+    diag_hh = 6.0 * jet[0, 3] / jet[0, 1]  # theta'''(0)/theta'(0), the j = k ratio of H_0
+    zeta = jet[1:, 1] / jet[1:, 0]
     hh_const = np.zeros((dim, dim), dtype=complex)
     diag_ef = np.zeros((dim, dim), dtype=complex)
     pair_hh = np.zeros((n, dim, dim), dtype=complex)
-    zjks, mats_ef, mats_fe = [], [], []
+    mats_ef, mats_fe = [], []
+    p = 0
     for j, (ej, fj, hj) in enumerate(ops):
         hh_const += 0.125 * diag_hh * (hj @ hj)[block]
         diag_ef += (ej @ fj + fj @ ej)[block]
         for k, (ek, fk, hk) in enumerate(ops):
             if k == j:
                 continue
-            zjk = params.zs[j] - params.zs[k]
             hh = (hj @ hk)[block]
-            pair_hh[j] += (0.5 * ev.zeta_bar(zjk)) * hh
-            tj = ev.theta_taylor(zjk, 2)
-            hh_const += 0.125 * (2.0 * tj[2] / tj[0]) * hh
-            zjks.append(zjk)
+            pair_hh[j] += (0.5 * zeta[p]) * hh
+            hh_const += 0.125 * (2.0 * jet[1 + p, 2] / jet[1 + p, 0]) * hh
             mats_ef.append((ej @ fk)[block])
             mats_fe.append((fj @ ek)[block])
+            p += 1
     h = np.array([site[2][block] for site in ops])
     mats = (np.array(mats_ef).reshape(-1, dim, dim), np.array(mats_fe).reshape(-1, dim, dim))
     for arr in (indices, *(m for site in ops for m in site), h, pair_hh, *mats, hh_const, diag_ef):
         arr.setflags(write=False)
-    return _GaudinModel(
-        params, ev, ops, indices, grid.dim, h, pair_hh,
-        tuple(zjks), tuple(ev.theta(zjk) for zjk in zjks), *mats, hh_const, diag_ef,
-    )
+    return _GaudinModel(params, ev, ops, indices, grid.dim, h, pair_hh, zjks, *mats, hh_const, diag_ef)
 
 
 def build_hamiltonians(params: ModelParams, lam0: complex, degree: int) -> list[LambdaDiffOp]:
@@ -153,8 +150,8 @@ def build_hamiltonians(params: ModelParams, lam0: complex, degree: int) -> list[
         raise ValueError("H_0 takes two derivatives: degree must be at least 2")
     ctx = _gaudin_model(params)
     ev, dim, others = ctx.ev, ctx.dim, params.n - 1
-    sig = jets.jet_sigma(ev, lam0, ctx.zjks, degree - 1, ctx.theta_zjks)
-    sig_neg = jets.jet_sigma_neg(ev, lam0, ctx.zjks, degree - 1, ctx.theta_zjks)
+    sig = jets.jet_sigma(ev, lam0, ctx.zjks, degree - 1)
+    sig_neg = jets.jet_sigma_neg(ev, lam0, ctx.zjks, degree - 1)
 
     c0 = np.zeros((degree - 1, dim, dim), dtype=complex)
     c0[0] += ctx.hh_const
@@ -182,12 +179,10 @@ def build_S(params: ModelParams, z: complex, lam0: complex, degree: int) -> Lamb
     """
     ctx = _gaudin_model(params)
     ev, dim, d_out = ctx.ev, ctx.dim, degree - 2
-    hz = sum(ev.zeta_bar(z - zi) * hi for hi, zi in zip(ctx.h, params.zs))
-    dzs = [z - zi for zi in params.zs]
-    theta_dzs = [ev.theta(dz) for dz in dzs]
-
-    sns = jets.jet_sigma_neg(ev, lam0, dzs, d_out, theta_dzs)
-    sps = jets.jet_sigma(ev, lam0, dzs, d_out, theta_dzs)
+    dzs = z - np.array(params.zs)
+    hz = sum(zeta * hi for hi, zeta in zip(ctx.h, ev.zeta_wp(dzs)[0]))
+    sns = jets.jet_sigma_neg(ev, lam0, dzs, d_out)
+    sps = jets.jet_sigma(ev, lam0, dzs, d_out)
     e_jet = sum(sn[:, None, None] * ei[None, :, :] for (ei, _, _), sn in zip(ctx.ops, sns))
     f_jet = sum(sp[:, None, None] * fi[None, :, :] for (_, fi, _), sp in zip(ctx.ops, sps))
     anti = jets.jmul(e_jet, f_jet, d_out) + jets.jmul(f_jet, e_jet, d_out)
@@ -219,18 +214,14 @@ def _gaudin_equations(ev: ThetaEvaluator, params: ModelParams, x: np.ndarray):
     Equation j is -2c + sum_l Lambda_l zeta_bar(w_j - z_l) - 2 sum_{k != j}
     zeta_bar(w_j - w_k) (v'' at a zero of e^{cy} prod_k theta(y - w_k) takes
     theta'(w_j - w_k) from both product-rule branches).  All arguments, row j
-    w_j - z_l then w_j - w_k, take one distance pass and one theta_array call.
+    w_j - z_l then w_j - w_k, take one zeta_wp call: zeta_bar for the
+    residual, wp_bar = -zeta_bar' for the Jacobian.
     """
     c, roots = x[0], x[1:]
     m, n = len(roots), params.n
     others = np.nonzero(~np.eye(m, dtype=bool))[1].reshape(m, m - 1)
     args = np.hstack((roots[:, None] - np.array(params.zs), roots[:, None] - roots[others])).ravel()
-    dist = ev.lattice.dist_to_lattice_array(args)
-    if dist.min() < ev.rho:  # the scalar check raises, naming the first argument in row order
-        ev._require_off_lattice(args[np.argmax(dist < ev.rho)], "z")
-    jet = ev.theta_array(args, 2)
-    zb = (jet[:, 1] / jet[:, 0]).reshape(m, n + m - 1)
-    wp = (zb.ravel() ** 2 - 2.0 * jet[:, 2] / jet[:, 0]).reshape(m, n + m - 1)
+    zb, wp = (a.reshape(m, n + m - 1) for a in ev.zeta_wp(args))
     lams = np.array(params.lams, dtype=float)
     res = -2.0 * c + zb[:, :n] @ lams - 2.0 * zb[:, n:].sum(axis=1)
     jac = np.zeros((m, m + 1), dtype=complex)

@@ -8,13 +8,13 @@ derivative, for jets of every rank.  All differential-operator work
 (Gaudin Hamiltonians, the generating kernel S) runs through
 LambdaDiffOp, which holds its coefficients as matrix jets at one point
 lam0, formed once when the operator is built; each application reads
-them truncated to its output degree.
+them truncated to its output degree.  The theta jets behind them come
+from ThetaEvaluator.theta_array, one call per jet function.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 from typing import Sequence
 
 import numpy as np
@@ -93,18 +93,9 @@ def jet_exp(c: complex, x0: complex, degree: int) -> np.ndarray:
     return out
 
 
-# three entries: gaudin bethe reads theta(lam0) thrice per lam0, with two other
-# jets between, and no entry outlives a task until a rerun of it reads it again
-@functools.lru_cache(maxsize=3)
-def _theta_jet(ev: ThetaEvaluator, x: complex, degree: int) -> np.ndarray:
-    """theta_taylor(x, degree), read-only: the theta(+/-lam0) jets operators at lam0 share."""
-    jet = ev.theta_taylor(x, degree)
-    jet.setflags(write=False)
-    return jet
-
-
 def jet_zeta_bar(ev: ThetaEvaluator, x0: complex, degree: int) -> np.ndarray:
-    tj = _theta_jet(ev, x0, degree + 1)
+    """Jet of zeta_bar = theta'/theta at x0, from one theta_array call."""
+    tj = ev.theta_array(np.array([x0]), degree + 1)[0]
     return jdiv(jderiv(tj), tj[: degree + 1], degree)
 
 
@@ -112,38 +103,26 @@ def jet_wp_bar(ev: ThetaEvaluator, x0: complex, degree: int) -> np.ndarray:
     return -jderiv(jet_zeta_bar(ev, x0, degree + 1))
 
 
-def jet_sigma(
-    ev: ThetaEvaluator,
-    lam0: complex,
-    zs: Sequence[complex],
-    degree: int,
-    theta_zs: Sequence[complex] | None = None,
-) -> list[np.ndarray]:
+def jet_sigma(ev: ThetaEvaluator, lam0: complex, zs: Sequence[complex], degree: int) -> list[np.ndarray]:
     """Jets in lambda of sigma_lambda(z) at lam0, one per z of zs.
 
-    The denominator jet theta(lambda) and theta'(0) are evaluated once for
-    all of zs, and the denominator is shared with the other operators
-    built at lam0; theta_zs, when given, holds theta(z) for each z.
+    One theta_array call over [0, lam0, lam0 - z..., z...] gives theta'(0),
+    the denominator jet theta(lambda), the numerator jets theta(lambda - z)
+    and the values theta(z); it runs at degree 1 or more, for theta'(0).
     """
-    den = _theta_jet(ev, lam0, degree)
-    dtheta0 = ev.dtheta0()
-    if theta_zs is None:
-        theta_zs = [ev.theta(z) for z in zs]
+    zs = np.asarray(zs, dtype=complex)
+    n = len(zs)
+    jet = ev.theta_array(np.concatenate(([0.0, lam0], lam0 - zs, zs)), max(degree, 1))
+    prime0, den = jet[0, 1], jet[1, : degree + 1]
     return [
-        jdiv(ev.theta_taylor(lam0 - z, degree) * (dtheta0 / tz), den, degree)
-        for z, tz in zip(zs, theta_zs)
+        jdiv(num[: degree + 1] * (prime0 / tz[0]), den, degree)
+        for num, tz in zip(jet[2 : 2 + n], jet[2 + n :])
     ]
 
 
-def jet_sigma_neg(
-    ev: ThetaEvaluator,
-    lam0: complex,
-    zs: Sequence[complex],
-    degree: int,
-    theta_zs: Sequence[complex] | None = None,
-) -> list[np.ndarray]:
+def jet_sigma_neg(ev: ThetaEvaluator, lam0: complex, zs: Sequence[complex], degree: int) -> list[np.ndarray]:
     """Jets in lambda of sigma_{-lambda}(z) at lam0: sigma's jets at -lam0, odd terms negated."""
-    out = jet_sigma(ev, -lam0, zs, degree, theta_zs)
+    out = jet_sigma(ev, -lam0, zs, degree)
     for jet in out:
         jet[1::2] *= -1.0
     return out

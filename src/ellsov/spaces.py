@@ -189,9 +189,12 @@ class ThetaSpaceBasis:
         ev = self.ev
         tz = np.array([ev.theta(z - zl) for zl in self.nodes], dtype=complex)
         shifted = np.array([ev.theta(z - zj + self.b) for zj in self.nodes], dtype=complex)
-        # row j holds theta(z - z_l) for l != j and a one on the diagonal
-        others = np.where(self._diag, 1.0, tz).prod(axis=1)
-        vec = np.exp(_2PI_I * self.a * (z - self._nodes)) * shifted * others / self._denoms
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite entry raises below
+            # row j holds theta(z - z_l) for l != j and a one on the diagonal
+            others = np.where(self._diag, 1.0, tz).prod(axis=1)
+            vec = np.exp(_2PI_I * self.a * (z - self._nodes)) * shifted * others / self._denoms
+        if not np.isfinite(vec).all():
+            raise ThetaOverflowError("cardinal vector at %r overflows double precision" % (z,))
         vec.setflags(write=False)
         if len(self._cache) >= _CARDINAL_CACHE_SIZE:
             del self._cache[next(iter(self._cache))]
@@ -390,7 +393,7 @@ def check_difference_compatibility(
 def _bethe_terms(ev, A_plus, A_minus, gamma, a, roots):
     """The summands (t1_i, t2_i) of equation i, with products over all roots (j = i: theta(-/+gamma)).
 
-    Scalar theta_taylor throughout: solve_difference_bethe certifies the
+    Scalar ev.theta throughout: solve_difference_bethe certifies the
     accepted point with it, independently of the batched Newton system.
     """
     ea_m = cmath.exp(-gamma * a)

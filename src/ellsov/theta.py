@@ -9,13 +9,15 @@ function theta(z) on the lattice Z + tau*Z, normalized by
 with simple zeros exactly on the lattice.  Evaluation reduces the
 argument to the fundamental cell, applies the exact quasi-periodicity
 multiplier, and sums the q-series there, so it stays stable far from
-the cell.  Derivatives are summed term by term, never by finite
-differences.
+the cell.  Two kernels share one table of series terms: the scalar
+ThetaEvaluator.theta(z) for values, and theta_array(zs, degree) for the
+Taylor jets theta^(k)(z)/k! of a batch of points, whose derivatives are
+summed term by term, never by finite differences.
 
-Derived functions: zeta_bar = theta'/theta and wp_bar = -zeta_bar' (both
-with the lattice-independent additive normalization).  The kernel
-sigma_lambda(z) = theta(lambda - z) theta'(0) / (theta(z) theta(lambda))
-is used through its lambda-jets in jets.py.
+Derived functions, on arrays: zeta_bar = theta'/theta and wp_bar =
+-zeta_bar' (both with the lattice-independent additive normalization),
+from zeta_wp.  The kernel sigma_lambda(z) = theta(lambda - z) theta'(0) /
+(theta(z) theta(lambda)) is used through its lambda-jets in jets.py.
 """
 
 from __future__ import annotations
@@ -198,8 +200,8 @@ class ThetaEvaluator:
 
     # -- core series ---------------------------------------------------
 
-    def _series_jet(self, z0: complex, degree: int) -> list[complex]:
-        """Taylor coefficients theta^(k)(z0)/k!, k = 0..degree, at a reduced point.
+    def _series(self, z0: complex) -> complex:
+        """theta(z0) at a reduced point.
 
         Terms are paired as sin-combinations written with both exponentials
         carrying the full q-power, so nothing overflows and theta(0) is an
@@ -207,24 +209,16 @@ class ThetaEvaluator:
         rows of _term_table; only the two exponentials, the accumulation and
         the stopping test run per call.
         """
-        coefs = [0j] * (degree + 1)
         acc = 0j
         im0 = abs(z0.imag)
         log_tol = math.log(self.trunc_tol)
         max_term = 0.0
         limit = -math.inf
-        for base, ph, sign, weights, power, quad, lin, deg_log in _term_table(
-            self.lattice.tau, degree, self.trunc_tol
-        ):
+        for base, ph, sign, _, quad, lin, deg_log in _term_table(self.lattice.tau, 0, self.trunc_tol):
             ep = cmath.exp(base + ph * z0)
             em = cmath.exp(base - ph * z0)
-            if degree == 0:
-                acc += sign * (ep - em) / 1j
-            else:
-                for k, (wk, wk_alt) in enumerate(weights):
-                    # k-th derivative of the paired term; wk_alt = (-1)^k wk flips the e^{-} piece
-                    coefs[k] += sign * (wk * ep - wk_alt * em) / 1j
-            size = (abs(ep) + abs(em)) * power
+            acc += sign * (ep - em) / 1j
+            size = abs(ep) + abs(em)
             # >= keeps the rule log_next < log_tol + log(largest term so far) exact,
             # down to its math.log(0.0) when the first term underflows to zero
             if size >= max_term:
@@ -235,55 +229,34 @@ class ThetaEvaluator:
                 break
         else:
             raise _truncation(self.trunc_tol, log_next)
-        if degree == 0:
-            return [acc / 1.0]  # 0! as below: a complex division by 1.0 can flip a signed zero
-        fact = 1.0
-        for k in range(degree + 1):
-            if k > 1:
-                fact *= k
-            coefs[k] /= fact
-        return coefs
+        return acc
 
-    def theta_taylor(self, z: complex, degree: int) -> np.ndarray:
-        """Taylor coefficients theta^(k)(z)/k! for k = 0..degree."""
-        _check_degree(degree)
+    def theta(self, z: complex) -> complex:
+        """theta(z), the value every IRF, eqg and spaces number is built on."""
         z0, r, s = self.lattice.reduce(z)
-        inner = self._series_jet(z0, degree)
+        inner = self._series(z0)
         tau = self.lattice.tau
         parity = -1.0 if (r + s) % 2 else 1.0
         try:
             mult0 = parity * cmath.exp(-1j * _PI * (s * s * tau + 2.0 * s * z0))
         except OverflowError:
             raise _overflow(z) from None
-        # theta(z + d) = mult0 * exp(-2*pi*i*s*d) * theta(z0 + d)
-        out = np.zeros(degree + 1, dtype=complex)
-        if s == 0:
-            for k in range(degree + 1):
-                out[k] = mult0 * inner[k]
-            return out
-        w = -2j * _PI * s
-        expjet = [1.0 + 0j]
-        for k in range(1, degree + 1):
-            expjet.append(expjet[-1] * w / k)
-        for k in range(degree + 1):
-            acc = 0j
-            for i in range(k + 1):
-                acc += expjet[i] * inner[k - i]
-            val = mult0 * acc
-            if not cmath.isfinite(val):
-                raise _overflow(z)
-            out[k] = val
-        return out
+        val = mult0 * inner  # theta(z0 + r + s tau) = mult0 * theta(z0)
+        if not cmath.isfinite(val):
+            raise _overflow(z)
+        return val * 1  # rounds as a product with 1 + 0j, which turns some -0.0 parts to +0.0
 
     def theta_array(self, zs: np.ndarray, degree: int) -> np.ndarray:
-        """(N, degree + 1) array whose row i stands in for theta_taylor(zs[i], degree).
+        """(N, degree + 1) array whose row i holds theta^(k)(zs[i])/k!, k = 0..degree.
 
-        The same series and multiplier on arrays, to a tolerance rather than
-        bit for bit.  Every point sums the same number of terms: the fewest
-        whose bound on the next term, taken at the top of the reduced cell
-        (Im z0 = Im tau), is below trunc_tol * exp(-pi Im tau / 4), and no
-        term 0 on the reduced cell is smaller than exp(-pi Im tau / 4).
-        Errors are the ThetaError subclasses theta_taylor raises.
+        The one kernel for theta's derivatives: the series of theta and its
+        multiplier on arrays, whose degree-0 column agrees with theta(z) to a
+        tolerance rather than bit for bit.  Every point sums the same number
+        of terms: the fewest whose bound on the next term, taken at the top
+        of the reduced cell (Im z0 = Im tau), is below
+        trunc_tol * exp(-pi Im tau / 4), and no term 0 on the reduced cell is
+        smaller than exp(-pi Im tau / 4).  Errors are the ThetaError
+        subclasses theta raises.
         """
         _check_degree(degree)
         zs = np.asarray(zs, dtype=complex)
@@ -298,7 +271,7 @@ class ThetaEvaluator:
             terms = np.exp(grid[:, :1] + grid[:, 1:2] * z0) * grid[:, 2:]
             inner = (terms.T @ weights) / ifact
             # theta(z + d) = mult0 * exp(-2*pi*i*s*d) * theta(z0 + d), as a jet in d.  The
-            # exponent of mult0 is written as in theta_taylor: it reaches about 270 at
+            # exponent of mult0 is written as in theta: it reaches about 270 at
             # |Im z| = 10, where another rounding order moves the value by about 3e-14
             mult = np.exp(-1j * _PI * (s * s * tau + 2.0 * s * z0))
             mult = np.where((r + s) % 2, -mult, mult)
@@ -312,43 +285,28 @@ class ThetaEvaluator:
             raise _overflow(complex(zs[np.argmin(np.isfinite(out).all(axis=1))]))
         return out
 
-    def theta(self, z: complex, d: int = 0) -> complex:
-        """theta(z) or its d-th derivative, d in {0, 1, 2, 3}."""
-        if d not in (0, 1, 2, 3):
-            raise ValueError("derivative order must be in {0, 1, 2, 3}")
-        jet = self.theta_taylor(z, d)
-        return complex(jet[d]) * math.factorial(d)
-
-    # -- constants at the origin ---------------------------------------
-
-    def theta0_jet(self, degree: int) -> np.ndarray:
-        return _theta0_jet_cached(self, degree)
-
-    def dtheta0(self) -> complex:
-        return complex(self.theta0_jet(1)[1])
-
     # -- derived functions ----------------------------------------------
 
-    def _require_off_lattice(self, z: complex, what: str) -> None:
-        dist = self.lattice.dist_to_lattice(z)
-        if dist < self.rho:
+    def zeta_wp(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """zeta_bar = theta'/theta and wp_bar = -zeta_bar' = zeta_bar^2 - theta''/theta at zs.
+
+        zeta_bar is odd, with zeta_bar(z + tau) = zeta_bar(z) - 2 pi i; wp_bar is
+        even and lattice periodic.  One distance pass and one degree-2
+        theta_array call; the first point within rho of the lattice raises
+        PoleProximityError.
+        """
+        zs = np.asarray(zs, dtype=complex)
+        dist = self.lattice.dist_to_lattice_array(zs)
+        close = np.flatnonzero(dist < self.rho)
+        if close.size:
+            k = close[0]
             raise PoleProximityError(
-                "pole proximity: %s is within %g of the period lattice (margin %g)"
-                % (what, dist, self.rho)
+                "pole proximity: z = %r is within %g of the period lattice (margin %g)"
+                % (complex(zs[k]), dist[k], self.rho)
             )
-
-    def zeta_bar(self, z: complex) -> complex:
-        """theta'(z)/theta(z); odd, with zeta_bar(z+tau) = zeta_bar(z) - 2*pi*i."""
-        self._require_off_lattice(z, "z")
-        jet = self.theta_taylor(z, 1)
-        return complex(jet[1] / jet[0])
-
-    def wp_bar(self, z: complex) -> complex:
-        """-(theta'/theta)'(z) = (theta'/theta)^2 - theta''/theta; lattice periodic."""
-        self._require_off_lattice(z, "z")
-        jet = self.theta_taylor(z, 2)
-        t0, t1, t2 = jet[0], jet[1], 2.0 * jet[2]
-        return complex((t1 / t0) ** 2 - t2 / t0)
+        jet = self.theta_array(zs, 2)
+        zeta = jet[:, 1] / jet[:, 0]
+        return zeta, zeta ** 2 - 2.0 * jet[:, 2] / jet[:, 0]
 
 
 def _check_degree(degree: int) -> None:
@@ -383,7 +341,7 @@ def _array_limit(tau: complex, trunc_tol: float) -> float:
 
 def _array_bound(row: tuple, tau: complex) -> float:
     """log of a row's bound on the next term, taken at the top of the cell, Im z0 = Im tau."""
-    quad, lin, deg_log = row[5:]
+    quad, lin, deg_log = row[4:]
     return quad + lin * tau.imag + deg_log
 
 
@@ -392,14 +350,14 @@ def _term_table(tau: complex, degree: int, trunc_tol: float) -> tuple[tuple, ...
     """The z-independent data of the q-series terms, built whole on the first call.
 
     Row j holds base_j, ph_j, sign_j, the derivative weights
-    (ph_j^k, (-1)^k ph_j^k) for k = 0..degree, max(1, |ph_j|)^degree and
-    the three parts of the bound on term j + 1.  Each value is computed by
-    the expression, in the evaluation order, that a per-call evaluation of
-    term j would use, so every coefficient keeps its bits.
+    (ph_j^k, (-1)^k ph_j^k) for k = 0..degree and the three parts of the
+    bound on term j + 1.  Each value is computed by the expression, in the
+    evaluation order, that a per-call evaluation of term j would use, so
+    theta keeps its bits.
 
     The rows stop at theta_array's term count J: the first row whose bound
     at Im z0 = Im tau is below _array_limit, or all _MAX_TERMS rows when
-    none is.  The scalar rule of _series_jet stops within those J rows:
+    none is.  The scalar rule of _series stops within those J rows:
     its bound at a reduced point (Im z0 <= Im tau) is at most the array's,
     and its running limit is at least the array's, because term 0 on the
     reduced cell is at least exp(-pi Im tau / 4).
@@ -420,7 +378,6 @@ def _term_table(tau: complex, degree: int, trunc_tol: float) -> tuple[tuple, ...
             ph,
             -1.0 if j % 2 else 1.0,
             tuple(weights),
-            max(1.0, abs(ph)) ** degree,
             -_PI * tau.imag * nh * nh,
             2.0 * _PI * nh,
             degree * math.log(_PI * (2 * j + 3)),
@@ -449,10 +406,3 @@ def _array_table(tau: complex, degree: int, trunc_tol: float) -> tuple:
     for arr in (grid, weights, ifact):
         arr.setflags(write=False)
     return _array_bound(rows[-1], tau), grid, weights, ifact
-
-
-@functools.lru_cache(maxsize=256)
-def _theta0_jet_cached(ev: ThetaEvaluator, degree: int) -> np.ndarray:
-    jet = ev.theta_taylor(0.0, degree)
-    jet.setflags(write=False)
-    return jet

@@ -1,11 +1,13 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
 from ellsov import irf
+from ellsov import theta as theta_module
 from ellsov.spaces import EllipticPoly
-from ellsov.theta import Lattice, ThetaEvaluator
+from ellsov.theta import Lattice, PoleProximityError, ThetaEvaluator, TruncationError
 
 TAU = 0.31 + 1.07j
 
@@ -52,11 +54,124 @@ def dense(blocks):
     return t
 
 
+# The scalar Taylor kernel as it was before the (tau, degree) term tables: every
+# term's constants are recomputed on each call.  At degree 0 ThetaEvaluator.theta
+# reproduces it bit for bit; at every degree it is the oracle of theta_array's jets.
+
+
+def reference_series(ev, z0, degree):
+    """Taylor coefficients at a reduced point, and the number of terms summed."""
+    tau = ev.lattice.tau
+    coefs = [0j] * (degree + 1)
+    im0 = abs(z0.imag)
+    log_tol = math.log(ev.trunc_tol)
+    max_term = 0.0
+    converged = False
+    tail = math.inf
+    for j in range(theta_module._MAX_TERMS):
+        half = j + 0.5
+        base = 1j * math.pi * tau * half * half
+        ph = 1j * math.pi * (2 * j + 1)
+        ep = cmath.exp(base + ph * z0)
+        em = cmath.exp(base - ph * z0)
+        sign = -1.0 if j % 2 else 1.0
+        wk = 1.0 + 0j
+        for k in range(degree + 1):
+            piece = wk * ep - ((-1.0) ** k) * wk * em
+            coefs[k] += sign * piece / 1j
+            wk *= ph
+        size = (abs(ep) + abs(em)) * max(1.0, abs(ph)) ** degree
+        max_term = max(max_term, size)
+        nh = half + 1.0
+        log_next = (
+            -math.pi * tau.imag * nh * nh
+            + 2.0 * math.pi * nh * im0
+            + degree * math.log(math.pi * (2 * j + 3))
+        )
+        tail = log_next
+        if log_next < log_tol + math.log(max_term):
+            converged = True
+            break
+    if not converged:
+        bound = math.exp(min(tail, 700.0))
+        raise TruncationError(
+            "theta series truncation: tolerance %g not reached within %d terms"
+            % (ev.trunc_tol, theta_module._MAX_TERMS),
+            tail_bound=bound,
+        )
+    fact = 1.0
+    for k in range(degree + 1):
+        if k > 1:
+            fact *= k
+        coefs[k] /= fact
+    return coefs, j + 1
+
+
+def reference_taylor(ev, z, degree):
+    """theta^(k)(z)/k! for k = 0..degree, and the number of series terms summed."""
+    z0, r, s = ev.lattice.reduce(z)
+    inner, terms = reference_series(ev, z0, degree)
+    tau = ev.lattice.tau
+    parity = -1.0 if (r + s) % 2 else 1.0
+    try:
+        mult0 = parity * cmath.exp(-1j * math.pi * (s * s * tau + 2.0 * s * z0))
+    except OverflowError:
+        raise theta_module._overflow(z) from None
+    out = np.zeros(degree + 1, dtype=complex)
+    if s == 0:
+        for k in range(degree + 1):
+            out[k] = mult0 * inner[k]
+        return out, terms
+    w = -2j * math.pi * s
+    expjet = [1.0 + 0j]
+    for k in range(1, degree + 1):
+        expjet.append(expjet[-1] * w / k)
+    for k in range(degree + 1):
+        acc = 0j
+        for i in range(k + 1):
+            acc += expjet[i] * inner[k - i]
+        val = mult0 * acc
+        if not cmath.isfinite(val):
+            raise theta_module._overflow(z)
+        out[k] = val
+    return out, terms
+
+
+def theta_jet(ev, z, degree):
+    """The reference jet theta^(k)(z)/k!, k = 0..degree."""
+    return reference_taylor(ev, z, degree)[0]
+
+
+def require_off_lattice(ev, z):
+    dist = ev.lattice.dist_to_lattice(z)
+    if dist < ev.rho:
+        raise PoleProximityError("pole proximity: %r is within %g of the period lattice" % (z, dist))
+
+
+def dtheta0(ev):
+    return complex(theta_jet(ev, 0.0, 1)[1])
+
+
+def zeta_bar(ev, z):
+    """theta'(z)/theta(z) from the reference jet, behind the pole guard."""
+    require_off_lattice(ev, z)
+    jet = theta_jet(ev, z, 1)
+    return complex(jet[1] / jet[0])
+
+
+def wp_bar(ev, z):
+    """(theta'/theta)^2 - theta''/theta from the reference jet, behind the pole guard."""
+    require_off_lattice(ev, z)
+    jet = theta_jet(ev, z, 2)
+    t0, t1, t2 = jet[0], jet[1], 2.0 * jet[2]
+    return complex((t1 / t0) ** 2 - t2 / t0)
+
+
 def sigma(ev, lam, z):
-    """sigma_lambda(z) = theta(lam - z) theta'(0) / (theta(z) theta(lam)), behind the kernel's pole guards."""
-    ev._require_off_lattice(z, "z")
-    ev._require_off_lattice(lam, "lambda")
-    return ev.theta(lam - z) * ev.dtheta0() / (ev.theta(z) * ev.theta(lam))
+    """sigma_lambda(z) = theta(lam - z) theta'(0) / (theta(z) theta(lam)), behind pole guards."""
+    require_off_lattice(ev, z)
+    require_off_lattice(ev, lam)
+    return ev.theta(lam - z) * dtheta0(ev) / (ev.theta(z) * ev.theta(lam))
 
 
 def sigma_dlambda(ev, lam, z):
@@ -66,9 +181,9 @@ def sigma_dlambda(ev, lam, z):
     (theta(z)*theta(lam)), which is the same function without the
     0 * inf ambiguity when lam - z approaches the lattice.
     """
-    jet = ev.theta_taylor(lam - z, 1)
-    zl = ev.zeta_bar(lam)
-    return complex(ev.dtheta0() * (jet[1] - jet[0] * zl) / (ev.theta(z) * ev.theta(lam)))
+    jet = theta_jet(ev, lam - z, 1)
+    zl = zeta_bar(ev, lam)
+    return complex(dtheta0(ev) * (jet[1] - jet[0] * zl) / (ev.theta(z) * ev.theta(lam)))
 
 
 def elliptic_poly(lattice, a, zeros):
@@ -85,7 +200,7 @@ def elliptic_poly_logderiv(ev, p, z):
     """p'(z)/p(z) = a + sum_j zeta_bar(z - w_j), in closed form."""
     val = p.a
     for w in p.zeros:
-        val += ev.zeta_bar(z - w)
+        val += zeta_bar(ev, z - w)
     return val
 
 
@@ -134,14 +249,14 @@ def count_zeros(ev, p):
 def count_theta_calls(monkeypatch):
     """Wrap both theta kernels; returns {name: [calls, points]}, updated live."""
     counts = {}
-    for name in ("theta_taylor", "theta_array"):
+    for name in ("theta", "theta_array"):
         original = getattr(ThetaEvaluator, name)
         counts[name] = [0, 0]
 
-        def counting(self, z, degree, _original=original, _count=counts[name]):
+        def counting(self, z, *degree, _original=original, _count=counts[name]):
             _count[0] += 1
             _count[1] += np.size(z)
-            return _original(self, z, degree)
+            return _original(self, z, *degree)
 
         monkeypatch.setattr(ThetaEvaluator, name, counting)
     return counts

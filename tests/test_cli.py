@@ -256,6 +256,19 @@ def test_overflowing_products_exit2(tmp_path, capsys, task, base, tau):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_cardinal_vector_exits2(tmp_path, capsys):
+    """At tau = 0.31 + 40i a cardinal vector of irf spectrum's level-5 basis
+    overflows: its NaN entries once reached the SVD, which ended in a bare
+    LinAlgError traceback.  cardinal_vector raises ThetaOverflowError with the
+    point named, so the task exits 2."""
+    cfg = rewrite_config(tmp_path, "irf_n5.json", "steep.json", lambda c: c.update(tau=[0.31, 40.0]))
+    assert cli.main(["irf", "spectrum", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "ThetaOverflowError: cardinal vector at" in err and "overflows double precision" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("im_tau, step", [(0.005, "overflows at row 3"), (0.003, "overflows at row 2")])
 def test_partition_range_error_names_the_step(tmp_path, capsys, im_tau, step):
     """The partition chain once overflowed to inf and a later row turned
@@ -525,9 +538,10 @@ def reference_gaudin_check(cfg, seed):
         lhs = s_op(z, lam0, u)
         rows = lhs.shape[0]
         rhs = ham(lam0, 0, u)
-        for k, zk in enumerate(params.zs):
-            rhs += ev.zeta_bar(z - zk) * ham(lam0, k + 1, u)[:rows]
-            rhs += gaudin.spectral_weight(params, k) * ev.wp_bar(z - zk) * u[:rows]
+        zeta, wp = ev.zeta_wp(z - np.array(params.zs))
+        for k in range(params.n):
+            rhs += zeta[k] * ham(lam0, k + 1, u)[:rows]
+            rhs += gaudin.spectral_weight(params, k) * wp[k] * u[:rows]
         scale = max(1.0, float(np.max(np.abs(lhs))))
         s_dev = max(s_dev, float(np.max(np.abs(lhs - rhs))) / scale)
     z1 = params.sample_generic(rng, avoid=params.zs)

@@ -192,15 +192,15 @@ def central_element_residual(params, z, w, lam_samples):
 
 
 def count_theta(monkeypatch):
-    """Record every argument of ThetaEvaluator.theta_taylor from now on."""
+    """Record every argument of ThetaEvaluator.theta from now on."""
     args = []
-    original = ThetaEvaluator.theta_taylor
+    original = ThetaEvaluator.theta
 
-    def counting(self, z, degree):
+    def counting(self, z):
         args.append(complex(z))
-        return original(self, z, degree)
+        return original(self, z)
 
-    monkeypatch.setattr(ThetaEvaluator, "theta_taylor", counting)
+    monkeypatch.setattr(ThetaEvaluator, "theta", counting)
     return args
 
 

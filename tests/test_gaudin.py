@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ellsov import cli, gaudin, jets, theta
+from ellsov import cli, gaudin, jets
 from ellsov.eqg import S0Grid
 from ellsov.gaudin import (
     bethe_eigenvector,
@@ -21,7 +21,7 @@ from ellsov.gaudin import (
 from ellsov.params import ModelParams, ParameterError
 from ellsov.theta import PoleProximityError
 
-from conftest import count_theta_calls, sample_point, sigma
+from conftest import count_theta_calls, sample_point, sigma, wp_bar, zeta_bar
 
 ETA = 0.173 - 0.061j  # inert here; the container wants it
 Z1 = (0.12 + 0.23j,)
@@ -98,77 +98,106 @@ def build_field_ops(params, z, lam):
     e = np.zeros((total, total), dtype=complex)
     f = np.zeros((total, total), dtype=complex)
     for (ei, fi, hi), zi in zip(ops, params.zs):
-        h += ev.zeta_bar(z - zi) * hi
+        h += zeta_bar(ev, z - zi) * hi
         e += sigma(ev, -lam, z - zi) * ei
         f += sigma(ev, lam, z - zi) * fi
     return FieldOps(h=h, e=e, f=f)
 
 
 # The operators' lambda-dependent coefficients as they were built before the
-# batched sigma jets: per pair, the scalar jet recomputes theta(lambda) and
-# theta(z_jk).  The operators must reproduce them bit for bit.
+# batched sigma jets: per pair, from the theta_array rows the operators read
+# (one call per jet_sigma and per model).  The operators must reproduce them
+# bit for bit.
 
 
-def reference_sigma(ev, lam0, z, degree):
-    num = ev.theta_taylor(lam0 - z, degree) * (ev.dtheta0() / ev.theta(z))
-    return jets.jdiv(num, ev.theta_taylor(lam0, degree), degree)
+def pairs_of(ctx):
+    n = ctx.params.n
+    return [(j, k) for j in range(n) for k in range(n) if k != j]
 
 
-def reference_sigma_neg(ev, lam0, z, degree):
-    jet = reference_sigma(ev, -lam0, z, degree)
+def model_rows(ctx):
+    """The degree-3 rows _gaudin_model reads: theta at 0, then at each z_j - z_k, j-major."""
+    zs = ctx.params.zs
+    return ctx.ev.theta_array(np.array([0j] + [zs[j] - zs[k] for j, k in pairs_of(ctx)]), 3)
+
+
+def sigma_rows(ev, lam0, zs, degree):
+    """The rows jet_sigma reads at lam0: theta over [0, lam0, lam0 - z..., z...], degree >= 1."""
+    zs = list(zs)
+    return ev.theta_array(np.array([0.0, lam0] + [lam0 - z for z in zs] + zs), max(degree, 1))
+
+
+def reference_sigma(rows, p, degree):
+    """Pair p's sigma jet: theta(lam0 - z) theta'(0) / (theta(z) theta(lam0)), from its rows."""
+    n = (len(rows) - 2) // 2
+    num = rows[2 + p, : degree + 1] * (rows[0, 1] / rows[2 + n + p, 0])
+    return jets.jdiv(num, rows[1, : degree + 1], degree)
+
+
+def reference_sigma_neg(rows, p, degree):
+    """From the rows at -lam0: sigma's jet there, odd terms negated."""
+    jet = reference_sigma(rows, p, degree)
     jet[1::2] *= -1.0
     return jet
 
 
 def reference_c0_hamiltonian_j(ctx, j, lam0, degree):
-    ev, zs, r = ctx.ev, ctx.params.zs, ctx.restrict
+    ev, r, pairs = ctx.ev, ctx.restrict, pairs_of(ctx)
+    zjks = [ctx.params.zs[a] - ctx.params.zs[b] for a, b in pairs]
+    rows = model_rows(ctx)
+    zeta = rows[1:, 1] / rows[1:, 0]
+    pos, neg = sigma_rows(ev, lam0, zjks, degree), sigma_rows(ev, -lam0, zjks, degree)
     ej, fj, hj = ctx.ops[j]
-    others = [k for k in range(ctx.params.n) if k != j]
+    mine = [(p, k) for p, (a, k) in enumerate(pairs) if a == j]
     out = np.zeros((degree + 1, ctx.dim, ctx.dim), dtype=complex)
-    for k in others:
-        out[0] += (0.5 * ev.zeta_bar(zs[j] - zs[k])) * r(hj @ ctx.ops[k][2])
-    for k in others:
-        sj = reference_sigma(ev, lam0, zs[j] - zs[k], degree)
-        out += sj[:, None, None] * r(ej @ ctx.ops[k][1])[None, :, :]
-    for k in others:
-        sj = reference_sigma_neg(ev, lam0, zs[j] - zs[k], degree)
-        out += sj[:, None, None] * r(fj @ ctx.ops[k][0])[None, :, :]
+    for p, k in mine:
+        out[0] += (0.5 * zeta[p]) * r(hj @ ctx.ops[k][2])
+    for p, k in mine:
+        out += reference_sigma(pos, p, degree)[:, None, None] * r(ej @ ctx.ops[k][1])[None, :, :]
+    for p, k in mine:
+        out += reference_sigma_neg(neg, p, degree)[:, None, None] * r(fj @ ctx.ops[k][0])[None, :, :]
     return out
 
 
 def reference_c0_hamiltonian_0(ctx, lam0, degree):
     ev, zs, r, dim = ctx.ev, ctx.params.zs, ctx.restrict, ctx.dim
-    jet0 = ev.theta0_jet(3)
-    diag_hh = 6.0 * jet0[3] / jet0[1]
+    rows = model_rows(ctx)
+    diag_hh = 6.0 * rows[0, 3] / rows[0, 1]
     hh_const = np.zeros((dim, dim), dtype=complex)
     diag_ef = np.zeros((dim, dim), dtype=complex)
     cross_ef = []
+    p = 0
     for j, (ej, fj, hj) in enumerate(ctx.ops):
         hh_const += 0.125 * diag_hh * r(hj @ hj)
         diag_ef += r(ej @ fj + fj @ ej)
         for k, (ek, fk, hk) in enumerate(ctx.ops):
             if k != j:
-                tj = ev.theta_taylor(zs[j] - zs[k], 2)
+                tj = rows[1 + p]
                 hh_const += 0.125 * (2.0 * tj[2] / tj[0]) * r(hj @ hk)
                 cross_ef.append((zs[j] - zs[k], r(ej @ fk)))
+                p += 1
     out = np.zeros((degree + 1, dim, dim), dtype=complex)
     out[0] += hh_const
     out -= 0.5 * jets.jet_wp_bar(ev, lam0, degree)[:, None, None] * diag_ef[None, :, :]
-    for zjk, mat in cross_ef:
-        sj = jets.jderiv(reference_sigma(ev, lam0, zjk, degree + 1))
+    pos = sigma_rows(ev, lam0, [zjk for zjk, _ in cross_ef], degree + 1)
+    for p, (_, mat) in enumerate(cross_ef):
+        sj = jets.jderiv(reference_sigma(pos, p, degree + 1))
         out -= sj[:, None, None] * mat[None, :, :]
     return out
 
 
 def reference_c0_S(ctx, z, lam0, degree):
     ev, zs, r = ctx.ev, ctx.params.zs, ctx.restrict
+    dzs = [z - zi for zi in zs]
+    zeta = ev.zeta_wp(np.array(dzs))[0]
+    pos, neg = sigma_rows(ev, lam0, dzs, degree), sigma_rows(ev, -lam0, dzs, degree)
     h_full = np.zeros((ctx.total, ctx.total), dtype=complex)
     e_jet = np.zeros((degree + 1, ctx.total, ctx.total), dtype=complex)
     f_jet = np.zeros((degree + 1, ctx.total, ctx.total), dtype=complex)
-    for (ei, fi, hi), zi in zip(ctx.ops, zs):
-        h_full += ev.zeta_bar(z - zi) * hi
-        e_jet += reference_sigma_neg(ev, lam0, z - zi, degree)[:, None, None] * ei[None, :, :]
-        f_jet += reference_sigma(ev, lam0, z - zi, degree)[:, None, None] * fi[None, :, :]
+    for i, (ei, fi, hi) in enumerate(ctx.ops):
+        h_full += zeta[i] * hi
+        e_jet += reference_sigma_neg(neg, i, degree)[:, None, None] * ei[None, :, :]
+        f_jet += reference_sigma(pos, i, degree)[:, None, None] * fi[None, :, :]
     hz = r(h_full)
     anti = jets.jmul(e_jet, f_jet, degree) + jets.jmul(f_jet, e_jet, degree)
     out = np.stack([0.5 * r(a) for a in anti])
@@ -286,12 +315,14 @@ def test_gaudin_check_builds_model_once(tmp_path, monkeypatch):
 
 
 def test_gaudin_check_work(monkeypatch, tmp_path):
-    """One cold gaudin check on configs/gaudin_n3.json: 160 theta_taylor
-    calls, the Hamiltonians built once per lam0 (4) and S once per (z, lam0)
-    (5).  When every apply_jet formed its coefficients afresh, the same check
-    made 468 theta_taylor calls and formed coefficients on each of its 59
-    applications, for 21 (operator, lam0) pairs; when each S(z) evaluated
-    its own theta(lam0) and theta(-lam0) jets, it made 168."""
+    """One cold gaudin check on configs/gaudin_n3.json: no scalar theta call
+    and 31 theta_array calls over 227 points, one per jet function: the
+    model (1), each of the 4 Hamiltonian builds (3), each of the 5 S builds
+    (3) and each of the 3 s_decomposition points (1).  The Hamiltonians are
+    built once per lam0 (4) and S once per (z, lam0) (5).  With the scalar
+    jets the same check made 160 theta calls; when every apply_jet formed its
+    coefficients afresh, 468, and it formed coefficients on each of its 59
+    applications, for 21 (operator, lam0) pairs."""
     counts = count_theta_calls(monkeypatch)
     builds = {"hams": [], "S": []}
     for name, key in (("build_hamiltonians", "hams"), ("build_S", "S")):
@@ -303,24 +334,23 @@ def test_gaudin_check_work(monkeypatch, tmp_path):
 
         monkeypatch.setattr(gaudin, name, counted)
     gaudin._gaudin_model.cache_clear()
-    theta._theta0_jet_cached.cache_clear()
-    jets._theta_jet.cache_clear()
     argv = ["gaudin", "check", "--config", str(CONFIGS / "gaudin_n3.json"), "--out", str(tmp_path / "c.json")]
     assert cli.main(argv) == 0
-    assert counts["theta_taylor"][0] == 160 and counts["theta_array"][0] == 0
+    assert counts == {"theta": [0, 0], "theta_array": [31, 227]}
     assert len(builds["hams"]) == len(set(builds["hams"])) == 4
     assert len(builds["S"]) == len(set(builds["S"])) == 5
 
 
 @pytest.mark.parametrize("task, other", [("check", "bethe"), ("bethe", "check")])
 def test_gaudin_task_theta_counts_cold_and_warm(monkeypatch, tmp_path, task, other):
-    """The shared theta(+/-lam0) jets keep too few entries for a rerun to read
-    one: with the model cached, a task counts the same theta calls with that
-    cache cleared, straight after itself and after the other task.  A cold
-    gaudin bethe on configs/gaudin_n3.json makes 74 theta_taylor calls and
-    one theta_array call per Newton evaluation, 11; with a scalar zeta_bar
-    and wp_bar per argument, and theta(lam0) evaluated three times per lam0,
-    it made 230 theta_taylor calls."""
+    """No theta cache outlives a call: with the model cached, a task counts
+    the same theta calls straight after itself and after the other task, one
+    fewer than cold.  A
+    cold gaudin bethe on configs/gaudin_n3.json makes no scalar theta call
+    and 22 theta_array calls: the model's, one per Newton evaluation (11) and
+    one per jet function of the eigenvector checks.  With the scalar jets it
+    made 74 scalar calls beside the 11, and 230 when zeta_bar and wp_bar
+    were scalar too."""
     counts = count_theta_calls(monkeypatch)
     argv = ["--config", str(CONFIGS / "gaudin_n3.json"), "--out", str(tmp_path / "r.json")]
 
@@ -330,16 +360,13 @@ def test_gaudin_task_theta_counts_cold_and_warm(monkeypatch, tmp_path, task, oth
         return [count[0] - b for count, b in zip(counts.values(), before)]
 
     gaudin._gaudin_model.cache_clear()
-    theta._theta0_jet_cached.cache_clear()
-    jets._theta_jet.cache_clear()
-    if task == "bethe":
-        assert run(task) == [74, 11]
-    run(task)
-    jets._theta_jet.cache_clear()
     cold = run(task)
-    assert run(task) == cold
+    assert cold == {"check": [0, 31], "bethe": [0, 22]}[task]
+    warm = run(task)
+    assert warm == [0, cold[1] - 1]  # all but the model's call
+    assert run(task) == warm
     run(other)
-    assert run(task) == cold
+    assert run(task) == warm
 
 
 def test_zero_weight_space(lattice):
@@ -389,7 +416,7 @@ def test_field_commutator(lattice, rng):
         comm = ops.e @ ops.f - ops.f @ ops.e
         expect = np.zeros_like(comm)
         for (_, _, hi), zi in zip(ctx.ops, params.zs):
-            expect += (ev.wp_bar(z - zi) - ev.wp_bar(lam)) * hi
+            expect += (wp_bar(ev, z - zi) - wp_bar(ev, lam)) * hi
         scale = max(1.0, float(np.max(np.abs(comm))))
         assert np.max(np.abs(comm - expect)) <= 1e-11 * scale
 
@@ -397,7 +424,7 @@ def test_field_commutator(lattice, rng):
         restr = ctx.restrict(comm)
         expect0 = np.zeros_like(restr)
         for (_, _, hi), zi in zip(ctx.ops, params.zs):
-            expect0 += ev.wp_bar(z - zi) * ctx.restrict(hi)
+            expect0 += wp_bar(ev, z - zi) * ctx.restrict(hi)
         assert np.max(np.abs(restr - expect0)) <= 1e-11 * scale
 
 
@@ -441,8 +468,8 @@ def test_s_decomposition(lattice, rng, zs, lams):
         rows = lhs.shape[0]
         rhs = hams[0].apply_jet(u)
         for k, zk in enumerate(params.zs):
-            rhs += ev.zeta_bar(z - zk) * hams[k + 1].apply_jet(u)[:rows]
-            rhs += spectral_weight(params, k) * ev.wp_bar(z - zk) * u[:rows]
+            rhs += zeta_bar(ev, z - zk) * hams[k + 1].apply_jet(u)[:rows]
+            rhs += spectral_weight(params, k) * wp_bar(ev, z - zk) * u[:rows]
         scale = max(1.0, float(np.max(np.abs(lhs))))
         assert np.max(np.abs(lhs - rhs)) <= 1e-9 * scale
 
@@ -466,8 +493,8 @@ def test_s_alternative_form(lattice, rng):
     e_jet = np.zeros((DEGREE + 1, ctx.total, ctx.total), dtype=complex)
     f_jet = np.zeros_like(e_jet)
     for (ei, fi, hi), zi in zip(ctx.ops, params.zs):
-        h_full += ev.zeta_bar(z - zi) * hi
-        hp_full += -ev.wp_bar(z - zi) * hi
+        h_full += zeta_bar(ev, z - zi) * hi
+        hp_full += -wp_bar(ev, z - zi) * hi
         e_jet += jets.jet_sigma_neg(ev, LAM0, [z - zi], DEGREE)[0][:, None, None] * ei
         f_jet += jets.jet_sigma(ev, LAM0, [z - zi], DEGREE)[0][:, None, None] * fi
     hr = ctx.restrict(h_full)
@@ -538,10 +565,10 @@ def reference_gaudin_equations(ev, params, c, roots):
     for j in range(m):
         val = -2.0 * c
         for zl, ll in zip(params.zs, params.lams):
-            val += ll * ev.zeta_bar(roots[j] - zl)
+            val += ll * zeta_bar(ev, roots[j] - zl)
         for k in range(m):
             if k != j:
-                val -= 2.0 * ev.zeta_bar(roots[j] - roots[k])
+                val -= 2.0 * zeta_bar(ev, roots[j] - roots[k])
         res[j] = val
     return res
 
@@ -553,10 +580,10 @@ def reference_gaudin_jacobian(ev, params, roots):
         jac[j, 0] = -2.0
         diag = 0j
         for zl, ll in zip(params.zs, params.lams):
-            diag -= ll * ev.wp_bar(roots[j] - zl)
+            diag -= ll * wp_bar(ev, roots[j] - zl)
         for k in range(m):
             if k != j:
-                wp = ev.wp_bar(roots[j] - roots[k])
+                wp = wp_bar(ev, roots[j] - roots[k])
                 diag += 2.0 * wp
                 jac[j, 1 + k] = -2.0 * wp
         jac[j, 1 + j] = diag
@@ -597,6 +624,16 @@ def test_batched_gaudin_system_pole_proximity(lattice, rng):
             reference_gaudin_equations(ev, params, 0.1j, roots)
 
 
+def test_build_S_pole_guard(lattice):
+    """S(z) at a z within rho of a site, modulo the lattice, raises PoleProximityError,
+    naming the first argument z - z_i within rho."""
+    params = make_params(lattice, Z3, (1, 1, 2))
+    near = Z3[1] + 1.0 - lattice.tau + 4e-7j
+    with pytest.raises(PoleProximityError, match="pole proximity") as err:
+        build_S(params, near, LAM0, DEGREE)
+    assert repr(complex(near - Z3[1])) in str(err.value)
+
+
 def test_bethe_solver(lattice, rng):
     params = make_params(lattice, Z2, (2, 2))
     sol = solve_gaudin_bethe(params, rng)
@@ -608,10 +645,10 @@ def test_bethe_solver(lattice, rng):
     for j, wj in enumerate(sol.roots):
         val = -2.0 * sol.c
         for zl, ll in zip(params.zs, params.lams):
-            val += ll * ev.zeta_bar(wj - zl)
+            val += ll * zeta_bar(ev, wj - zl)
         for k, wk in enumerate(sol.roots):
             if k != j:
-                val -= 2.0 * ev.zeta_bar(wj - wk)
+                val -= 2.0 * zeta_bar(ev, wj - wk)
         assert abs(val) <= 1e-10
 
     for j, wj in enumerate(sol.roots):
@@ -680,8 +717,8 @@ def test_bethe_eigenvector(lattice, rng, zs, lams):
         z = params.sample_generic(rng, avoid=params.zs)
         q = eps[0]
         for k, zk in enumerate(params.zs):
-            q += spectral_weight(params, k) * ev.wp_bar(z - zk)
-            q += eps[k + 1] * ev.zeta_bar(z - zk)
+            q += spectral_weight(params, k) * wp_bar(ev, z - zk)
+            q += eps[k + 1] * zeta_bar(ev, z - zk)
         out = build_S(params, z, lam0, DEGREE).apply_jet(u)
         scale = float(np.max(np.abs(u)))
         assert np.max(np.abs(out - q * u[: out.shape[0]])) <= 1e-8 * scale

@@ -209,12 +209,12 @@ def test_paths_theta_count(lattice, monkeypatch):
     counts = count_theta_calls(monkeypatch)
     irf._path_model.cache_clear()
     build_T_irf_paths(params, 0.41 + 0.37j)
-    assert counts["theta_taylor"][0] == 53
+    assert counts["theta"][0] == 53
     pairs = sum(map(len, irf._path_model(params).corners))
     assert pairs == 15
-    counts["theta_taylor"][0] = 0
+    counts["theta"][0] = 0
     build_T_irf_paths(params, 0.29 - 0.13j)
-    assert counts["theta_taylor"][0] == 2 * params.n + 2 * pairs == 40
+    assert counts["theta"][0] == 2 * params.n + 2 * pairs == 40
     assert counts["theta_array"][0] == 0
 
 
@@ -421,7 +421,7 @@ def test_sov_repeat_build_theta_count(lattice, monkeypatch):
     build_T_irf_sov(params, 0.41 + 0.37j)
     counts = count_theta_calls(monkeypatch)
     build_T_irf_sov(params, 0.29 - 0.13j)
-    assert counts["theta_taylor"][0] == 0
+    assert counts["theta"][0] == 0
     assert counts["theta_array"] == [1, 60]
 
 
@@ -959,7 +959,7 @@ def test_certify_spectrum_theta_count(lattice, monkeypatch):
     irf._grid_model.cache_clear()
     certs = certify_spectrum(params, 0.41 + 0.37j, rng=np.random.default_rng(7))
     assert len(certs) == 32 and all(c.passed for c in certs)
-    assert counts["theta_taylor"][0] == 287
+    assert counts["theta"][0] == 287
     assert counts["theta_array"] == [9, 540]
 
 

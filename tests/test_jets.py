@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 from ellsov import jets
 from ellsov.jets import LambdaDiffOp
 
-from conftest import sample_point, sigma, sigma_dlambda
+from conftest import sample_point, sigma, sigma_dlambda, wp_bar, zeta_bar
 
 PI = math.pi
 
@@ -94,15 +94,20 @@ def test_sigma_jets_match_oracle(ev, rng):
 
 
 def reference_sigma_neg(ev, lam0, z, degree):
-    """The former two-reflection formula: theta(-x) jets at lam0 + z and lam0."""
+    """The former two-reflection formula: theta(-x) jets at lam0 + z and lam0.
 
-    def reflected(x0):
-        jet = ev.theta_taylor(-x0, degree).copy()
+    The jets are the rows of the theta_array call jet_sigma_neg makes, over
+    [0, -lam0, -lam0 - z, z] at degree 1 or more.
+    """
+    rows = ev.theta_array(np.array([0.0, -lam0, -lam0 - z, z]), max(degree, 1))
+
+    def reflected(row):
+        jet = row[: degree + 1].copy()
         jet[1::2] *= -1.0
         return jet
 
-    num = reflected(lam0 + z) * (ev.dtheta0() / ev.theta(z))
-    return jets.jdiv(num, reflected(lam0), degree)
+    num = reflected(rows[2]) * (rows[0, 1] / rows[3, 0])
+    return jets.jdiv(num, reflected(rows[1]), degree)
 
 
 def test_sigma_neg_equals_two_reflection_reference(ev, rng):
@@ -117,10 +122,10 @@ def test_sigma_neg_equals_two_reflection_reference(ev, rng):
 def test_zeta_wp_jets(ev, rng):
     x0 = sample_point(rng, ev.lattice, margin=0.15)
     zj = jets.jet_zeta_bar(ev, x0, 4)
-    oracle = jet_oracle(lambda u: ev.zeta_bar(u), x0, 4)
+    oracle = jet_oracle(lambda u: zeta_bar(ev, u), x0, 4)
     assert_allclose(zj, oracle, rtol=1e-8, atol=1e-10)
     wj = jets.jet_wp_bar(ev, x0, 3)
-    oracle_w = jet_oracle(lambda u: ev.wp_bar(u), x0, 3)
+    oracle_w = jet_oracle(lambda u: wp_bar(ev, u), x0, 3)
     assert_allclose(wj, oracle_w, rtol=1e-8, atol=1e-9)
     # wp_bar = -zeta_bar'
     assert_allclose(wj, -jets.jderiv(jets.jet_zeta_bar(ev, x0, 4)), atol=1e-10)

@@ -24,7 +24,14 @@ from ellsov.spaces import (
 )
 from ellsov.theta import PoleProximityError, ThetaEvaluator
 
-from conftest import count_zeros, elliptic_poly, elliptic_poly_logderiv, membership_passes, sample_point
+from conftest import (
+    count_zeros,
+    elliptic_poly,
+    elliptic_poly_logderiv,
+    membership_passes,
+    sample_point,
+    zeta_bar,
+)
 
 PI = math.pi
 
@@ -139,10 +146,8 @@ def test_basis_shares_cardinal_vectors(ev, rng, monkeypatch):
     g = basis.fit([0.0, 1.0, 1.0 + 1.0j])
     z = sample_point(rng, ev.lattice)
     calls = []
-    original = ThetaEvaluator.theta_taylor
-    monkeypatch.setattr(
-        ThetaEvaluator, "theta_taylor", lambda self, *a: calls.append(a) or original(self, *a)
-    )
+    original = ThetaEvaluator.theta
+    monkeypatch.setattr(ThetaEvaluator, "theta", lambda self, *a: calls.append(a) or original(self, *a))
     f(z)
     assert len(calls) == 6  # theta(z - z_l) and theta(z - z_j + b) for each node
     g(z)
@@ -253,7 +258,7 @@ def test_bethe_solver_theta_count(ev, monkeypatch):
     zs = [0.23 + 0.31j, 0.67 + 0.52j, 0.12 + 0.8j, 0.5 + 0.1j]
     A_plus = elliptic_poly(lat, 0.0, [-z - eta for z in zs])
     A_minus = elliptic_poly(lat, 0.0, [-z + eta for z in zs])
-    calls = {"theta_taylor": 0, "theta_array": 0, "system": 0}
+    calls = {"theta": 0, "theta_array": 0, "system": 0}
 
     def counting(key, fn):
         def wrapper(*args):
@@ -262,14 +267,14 @@ def test_bethe_solver_theta_count(ev, monkeypatch):
 
         return wrapper
 
-    for name in ("theta_taylor", "theta_array"):
+    for name in ("theta", "theta_array"):
         monkeypatch.setattr(ThetaEvaluator, name, counting(name, getattr(ThetaEvaluator, name)))
     make_system = spaces._bethe_system
     monkeypatch.setattr(spaces, "_bethe_system", lambda *args: counting("system", make_system(*args)))
     sol = solve_difference_bethe(ev, A_plus, A_minus, 2.0 * eta, 2, np.random.default_rng(17))
     assert sol.iterations == 9
     # theta(-/+gamma) once, then the 2 * (2 * 4 + 2) factors of the certificate and its theta(-/+gamma)
-    assert calls["theta_taylor"] == 24
+    assert calls["theta"] == 24
     assert 0 < calls["theta_array"] <= calls["system"]
 
 
@@ -351,13 +356,13 @@ def reference_bethe_jacobian(ev, A_plus, A_minus, gamma, roots, terms):
                 d2 = elliptic_poly_logderiv(ev, A_minus, roots[i])
                 for j in range(m):
                     if j != i:
-                        d1 += ev.zeta_bar(roots[i] - roots[j] - gamma)
-                        d2 += ev.zeta_bar(roots[i] - roots[j] + gamma)
+                        d1 += zeta_bar(ev, roots[i] - roots[j] - gamma)
+                        d2 += zeta_bar(ev, roots[i] - roots[j] + gamma)
                 # the j = i factor theta(-gamma)/theta(gamma) is constant in roots[i]
                 jac[i, 1 + l] = t1 * d1 + t2 * d2
             else:
-                jac[i, 1 + l] = -t1 * ev.zeta_bar(roots[i] - roots[l] - gamma) - t2 * ev.zeta_bar(
-                    roots[i] - roots[l] + gamma
+                jac[i, 1 + l] = -t1 * zeta_bar(ev, roots[i] - roots[l] - gamma) - t2 * zeta_bar(
+                    ev, roots[i] - roots[l] + gamma
                 )
     return jac
 

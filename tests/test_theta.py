@@ -20,98 +20,33 @@ from ellsov.theta import (
     TruncationError,
 )
 
-from conftest import TAU, hexes, sample_point, sigma, sigma_dlambda
+from conftest import (
+    TAU,
+    hexes,
+    reference_taylor,
+    sample_point,
+    sigma,
+    sigma_dlambda,
+    theta_jet,
+    wp_bar,
+    zeta_bar,
+)
 
 PI = math.pi
 
 
-# The series and the Taylor wrapper as they were before the (tau, degree)
-# term tables: every term's constants are recomputed on each call.  The
-# kernel must reproduce them bit for bit.
+def reference_theta(ev, z):
+    """theta(z) as the scalar kernel returned it: the degree-0 reference times 0! = 1."""
+    return complex(reference_taylor(ev, z, 0)[0][0]) * math.factorial(0)
 
 
-def reference_series(ev, z0, degree):
-    """Taylor coefficients at a reduced point, and the number of terms summed."""
-    tau = ev.lattice.tau
-    coefs = [0j] * (degree + 1)
-    im0 = abs(z0.imag)
-    log_tol = math.log(ev.trunc_tol)
-    max_term = 0.0
-    converged = False
-    tail = math.inf
-    for j in range(theta_module._MAX_TERMS):
-        half = j + 0.5
-        base = 1j * PI * tau * half * half
-        ph = 1j * PI * (2 * j + 1)
-        ep = cmath.exp(base + ph * z0)
-        em = cmath.exp(base - ph * z0)
-        sign = -1.0 if j % 2 else 1.0
-        wk = 1.0 + 0j
-        for k in range(degree + 1):
-            piece = wk * ep - ((-1.0) ** k) * wk * em
-            coefs[k] += sign * piece / 1j
-            wk *= ph
-        size = (abs(ep) + abs(em)) * max(1.0, abs(ph)) ** degree
-        max_term = max(max_term, size)
-        nh = half + 1.0
-        log_next = (
-            -PI * tau.imag * nh * nh
-            + 2.0 * PI * nh * im0
-            + degree * math.log(PI * (2 * j + 3))
-        )
-        tail = log_next
-        if log_next < log_tol + math.log(max_term):
-            converged = True
-            break
-    if not converged:
-        bound = math.exp(min(tail, 700.0))
-        raise TruncationError(
-            "theta series truncation: tolerance %g not reached within %d terms"
-            % (ev.trunc_tol, theta_module._MAX_TERMS),
-            tail_bound=bound,
-        )
-    fact = 1.0
-    for k in range(degree + 1):
-        if k > 1:
-            fact *= k
-        coefs[k] /= fact
-    return coefs, j + 1
+def assert_matches_reference(ev, z):
+    assert hexes([ev.theta(z)]) == hexes([reference_theta(ev, z)]), (ev.lattice.tau, z)
 
 
-def reference_taylor(ev, z, degree):
-    """theta^(k)(z)/k! for k = 0..degree, and the number of series terms summed."""
-    z0, r, s = ev.lattice.reduce(z)
-    inner, terms = reference_series(ev, z0, degree)
-    tau = ev.lattice.tau
-    parity = -1.0 if (r + s) % 2 else 1.0
-    try:
-        mult0 = parity * cmath.exp(-1j * PI * (s * s * tau + 2.0 * s * z0))
-    except OverflowError:
-        raise theta_module._overflow(z) from None
-    out = np.zeros(degree + 1, dtype=complex)
-    if s == 0:
-        for k in range(degree + 1):
-            out[k] = mult0 * inner[k]
-        return out, terms
-    w = -2j * PI * s
-    expjet = [1.0 + 0j]
-    for k in range(1, degree + 1):
-        expjet.append(expjet[-1] * w / k)
-    for k in range(degree + 1):
-        acc = 0j
-        for i in range(k + 1):
-            acc += expjet[i] * inner[k - i]
-        val = mult0 * acc
-        if not cmath.isfinite(val):
-            raise theta_module._overflow(z)
-        out[k] = val
-    return out, terms
-
-
-def assert_matches_reference(ev, z, degree):
-    want, terms = reference_taylor(ev, z, degree)
-    assert hexes(ev.theta_taylor(z, degree)) == hexes(want), (ev.lattice.tau, z, degree)
-    return terms
+def array_jet(ev, z, degree):
+    """theta_array's jet at one point."""
+    return ev.theta_array(np.array([z]), degree)[0]
 
 
 def mp_theta(tau, z, d=0):
@@ -152,9 +87,9 @@ def test_large_im_tau_is_a_typed_error():
     # at the ceiling the whole reduced cell works, up to the degree limit
     ev = ThetaEvaluator(Lattice(0.3 + 187.0j))
     for z in (0.3, 0.3 + 93.5j, 0.3 + 186.999j, 0.8 - 0.3j):
+        assert_matches_reference(ev, z)
         for degree in (0, 1, 117):
-            assert np.all(np.isfinite(ev.theta_taylor(z, degree)))
-            assert_matches_reference(ev, z, degree)
+            assert np.all(np.isfinite(array_jet(ev, z, degree)))
 
 
 def test_degree_limit_is_a_typed_error(ev):
@@ -162,12 +97,14 @@ def test_degree_limit_is_a_typed_error(ev):
     and from 171 on k! overflowed to inf and zeroed the top coefficients."""
     for degree in (118, 171, 185, 400):
         with pytest.raises(ThetaOverflowError, match="degree"):
-            ev.theta_taylor(0.31 + 0.42j, degree)
-    # the limit holds on a flat lattice too, where many more terms are summed
+            array_jet(ev, 0.31 + 0.42j, degree)
+    jet = array_jet(ev, 0.61 + 0.3 * ev.lattice.tau, 117)
+    assert np.all(np.isfinite(jet)) and jet[117] != 0
+    # on a flat lattice the array kernel's term count, fixed at the top of the
+    # cell, passes the term limit below degree 117: a typed error, not an overflow
     flat = ThetaEvaluator(Lattice(0.3 + 0.05j))
-    for e in (ev, flat):
-        jet = e.theta_taylor(0.61 + 0.3 * e.lattice.tau, 117)
-        assert np.all(np.isfinite(jet)) and jet[117] != 0
+    with pytest.raises(TruncationError):
+        array_jet(flat, 0.61 + 0.3 * flat.lattice.tau, 117)
 
 
 def test_reduction_identity(lattice, rng):
@@ -194,7 +131,7 @@ def test_matches_mpmath_derivatives(ev, rng):
         for _ in range(8):
             z = sample_point(rng, ev.lattice, spread=1.5)
             expect = mp_theta(tau, z, d)
-            got = ev.theta(z, d)
+            got = math.factorial(d) * array_jet(ev, z, d)[d]
             assert abs(got - expect) <= 1e-10 * max(1.0, abs(expect))
 
 
@@ -228,21 +165,22 @@ def test_derivatives_match_cauchy_oracle(ev, rng):
         for _ in range(6):
             z = sample_point(rng, ev.lattice, margin=0.12)
             expect = cauchy_derivative(lambda w: ev.theta(w), z, d)
-            got = ev.theta(z, d)
+            got = math.factorial(d) * array_jet(ev, z, d)[d]
             assert abs(got - expect) <= 1e-10 * max(1.0, abs(expect))
 
 
 def test_taylor_jet_matches_cauchy(ev, rng):
     z = sample_point(rng, ev.lattice, margin=0.12)
-    jet = ev.theta_taylor(z, 6)
+    jet = array_jet(ev, z, 6)
     for d in range(7):
         expect = cauchy_derivative(lambda w: ev.theta(w), z, d) / math.factorial(d)
         assert abs(jet[d] - expect) <= 1e-9 * max(1.0, abs(expect))
 
 
 def test_theta_rejects_high_derivative(ev):
-    with pytest.raises(ValueError):
-        ev.theta(0.3, 4)
+    # the scalar kernel evaluates values only; derivatives are theta_array's
+    with pytest.raises(TypeError):
+        ev.theta(0.3, 1)
 
 
 def test_truncation_reports_tail():
@@ -292,9 +230,9 @@ def test_sigma_laurent_coefficients(ev, rng):
             acc += sigma(ev, lam, w) * w ** (-k) / npts
         coef[k] = acc
     assert abs(coef[-1] - 1.0) <= 1e-9
-    assert abs(coef[0] - (-ev.zeta_bar(lam))) <= 1e-9 * max(1.0, abs(coef[0]))
-    jet_lam = ev.theta_taylor(lam, 2)
-    jet_0 = ev.theta0_jet(3)
+    assert abs(coef[0] - (-zeta_bar(ev, lam))) <= 1e-9 * max(1.0, abs(coef[0]))
+    jet_lam = theta_jet(ev, lam, 2)
+    jet_0 = theta_jet(ev, 0.0, 3)
     c1 = jet_lam[2] / jet_lam[0] - jet_0[3] / jet_0[1]
     assert abs(coef[1] - c1) <= 1e-8 * max(1.0, abs(c1))
 
@@ -312,33 +250,45 @@ def test_sigma_product_identity(ev, rng):
         lam = sample_point(rng, ev.lattice)
         w = sample_point(rng, ev.lattice)
         lhs = sigma(ev, lam, w) * sigma(ev, -lam, w)
-        rhs = ev.wp_bar(w) - ev.wp_bar(lam)
+        wp = ev.zeta_wp(np.array([w, lam]))[1]
+        rhs = wp[0] - wp[1]
         assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs))
 
 
 def test_zeta_bar_properties(ev, rng):
     z = sample_point(rng, ev.lattice)
-    assert abs(ev.zeta_bar(-z) + ev.zeta_bar(z)) <= 1e-10 * abs(ev.zeta_bar(z))
-    drop = ev.zeta_bar(z + ev.lattice.tau) - ev.zeta_bar(z)
-    assert abs(drop + 2j * PI) <= 1e-9
-    assert abs(ev.zeta_bar(z + 1.0) - ev.zeta_bar(z)) <= 1e-9
+    tau = ev.lattice.tau
+    zeta, minus, up, right = ev.zeta_wp(np.array([z, -z, z + tau, z + 1.0]))[0]
+    assert abs(minus + zeta) <= 1e-10 * abs(zeta)
+    assert abs(up - zeta + 2j * PI) <= 1e-9
+    assert abs(right - zeta) <= 1e-9
 
 
 def test_wp_bar_periodic_and_even(ev, rng):
     z = sample_point(rng, ev.lattice)
-    v = ev.wp_bar(z)
-    assert abs(ev.wp_bar(z + 1.0) - v) <= 1e-9 * max(1.0, abs(v))
-    assert abs(ev.wp_bar(z + ev.lattice.tau) - v) <= 1e-9 * max(1.0, abs(v))
-    assert abs(ev.wp_bar(-z) - v) <= 1e-9 * max(1.0, abs(v))
+    v, right, up, minus = ev.zeta_wp(np.array([z, z + 1.0, z + ev.lattice.tau, -z]))[1]
+    for other in (right, up, minus):
+        assert abs(other - v) <= 1e-9 * max(1.0, abs(v))
 
 
 def test_wp_bar_laurent(ev):
     # wp_bar(w) = 1/w^2 - theta'''(0)/(3 theta'(0)) + O(w^2)
-    jet0 = ev.theta0_jet(3)
+    jet0 = array_jet(ev, 0.0, 3)
     c0 = -2.0 * jet0[3] / jet0[1]  # theta'''(0)/(3 theta'(0)) with jet normalization
     w = 1e-3
-    got = ev.wp_bar(w)
+    got = ev.zeta_wp(np.array([w]))[1][0]
     assert abs(got - (1.0 / w ** 2 + c0)) <= 1e-4
+
+
+def test_zeta_wp_match_reference(ev, rng):
+    """zeta_wp against the reference jet's theta'/theta and (theta'/theta)^2 - theta''/theta."""
+    zs = np.array([sample_point(rng, ev.lattice, spread=2.0) for _ in range(200)])
+    zeta, wp = ev.zeta_wp(zs)
+    for z, zb, w in zip(zs, zeta, wp):
+        assert abs(zb - zeta_bar(ev, z)) <= 1e-12 * max(1.0, abs(zb))
+        assert abs(w - wp_bar(ev, z)) <= 1e-12 * max(1.0, abs(w))
+    for empty in ev.zeta_wp(np.array([], dtype=complex)):
+        assert empty.shape == (0,)
 
 
 def test_sigma_dlambda_closed_form(ev, rng):
@@ -349,7 +299,7 @@ def test_sigma_dlambda_closed_form(ev, rng):
         expect = cauchy_derivative(lambda u: sigma(ev, u, z), lam, 1)
         got = sigma_dlambda(ev, lam, z)
         assert abs(got - expect) <= 1e-9 * max(1.0, abs(expect))
-        direct = sigma(ev, lam, z) * (ev.zeta_bar(lam - z) - ev.zeta_bar(lam))
+        direct = sigma(ev, lam, z) * (zeta_bar(ev, lam - z) - zeta_bar(ev, lam))
         assert abs(got - direct) <= 1e-10 * max(1.0, abs(got))
 
 
@@ -357,7 +307,7 @@ def test_sigma_dlambda_small_z_limit(ev, rng):
     # the z -> 0 limit of d/dlambda sigma_lambda(z) is wp_bar(lambda);
     # the approach is first order in z, so check the error shrinks linearly
     lam = sample_point(rng, ev.lattice)
-    target = ev.wp_bar(lam)
+    target = wp_bar(ev, lam)
     errs = [abs(sigma_dlambda(ev, lam, 10.0 ** (-k)) - target) for k in (3, 4, 5)]
     scale = max(1.0, abs(target))
     assert errs[2] <= 1e-3 * scale
@@ -368,7 +318,21 @@ def test_pole_guards(ev):
     with pytest.raises(PoleProximityError):
         sigma(ev, 0.3, 1e-9)
     with pytest.raises(PoleProximityError):
-        ev.zeta_bar(1.0 + 1e-8)
+        ev.zeta_wp(np.array([1.0 + 1e-8]))
+
+
+def test_zeta_wp_names_the_first_point_near_the_lattice(ev):
+    """One distance pass over all points; the error names the first within rho, in order."""
+    tau = ev.lattice.tau
+    first, second = 2.0 - tau + 3e-7j, 1.0 + 4e-7
+    zs = np.array([0.3 + 0.2j, first, 0.7 + 0.5j, second])
+    with pytest.raises(PoleProximityError, match="pole proximity") as err:
+        ev.zeta_wp(zs)
+    assert repr(complex(first)) in str(err.value)
+    assert repr(complex(second)) not in str(err.value)
+    with pytest.raises(PoleProximityError) as err:
+        ev.zeta_wp(zs[2:])
+    assert repr(complex(second)) in str(err.value)
 
 
 def test_far_argument_stability(ev, rng):
@@ -394,7 +358,7 @@ def test_non_finite_arguments_are_typed(ev):
         with pytest.raises(NonFiniteArgumentError):
             ev.theta(z)
         with pytest.raises(NonFiniteArgumentError):
-            ev.zeta_bar(z)
+            ev.zeta_wp(np.array([0.3 + 0.2j, z]))
     assert issubclass(NonFiniteArgumentError, ThetaError)
 
 
@@ -405,7 +369,7 @@ def test_overflow_far_from_cell_is_typed(ev):
         with pytest.raises(ThetaOverflowError):
             ev.theta(z)
         with pytest.raises(ThetaOverflowError):
-            ev.theta_taylor(z, 3)
+            array_jet(ev, z, 3)
     assert issubclass(ThetaOverflowError, ThetaError)
     # just inside the range the value is still finite and quasi-periodic
     z = 0.2 + 0.3j
@@ -422,47 +386,47 @@ def test_overflow_far_from_cell_is_typed(ev):
 def test_kernel_matches_reference_bit_for_bit(ev):
     rng = np.random.default_rng(14)
     for x, y in rng.uniform(-3.0, 3.0, size=(2000, 2)):
-        for degree in range(11):
-            assert_matches_reference(ev, complex(x, y), degree)
+        assert_matches_reference(ev, complex(x, y))
 
 
 def test_kernel_matches_reference_on_lattice_and_real_axis(ev):
     tau = ev.lattice.tau
-    for degree in range(11):
-        for z in (0.0, 1.0, tau, 1.0 + tau):
-            assert_matches_reference(ev, z, degree)
-            assert ev.theta_taylor(z, degree)[0] == 0.0
-        for x in np.linspace(-3.0, 3.0, 61):
-            assert_matches_reference(ev, complex(x, 0.0), degree)
-            assert_matches_reference(ev, complex(x, -0.0), degree)
+    for z in (0.0, 1.0, tau, 1.0 + tau):
+        assert_matches_reference(ev, z)
+        assert ev.theta(z) == 0.0
+    for x in np.linspace(-3.0, 3.0, 61):
+        assert_matches_reference(ev, complex(x, 0.0))
+        assert_matches_reference(ev, complex(x, -0.0))
 
 
 def test_kernel_errors_match_reference(ev):
     for z in (0.2 + 16 * ev.lattice.tau, 0.7 - 40 * ev.lattice.tau):
-        for degree in (0, 3):
-            with pytest.raises(ThetaOverflowError) as want:
-                reference_taylor(ev, z, degree)
-            with pytest.raises(ThetaOverflowError) as got:
-                ev.theta_taylor(z, degree)
-            assert str(got.value) == str(want.value)
+        with pytest.raises(ThetaOverflowError) as want:
+            reference_taylor(ev, z, 0)
+        with pytest.raises(ThetaOverflowError) as got:
+            ev.theta(z)
+        assert str(got.value) == str(want.value)
     flat = ThetaEvaluator(Lattice(0.3 + 0.002j))
     for z in (0.37 + 0.0006j, 0.37 + 0.0019j, -1.2 + 0.3j):
-        for degree in (0, 1, 5):
-            with pytest.raises(TruncationError) as want:
-                reference_taylor(flat, z, degree)
-            with pytest.raises(TruncationError) as got:
-                flat.theta_taylor(z, degree)
-            assert str(got.value) == str(want.value)
-            assert got.value.tail_bound.hex() == want.value.tail_bound.hex()
+        with pytest.raises(TruncationError) as want:
+            reference_taylor(flat, z, 0)
+        with pytest.raises(TruncationError) as got:
+            flat.theta(z)
+        assert str(got.value) == str(want.value)
+        assert got.value.tail_bound.hex() == want.value.tail_bound.hex()
 
 
 def test_term_tables_are_keyed_by_tau_and_degree():
+    """theta's degree-0 tables and theta_array's degree-8 ones, interleaved over three taus."""
     evs = [ThetaEvaluator(Lattice(tau)) for tau in (0.31 + 1.07j, 0.5j, -0.2 + 0.8j)]
     rng = np.random.default_rng(15)
     for x, y in rng.uniform(-2.0, 2.0, size=(60, 2)):
-        for degree in (0, 8, 0):
-            for ev in evs:
-                assert_matches_reference(ev, complex(x, y), degree)
+        z = complex(x, y)
+        for ev in evs:
+            assert_matches_reference(ev, z)
+            want = theta_jet(ev, z, 8)
+            assert np.max(np.abs(array_jet(ev, z, 8) - want)) <= 1e-11 * np.max(np.abs(want))
+            assert_matches_reference(ev, z)
 
 
 def array_term_count(tau, degree, trunc_tol):
@@ -498,36 +462,36 @@ def test_term_tables_hold_the_array_term_count():
 
 
 def test_kernel_matches_reference_across_the_admitted_range():
-    """Seeded taus with Im tau log-uniform over [1e-3, 187], two trunc_tol
-    and degrees 0 to 5: values and errors (message and tail bound) equal
-    the per-call kernel's, whose rows the whole tables must cover."""
+    """Seeded taus with Im tau log-uniform over [1e-3, 187] and two trunc_tol:
+    values and errors (message and tail bound) equal the per-call kernel's,
+    whose rows the whole tables must cover."""
     rng = np.random.default_rng(26)
     errors = 0
     for _ in range(3000):
         tau = complex(rng.uniform(-1.0, 1.0), math.exp(rng.uniform(math.log(1e-3), math.log(187.0))))
         ev = ThetaEvaluator(Lattice(tau), trunc_tol=float(rng.choice([1e-16, 1e-12])))
         u, v = rng.uniform(-1.5, 1.5, 2)
-        z, degree = u + v * tau, int(rng.integers(0, 6))
+        z = u + v * tau
         try:
-            want = hexes(reference_taylor(ev, z, degree)[0])
+            want = reference_theta(ev, z)
         except ThetaError as exc:
             errors += 1
             with pytest.raises(type(exc)) as got:
-                ev.theta_taylor(z, degree)
+                ev.theta(z)
             assert str(got.value) == str(exc)
             assert getattr(got.value, "tail_bound", 0.0).hex() == getattr(exc, "tail_bound", 0.0).hex()
         else:
-            assert hexes(ev.theta_taylor(z, degree)) == want, (tau, z, degree, ev.trunc_tol)
+            assert hexes([ev.theta(z)]) == hexes([want]), (tau, z, ev.trunc_tol)
     assert errors > 0
 
 
-# -- the array kernel against the scalar one --------------------------------
+# -- the array kernel against the reference jet ------------------------------
 
 
-def test_theta_array_matches_theta_taylor(ev):
-    """Every row within a tolerance of theta_taylor, on 10,000+ (point, degree) pairs.
+def test_theta_array_matches_reference_taylor(ev):
+    """Every row within a tolerance of the reference jet, on 10,000+ (point, degree) pairs.
 
-    The error is taken relative to the max-norm of the scalar jet of degree
+    The error is taken relative to the max-norm of the reference jet of degree
     max(degree, 1): next to a zero theta itself vanishes, and the cancellation
     in its series is on the scale of theta'.
     """
@@ -542,8 +506,8 @@ def test_theta_array_matches_theta_taylor(ev):
         assert got.shape == (len(zs), degree + 1)
         tol = 1e-14 if degree < 3 else 5e-14
         for z, row in zip(zs, got):
-            want = ev.theta_taylor(z, degree)
-            scale = np.max(np.abs(ev.theta_taylor(z, max(degree, 1))))
+            want = theta_jet(ev, z, degree)
+            scale = np.max(np.abs(theta_jet(ev, z, max(degree, 1))))
             assert np.max(np.abs(row - want)) <= tol * scale, (z, degree)
     # the zeros reduce to the origin, where the series is an exact zero
     assert np.all(ev.theta_array(np.array([0.0, 1.0, tau, -2.0 * tau]), 0) == 0.0)
@@ -559,6 +523,31 @@ def test_theta_array_matches_mpmath(ev, rng):
             assert abs(row[d] - expect) <= 1e-10 * max(1.0, abs(expect))
 
 
+# gap of theta_array's degree-d jets to the reference's, relative to the jet's max-norm,
+# above the largest seen over the seeded points below (1.8e-14 at degree 4, 3.1e-12 at 10)
+_JET_GAP = {4: 1e-13, 5: 2e-13, 6: 1e-12, 7: 1e-12, 8: 3e-12, 9: 3e-12, 10: 1e-11}
+
+
+def test_theta_array_matches_reference_at_the_gaudin_degrees(ev):
+    """Degrees 4 to 10, those of the Gaudin operators' jets, on 500 seeded points in [-3, 3]^2."""
+    rng = np.random.default_rng(35)
+    zs = rng.uniform(-3.0, 3.0, 500) + 1j * rng.uniform(-3.0, 3.0, 500)
+    for degree, tol in _JET_GAP.items():
+        for z, row in zip(zs, ev.theta_array(zs, degree)):
+            want = theta_jet(ev, z, degree)
+            assert np.max(np.abs(row - want)) <= tol * np.max(np.abs(want)), (z, degree)
+
+
+def test_theta_array_matches_mpmath_at_high_degree(ev, rng):
+    """Degrees 8 and 10 against mpmath, relative to the jet's max-norm (5.6e-13 at most here)."""
+    tau = ev.lattice.tau
+    zs = np.array([sample_point(rng, ev.lattice, spread=2.0) for _ in range(16)])
+    for degree in (8, 10):
+        for z, row in zip(zs, ev.theta_array(zs, degree)):
+            expect = np.array([mp_theta(tau, z, d) / math.factorial(d) for d in range(degree + 1)])
+            assert np.max(np.abs(row - expect)) <= 1e-11 * np.max(np.abs(expect)), (z, degree)
+
+
 def test_theta_array_errors_are_typed(ev):
     tau = ev.lattice.tau
     good = [0.3 + 0.2j, -1.7 + 4.0j]
@@ -569,13 +558,13 @@ def test_theta_array_errors_are_typed(ev):
         with pytest.raises(ThetaOverflowError):
             ev.theta_array(np.array([far] + good), 0)
         with pytest.raises(ThetaOverflowError):
-            ev.theta_taylor(far, 0)
+            ev.theta(far)
     with pytest.raises(ThetaOverflowError, match="degree"):
         ev.theta_array(np.array(good), 118)
     with pytest.raises(ValueError):
         ev.theta_array(np.array(good), -1)
     flat = ThetaEvaluator(Lattice(0.3 + 0.002j))
-    for kernel in (lambda z: flat.theta_taylor(z, 1), lambda z: flat.theta_array(np.array([z]), 1)):
+    for kernel in (flat.theta, lambda z: flat.theta_array(np.array([z]), 1)):
         with pytest.raises(TruncationError) as err:
             kernel(0.37 + 0.0006j)
         assert err.value.tail_bound > 0
@@ -588,7 +577,7 @@ def test_theta_array_errors_are_typed(ev):
         got = steep.theta_array(zs, degree)
         assert np.all(np.isfinite(got))
         for z, row in zip(zs, got):
-            want = steep.theta_taylor(z, degree)
+            want = theta_jet(steep, z, degree)
             assert np.max(np.abs(row - want)) <= tol * np.max(np.abs(want))
 
 
@@ -702,6 +691,4 @@ def test_pole_guard_far_from_the_real_cell():
     assert ev.lattice.dist_to_lattice(z) <= 1.1e-9
     assert four_corner_distance(ev.lattice, z) > 0.09
     with pytest.raises(PoleProximityError):
-        ev.zeta_bar(z)
-    with pytest.raises(PoleProximityError):
-        ev.wp_bar(z)
+        ev.zeta_wp(np.array([z]))
