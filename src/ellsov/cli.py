@@ -22,7 +22,7 @@ import numpy as np
 
 from . import eqg, gaudin, irf, spaces
 from .params import ModelParams, ParameterError
-from .theta import Lattice, ThetaError
+from .theta import Lattice, ThetaError, ThetaOverflowError
 
 __all__ = ["main", "ConfigError", "load_config", "build_params"]
 
@@ -170,14 +170,14 @@ def _task_theta_eval(block, params, rng, tol, csv_dir):
         # the multiplier reaches 1e11 at |s| = 2, so compare at the shifted scale
         qp = max(qp, abs(shifted - mult * base) / max(1.0, abs(shifted)))
         odd = max(odd, abs(ev.theta(-z) + base) / max(1.0, abs(base)))
-    # theta^(d) from the degree-d jet against the degree-3 jet, whose series runs longer
+    # theta^(d), d = 1..3, from the degree-3 jet against a Cauchy integral of the scalar
+    # kernel: the trapezoid rule on |w - z| = 1/4 at 32 nodes, all three from one FFT
     zs = np.array([params.sample_generic(rng, margin=5e-2) for _ in range(min(samples, 20))])
-    taylor = ev.theta_array(zs, 3)
-    jet_dev = 0.0
-    for d in (1, 2, 3):
-        expect = math.factorial(d) * taylor[:, d]
-        got = math.factorial(d) * ev.theta_array(zs, d)[:, d]
-        jet_dev = max(jet_dev, float(np.max(np.abs(got - expect) / np.maximum(1.0, np.abs(expect)))))
+    circle, fact = 0.25 * np.exp(2j * math.pi * np.arange(32) / 32), np.array([1.0, 2.0, 6.0])
+    ring = np.array([[ev.theta(complex(z + w)) for w in circle] for z in zs])
+    expect = np.fft.fft(ring, axis=1)[:, 1:4] * fact / (32 * 0.25 ** np.arange(1, 4))
+    got = ev.theta_array(zs, 3)[:, 1:] * fact
+    jet_dev = float(np.max(np.abs(got - expect) / np.maximum(1.0, np.abs(expect))))
     points = [_as_complex(pt, "theta.points[%d]" % i) for i, pt in enumerate(_list(block, "points"))]
     at = np.array(points, dtype=complex)
     zeta, wp = ev.zeta_wp(at)
@@ -491,15 +491,21 @@ def _task_irf_bethe(block, params, rng, tol, csv_dir):
         xs = [params.sample_generic(rng, margin=5e-2) for _ in params.zs]
         zeta = params.sample_generic(rng, margin=5e-2)
         lhs = irf.apply_transfer_continuous(params, zeta, cb.u_value, xs)
-        rhs = cb.eps_value(zeta) * cb.u_value(xs)
-        eigen = max(eigen, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # a non-finite miss raises below
+            rhs = cb.eps_value(zeta) * cb.u_value(xs)
+            miss = abs(lhs - rhs) / max(abs(lhs), abs(rhs))
+        if not np.isfinite(miss):
+            raise ThetaOverflowError("eps u at zeta = %r leaves double range" % (zeta,))
+        eigen = max(eigen, miss)
     m = sum(params.lams) // 2
     ev = params.evaluator()
     member = spaces.membership_test(ev, cb.q_value, m, cb.chi, rng)
     # eps carries the character the difference equation induces from A_plus
     chi_plus = spaces.character_of(cb.a_plus, params.lattice.tau)
     chi_eps = spaces.induced_eigenvalue_character(chi_plus, 2 * params.eta, m)
-    zchar = params.sample_generic(rng, margin=5e-2, avoid=cb.solution.roots)
+    # from Im z in [-Im tau/2, Im tau/2): from the cell, eps's tau multiplier reaches exp(3 pi n Im tau)
+    half = params.lattice.tau / 2
+    zchar = params.sample_generic(rng, margin=5e-2, avoid=[w + half for w in cb.solution.roots]) - half
     chi_dev = spaces.multiplier_deviation(ev, cb.eps, cb.a_plus.order, chi_eps, zchar)
     checks = [
         _check("solver_converged", cb.solution.residual, 1e-10),

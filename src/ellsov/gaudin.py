@@ -142,22 +142,23 @@ def build_hamiltonians(params: ModelParams, lam0: complex, degree: int) -> list[
     with the j = k ratio understood as theta'''(0)/theta'(0).  The hh
     weight 1/8 and the ordered ef sum are forced by matching the pole
     expansion of S(z); the residue decomposition test referees them.
-    Every operator reads one jet_sigma and one jet_sigma_neg call over all
-    ordered pairs, at degree - 1; H_0 takes the derivatives of the former,
-    with no pole of zeta_bar(lambda - z_jk) for sigma's zero to cancel.
+    Every operator reads one jet_sigma call over all ordered pairs; theta's
+    jet at lam0 gives wp_bar = -(theta'/theta)'.  H_0 takes the derivatives
+    of the sigma jets, with no pole of zeta_bar(lambda - z_jk) to cancel.
     """
     if degree < 2:
         raise ValueError("H_0 takes two derivatives: degree must be at least 2")
     ctx = _gaudin_model(params)
     ev, dim, others = ctx.ev, ctx.dim, params.n - 1
-    sig = jets.jet_sigma(ev, lam0, ctx.zjks, degree - 1)
-    sig_neg = jets.jet_sigma_neg(ev, lam0, ctx.zjks, degree - 1)
+    sig, sig_neg, theta_lam = jets.jet_sigma(ev, lam0, ctx.zjks, degree)
+    sig, sig_neg = sig[:degree], sig_neg[:degree]  # the coefficients reach degree - 1
+    wp = -jets.jderiv(jets.jdiv(jets.jderiv(theta_lam), theta_lam[:degree], degree - 1))
 
     c0 = np.zeros((degree - 1, dim, dim), dtype=complex)
     c0[0] += ctx.hh_const
-    c0 -= 0.5 * jets.jet_wp_bar(ev, lam0, degree - 2)[:, None, None] * ctx.diag_ef[None, :, :]
-    for sj, mat in zip(sig, ctx.mats_ef):
-        c0 -= jets.jderiv(sj)[:, None, None] * mat[None, :, :]
+    c0 -= 0.5 * wp[:, None, None] * ctx.diag_ef[None, :, :]
+    for sj, mat in zip(jets.jderiv(sig).T, ctx.mats_ef):
+        c0 -= sj[:, None, None] * mat[None, :, :]
     eye = np.eye(dim, dtype=complex)[None]
     hams = [LambdaDiffOp(degree, (c0, np.zeros_like(eye), eye))]
     for j in range(params.n):
@@ -165,7 +166,7 @@ def build_hamiltonians(params: ModelParams, lam0: complex, degree: int) -> list[
         c0[0] += ctx.pair_hh[j]
         for sigs, mats in ((sig, ctx.mats_ef), (sig_neg, ctx.mats_fe)):
             for p in range(j * others, (j + 1) * others):
-                c0 += sigs[p][:, None, None] * mats[p][None, :, :]
+                c0 += sigs[:, p, None, None] * mats[p][None, :, :]
         hams.append(LambdaDiffOp(degree, (c0, -ctx.h[j][None])))
     return hams
 
@@ -181,12 +182,11 @@ def build_S(params: ModelParams, z: complex, lam0: complex, degree: int) -> Lamb
     ev, dim, d_out = ctx.ev, ctx.dim, degree - 2
     dzs = z - np.array(params.zs)
     hz = sum(zeta * hi for hi, zeta in zip(ctx.h, ev.zeta_wp(dzs)[0]))
-    sns = jets.jet_sigma_neg(ev, lam0, dzs, d_out)
-    sps = jets.jet_sigma(ev, lam0, dzs, d_out)
-    e_jet = sum(sn[:, None, None] * ei[None, :, :] for (ei, _, _), sn in zip(ctx.ops, sns))
-    f_jet = sum(sp[:, None, None] * fi[None, :, :] for (_, fi, _), sp in zip(ctx.ops, sps))
+    sps, sns, _ = jets.jet_sigma(ev, lam0, dzs, d_out)
+    e_jet = sum(sn[:, None, None] * ei[None, :, :] for (ei, _, _), sn in zip(ctx.ops, sns.T))
+    f_jet = sum(sp[:, None, None] * fi[None, :, :] for (_, fi, _), sp in zip(ctx.ops, sps.T))
     anti = jets.jmul(e_jet, f_jet, d_out) + jets.jmul(f_jet, e_jet, d_out)
-    c0 = np.stack([0.5 * ctx.restrict(a) for a in anti])
+    c0 = 0.5 * anti[:, ctx.indices[:, None], ctx.indices]
     c0[0] += 0.25 * (hz @ hz)
     return LambdaDiffOp(degree, (c0, -hz[None], np.eye(dim, dtype=complex)[None]))
 
@@ -228,15 +228,15 @@ def _gaudin_equations(ev: ThetaEvaluator, params: ModelParams, x: np.ndarray):
     jac[:, 0] = -2.0
     np.put_along_axis(jac, 1 + others, -2.0 * wp[:, n:], axis=1)
     np.fill_diagonal(jac[:, 1:], 2.0 * wp[:, n:].sum(axis=1) - wp[:, :n] @ lams)
-    return res, 1.0, lambda: jac
+    return res, lambda: jac
 
 
 def solve_gaudin_bethe(params: ModelParams, rng: np.random.Generator) -> GaudinBetheResult:
     """spaces.damped_newton on the n-site Gaudin Bethe equations in (c, w_1..w_m).
 
     m = sum(Lambda_i)/2 roots: the Bethe vector f(w_1)..f(w_m) v_0 lies in
-    the zero-weight space only for that m.  The target is absolute
-    (scale 1); each start draws the roots, then c.
+    the zero-weight space only for that m.  Each start draws the roots,
+    then c.
     """
     params.validate_distinct_sites()
     params.validate_even_weight_sum()
@@ -265,9 +265,10 @@ def bethe_eigenvector(
     ctx = _gaudin_model(params)
     vec = np.zeros((degree + 1, ctx.total), dtype=complex)
     vec[0, 0] = 1.0  # index 0 is the top vector of every factor
-    for w in roots:
-        sps = jets.jet_sigma(ctx.ev, lam0, [w - zi for zi in params.zs], degree)
-        f_jet = sum(sp[:, None, None] * fi for sp, (_, fi, _) in zip(sps, ctx.ops))
+    # one jet_sigma call over every (root, site) pair, root-major
+    sps = jets.jet_sigma(ctx.ev, lam0, (np.array(roots)[:, None] - np.array(params.zs)).ravel(), degree)[0]
+    for r in range(len(roots)):
+        f_jet = sum(sp[:, None, None] * fi for sp, (_, fi, _) in zip(sps.T[r * params.n :], ctx.ops))
         vec = jets.jmul(f_jet, vec, degree)
     vec = jets.jmul(jets.jet_exp(c, lam0, degree), vec, degree)
     return vec[:, ctx.indices]

@@ -30,6 +30,7 @@ from . import spaces
 from .eqg import S0Grid, _check_spectral, _r_fill
 from .params import ModelParams, ParameterError
 from .spaces import BetheSolution, Character, EllipticPoly, ThetaInterpolant
+from .theta import ThetaOverflowError
 
 __all__ = [
     "build_T_irf_paths",
@@ -798,7 +799,7 @@ def _shift_polys(params: ModelParams) -> tuple[EllipticPoly, EllipticPoly]:
 def apply_transfer_continuous(
     params: ModelParams,
     zeta: complex,
-    u: Callable[[Sequence[complex]], complex],
+    u: Callable[[np.ndarray], np.ndarray],
     xs: Sequence[complex],
 ) -> complex:
     """The displayed difference operator at zeta, at arbitrary points xs:
@@ -807,25 +808,29 @@ def apply_transfer_continuous(
 
     with continuous_bethe's shift coefficients A_plus, A_minus and L the
     level-n cardinal basis on the nodes xs for chi(1) = (-1)^n, chi(tau) =
-    (-1)^n e^{-2 pi i sum z_j}.  xs colliding modulo the lattice, or
-    -sum (x_i + z_i) within rho of it, raise ParameterError.
+    (-1)^n e^{-2 pi i sum z_j}.  u maps a stack of coordinate sets, shape
+    (k, n), to its k values; it is called once, on the 2n shifted sets, and
+    A_plus and A_minus take one array call.  xs colliding modulo the
+    lattice, or -sum (x_i + z_i) within rho of it, raise ParameterError; a
+    non-finite sum raises ThetaOverflowError.
     """
-    if len(xs) != params.n:
+    n = len(xs)
+    if n != params.n:
         raise ParameterError("need one coordinate per site")
-    ev, sgn = params.evaluator(), (-1.0) ** params.n
+    ev, sgn = params.evaluator(), (-1.0) ** n
     chi = Character(sgn, sgn * cmath.exp(-_2PI_I * sum(params.zs)))
     try:
-        weights = spaces.ThetaSpaceBasis(ev, params.n, chi, xs).cardinal_vector(-complex(zeta))
+        weights = spaces.ThetaSpaceBasis(ev, n, chi, xs).cardinal_vector(-complex(zeta))
     except (spaces.DegenerateNodesError, spaces.ResonantCharacterError) as exc:
         raise ParameterError(str(exc)) from exc
     a_plus, a_minus = _shift_polys(params)
-    step, total = 2 * params.eta, 0.0j
-    for i, (xi, li) in enumerate(zip(xs, weights)):
-        down, up = list(xs), list(xs)
-        down[i], up[i] = xi - step, xi + step
-        down_coeff = spaces.eval_elliptic_poly(ev, a_plus, xi)
-        up_coeff = spaces.eval_elliptic_poly(ev, a_minus, xi)
-        total += li * (down_coeff * u(down) + up_coeff * u(up))
+    xs, shifts = np.array(xs, dtype=complex), 2 * params.eta * np.eye(n)
+    values = u(np.concatenate((xs - shifts, xs + shifts)))  # row i moves x_i down, row n + i up
+    down, up = spaces.eval_elliptic_polys(ev, (a_plus, a_minus), xs)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum raises below
+        total = weights @ (down * values[:n] + up * values[n:])
+    if not np.isfinite(total):
+        raise ThetaOverflowError("the off-grid transfer operator overflows double precision at %r" % (complex(zeta),))
     return complex(total)
 
 
@@ -849,11 +854,14 @@ class ContinuousBethe:
     def q_value(self, x: complex) -> complex:
         return spaces.eval_elliptic_poly(self.params.evaluator(), self.q, x)
 
-    def u_value(self, xs: Sequence[complex]) -> complex:
-        val = 1.0 + 0.0j
-        for x in xs:
-            val *= self.q_value(x)
-        return val
+    def u_value(self, xs) -> np.ndarray:
+        """u(x) = prod_i q(x_i) for each coordinate set of xs, shape (..., n), from one array call."""
+        (qs,) = spaces.eval_elliptic_polys(self.params.evaluator(), (self.q,), xs)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite product raises below
+            vals = qs.prod(axis=-1)
+        if not np.isfinite(vals).all():
+            raise ThetaOverflowError("the product eigenfunction overflows double precision")
+        return vals
 
     def eps_value(self, z: complex) -> complex:
         """Transfer eigenvalue; entire in z thanks to the root conditions."""

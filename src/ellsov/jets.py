@@ -9,7 +9,7 @@ derivative, for jets of every rank.  All differential-operator work
 LambdaDiffOp, which holds its coefficients as matrix jets at one point
 lam0, formed once when the operator is built; each application reads
 them truncated to its output degree.  The theta jets behind them come
-from ThetaEvaluator.theta_array, one call per jet function.
+from ThetaEvaluator.theta_array, one call per jet_sigma.
 """
 
 from __future__ import annotations
@@ -26,10 +26,7 @@ __all__ = [
     "jdiv",
     "jderiv",
     "jet_exp",
-    "jet_zeta_bar",
-    "jet_wp_bar",
     "jet_sigma",
-    "jet_sigma_neg",
     "LambdaDiffOp",
 ]
 
@@ -62,18 +59,17 @@ def jmul(a: np.ndarray, b: np.ndarray, degree: int | None = None) -> np.ndarray:
 
 
 def jdiv(a: np.ndarray, b: np.ndarray, degree: int | None = None) -> np.ndarray:
-    """Quotient a/b of scalar jets; b[0] must be nonzero."""
+    """Quotient a/b by the scalar jet b, b[0] nonzero; a is a scalar jet or a
+    batch (D + 1, N) of them, which one recurrence divides."""
     if degree is None:
         degree = min(len(a), len(b)) - 1
     if b[0] == 0:
         raise ZeroDivisionError("jet division by a jet with vanishing value")
-    out = np.zeros(degree + 1, dtype=complex)
+    out = np.zeros((degree + 1,) + a.shape[1:], dtype=complex)
     for k in range(degree + 1):
-        acc = a[k] if k < len(a) else 0j
-        for i in range(1, k + 1):
-            if i < len(b):
-                acc -= b[i] * out[k - i]
-        out[k] = acc / b[0]
+        i = min(k, len(b) - 1)
+        # a[k] - sum_{i >= 1} b[i] out[k - i], as one product over the terms so far
+        out[k] = ((a[k] if k < len(a) else 0j) - b[i:0:-1] @ out[k - i : k]) / b[0]
     return out
 
 
@@ -93,39 +89,24 @@ def jet_exp(c: complex, x0: complex, degree: int) -> np.ndarray:
     return out
 
 
-def jet_zeta_bar(ev: ThetaEvaluator, x0: complex, degree: int) -> np.ndarray:
-    """Jet of zeta_bar = theta'/theta at x0, from one theta_array call."""
-    tj = ev.theta_array(np.array([x0]), degree + 1)[0]
-    return jdiv(jderiv(tj), tj[: degree + 1], degree)
+def jet_sigma(ev: ThetaEvaluator, lam0: complex, zs: Sequence[complex], degree: int) -> tuple[np.ndarray, ...]:
+    """Jets in lambda at lam0 of sigma_lambda(z) and sigma_{-lambda}(z), and theta's jet at lam0.
 
-
-def jet_wp_bar(ev: ThetaEvaluator, x0: complex, degree: int) -> np.ndarray:
-    return -jderiv(jet_zeta_bar(ev, x0, degree + 1))
-
-
-def jet_sigma(ev: ThetaEvaluator, lam0: complex, zs: Sequence[complex], degree: int) -> list[np.ndarray]:
-    """Jets in lambda of sigma_lambda(z) at lam0, one per z of zs.
-
-    One theta_array call over [0, lam0, lam0 - z..., z...] gives theta'(0),
-    the denominator jet theta(lambda), the numerator jets theta(lambda - z)
-    and the values theta(z); it runs at degree 1 or more, for theta'(0).
+    sigma_lambda(z) = theta'(0) theta(lambda - z) / (theta(lambda) theta(z));
+    its jets form a batch (degree + 1, N), a column per z of zs.  One degree
+    max(degree, 1) theta_array call over [0, lam0, -lam0, lam0 - z...,
+    -lam0 - z..., z...] gives theta'(0), the denominators theta(+/-lambda),
+    the numerators theta(+/-lambda - z) and the values theta(z).
+    sigma_{-lambda}'s jet is sigma's at -lam0 with the odd terms negated.
     """
     zs = np.asarray(zs, dtype=complex)
     n = len(zs)
-    jet = ev.theta_array(np.concatenate(([0.0, lam0], lam0 - zs, zs)), max(degree, 1))
-    prime0, den = jet[0, 1], jet[1, : degree + 1]
-    return [
-        jdiv(num[: degree + 1] * (prime0 / tz[0]), den, degree)
-        for num, tz in zip(jet[2 : 2 + n], jet[2 + n :])
-    ]
-
-
-def jet_sigma_neg(ev: ThetaEvaluator, lam0: complex, zs: Sequence[complex], degree: int) -> list[np.ndarray]:
-    """Jets in lambda of sigma_{-lambda}(z) at lam0: sigma's jets at -lam0, odd terms negated."""
-    out = jet_sigma(ev, -lam0, zs, degree)
-    for jet in out:
-        jet[1::2] *= -1.0
-    return out
+    rows = ev.theta_array(np.concatenate(([0.0, lam0, -lam0], lam0 - zs, -lam0 - zs, zs)), max(degree, 1))
+    scale = rows[0, 1] / rows[3 + 2 * n :, 0]
+    pos = jdiv(rows[3 : 3 + n, : degree + 1].T * scale, rows[1, : degree + 1], degree)
+    neg = jdiv(rows[3 + n : 3 + 2 * n, : degree + 1].T * scale, rows[2, : degree + 1], degree)
+    neg[1::2] *= -1.0
+    return pos, neg, rows[1]
 
 
 @dataclasses.dataclass(frozen=True)

@@ -40,6 +40,7 @@ __all__ = [
     "MembershipReport",
     "BetheSolution",
     "eval_elliptic_poly",
+    "eval_elliptic_polys",
     "character_of",
     "expected_multiplier",
     "multiplier_deviation",
@@ -99,12 +100,11 @@ def expected_multiplier(chi: Character, k: int, z: complex, r: int, s: int, tau:
 
 def multiplier_deviation(ev: ThetaEvaluator, f: Callable, k: int, chi: Character, z: complex) -> float:
     """Largest relative miss of f(z + w) / f(z), w = 1 and tau, against a level-k chi."""
-    tau = ev.lattice.tau
-    dev = 0.0
+    tau, base, misses = ev.lattice.tau, f(z), []
     for (r, s) in ((1, 0), (0, 1)):
         expect = expected_multiplier(chi, k, z, r, s, tau)
-        dev = max(dev, abs(f(z + r + s * tau) / f(z) - expect) / abs(expect))
-    return dev
+        misses.append(abs(f(z + r + s * tau) / base - expect) / abs(expect))
+    return float(np.max(misses))  # a NaN miss is returned: max(0.0, nan) would drop it
 
 
 @dataclasses.dataclass(frozen=True)
@@ -124,6 +124,25 @@ def eval_elliptic_poly(ev: ThetaEvaluator, p: EllipticPoly, z: complex) -> compl
     for w in p.zeros:
         val *= ev.theta(z - w)
     return val
+
+
+def eval_elliptic_polys(ev: ThetaEvaluator, polys: Sequence[EllipticPoly], zs) -> np.ndarray:
+    """Each of polys at each point of zs, shape (len(polys),) + zs.shape, from one theta_array
+    call over the points times all the zeros; a non-finite value raises ThetaOverflowError."""
+    zs = np.asarray(zs, dtype=complex)
+    flat = zs.ravel()
+    zeros = np.array([w for p in polys for w in p.zeros], dtype=complex)
+    thetas = iter(ev.theta_array((flat[:, None] - zeros).ravel(), 0).reshape(len(flat), -1).T)
+    vals = np.empty((len(polys), len(flat)), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value raises below
+        for val, p in zip(vals, polys):  # factor by factor from exp(a z), as eval_elliptic_poly
+            val[:] = np.exp(p.a * flat)
+            for _ in p.zeros:
+                val *= next(thetas)
+    if not np.isfinite(vals).all():
+        z = complex(flat[np.argmin(np.isfinite(vals).all(axis=0))])
+        raise ThetaOverflowError("elliptic polynomial at %r overflows double precision" % (z,))
+    return vals.reshape((len(polys),) + zs.shape)
 
 
 def character_of(p: EllipticPoly, tau: complex) -> Character:
@@ -313,10 +332,10 @@ _RESTARTABLE = (NoConvergenceError, InvalidSolutionError, PoleProximityError, Ze
 
 
 def damped_newton(system, start, accept=None) -> tuple[np.ndarray, float, int]:
-    """Damped least-squares Newton for r(x) = 0; returns (x, max|r| / scale, iterations).
+    """Damped least-squares Newton for r(x) = 0; returns (x, max|r|, iterations).
 
-    system(x) returns (r, scale, jacobian): x solves once max|r| <= 1e-11 *
-    scale, and jacobian() builds J at x from what system computed there.
+    system(x) returns (r, jacobian): x solves once max|r| <= 1e-11, and
+    jacobian() builds J at x from what system computed there.
     The step is the minimum-norm least-squares solution of J s = -r, as the
     Bethe systems have m equations in m + 1 unknowns; it is halved, up to 20
     times, until max|r| drops.  start() draws each start point; accept(x)
@@ -335,10 +354,10 @@ def damped_newton(system, start, accept=None) -> tuple[np.ndarray, float, int]:
 
 
 def _newton_run(system, x, accept):
-    res, scale, jacobian = system(x)
+    res, jacobian = system(x)
     norm = float(np.max(np.abs(res)))
     iterations = 0
-    while not norm <= _TARGET * scale:  # a NaN residual never converges
+    while not norm <= _TARGET:  # a NaN residual never converges
         if iterations == _MAX_ITERS:
             raise NoConvergenceError("no convergence after %d iterations (residual %g)" % (iterations, norm))
         step, *_ = np.linalg.lstsq(jacobian(), -res, rcond=None)
@@ -346,13 +365,13 @@ def _newton_run(system, x, accept):
         for _ in range(_MAX_HALVINGS):
             nx = x + damp * step
             try:
-                nres, nscale, njacobian = system(nx)
+                nres, njacobian = system(nx)
             except (PoleProximityError, ThetaOverflowError):
                 damp *= 0.5
                 continue
             nnorm = float(np.max(np.abs(nres)))
-            if nnorm < norm or nnorm <= _TARGET * nscale:
-                x, res, scale, norm, jacobian = nx, nres, nscale, nnorm, njacobian
+            if nnorm < norm or nnorm <= _TARGET:
+                x, res, norm, jacobian = nx, nres, nnorm, njacobian
                 break
             damp *= 0.5
         else:
@@ -360,7 +379,7 @@ def _newton_run(system, x, accept):
         iterations += 1
     if accept is not None:
         accept(x)
-    return x, norm / scale, iterations
+    return x, norm, iterations
 
 
 # -- difference-equation Bethe solver ----------------------------------
@@ -413,46 +432,44 @@ def _bethe_terms(ev, A_plus, A_minus, gamma, a, roots):
 def _bethe_system(ev, A_plus, A_minus, gamma, m):
     """damped_newton's system(x) for the m-root Bethe system, x = (a, w_1..w_m).
 
-    Equation i is t_i0 + t_i1 = 0, where t_i0 = A_plus(w_i) exp(-gamma a)
-    theta(-gamma) prod_{j != i} theta(w_i - w_j - gamma), and t_i1 is the
-    same with A_minus and +gamma.  One evaluation makes one degree-1
+    With t_i0 = A_plus(w_i) exp(-gamma a) theta(-gamma) prod_{j != i}
+    theta(w_i - w_j - gamma), and t_i1 the same with A_minus and +gamma,
+    equation i is the multiplicative (ratio) form F_i = log(-t_i0 / t_i1)
+    = 0, principal branch; theta(-gamma) / theta(gamma) = -1 takes up the
+    sign.  F_i is linear in a, and Newton takes fewer steps on it than on
+    the sum t_i0 + t_i1 of exponentials.  One evaluation makes one degree-1
     theta_array call, over the m * 2n site arguments w_i - (zeros of A_plus
-    and A_minus) and the 2m(m - 1) root-pair arguments w_i - w_j -/+ gamma.
-    The residual takes the values of that batch and the Jacobian its
-    theta'/theta.  theta(-/+gamma) is evaluated once, here.
+    and A_minus) and the 2m(m - 1) root-pair arguments w_i - w_j -/+ gamma:
+    F takes its values, the Jacobian rows dlog t_i0 - dlog t_i1 its
+    theta'/theta.  A ratio that leaves double range raises ThetaOverflowError.
     """
-    # argument q is design[q] . x + offset[q]; member[g, q] marks the thetas of
-    # t_g, g = 2i + c, and t_g carries exp(expo[g] . x) and the constant const[g]
-    design, offset, member = [], [], []
-    expo = np.zeros((2 * m, m + 1), dtype=complex)
+    # argument q is design[q] . x + offset[q]; sign[i, q] is +1 for a theta of
+    # t_i0 and -1 for one of t_i1, and -t_i0 / t_i1 carries exp(expo[i] . x)
+    design, offset, sign = [], [], []
+    expo = np.zeros((m, m + 1), dtype=complex)
     unit = np.eye(m + 1, dtype=complex)
     for i in range(m):
-        for c, (poly, shift) in enumerate(((A_plus, -gamma), (A_minus, gamma))):
-            g = 2 * i + c
-            expo[g, 0], expo[g, 1 + i] = shift, poly.a
-            for zero in poly.zeros:
-                design.append(unit[1 + i])
-                offset.append(-zero)
-                member.append(g)
-            for j in range(m):
-                if j != i:
-                    design.append(unit[1 + i] - unit[1 + j])
-                    offset.append(shift)
-                    member.append(g)
+        for side, (poly, shift) in zip((1.0, -1.0), ((A_plus, -gamma), (A_minus, gamma))):
+            expo[i, 0] += side * shift
+            expo[i, 1 + i] += side * poly.a
+            rows = [unit[1 + i]] * poly.order + [unit[1 + i] - unit[1 + j] for j in range(m) if j != i]
+            design += rows
+            offset += [-zero for zero in poly.zeros] + [shift] * (m - 1)
+            sign += [side * unit[1 + i, 1:]] * len(rows)
     design, offset = np.array(design).reshape(-1, m + 1), np.array(offset, dtype=complex)
-    member = np.arange(2 * m)[:, None] == np.array(member, dtype=int)
-    const = np.tile([ev.theta(0j - gamma), ev.theta(0j + gamma)], m)
+    sign = np.array(sign).reshape(-1, m).T
+    num, den = sign.real > 0, sign.real < 0
     lat, rho = ev.lattice, ev.rho
 
     def system(x):
         args = design @ x + offset
         jets = ev.theta_array(args, 1)
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite term raises below
-            t = np.exp(expo @ x) * const * np.where(member, jets[:, 0], 1.0).prod(axis=1)
-        if not np.isfinite(t).all():  # named by the root of the first non-finite equation
-            w = complex(x[1 + int(np.argmin(np.isfinite(t))) // 2])
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # a non-finite F raises below
+            ratio = np.where(num, jets[:, 0], 1.0).prod(axis=1) / np.where(den, jets[:, 0], 1.0).prod(axis=1)
+            res = np.log(np.exp(expo @ x) * ratio)
+        if not np.isfinite(res).all():  # named by the root of the first non-finite equation
+            w = complex(x[1 + int(np.argmin(np.isfinite(res)))])
             raise ThetaOverflowError("Bethe system overflows double precision at root %r" % (w,))
-        scale = max(float(np.abs(t).max()), 1e-300)
 
         def jacobian():
             dist = lat.dist_to_lattice_array(args)
@@ -462,11 +479,10 @@ def _bethe_system(ev, A_plus, A_minus, gamma, m):
                     "pole proximity: Bethe system argument %r is within %g of the period lattice (margin %g)"
                     % (complex(args[near]), dist[near], rho)
                 )
-            # d t_g / dx = t_g (expo[g] + sum_q member[g, q] theta'/theta(arg_q) design[q])
-            dlog = expo + (member * (jets[:, 1] / jets[:, 0])) @ design
-            return (t[:, None] * dlog).reshape(m, 2, m + 1).sum(axis=1)
+            # d F_i / dx = expo[i] + sum_q sign[i, q] theta'/theta(arg_q) design[q]
+            return expo + (sign * (jets[:, 1] / jets[:, 0])) @ design
 
-        return t.reshape(m, 2).sum(axis=1), scale, jacobian
+        return res, jacobian
 
     return system
 
@@ -527,11 +543,14 @@ def difference_eigenvalue(
     q = EllipticPoly(sol.a, sol.roots)
 
     def eps(z: complex) -> complex:
-        qz = eval_elliptic_poly(ev, q, z)
-        return (
-            eval_elliptic_poly(ev, A_plus, z) * eval_elliptic_poly(ev, q, z - gamma)
-            + eval_elliptic_poly(ev, A_minus, z) * eval_elliptic_poly(ev, q, z + gamma)
-        ) / qz
+        polys = eval_elliptic_polys(ev, (q, A_plus, A_minus), np.array([z, z - gamma, z + gamma]))
+        (qz, q_down, q_up), ap, am = polys[0], polys[1, 0], polys[2, 0]
+        # the ratios of Q first: A_plus(z) Q(z - gamma) alone can overflow where eps does not
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # a non-finite value raises below
+            val = ap * (q_down / qz) + am * (q_up / qz)
+        if not np.isfinite(val):
+            raise ThetaOverflowError("the difference eigenvalue at %r leaves double range" % (z,))
+        return complex(val)
 
     return eps
 

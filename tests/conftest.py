@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from ellsov import irf
+from ellsov import irf, jets
 from ellsov import theta as theta_module
 from ellsov.spaces import EllipticPoly
 from ellsov.theta import Lattice, PoleProximityError, ThetaEvaluator, TruncationError
@@ -165,6 +165,17 @@ def wp_bar(ev, z):
     jet = theta_jet(ev, z, 2)
     t0, t1, t2 = jet[0], jet[1], 2.0 * jet[2]
     return complex((t1 / t0) ** 2 - t2 / t0)
+
+
+def jet_zeta_bar(ev, x0, degree):
+    """Jet of zeta_bar = theta'/theta at x0, from one theta_array call."""
+    tj = ev.theta_array(np.array([x0]), degree + 1)[0]
+    return jets.jdiv(jets.jderiv(tj), tj[: degree + 1], degree)
+
+
+def jet_wp_bar(ev, x0, degree):
+    """Jet of wp_bar = -zeta_bar' at x0."""
+    return -jets.jderiv(jet_zeta_bar(ev, x0, degree + 1))
 
 
 def sigma(ev, lam, z):

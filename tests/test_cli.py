@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ellsov import cli, gaudin, irf
+from ellsov import theta as theta_module
 from ellsov.params import ModelParams
 from ellsov.theta import PoleProximityError
 
@@ -141,6 +142,31 @@ def test_report_shape(tmp_path):
     for entry in report["metrics"]["values"]:
         assert len(entry["theta"]) == 2
     assert "seconds" in report["timing"]
+
+
+@pytest.mark.parametrize("seed", [None, 7])
+def test_derivative_vs_jet_is_a_check(tmp_path, monkeypatch, seed):
+    """derivative_vs_jet compares theta_array's jet with a Cauchy integral of
+    the scalar kernel.  It once compared two jets that sum the same 5 terms
+    and read exactly 0.0; it now reads a rounding-level residual, and a
+    first-derivative weight off by 1e-8 in the array kernel fails it."""
+    argv = ["theta", "eval", "--config", str(CONFIGS / "theta.json")] + ([] if seed is None else ["--seed", str(seed)])
+    code, report = run_to_file(tmp_path, argv)
+    check = next(c for c in report["checks"] if c["name"] == "derivative_vs_jet")
+    assert code == 0 and 0.0 < check["residual"] <= 1e-13
+
+    table = theta_module._array_table
+
+    def off_by_1e8(tau, degree, trunc_tol):
+        bound, grid, weights, ifact = table(tau, degree, trunc_tol)
+        weights = weights.copy()
+        weights[:, 1] *= 1.0 + 1e-8
+        return bound, grid, weights, ifact
+
+    monkeypatch.setattr(theta_module, "_array_table", off_by_1e8)
+    code, report = run_to_file(tmp_path, argv, "broken.json")
+    check = next(c for c in report["checks"] if c["name"] == "derivative_vs_jet")
+    assert code == 1 and not check["pass"] and check["residual"] >= 1e-9
 
 
 def test_stdout_default(capsys):
@@ -291,6 +317,38 @@ def test_task_error_is_not_a_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("task error: ThetaOverflowError: Bethe system overflows double precision")
     assert "config error" not in err
+
+
+# irf bethe exit codes over Im tau (Re tau = 0.31) on the bundled configs.  Before
+# the ratio-form Bethe system n2 read the same, and n4 read 0 0 0 0 1 1 1 2 2: at
+# Im tau = 20 and 40 every Newton start failed.  n4 fails eigen_residual at 10
+# and 20 (cancelling summands, ROADMAP item 2), and at 40 the off-grid cardinal
+# vector overflows; at 88 and 187 the Bethe system or theta itself overflows.
+BETHE_SWEEP = (0.05, 0.2, 1.07, 4.0, 10.0, 20.0, 40.0, 88.0, 187.0)
+BETHE_EXITS = {
+    "irf_bethe_n2.json": (0, 0, 0, 0, 0, 0, 0, 2, 2),
+    "irf_bethe_n4.json": (0, 0, 0, 0, 1, 1, 2, 2, 2),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("base", sorted(BETHE_EXITS))
+def test_irf_bethe_tau_sweep(tmp_path, capsys, base):
+    """No exception or warning escapes irf bethe from Im tau = 0.05 to 187:
+    each run exits 0, fails a check with exit 1, or exits 2 with a typed
+    error, and no report carries a NaN."""
+    codes = []
+    for im_tau in BETHE_SWEEP:
+        cfg = rewrite_config(tmp_path, base, "sweep.json", lambda c: c.update(tau=[0.31, im_tau]))
+        out = tmp_path / "sweep-report.json"
+        out.unlink(missing_ok=True)
+        codes.append(cli.main(["irf", "bethe", "--config", cfg, "--out", str(out)]))
+        err = capsys.readouterr().err
+        if codes[-1] == 2:
+            assert err.startswith("task error: ") and not out.exists()
+        else:
+            assert "NaN" not in out.read_text() and "Infinity" not in out.read_text()
+    assert tuple(codes) == BETHE_EXITS[base]
 
 
 def test_spectrum_at_steep_tau_exits0(tmp_path):

@@ -21,7 +21,7 @@ from ellsov.gaudin import (
 from ellsov.params import ModelParams, ParameterError
 from ellsov.theta import PoleProximityError
 
-from conftest import count_theta_calls, sample_point, sigma, wp_bar, zeta_bar
+from conftest import count_theta_calls, jet_wp_bar, sample_point, sigma, wp_bar, zeta_bar
 
 ETA = 0.173 - 0.061j  # inert here; the container wants it
 Z1 = (0.12 + 0.23j,)
@@ -106,8 +106,10 @@ def build_field_ops(params, z, lam):
 
 # The operators' lambda-dependent coefficients as they were built before the
 # batched sigma jets: per pair, from the theta_array rows the operators read
-# (one call per jet_sigma and per model).  The operators must reproduce them
-# bit for bit.
+# (one call per operator and one per model).  The sigma jets of one call are
+# divided as one batch, as jet_sigma divides them, and the rows of theta_array
+# depend on the batch, so the reference rebuilds the merged batch.  The
+# operators must reproduce the per-pair assembly bit for bit.
 
 
 def pairs_of(ctx):
@@ -122,23 +124,22 @@ def model_rows(ctx):
 
 
 def sigma_rows(ev, lam0, zs, degree):
-    """The rows jet_sigma reads at lam0: theta over [0, lam0, lam0 - z..., z...], degree >= 1."""
+    """The rows jet_sigma reads: theta over [0, lam0, -lam0, lam0 - z..., -lam0 - z..., z...], degree >= 1."""
     zs = list(zs)
-    return ev.theta_array(np.array([0.0, lam0] + [lam0 - z for z in zs] + zs), max(degree, 1))
+    args = [0.0, lam0, -lam0] + [lam0 - z for z in zs] + [-lam0 - z for z in zs] + zs
+    return ev.theta_array(np.array(args), max(degree, 1))
 
 
-def reference_sigma(rows, p, degree):
-    """Pair p's sigma jet: theta(lam0 - z) theta'(0) / (theta(z) theta(lam0)), from its rows."""
-    n = (len(rows) - 2) // 2
-    num = rows[2 + p, : degree + 1] * (rows[0, 1] / rows[2 + n + p, 0])
-    return jets.jdiv(num, rows[1, : degree + 1], degree)
-
-
-def reference_sigma_neg(rows, p, degree):
-    """From the rows at -lam0: sigma's jet there, odd terms negated."""
-    jet = reference_sigma(rows, p, degree)
-    jet[1::2] *= -1.0
-    return jet
+def reference_sigmas(rows, degree):
+    """Every pair's sigma_{+lambda} and sigma_{-lambda} jet, one column each:
+    theta(+/-lam0 - z) theta'(0) / (theta(z) theta(+/-lam0)), the odd terms
+    of the second negated."""
+    n = (len(rows) - 3) // 3
+    scale = rows[0, 1] / rows[3 + 2 * n :, 0]
+    pos = jets.jdiv(rows[3 : 3 + n, : degree + 1].T * scale, rows[1, : degree + 1], degree)
+    neg = jets.jdiv(rows[3 + n : 3 + 2 * n, : degree + 1].T * scale, rows[2, : degree + 1], degree)
+    neg[1::2] *= -1.0
+    return pos, neg
 
 
 def reference_c0_hamiltonian_j(ctx, j, lam0, degree):
@@ -146,16 +147,16 @@ def reference_c0_hamiltonian_j(ctx, j, lam0, degree):
     zjks = [ctx.params.zs[a] - ctx.params.zs[b] for a, b in pairs]
     rows = model_rows(ctx)
     zeta = rows[1:, 1] / rows[1:, 0]
-    pos, neg = sigma_rows(ev, lam0, zjks, degree), sigma_rows(ev, -lam0, zjks, degree)
+    pos, neg = reference_sigmas(sigma_rows(ev, lam0, zjks, degree + 1), degree)
     ej, fj, hj = ctx.ops[j]
     mine = [(p, k) for p, (a, k) in enumerate(pairs) if a == j]
     out = np.zeros((degree + 1, ctx.dim, ctx.dim), dtype=complex)
     for p, k in mine:
         out[0] += (0.5 * zeta[p]) * r(hj @ ctx.ops[k][2])
     for p, k in mine:
-        out += reference_sigma(pos, p, degree)[:, None, None] * r(ej @ ctx.ops[k][1])[None, :, :]
+        out += pos[:, p, None, None] * r(ej @ ctx.ops[k][1])[None, :, :]
     for p, k in mine:
-        out += reference_sigma_neg(neg, p, degree)[:, None, None] * r(fj @ ctx.ops[k][0])[None, :, :]
+        out += neg[:, p, None, None] * r(fj @ ctx.ops[k][0])[None, :, :]
     return out
 
 
@@ -176,13 +177,16 @@ def reference_c0_hamiltonian_0(ctx, lam0, degree):
                 hh_const += 0.125 * (2.0 * tj[2] / tj[0]) * r(hj @ hk)
                 cross_ef.append((zs[j] - zs[k], r(ej @ fk)))
                 p += 1
+    # one call at the operator's degree: the sigma jets and theta's jet at lam0
+    rows = sigma_rows(ev, lam0, [zjk for zjk, _ in cross_ef], degree + 2)
+    theta_lam = rows[1]
+    wp = -jets.jderiv(jets.jdiv(jets.jderiv(theta_lam), theta_lam[: degree + 2], degree + 1))
     out = np.zeros((degree + 1, dim, dim), dtype=complex)
     out[0] += hh_const
-    out -= 0.5 * jets.jet_wp_bar(ev, lam0, degree)[:, None, None] * diag_ef[None, :, :]
-    pos = sigma_rows(ev, lam0, [zjk for zjk, _ in cross_ef], degree + 1)
+    out -= 0.5 * wp[:, None, None] * diag_ef[None, :, :]
+    dsig = jets.jderiv(reference_sigmas(rows, degree + 1)[0])
     for p, (_, mat) in enumerate(cross_ef):
-        sj = jets.jderiv(reference_sigma(pos, p, degree + 1))
-        out -= sj[:, None, None] * mat[None, :, :]
+        out -= dsig[:, p, None, None] * mat[None, :, :]
     return out
 
 
@@ -190,14 +194,14 @@ def reference_c0_S(ctx, z, lam0, degree):
     ev, zs, r = ctx.ev, ctx.params.zs, ctx.restrict
     dzs = [z - zi for zi in zs]
     zeta = ev.zeta_wp(np.array(dzs))[0]
-    pos, neg = sigma_rows(ev, lam0, dzs, degree), sigma_rows(ev, -lam0, dzs, degree)
+    pos, neg = reference_sigmas(sigma_rows(ev, lam0, dzs, degree), degree)
     h_full = np.zeros((ctx.total, ctx.total), dtype=complex)
     e_jet = np.zeros((degree + 1, ctx.total, ctx.total), dtype=complex)
     f_jet = np.zeros((degree + 1, ctx.total, ctx.total), dtype=complex)
     for i, (ei, fi, hi) in enumerate(ctx.ops):
         h_full += zeta[i] * hi
-        e_jet += reference_sigma_neg(neg, i, degree)[:, None, None] * ei[None, :, :]
-        f_jet += reference_sigma(pos, i, degree)[:, None, None] * fi[None, :, :]
+        e_jet += neg[:, i, None, None] * ei[None, :, :]
+        f_jet += pos[:, i, None, None] * fi[None, :, :]
     hz = r(h_full)
     anti = jets.jmul(e_jet, f_jet, degree) + jets.jmul(f_jet, e_jet, degree)
     out = np.stack([0.5 * r(a) for a in anti])
@@ -316,13 +320,15 @@ def test_gaudin_check_builds_model_once(tmp_path, monkeypatch):
 
 def test_gaudin_check_work(monkeypatch, tmp_path):
     """One cold gaudin check on configs/gaudin_n3.json: no scalar theta call
-    and 31 theta_array calls over 227 points, one per jet function: the
-    model (1), each of the 4 Hamiltonian builds (3), each of the 5 S builds
-    (3) and each of the 3 s_decomposition points (1).  The Hamiltonians are
-    built once per lam0 (4) and S once per (z, lam0) (5).  With the scalar
-    jets the same check made 160 theta calls; when every apply_jet formed its
-    coefficients afresh, 468, and it formed coefficients on each of its 59
-    applications, for 21 (operator, lam0) pairs."""
+    and 18 theta_array calls over 175 points: the model (1), each of the 4
+    Hamiltonian builds (1, over 3 + 3 * 6 points), each of the 5 S builds
+    (2: h(z)'s zeta_wp and the sigma pair's 3 + 3 * 3 points) and each of
+    the 3 s_decomposition points (1).  The Hamiltonians are built once per
+    lam0 (4) and S once per (z, lam0) (5).  With one call per jet function
+    (sigma, sigma_{-lambda}, wp_bar) the check made 31 calls over 227
+    points; with the scalar jets, 160 theta calls; when every apply_jet
+    formed its coefficients afresh, 468, and it formed coefficients on each
+    of its 59 applications, for 21 (operator, lam0) pairs."""
     counts = count_theta_calls(monkeypatch)
     builds = {"hams": [], "S": []}
     for name, key in (("build_hamiltonians", "hams"), ("build_S", "S")):
@@ -336,7 +342,7 @@ def test_gaudin_check_work(monkeypatch, tmp_path):
     gaudin._gaudin_model.cache_clear()
     argv = ["gaudin", "check", "--config", str(CONFIGS / "gaudin_n3.json"), "--out", str(tmp_path / "c.json")]
     assert cli.main(argv) == 0
-    assert counts == {"theta": [0, 0], "theta_array": [31, 227]}
+    assert counts == {"theta": [0, 0], "theta_array": [18, 175]}
     assert len(builds["hams"]) == len(set(builds["hams"])) == 4
     assert len(builds["S"]) == len(set(builds["S"])) == 5
 
@@ -347,10 +353,11 @@ def test_gaudin_task_theta_counts_cold_and_warm(monkeypatch, tmp_path, task, oth
     the same theta calls straight after itself and after the other task, one
     fewer than cold.  A
     cold gaudin bethe on configs/gaudin_n3.json makes no scalar theta call
-    and 22 theta_array calls: the model's, one per Newton evaluation (11) and
-    one per jet function of the eigenvector checks.  With the scalar jets it
-    made 74 scalar calls beside the 11, and 230 when zeta_bar and wp_bar
-    were scalar too."""
+    and 16 theta_array calls: the model's, one per Newton evaluation (11) and
+    two per eigenvector check (2), one for the eigenvector's lowering fields
+    and one for the Hamiltonians.  With one call per root and per jet
+    function it made 22; with the scalar jets, 74 scalar calls beside the
+    11, and 230 when zeta_bar and wp_bar were scalar too."""
     counts = count_theta_calls(monkeypatch)
     argv = ["--config", str(CONFIGS / "gaudin_n3.json"), "--out", str(tmp_path / "r.json")]
 
@@ -361,7 +368,7 @@ def test_gaudin_task_theta_counts_cold_and_warm(monkeypatch, tmp_path, task, oth
 
     gaudin._gaudin_model.cache_clear()
     cold = run(task)
-    assert cold == {"check": [0, 31], "bethe": [0, 22]}[task]
+    assert cold == {"check": [0, 18], "bethe": [0, 16]}[task]
     warm = run(task)
     assert warm == [0, cold[1] - 1]  # all but the model's call
     assert run(task) == warm
@@ -495,8 +502,9 @@ def test_s_alternative_form(lattice, rng):
     for (ei, fi, hi), zi in zip(ctx.ops, params.zs):
         h_full += zeta_bar(ev, z - zi) * hi
         hp_full += -wp_bar(ev, z - zi) * hi
-        e_jet += jets.jet_sigma_neg(ev, LAM0, [z - zi], DEGREE)[0][:, None, None] * ei
-        f_jet += jets.jet_sigma(ev, LAM0, [z - zi], DEGREE)[0][:, None, None] * fi
+        pos, neg, _ = jets.jet_sigma(ev, LAM0, [z - zi], DEGREE)
+        e_jet += neg[:, 0, None, None] * ei
+        f_jet += pos[:, 0, None, None] * fi
     hr = ctx.restrict(h_full)
     fe = jets.jmul(f_jet, e_jet, DEGREE)
     fe_r = np.stack([ctx.restrict(fe[d]) for d in range(DEGREE + 1)])
@@ -525,7 +533,7 @@ def test_lame_reduction(lattice, rng, lam, factor):
     u = random_jet(rng, 1)
     out = hams[0].apply_jet(u)[:, 0]
     u0 = u[:, 0]
-    wp = jets.jet_wp_bar(ev, LAM0, DEGREE)
+    wp = jet_wp_bar(ev, LAM0, DEGREE)
     want = jets.jderiv(jets.jderiv(u0)) - factor * jets.jmul(wp, u0)[: out.shape[0]]
     assert_allclose(out, want, rtol=0, atol=1e-12 * float(np.max(np.abs(want))))
 
@@ -601,7 +609,7 @@ def test_batched_gaudin_system_matches_scalar_reference(lattice, rng, zs, lams):
         for _ in range(6):
             roots = np.array([sample_point(rng, lattice, spread=spread) for _ in range(m)])
             c = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
-            res, _, jacobian = gaudin._gaudin_equations(ev, params, np.array([c, *roots]))
+            res, jacobian = gaudin._gaudin_equations(ev, params, np.array([c, *roots]))
             jac = jacobian()
             want_res = reference_gaudin_equations(ev, params, c, roots)
             want_jac = reference_gaudin_jacobian(ev, params, roots)

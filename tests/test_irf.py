@@ -2,15 +2,17 @@
 
 import dataclasses
 import itertools
+import json
 import math
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ellsov import irf, spaces
+from ellsov import cli, irf, spaces
 from ellsov.eqg import S0Grid, r_matrix
 from ellsov.irf import (
     apply_transfer_continuous,
@@ -1243,17 +1245,21 @@ def continuous_grid_gaps(params, lattice, rng):
     ev = params.evaluator()
     cs = [sample_point(rng, lattice) for _ in range(3)]
 
-    def u_any(xs):
-        val = 1.0 + 0.0j
-        for x, c in zip(xs, cs):
-            val *= ev.theta(x - c)
-        return val
+    def u_any(stack):
+        """prod_i theta(x_i - c_i) for each coordinate set of the stack."""
+        vals = []
+        for xs in stack:
+            val = 1.0 + 0.0j
+            for x, c in zip(xs, cs):
+                val *= ev.theta(x - c)
+            vals.append(val)
+        return np.array(vals)
 
     zeta = sample_point(rng, lattice)
     t = dense(build_T_irf_sov(params, zeta))
     grid = [tuple(2 * mi - 1 for mi in m) for m in itertools.product(range(2), repeat=3)]
     xs_of = lambda sig: [-z + s * ETA for z, s in zip(params.zs, sig)]
-    uvec = np.array([u_any(xs_of(sig)) for sig in grid])
+    uvec = u_any([xs_of(sig) for sig in grid])
     gaps = []
     for row, sig in enumerate(grid):
         lhs = apply_transfer_continuous(params, zeta, u_any, xs_of(sig))
@@ -1285,7 +1291,7 @@ def test_continuous_operator_typed_errors(lattice, rng):
     rho of the lattice are ParameterErrors."""
     zs = (0.12 + 0.23j, 0.57 + 0.71j, 0.34 + 0.95j, 0.83 + 0.41j)
     params = ModelParams(lattice, ETA, zs, (1, 1, 1, 1))
-    u = lambda xs: 1.0 + 0.0j
+    u = lambda stack: np.ones(len(stack), dtype=complex)
     zeta = sample_point(rng, lattice)
     xs = [sample_point(rng, lattice) for _ in zs]
     assert isinstance(apply_transfer_continuous(params, zeta, u, xs), complex)
@@ -1336,6 +1342,46 @@ def test_continuous_bethe_eigenvalue_membership(lattice, rng):
     assert membership_passes(report, 1e-9)
     with pytest.raises(ParameterError):
         continuous_bethe(ModelParams(lattice, ETA, Z3, (1, 1, 1)), rng)
+
+
+def test_difference_bethe_evaluation_budget(lattice, monkeypatch):
+    """No difference-Bethe solve spends more than 120 system evaluations, on
+    the bundled irf bethe configs or on 20 seeded 4-site models (sites in the
+    cell, eta in [0.10, 0.25] x [-0.10, 0.10]i).  On the sum t_i0 + t_i1 a start
+    could run all 200 iterations, over 1,400 evaluations, before giving way;
+    the ratio form took at most 84 on 240 such models."""
+    evaluations = []
+    make_system = spaces._bethe_system
+
+    def counted(*args):
+        system = make_system(*args)
+
+        def evaluate(x):
+            evaluations[-1] += 1
+            return system(x)
+
+        return evaluate
+
+    monkeypatch.setattr(spaces, "_bethe_system", counted)
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    models = []
+    for name in ("irf_bethe_n2.json", "irf_bethe_n4.json"):
+        cfg = json.loads((configs / name).read_text())
+        models.append((cli.build_params(cfg), cfg["seed"]))
+    draw = np.random.default_rng(20261020)
+    while len(models) < 22:
+        eta = complex(draw.uniform(0.10, 0.25), draw.uniform(-0.10, 0.10))
+        zs = tuple(complex(draw.uniform(0.0, 1.0), draw.uniform(0.0, 1.0) * TAU.imag) for _ in range(4))
+        params = ModelParams(lattice, eta, zs, (1, 1, 1, 1))
+        try:
+            params.validate_distinct_sites()
+        except ParameterError:
+            continue
+        models.append((params, int(draw.integers(0, 2**31 - 1))))
+    for params, seed in models:
+        evaluations.append(0)
+        assert continuous_bethe(params, np.random.default_rng(seed)).solution.residual <= 1e-10
+    assert len(evaluations) == 22 and max(evaluations) <= 120
 
 
 def test_eps_character_negative_control(lattice, rng):

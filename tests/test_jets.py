@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 from ellsov import jets
 from ellsov.jets import LambdaDiffOp
 
-from conftest import sample_point, sigma, sigma_dlambda, wp_bar, zeta_bar
+from conftest import jet_wp_bar, jet_zeta_bar, sample_point, sigma, sigma_dlambda, wp_bar, zeta_bar
 
 PI = math.pi
 
@@ -84,66 +84,90 @@ def test_jet_exp(rng):
 def test_sigma_jets_match_oracle(ev, rng):
     lam0 = sample_point(rng, ev.lattice, margin=0.15)
     z = sample_point(rng, ev.lattice, margin=0.15)
-    (got,) = jets.jet_sigma(ev, lam0, [z], 4)
+    pos, neg, theta_lam = jets.jet_sigma(ev, lam0, [z], 4)
+    assert pos.shape == neg.shape == (5, 1)
     oracle = jet_oracle(lambda u: sigma(ev, u, z), lam0, 4)
-    assert_allclose(got, oracle, rtol=1e-8, atol=1e-10)
+    assert_allclose(pos[:, 0], oracle, rtol=1e-8, atol=1e-10)
 
-    (got_neg,) = jets.jet_sigma_neg(ev, lam0, [z], 4)
     oracle_neg = jet_oracle(lambda u: sigma(ev, -u, z), lam0, 4)
-    assert_allclose(got_neg, oracle_neg, rtol=1e-8, atol=1e-10)
+    assert_allclose(neg[:, 0], oracle_neg, rtol=1e-8, atol=1e-10)
+    # the third result is theta's own jet at lam0
+    assert_allclose(theta_lam, jet_oracle(ev.theta, lam0, 4), rtol=1e-8, atol=1e-10)
 
 
-def reference_sigma_neg(ev, lam0, z, degree):
+def reference_sigma_neg(ev, lam0, zs, degree):
     """The former two-reflection formula: theta(-x) jets at lam0 + z and lam0.
 
-    The jets are the rows of the theta_array call jet_sigma_neg makes, over
-    [0, -lam0, -lam0 - z, z] at degree 1 or more.
+    The jets are the rows of the theta_array call jet_sigma makes, over
+    [0, lam0, -lam0, lam0 - z..., -lam0 - z..., z...] at degree 1 or more,
+    and the batch of numerators is divided in one jdiv, as jet_sigma divides it.
     """
-    rows = ev.theta_array(np.array([0.0, -lam0, -lam0 - z, z]), max(degree, 1))
+    n = len(zs)
+    zs = np.array(zs)
+    rows = ev.theta_array(np.concatenate(([0.0, lam0, -lam0], lam0 - zs, -lam0 - zs, zs)), max(degree, 1))
 
-    def reflected(row):
-        jet = row[: degree + 1].copy()
+    def reflected(jet):
+        jet = jet[: degree + 1].copy()
         jet[1::2] *= -1.0
         return jet
 
-    num = reflected(rows[2]) * (rows[0, 1] / rows[3, 0])
-    return jets.jdiv(num, reflected(rows[1]), degree)
+    num = reflected(rows[3 + n : 3 + 2 * n].T) * (rows[0, 1] / rows[3 + 2 * n :, 0])
+    return jets.jdiv(num, reflected(rows[2]), degree)
 
 
 def test_sigma_neg_equals_two_reflection_reference(ev, rng):
     for _ in range(40):
         lam0 = sample_point(rng, ev.lattice, margin=0.05, spread=2.0)
-        z = sample_point(rng, ev.lattice, margin=0.05, spread=2.0)
+        zs = [sample_point(rng, ev.lattice, margin=0.05, spread=2.0) for _ in range(3)]
         for degree in (0, 1, 4, 8, 9):
-            (got,) = jets.jet_sigma_neg(ev, lam0, [z], degree)
-            assert np.array_equal(got, reference_sigma_neg(ev, lam0, z, degree))
+            got = jets.jet_sigma(ev, lam0, zs, degree)[1]
+            assert np.array_equal(got, reference_sigma_neg(ev, lam0, zs, degree))
+
+
+def test_batched_jdiv_matches_per_jet_quotients(rng):
+    """One recurrence divides a batch of numerators: each column is its own
+    quotient, and its product with the denominator gives it back."""
+    b = complex_normal(rng, 7)
+    b[0] += 3.0
+    batch = complex_normal(rng, (7, 5))
+    for degree in (0, 3, 6):
+        out = jets.jdiv(batch, b, degree)
+        assert out.shape == (degree + 1, 5)
+        for col in range(5):
+            assert_allclose(out[:, col], jets.jdiv(batch[:, col], b, degree), rtol=1e-13, atol=1e-13)
+            assert_allclose(jets.jmul(out[:, col], b, degree), batch[: degree + 1, col], atol=1e-12)
+    # a numerator shorter than the degree reads as zero beyond its end
+    padded = np.vstack((batch[:2], np.zeros((3, 5))))
+    assert_allclose(jets.jdiv(batch[:2], b, 4), jets.jdiv(padded, b, 4), rtol=1e-15)
+    with pytest.raises(ZeroDivisionError):
+        jets.jdiv(batch, np.array([0j, 1.0]))
 
 
 def test_zeta_wp_jets(ev, rng):
     x0 = sample_point(rng, ev.lattice, margin=0.15)
-    zj = jets.jet_zeta_bar(ev, x0, 4)
+    zj = jet_zeta_bar(ev, x0, 4)
     oracle = jet_oracle(lambda u: zeta_bar(ev, u), x0, 4)
     assert_allclose(zj, oracle, rtol=1e-8, atol=1e-10)
-    wj = jets.jet_wp_bar(ev, x0, 3)
+    wj = jet_wp_bar(ev, x0, 3)
     oracle_w = jet_oracle(lambda u: wp_bar(ev, u), x0, 3)
     assert_allclose(wj, oracle_w, rtol=1e-8, atol=1e-9)
     # wp_bar = -zeta_bar'
-    assert_allclose(wj, -jets.jderiv(jets.jet_zeta_bar(ev, x0, 4)), atol=1e-10)
+    assert_allclose(wj, -jets.jderiv(jet_zeta_bar(ev, x0, 4)), atol=1e-10)
 
 
-def jet_sigma_dlambda(ev, lam0, zs, degree):
-    """Jets in lambda of (d/dlambda) sigma_lambda(z), as H_0 forms them: the
-    derivatives of sigma's jets, with no pole of zeta_bar(lambda - z) at
+def jet_sigma_dlambda(ev, lam0, z, degree):
+    """Jet in lambda of (d/dlambda) sigma_lambda(z), as H_0 forms it: the
+    derivative of sigma's jet, with no pole of zeta_bar(lambda - z) at
     lambda = z for sigma's zero to cancel."""
-    return [jets.jderiv(jet) for jet in jets.jet_sigma(ev, lam0, zs, degree + 1)]
+    return jets.jderiv(jets.jet_sigma(ev, lam0, [z], degree + 1)[0])[:, 0]
 
 
 def test_sigma_dlambda_jet(ev, rng):
     lam0 = sample_point(rng, ev.lattice, margin=0.15)
     z = sample_point(rng, ev.lattice, margin=0.15)
-    (got,) = jet_sigma_dlambda(ev, lam0, [z], 3)
+    got = jet_sigma_dlambda(ev, lam0, z, 3)
     # jet of the derivative = derivative of the jet
-    check = jets.jderiv(jets.jet_sigma(ev, lam0, [z], 4)[0])
+    check = jets.jderiv(jets.jet_sigma(ev, lam0, [z], 4)[0][:, 0])
     assert_allclose(got, check, rtol=1e-9, atol=1e-11)
     assert abs(got[0] - sigma_dlambda(ev, lam0, z)) <= 1e-10 * max(1.0, abs(got[0]))
 
@@ -154,7 +178,7 @@ def test_sigma_dlambda_jet_near_pole_of_bracket(ev):
     # error at degree 4 here; the oracle is the cancellation-free scalar form
     z = 0.37 + 0.29j
     lam0 = z + 5e-4 * cmath.exp(0.7j)
-    (got,) = jet_sigma_dlambda(ev, lam0, [z], 4)
+    got = jet_sigma_dlambda(ev, lam0, z, 4)
     assert abs(got[0] - sigma_dlambda(ev, lam0, z)) <= 1e-14 * abs(got[0])
     oracle = jet_oracle(lambda u: sigma_dlambda(ev, u, z), lam0, 4)
     assert_allclose(got, oracle, rtol=1e-10)
