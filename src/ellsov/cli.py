@@ -144,6 +144,11 @@ def _check(name: str, residual: float, tolerance: float) -> dict:
     }
 
 
+def _worst(values) -> float:
+    """The largest of values, 0.0 for none.  A NaN is kept: max() drops one that is not first."""
+    return float(np.max(values, initial=0.0))
+
+
 def _random_jet(rng: np.random.Generator, dim: int, degree: int) -> np.ndarray:
     return rng.standard_normal((degree + 1, dim)) + 1j * rng.standard_normal(
         (degree + 1, dim)
@@ -159,7 +164,7 @@ def _task_theta_eval(block, params, rng, tol, csv_dir):
     ev = params.evaluator()
     samples = _count(block, "samples", 100)
     tau = params.lattice.tau
-    qp = odd = 0.0
+    qp, odd = [], []
     for _ in range(samples):
         z = params.sample_generic(rng, margin=5e-2)
         base = ev.theta(z)
@@ -168,8 +173,8 @@ def _task_theta_eval(block, params, rng, tol, csv_dir):
         mult = spaces.expected_multiplier(spaces.Character(-1.0, -1.0), 1, z, r, s, tau)
         shifted = ev.theta(z + r + s * tau)
         # the multiplier reaches 1e11 at |s| = 2, so compare at the shifted scale
-        qp = max(qp, abs(shifted - mult * base) / max(1.0, abs(shifted)))
-        odd = max(odd, abs(ev.theta(-z) + base) / max(1.0, abs(base)))
+        qp.append(abs(shifted - mult * base) / max(1.0, abs(shifted)))
+        odd.append(abs(ev.theta(-z) + base) / max(1.0, abs(base)))
     # theta^(d), d = 1..3, from the degree-3 jet against a Cauchy integral of the scalar
     # kernel: the trapezoid rule on |w - z| = 1/4 at 32 nodes, all three from one FFT
     zs = np.array([params.sample_generic(rng, margin=5e-2) for _ in range(min(samples, 20))])
@@ -187,8 +192,8 @@ def _task_theta_eval(block, params, rng, tol, csv_dir):
         for z, tp, zb, w in zip(points, primes, zeta, wp)
     ]
     checks = [
-        _check("quasi_periodicity", qp, 1e-10),
-        _check("oddness", odd, 1e-10),
+        _check("quasi_periodicity", _worst(qp), 1e-10),
+        _check("oddness", _worst(odd), 1e-10),
         _check("derivative_vs_jet", jet_dev, 1e-10),
     ]
     return {"checks": checks, "metrics": {"samples": samples, "values": values}}
@@ -200,7 +205,7 @@ def _task_gaudin_check(block, params, rng, tol, csv_dir):
     u = _random_jet(rng, dim, degree)
 
     # operators are built once per point; products apply them to their own outputs
-    comm = 0.0
+    comm = []
     for _ in range(_count(block, "lambda_samples", 3)):
         lam0 = params.sample_generic(rng, margin=5e-2)
         hams = gaudin.build_hamiltonians(params, lam0, degree)
@@ -209,7 +214,7 @@ def _task_gaudin_check(block, params, rng, tol, csv_dir):
         for i in range(len(hams)):
             for j in range(i + 1, len(hams)):
                 dev = hams[i].apply_jet(applied[j]) - hams[j].apply_jet(applied[i])
-                comm = max(comm, float(np.max(np.abs(dev))) / scale)
+                comm.append(float(np.max(np.abs(dev))) / scale)
 
     # the Hamiltonian sum and the S-decomposition share one lam0 and its H_j u
     lam0 = params.sample_generic(rng, margin=5e-2)
@@ -218,7 +223,7 @@ def _task_gaudin_check(block, params, rng, tol, csv_dir):
     ham_sum = float(np.max(np.abs(sum(applied[1:])))) / scale
 
     ev = params.evaluator()
-    s_dev = 0.0
+    s_dev = []
     for _ in range(3):
         z = params.sample_generic(rng, avoid=params.zs)
         lhs = gaudin.build_S(params, z, lam0, degree).apply_jet(u)
@@ -229,7 +234,7 @@ def _task_gaudin_check(block, params, rng, tol, csv_dir):
             rhs += zeta[k] * applied[k + 1][:rows]
             rhs += gaudin.spectral_weight(params, k) * wp[k] * u[:rows]
         scale = max(1.0, float(np.max(np.abs(lhs))))
-        s_dev = max(s_dev, float(np.max(np.abs(lhs - rhs))) / scale)
+        s_dev.append(float(np.max(np.abs(lhs - rhs))) / scale)
 
     z1 = params.sample_generic(rng, avoid=params.zs)
     z2 = params.sample_generic(rng, avoid=params.zs)
@@ -240,9 +245,9 @@ def _task_gaudin_check(block, params, rng, tol, csv_dir):
     ss = float(np.max(np.abs(dev))) / scale
 
     checks = [
-        _check("hamiltonians_commute", comm, tol),
+        _check("hamiltonians_commute", _worst(comm), tol),
         _check("hamiltonian_sum_vanishes", ham_sum, tol),
-        _check("s_decomposition", s_dev, tol),
+        _check("s_decomposition", _worst(s_dev), tol),
         _check("s_family_commutes", ss, tol),
     ]
     return {"checks": checks, "metrics": {"zero_weight_dim": dim, "degree": degree}}
@@ -257,7 +262,7 @@ def _task_gaudin_bethe(block, params, rng, tol, csv_dir):
             "checks": [_check("solver_converged", 1.0, 1e-10)],
             "metrics": {"solver_error": str(exc)},
         }
-    eigen_dev = 0.0
+    eigen_dev = []
     eps = []
     for _ in range(2):
         lam0 = params.sample_generic(rng, margin=5e-2)
@@ -269,13 +274,11 @@ def _task_gaudin_bethe(block, params, rng, tol, csv_dir):
             i = int(np.argmax(np.abs(u[0])))
             ej = out[0][i] / u[0][i]
             eps.append(complex(ej))
-            eigen_dev = max(
-                eigen_dev, float(np.max(np.abs(out - ej * u[: out.shape[0]]))) / scale
-            )
+            eigen_dev.append(float(np.max(np.abs(out - ej * u[: out.shape[0]]))) / scale)
     eps_sum = abs(sum(eps[1:])) / max(1.0, max(abs(e) for e in eps))
     checks = [
         _check("solver_converged", sol.residual, 1e-10),
-        _check("eigen_residual", eigen_dev, 1e-8),
+        _check("eigen_residual", _worst(eigen_dev), 1e-8),
         _check("eigenvalue_sum", eps_sum, 1e-9),
     ]
     metrics = {
@@ -295,30 +298,27 @@ def _task_eqg_rll(block, params, rng, tol, csv_dir):
     w = params.sample_generic(rng, margin=5e-2, avoid=(z,))
     rep = eqg.rll_residual(params, z, w, lam_samples)
 
-    qybe = 0.0
+    qybe = []
     for _ in range(_count(block, "qybe_samples", 20)):
         zq = params.sample_generic(rng, margin=5e-2)
         wq = params.sample_generic(rng, margin=5e-2)
         lamq = params.sample_generic(rng, margin=5e-2)
-        qybe = max(qybe, eqg.qybe_residual(params, zq, wq, lamq))
+        qybe.append(eqg.qybe_residual(params, zq, wq, lamq))
 
-    ktwist = 0.0
+    ktwist = []
     for _ in range(5):
         zk = params.sample_generic(rng, margin=5e-2)
         lamk = params.sample_generic(rng, margin=5e-2)
-        ktwist = max(ktwist, eqg.ktwist_residual(params, zk, lamk))
+        ktwist.append(eqg.ktwist_residual(params, zk, lamk))
 
     grid_dim = int(np.prod([l + 1 for l in params.lams]))
-    res_sum = 0.0
-    for gi in range(min(grid_dim, 4)):
-        for i in range(params.n):
-            res_sum = max(res_sum, abs(eqg.residue_sum(params, gi, i)))
+    res_sum = [abs(eqg.residue_sum(params, gi, i)) for gi in range(min(grid_dim, 4)) for i in range(params.n)]
 
     checks = [
         _check("rll_sixteen_relations", rep["max_residual"], tol),
-        _check("qybe", qybe, tol),
-        _check("ktwist", ktwist, 1e-12),
-        _check("residue_sum", res_sum, 1e-10),
+        _check("qybe", _worst(qybe), tol),
+        _check("ktwist", _worst(ktwist), 1e-12),
+        _check("residue_sum", _worst(res_sum), 1e-10),
     ]
     metrics = {"block_residuals": rep["block_residuals"], "z": z, "w": w}
     return {"checks": checks, "metrics": metrics}
@@ -341,17 +341,16 @@ def _task_eqg_hw(block, params, rng, tol, csv_dir):
 
 def _task_irf_build(block, params, rng, tol, csv_dir):
     pairs = _count(block, "commuting_pairs", 3)
-    comm = {"sov": 0.0, "paths": 0.0}
+    comm = {"sov": [], "paths": []}
     for _ in range(pairs):
         za = irf.sample_spectral(params, rng)
         zb = irf.sample_spectral(params, rng)
         for kind, build in (("sov", irf.build_T_irf_sov), ("paths", irf.build_T_irf_paths)):
-            res = irf._commutator_residual(build(params, za), build(params, zb))
-            comm[kind] = max(comm[kind], res)
+            comm[kind].append(irf._commutator_residual(build(params, za), build(params, zb)))
     rec = irf.reconcile_constructions(params, rng)
     checks = [
-        _check("sov_family_commutes", comm["sov"], tol),
-        _check("paths_family_commutes", comm["paths"], tol),
+        _check("sov_family_commutes", _worst(comm["sov"]), tol),
+        _check("paths_family_commutes", _worst(comm["paths"]), tol),
         _check("dual_reconciliation", rec.residual, tol),
     ]
     metrics = {
@@ -378,6 +377,13 @@ def _serialize_certificate(cert) -> dict:
     }
 
 
+def _eps_at(certs, zs) -> np.ndarray:
+    """Every certificate's eps at the points zs, shape (len(certs), len(zs)): one
+    cardinal_vector call on the basis the certificates share, and one product."""
+    cards = certs[0].eps.basis.cardinal_vector(zs)
+    return np.stack([c.eps.values for c in certs]) @ cards.T
+
+
 def _task_irf_spectrum(block, params, rng, tol, csv_dir):
     if "z0" in block:
         z0 = _as_complex(block["z0"], "irf.z0")
@@ -385,14 +391,9 @@ def _task_irf_spectrum(block, params, rng, tol, csv_dir):
         z0 = irf.sample_spectral(params, rng)
     certs = irf.certify_spectrum(params, z0, tol=tol, rng=rng)
 
-    worst = 0.0
-    for c in certs:
-        worst = max(
-            worst,
-            c.membership_residual,
-            c.cluster_residual,
-            max(c.quadratic_residuals),
-        )
+    worst = _worst([
+        r for c in certs for r in (c.membership_residual, c.cluster_residual, *c.quadratic_residuals)
+    ])
     angles = [c.angle for c in certs if not c.degenerate]
     recon = np.stack(
         [c.reconstruction / np.linalg.norm(c.reconstruction) for c in certs], axis=1
@@ -401,18 +402,18 @@ def _task_irf_spectrum(block, params, rng, tol, csv_dir):
 
     chi0 = irf.eigenvalue_character(params)
     tau = params.lattice.tau
-    law = 0.0
     zlaw = params.sample_generic(rng, margin=5e-2)
-    for c in certs:
-        for (r, s) in ((1, 0), (0, 1)):
-            expect = spaces.expected_multiplier(chi0, params.n, zlaw, r, s, tau) * c.eps(zlaw)
-            law = max(law, abs(c.eps(zlaw + r + s * tau) - expect) / max(1.0, abs(expect)))
+    # both multipliers before the shifted points: an overflowing multiplier is the error raised
+    mults = [spaces.expected_multiplier(chi0, params.n, zlaw, r, s, tau) for (r, s) in ((1, 0), (0, 1))]
+    eps = _eps_at(certs, [zlaw, zlaw + 1, zlaw + tau])
+    expect = eps[:, :1] * mults
+    law = np.abs(eps[:, 1:] - expect) / np.maximum(1.0, np.abs(expect))
 
     checks = [
         _check("certificate_residuals", worst, tol),
-        _check("reconstruction_angle", max(angles) if angles else 0.0, irf._ANGLE_TOL),
-        _check("reconstruction_span", max(0.0, 1e-6 - min_sv), 0.0),
-        _check("character_laws", law, tol),
+        _check("reconstruction_angle", _worst(angles), irf._ANGLE_TOL),
+        _check("reconstruction_span", _worst([1e-6 - min_sv]), 0.0),
+        _check("character_laws", _worst(law), tol),
     ]
     metrics = {
         "z0": z0,
@@ -427,22 +428,15 @@ def _task_irf_spectrum(block, params, rng, tol, csv_dir):
     }
     if csv_dir:
         os.makedirs(csv_dir, exist_ok=True)
-        count = _count(block, "csv_points", 129)
-        offset = 0.37 * tau
-        ts = np.linspace(0.0, 1.0, count)
-        for k, c in enumerate(certs):
+        zs = np.linspace(0.0, 1.0, _count(block, "csv_points", 129)) + 0.37 * tau
+        body["csv_files"] = []
+        for k, curve in enumerate(_eps_at(certs, zs)):
             path = os.path.join(csv_dir, "spectrum_eps_%02d.csv" % k)
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write("z_re,z_im,eps_re,eps_im\n")
-                for t in ts:
-                    z = complex(t) + offset
-                    val = c.eps(z)
-                    fh.write(
-                        "%.17g,%.17g,%.17g,%.17g\n" % (z.real, z.imag, val.real, val.imag)
-                    )
-        body["csv_files"] = [
-            os.path.join(csv_dir, "spectrum_eps_%02d.csv" % k) for k in range(len(certs))
-        ]
+                for z, val in zip(zs, curve):
+                    fh.write("%.17g,%.17g,%.17g,%.17g\n" % (z.real, z.imag, val.real, val.imag))
+            body["csv_files"].append(path)
     return body
 
 
@@ -486,7 +480,7 @@ def _task_irf_bethe(block, params, rng, tol, csv_dir):
             "checks": [_check("solver_converged", 1.0, 1e-10)],
             "metrics": {"solver_error": str(exc)},
         }
-    eigen = 0.0
+    eigen = []
     for _ in range(_count(block, "eigen_samples", 3)):
         xs = [params.sample_generic(rng, margin=5e-2) for _ in params.zs]
         zeta = params.sample_generic(rng, margin=5e-2)
@@ -496,7 +490,7 @@ def _task_irf_bethe(block, params, rng, tol, csv_dir):
             miss = abs(lhs - rhs) / max(abs(lhs), abs(rhs))
         if not np.isfinite(miss):
             raise ThetaOverflowError("eps u at zeta = %r leaves double range" % (zeta,))
-        eigen = max(eigen, miss)
+        eigen.append(miss)
     m = sum(params.lams) // 2
     ev = params.evaluator()
     member = spaces.membership_test(ev, cb.q_value, m, cb.chi, rng)
@@ -509,9 +503,9 @@ def _task_irf_bethe(block, params, rng, tol, csv_dir):
     chi_dev = spaces.multiplier_deviation(ev, cb.eps, cb.a_plus.order, chi_eps, zchar)
     checks = [
         _check("solver_converged", cb.solution.residual, 1e-10),
-        _check("eigen_residual", eigen, 1e-8),
+        _check("eigen_residual", _worst(eigen), 1e-8),
         _check("character_match", chi_dev, 1e-9),
-        _check("q_membership", max(member.deviation, member.qp_residual) / member.scale, 1e-8),
+        _check("q_membership", _worst([member.deviation, member.qp_residual]) / member.scale, 1e-8),
     ]
     metrics = {
         "a": complex(cb.solution.a),

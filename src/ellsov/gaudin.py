@@ -83,9 +83,6 @@ class _GaudinModel:
     def dim(self) -> int:
         return len(self.indices)
 
-    def restrict(self, op: np.ndarray) -> np.ndarray:
-        return op[np.ix_(self.indices, self.indices)]
-
 
 @functools.lru_cache(maxsize=2)  # an entry holds 3n total^2 and 2n^2 + 2 dim^2 complex matrices
 def _gaudin_model(params: ModelParams) -> _GaudinModel:

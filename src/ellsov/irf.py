@@ -518,7 +518,7 @@ def reconcile_constructions(params: ModelParams, rng: np.random.Generator) -> Du
     condition = float(
         max(np.linalg.norm(k, 1) for k in blocks) * max(np.linalg.norm(k, 1) for k in inverses)
     )
-    residual = 0.0
+    residuals = []
     for _ in range(_RECONCILE_SAMPLES):
         zf = sample_spectral(params, rng)
         kapf = constant * kappa_factor(params, zf - params.eta)
@@ -527,9 +527,10 @@ def reconcile_constructions(params: ModelParams, rng: np.random.Generator) -> Du
         rhs = (kapf * blocks[0] @ bs @ inverses[1], kapf * blocks[1] @ cs @ inverses[0])
         del bs, cs
         lhs = build_T_irf_paths(params, zf)
-        dev = max(float(np.max(np.abs(np.subtract(r, l, out=r)))) for r, l in zip(rhs, lhs))  # r - l in r
-        residual = max(residual, dev / float(np.max(np.abs(lhs[0]))))
+        dev = np.max([np.max(np.abs(np.subtract(r, l, out=r))) for r, l in zip(rhs, lhs)])  # r - l in r
+        residuals.append(dev / np.max(np.abs(lhs[0])))
         del lhs, rhs  # not alive while the next sample's pair is built
+    residual = float(np.max(residuals))  # a NaN is kept
     return DualReconciliation(constant, blocks, residual, literal, condition, min_gap)
 
 
@@ -572,7 +573,7 @@ class SpectralCertificate:
     def passed(self) -> bool:
         ok = self.membership_residual <= self.tol
         ok = ok and self.cluster_residual <= self.tol
-        ok = ok and max(self.quadratic_residuals) <= self.tol
+        ok = ok and bool(np.max(self.quadratic_residuals) <= self.tol)  # a NaN fails
         if not self.degenerate:
             ok = ok and self.angle <= _ANGLE_TOL
         return ok
@@ -618,9 +619,9 @@ def certify_spectrum(
     rebuilt from the separated two-point data and compared by angle.
 
     Every eigenvalue function lies in the same level-n space, so all
-    clusters are fitted on one cardinal basis: each evaluation point
-    costs one vector of theta values, shared by all certificates (and by
-    later calls of their eps).  Each sample matrix is applied once to
+    clusters are fitted on one cardinal basis: one cardinal_vector call
+    at the 3 + 2n evaluation points serves all certificates, through one
+    product.  Each sample matrix is applied once to
     the side-by-side cluster bases and its image dropped once the ratios
     are read; validation, the quadratic relations and the reconstructions
     run for all clusters at once.
@@ -681,7 +682,7 @@ def certify_spectrum(
             block = bases[k].conj().T @ image[:, cols]
             ratios[k, p] = complex(np.trace(block)) / dims[k]
             dev = float(np.max(np.abs(block - ratios[k, p] * np.eye(dims[k]))))
-            cluster_dev[k] = max(cluster_dev[k], dev)
+            cluster_dev[k] = np.maximum(cluster_dev[k], dev)  # a NaN is kept
         del image
     del stacked
     scale = np.maximum(np.max(np.abs(ratios), axis=1), 1e-300)
@@ -690,8 +691,7 @@ def certify_spectrum(
     # product with the shared basis's cardinal vectors
     zs = params.zs
     evals = val_pts + [zi - params.eta for zi in zs] + [zi + params.eta for zi in zs]
-    cards = np.stack([basis.cardinal_vector(z) for z in evals], axis=1)
-    fitted = ratios[:, :n] @ cards
+    fitted = ratios[:, :n] @ basis.cardinal_vector(evals).T
     member_dev = np.max(np.abs(ratios[:, n:] - fitted[:, : len(val_pts)]), axis=1)
     em, ep = fitted[:, len(val_pts) : -n], fitted[:, -n:]
     lhs = em * ep
@@ -851,14 +851,14 @@ class ContinuousBethe:
     chi: Character
     eps: Callable[[complex], complex]  # the transfer eigenvalue in the separated variable x = -z
 
-    def q_value(self, x: complex) -> complex:
-        return spaces.eval_elliptic_poly(self.params.evaluator(), self.q, x)
+    def q_value(self, xs) -> np.ndarray:
+        """q at each point of xs, from one array call."""
+        return spaces.eval_elliptic_polys(self.params.evaluator(), (self.q,), xs)[0]
 
     def u_value(self, xs) -> np.ndarray:
         """u(x) = prod_i q(x_i) for each coordinate set of xs, shape (..., n), from one array call."""
-        (qs,) = spaces.eval_elliptic_polys(self.params.evaluator(), (self.q,), xs)
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite product raises below
-            vals = qs.prod(axis=-1)
+            vals = self.q_value(xs).prod(axis=-1)
         if not np.isfinite(vals).all():
             raise ThetaOverflowError("the product eigenfunction overflows double precision")
         return vals

@@ -157,68 +157,71 @@ def character_of(p: EllipticPoly, tau: complex) -> Character:
 # -- interpolation -----------------------------------------------------
 
 
-# points whose cardinal vector one basis keeps; a fixed bound, so a
-# long-lived interpolant cannot grow memory without limit
-_CARDINAL_CACHE_SIZE = 1024
-
-
 class ThetaSpaceBasis:
     """Cardinal basis of a level-k character space over generic nodes.
 
     The basis owns the interpolation data, computed once: the exponent
-    a, the shift b, theta(b) and the k(k-1) node-difference thetas.
-    cardinal_vector(z) returns the k cardinal functions at z,
+    a, the shift b, and theta(b) with the k(k-1) node-difference thetas
+    from one theta_array call.  cardinal_vector(zs) returns the k
+    cardinal functions at each point z of zs,
 
         L_j(z) = exp(2 pi i a (z - z_j)) theta(z - z_j + b) / theta(b)
                  * prod_{l != j} theta(z - z_l) / theta(z_j - z_l),
 
     with L_j(z_l) = delta_jl, so the member with node values v is
-    v . L(z).  L(z) is memoized per point, which lets every interpolant
-    fitted on this basis share one set of theta evaluations per point.
+    L(z) @ v.  Callers that read many members at shared points take the
+    cardinal vectors once and multiply.
     """
 
     def __init__(self, ev: ThetaEvaluator, k: int, chi: Character, nodes: Sequence[complex]):
         nodes = tuple(complex(z) for z in nodes)
-        a, b = _interpolation_data(ev, k, chi, nodes)
-        self.ev = ev
-        self.k = k
-        self.chi = chi
-        self.nodes = nodes
-        self.a = a
-        self.b = b
+        if k < 1:
+            raise ValueError("level k must be >= 1")
+        if len(nodes) != k:
+            raise ValueError("need exactly k nodes")
+        lat, tau = ev.lattice, ev.lattice.tau
+        for i in range(k):
+            for j in range(i + 1, k):
+                if lat.dist_to_lattice(nodes[i] - nodes[j]) < ev.rho:
+                    raise DegenerateNodesError(
+                        "interpolation nodes %d and %d collide modulo the lattice" % (i, j)
+                    )
+        a = cmath.log(chi.chi1) / _2PI_I - k / 2.0
+        b = (tau * cmath.log(chi.chi1) - cmath.log(chi.chiTau)) / _2PI_I
+        b += sum(nodes) - k * (1.0 + tau) / 2.0
+        if lat.dist_to_lattice(b) < ev.rho:
+            raise ResonantCharacterError(
+                "node sum sits on the resonant locus: |theta(b)| margin %g violated" % ev.rho
+            )
+        self.ev, self.k, self.chi, self.nodes, self.a, self.b = ev, k, chi, nodes, a, b
         self._nodes = np.array(nodes, dtype=complex)
         self._diag = np.eye(k, dtype=bool)
-        diffs = np.array(
-            [[1.0 if l == j else ev.theta(zj - zl) for l, zl in enumerate(nodes)]
-             for j, zj in enumerate(nodes)],
-            dtype=complex,
-        )
+        off = ~self._diag
+        thetas = ev.theta_array(np.append((self._nodes[:, None] - self._nodes)[off], b), 0)[:, 0]
+        # row j holds theta(z_j - z_l) for l != j and a one on the diagonal
+        diffs = np.ones((k, k), dtype=complex)
+        diffs[off] = thetas[:-1]
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite product raises below
-            self._denoms = ev.theta(b) * diffs.prod(axis=1)
+            self._denoms = thetas[-1] * diffs.prod(axis=1)
         if not np.isfinite(self._denoms).all():
             raise ThetaOverflowError("cardinal-basis denominators overflow double precision")
-        self._cache: dict[complex, np.ndarray] = {}
 
-    def cardinal_vector(self, z: complex) -> np.ndarray:
-        """L(z), the k cardinal functions at z (read-only, shared)."""
-        z = complex(z)
-        vec = self._cache.get(z)
-        if vec is not None:
-            return vec
-        ev = self.ev
-        tz = np.array([ev.theta(z - zl) for zl in self.nodes], dtype=complex)
-        shifted = np.array([ev.theta(z - zj + self.b) for zj in self.nodes], dtype=complex)
+    def cardinal_vector(self, zs) -> np.ndarray:
+        """L at each point of zs, shape zs.shape + (k,), from one theta_array call over
+        z - z_l and z - z_j + b; a non-finite entry raises ThetaOverflowError naming its point."""
+        zs = np.asarray(zs, dtype=complex)
+        diff = zs.reshape(-1, 1) - self._nodes
+        thetas = self.ev.theta_array(np.concatenate((diff, diff + self.b), axis=1).ravel(), 0)
+        tz, shifted = thetas.reshape(len(diff), 2, self.k).transpose(1, 0, 2)
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite entry raises below
-            # row j holds theta(z - z_l) for l != j and a one on the diagonal
-            others = np.where(self._diag, 1.0, tz).prod(axis=1)
-            vec = np.exp(_2PI_I * self.a * (z - self._nodes)) * shifted * others / self._denoms
-        if not np.isfinite(vec).all():
+            # row j of a point holds theta(z - z_l) for l != j and a one on the diagonal
+            others = np.where(self._diag, 1.0, tz[:, None, :]).prod(axis=2)
+            vecs = np.exp(_2PI_I * self.a * diff) * shifted * others / self._denoms
+        finite = np.isfinite(vecs).all(axis=1)
+        if not finite.all():
+            z = complex(zs.ravel()[np.argmin(finite)])
             raise ThetaOverflowError("cardinal vector at %r overflows double precision" % (z,))
-        vec.setflags(write=False)
-        if len(self._cache) >= _CARDINAL_CACHE_SIZE:
-            del self._cache[next(iter(self._cache))]
-        self._cache[z] = vec
-        return vec
+        return vecs.reshape(zs.shape + (self.k,))
 
     def fit(self, values: Sequence[complex]) -> "ThetaInterpolant":
         values = np.array(values, dtype=complex)
@@ -235,31 +238,10 @@ class ThetaInterpolant:
     basis: ThetaSpaceBasis
     values: np.ndarray
 
-    def __call__(self, z: complex) -> complex:
-        return complex(self.values @ self.basis.cardinal_vector(z))
-
-
-def _interpolation_data(ev: ThetaEvaluator, k: int, chi: Character, nodes: Sequence[complex]):
-    if k < 1:
-        raise ValueError("level k must be >= 1")
-    if len(nodes) != k:
-        raise ValueError("need exactly k nodes")
-    lat = ev.lattice
-    tau = lat.tau
-    for i in range(k):
-        for j in range(i + 1, k):
-            if lat.dist_to_lattice(nodes[i] - nodes[j]) < ev.rho:
-                raise DegenerateNodesError(
-                    "interpolation nodes %d and %d collide modulo the lattice" % (i, j)
-                )
-    a = cmath.log(chi.chi1) / _2PI_I - k / 2.0
-    b = (tau * cmath.log(chi.chi1) - cmath.log(chi.chiTau)) / _2PI_I
-    b += sum(nodes) - k * (1.0 + tau) / 2.0
-    if lat.dist_to_lattice(b) < ev.rho:
-        raise ResonantCharacterError(
-            "node sum sits on the resonant locus: |theta(b)| margin %g violated" % ev.rho
-        )
-    return a, b
+    def __call__(self, zs):
+        """The member at zs: a complex for one point, an array of zs's shape for an array."""
+        vals = self.basis.cardinal_vector(zs) @ self.values
+        return complex(vals) if vals.ndim == 0 else vals
 
 
 def make_basis(
@@ -292,7 +274,7 @@ class MembershipReport:
 
 def membership_test(
     ev: ThetaEvaluator,
-    f: Callable[[complex], complex],
+    f: Callable[[np.ndarray], np.ndarray],
     k: int,
     chi: Character,
     rng: np.random.Generator,
@@ -301,24 +283,25 @@ def membership_test(
 
     Also samples the quasi-periodicity multipliers directly, so functions
     in the wrong character class cannot pass by interpolation accident.
+    f maps an array of points to its values there; it is called once, on
+    every point, after the multipliers are formed.  A NaN miss is kept.
     """
     basis = make_basis(ev, k, chi, rng)
-    values = [f(z) for z in basis.nodes]
-    interp = basis.fit(values)
-    scale = max(max(abs(v) for v in values), 1e-300)
-    deviation = 0.0
-    for _ in range(max(k, 3)):
-        z = ev.lattice.sample_generic(rng, 10 * ev.rho)
-        deviation = max(deviation, abs(f(z) - interp(z)))
-        scale = max(scale, abs(f(z)))
-    qp = 0.0
-    tau = ev.lattice.tau
-    for (r, s) in ((1, 0), (0, 1), (1, 1)):
-        z = ev.lattice.sample_generic(rng, 10 * ev.rho)
-        expect = expected_multiplier(chi, k, z, r, s, tau) * f(z)
-        qp = max(qp, abs(f(z + r + s * tau) - expect))
-        scale = max(scale, abs(expect))
-    return MembershipReport(deviation=deviation, qp_residual=qp, scale=scale)
+    lat, tau = ev.lattice, ev.lattice.tau
+    m = max(k, 3)
+    val_pts = [lat.sample_generic(rng, 10 * ev.rho) for _ in range(m)]
+    shifts = ((1, 0), (0, 1), (1, 1))
+    qp_pts = [lat.sample_generic(rng, 10 * ev.rho) for _ in shifts]
+    mults = np.array([expected_multiplier(chi, k, z, r, s, tau) for z, (r, s) in zip(qp_pts, shifts)])
+    moved = [z + r + s * tau for z, (r, s) in zip(qp_pts, shifts)]
+    vals = f(np.array([*basis.nodes, *val_pts, *qp_pts, *moved]))
+    values, at_val, at_qp, at_moved = np.split(vals, [k, k + m, k + m + len(shifts)])
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite miss is reported
+        expect = mults * at_qp
+        deviation = np.max(np.abs(at_val - basis.cardinal_vector(val_pts) @ values))
+        qp = np.max(np.abs(at_moved - expect))
+    scale = np.max(np.abs(np.concatenate((values, at_val, expect))), initial=1e-300)
+    return MembershipReport(deviation=float(deviation), qp_residual=float(qp), scale=float(scale))
 
 
 # -- damped Newton -------------------------------------------------------
@@ -516,7 +499,7 @@ def solve_difference_bethe(
     # the reported residual comes from the scalar kernel at the accepted point
     terms = _bethe_terms(ev, A_plus, A_minus, gamma, a, roots)
     scale = max(max(abs(t1), abs(t2)) for t1, t2 in terms)
-    residual = max(abs(t1 + t2) for t1, t2 in terms) / max(scale, 1e-300)
+    residual = float(np.max([abs(t1 + t2) for t1, t2 in terms])) / max(scale, 1e-300)  # a NaN is kept
     return BetheSolution(a, roots, residual, iterations)
 
 

@@ -202,6 +202,11 @@ def elliptic_poly(lattice, a, zeros):
     return EllipticPoly(complex(a), tuple(lattice.reduce(w)[0] for w in zeros))
 
 
+def pointwise(f):
+    """A function of one point as the array function spaces.membership_test samples."""
+    return np.vectorize(f, otypes=[complex])
+
+
 def membership_passes(report, tol=1e-8):
     """A spaces.membership_test report passes: both residuals within tol of its scale."""
     return report.deviation <= tol * report.scale and report.qp_residual <= tol * report.scale

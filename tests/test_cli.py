@@ -1,12 +1,14 @@
 """Config parsing, report schema, exit codes, determinism of the batch front-end."""
 
+import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ellsov import cli, gaudin, irf
+from ellsov import cli, eqg, gaudin, irf, spaces
 from ellsov import theta as theta_module
 from ellsov.params import ModelParams
 from ellsov.theta import PoleProximityError
@@ -751,3 +753,81 @@ def test_bethe_report_two_roots(tmp_path, seed):
     assert code == 0
     assert len(report["metrics"]["roots"]) == 2
     assert all(c["pass"] for c in report["checks"])
+
+
+def _nan_membership(monkeypatch):
+    original = irf.certify_spectrum
+
+    def certify(*args, **kwargs):
+        certs = original(*args, **kwargs)
+        return certs[:-1] + [dataclasses.replace(certs[-1], membership_residual=math.nan)]
+
+    monkeypatch.setattr(irf, "certify_spectrum", certify)
+
+
+def _nan_second_qybe(monkeypatch):
+    original, calls = eqg.qybe_residual, []
+
+    def qybe(*args):
+        calls.append(args)
+        return math.nan if len(calls) == 2 else original(*args)
+
+    monkeypatch.setattr(eqg, "qybe_residual", qybe)
+
+
+def _nan_qp_residual(monkeypatch):
+    original = spaces.membership_test
+    monkeypatch.setattr(
+        spaces, "membership_test", lambda *args: dataclasses.replace(original(*args), qp_residual=math.nan)
+    )
+
+
+@pytest.mark.parametrize(
+    "task, config, check, inject",
+    [
+        ("irf spectrum", "irf_n3.json", "certificate_residuals", _nan_membership),
+        ("eqg rll-check", "eqg_n2.json", "qybe", _nan_second_qybe),
+        ("irf bethe", "irf_bethe_n2.json", "q_membership", _nan_qp_residual),
+    ],
+    ids=["irf-spectrum", "eqg-rll-check", "irf-bethe"],
+)
+def test_nan_residual_fails_its_check(tmp_path, monkeypatch, task, config, check, inject):
+    """max(running, x) drops a NaN x, so a NaN residual once reached no check:
+    irf spectrum exited 0 with certificate_residuals 1.1e-14 although the last
+    certificate's own passed was False.  Residuals are folded with np.max, so
+    the NaN reaches its check, which fails, and the task exits 1."""
+    inject(monkeypatch)
+    code, report = run_to_file(tmp_path, task.split() + ["--config", str(CONFIGS / config)])
+    assert code == 1 and report["pass"] is False
+    (entry,) = [c for c in report["checks"] if c["name"] == check]
+    assert math.isnan(entry["residual"]) and entry["pass"] is False
+    assert all(c["pass"] for c in report["checks"] if c["name"] != check)
+
+
+def test_batched_character_law_matches_the_loop(tmp_path, monkeypatch):
+    """irf spectrum reads every certificate's eps at zlaw, zlaw + 1 and
+    zlaw + tau from one cardinal_vector call and one product.  The former loop,
+    one c.eps(z) call per certificate and point, gives the same values and the
+    same character_laws residual to 1e-13; theta_array rows depend on their
+    batch, so the two agree to a tolerance, not bit for bit."""
+    calls, original = [], cli._eps_at
+
+    def eps_at(certs, zs):
+        calls.append((certs, zs, original(certs, zs)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(cli, "_eps_at", eps_at)
+    params = cli.build_params(cli.load_config(str(CONFIGS / "irf_n5.json")))
+    code, report = run_to_file(tmp_path, ["irf", "spectrum", "--config", str(CONFIGS / "irf_n5.json")])
+    assert code == 0 and len(calls) == 1
+    certs, (zlaw, _, _), batched = calls[0]
+    loop = np.array([[c.eps(z) for z in (zlaw, zlaw + 1, zlaw + params.lattice.tau)] for c in certs])
+    assert len(certs) == 32
+    assert np.max(np.abs(batched - loop) / np.maximum(1.0, np.abs(loop))) <= 1e-13
+    chi0, law = irf.eigenvalue_character(params), 0.0
+    for c, (base, *moved) in zip(certs, loop):
+        for (r, s), value in zip(((1, 0), (0, 1)), moved):
+            expect = spaces.expected_multiplier(chi0, params.n, zlaw, r, s, params.lattice.tau) * base
+            law = max(law, abs(value - expect) / max(1.0, abs(expect)))
+    (entry,) = [c for c in report["checks"] if c["name"] == "character_laws"]
+    assert abs(entry["residual"] - law) <= 1e-13

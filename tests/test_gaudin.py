@@ -112,6 +112,11 @@ def build_field_ops(params, z, lam):
 # operators must reproduce the per-pair assembly bit for bit.
 
 
+def restrict(model, op):
+    """The zero-weight block of a full-space matrix, through the model's indices."""
+    return op[np.ix_(model.indices, model.indices)]
+
+
 def pairs_of(ctx):
     n = ctx.params.n
     return [(j, k) for j in range(n) for k in range(n) if k != j]
@@ -143,7 +148,7 @@ def reference_sigmas(rows, degree):
 
 
 def reference_c0_hamiltonian_j(ctx, j, lam0, degree):
-    ev, r, pairs = ctx.ev, ctx.restrict, pairs_of(ctx)
+    ev, r, pairs = ctx.ev, functools.partial(restrict, ctx), pairs_of(ctx)
     zjks = [ctx.params.zs[a] - ctx.params.zs[b] for a, b in pairs]
     rows = model_rows(ctx)
     zeta = rows[1:, 1] / rows[1:, 0]
@@ -161,7 +166,7 @@ def reference_c0_hamiltonian_j(ctx, j, lam0, degree):
 
 
 def reference_c0_hamiltonian_0(ctx, lam0, degree):
-    ev, zs, r, dim = ctx.ev, ctx.params.zs, ctx.restrict, ctx.dim
+    ev, zs, r, dim = ctx.ev, ctx.params.zs, functools.partial(restrict, ctx), ctx.dim
     rows = model_rows(ctx)
     diag_hh = 6.0 * rows[0, 3] / rows[0, 1]
     hh_const = np.zeros((dim, dim), dtype=complex)
@@ -191,7 +196,7 @@ def reference_c0_hamiltonian_0(ctx, lam0, degree):
 
 
 def reference_c0_S(ctx, z, lam0, degree):
-    ev, zs, r = ctx.ev, ctx.params.zs, ctx.restrict
+    ev, zs, r = ctx.ev, ctx.params.zs, functools.partial(restrict, ctx)
     dzs = [z - zi for zi in zs]
     zeta = ev.zeta_wp(np.array(dzs))[0]
     pos, neg = reference_sigmas(sigma_rows(ev, lam0, dzs, degree), degree)
@@ -225,7 +230,7 @@ def test_batched_sigma_jets_equal_per_pair_reference(lattice, rng, zs, lams):
             for j in range(params.n):
                 got = hams[1 + j].coeffs
                 assert np.array_equal(got[0], reference_c0_hamiltonian_j(ctx, j, lam0, degree - 1))
-                assert np.array_equal(got[1], -ctx.restrict(ctx.ops[j][2])[None])
+                assert np.array_equal(got[1], -restrict(ctx, ctx.ops[j][2])[None])
             s_op = build_S(params, z, lam0, degree)
             assert np.array_equal(s_op.coeffs[0], reference_c0_S(ctx, z, lam0, degree - 2))
             assert np.array_equal(s_op.coeffs[2], eye)
@@ -388,7 +393,7 @@ def test_zero_weight_space(lattice):
     vec = np.arange(1, space.dim + 1, dtype=complex)
     full = np.zeros(space.total, dtype=complex)
     full[list(space.indices)] = vec
-    assert_allclose(space.restrict(np.outer(full, full)), np.outer(vec, vec))
+    assert_allclose(restrict(space, np.outer(full, full)), np.outer(vec, vec))
     assert np.count_nonzero(full) == space.dim
 
     with pytest.raises(ParameterError):
@@ -428,10 +433,10 @@ def test_field_commutator(lattice, rng):
         assert np.max(np.abs(comm - expect)) <= 1e-11 * scale
 
         # on the zero-weight space the wp_bar(lambda) part dies with sum h^(i)
-        restr = ctx.restrict(comm)
+        restr = restrict(ctx, comm)
         expect0 = np.zeros_like(restr)
         for (_, _, hi), zi in zip(ctx.ops, params.zs):
-            expect0 += wp_bar(ev, z - zi) * ctx.restrict(hi)
+            expect0 += wp_bar(ev, z - zi) * restrict(ctx, hi)
         assert np.max(np.abs(restr - expect0)) <= 1e-11 * scale
 
 
@@ -505,16 +510,16 @@ def test_s_alternative_form(lattice, rng):
         pos, neg, _ = jets.jet_sigma(ev, LAM0, [z - zi], DEGREE)
         e_jet += neg[:, 0, None, None] * ei
         f_jet += pos[:, 0, None, None] * fi
-    hr = ctx.restrict(h_full)
+    hr = restrict(ctx, h_full)
     fe = jets.jmul(f_jet, e_jet, DEGREE)
-    fe_r = np.stack([ctx.restrict(fe[d]) for d in range(DEGREE + 1)])
+    fe_r = np.stack([restrict(ctx, fe[d]) for d in range(DEGREE + 1)])
 
     # constant matrices enter as degree-0 jets
     d_out = DEGREE - 2
     up = jets.jderiv(u)
     got = jets.jderiv(up)
     got -= jets.jmul(hr[None], up, d_out)
-    const = 0.25 * hr @ hr - 0.5 * ctx.restrict(hp_full)
+    const = 0.25 * hr @ hr - 0.5 * restrict(ctx, hp_full)
     got += jets.jmul(const[None], u, d_out)
     got += jets.jmul(fe_r, u, d_out)
 

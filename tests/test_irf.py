@@ -26,7 +26,7 @@ from ellsov.irf import (
 )
 from ellsov.params import ModelParams, ParameterError
 
-from conftest import TAU, count_theta_calls, dense, membership_passes, sample_point
+from conftest import TAU, count_theta_calls, dense, membership_passes, pointwise, sample_point
 
 ETA = 0.173 - 0.061j
 Z1 = (0.12 + 0.23j,)
@@ -445,7 +445,7 @@ def test_sov_entry_is_theta_function_of_z(lattice, rng):
     ev = params.evaluator()
     chi0 = eigenvalue_character(params)
     entry = lambda zeta: dense(build_T_irf_sov(params, zeta))[0, 1]
-    report = spaces.membership_test(ev, entry, 3, chi0, rng)
+    report = spaces.membership_test(ev, pointwise(entry), 3, chi0, rng)
     assert membership_passes(report, 1e-9)
 
 
@@ -950,19 +950,20 @@ def test_certify_spectrum(lattice, rng):
 def test_certify_spectrum_theta_count(lattice, monkeypatch):
     """Five sites: every certificate shares one cardinal basis, so theta calls
     stay far below the 22,390 that per-certificate interpolation made.  The
-    model's flip coefficients, cross thetas and theta(lambda) (136), the
-    basis (21) and the cardinal vectors at 3 validation points and the 10
-    points z_i -/+ eta (130) take 287 scalar calls; each of the 9 grid
-    matrices takes its 60 zeta-dependent thetas in one array call.  Before
-    the array calls: 852 scalar calls, and 1,540 when each matrix
-    recomputed the cross thetas and theta(lambda)."""
+    model's flip coefficients, cross thetas and theta(lambda) take 136 scalar
+    calls.  Array calls: each of the 9 grid matrices takes its 60
+    zeta-dependent thetas in one, the basis its 20 node-difference thetas
+    and theta(b) in one, and the cardinal vectors at the 3 validation points
+    and the 10 points z_i -/+ eta their 130 thetas in one.  With the scalar
+    basis and cardinal vectors: 287 scalar calls and 9 array calls of 540
+    points; before the grid matrices' array calls, 852 scalar calls."""
     params = make_params(lattice, Z5)
     counts = count_theta_calls(monkeypatch)
     irf._grid_model.cache_clear()
     certs = certify_spectrum(params, 0.41 + 0.37j, rng=np.random.default_rng(7))
     assert len(certs) == 32 and all(c.passed for c in certs)
-    assert counts["theta"][0] == 287
-    assert counts["theta_array"] == [9, 540]
+    assert counts["theta"][0] == 136
+    assert counts["theta_array"] == [11, 691]
 
 
 def reference_certificates(params, certs, seed):
@@ -1338,7 +1339,7 @@ def test_continuous_bethe_eigenvalue_membership(lattice, rng):
     chi_plus = spaces.character_of(cb.a_plus, TAU)
     chi_sep = spaces.induced_eigenvalue_character(chi_plus, 2 * ETA, 1)
     eps_sep = lambda x: cb.eps_value(-x)
-    report = spaces.membership_test(ev, eps_sep, 2, chi_sep, rng)
+    report = spaces.membership_test(ev, pointwise(eps_sep), 2, chi_sep, rng)
     assert membership_passes(report, 1e-9)
     with pytest.raises(ParameterError):
         continuous_bethe(ModelParams(lattice, ETA, Z3, (1, 1, 1)), rng)

@@ -16,19 +16,22 @@ from ellsov.spaces import (
     character_of,
     difference_eigenvalue,
     eval_elliptic_poly,
+    eval_elliptic_polys,
     expected_multiplier,
     induced_eigenvalue_character,
     make_basis,
     membership_test,
     solve_difference_bethe,
 )
-from ellsov.theta import PoleProximityError, ThetaEvaluator
+from ellsov.theta import PoleProximityError, ThetaEvaluator, ThetaOverflowError
 
 from conftest import (
+    count_theta_calls,
     count_zeros,
     elliptic_poly,
     elliptic_poly_logderiv,
     membership_passes,
+    pointwise,
     sample_point,
     zeta_bar,
 )
@@ -138,29 +141,38 @@ def test_cardinal_vector_matches_per_term_formula(ev, rng):
             assert_allclose(basis.cardinal_vector(zj), np.eye(k)[j], atol=1e-12)
 
 
-def test_basis_shares_cardinal_vectors(ev, rng, monkeypatch):
-    """Interpolants on one basis reuse one L(z) per point; the memo stays bounded."""
-    chi = Character(-cmath.exp(0.2j), -cmath.exp(0.1 - 0.3j))
-    basis = make_basis(ev, 3, chi, rng)
-    f = basis.fit([1.0, 2.0j, -0.5])
-    g = basis.fit([0.0, 1.0, 1.0 + 1.0j])
-    z = sample_point(rng, ev.lattice)
-    calls = []
-    original = ThetaEvaluator.theta
-    monkeypatch.setattr(ThetaEvaluator, "theta", lambda self, *a: calls.append(a) or original(self, *a))
-    f(z)
-    assert len(calls) == 6  # theta(z - z_l) and theta(z - z_j + b) for each node
-    g(z)
-    f(z)
-    assert len(calls) == 6
-    monkeypatch.undo()
-    vec = basis.cardinal_vector(z)
-    assert not vec.flags.writeable
-    for i in range(spaces._CARDINAL_CACHE_SIZE + 10):
-        basis.cardinal_vector(0.1 + 0.3j + 1e-4 * i)
-    assert len(basis._cache) == spaces._CARDINAL_CACHE_SIZE
+def test_cardinal_vector_on_arrays(ev, rng, monkeypatch):
+    """cardinal_vector takes points of any shape and returns shape zs.shape + (k,)
+    from one theta_array call and no scalar one; each row is the per-point
+    formula's L(z) to 1e-13."""
+    k = 4
+    chi = Character(cmath.exp(0.2j), cmath.exp(0.1 - 0.3j))
+    basis = make_basis(ev, k, chi, rng)
+    zs = np.array([[sample_point(rng, ev.lattice, spread=1.5) for _ in range(3)] for _ in range(5)])
+    for pts in (zs[0, 0], zs[0], zs):
+        counts = count_theta_calls(monkeypatch)
+        got = basis.cardinal_vector(pts)
+        monkeypatch.undo()
+        assert counts == {"theta": [0, 0], "theta_array": [1, 2 * k * np.size(pts)]}
+        assert got.shape == np.shape(pts) + (k,)
+        for z, row in zip(np.ravel(pts), got.reshape(-1, k)):
+            expect = np.array([per_term_interpolant(basis, np.eye(k)[j], z) for j in range(k)])
+            assert np.max(np.abs(row - expect)) <= 1e-13 * max(1.0, np.max(np.abs(expect)))
+    f = basis.fit([1.0, 2.0j, -0.5, 0.0])
+    assert isinstance(f(zs[0, 0]), complex) and f(zs).shape == zs.shape
     with pytest.raises(ValueError):
         basis.fit([1.0, 2.0])
+
+
+def test_cardinal_vector_overflow_names_the_point(ev, rng):
+    """A non-finite entry raises ThetaOverflowError naming the first such point
+    in the order of zs: with chi(1) = -e^100, exp(2 pi i a (z - z_j)) grows like
+    e^(100 Re z), and leaves double range at Re z = 9.4 while theta stays finite."""
+    basis = make_basis(ev, 2, Character(-math.exp(100.0), -1.0), rng)
+    good, bad = 0.4 + 0.3j, 9.4 + 0.3j
+    assert np.isfinite(basis.cardinal_vector([good])).all()
+    with pytest.raises(ThetaOverflowError, match=r"cardinal vector at \(9\.4\+0\.3j\) overflows"):
+        basis.cardinal_vector([[good, bad], [bad + 1.0, good]])
 
 
 def test_degenerate_nodes_rejected(ev, rng):
@@ -173,7 +185,7 @@ def test_membership_distinguishes_characters(ev, rng):
     tau = ev.lattice.tau
     p = random_poly(rng, ev.lattice, 3)
     chi = character_of(p, tau)
-    f = lambda z: eval_elliptic_poly(ev, p, z)
+    f = lambda zs: eval_elliptic_polys(ev, (p,), zs)[0]
     report = membership_test(ev, f, 3, chi, rng)
     assert membership_passes(report)
     wrong = Character(chi.chi1 * cmath.exp(0.05j), chi.chiTau)
@@ -229,7 +241,7 @@ def test_bethe_solution_solves_difference_equation(ev, rng):
     sol = solve_difference_bethe(ev, A_plus, A_minus, gamma, m, rng)
     eps = difference_eigenvalue(ev, A_plus, A_minus, gamma, sol)
     chi_eps = induced_eigenvalue_character(character_of(A_plus, tau), gamma, m)
-    report = membership_test(ev, eps, n, chi_eps, rng)
+    report = membership_test(ev, pointwise(eps), n, chi_eps, rng)
     assert membership_passes(report)
 
 
@@ -247,7 +259,7 @@ def test_difference_eigenvalue_root_outside_cell(ev):
     assert any(lat.reduce(w)[2] != 0 for w in sol.roots)
     eps = difference_eigenvalue(ev, A_plus, A_minus, gamma, sol)
     chi_eps = induced_eigenvalue_character(character_of(A_plus, lat.tau), gamma, 2)
-    assert membership_passes(membership_test(ev, eps, len(zs), chi_eps, rng), 1e-12)
+    assert membership_passes(membership_test(ev, pointwise(eps), len(zs), chi_eps, rng), 1e-12)
 
 
 def test_bethe_solver_theta_count(ev, monkeypatch):
