@@ -203,46 +203,43 @@ def _task_gaudin_check(block, params, rng, tol, csv_dir):
     degree = _count(block, "degree", 8, least=4)  # S(z1) S(z2) u takes four derivatives
     dim = gaudin._gaudin_model(params).dim
     u = _random_jet(rng, dim, degree)
+    # every point up front, in the order the checks read them: lam0s, then the zs of S
+    samples = _count(block, "lambda_samples", 3)
+    lam0s = np.array([params.sample_generic(rng, margin=5e-2) for _ in range(samples + 1)])
+    zs = np.array([params.sample_generic(rng, avoid=params.zs) for _ in range(5)])
 
-    # operators are built once per point; products apply them to their own outputs
+    # each family is built once, as a stack over its points; products apply it to its own outputs
+    hams = gaudin.build_hamiltonians(params, lam0s, degree)
+    applied = [H.apply_jet(u[:, None]) for H in hams]  # (degree - order + 1, point, dim)
+    scales = np.maximum(1.0, np.max([np.max(np.abs(a), axis=(0, 2)) for a in applied], axis=0))
     comm = []
-    for _ in range(_count(block, "lambda_samples", 3)):
-        lam0 = params.sample_generic(rng, margin=5e-2)
-        hams = gaudin.build_hamiltonians(params, lam0, degree)
-        applied = [H.apply_jet(u) for H in hams]
-        scale = max(1.0, max(float(np.max(np.abs(a))) for a in applied))
-        for i in range(len(hams)):
-            for j in range(i + 1, len(hams)):
-                dev = hams[i].apply_jet(applied[j]) - hams[j].apply_jet(applied[i])
-                comm.append(float(np.max(np.abs(dev))) / scale)
+    for i in range(len(hams)):
+        for j in range(i + 1, len(hams)):
+            dev = hams[i].apply_jet(applied[j]) - hams[j].apply_jet(applied[i])
+            comm.extend(np.max(np.abs(dev[:, :samples]), axis=(0, 2)) / scales[:samples])
 
-    # the Hamiltonian sum and the S-decomposition share one lam0 and its H_j u
-    lam0 = params.sample_generic(rng, margin=5e-2)
-    applied = [H.apply_jet(u) for H in gaudin.build_hamiltonians(params, lam0, degree)]
+    # the Hamiltonian sum and the S-decomposition share the last lam0 and its H_j u
+    applied = [a[:, samples] for a in applied]
     scale = max(1.0, float(np.max(np.abs(applied[1]))))
     ham_sum = float(np.max(np.abs(sum(applied[1:])))) / scale
 
-    ev = params.evaluator()
+    s_ops = gaudin.build_S(params, zs, lam0s[samples], degree)
+    su = s_ops.apply_jet(u[:, None])
+    dzs = zs[:3, None] - np.array(params.zs)
+    zeta, wp = (a.reshape(dzs.shape) for a in params.evaluator().zeta_wp(dzs.ravel()))
     s_dev = []
-    for _ in range(3):
-        z = params.sample_generic(rng, avoid=params.zs)
-        lhs = gaudin.build_S(params, z, lam0, degree).apply_jet(u)
-        rows = lhs.shape[0]
+    for p in range(3):
         rhs = applied[0].copy()
-        zeta, wp = ev.zeta_wp(z - np.array(params.zs))
         for k in range(params.n):
-            rhs += zeta[k] * applied[k + 1][:rows]
-            rhs += gaudin.spectral_weight(params, k) * wp[k] * u[:rows]
-        scale = max(1.0, float(np.max(np.abs(lhs))))
-        s_dev.append(float(np.max(np.abs(lhs - rhs))) / scale)
+            rhs += zeta[p, k] * applied[k + 1][: len(su)]
+            rhs += gaudin.spectral_weight(params, k) * wp[p, k] * u[: len(su)]
+        scale = max(1.0, float(np.max(np.abs(su[:, p]))))
+        s_dev.append(float(np.max(np.abs(su[:, p] - rhs))) / scale)
 
-    z1 = params.sample_generic(rng, avoid=params.zs)
-    z2 = params.sample_generic(rng, avoid=params.zs)
-    s1, s2 = gaudin.build_S(params, z1, lam0, degree), gaudin.build_S(params, z2, lam0, degree)
-    s1u = s1.apply_jet(u)
-    scale = max(1.0, float(np.max(np.abs(s1u))))
-    dev = s1.apply_jet(s2.apply_jet(u)) - s2.apply_jet(s1u)
-    ss = float(np.max(np.abs(dev))) / scale
+    # S(z1) S(z2) u - S(z2) S(z1) u: the stack applied to S u with z1's and z2's columns swapped
+    swapped = s_ops.apply_jet(su[:, [0, 1, 2, 4, 3]])
+    scale = max(1.0, float(np.max(np.abs(su[:, 3]))))
+    ss = float(np.max(np.abs(swapped[:, 3] - swapped[:, 4]))) / scale
 
     checks = [
         _check("hamiltonians_commute", _worst(comm), tol),
@@ -262,19 +259,18 @@ def _task_gaudin_bethe(block, params, rng, tol, csv_dir):
             "checks": [_check("solver_converged", 1.0, 1e-10)],
             "metrics": {"solver_error": str(exc)},
         }
+    lam0s = np.array([params.sample_generic(rng, margin=5e-2) for _ in range(2)])
+    u = gaudin.bethe_eigenvector(params, sol.c, sol.roots, lam0s, degree)
+    outs = [H.apply_jet(u) for H in gaudin.build_hamiltonians(params, lam0s, degree)]
     eigen_dev = []
-    eps = []
-    for _ in range(2):
-        lam0 = params.sample_generic(rng, margin=5e-2)
-        u = gaudin.bethe_eigenvector(params, sol.c, sol.roots, lam0, degree)
-        scale = float(np.max(np.abs(u)))
-        eps = []
-        for H in gaudin.build_hamiltonians(params, lam0, degree):
-            out = H.apply_jet(u)
-            i = int(np.argmax(np.abs(u[0])))
-            ej = out[0][i] / u[0][i]
+    for p in range(len(lam0s)):
+        scale = float(np.max(np.abs(u[:, p])))
+        i = int(np.argmax(np.abs(u[0, p])))
+        eps = []  # the last point's eigenvalues are reported
+        for out in outs:
+            ej = out[0, p, i] / u[0, p, i]
             eps.append(complex(ej))
-            eigen_dev.append(float(np.max(np.abs(out - ej * u[: out.shape[0]]))) / scale)
+            eigen_dev.append(float(np.max(np.abs(out[:, p] - ej * u[: out.shape[0], p]))) / scale)
     eps_sum = abs(sum(eps[1:])) / max(1.0, max(abs(e) for e in eps))
     checks = [
         _check("solver_converged", sol.residual, 1e-10),
@@ -480,17 +476,17 @@ def _task_irf_bethe(block, params, rng, tol, csv_dir):
             "checks": [_check("solver_converged", 1.0, 1e-10)],
             "metrics": {"solver_error": str(exc)},
         }
-    eigen = []
-    for _ in range(_count(block, "eigen_samples", 3)):
-        xs = [params.sample_generic(rng, margin=5e-2) for _ in params.zs]
-        zeta = params.sample_generic(rng, margin=5e-2)
-        lhs = irf.apply_transfer_continuous(params, zeta, cb.u_value, xs)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # a non-finite miss raises below
-            rhs = cb.eps_value(zeta) * cb.u_value(xs)
-            miss = abs(lhs - rhs) / max(abs(lhs), abs(rhs))
-        if not np.isfinite(miss):
-            raise ThetaOverflowError("eps u at zeta = %r leaves double range" % (zeta,))
-        eigen.append(miss)
+    # each sample draws its n coordinates xs, then zeta; the samples are evaluated as one stack
+    samples = range(_count(block, "eigen_samples", 3))
+    draws = np.array([[params.sample_generic(rng, margin=5e-2) for _ in range(params.n + 1)] for _ in samples])
+    xs, zetas = draws[:, :-1], draws[:, -1]
+    lhs = irf.apply_transfer_continuous(params, zetas, cb.u_value, xs)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # a non-finite miss raises below
+        rhs = cb.eps_value(zetas) * cb.u_value(xs)
+        eigen = np.abs(lhs - rhs) / np.maximum(np.abs(lhs), np.abs(rhs))
+    if not np.isfinite(eigen).all():
+        zeta = complex(zetas[np.argmin(np.isfinite(eigen))])
+        raise ThetaOverflowError("eps u at zeta = %r leaves double range" % (zeta,))
     m = sum(params.lams) // 2
     ev = params.evaluator()
     member = spaces.membership_test(ev, cb.q_value, m, cb.chi, rng)

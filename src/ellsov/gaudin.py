@@ -4,9 +4,10 @@ The model lives on the tensor product of irreducible sl2 modules of
 highest weights Lambda_i attached to the sites z_i.  All Hamiltonians
 act on the zero-weight subspace as first/second order differential
 operators in the dynamical variable lambda.  Each operator is built at
-one point lam0 for input jets up to a given Taylor degree: its
-coefficient jets are formed once, from lambda-free matrices and thetas
-cached per model, and compositions and commutators read them truncated.
+a point lam0, or as a stack over an array of them, for input jets up to
+a given Taylor degree: its coefficient jets are formed once, from
+lambda-free matrices and thetas cached per model, and compositions and
+commutators read them truncated.
 
 The tensor basis vector v_{m_1} x .. x v_{m_n} is labelled by the
 multi-index m of :class:`ellsov.eqg.S0Grid`, in the grid's order, so the
@@ -126,7 +127,7 @@ def _gaudin_model(params: ModelParams) -> _GaudinModel:
     return _GaudinModel(params, ev, ops, indices, grid.dim, h, pair_hh, zjks, *mats, hh_const, diag_ef)
 
 
-def build_hamiltonians(params: ModelParams, lam0: complex, degree: int) -> list[LambdaDiffOp]:
+def build_hamiltonians(params: ModelParams, lam0, degree: int) -> list[LambdaDiffOp]:
     """[H_0, H_1, ..., H_n] on the zero-weight space at lam0, for input jets of degree <= degree.
 
     H_j = -h^(j) d/dlambda + pair_hh[j] + sum_{k != j} (sigma_lambda(z_jk)
@@ -139,9 +140,10 @@ def build_hamiltonians(params: ModelParams, lam0: complex, degree: int) -> list[
     with the j = k ratio understood as theta'''(0)/theta'(0).  The hh
     weight 1/8 and the ordered ef sum are forced by matching the pole
     expansion of S(z); the residue decomposition test referees them.
-    Every operator reads one jet_sigma call over all ordered pairs; theta's
-    jet at lam0 gives wp_bar = -(theta'/theta)'.  H_0 takes the derivatives
-    of the sigma jets, with no pole of zeta_bar(lambda - z_jk) to cancel.
+    At an array lam0 each H_j is the stack over its points.  All read one
+    jet_sigma call over the points and ordered pairs; theta's jet at lam0
+    gives wp_bar = -(theta'/theta)'.  H_0 takes the derivatives of the sigma
+    jets, with no pole of zeta_bar(lambda - z_jk) to cancel.
     """
     if degree < 2:
         raise ValueError("H_0 takes two derivatives: degree must be at least 2")
@@ -150,42 +152,45 @@ def build_hamiltonians(params: ModelParams, lam0: complex, degree: int) -> list[
     sig, sig_neg, theta_lam = jets.jet_sigma(ev, lam0, ctx.zjks, degree)
     sig, sig_neg = sig[:degree], sig_neg[:degree]  # the coefficients reach degree - 1
     wp = -jets.jderiv(jets.jdiv(jets.jderiv(theta_lam), theta_lam[:degree], degree - 1))
+    points = theta_lam.shape[1:]
 
-    c0 = np.zeros((degree - 1, dim, dim), dtype=complex)
+    c0 = np.zeros((degree - 1,) + points + (dim, dim), dtype=complex)
     c0[0] += ctx.hh_const
-    c0 -= 0.5 * wp[:, None, None] * ctx.diag_ef[None, :, :]
-    for sj, mat in zip(jets.jderiv(sig).T, ctx.mats_ef):
-        c0 -= sj[:, None, None] * mat[None, :, :]
-    eye = np.eye(dim, dtype=complex)[None]
+    c0 -= 0.5 * wp[..., None, None] * ctx.diag_ef
+    for sj, mat in zip(np.moveaxis(jets.jderiv(sig), -1, 0), ctx.mats_ef):
+        c0 -= sj[..., None, None] * mat
+    eye = np.eye(dim, dtype=complex)[(None,) * (1 + len(points))]
     hams = [LambdaDiffOp(degree, (c0, np.zeros_like(eye), eye))]
     for j in range(params.n):
-        c0 = np.zeros((degree, dim, dim), dtype=complex)
+        c0 = np.zeros((degree,) + points + (dim, dim), dtype=complex)
         c0[0] += ctx.pair_hh[j]
         for sigs, mats in ((sig, ctx.mats_ef), (sig_neg, ctx.mats_fe)):
             for p in range(j * others, (j + 1) * others):
-                c0 += sigs[:, p, None, None] * mats[p][None, :, :]
-        hams.append(LambdaDiffOp(degree, (c0, -ctx.h[j][None])))
+                c0 += sigs[..., p, None, None] * mats[p]
+        hams.append(LambdaDiffOp(degree, (c0, -ctx.h[j] * eye)))
     return hams
 
 
-def build_S(params: ModelParams, z: complex, lam0: complex, degree: int) -> LambdaDiffOp:
+def build_S(params: ModelParams, z, lam0, degree: int) -> LambdaDiffOp:
     """Generating kernel S(z) = (d/dlambda - h(z)/2)^2 + (e f + f e)/2 on M[0], at lam0.
 
-    For input jets of degree 2..degree.  The symmetrized product carries
-    the 1/2 so that the double poles of S(z) at the sites come out as
-    Casimir halves; see the residue decomposition test.
+    For input jets of degree 2..degree; arrays z and lam0 broadcast to a
+    stack, with one zeta_wp and one jet_sigma call.  The symmetrized product
+    carries the 1/2 so that the double poles of S(z) at the sites come out
+    as Casimir halves; see the residue decomposition test.
     """
     ctx = _gaudin_model(params)
     ev, dim, d_out = ctx.ev, ctx.dim, degree - 2
-    dzs = z - np.array(params.zs)
-    hz = sum(zeta * hi for hi, zeta in zip(ctx.h, ev.zeta_wp(dzs)[0]))
+    dzs = np.asarray(z, dtype=complex)[..., None] - np.array(params.zs)
+    zetas = np.moveaxis(ev.zeta_wp(dzs.ravel())[0].reshape(dzs.shape), -1, 0)
+    hz = sum(zeta[..., None, None] * hi for hi, zeta in zip(ctx.h, zetas))
     sps, sns, _ = jets.jet_sigma(ev, lam0, dzs, d_out)
-    e_jet = sum(sn[:, None, None] * ei[None, :, :] for (ei, _, _), sn in zip(ctx.ops, sns.T))
-    f_jet = sum(sp[:, None, None] * fi[None, :, :] for (_, fi, _), sp in zip(ctx.ops, sps.T))
-    anti = jets.jmul(e_jet, f_jet, d_out) + jets.jmul(f_jet, e_jet, d_out)
-    c0 = 0.5 * anti[:, ctx.indices[:, None], ctx.indices]
+    e_jet = sum(sn[..., None, None] * ei for (ei, _, _), sn in zip(ctx.ops, np.moveaxis(sns, -1, 0)))
+    f_jet = sum(sp[..., None, None] * fi for (_, fi, _), sp in zip(ctx.ops, np.moveaxis(sps, -1, 0)))
+    rows, cols = (..., ctx.indices, slice(None)), (..., ctx.indices)  # the M[0] block of each product
+    c0 = 0.5 * (jets.jmul(e_jet[rows], f_jet[cols], d_out) + jets.jmul(f_jet[rows], e_jet[cols], d_out))
     c0[0] += 0.25 * (hz @ hz)
-    return LambdaDiffOp(degree, (c0, -hz[None], np.eye(dim, dtype=complex)[None]))
+    return LambdaDiffOp(degree, (c0, -hz[None], np.eye(dim, dtype=complex)[(None,) * (c0.ndim - 2)]))
 
 
 def spectral_weight(params: ModelParams, k: int) -> float:
@@ -252,20 +257,22 @@ def bethe_eigenvector(
     params: ModelParams,
     c: complex,
     roots: Sequence[complex],
-    lam0: complex,
+    lam0,
     degree: int,
 ) -> np.ndarray:
     """Jet of u(lambda) = e^{c lambda} f(w_1) ... f(w_m) v_0 on the zero-weight space.
 
-    The lowering fields carry the running lambda through every factor.
+    The lowering fields carry the running lambda through every factor; an
+    array lam0 gives the stack (degree + 1, *lam0.shape, dim).
     """
     ctx = _gaudin_model(params)
-    vec = np.zeros((degree + 1, ctx.total), dtype=complex)
-    vec[0, 0] = 1.0  # index 0 is the top vector of every factor
-    # one jet_sigma call over every (root, site) pair, root-major
-    sps = jets.jet_sigma(ctx.ev, lam0, (np.array(roots)[:, None] - np.array(params.zs)).ravel(), degree)[0]
+    exp_jet = jets.jet_exp(c, lam0, degree)
+    vec = np.zeros(exp_jet.shape + (ctx.total,), dtype=complex)
+    vec[..., 0] = exp_jet  # e^{c lambda} v_0: index 0 is the top vector of every factor
+    # one jet_sigma call over every point and (root, site) pair, root-major
+    pairs = (np.array(roots)[:, None] - np.array(params.zs)).ravel()
+    sps = np.moveaxis(jets.jet_sigma(ctx.ev, lam0, pairs, degree)[0], -1, 0)
     for r in range(len(roots)):
-        f_jet = sum(sp[:, None, None] * fi for sp, (_, fi, _) in zip(sps.T[r * params.n :], ctx.ops))
+        f_jet = sum(sp[..., None, None] * fi for sp, (_, fi, _) in zip(sps[r * params.n :], ctx.ops))
         vec = jets.jmul(f_jet, vec, degree)
-    vec = jets.jmul(jets.jet_exp(c, lam0, degree), vec, degree)
-    return vec[:, ctx.indices]
+    return vec[..., ctx.indices]

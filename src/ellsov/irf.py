@@ -798,40 +798,44 @@ def _shift_polys(params: ModelParams) -> tuple[EllipticPoly, EllipticPoly]:
 
 def apply_transfer_continuous(
     params: ModelParams,
-    zeta: complex,
+    zeta,
     u: Callable[[np.ndarray], np.ndarray],
-    xs: Sequence[complex],
-) -> complex:
+    xs,
+):
     """The displayed difference operator at zeta, at arbitrary points xs:
 
         T(zeta) u(x) = sum_i L_i(-zeta) [A_plus(x_i) u(x - 2 eta e_i) + A_minus(x_i) u(x + 2 eta e_i)]
 
     with continuous_bethe's shift coefficients A_plus, A_minus and L the
     level-n cardinal basis on the nodes xs for chi(1) = (-1)^n, chi(tau) =
-    (-1)^n e^{-2 pi i sum z_j}.  u maps a stack of coordinate sets, shape
-    (k, n), to its k values; it is called once, on the 2n shifted sets, and
-    A_plus and A_minus take one array call.  xs colliding modulo the
-    lattice, or -sum (x_i + z_i) within rho of it, raise ParameterError; a
-    non-finite sum raises ThetaOverflowError.
+    (-1)^n e^{-2 pi i sum z_j}.  A stack of samples, zeta of shape S and xs
+    of shape S + (n,), gives an array of shape S, one sample a complex.  u
+    maps a stack of coordinate sets, shape (..., n), to its values; it is
+    called once, on the 2n shifted sets of every sample, and A_plus and
+    A_minus take one array call.  xs colliding modulo the lattice, or -sum
+    (x_i + z_i) within rho of it, raise ParameterError; a non-finite sum
+    raises ThetaOverflowError.
     """
-    n = len(xs)
-    if n != params.n:
+    zeta, xs, n = np.asarray(zeta, dtype=complex), np.asarray(xs, dtype=complex), params.n
+    if xs.shape != zeta.shape + (n,):
         raise ParameterError("need one coordinate per site")
     ev, sgn = params.evaluator(), (-1.0) ** n
     chi = Character(sgn, sgn * cmath.exp(-_2PI_I * sum(params.zs)))
-    try:
-        weights = spaces.ThetaSpaceBasis(ev, n, chi, xs).cardinal_vector(-complex(zeta))
+    try:  # each sample's basis takes its own two calls
+        bases = [spaces.ThetaSpaceBasis(ev, n, chi, nodes) for nodes in xs.reshape(-1, n)]
     except (spaces.DegenerateNodesError, spaces.ResonantCharacterError) as exc:
         raise ParameterError(str(exc)) from exc
+    weights = np.array([b.cardinal_vector(-z) for b, z in zip(bases, zeta.ravel())]).reshape(xs.shape)
     a_plus, a_minus = _shift_polys(params)
-    xs, shifts = np.array(xs, dtype=complex), 2 * params.eta * np.eye(n)
-    values = u(np.concatenate((xs - shifts, xs + shifts)))  # row i moves x_i down, row n + i up
+    moved = xs[..., None, :] + 2 * params.eta * np.concatenate((-np.eye(n), np.eye(n)))
+    values = u(moved)  # set i of a sample moves x_i down, set n + i moves it up
     down, up = spaces.eval_elliptic_polys(ev, (a_plus, a_minus), xs)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum raises below
-        total = weights @ (down * values[:n] + up * values[n:])
-    if not np.isfinite(total):
-        raise ThetaOverflowError("the off-grid transfer operator overflows double precision at %r" % (complex(zeta),))
-    return complex(total)
+        total = np.sum(weights * (down * values[..., :n] + up * values[..., n:]), axis=-1)
+    if not np.isfinite(total).all():
+        z = complex(zeta.flat[np.argmin(np.isfinite(total).flat)])
+        raise ThetaOverflowError("the off-grid transfer operator overflows double precision at %r" % (z,))
+    return complex(total) if total.ndim == 0 else total
 
 
 @dataclasses.dataclass(frozen=True)
@@ -863,9 +867,9 @@ class ContinuousBethe:
             raise ThetaOverflowError("the product eigenfunction overflows double precision")
         return vals
 
-    def eps_value(self, z: complex) -> complex:
-        """Transfer eigenvalue; entire in z thanks to the root conditions."""
-        return self.eps(-complex(z))
+    def eps_value(self, z):
+        """Transfer eigenvalue at z or an array of z; entire in z thanks to the root conditions."""
+        return self.eps(-np.asarray(z, dtype=complex))
 
 
 def continuous_bethe(

@@ -424,7 +424,8 @@ def _bethe_system(ev, A_plus, A_minus, gamma, m):
     theta_array call, over the m * 2n site arguments w_i - (zeros of A_plus
     and A_minus) and the 2m(m - 1) root-pair arguments w_i - w_j -/+ gamma:
     F takes its values, the Jacobian rows dlog t_i0 - dlog t_i1 its
-    theta'/theta.  A ratio that leaves double range raises ThetaOverflowError.
+    theta'/theta and its pole guard the distances from the same reduction.
+    A ratio that leaves double range raises ThetaOverflowError.
     """
     # argument q is design[q] . x + offset[q]; sign[i, q] is +1 for a theta of
     # t_i0 and -1 for one of t_i1, and -t_i0 / t_i1 carries exp(expo[i] . x)
@@ -442,11 +443,10 @@ def _bethe_system(ev, A_plus, A_minus, gamma, m):
     design, offset = np.array(design).reshape(-1, m + 1), np.array(offset, dtype=complex)
     sign = np.array(sign).reshape(-1, m).T
     num, den = sign.real > 0, sign.real < 0
-    lat, rho = ev.lattice, ev.rho
 
     def system(x):
         args = design @ x + offset
-        jets = ev.theta_array(args, 1)
+        jets, dist = ev.theta_array(args, 1, dist=True)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # a non-finite F raises below
             ratio = np.where(num, jets[:, 0], 1.0).prod(axis=1) / np.where(den, jets[:, 0], 1.0).prod(axis=1)
             res = np.log(np.exp(expo @ x) * ratio)
@@ -455,12 +455,11 @@ def _bethe_system(ev, A_plus, A_minus, gamma, m):
             raise ThetaOverflowError("Bethe system overflows double precision at root %r" % (w,))
 
         def jacobian():
-            dist = lat.dist_to_lattice_array(args)
             near = int(np.argmin(dist))
-            if dist[near] < rho:
+            if dist[near] < ev.rho:
                 raise PoleProximityError(
                     "pole proximity: Bethe system argument %r is within %g of the period lattice (margin %g)"
-                    % (complex(args[near]), dist[near], rho)
+                    % (complex(args[near]), dist[near], ev.rho)
                 )
             # d F_i / dx = expo[i] + sum_q sign[i, q] theta'/theta(arg_q) design[q]
             return expo + (sign * (jets[:, 1] / jets[:, 0])) @ design
@@ -517,7 +516,7 @@ def difference_eigenvalue(
     A_minus: EllipticPoly,
     gamma: complex,
     sol: BetheSolution,
-) -> Callable[[complex], complex]:
+) -> Callable:
     """eps(z) = (A_plus(z) Q(z-gamma) + A_minus(z) Q(z+gamma)) / Q(z).
 
     Q keeps the solver's raw roots: reducing a root to the cell by a tau
@@ -525,15 +524,17 @@ def difference_eigenvalue(
     """
     q = EllipticPoly(sol.a, sol.roots)
 
-    def eps(z: complex) -> complex:
-        polys = eval_elliptic_polys(ev, (q, A_plus, A_minus), np.array([z, z - gamma, z + gamma]))
+    def eps(z):  # a complex at a point, an array at an array of points, from one array call
+        z = np.asarray(z, dtype=complex)
+        polys = eval_elliptic_polys(ev, (q, A_plus, A_minus), np.stack([z, z - gamma, z + gamma]))
         (qz, q_down, q_up), ap, am = polys[0], polys[1, 0], polys[2, 0]
         # the ratios of Q first: A_plus(z) Q(z - gamma) alone can overflow where eps does not
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # a non-finite value raises below
             val = ap * (q_down / qz) + am * (q_up / qz)
-        if not np.isfinite(val):
+        if not np.isfinite(val).all():
+            z = complex(z.flat[np.argmin(np.isfinite(val).flat)])
             raise ThetaOverflowError("the difference eigenvalue at %r leaves double range" % (z,))
-        return complex(val)
+        return complex(val) if val.ndim == 0 else val
 
     return eps
 

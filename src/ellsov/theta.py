@@ -166,7 +166,10 @@ class Lattice:
         complex abs does not always).
         """
         zs = np.asarray(zs, dtype=complex)
-        z0, _, _ = self.reduce_array(zs)
+        return self._reduced_dist(zs, self.reduce_array(zs)[0])
+
+    def _reduced_dist(self, zs: np.ndarray, z0: np.ndarray) -> np.ndarray:
+        """dist_to_lattice_array at zs from their reductions z0, which theta_array shares."""
         tau = self.tau
         m = np.floor(z0.real - tau.real)
         corners = (z0, z0 - 1.0, z0 - m - tau, z0 - (m + 1) - tau)
@@ -246,7 +249,7 @@ class ThetaEvaluator:
             raise _overflow(z)
         return val * 1  # rounds as a product with 1 + 0j, which turns some -0.0 parts to +0.0
 
-    def theta_array(self, zs: np.ndarray, degree: int) -> np.ndarray:
+    def theta_array(self, zs: np.ndarray, degree: int, dist: bool = False):
         """(N, degree + 1) array whose row i holds theta^(k)(zs[i])/k!, k = 0..degree.
 
         The one kernel for theta's derivatives: the series of theta and its
@@ -256,7 +259,8 @@ class ThetaEvaluator:
         of the reduced cell (Im z0 = Im tau), is below
         trunc_tol * exp(-pi Im tau / 4), and no term 0 on the reduced cell is
         smaller than exp(-pi Im tau / 4).  Errors are the ThetaError
-        subclasses theta raises.
+        subclasses theta raises.  With dist, also the distances to the lattice
+        that dist_to_lattice_array gives, from the same reduction.
         """
         _check_degree(degree)
         zs = np.asarray(zs, dtype=complex)
@@ -283,7 +287,7 @@ class ThetaEvaluator:
             finite = np.isfinite(out).all()
         if not finite:
             raise _overflow(complex(zs[np.argmin(np.isfinite(out).all(axis=1))]))
-        return out
+        return (out, self.lattice._reduced_dist(zs, z0)) if dist else out
 
     # -- derived functions ----------------------------------------------
 
@@ -291,12 +295,12 @@ class ThetaEvaluator:
         """zeta_bar = theta'/theta and wp_bar = -zeta_bar' = zeta_bar^2 - theta''/theta at zs.
 
         zeta_bar is odd, with zeta_bar(z + tau) = zeta_bar(z) - 2 pi i; wp_bar is
-        even and lattice periodic.  One distance pass and one degree-2
-        theta_array call; the first point within rho of the lattice raises
-        PoleProximityError.
+        even and lattice periodic.  One degree-2 theta_array call, which also
+        gives the distances to the lattice; the first point within rho of it
+        raises PoleProximityError.
         """
         zs = np.asarray(zs, dtype=complex)
-        dist = self.lattice.dist_to_lattice_array(zs)
+        jet, dist = self.theta_array(zs, 2, dist=True)
         close = np.flatnonzero(dist < self.rho)
         if close.size:
             k = close[0]
@@ -304,7 +308,6 @@ class ThetaEvaluator:
                 "pole proximity: z = %r is within %g of the period lattice (margin %g)"
                 % (complex(zs[k]), dist[k], self.rho)
             )
-        jet = self.theta_array(zs, 2)
         zeta = jet[:, 1] / jet[:, 0]
         return zeta, zeta ** 2 - 2.0 * jet[:, 2] / jet[:, 0]
 

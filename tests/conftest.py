@@ -269,10 +269,27 @@ def count_theta_calls(monkeypatch):
         original = getattr(ThetaEvaluator, name)
         counts[name] = [0, 0]
 
-        def counting(self, z, *degree, _original=original, _count=counts[name]):
+        def counting(self, z, *args, _original=original, _count=counts[name], **kwargs):
             _count[0] += 1
             _count[1] += np.size(z)
-            return _original(self, z, *degree)
+            return _original(self, z, *args, **kwargs)
 
         monkeypatch.setattr(ThetaEvaluator, name, counting)
+    return counts
+
+
+def count_reductions(monkeypatch):
+    """Wrap Lattice.reduce_array and Lattice.dist_to_lattice_array; returns
+    {name: calls}, updated live.  Every theta_array call and every distance
+    pass reduces its points once."""
+    counts = {}
+    for name in ("reduce_array", "dist_to_lattice_array"):
+        original = getattr(Lattice, name)
+        counts[name] = 0
+
+        def counting(self, zs, _original=original, _name=name):
+            counts[_name] += 1
+            return _original(self, zs)
+
+        monkeypatch.setattr(Lattice, name, counting)
     return counts

@@ -562,52 +562,56 @@ def test_irf_tasks_validate_each_model_once(tmp_path, monkeypatch):
 
 
 def reference_gaudin_check(cfg, seed):
-    """gaudin check's residuals with every operator built and applied afresh, as a reference."""
+    """gaudin check's residuals with every operator stack built and applied afresh, as a reference.
+
+    The points are drawn up front, as the task draws them, and each family is
+    built as the same stack over them (a theta_array row depends on its batch);
+    each residual reads its point's column.
+    """
     params = cli.build_params(cfg)
     rng = np.random.default_rng(seed)
     block = cfg["gaudin"]
-    degree = block["degree"]
+    degree, samples, n = block["degree"], block["lambda_samples"], params.n
     dim = gaudin._gaudin_model(params).dim
     u = rng.standard_normal((degree + 1, dim)) + 1j * rng.standard_normal((degree + 1, dim))
+    lam0s = np.array([params.sample_generic(rng, margin=5e-2) for _ in range(samples + 1)])
+    zs = np.array([params.sample_generic(rng, avoid=params.zs) for _ in range(5)])
 
-    def ham(lam0, i, jet):
-        return gaudin.build_hamiltonians(params, lam0, degree)[i].apply_jet(jet)
+    def ham(i, jet):
+        return gaudin.build_hamiltonians(params, lam0s, degree)[i].apply_jet(jet)
 
-    def s_op(z, lam0, jet):
-        return gaudin.build_S(params, z, lam0, degree).apply_jet(jet)
+    def s_op(jet):
+        return gaudin.build_S(params, zs, lam0s[samples], degree).apply_jet(jet)
 
-    count = params.n + 1
+    u = u[:, None]  # one jet for every point
+
     comm = 0.0
-    for _ in range(block["lambda_samples"]):
-        lam0 = params.sample_generic(rng, margin=5e-2)
-        scale = max(1.0, max(float(np.max(np.abs(ham(lam0, i, u)))) for i in range(count)))
-        for i in range(count):
-            for j in range(i + 1, count):
-                dev = np.max(np.abs(ham(lam0, i, ham(lam0, j, u)) - ham(lam0, j, ham(lam0, i, u))))
+    for p in range(samples):
+        scale = max(1.0, max(float(np.max(np.abs(ham(i, u)[:, p]))) for i in range(n + 1)))
+        for i in range(n + 1):
+            for j in range(i + 1, n + 1):
+                dev = np.max(np.abs(ham(i, ham(j, u)) - ham(j, ham(i, u)))[:, p])
                 comm = max(comm, float(dev) / scale)
-    lam0 = params.sample_generic(rng, margin=5e-2)
-    total = ham(lam0, 1, u)
+    total = ham(1, u)[:, samples]
     scale = max(1.0, float(np.max(np.abs(total))))
-    for i in range(2, count):
-        total += ham(lam0, i, u)
+    for i in range(2, n + 1):
+        total += ham(i, u)[:, samples]
     ham_sum = float(np.max(np.abs(total))) / scale
-    ev = params.evaluator()
+    zeta, wp = (a.reshape(3, n) for a in params.evaluator().zeta_wp((zs[:3, None] - np.array(params.zs)).ravel()))
     s_dev = 0.0
-    for _ in range(3):
-        z = params.sample_generic(rng, avoid=params.zs)
-        lhs = s_op(z, lam0, u)
+    for p in range(3):
+        lhs = s_op(u)[:, p]
         rows = lhs.shape[0]
-        rhs = ham(lam0, 0, u)
-        zeta, wp = ev.zeta_wp(z - np.array(params.zs))
-        for k in range(params.n):
-            rhs += zeta[k] * ham(lam0, k + 1, u)[:rows]
-            rhs += gaudin.spectral_weight(params, k) * wp[k] * u[:rows]
+        rhs = ham(0, u)[:, samples]
+        for k in range(n):
+            rhs += zeta[p, k] * ham(k + 1, u)[:rows, samples]
+            rhs += gaudin.spectral_weight(params, k) * wp[p, k] * u[:rows, 0]
         scale = max(1.0, float(np.max(np.abs(lhs))))
         s_dev = max(s_dev, float(np.max(np.abs(lhs - rhs))) / scale)
-    z1 = params.sample_generic(rng, avoid=params.zs)
-    z2 = params.sample_generic(rng, avoid=params.zs)
-    scale = max(1.0, float(np.max(np.abs(s_op(z1, lam0, u)))))
-    s_comm = s_op(z1, lam0, s_op(z2, lam0, u)) - s_op(z2, lam0, s_op(z1, lam0, u))
+    # S(z1) S(z2) u: the stack applied to S(z2) u in every column, read at z1; and back
+    su = s_op(u)
+    scale = max(1.0, float(np.max(np.abs(su[:, 3]))))
+    s_comm = s_op(np.repeat(su[:, 4:5], 5, axis=1))[:, 3] - s_op(np.repeat(su[:, 3:4], 5, axis=1))[:, 4]
     ss = float(np.max(np.abs(s_comm))) / scale
     return {
         "hamiltonians_commute": comm,
@@ -831,3 +835,65 @@ def test_batched_character_law_matches_the_loop(tmp_path, monkeypatch):
             law = max(law, abs(value - expect) / max(1.0, abs(expect)))
     (entry,) = [c for c in report["checks"] if c["name"] == "character_laws"]
     assert abs(entry["residual"] - law) <= 1e-13
+
+
+def test_stacked_tasks_draw_the_per_point_loops_points(monkeypatch, tmp_path):
+    """gaudin check, gaudin bethe and irf bethe draw every sample point up front
+    and evaluate the stacks; the points equal those of the per-point loops
+    they replaced, replayed here from the same generator state: gaudin check
+    from u on (each commutator lam0, the shared lam0, three S-decomposition
+    zs, z1, z2), gaudin bethe after its solve (one lam0 per eigenvector
+    check), irf bethe after its solve (per eigen sample n coordinates, then
+    zeta).  Each draw is recorded with its margin and avoided shifts."""
+    original = ModelParams.sample_generic
+    draws, states = [], {}
+
+    def recorded(self, rng, margin=None, avoid=()):
+        z = original(self, rng, margin, avoid)
+        draws.append((margin, tuple(avoid), z))
+        return z
+
+    def snapshot(module, name):
+        solve = getattr(module, name)
+
+        def wrapped(params, rng):
+            out = solve(params, rng)
+            states["rng"], states["at"] = dict(rng.bit_generator.state), len(draws)
+            return out
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    monkeypatch.setattr(ModelParams, "sample_generic", recorded)
+    snapshot(gaudin, "solve_gaudin_bethe")
+    snapshot(irf, "continuous_bethe")
+
+    def replay(params, rng, loops):
+        out = []
+        for count, margin, avoid in loops:
+            for _ in range(count):
+                out.append((margin, avoid, original(params, rng, margin, avoid)))
+        return out
+
+    for task, config in (("check", "gaudin_n3"), ("bethe", "gaudin_n3"), ("bethe", "irf_bethe_n4")):
+        group = "irf" if config.startswith("irf") else "gaudin"
+        cfg = json.loads((CONFIGS / ("%s.json" % config)).read_text())
+        params = cli.build_params(cfg)
+        draws.clear()
+        code, _ = run_to_file(tmp_path, [group, task, "--config", str(CONFIGS / ("%s.json" % config))])
+        assert code == 0
+        if task == "check":
+            rng = np.random.default_rng(cfg["seed"])
+            cli._random_jet(rng, gaudin._gaudin_model(params).dim, cfg["gaudin"]["degree"])
+            zs, samples = params.zs, cfg["gaudin"]["lambda_samples"]
+            loops = [(samples, 5e-2, ()), (1, 5e-2, ()), (3, None, zs), (1, None, zs), (1, None, zs)]
+            assert draws == replay(params, rng, loops)
+            continue
+        rng = np.random.default_rng()
+        rng.bit_generator.state = states["rng"]
+        if group == "gaudin":
+            loops = [(1, 5e-2, ())] * 2
+        else:
+            loops = [(params.n, 5e-2, ()), (1, 5e-2, ())] * cfg["irf"]["eigen_samples"]
+        expect = replay(params, rng, loops)
+        assert draws[states["at"] : states["at"] + len(expect)] == expect
+        assert len(draws) == states["at"] + len(expect) + (group == "irf")  # irf bethe: its character point

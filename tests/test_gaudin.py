@@ -21,7 +21,7 @@ from ellsov.gaudin import (
 from ellsov.params import ModelParams, ParameterError
 from ellsov.theta import PoleProximityError
 
-from conftest import count_theta_calls, jet_wp_bar, sample_point, sigma, wp_bar, zeta_bar
+from conftest import count_reductions, count_theta_calls, jet_wp_bar, sample_point, sigma, wp_bar, zeta_bar
 
 ETA = 0.173 - 0.061j  # inert here; the container wants it
 Z1 = (0.12 + 0.23j,)
@@ -208,8 +208,9 @@ def reference_c0_S(ctx, z, lam0, degree):
         e_jet += neg[:, i, None, None] * ei[None, :, :]
         f_jet += pos[:, i, None, None] * fi[None, :, :]
     hz = r(h_full)
-    anti = jets.jmul(e_jet, f_jet, degree) + jets.jmul(f_jet, e_jet, degree)
-    out = np.stack([0.5 * r(a) for a in anti])
+    # the zero-weight block of each product, as rows of the left times columns of the right factor
+    rows, cols = (slice(None), ctx.indices, slice(None)), (slice(None), slice(None), ctx.indices)
+    out = 0.5 * (jets.jmul(e_jet[rows], f_jet[cols], degree) + jets.jmul(f_jet[rows], e_jet[cols], degree))
     out[0] += 0.25 * (hz @ hz)
     return out
 
@@ -319,37 +320,39 @@ def test_gaudin_check_builds_model_once(tmp_path, monkeypatch):
     out = tmp_path / "check.json"
     argv = ["gaudin", "check", "--config", str(CONFIGS / "gaudin_n3.json"), "--out", str(out)]
     assert cli.main(argv) == 0
-    # the dimension read, the four build_hamiltonians and the five build_S calls share the one build
-    assert len(calls) == 1 and gaudin._gaudin_model.cache_info().hits == 9
+    # the dimension read, the one build_hamiltonians and the one build_S call share the one build
+    assert len(calls) == 1 and gaudin._gaudin_model.cache_info().hits == 2
 
 
 def test_gaudin_check_work(monkeypatch, tmp_path):
     """One cold gaudin check on configs/gaudin_n3.json: no scalar theta call
-    and 18 theta_array calls over 175 points: the model (1), each of the 4
-    Hamiltonian builds (1, over 3 + 3 * 6 points), each of the 5 S builds
-    (2: h(z)'s zeta_wp and the sigma pair's 3 + 3 * 3 points) and each of
-    the 3 s_decomposition points (1).  The Hamiltonians are built once per
-    lam0 (4) and S once per (z, lam0) (5).  With one call per jet function
-    (sigma, sigma_{-lambda}, wp_bar) the check made 31 calls over 227
-    points; with the scalar jets, 160 theta calls; when every apply_jet
-    formed its coefficients afresh, 468, and it formed coefficients on each
-    of its 59 applications, for 21 (operator, lam0) pairs."""
+    and 5 theta_array calls over 142 points, each reducing its points once:
+    the model (1, over 1 + 6 points), the Hamiltonians at the 4 lam0 (1,
+    over 1 + 2 * 4 + 2 * 4 * 6 + 6), S at the 5 z (2: h(z)'s zeta_wp over
+    5 * 3 points and the sigma pair's 1 + 2 + 2 * 15 + 15) and the 3
+    s_decomposition points (1, over 3 * 3).  The Hamiltonians are built once
+    as a stack over the 4 lam0, S once over the 5 z.  When each lam0 and
+    each z took its own build, the check made 18 calls over 175 points and
+    26 reductions, 8 of them distance passes of zeta_wp; with one call per
+    jet function, 31 calls over 227 points; with the scalar jets, 160 theta
+    calls; when every apply_jet formed its coefficients afresh, 468."""
     counts = count_theta_calls(monkeypatch)
+    reductions = count_reductions(monkeypatch)
     builds = {"hams": [], "S": []}
     for name, key in (("build_hamiltonians", "hams"), ("build_S", "S")):
         original = getattr(gaudin, name)
 
         def counted(params, *point, _original=original, _key=key):
-            builds[_key].append(point)
+            builds[_key].append(np.size(point[0]))
             return _original(params, *point)
 
         monkeypatch.setattr(gaudin, name, counted)
     gaudin._gaudin_model.cache_clear()
     argv = ["gaudin", "check", "--config", str(CONFIGS / "gaudin_n3.json"), "--out", str(tmp_path / "c.json")]
     assert cli.main(argv) == 0
-    assert counts == {"theta": [0, 0], "theta_array": [18, 175]}
-    assert len(builds["hams"]) == len(set(builds["hams"])) == 4
-    assert len(builds["S"]) == len(set(builds["S"])) == 5
+    assert counts == {"theta": [0, 0], "theta_array": [5, 142]}
+    assert reductions == {"reduce_array": 5, "dist_to_lattice_array": 0}
+    assert builds == {"hams": [4], "S": [5]}
 
 
 @pytest.mark.parametrize("task, other", [("check", "bethe"), ("bethe", "check")])
@@ -358,27 +361,32 @@ def test_gaudin_task_theta_counts_cold_and_warm(monkeypatch, tmp_path, task, oth
     the same theta calls straight after itself and after the other task, one
     fewer than cold.  A
     cold gaudin bethe on configs/gaudin_n3.json makes no scalar theta call
-    and 16 theta_array calls: the model's, one per Newton evaluation (11) and
-    two per eigenvector check (2), one for the eigenvector's lowering fields
-    and one for the Hamiltonians.  With one call per root and per jet
-    function it made 22; with the scalar jets, 74 scalar calls beside the
-    11, and 230 when zeta_bar and wp_bar were scalar too."""
+    and 14 theta_array calls, each reducing its points once: the model's,
+    one per Newton evaluation (11), one for the eigenvector's lowering
+    fields at both lam0 and one for the Hamiltonians at both.  With two
+    calls per lam0 it made 16, and 27 reductions, 11 of them the Newton's
+    distance passes; with one call per root and per jet function, 22; with
+    the scalar jets, 74 scalar calls beside the 11, and 230 when zeta_bar
+    and wp_bar were scalar too."""
     counts = count_theta_calls(monkeypatch)
+    reductions = count_reductions(monkeypatch)
     argv = ["--config", str(CONFIGS / "gaudin_n3.json"), "--out", str(tmp_path / "r.json")]
 
     def run(name):
-        before = [count[0] for count in counts.values()]
+        before = [count[0] for count in counts.values()] + [reductions["reduce_array"]]
         assert cli.main(["gaudin", name] + argv) == 0
-        return [count[0] - b for count, b in zip(counts.values(), before)]
+        after = [count[0] for count in counts.values()] + [reductions["reduce_array"]]
+        return [a - b for a, b in zip(after, before)]
 
     gaudin._gaudin_model.cache_clear()
     cold = run(task)
-    assert cold == {"check": [0, 18], "bethe": [0, 16]}[task]
+    assert cold == {"check": [0, 5, 5], "bethe": [0, 14, 14]}[task]
     warm = run(task)
-    assert warm == [0, cold[1] - 1]  # all but the model's call
+    assert warm == [0, cold[1] - 1, cold[2] - 1]  # all but the model's call
     assert run(task) == warm
     run(other)
     assert run(task) == warm
+    assert reductions["dist_to_lattice_array"] == 0
 
 
 def test_zero_weight_space(lattice):
@@ -645,6 +653,80 @@ def test_build_S_pole_guard(lattice):
     with pytest.raises(PoleProximityError, match="pole proximity") as err:
         build_S(params, near, LAM0, DEGREE)
     assert repr(complex(near - Z3[1])) in str(err.value)
+
+
+def stack_models(lattice):
+    """The bundled Gaudin configs, then 3 seeded models of weights (1, 1, 2) with
+    sites uniform in the cell, as the solvers benchmark draws them."""
+    models = [cli.build_params(json.loads((CONFIGS / name).read_text())) for name in ("gaudin_n2.json", "gaudin_n3.json")]
+    rng = np.random.default_rng(39)
+    while len(models) < 5:
+        zs = tuple(complex(rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0) * lattice.tau.imag) for _ in range(3))
+        try:
+            gaudin._gaudin_model(make_params(lattice, zs, (1, 1, 2)))
+        except ParameterError:
+            continue
+        models.append(make_params(lattice, zs, (1, 1, 2)))
+    return models
+
+
+def assert_close(got, want, rtol=1e-13):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+def point_column(coeff, p):
+    """Point p's jet of a stacked coefficient, whose shared constants carry a one there."""
+    return coeff[:, min(p, coeff.shape[1] - 1)]
+
+
+@pytest.mark.parametrize("model", range(5))
+def test_stacked_builds_equal_one_point_builds(lattice, model):
+    """build_hamiltonians over 4 lam0, build_S over 5 z and bethe_eigenvector over
+    2 lam0 equal their one-point builds to 1e-13 relative, coefficients and
+    applications alike (a theta_array row depends on its batch).  A one-point
+    stack is the same kernel batch as the point's build: equal bit for bit."""
+    params = stack_models(lattice)[model]
+    rng = np.random.default_rng(model)
+    dim, m = gaudin._gaudin_model(params).dim, sum(params.lams) // 2
+    u = random_jet(rng, dim)
+    lam0s = np.array([params.sample_generic(rng, margin=5e-2) for _ in range(4)])
+    zs = np.array([params.sample_generic(rng, avoid=params.zs) for _ in range(5)])
+    c, roots = complex(rng.uniform(-0.4, 0.4), 0.1), [params.sample_generic(rng, avoid=params.zs) for _ in range(m)]
+    families = (
+        (lambda pts: build_hamiltonians(params, pts, DEGREE), lam0s),
+        (lambda pts: [build_S(params, pts, lam0s[0], DEGREE)], zs),
+    )
+    for build, points in families:
+        stack = build(points)
+        for p, point in enumerate(points):
+            for op, single in zip(stack, build(point), strict=True):
+                for coeff, want in zip(op.coeffs, single.coeffs, strict=True):
+                    assert_close(point_column(coeff, p), want)
+                assert_close(op.apply_jet(u[:, None])[:, p], single.apply_jet(u))
+        for op, single in zip(build(points[:1]), build(points[0]), strict=True):
+            for coeff, want in zip(op.coeffs, single.coeffs, strict=True):
+                assert np.array_equal(coeff[:, 0], want)
+    vecs = bethe_eigenvector(params, c, roots, lam0s[:2], DEGREE)
+    for p in range(2):
+        assert_close(vecs[:, p], bethe_eigenvector(params, c, roots, lam0s[p], DEGREE))
+    assert np.array_equal(bethe_eigenvector(params, c, roots, lam0s[:1], DEGREE)[:, 0],
+                          bethe_eigenvector(params, c, roots, lam0s[0], DEGREE))
+
+
+def test_stack_pole_proximity_matches_point_loop(lattice):
+    """A stack of S points with one within rho of a site, modulo the lattice, raises
+    the PoleProximityError the per-point loop raises at that point, message and all."""
+    params = make_params(lattice, Z3, (1, 1, 2))
+    near = Z3[1] + 1.0 - lattice.tau + 4e-7j
+    zs = np.array([0.41 + 0.37j, near, 0.66 + 0.12j])
+    with pytest.raises(PoleProximityError) as stacked:
+        build_S(params, zs, LAM0, DEGREE)
+    with pytest.raises(PoleProximityError) as single:
+        for z in zs:
+            build_S(params, z, LAM0, DEGREE)
+    assert str(stacked.value) == str(single.value)
+    assert repr(complex(near - Z3[1])) in str(stacked.value)
 
 
 def test_bethe_solver(lattice, rng):

@@ -26,13 +26,14 @@ from ellsov.irf import (
 )
 from ellsov.params import ModelParams, ParameterError
 
-from conftest import TAU, count_theta_calls, dense, membership_passes, pointwise, sample_point
+from conftest import TAU, count_reductions, count_theta_calls, dense, membership_passes, pointwise, sample_point
 
 ETA = 0.173 - 0.061j
 Z1 = (0.12 + 0.23j,)
 Z3 = Z1 + (0.57 + 0.71j, 0.34 + 0.52j)
 Z5 = Z3 + (0.81 + 0.11j, 0.29 + 0.88j)
 Z9 = Z5 + (0.66 + 0.34j, 0.05 + 0.64j, 0.48 + 0.95j, 0.91 + 0.42j)
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def make_params(lattice, zs):
@@ -1420,3 +1421,41 @@ def test_nine_sites_dense_spectrum(lattice, rng):
     neg_sorted = np.sort_complex(-mu)
     assert np.max(np.abs(mu_sorted - neg_sorted)) <= 1e-9 * np.max(np.abs(mu))
     assert elapsed < 30.0
+
+
+def test_stacked_transfer_samples_equal_one_sample_calls():
+    """apply_transfer_continuous and eps_value on a stack of 3 samples equal their
+    one-sample calls to 1e-13 relative (a theta_array row depends on its batch);
+    a one-sample stack is the same kernel batch and equals its call bit for bit."""
+    params = cli.build_params(json.loads((CONFIGS / "irf_bethe_n4.json").read_text()))
+    rng = np.random.default_rng(3)
+    cb = continuous_bethe(params, rng)
+    xs = np.array([[params.sample_generic(rng, margin=5e-2) for _ in params.zs] for _ in range(3)])
+    zetas = np.array([params.sample_generic(rng, margin=5e-2) for _ in range(3)])
+    lhs, eps = apply_transfer_continuous(params, zetas, cb.u_value, xs), cb.eps_value(zetas)
+    assert lhs.shape == eps.shape == (3,)
+    for p in range(3):
+        one = apply_transfer_continuous(params, zetas[p], cb.u_value, xs[p])
+        assert isinstance(one, complex) and abs(lhs[p] - one) <= 1e-13 * abs(one)
+        assert abs(eps[p] - cb.eps_value(zetas[p])) <= 1e-13 * abs(eps[p])
+    first = apply_transfer_continuous(params, zetas[:1], cb.u_value, xs[:1])
+    assert first.shape == (1,) and first[0] == apply_transfer_continuous(params, zetas[0], cb.u_value, xs[0])
+    assert cb.eps_value(zetas[:1])[0] == cb.eps_value(zetas[0])
+
+
+def test_irf_bethe_work(monkeypatch, tmp_path):
+    """One cold irf bethe on configs/irf_bethe_n4.json: 22 scalar theta calls (the
+    solver's certificate at the accepted point), 34 theta_array calls and as
+    many reductions, and no distance pass.  The Newton makes 18 evaluations,
+    one call each, whose 11 Jacobians read the distances of the evaluation's
+    own call; the 3 eigen samples make 10 as one stack (a basis and its
+    cardinal vector per sample, u on every shifted set, A_plus and A_minus,
+    eps, and u at the samples); q_membership 3 and character_match 3.  With
+    one pass per eigen sample it made 42 calls and 53 reductions, 11 of them
+    the Jacobians' distance passes."""
+    counts = count_theta_calls(monkeypatch)
+    reductions = count_reductions(monkeypatch)
+    argv = ["irf", "bethe", "--config", str(CONFIGS / "irf_bethe_n4.json"), "--out", str(tmp_path / "b.json")]
+    assert cli.main(argv) == 0
+    assert counts == {"theta": [22, 22], "theta_array": [34, 952]}
+    assert reductions == {"reduce_array": 34, "dist_to_lattice_array": 0}

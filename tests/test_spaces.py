@@ -274,9 +274,9 @@ def test_bethe_solver_theta_count(ev, monkeypatch):
     calls = {"theta": 0, "theta_array": 0, "system": 0}
 
     def counting(key, fn):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls[key] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
 
         return wrapper
 

@@ -684,6 +684,31 @@ def test_dist_to_lattice_array_matches_scalar_bits(re_tau, im_tau):
         lattice.dist_to_lattice_array(np.array([0.1, complex("nan")]))
 
 
+@pytest.mark.parametrize("re_tau, im_tau", [(0.31, 1.07), (4.7, 0.1)])
+def test_theta_array_distances_are_the_distance_pass(re_tau, im_tau, monkeypatch):
+    """theta_array(zs, d, dist=True) reads the distances off its own reduction:
+    jets and distances equal theta_array and dist_to_lattice_array bit for bit,
+    row walk included, and the points are reduced once."""
+    ev = ThetaEvaluator(Lattice(complex(re_tau, im_tau)))
+    lattice, tau = ev.lattice, ev.lattice.tau
+    rng = np.random.default_rng(26)
+    zs = [complex(x, y * tau.imag) for x, y in rng.uniform(-2.0, 2.0, size=(500, 2))]
+    zs = np.array(zs + [m + n * tau + complex(*rng.normal(0.0, 1e-9, 2)) for m in range(-2, 3) for n in range(-2, 3)])
+    reductions = []
+    original = Lattice.reduce_array
+
+    def counted(self, points):
+        reductions.append(len(points))
+        return original(self, points)
+
+    monkeypatch.setattr(Lattice, "reduce_array", counted)
+    jets, dist = ev.theta_array(zs, 2, dist=True)
+    monkeypatch.undo()
+    assert reductions == [len(zs)]
+    assert np.array_equal(jets, ev.theta_array(zs, 2))
+    assert [d.hex() for d in dist.tolist()] == [d.hex() for d in lattice.dist_to_lattice_array(zs).tolist()]
+
+
 def test_pole_guard_far_from_the_real_cell():
     """At tau = 5 + 0.1i the point -1e-9 i sits next to the lattice point 0 = (tau - 5) - tau."""
     ev = ThetaEvaluator(Lattice(5.0 + 0.1j))
