@@ -449,9 +449,7 @@ def _task_irf_partition(block, params, rng, tol, csv_dir):
         shuffled = irf.partition_function(params, [ws[i] for i in perm], kind=kind)
         devs[kind] = abs(base - shuffled) / max(1.0, abs(base))
         values[kind] = base
-    bridge = (-1.0) ** len(ws)
-    for w in ws:
-        bridge *= irf.kappa_factor(params, w - params.eta)
+    bridge = math.prod(irf.bridge_scalar(params, w) for w in ws)
     shifted = irf.partition_function(params, [w - params.eta for w in ws], kind="sov")
     cross = abs(values["paths"] - bridge * shifted) / max(1.0, abs(values["paths"]))
     checks = [

@@ -240,9 +240,7 @@ def solve_gaudin_bethe(params: ModelParams, rng: np.random.Generator) -> GaudinB
     the zero-weight space only for that m.  Each start draws the roots,
     then c.
     """
-    params.validate_distinct_sites()
-    params.validate_even_weight_sum()
-    ev = params.evaluator()
+    ev = _gaudin_model(params).ev  # the cached model checks the sites and the weight sum
     m = sum(params.lams) // 2
 
     def start():

@@ -22,6 +22,7 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import functools
+import itertools
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,6 +37,7 @@ __all__ = [
     "build_T_irf_paths",
     "build_T_irf_sov",
     "kappa_factor",
+    "bridge_scalar",
     "DualReconciliation",
     "reconcile_constructions",
     "sample_spectral",
@@ -49,6 +51,8 @@ __all__ = [
 ]
 
 _2PI_I = 2j * cmath.pi
+# the bridge's constant, fixed to -1 by the one-site case
+_BRIDGE_CONSTANT = -1.0 + 0.0j
 # fresh spectral points at which reconcile_constructions checks the bridge
 # and certify_spectrum validates each fitted eigenvalue function
 _RECONCILE_SAMPLES = 2
@@ -72,6 +76,21 @@ def _parity_order(n: int) -> tuple[np.ndarray, np.ndarray]:
     for idx in order:
         idx.setflags(write=False)
     return order
+
+
+def _exact_product(factors) -> np.ndarray:
+    """Left-to-right product of complex arrays that broadcast together, each entry
+    equal to the scalar product of its factors bit for bit (numpy's complex
+    multiply rounds differently); a non-finite entry is the caller's to handle."""
+    factors = iter(factors)
+    first = next(factors)
+    re, im = first.real, first.imag
+    for f in factors:  # a generator's own work runs outside the errstate
+        with np.errstate(over="ignore", invalid="ignore"):
+            re, im = re * f.real - im * f.imag, re * f.imag + im * f.real
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -175,30 +194,30 @@ def build_T_irf_paths(params: ModelParams, z: complex) -> tuple[np.ndarray, np.n
     C is the view B[::-1, ::-1] and only B's (3^n - 1)/2 entries are formed.
     Site i's R-matrices, one per corner height, share theta(z - z_i) and
     theta(z - z_i - 2 eta); the z-independent data comes from the
-    per-model cache.  Each table entry is eqg.r_matrix's, and the node
-    product uses the scalar complex-product formula on real and imaginary
-    arrays (numpy's complex multiply rounds differently), so each entry
-    equals the pair-by-pair product bit for bit; an entry that overflows
-    is a ParameterError.
+    per-model cache.  Each table entry is eqg.r_matrix's and the node
+    product is _exact_product's, so each entry equals the pair-by-pair
+    product bit for bit; an entry that overflows is a ParameterError.
     """
     model = _path_model(params)
     ev, eta = params.evaluator(), params.eta
-    re, im = np.ones(len(model.rows)), np.zeros(len(model.rows))
-    for zi, corners, faces in zip(params.zs, model.corners, model.faces):
-        s = complex(z - zi)
-        _check_spectral(params, s)
-        th_z, th_shift = ev.theta(s), ev.theta(s - 2 * eta)
-        table = np.zeros((len(corners), 4, 4), dtype=complex)
-        for r, lam_thetas in zip(table, corners):
-            _r_fill(r, th_z, th_shift, model.th_2eta, [(th, th2, ev.theta(l + s)) for l, th, th2 in lam_thetas])
-        w = table.reshape(-1)[faces]
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite entry raises below
-            re, im = re * w.real - im * w.imag, re * w.imag + im * w.real
-    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+
+    def site_weights():
+        yield np.ones((), dtype=complex)  # the pair loop's product starts at 1
+        for zi, corners, faces in zip(params.zs, model.corners, model.faces):
+            s = complex(z - zi)
+            _check_spectral(params, s)
+            th_z, th_shift = ev.theta(s), ev.theta(s - 2 * eta)
+            table = np.zeros((len(corners), 4, 4), dtype=complex)
+            for r, lam_thetas in zip(table, corners):
+                _r_fill(r, th_z, th_shift, model.th_2eta, [(th, th2, ev.theta(l + s)) for l, th, th2 in lam_thetas])
+            yield table.reshape(-1)[faces]
+
+    entries = _exact_product(site_weights())
+    if not np.isfinite(entries).all():
         raise ParameterError("path transfer-matrix entries overflow double precision")
     half = 2 ** (params.n - 1)
     b = np.zeros((half, half), dtype=complex)
-    b.real[model.rows, model.cols], b.imag[model.rows, model.cols] = re, im
+    b[model.rows, model.cols] = entries
     return b, b[::-1, ::-1]
 
 
@@ -280,10 +299,9 @@ def build_T_irf_sov(params: ModelParams, zeta: complex) -> tuple[np.ndarray, np.
     theta(lam - zdisp + x_i)/theta(lam) * prod_{j != i} theta(zdisp - x_j)/
     theta(x_i - x_j) * flip, in this order.  The zeta-dependent thetas come
     from one theta_array call, the rest from the per-model cache.  The
-    quotients are Python scalars and the product runs on real and
-    imaginary arrays with the scalar complex-product formula, so each
-    entry equals the scalar product of the same factors bit for bit; an
-    entry that overflows is a ParameterError.
+    quotients are Python scalars and the product is _exact_product's, so
+    each entry equals the scalar product of the same factors bit for bit;
+    an entry that overflows is a ParameterError.
     """
     model = _grid_model(params)
     ev = params.evaluator()
@@ -296,12 +314,8 @@ def build_T_irf_sov(params: ModelParams, zeta: complex) -> tuple[np.ndarray, np.
     spect, heads = thetas[: 2 * n], iter(thetas[2 * n :])
     values = [0j if h is None else next(heads) / h[2] for h in model.heads]
     values += [spect[k] / c for k, c in model.cross]
-    w = np.array(values + [f for pair in model.flip for f in pair])[model.factors]
-    re, im = w[0].real, w[0].imag
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite entry raises below
-        for f in w[1:]:
-            re, im = re * f.real - im * f.imag, re * f.imag + im * f.real
-    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+    entries = _exact_product(np.array(values + [f for pair in model.flip for f in pair])[model.factors])
+    if not np.isfinite(entries).all():
         raise ParameterError("grid transfer-matrix entries overflow double precision")
     rows = np.arange(2 ** n)[:, None]
     # site i is bit n-1-i of the grid index, so flipping sigma_i flips that bit and
@@ -310,8 +324,7 @@ def build_T_irf_sov(params: ModelParams, zeta: complex) -> tuple[np.ndarray, np.
     cols = rows ^ (1 << (n - 1 - np.arange(n)))
     parity = np.bitwise_count(rows) % 2
     blocks = np.zeros((2, 2 ** (n - 1), 2 ** (n - 1)), dtype=complex)
-    blocks.real[parity, rows >> 1, cols >> 1] = re
-    blocks.imag[parity, rows >> 1, cols >> 1] = im
+    blocks[parity, rows >> 1, cols >> 1] = entries
     return blocks[0], blocks[1]
 
 
@@ -328,9 +341,14 @@ def kappa_factor(params: ModelParams, w: complex) -> complex:
     return val
 
 
+def bridge_scalar(params: ModelParams, z: complex) -> complex:
+    """The bridge's scalar at z: the constant -1 times kappa(z - eta)."""
+    return _BRIDGE_CONSTANT * kappa_factor(params, z - params.eta)
+
+
 @dataclasses.dataclass(frozen=True)
 class DualReconciliation:
-    """Exact bridge T_paths(z) = constant * kappa(z - eta) * P T_sov(z - eta) P^{-1}.
+    """Exact bridge T_paths(z) = bridge_scalar(z) * P T_sov(z - eta) P^{-1}.
 
     The change of basis P and the constant are z-independent; P is
     block-diagonal in the parity order and conjugation holds its blocks
@@ -349,15 +367,9 @@ class DualReconciliation:
     condition: float
     min_gap: float
 
-    def map_eigenvalue(
-        self, params: ModelParams, eps: Callable[[complex], complex]
-    ) -> Callable[[complex], complex]:
+    def map_eigenvalue(self, params: ModelParams, eps: Callable[[complex], complex]) -> Callable[[complex], complex]:
         """Eigenvalue of the path construction induced by a grid eigenvalue."""
-
-        def mapped(z: complex) -> complex:
-            return self.constant * kappa_factor(params, z - params.eta) * eps(z - params.eta)
-
-        return mapped
+        return lambda z: bridge_scalar(params, z) * eps(z - params.eta)
 
 
 def sample_spectral(params: ModelParams, rng: np.random.Generator) -> complex:
@@ -477,12 +489,11 @@ def _reflected_eig(b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def reconcile_constructions(params: ModelParams, rng: np.random.Generator) -> DualReconciliation:
     """Match the two constructions through their (shared) eigenbases.
 
-    The constant is fixed to -1 by the one-site case; the sign ambiguity
-    left by the plus/minus symmetric grid spectrum is resolved the same
-    way for every n.  T_paths is diagonalized by _reflected_eig, T_sov
-    (which has no reflection symmetry) by _chiral_eig, and +/-nu_p is
-    paired with +/-kappa nu_s as whole spectra, which reads each pair's
-    sign.  The conjugation is then block-diagonal in the parity
+    The sign ambiguity left by the plus/minus symmetric grid spectrum is
+    resolved the same way for every n.  T_paths is diagonalized by
+    _reflected_eig, T_sov (which has no reflection symmetry) by
+    _chiral_eig, and +/-nu_p is paired with +/-bridge_scalar nu_s as whole
+    spectra, which reads each pair's sign.  The conjugation is then block-diagonal in the parity
     order: x_p x_s^-1 on the even states and (y_p sign) y_s^-1 on the odd
     ones, so the bridge's products, inverses and residual run on
     2^(n-1)-square blocks, and each eigenbasis is dropped once its block
@@ -493,16 +504,15 @@ def reconcile_constructions(params: ModelParams, rng: np.random.Generator) -> Du
     # T_sov first: its solves then run beside its own blocks only, not the path eigenbasis
     nu_s, xs, ys = _chiral_eig(*build_T_irf_sov(params, z0 - params.eta))
     tp = build_T_irf_paths(params, z0)
-    kap = kappa_factor(params, z0 - params.eta)
+    bridge = bridge_scalar(params, z0)
     # same-parity blocks are 0; max |C| is max |B| (np.abs of C's reversed view can differ in the last bit)
     gap = max(float(np.max(np.abs(p - s))) for p, s in zip(tp, build_T_irf_sov(params, z0)))
     literal = gap / float(np.max(np.abs(tp[0])))
     nu_p, xp, yp = _reflected_eig(tp[0])
     del tp
-    constant = -1.0 + 0.0j
     half = len(nu_p)
     scale = float(np.max(np.abs(nu_p)))
-    perm = _pair_spectra(nu_p, constant * kap * nu_s, 1e-8 * scale)
+    perm = _pair_spectra(nu_p, bridge * nu_s, 1e-8 * scale)
     sign = np.where(perm < half, 1.0, -1.0)
     perm %= half
     # the distances within [nu_p, -nu_p] are |nu_i - nu_j| (i != j) and |nu_i + nu_j|, exactly
@@ -521,17 +531,17 @@ def reconcile_constructions(params: ModelParams, rng: np.random.Generator) -> Du
     residuals = []
     for _ in range(_RECONCILE_SAMPLES):
         zf = sample_spectral(params, rng)
-        kapf = constant * kappa_factor(params, zf - params.eta)
+        bridge = bridge_scalar(params, zf)
         bs, cs = build_T_irf_sov(params, zf - params.eta)
         # the same-parity blocks are 0 on both sides: only B and C can differ
-        rhs = (kapf * blocks[0] @ bs @ inverses[1], kapf * blocks[1] @ cs @ inverses[0])
+        rhs = (bridge * blocks[0] @ bs @ inverses[1], bridge * blocks[1] @ cs @ inverses[0])
         del bs, cs
         lhs = build_T_irf_paths(params, zf)
         dev = np.max([np.max(np.abs(np.subtract(r, l, out=r))) for r, l in zip(rhs, lhs)])  # r - l in r
         residuals.append(dev / np.max(np.abs(lhs[0])))
         del lhs, rhs  # not alive while the next sample's pair is built
     residual = float(np.max(residuals))  # a NaN is kept
-    return DualReconciliation(constant, blocks, residual, literal, condition, min_gap)
+    return DualReconciliation(_BRIDGE_CONSTANT, blocks, residual, literal, condition, min_gap)
 
 
 # ---------------------------------------------------------------------------
@@ -699,17 +709,13 @@ def certify_spectrum(
     quad = np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
     q_plus = [f[1] for f in model.flip]
 
-    # u(sigma) = prod_i (q_minus_i if sigma_i < 0 else q_plus_i), one site at a time
-    # with the scalar complex-product formula, so it equals math.prod of the pairs;
-    # the grid sign 2m - 1 is negative where m_i = 0
+    # u(sigma) = prod_i (q_minus_i if sigma_i < 0 else q_plus_i), one site at a time,
+    # so it equals math.prod of the pairs; the grid sign 2m - 1 is negative where m_i = 0
     negative = model.bits == 0
-    re, im = np.ones((len(groups), len(negative))), np.zeros((len(groups), len(negative)))
-    for i in range(n):
-        f = np.where(negative[:, i], em[:, i, None], q_plus[i])
-        re, im = re * f.real - im * f.imag, re * f.imag + im * f.real
-    recon = np.empty(re.shape, dtype=complex)
-    recon.real, recon.imag = re, im
-    del re, im, f
+    recon = _exact_product(itertools.chain(
+        [np.ones((), dtype=complex)],  # math.prod starts at 1
+        (np.where(negative[:, i], em[:, i, None], q_plus[i]) for i in range(n)),
+    ))
     norms = np.linalg.norm(recon, axis=1)
     found = norms > 0.0
     # the sine of the angle is the norm of the part of u/|u| outside the cluster basis

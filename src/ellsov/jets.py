@@ -4,9 +4,10 @@ A jet is a plain complex ndarray of Taylor coefficients a[k] =
 f^(k)(x0)/k!, k = 0..D, so jets compose by convolution.  Matrix- and
 vector-valued jets put the degree on the leading axis: (D+1, d, d) and
 (D+1, d); a stack of jets at points P puts P next, (D+1, *P, d, d).
-jmul is the one truncated product and jderiv the one derivative, for
-jets of every rank.  All differential-operator work (Gaudin Hamiltonians,
-the generating kernel S) runs through LambdaDiffOp, which holds its
+jmul is the one truncated product, a matrix jet times a matrix or vector
+jet, and jderiv the one derivative, for jets of every rank.  All
+differential-operator work (Gaudin Hamiltonians, the generating kernel
+S) runs through LambdaDiffOp, which holds its
 coefficients as matrix jets at lam0, or a stack of points, formed once
 when the operator is built; each application reads them truncated to its
 output degree.  The theta jets behind them come from
@@ -32,31 +33,21 @@ __all__ = [
 
 
 def jmul(a: np.ndarray, b: np.ndarray, degree: int | None = None) -> np.ndarray:
-    """Truncated product of two jets; either may be the shorter.
+    """Truncated product of a matrix jet a with a matrix or vector jet b; either may be the shorter.
 
-    A matrix jet a (ndim 3, more for a stack) forms every a[i] @ b[j] in one
-    batched matmul (b with one axis fewer is a vector jet, taken as one
-    column) and adds them in the per-pair loop's order, keeping its bits.
-    Any other a runs that loop with *, as numpy scalars for scalar jets
-    (np.multiply rounds complex products differently); a scalar jet scales any jet.
+    a has ndim 3, more for a stack; b with one axis fewer is a vector jet,
+    taken as one column.  Every a[i] @ b[j] comes from one batched matmul,
+    and they are added in the per-pair loop's order, keeping its bits.
     """
     if degree is None:
         degree = min(len(a), len(b)) - 1
-    if a.ndim >= 3:
-        vec = b.ndim < a.ndim
-        a, b = a[: degree + 1], b[: degree + 1]
-        prods = a[:, None] @ (b[None, ..., None] if vec else b[None])
-        out = np.zeros((degree + 1,) + prods.shape[2:], dtype=complex)
-        for i in range(len(a)):
-            out[i : i + len(b)] += prods[i, : degree + 1 - i]
-        return out[..., 0] if vec else out
-    first = a[0] * b[0]  # the whole degree-0 term, and the coefficient shape
-    out = np.zeros((degree + 1,) + np.shape(first), dtype=complex)
-    out[0] += first
-    for k in range(1, degree + 1):
-        for i in range(max(0, k - len(b) + 1), min(k, len(a) - 1) + 1):
-            out[k] += a[i] * b[k - i]
-    return out
+    vec = b.ndim < a.ndim
+    a, b = a[: degree + 1], b[: degree + 1]
+    prods = a[:, None] @ (b[None, ..., None] if vec else b[None])
+    out = np.zeros((degree + 1,) + prods.shape[2:], dtype=complex)
+    for i in range(len(a)):
+        out[i : i + len(b)] += prods[i, : degree + 1 - i]
+    return out[..., 0] if vec else out
 
 
 def jdiv(a: np.ndarray, b: np.ndarray, degree: int | None = None) -> np.ndarray:

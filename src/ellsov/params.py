@@ -64,17 +64,20 @@ class ModelParams:
 
     def validate_for_irf(self) -> None:
         """Hypotheses of both antiperiodic transfer-matrix constructions."""
-        self.validate_distinct_sites()
+        # one array pass over the pair shifts (ell = 0 first), the denominators' lambda = k eta
+        # (k odd, k <= n) and 2 eta; a collision is an ell = 0 shift with i < j, as
+        # validate_distinct_sites names it, and a resonance names the first (i, j) hit
+        pairs = [(i, j) for i in range(self.n) for j in range(self.n) if i != j]
+        shifts = [self.zs[i] - self.zs[j] - 2.0 * ell * self.eta for i, j in pairs for ell in (0, -1, 1)]
+        shifts += [k * self.eta for k in range(1, self.n + 1, 2)] + [2 * self.eta]
+        dist = self.lattice.dist_to_lattice_array(np.array(shifts, dtype=complex))
+        for (i, j), d in zip(pairs, dist[: 3 * len(pairs) : 3]):
+            if i < j and d < self.rho:
+                raise ParameterError("sites %d and %d collide modulo the lattice" % (i, j))
         if any(l != 1 for l in self.lams):
             raise ParameterError("IRF tasks require every site weight equal to 1")
         if self.n % 2 == 0:
             raise ParameterError("IRF tasks require an odd number of sites")
-        # one array pass over the pair shifts, the denominators' lambda = k eta (k odd, k <= n)
-        # and 2 eta; the error names the first (i, j) of the loop over i, j, ell
-        pairs = [(i, j) for i in range(self.n) for j in range(self.n) if i != j]
-        shifts = [self.zs[i] - self.zs[j] - 2.0 * ell * self.eta for i, j in pairs for ell in (-1, 0, 1)]
-        shifts += [k * self.eta for k in range(1, self.n + 1, 2)] + [2 * self.eta]
-        dist = self.lattice.dist_to_lattice_array(np.array(shifts, dtype=complex))
         close = np.flatnonzero(dist < self.rho)
         if close.size and close[0] < 3 * len(pairs):
             i, j = pairs[close[0] // 3]

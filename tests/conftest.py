@@ -173,6 +173,18 @@ def jet_zeta_bar(ev, x0, degree):
     return jets.jdiv(jets.jderiv(tj), tj[: degree + 1], degree)
 
 
+def scalar_jet_mul(a, b, degree=None):
+    """Truncated product of a scalar jet a with a jet b of any rank, as a
+    per-pair loop on numpy scalars (jets.jmul takes matrix jets only)."""
+    if degree is None:
+        degree = min(len(a), len(b)) - 1
+    out = np.zeros((degree + 1,) + np.shape(b[0]), dtype=complex)
+    for k in range(degree + 1):
+        for i in range(max(0, k - len(b) + 1), min(k, len(a) - 1) + 1):
+            out[k] += a[i] * b[k - i]
+    return out
+
+
 def jet_wp_bar(ev, x0, degree):
     """Jet of wp_bar = -zeta_bar' at x0."""
     return -jets.jderiv(jet_zeta_bar(ev, x0, degree + 1))

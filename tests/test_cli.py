@@ -541,6 +541,28 @@ def test_irf_build_commutators_match_reference(tmp_path):
         assert metrics["bridge_condition"] >= 1.0 and metrics["paths_min_relative_gap"] > 0.0
 
 
+def test_irf_partition_bridge_matches_kappa_reference(tmp_path):
+    """construction_consistency, bit for bit, against the bridge
+    (-1)^N prod kappa(w - eta) formed test-side, on four rows and on two."""
+    for name, mutate in (
+        ("four.json", lambda c: None),
+        ("two.json", lambda c: c["irf"].update(rows=c["irf"]["rows"][:2])),
+    ):
+        path = rewrite_config(tmp_path, "irf_n3.json", name, mutate)
+        code, report = run_to_file(tmp_path, ["irf", "partition", "--config", path])
+        assert code == 0
+        cfg = json.loads(Path(path).read_text())
+        params = cli.build_params(cfg)
+        ws = [complex(*w) for w in cfg["irf"]["rows"]]
+        bridge = (-1.0) ** len(ws)
+        for w in ws:
+            bridge *= irf.kappa_factor(params, w - params.eta)
+        paths = irf.partition_function(params, ws, kind="paths")
+        shifted = irf.partition_function(params, [w - params.eta for w in ws], kind="sov")
+        residuals = {c["name"]: c["residual"] for c in report["checks"]}
+        assert residuals["construction_consistency"] == abs(paths - bridge * shifted) / max(1.0, abs(paths))
+
+
 def test_irf_tasks_validate_each_model_once(tmp_path, monkeypatch):
     """validate_for_irf is the first statement of the two per-model caches, so
     a task validates its model once per cache it fills: at most twice per

@@ -21,7 +21,16 @@ from ellsov.gaudin import (
 from ellsov.params import ModelParams, ParameterError
 from ellsov.theta import PoleProximityError
 
-from conftest import count_reductions, count_theta_calls, jet_wp_bar, sample_point, sigma, wp_bar, zeta_bar
+from conftest import (
+    count_reductions,
+    count_theta_calls,
+    jet_wp_bar,
+    sample_point,
+    scalar_jet_mul,
+    sigma,
+    wp_bar,
+    zeta_bar,
+)
 
 ETA = 0.173 - 0.061j  # inert here; the container wants it
 Z1 = (0.12 + 0.23j,)
@@ -547,7 +556,7 @@ def test_lame_reduction(lattice, rng, lam, factor):
     out = hams[0].apply_jet(u)[:, 0]
     u0 = u[:, 0]
     wp = jet_wp_bar(ev, LAM0, DEGREE)
-    want = jets.jderiv(jets.jderiv(u0)) - factor * jets.jmul(wp, u0)[: out.shape[0]]
+    want = jets.jderiv(jets.jderiv(u0)) - factor * scalar_jet_mul(wp, u0)[: out.shape[0]]
     assert_allclose(out, want, rtol=0, atol=1e-12 * float(np.max(np.abs(want))))
 
     # the single residue operator acts as zero on the weight-zero line
@@ -828,7 +837,7 @@ def frozen_eigenvector(params, c, roots, lam0, degree):
         sps = [np.array([sigma(ctx.ev, lam0, w - zi)]) for zi in params.zs]
         f_jet = sum(sp[:, None, None] * fi for sp, (_, fi, _) in zip(sps, ctx.ops))
         vec = jets.jmul(f_jet, vec, degree)
-    vec = jets.jmul(jets.jet_exp(c, lam0, degree), vec, degree)
+    vec = scalar_jet_mul(jets.jet_exp(c, lam0, degree), vec, degree)
     return vec[:, ctx.indices]
 
 

@@ -1,5 +1,6 @@
 """Face weights, dual transfer constructions, spectrum certificates, continuous roots."""
 
+import cmath
 import dataclasses
 import itertools
 import json
@@ -25,8 +26,9 @@ from ellsov.irf import (
     reconcile_constructions,
 )
 from ellsov.params import ModelParams, ParameterError
+from ellsov.theta import ThetaEvaluator
 
-from conftest import TAU, count_reductions, count_theta_calls, dense, membership_passes, pointwise, sample_point
+from conftest import TAU, count_reductions, count_theta_calls, dense, hexes, membership_passes, pointwise, sample_point
 
 ETA = 0.173 - 0.061j
 Z1 = (0.12 + 0.23j,)
@@ -174,16 +176,17 @@ def reference_paths(params, z):
 
 def test_paths_match_reference_loop(lattice):
     # the index-form build reproduces the pair loop bit for bit, from a cold
-    # per-model cache and from a warm one
+    # per-model cache and from a warm one; B's bytes pin signed zeros too
     rng2 = np.random.default_rng(11)
     for zs in (Z1, Z3, Z5, Z9[:7]):
         params = make_params(lattice, zs)
+        even, odd = irf._parity_order(params.n)
         irf._path_model.cache_clear()
         for _ in range(2):
             z = spectral_point(params, rng2)
             ref = reference_paths(params, z)
             assert np.array_equal(dense(build_T_irf_paths(params, z)), ref)
-            assert np.array_equal(dense(build_T_irf_paths(params, z)), ref)
+            assert build_T_irf_paths(params, z)[0].tobytes() == ref[np.ix_(even, odd)].tobytes()
         assert irf._path_model.cache_info().misses == 1
 
 
@@ -325,11 +328,13 @@ def test_paths_spectral_check_on_warm_cache(lattice):
     assert irf._path_model.cache_info().hits == hits + 1
 
 
-def reference_sov(params, zeta, nudge=None):
+def reference_sov(params, zeta, nudge=None, theta=None):
     """The grid transfer matrix as the former loop over rows and site pairs, on
     the scalar kernel, as an oracle; nudge = (j, s, factor) scales one spectral
-    theta(zdisp + z_j - s eta)."""
+    theta(zdisp + z_j - s eta), and theta, if given, replaces the kernel for
+    the zeta-dependent (spectral and prefactor) thetas."""
     n, ev, eta, zs = params.n, params.evaluator(), params.eta, params.zs
+    theta = ev.theta if theta is None else theta
     zdisp = -complex(zeta)
     flip_coeff = {}
     for i in range(n):
@@ -338,7 +343,7 @@ def reference_sov(params, zeta, nudge=None):
             for zk in zs:
                 on_branch *= ev.theta(zk - zs[i] + 2 * s * eta)
             flip_coeff[(i, s)] = on_branch
-    spect = {(j, s): ev.theta(zdisp + zs[j] - s * eta) for j in range(n) for s in (-1, 1)}
+    spect = {(j, s): theta(zdisp + zs[j] - s * eta) for j in range(n) for s in (-1, 1)}
     if nudge is not None:
         spect[nudge[:2]] *= nudge[2]
     cross = {
@@ -347,7 +352,7 @@ def reference_sov(params, zeta, nudge=None):
     }
     th_lam = {k: ev.theta(-eta * k) for k in range(-n, n + 1, 2)}
     head = {
-        (total, i, s): ev.theta(-eta * total - zdisp + (-zs[i] + s * eta))
+        (total, i, s): theta(-eta * total - zdisp + (-zs[i] + s * eta))
         for total in range(-n, n + 1, 2) for i in range(n) for s in (-1, 1)
         if abs(total - s) <= n - 1
     }
@@ -371,16 +376,31 @@ def relative_entry_gap(t, ref):
     return float(np.max(np.abs(t[live] - ref[live]) / np.abs(ref[live])))
 
 
-def test_sov_match_reference_loop(lattice):
+def test_sov_match_reference_loop(lattice, monkeypatch):
     # the index-form build on the array kernel has the row loop's zeros
-    # exactly and its other entries to rounding
+    # exactly and its other entries to rounding; on the build's own
+    # array-kernel thetas the loop gives B's and C's bytes
+    recorded = {}
+    original = ThetaEvaluator.theta_array
+
+    def recording(self, zs, degree, *args, **kwargs):
+        out = original(self, zs, degree, *args, **kwargs)
+        recorded.update(zip(np.asarray(zs).tolist(), out[:, 0].tolist()))
+        return out
+
+    monkeypatch.setattr(ThetaEvaluator, "theta_array", recording)
     rng2 = np.random.default_rng(19)
     for zs in (Z1, Z3, Z5, Z9[:7], Z9):
         params = make_params(lattice, zs)
+        even, odd = irf._parity_order(params.n)
         for _ in range(2):
             zeta = spectral_point(params, rng2)
-            t = dense(build_T_irf_sov(params, zeta))
-            assert relative_entry_gap(t, reference_sov(params, zeta)) <= 1e-13
+            recorded.clear()
+            b, c = build_T_irf_sov(params, zeta)
+            assert relative_entry_gap(dense((b, c)), reference_sov(params, zeta)) <= 1e-13
+            exact = reference_sov(params, zeta, theta=recorded.__getitem__)
+            assert b.tobytes() == exact[np.ix_(even, odd)].tobytes()
+            assert c.tobytes() == exact[np.ix_(odd, even)].tobytes()
     # negative control: one spectral theta off by 1e-10 breaks the bound
     params = make_params(lattice, Z5)
     zeta = spectral_point(params, rng2)
@@ -875,6 +895,27 @@ def test_eigenvalue_map(lattice, rng):
         assert np.min(np.abs(mu - mapped)) <= 1e-9 * scale
 
 
+def test_bridge_scalar_is_the_kappa_product(lattice):
+    """prod_k bridge_scalar(w_k) over N rows is (-1)^N prod_k kappa(w_k - eta)
+    bit for bit, the bridge of irf partition's construction_consistency;
+    N = 1 is the scalar of map_eigenvalue and of reconcile_constructions'
+    pairing and residuals (test_working_set_rewrite_is_bit_identical)."""
+    rng2 = np.random.default_rng(29)
+    for zs in (Z1, Z3, Z5):
+        params = make_params(lattice, zs)
+        ws = [spectral_point(params, rng2) for _ in range(4)]
+        for count in range(1, 5):
+            ref = (-1.0) ** count
+            for w in ws[:count]:
+                ref *= irf.kappa_factor(params, w - ETA)
+            assert hexes([math.prod(irf.bridge_scalar(params, w) for w in ws[:count])]) == hexes([ref])
+    rec = reconcile_constructions(params, rng2)
+    assert rec.constant == -1.0 + 0.0j
+    mapped = rec.map_eigenvalue(params, cmath.exp)
+    for w in ws:
+        assert hexes([mapped(w)]) == hexes([rec.constant * irf.kappa_factor(params, w - ETA) * cmath.exp(w - ETA)])
+
+
 def test_commuting_families(lattice, rng):
     for zs in (Z3, Z5):
         params = make_params(lattice, zs)
@@ -1060,8 +1101,9 @@ def test_certify_block_path_matches_reference_loop(lattice, monkeypatch):
 
 def test_reconstruction_from_q_pairs(lattice):
     """The report keeps only q_pairs; README's rule rebuilds the factorized
-    vector from them: q_minus where sigma_i < 0, q_plus elsewhere."""
-    for zs in (Z3, Z5):
+    vector from them: q_minus where sigma_i < 0, q_plus elsewhere, byte for
+    byte as math.prod forms it."""
+    for zs in (Z1, Z3, Z5, Z9[:7]):
         params = make_params(lattice, zs)
         certs = certify_spectrum(params, 0.41 + 0.37j, rng=np.random.default_rng(5))
         sigmas = [[2 * m - 1 for m in point] for point in S0Grid(params).points]
@@ -1070,7 +1112,7 @@ def test_reconstruction_from_q_pairs(lattice):
                 math.prod(qm if s < 0 else qp for (qm, qp), s in zip(c.q_pairs, sig))
                 for sig in sigmas
             ]
-            assert np.array_equal(np.array(u), c.reconstruction)
+            assert np.array(u).tobytes() == c.reconstruction.tobytes()
 
 
 def pairwise_clusters(mu, gap_tol):

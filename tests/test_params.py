@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ellsov.params import ModelParams, ParameterError
-from ellsov.theta import LatticeError
+from ellsov.theta import Lattice, LatticeError
 
 from conftest import TAU
 
@@ -76,3 +76,38 @@ def test_resonance_error_names_first_pair(lattice, moves):
     i, j = reference_resonant_pair(params)
     with pytest.raises(ParameterError, match="sites %d and %d are" % (i, j)):
         params.validate_for_irf()
+
+
+def test_irf_collisions_come_from_the_array_pass(lattice, monkeypatch):
+    """validate_for_irf reads collisions from its one array pass, before the
+    weight, parity and resonance checks: a collision planted at each pair
+    position, with a weight other than 1, or after an earlier resonant pair,
+    gives validate_distinct_sites' text, and no scalar distance is taken."""
+    zs5 = ZS + (0.81 + 0.11j, 0.29 + 0.88j)
+    eta = 0.173 - 0.061j
+    cases = []
+    for i in range(5):
+        for j in range(i + 1, 5):
+            zs = list(zs5)
+            zs[j] = zs[i] + 1 + lattice.tau
+            cases.append((make(lattice, zs=tuple(zs)), (i, j)))
+    zs = list(zs5)
+    zs[3] = zs[1] - lattice.tau
+    cases.append((ModelParams(lattice=lattice, eta=eta, zs=tuple(zs), lams=(1, 1, 2, 1, 1)), (1, 3)))
+    zs[1] = zs[0] + 2 * eta + 1  # (0, 1) is 2*eta-resonant, ahead of the collision
+    zs[3] = zs[1] - lattice.tau
+    cases.append((make(lattice, zs=tuple(zs)), (1, 3)))
+    assert reference_resonant_pair(cases[-1][0]) == (0, 1)
+
+    calls = []
+    scalar = Lattice.dist_to_lattice
+    monkeypatch.setattr(Lattice, "dist_to_lattice", lambda self, z: calls.append(z) or scalar(self, z))
+    for params, (i, j) in cases:
+        with pytest.raises(ParameterError) as raised:
+            params.validate_for_irf()
+        assert str(raised.value) == "sites %d and %d collide modulo the lattice" % (i, j)
+        assert not calls
+        with pytest.raises(ParameterError) as expected:
+            params.validate_distinct_sites()
+        assert str(raised.value) == str(expected.value)
+        calls.clear()
