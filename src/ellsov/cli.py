@@ -164,32 +164,35 @@ def _task_theta_eval(block, params, rng, tol, csv_dir):
     ev = params.evaluator()
     samples = _count(block, "samples", 100)
     tau = params.lattice.tau
-    qp, odd = [], []
+    draws = []
     for _ in range(samples):
         z = params.sample_generic(rng, margin=5e-2)
-        base = ev.theta(z)
-        r = int(rng.integers(-2, 3))
-        s = int(rng.integers(-2, 3))
+        r, s = int(rng.integers(-2, 3)), int(rng.integers(-2, 3))
         mult = spaces.expected_multiplier(spaces.Character(-1.0, -1.0), 1, z, r, s, tau)
-        shifted = ev.theta(z + r + s * tau)
+        draws.append((z, z + r + s * tau, mult))
+    # theta at each z, at its shift z + r + s tau and at -z, from one call
+    thetas = iter(ev.theta_values([(z, shift, -z) for z, shift, _ in draws]))
+    qp, odd = [], []
+    for _, _, mult in draws:
+        base, shifted, minus = next(thetas), next(thetas), next(thetas)
         # the multiplier reaches 1e11 at |s| = 2, so compare at the shifted scale
         qp.append(abs(shifted - mult * base) / max(1.0, abs(shifted)))
-        odd.append(abs(ev.theta(-z) + base) / max(1.0, abs(base)))
-    # theta^(d), d = 1..3, from the degree-3 jet against a Cauchy integral of the scalar
-    # kernel: the trapezoid rule on |w - z| = 1/4 at 32 nodes, all three from one FFT
+        odd.append(abs(minus + base) / max(1.0, abs(base)))
+    # theta^(d), d = 1..3, from the degree-3 jet against a Cauchy integral of the degree-0
+    # values: the trapezoid rule on |w - z| = 1/4 at 32 nodes, all three from one FFT
     zs = np.array([params.sample_generic(rng, margin=5e-2) for _ in range(min(samples, 20))])
     circle, fact = 0.25 * np.exp(2j * math.pi * np.arange(32) / 32), np.array([1.0, 2.0, 6.0])
-    ring = np.array([[ev.theta(complex(z + w)) for w in circle] for z in zs])
+    ring = ev.theta_array((zs[:, None] + circle).ravel(), 0)[:, 0].reshape(len(zs), len(circle))
     expect = np.fft.fft(ring, axis=1)[:, 1:4] * fact / (32 * 0.25 ** np.arange(1, 4))
     got = ev.theta_array(zs, 3)[:, 1:] * fact
     jet_dev = float(np.max(np.abs(got - expect) / np.maximum(1.0, np.abs(expect))))
     points = [_as_complex(pt, "theta.points[%d]" % i) for i, pt in enumerate(_list(block, "points"))]
     at = np.array(points, dtype=complex)
     zeta, wp = ev.zeta_wp(at)
-    primes = ev.theta_array(at, 1)[:, 1]
+    jets = ev.theta_array(at, 1).tolist()
     values = [
-        {"z": z, "theta": ev.theta(z), "theta_prime": tp, "zeta_bar": zb, "wp_bar": w}
-        for z, tp, zb, w in zip(points, primes, zeta, wp)
+        {"z": z, "theta": th, "theta_prime": tp, "zeta_bar": zb, "wp_bar": w}
+        for z, (th, tp), zb, w in zip(points, jets, zeta, wp)
     ]
     checks = [
         _check("quasi_periodicity", _worst(qp), 1e-10),
@@ -223,10 +226,11 @@ def _task_gaudin_check(block, params, rng, tol, csv_dir):
     scale = max(1.0, float(np.max(np.abs(applied[1]))))
     ham_sum = float(np.max(np.abs(sum(applied[1:])))) / scale
 
-    s_ops = gaudin.build_S(params, zs, lam0s[samples], degree)
-    su = s_ops.apply_jet(u[:, None])
-    dzs = zs[:3, None] - np.array(params.zs)
+    # zeta_bar and wp_bar at z - z_i, one call: S(z) reads zeta_bar, the decomposition at the first three z both
+    dzs = zs[:, None] - np.array(params.zs)
     zeta, wp = (a.reshape(dzs.shape) for a in params.evaluator().zeta_wp(dzs.ravel()))
+    s_ops = gaudin.build_S(params, zs, lam0s[samples], degree, zeta=zeta)
+    su = s_ops.apply_jet(u[:, None])
     s_dev = []
     for p in range(3):
         rhs = applied[0].copy()

@@ -41,11 +41,10 @@ def _r_fill(r: np.ndarray, th_z, th_shift, th_2eta, lam_thetas) -> None:
 
 
 def _r_matrix_raw(ev: ThetaEvaluator, eta: complex, z: complex, lam: complex) -> np.ndarray:
-    # each of the 9 theta arguments is evaluated once
-    th_z, th_shift, th_2eta = ev.theta(z), ev.theta(z - 2 * eta), ev.theta(2 * eta)
+    # the 9 theta arguments in one call: z, z - 2 eta, 2 eta, then l, l + 2 eta, l + z for l = +/-lambda
+    th = ev.theta_values([z, z - 2 * eta, 2 * eta] + [x for l in (lam, -lam) for x in (l, l + 2 * eta, l + z)])
     r = np.zeros((4, 4), dtype=complex)
-    lam_thetas = [(ev.theta(l), ev.theta(l + 2 * eta), ev.theta(l + z)) for l in (lam, -lam)]
-    _r_fill(r, th_z, th_shift, th_2eta, lam_thetas)
+    _r_fill(r, *th[:3], (th[3:6], th[6:]))
     return r
 
 
@@ -215,29 +214,25 @@ def _offset_pairs(a: ShiftOp, b: ShiftOp, lam_samples: Sequence[complex]):
 # The operator quadruple
 
 
-def _hop_factors(ev: ThetaEvaluator, params: ModelParams, xs, i: int, z: complex, sign: int):
-    """The lambda-independent factors of a hop of site i onto the x-values xs.
+def _hop_factors(ev: ThetaEvaluator, params: ModelParams, hops, z: complex, sign: int) -> list:
+    """The lambda-independent factors of each hop (xs, i), site i onto the x-values xs, from one call.
 
     They are prod_{j != i} theta(z + x_j)/theta(x_i - x_j) and Delta_+(-x_i)
     (sign = +1) or Delta_-(-x_i) (sign = -1).
     """
-    off = 1.0 + 0j
-    for j in range(len(xs)):
-        if j != i:
-            off *= ev.theta(z + xs[j]) / ev.theta(xs[i] - xs[j])
-    delta = 1.0 + 0j
-    for zk, lk in zip(params.zs, params.lams):
-        delta *= ev.theta(-xs[i] - zk - sign * lk * params.eta)
-    return off, delta
+    # every hop's off-diagonal thetas, then every hop's Delta thetas; each product factor by factor
+    args = [a for xs, i in hops for j in range(len(xs)) if j != i for a in (z + xs[j], xs[i] - xs[j])]
+    args += [-xs[i] - zk - sign * lk * params.eta for xs, i in hops for zk, lk in zip(params.zs, params.lams)]
+    thetas = iter(ev.theta_values(args))
+    off = [math.prod(next(thetas) / next(thetas) for _ in range(len(xs) - 1)) for xs, _ in hops]
+    return [(o, math.prod(next(thetas) for _ in params.zs)) for o in off]
 
 
 def det_scalar(params: ModelParams, z: complex) -> complex:
     """The central quantum determinant: a scalar function of z."""
-    ev = params.evaluator()
-    out = 1.0 + 0j
-    for zi, li in zip(params.zs, params.lams):
-        out *= ev.theta(z - zi - li * params.eta) * ev.theta(z - zi + li * params.eta + 2 * params.eta)
-    return out
+    ev, eta, sites = params.evaluator(), params.eta, zip(params.zs, params.lams)
+    thetas = iter(ev.theta_values([(z - zi - li * eta, z - zi + li * eta + 2 * eta) for zi, li in sites]))
+    return math.prod(next(thetas) * next(thetas) for _ in params.zs)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -272,12 +267,12 @@ def build_quadruple(params: ModelParams) -> OperatorQuadruple:
     top = eta * sum(params.lams)
 
     def a_op(z: complex) -> ShiftOp:
-        sites = [np.prod([ev.theta(z + x) for x in xs]) for xs in grid.xs]
+        sites = [np.prod(row) for row in np.reshape(ev.theta_values(z + grid.xs), grid.xs.shape).tolist()]
         shifts = [eta * h for h in grid.weights]
 
         def entries(lam):
-            th_lam = ev.theta(lam)
-            return [p * ev.theta(lam - sh + top) / th_lam for p, sh in zip(sites, shifts)]
+            th_lam, *thetas = ev.theta_values([lam] + [lam - sh + top for sh in shifts])
+            return [p * th / th_lam for p, th in zip(sites, thetas)]
 
         return ShiftOp.diagonal(grid.dim, step, entries, k=-1)
 
@@ -288,18 +283,15 @@ def build_quadruple(params: ModelParams) -> OperatorQuadruple:
         zero at m_i = 0, for b and Delta_-(-x_i), zero at m_i = Lambda_i, for c.
         argument(lam, t, x_i) is the hop's lambda-dependent theta argument.
         """
-        hops = [
-            (t, src, xs[i], *_hop_factors(ev, params, xs, i, z, -dm))
-            for t, xs in enumerate(grid.xs)
-            for i in range(n)
-            if (src := grid.shifted(t, i, dm)) is not None
-        ]
+        moves = [(t, s, i) for t in range(grid.dim) for i in range(n) if (s := grid.shifted(t, i, dm)) is not None]
+        factors = _hop_factors(ev, params, [(grid.xs[t], i) for t, _, i in moves], z, -dm)
+        hops = [(t, src, grid.xs[t][i], off, delta) for (t, src, i), (off, delta) in zip(moves, factors)]
 
         def blocks(lam):
-            th_lam = ev.theta(lam)
+            th_lam, *thetas = ev.theta_values([lam] + [argument(lam, t, x) for t, _, x, _, _ in hops])
             m = np.zeros((grid.dim, grid.dim), dtype=complex)
-            for t, src, x, off, delta in hops:
-                m[t, src] = -ev.theta(argument(lam, t, x)) / th_lam * off * delta
+            for (t, src, _, off, delta), th in zip(hops, thetas):
+                m[t, src] = -th / th_lam * off * delta
             return {-dm: m}
 
         return ShiftOp(grid.dim, step, blocks)
@@ -316,8 +308,8 @@ def build_quadruple(params: ModelParams) -> OperatorQuadruple:
         det_z = det_scalar(params, z)
 
         def weight_entries(lam):
-            th_lam = ev.theta(lam)
-            return [ev.theta(lam - step * h) / th_lam * det_z for h in grid.weights]
+            th_lam, *thetas = ev.theta_values([lam] + [lam - step * h for h in grid.weights])
+            return [th / th_lam * det_z for th in thetas]
 
         inner = ShiftOp.diagonal(grid.dim, step, weight_entries) + c_op(z + step).compose(b_op(z))
         # a(z + 2 eta) has offset -1, so its inverse reads it at lambda + 2 eta
@@ -339,7 +331,6 @@ def highest_weight_check(
     lam_samples: Sequence[complex],
 ) -> dict:
     """Eigenvalue data of the delta function at m = 0 against the closed forms."""
-    ev = params.evaluator()
     quad = build_quadruple(params)
     grid = quad.grid
     hw = 0  # the highest-weight point m = 0
@@ -351,32 +342,42 @@ def highest_weight_check(
 
     eta = params.eta
     lam_tot = sum(params.lams)
+    sites = list(zip(params.zs, params.lams))
+    # the a and d eigenvalue products' thetas at every z, then theta(lambda - 2 eta Lambda)
+    # and theta(lambda) at every lambda, from one call
+    args = [z - zi - li * eta for z in z_samples for zi, li in sites]
+    args += [z - zi + li * eta for z in z_samples for zi, li in sites]
+    args += [x for lam in lam_samples for x in (lam - 2 * eta * lam_tot, lam)]
+    thetas = params.evaluator().theta_values(args)
+    n, count = len(sites), len(z_samples) * len(sites)
+    products = [np.prod(thetas[k : k + n]) for k in range(0, 2 * count, n)]
+    ratios = [num / den for num, den in zip(thetas[2 * count :: 2], thetas[2 * count + 1 :: 2])]
 
     # each residual's values, folded by np.max so that a NaN is kept
     misses = {key: [0.0] for key in ("c_residual", "a_residual", "d_residual", "pair_residual")}
-    for z in z_samples:
-        a_expected = np.prod([ev.theta(z - zi - li * eta) for zi, li in zip(params.zs, params.lams)])
-        d_prod = np.prod([ev.theta(z - zi + li * eta) for zi, li in zip(params.zs, params.lams)])
+    for p, z in enumerate(z_samples):
+        a_expected, d_prod = products[p], products[len(z_samples) + p]
         kappa = 1.0 / a_expected
-        for lam in lam_samples:
-            cv = quad.c(z).apply(f, lam)
+        c_op, a_op, d_op = quad.c(z), quad.a(z), quad.d(z)
+        for lam, ratio in zip(lam_samples, ratios):
+            cv = c_op.apply(f, lam)
             misses["c_residual"].append(np.max(np.abs(cv)))
 
-            av = quad.a(z).apply(f, lam)
+            av = a_op.apply(f, lam)
             off = av.copy()
             off[hw] = 0.0
             res_a = np.max([np.max(np.abs(off)), abs(av[hw] - a_expected)])
             misses["a_residual"].append(res_a / max(1.0, abs(a_expected)))
 
-            d_expected = ev.theta(lam - 2 * eta * lam_tot) / ev.theta(lam) * d_prod
-            dv = quad.d(z).apply(f, lam)
+            d_expected = ratio * d_prod
+            dv = d_op.apply(f, lam)
             off = dv.copy()
             off[hw] = 0.0
             res_d = np.max([np.max(np.abs(off)), abs(dv[hw] - d_expected)])
             misses["d_residual"].append(res_d / max(1.0, abs(d_expected)))
 
             # after the kappa normalization the pair of eigenvalues is (1, D-bar)
-            dbar = ev.theta(lam - 2 * eta * lam_tot) / ev.theta(lam) * d_prod / a_expected
+            dbar = ratio * d_prod / a_expected
             pair_res = np.max([abs(kappa * av[hw] - 1.0), abs(kappa * dv[hw] - dbar)])
             misses["pair_residual"].append(pair_res / max(1.0, abs(dbar)))
     report = {"weight": int(grid.weights[hw]), "weight_expected": int(lam_tot)}
@@ -494,13 +495,6 @@ def residue_sum(params: ModelParams, grid_index: int, i: int) -> complex:
     xs = grid.xs[grid_index]
     s = complex(np.sum(xs + np.asarray(params.zs)))
 
-    def f(v: complex) -> complex:
-        out = ev.theta(2 * s + xs[i] + v + 2 * eta) / ev.theta(v + xs[i] + 2 * eta)
-        for zl, ll, xl in zip(params.zs, params.lams, xs):
-            out *= ev.theta(v - zl - ll * eta) * ev.theta(v - zl + ll * eta + 2 * eta)
-            out /= ev.theta(v + xl) * ev.theta(v + xl + 2 * eta)
-        return out
-
     poles = [-x for x in xs] + [-x - 2 * eta for x in xs]
     # the poles need only be apart modulo the lattice: a closer translate
     # of another pole inside the circle would add its residue
@@ -510,7 +504,16 @@ def residue_sum(params: ModelParams, grid_index: int, i: int) -> complex:
     radius = min(0.1, 0.3 * sep)
     total = 0.0 + 0j
     ts = np.exp(2j * np.pi * np.arange(_RESIDUE_POINTS) / _RESIDUE_POINTS)
-    for p in poles:
-        vals = np.array([f(p + radius * t) for t in ts])
-        total += np.sum(vals * radius * ts) / _RESIDUE_POINTS
+    # f(v) = theta(v + c_0) / theta(v + c_1) * prod_l theta(v + c_l1) theta(v + c_l2)
+    #        / (theta(v + c_l3) theta(v + c_l4)), at every quadrature point from one call
+    shifts = [2 * s + xs[i] + 2 * eta, xs[i] + 2 * eta]
+    for zl, ll, xl in zip(params.zs, params.lams, xs):
+        shifts += [-zl - ll * eta, -zl + ll * eta + 2 * eta, xl, xl + 2 * eta]
+    vs = (np.array(poles)[:, None] + radius * ts).ravel()
+    th = ev.theta_array((vs[:, None] + np.array(shifts)).ravel(), 0).reshape(len(vs), len(shifts))
+    vals = th[:, 0] / th[:, 1]
+    for k in range(2, len(shifts), 4):
+        vals = vals * (th[:, k] * th[:, k + 1]) / (th[:, k + 2] * th[:, k + 3])
+    for pole_vals in vals.reshape(len(poles), _RESIDUE_POINTS):
+        total += np.sum(pole_vals * radius * ts) / _RESIDUE_POINTS
     return total

@@ -171,18 +171,22 @@ def build_hamiltonians(params: ModelParams, lam0, degree: int) -> list[LambdaDif
     return hams
 
 
-def build_S(params: ModelParams, z, lam0, degree: int) -> LambdaDiffOp:
+def build_S(params: ModelParams, z, lam0, degree: int, zeta=None) -> LambdaDiffOp:
     """Generating kernel S(z) = (d/dlambda - h(z)/2)^2 + (e f + f e)/2 on M[0], at lam0.
 
     For input jets of degree 2..degree; arrays z and lam0 broadcast to a
-    stack, with one zeta_wp and one jet_sigma call.  The symmetrized product
+    stack, with one zeta_wp and one jet_sigma call.  A caller that has
+    zeta_bar(z - z_i) from its own zeta_wp call passes it as zeta, shape
+    z.shape + (n,), in place of the zeta_wp call.  The symmetrized product
     carries the 1/2 so that the double poles of S(z) at the sites come out
     as Casimir halves; see the residue decomposition test.
     """
     ctx = _gaudin_model(params)
     ev, dim, d_out = ctx.ev, ctx.dim, degree - 2
     dzs = np.asarray(z, dtype=complex)[..., None] - np.array(params.zs)
-    zetas = np.moveaxis(ev.zeta_wp(dzs.ravel())[0].reshape(dzs.shape), -1, 0)
+    if zeta is None:
+        zeta = ev.zeta_wp(dzs.ravel())[0].reshape(dzs.shape)
+    zetas = np.moveaxis(zeta, -1, 0)
     hz = sum(zeta[..., None, None] * hi for hi, zeta in zip(ctx.h, zetas))
     sps, sns, _ = jets.jet_sigma(ev, lam0, dzs, d_out)
     e_jet = sum(sn[..., None, None] * ei for (ei, _, _), sn in zip(ctx.ops, np.moveaxis(sns, -1, 0)))

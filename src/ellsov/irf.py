@@ -23,12 +23,13 @@ import cmath
 import dataclasses
 import functools
 import itertools
+import math
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import spaces
-from .eqg import S0Grid, _check_spectral, _r_fill
+from .eqg import S0Grid, _r_fill
 from .params import ModelParams, ParameterError
 from .spaces import BetheSolution, Character, EllipticPoly, ThetaInterpolant
 from .theta import ThetaOverflowError
@@ -163,24 +164,27 @@ def _path_model(params: ModelParams) -> _PathModel:
     even = np.bitwise_count(rows) % 2 == 0  # the rows of B; C is its reflection
     rows, cols = rows[even], cols[even]
     b, a = heights[rows], heights[cols]
-    faces, corners, lam_thetas = [], [], {}
+    faces, site_heights = [], []
     for i in range(n):
         # one R-matrix per distinct corner height d of this column
         heights_d, which = np.unique(b[:, i + 1], return_inverse=True)
         row, col = _face_slots(a[:, i + 1], a[:, i], b[:, i], b[:, i + 1])
         faces.append((which * 16 + 4 * row + col).astype(np.uint8))
-        for d2 in map(int, heights_d):
-            if abs(d2) not in lam_thetas:
-                lam = -eta * abs(d2)
-                lam_thetas[abs(d2)] = tuple((l, ev.theta(l), ev.theta(l + 2 * eta)) for l in (lam, -lam))
-        # height -d2 reads the pair {lambda, -lambda} of d2 in swapped order
-        corners.append(tuple(lam_thetas[abs(d2)][:: -1 if d2 < 0 else 1] for d2 in map(int, heights_d)))
+        site_heights.append(list(map(int, heights_d)))
+    # theta(l) and theta(l + 2 eta) at l = lambda and -lambda, lambda = -eta |d|, per
+    # distinct |d|, then theta(2 eta), from one call
+    mags = sorted({abs(d2) for hs in site_heights for d2 in hs})
+    ls = [l for d in mags for lam in (-eta * d,) for l in (lam, -lam)]
+    vals = iter(ev.theta_values([x for l in ls for x in (l, l + 2 * eta)] + [2 * eta]))
+    lam_thetas = {d: tuple((l, next(vals), next(vals)) for l in ls[2 * k : 2 * k + 2]) for k, d in enumerate(mags)}
+    # height -d2 reads the pair {lambda, -lambda} of d2 in swapped order
+    corners = tuple(tuple(lam_thetas[abs(d2)][:: -1 if d2 < 0 else 1] for d2 in hs) for hs in site_heights)
     # uint16 block indices hold every n <= 17, and uint8 faces, since a node
     # has at most n + 1 corner heights, every n <= 15: far above any dense build
     rows, cols, faces = (rows >> 1).astype(np.uint16), (cols >> 1).astype(np.uint16), np.array(faces)
     for arr in (rows, cols, faces):
         arr.setflags(write=False)
-    return _PathModel(rows, cols, faces, tuple(corners), ev.theta(2 * eta))
+    return _PathModel(rows, cols, faces, corners, next(vals))
 
 
 def build_T_irf_paths(params: ModelParams, z: complex) -> tuple[np.ndarray, np.ndarray]:
@@ -194,22 +198,32 @@ def build_T_irf_paths(params: ModelParams, z: complex) -> tuple[np.ndarray, np.n
     C is the view B[::-1, ::-1] and only B's (3^n - 1)/2 entries are formed.
     Site i's R-matrices, one per corner height, share theta(z - z_i) and
     theta(z - z_i - 2 eta); the z-independent data comes from the
-    per-model cache.  Each table entry is eqg.r_matrix's and the node
+    per-model cache, and the z-dependent thetas of all sites from one
+    call, whose distance at z - z_i - 2 eta is eqg.r_matrix's spectral
+    check.  Each table entry is eqg.r_matrix's and the node
     product is _exact_product's, so each entry equals the pair-by-pair
     product bit for bit; an entry that overflows is a ParameterError.
     """
     model = _path_model(params)
     ev, eta = params.evaluator(), params.eta
+    # per site s = z - z_i: theta(s), theta(s - 2 eta), then theta(l + s) per corner triple
+    args, spectral = [], []
+    for zi, corners in zip(params.zs, model.corners):
+        s = complex(z - zi)
+        spectral.append(len(args) + 1)
+        args += [s, s - 2 * eta] + [l + s for lam_thetas in corners for l, _, _ in lam_thetas]
+    thetas, dist = ev.theta_array(np.array(args), 0, dist=True)
+    if np.any(dist[spectral] < params.rho):
+        raise ParameterError("spectral parameter z is within rho of 2 eta mod the lattice")
+    values = iter(thetas[:, 0].tolist())
 
     def site_weights():
         yield np.ones((), dtype=complex)  # the pair loop's product starts at 1
-        for zi, corners, faces in zip(params.zs, model.corners, model.faces):
-            s = complex(z - zi)
-            _check_spectral(params, s)
-            th_z, th_shift = ev.theta(s), ev.theta(s - 2 * eta)
+        for corners, faces in zip(model.corners, model.faces):
+            th_z, th_shift = next(values), next(values)
             table = np.zeros((len(corners), 4, 4), dtype=complex)
             for r, lam_thetas in zip(table, corners):
-                _r_fill(r, th_z, th_shift, model.th_2eta, [(th, th2, ev.theta(l + s)) for l, th, th2 in lam_thetas])
+                _r_fill(r, th_z, th_shift, model.th_2eta, [(th, th2, next(values)) for _, th, th2 in lam_thetas])
             yield table.reshape(-1)[faces]
 
     entries = _exact_product(site_weights())
@@ -253,24 +267,20 @@ def _grid_model(params: ModelParams) -> _GridModel:
     """
     params.validate_for_irf()
     n, eta, zs, ev = params.n, params.eta, params.zs, params.evaluator()
-    flip = []
-    for i in range(n):
-        flip.append([])
-        for s in (-1, 1):
-            on_branch = 1.0 + 0.0j
-            for zk in zs:
-                on_branch *= ev.theta(zk - zs[i] + 2 * s * eta)
-            flip[i].append(on_branch)
     others = [[j for j in range(n) if j != i] for i in range(n)]
-    cross = tuple(
-        (2 * j + (sj + 1) // 2, ev.theta(-zs[i] + zs[j] + (si - sj) * eta))
-        for i in range(n) for si in (-1, 1) for j in others[i] for sj in (-1, 1)
-    )
-    denom = {t: ev.theta(-eta * t) for t in range(-n, n + 1, 2)}
+    crossing = [(i, si, j, sj) for i in range(n) for si in (-1, 1) for j in others[i] for sj in (-1, 1)]
+    heights = range(-n, n + 1, 2)
+    # the flip factors theta(z_k - z_i + 2 s eta), the cross thetas and the denominators, in one call
+    args = [zk - zs[i] + 2 * s * eta for i in range(n) for s in (-1, 1) for zk in zs]
+    args += [-zs[i] + zs[j] + (si - sj) * eta for i, si, j, sj in crossing] + [-eta * t for t in heights]
+    values = iter(ev.theta_values(args))
+    flip = tuple(tuple(math.prod(next(values) for _ in zs) for _ in (-1, 1)) for _ in range(n))
+    cross = tuple((2 * j + (sj + 1) // 2, next(values)) for i, si, j, sj in crossing)
+    denom = {t: next(values) for t in heights}
     # the row prefactor depends on the row only through (sum m, i, m_i): 2 n^2 slots
     heads = tuple(
         (-eta * t, -zs[i] + s * eta, denom[t]) if abs(t - s) <= n - 1 else None
-        for t in range(-n, n + 1, 2) for i in range(n) for s in (-1, 1)
+        for t in heights for i in range(n) for s in (-1, 1)
     )
     bits = np.array(S0Grid(params).points, dtype=int)
     sites = np.arange(n)
@@ -286,7 +296,7 @@ def _grid_model(params: ModelParams) -> _GridModel:
     factors = factors.astype(np.uint16)  # indices below 6 n^2
     bits.setflags(write=False)
     factors.setflags(write=False)
-    return _GridModel(tuple(map(tuple, flip)), heads, cross, bits, factors)
+    return _GridModel(flip, heads, cross, bits, factors)
 
 
 def build_T_irf_sov(params: ModelParams, zeta: complex) -> tuple[np.ndarray, np.ndarray]:
@@ -310,7 +320,7 @@ def build_T_irf_sov(params: ModelParams, zeta: complex) -> tuple[np.ndarray, np.
     # the live prefactor thetas come from one array-kernel call
     args = [zdisp + zj - s * eta for zj in params.zs for s in (-1, 1)]
     args += [h[0] - zdisp + h[1] for h in model.heads if h is not None]
-    thetas = ev.theta_array(np.array(args), 0)[:, 0].tolist()
+    thetas = ev.theta_values(args)
     spect, heads = thetas[: 2 * n], iter(thetas[2 * n :])
     values = [0j if h is None else next(heads) / h[2] for h in model.heads]
     values += [spect[k] / c for k, c in model.cross]
@@ -334,10 +344,9 @@ def build_T_irf_sov(params: ModelParams, zeta: complex) -> tuple[np.ndarray, np.
 
 def kappa_factor(params: ModelParams, w: complex) -> complex:
     """Scalar bridge factor prod_i 1/theta(w - z_i - eta)."""
-    ev = params.evaluator()
     val = 1.0 + 0.0j
-    for zi in params.zs:
-        val /= ev.theta(w - zi - params.eta)
+    for th in params.evaluator().theta_values([w - zi - params.eta for zi in params.zs]):
+        val /= th
     return val
 
 
@@ -366,10 +375,6 @@ class DualReconciliation:
     literal_gap: float
     condition: float
     min_gap: float
-
-    def map_eigenvalue(self, params: ModelParams, eps: Callable[[complex], complex]) -> Callable[[complex], complex]:
-        """Eigenvalue of the path construction induced by a grid eigenvalue."""
-        return lambda z: bridge_scalar(params, z) * eps(z - params.eta)
 
 
 def sample_spectral(params: ModelParams, rng: np.random.Generator) -> complex:

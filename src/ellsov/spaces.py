@@ -39,7 +39,6 @@ __all__ = [
     "ThetaSpaceBasis",
     "MembershipReport",
     "BetheSolution",
-    "eval_elliptic_poly",
     "eval_elliptic_polys",
     "character_of",
     "expected_multiplier",
@@ -119,13 +118,6 @@ class EllipticPoly:
         return len(self.zeros)
 
 
-def eval_elliptic_poly(ev: ThetaEvaluator, p: EllipticPoly, z: complex) -> complex:
-    val = cmath.exp(p.a * z)
-    for w in p.zeros:
-        val *= ev.theta(z - w)
-    return val
-
-
 def eval_elliptic_polys(ev: ThetaEvaluator, polys: Sequence[EllipticPoly], zs) -> np.ndarray:
     """Each of polys at each point of zs, shape (len(polys),) + zs.shape, from one theta_array
     call over the points times all the zeros; a non-finite value raises ThetaOverflowError."""
@@ -135,7 +127,7 @@ def eval_elliptic_polys(ev: ThetaEvaluator, polys: Sequence[EllipticPoly], zs) -
     thetas = iter(ev.theta_array((flat[:, None] - zeros).ravel(), 0).reshape(len(flat), -1).T)
     vals = np.empty((len(polys), len(flat)), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value raises below
-        for val, p in zip(vals, polys):  # factor by factor from exp(a z), as eval_elliptic_poly
+        for val, p in zip(vals, polys):  # factor by factor from exp(a z)
             val[:] = np.exp(p.a * flat)
             for _ in p.zeros:
                 val *= next(thetas)
@@ -162,7 +154,8 @@ class ThetaSpaceBasis:
 
     The basis owns the interpolation data, computed once: the exponent
     a, the shift b, and theta(b) with the k(k-1) node-difference thetas
-    from one theta_array call.  cardinal_vector(zs) returns the k
+    from one theta_array call, whose lattice distances are the node
+    collision and resonance checks.  cardinal_vector(zs) returns the k
     cardinal functions at each point z of zs,
 
         L_j(z) = exp(2 pi i a (z - z_j)) theta(z - z_j + b) / theta(b)
@@ -179,30 +172,32 @@ class ThetaSpaceBasis:
             raise ValueError("level k must be >= 1")
         if len(nodes) != k:
             raise ValueError("need exactly k nodes")
-        lat, tau = ev.lattice, ev.lattice.tau
-        for i in range(k):
-            for j in range(i + 1, k):
-                if lat.dist_to_lattice(nodes[i] - nodes[j]) < ev.rho:
-                    raise DegenerateNodesError(
-                        "interpolation nodes %d and %d collide modulo the lattice" % (i, j)
-                    )
+        tau = ev.lattice.tau
         a = cmath.log(chi.chi1) / _2PI_I - k / 2.0
         b = (tau * cmath.log(chi.chi1) - cmath.log(chi.chiTau)) / _2PI_I
         b += sum(nodes) - k * (1.0 + tau) / 2.0
-        if lat.dist_to_lattice(b) < ev.rho:
-            raise ResonantCharacterError(
-                "node sum sits on the resonant locus: |theta(b)| margin %g violated" % ev.rho
-            )
         self.ev, self.k, self.chi, self.nodes, self.a, self.b = ev, k, chi, nodes, a, b
         self._nodes = np.array(nodes, dtype=complex)
         self._diag = np.eye(k, dtype=bool)
         off = ~self._diag
-        thetas = ev.theta_array(np.append((self._nodes[:, None] - self._nodes)[off], b), 0)[:, 0]
+        # the differences z_i - z_j row by row, then b: their distances are the collision
+        # check, which names the first pair i < j, and the resonance check
+        jets, dist = ev.theta_array(np.append((self._nodes[:, None] - self._nodes)[off], b), 0, dist=True)
+        pairs = np.argwhere(off)
+        collide = np.flatnonzero((dist[:-1] < ev.rho) & (pairs[:, 0] < pairs[:, 1]))
+        if collide.size:
+            raise DegenerateNodesError(
+                "interpolation nodes %d and %d collide modulo the lattice" % tuple(pairs[collide[0]])
+            )
+        if dist[-1] < ev.rho:
+            raise ResonantCharacterError(
+                "node sum sits on the resonant locus: |theta(b)| margin %g violated" % ev.rho
+            )
         # row j holds theta(z_j - z_l) for l != j and a one on the diagonal
         diffs = np.ones((k, k), dtype=complex)
-        diffs[off] = thetas[:-1]
+        diffs[off] = jets[:-1, 0]
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite product raises below
-            self._denoms = thetas[-1] * diffs.prod(axis=1)
+            self._denoms = jets[-1, 0] * diffs.prod(axis=1)
         if not np.isfinite(self._denoms).all():
             raise ThetaOverflowError("cardinal-basis denominators overflow double precision")
 
@@ -395,19 +390,27 @@ def check_difference_compatibility(
 def _bethe_terms(ev, A_plus, A_minus, gamma, a, roots):
     """The summands (t1_i, t2_i) of equation i, with products over all roots (j = i: theta(-/+gamma)).
 
-    Scalar ev.theta throughout: solve_difference_bethe certifies the
-    accepted point with it, independently of the batched Newton system.
+    The sum form, not the Newton system's ratio form, from one theta_array
+    call: solve_difference_bethe certifies the accepted point with it.
+    Each product is Python-scalar arithmetic on the call's values, factor
+    by factor from exp(a w_i).
     """
+    args = [0j - gamma, 0j + gamma]
+    for i, wi in enumerate(roots):
+        args += [wi - w for w in A_plus.zeros] + [wi - w for w in A_minus.zeros]
+        args += [wi - wj + shift for j, wj in enumerate(roots) if j != i for shift in (-gamma, gamma)]
+    thetas = iter(ev.theta_values(args))
+    th_m, th_p = next(thetas), next(thetas)
     ea_m = cmath.exp(-gamma * a)
     ea_p = cmath.exp(gamma * a)
-    th_m, th_p = ev.theta(0j - gamma), ev.theta(0j + gamma)
     terms = []
     for i, wi in enumerate(roots):
-        t1 = eval_elliptic_poly(ev, A_plus, wi) * ea_m
-        t2 = eval_elliptic_poly(ev, A_minus, wi) * ea_p
-        for j, wj in enumerate(roots):
-            t1 *= th_m if j == i else ev.theta(wi - wj - gamma)
-            t2 *= th_p if j == i else ev.theta(wi - wj + gamma)
+        t1 = math.prod((next(thetas) for _ in A_plus.zeros), start=cmath.exp(A_plus.a * wi)) * ea_m
+        t2 = math.prod((next(thetas) for _ in A_minus.zeros), start=cmath.exp(A_minus.a * wi)) * ea_p
+        for j in range(len(roots)):
+            below, above = (th_m, th_p) if j == i else (next(thetas), next(thetas))
+            t1 *= below
+            t2 *= above
         terms.append((t1, t2))
     return terms
 
@@ -526,15 +529,16 @@ def difference_eigenvalue(
 
     def eps(z):  # a complex at a point, an array at an array of points, from one array call
         z = np.asarray(z, dtype=complex)
-        polys = eval_elliptic_polys(ev, (q, A_plus, A_minus), np.stack([z, z - gamma, z + gamma]))
+        flat = z.ravel()  # array arithmetic at one point too, so a point's value is its row's in a stack
+        polys = eval_elliptic_polys(ev, (q, A_plus, A_minus), np.stack([flat, flat - gamma, flat + gamma]))
         (qz, q_down, q_up), ap, am = polys[0], polys[1, 0], polys[2, 0]
         # the ratios of Q first: A_plus(z) Q(z - gamma) alone can overflow where eps does not
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # a non-finite value raises below
             val = ap * (q_down / qz) + am * (q_up / qz)
         if not np.isfinite(val).all():
-            z = complex(z.flat[np.argmin(np.isfinite(val).flat)])
+            z = complex(flat[np.argmin(np.isfinite(val))])
             raise ThetaOverflowError("the difference eigenvalue at %r leaves double range" % (z,))
-        return complex(val) if val.ndim == 0 else val
+        return complex(val[0]) if z.ndim == 0 else val.reshape(z.shape)
 
     return eps
 

@@ -9,10 +9,10 @@ function theta(z) on the lattice Z + tau*Z, normalized by
 with simple zeros exactly on the lattice.  Evaluation reduces the
 argument to the fundamental cell, applies the exact quasi-periodicity
 multiplier, and sums the q-series there, so it stays stable far from
-the cell.  Two kernels share one table of series terms: the scalar
-ThetaEvaluator.theta(z) for values, and theta_array(zs, degree) for the
-Taylor jets theta^(k)(z)/k! of a batch of points, whose derivatives are
-summed term by term, never by finite differences.
+the cell.  One kernel, theta_array(zs, degree), gives the Taylor jets
+theta^(k)(z)/k! of a batch of points, whose derivatives are summed term
+by term, never by finite differences; each row is the same bits as a
+one-point call.
 
 Derived functions, on arrays: zeta_bar = theta'/theta and wp_bar =
 -zeta_bar' (both with the lattice-independent additive normalization),
@@ -193,90 +193,55 @@ class ThetaEvaluator:
 
     trunc_tol controls when the q-series is cut: summation stops once
     the modulus bound of the next term drops below trunc_tol times the
-    largest term seen so far.  rho is the pole-proximity margin used by
-    the derived functions.
+    size of the terms (see theta_array).  rho is the pole-proximity margin
+    used by the derived functions.
     """
 
     lattice: Lattice
     trunc_tol: float = 1e-16
     rho: float = 1e-6
 
-    # -- core series ---------------------------------------------------
-
-    def _series(self, z0: complex) -> complex:
-        """theta(z0) at a reduced point.
-
-        Terms are paired as sin-combinations written with both exponentials
-        carrying the full q-power, so nothing overflows and theta(0) is an
-        exact zero.  The z-independent part of each term comes from the
-        rows of _term_table; only the two exponentials, the accumulation and
-        the stopping test run per call.
-        """
-        acc = 0j
-        im0 = abs(z0.imag)
-        log_tol = math.log(self.trunc_tol)
-        max_term = 0.0
-        limit = -math.inf
-        for base, ph, sign, _, quad, lin, deg_log in _term_table(self.lattice.tau, 0, self.trunc_tol):
-            ep = cmath.exp(base + ph * z0)
-            em = cmath.exp(base - ph * z0)
-            acc += sign * (ep - em) / 1j
-            size = abs(ep) + abs(em)
-            # >= keeps the rule log_next < log_tol + log(largest term so far) exact,
-            # down to its math.log(0.0) when the first term underflows to zero
-            if size >= max_term:
-                max_term = size
-                limit = log_tol + math.log(max_term)
-            log_next = quad + lin * im0 + deg_log
-            if log_next < limit:
-                break
-        else:
-            raise _truncation(self.trunc_tol, log_next)
-        return acc
-
-    def theta(self, z: complex) -> complex:
-        """theta(z), the value every IRF, eqg and spaces number is built on."""
-        z0, r, s = self.lattice.reduce(z)
-        inner = self._series(z0)
-        tau = self.lattice.tau
-        parity = -1.0 if (r + s) % 2 else 1.0
-        try:
-            mult0 = parity * cmath.exp(-1j * _PI * (s * s * tau + 2.0 * s * z0))
-        except OverflowError:
-            raise _overflow(z) from None
-        val = mult0 * inner  # theta(z0 + r + s tau) = mult0 * theta(z0)
-        if not cmath.isfinite(val):
-            raise _overflow(z)
-        return val * 1  # rounds as a product with 1 + 0j, which turns some -0.0 parts to +0.0
-
     def theta_array(self, zs: np.ndarray, degree: int, dist: bool = False):
         """(N, degree + 1) array whose row i holds theta^(k)(zs[i])/k!, k = 0..degree.
 
-        The one kernel for theta's derivatives: the series of theta and its
-        multiplier on arrays, whose degree-0 column agrees with theta(z) to a
-        tolerance rather than bit for bit.  Every point sums the same number
-        of terms: the fewest whose bound on the next term, taken at the top
-        of the reduced cell (Im z0 = Im tau), is below
-        trunc_tol * exp(-pi Im tau / 4), and no term 0 on the reduced cell is
-        smaller than exp(-pi Im tau / 4).  Errors are the ThetaError
-        subclasses theta raises.  With dist, also the distances to the lattice
-        that dist_to_lattice_array gives, from the same reduction.
+        The one theta kernel: the q-series of theta and its multiplier on
+        arrays.  Every step is elementwise and the terms are summed in a
+        fixed order, so row i is a function of zs[i] alone, bit for bit,
+        whatever else the batch holds: each term's two exponentials are
+        paired first, which keeps theta an exact zero on the lattice, and
+        the pairs are added in a fixed pairwise tree.  The series sums the
+        fewest terms whose bound on the next one, taken at the top of the
+        reduced cell (Im z0 = Im tau), is below trunc_tol * exp(-pi Im tau / 4),
+        a floor of term 0 on the reduced cell.  On a lattice too flat for
+        that within _MAX_TERMS, each point stops by the rule at its own
+        Im z0 (the bound on the next term below trunc_tol times the largest
+        term so far) with its later terms masked to zero, and the first point
+        that does not stop raises TruncationError.  Errors are ThetaError
+        subclasses, for the first point that fails.  With dist, also the
+        distances to the lattice that dist_to_lattice_array gives, from the
+        same reduction.
         """
-        _check_degree(degree)
+        if degree > _MAX_DEGREE:
+            raise ThetaOverflowError("degree %d is above the limit %d" % (degree, _MAX_DEGREE))
         zs = np.asarray(zs, dtype=complex)
-        if zs.ndim != 1:
-            raise ValueError("zs must be one-dimensional")
+        if zs.ndim != 1 or degree < 0:
+            raise ValueError("zs must be one-dimensional and degree >= 0")
         z0, r, s = self.lattice.reduce_array(zs)
         tau = self.lattice.tau
-        log_next, grid, weights, ifact = _array_table(tau, degree, self.trunc_tol)
-        if not log_next < _array_limit(tau, self.trunc_tol):
-            raise _truncation(self.trunc_tol, log_next)
+        base, ph, signs, weights, tree, bounds = _term_table(tau, degree, self.trunc_tol)
+        count = len(weights)
         with np.errstate(over="ignore", invalid="ignore"):
-            terms = np.exp(grid[:, :1] + grid[:, 1:2] * z0) * grid[:, 2:]
-            inner = (terms.T @ weights) / ifact
+            e = np.exp(base + ph * z0)
+            if bounds is not None:
+                e = np.where(self._kept_terms(e, z0, bounds), e, 0.0)
+            # term j's column k pairs its exponentials first, e+ - (-1)^k e-: exactly 0 on the lattice
+            terms = (e[:count, None] + signs * e[count:, None]) * weights
+            for dst, src in tree:
+                terms[dst] += terms[src]
+            inner = terms[0].T
             # theta(z + d) = mult0 * exp(-2*pi*i*s*d) * theta(z0 + d), as a jet in d.  The
-            # exponent of mult0 is written as in theta: it reaches about 270 at
-            # |Im z| = 10, where another rounding order moves the value by about 3e-14
+            # exponent of mult0 reaches about 270 at |Im z| = 10, where another rounding
+            # order moves the value by about 3e-14
             mult = np.exp(-1j * _PI * (s * s * tau + 2.0 * s * z0))
             mult = np.where((r + s) % 2, -mult, mult)
             out = mult[:, None] * inner
@@ -288,6 +253,34 @@ class ThetaEvaluator:
         if not finite:
             raise _overflow(complex(zs[np.argmin(np.isfinite(out).all(axis=1))]))
         return (out, self.lattice._reduced_dist(zs, z0)) if dist else out
+
+    def theta_values(self, zs) -> list[complex]:
+        """theta at each point of zs (flattened) from one theta_array call, as
+        Python complexes, for callers that multiply them factor by factor."""
+        return self.theta_array(np.ravel(np.asarray(zs, dtype=complex)), 0)[:, 0].tolist()
+
+    def _kept_terms(self, e: np.ndarray, z0: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+        """(2J, N) mask of the terms each point sums by its own stop rule, for a flat lattice.
+
+        Term j is kept while no earlier term's bound on its successor,
+        quad + lin * Im z0 + deg_log, fell below log(trunc_tol) plus the log of
+        the largest term size |e+| + |e-| so far; a point whose rule never
+        fires raises TruncationError with the last bound.
+        """
+        count = len(bounds)
+        size = np.hypot(e.real, e.imag)
+        size = np.maximum.accumulate(size[:count] + size[count:], axis=0)
+        with np.errstate(divide="ignore"):
+            limit = math.log(self.trunc_tol) + np.log(size)
+        log_next = bounds[:, :1] + bounds[:, 1:2] * np.abs(z0.imag) + bounds[:, 2:]
+        stop = log_next < limit
+        stops = stop.any(axis=0)
+        if not stops.all():
+            raise TruncationError(
+                "theta series truncation: tolerance %g not reached within %d terms" % (self.trunc_tol, _MAX_TERMS),
+                tail_bound=math.exp(min(float(log_next[-1, np.argmin(stops)]), 700.0)),
+            )
+        return np.arange(2 * count)[:, None] % count <= np.argmax(stop, axis=0)
 
     # -- derived functions ----------------------------------------------
 
@@ -312,21 +305,6 @@ class ThetaEvaluator:
         return zeta, zeta ** 2 - 2.0 * jet[:, 2] / jet[:, 0]
 
 
-def _check_degree(degree: int) -> None:
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
-    if degree > _MAX_DEGREE:
-        raise ThetaOverflowError("degree %d is above the limit %d" % (degree, _MAX_DEGREE))
-
-
-def _truncation(trunc_tol: float, log_next: float) -> TruncationError:
-    """The series missed trunc_tol within _MAX_TERMS; log_next bounds the next term."""
-    return TruncationError(
-        "theta series truncation: tolerance %g not reached within %d terms" % (trunc_tol, _MAX_TERMS),
-        tail_bound=math.exp(min(log_next, 700.0)),
-    )
-
-
 def _overflow(z: complex) -> ThetaOverflowError:
     return ThetaOverflowError(
         "theta overflows double precision at %r, too far from the fundamental cell" % (z,)
@@ -337,75 +315,56 @@ def _overflow(z: complex) -> ThetaOverflowError:
 _TERM_TABLES = 64
 
 
-def _array_limit(tau: complex, trunc_tol: float) -> float:
-    """log of theta_array's cut, trunc_tol * exp(-pi Im tau / 4)."""
-    return math.log(trunc_tol) - _PI * tau.imag / 4.0
-
-
-def _array_bound(row: tuple, tau: complex) -> float:
-    """log of a row's bound on the next term, taken at the top of the cell, Im z0 = Im tau."""
-    quad, lin, deg_log = row[4:]
-    return quad + lin * tau.imag + deg_log
-
-
 @functools.lru_cache(maxsize=_TERM_TABLES)
-def _term_table(tau: complex, degree: int, trunc_tol: float) -> tuple[tuple, ...]:
-    """The z-independent data of the q-series terms, built whole on the first call.
+def _term_table(tau: complex, degree: int, trunc_tol: float) -> tuple:
+    """theta_array's z-independent data, built whole on the first call, read-only.
 
-    Row j holds base_j, ph_j, sign_j, the derivative weights
-    (ph_j^k, (-1)^k ph_j^k) for k = 0..degree and the three parts of the
-    bound on term j + 1.  Each value is computed by the expression, in the
-    evaluation order, that a per-call evaluation of term j would use, so
-    theta keeps its bits.
+    Term j of the series is sign_j (e^(base_j + ph_j z0) - e^(base_j - ph_j z0)) / i,
+    base_j = i pi tau (j + 1/2)^2, ph_j = i pi (2j + 1), sign_j = (-1)^j; its
+    k-th derivative over k! is w_jk (e^+ - (-1)^k e^-), w_jk = sign_j ph_j^k / (i k!).
+    Returns base and ph, shape (2J, 1): the J exponents base_j + ph_j z0,
+    then the J exponents base_j - ph_j z0; signs, -(-1)^k, shape
+    (degree + 1, 1); weights, w_jk, shape (J, degree + 1, 1); tree, the
+    (destination, source) row slices of the pairwise sum over the J terms;
+    and bounds: None, or for a lattice too flat for the top-of-cell count,
+    rows (quad, lin, deg_log) whose log bound on term j + 1 at a reduced
+    point is quad + lin * Im z0 + deg_log.
 
-    The rows stop at theta_array's term count J: the first row whose bound
-    at Im z0 = Im tau is below _array_limit, or all _MAX_TERMS rows when
-    none is.  The scalar rule of _series stops within those J rows:
-    its bound at a reduced point (Im z0 <= Im tau) is at most the array's,
-    and its running limit is at least the array's, because term 0 on the
-    reduced cell is at least exp(-pi Im tau / 4).
+    J is the first j + 1 whose bound at Im z0 = Im tau is below
+    log(trunc_tol) - pi Im tau / 4, or _MAX_TERMS when none is.  The per-point
+    rule stops within those rows: its bound at Im z0 <= Im tau is at most
+    that one, and its limit at least, since term 0 on the reduced cell is at
+    least exp(-pi Im tau / 4).
     """
-    limit = _array_limit(tau, trunc_tol)
-    rows = []
+    limit = math.log(trunc_tol) - _PI * tau.imag / 4.0
+    exps, weights, bounds = [], [], []
     for j in range(_MAX_TERMS):
         half = j + 0.5
         ph = 1j * _PI * (2 * j + 1)
-        weights = []
-        wk = 1.0 + 0j
+        exps.append((1j * _PI * tau * half * half, ph))
+        row, wk, ifact = [], (-1.0 if j % 2 else 1.0) + 0j, 1j
         for k in range(degree + 1):
-            weights.append((wk, ((-1.0) ** k) * wk))
+            row.append(wk / ifact)
             wk *= ph
+            ifact *= k + 1
+        weights.append(row)
         nh = half + 1.0
-        rows.append((
-            1j * _PI * tau * half * half,
-            ph,
-            -1.0 if j % 2 else 1.0,
-            tuple(weights),
-            -_PI * tau.imag * nh * nh,
-            2.0 * _PI * nh,
-            degree * math.log(_PI * (2 * j + 3)),
-        ))
-        if _array_bound(rows[-1], tau) < limit:
+        bounds.append((-_PI * tau.imag * nh * nh, 2.0 * _PI * nh, degree * math.log(_PI * (2 * j + 3))))
+        quad, lin, deg_log = bounds[-1]
+        if quad + lin * tau.imag + deg_log < limit:
+            bounds = None
             break
-    return tuple(rows)
-
-
-@functools.lru_cache(maxsize=_TERM_TABLES)
-def _array_table(tau: complex, degree: int, trunc_tol: float) -> tuple:
-    """theta_array's data, read-only: the table's bound on its next term; grid rows
-    (base_j, +/-ph_j, +/-sign_j) and weights (+/-ph_j)^k per exp(base_j +/- ph_j z0),
-    all + rows first; ifact[k] = i k!, so theta^(k)(z0) / k! = sum sign weight exp / ifact."""
-    rows = _term_table(tau, degree, trunc_tol)
-    grid = np.array(
-        [v for row in rows for v in row[:3]] + [v for row in rows for v in (row[0], -row[1], -row[2])]
-    ).reshape(-1, 3)
-    weights = np.array(
-        [wk for row in rows for wk, _ in row[3]] + [wk for row in rows for _, wk in row[3]]
-    ).reshape(-1, degree + 1)
-    ifact = [1j]
-    for k in range(1, degree + 1):
-        ifact.append(ifact[-1] * k)
-    ifact = np.array(ifact)
-    for arr in (grid, weights, ifact):
-        arr.setflags(write=False)
-    return _array_bound(rows[-1], tau), grid, weights, ifact
+    # the tree: while m rows are live (m = J first), rows [m - 2h, m - h) += rows [m - h, m), h = m // 2
+    tree, m = [], len(exps)
+    while m > 1:
+        h = m // 2
+        tree.append((slice(m - 2 * h, m - h), slice(m - h, m)))
+        m -= h
+    exps = np.array(exps + [(base, -ph) for base, ph in exps])
+    signs = np.array([-((-1.0) ** k) for k in range(degree + 1)])[:, None]
+    weights = np.array(weights)[:, :, None]
+    bounds = None if bounds is None else np.array(bounds)
+    for arr in (exps, signs, weights, bounds):
+        if arr is not None:
+            arr.setflags(write=False)
+    return exps[:, :1], exps[:, 1:], signs, weights, tuple(tree), bounds

@@ -39,6 +39,12 @@ def sample_point(rng, lattice, margin=5e-2, spread=1.0):
     raise RuntimeError("sampling failed")
 
 
+def theta_value(ev, z):
+    """theta(z) as a Python complex from a one-point theta_array call; each row of a
+    batch is the same bits, so this is the value every batched caller reads."""
+    return ev.theta_array(np.array([z], dtype=complex), 0)[0, 0].item()
+
+
 def hexes(values):
     """Real and imaginary parts as float.hex strings, so signed zeros count."""
     return [(complex(c).real.hex(), complex(c).imag.hex()) for c in values]
@@ -55,8 +61,8 @@ def dense(blocks):
 
 
 # The scalar Taylor kernel as it was before the (tau, degree) term tables: every
-# term's constants are recomputed on each call.  At degree 0 ThetaEvaluator.theta
-# reproduces it bit for bit; at every degree it is the oracle of theta_array's jets.
+# term's constants are recomputed on each call.  It is the oracle of theta_array's
+# jets, and its stop rule and errors are the ones theta_array keeps.
 
 
 def reference_series(ev, z0, degree):
@@ -194,7 +200,7 @@ def sigma(ev, lam, z):
     """sigma_lambda(z) = theta(lam - z) theta'(0) / (theta(z) theta(lam)), behind pole guards."""
     require_off_lattice(ev, z)
     require_off_lattice(ev, lam)
-    return ev.theta(lam - z) * dtheta0(ev) / (ev.theta(z) * ev.theta(lam))
+    return theta_value(ev, lam - z) * dtheta0(ev) / (theta_value(ev, z) * theta_value(ev, lam))
 
 
 def sigma_dlambda(ev, lam, z):
@@ -206,7 +212,15 @@ def sigma_dlambda(ev, lam, z):
     """
     jet = theta_jet(ev, lam - z, 1)
     zl = zeta_bar(ev, lam)
-    return complex(dtheta0(ev) * (jet[1] - jet[0] * zl) / (ev.theta(z) * ev.theta(lam)))
+    return complex(dtheta0(ev) * (jet[1] - jet[0] * zl) / (theta_value(ev, z) * theta_value(ev, lam)))
+
+
+def poly_value(ev, p, z):
+    """exp(a z) prod_j theta(z - w_j) at one point, factor by factor in Python scalars."""
+    val = cmath.exp(p.a * z)
+    for w in p.zeros:
+        val *= theta_value(ev, z - w)
+    return val
 
 
 def elliptic_poly(lattice, a, zeros):
@@ -275,18 +289,16 @@ def count_zeros(ev, p):
 
 
 def count_theta_calls(monkeypatch):
-    """Wrap both theta kernels; returns {name: [calls, points]}, updated live."""
-    counts = {}
-    for name in ("theta", "theta_array"):
-        original = getattr(ThetaEvaluator, name)
-        counts[name] = [0, 0]
+    """Wrap the theta kernel; returns {"theta_array": [calls, points]}, updated live."""
+    counts = {"theta_array": [0, 0]}
+    original = ThetaEvaluator.theta_array
 
-        def counting(self, z, *args, _original=original, _count=counts[name], **kwargs):
-            _count[0] += 1
-            _count[1] += np.size(z)
-            return _original(self, z, *args, **kwargs)
+    def counting(self, z, *args, **kwargs):
+        counts["theta_array"][0] += 1
+        counts["theta_array"][1] += np.size(z)
+        return original(self, z, *args, **kwargs)
 
-        monkeypatch.setattr(ThetaEvaluator, name, counting)
+    monkeypatch.setattr(ThetaEvaluator, "theta_array", counting)
     return counts
 
 

@@ -29,7 +29,9 @@ from conftest import (
     dense,
     elliptic_poly,
     membership_passes,
+    poly_value,
     sample_point,
+    theta_value,
     wp_bar,
     zeta_bar,
 )
@@ -62,13 +64,13 @@ def test_criterion_01_theta_kernel(lattice, rng):
     tau = lattice.tau
     for _ in range(100):
         z = sample_point(rng, lattice, spread=0.4)
-        base = ev.theta(z)
+        base = theta_value(ev, z)
         r = int(rng.integers(-2, 3))
         s = int(rng.integers(-2, 3))
         mult = (-1.0) ** (r + s) * cmath.exp(-1j * math.pi * (s * s * tau + 2 * s * z))
-        shifted = ev.theta(z + r + s * tau)
+        shifted = theta_value(ev, z + r + s * tau)
         assert abs(shifted - mult * base) <= 1e-10 * max(1.0, abs(shifted))
-        assert abs(ev.theta(-z) + base) <= 1e-10 * max(1.0, abs(base))
+        assert abs(theta_value(ev, -z) + base) <= 1e-10 * max(1.0, abs(base))
         taylor = ev.theta_array(np.array([z]), 3)[0]
         for d in (1, 2, 3):
             expect = math.factorial(d) * taylor[d]
@@ -86,10 +88,10 @@ def test_criterion_02_space_toolkit(lattice, rng):
         p = random_poly(rng, lattice, k)
         chi = spaces.character_of(p, tau)
         basis = spaces.make_basis(ev, k, chi, rng)
-        f = basis.fit([spaces.eval_elliptic_poly(ev, p, z) for z in basis.nodes])
+        f = basis.fit([poly_value(ev, p, z) for z in basis.nodes])
         for _ in range(6):
             z = sample_point(rng, lattice, margin=1e-3)
-            expect = spaces.eval_elliptic_poly(ev, p, z)
+            expect = poly_value(ev, p, z)
             assert abs(f(z) - expect) <= 1e-9 * max(1.0, abs(expect))
         assert abs(count_zeros(ev, p) - k) <= 1e-6
         phi = (cmath.log(chi.chiTau) - tau * cmath.log(chi.chi1)) / (2j * math.pi)
@@ -146,7 +148,7 @@ def test_criterion_05_one_site_example(lattice, rng):
         for idx in range(grid.dim):
             h = grid.weights[idx]
             expect[idx, idx] = (
-                ev.theta(z - z1 + ETA * h) * ev.theta(lam - ETA * h - ETA) / ev.theta(lam)
+                theta_value(ev, z - z1 + ETA * h) * theta_value(ev, lam - ETA * h - ETA) / theta_value(ev, lam)
             )
         scale = max(1.0, float(np.max(np.abs(expect))))
         assert np.max(np.abs(mats[+1] - expect)) <= 1e-10 * scale
@@ -253,7 +255,7 @@ def test_criterion_09_irf_dual_construction(lattice, rng):
             # README.md: kappa(w) = prod_i 1 / theta(w - z_i - eta)
             val = 1.0 + 0.0j
             for zi in zs:
-                val /= ev.theta(w - zi - ETA)
+                val /= theta_value(ev, w - zi - ETA)
             return val
 
         # Phi from one probe point: pair the eigenvectors of T_paths(z0) with
@@ -319,7 +321,7 @@ def test_criterion_10_spectrum_certificates(lattice, rng):
         lhs = impostor(params.zs[i] - ETA) * impostor(params.zs[i] + ETA)
         rhs = 1.0 + 0.0j
         for zk in params.zs:
-            rhs *= ev.theta(zk - params.zs[i] + 2 * ETA) * ev.theta(zk - params.zs[i] - 2 * ETA)
+            rhs *= theta_value(ev, zk - params.zs[i] + 2 * ETA) * theta_value(ev, zk - params.zs[i] - 2 * ETA)
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
     assert worst >= 1e-4
     assert time.perf_counter() - start < 10.0

@@ -149,23 +149,23 @@ def test_report_shape(tmp_path):
 @pytest.mark.parametrize("seed", [None, 7])
 def test_derivative_vs_jet_is_a_check(tmp_path, monkeypatch, seed):
     """derivative_vs_jet compares theta_array's jet with a Cauchy integral of
-    the scalar kernel.  It once compared two jets that sum the same 5 terms
+    its degree-0 values.  It once compared two jets that sum the same 5 terms
     and read exactly 0.0; it now reads a rounding-level residual, and a
-    first-derivative weight off by 1e-8 in the array kernel fails it."""
+    first-derivative weight off by 1e-8 in the kernel fails it."""
     argv = ["theta", "eval", "--config", str(CONFIGS / "theta.json")] + ([] if seed is None else ["--seed", str(seed)])
     code, report = run_to_file(tmp_path, argv)
     check = next(c for c in report["checks"] if c["name"] == "derivative_vs_jet")
     assert code == 0 and 0.0 < check["residual"] <= 1e-13
 
-    table = theta_module._array_table
+    table = theta_module._term_table
 
     def off_by_1e8(tau, degree, trunc_tol):
-        bound, grid, weights, ifact = table(tau, degree, trunc_tol)
+        base, ph, signs, weights, tree, bounds = table(tau, degree, trunc_tol)
         weights = weights.copy()
-        weights[:, 1] *= 1.0 + 1e-8
-        return bound, grid, weights, ifact
+        weights[:, 1:2] *= 1.0 + 1e-8  # no column 1 at degree 0
+        return base, ph, signs, weights, tree, bounds
 
-    monkeypatch.setattr(theta_module, "_array_table", off_by_1e8)
+    monkeypatch.setattr(theta_module, "_term_table", off_by_1e8)
     code, report = run_to_file(tmp_path, argv, "broken.json")
     check = next(c for c in report["checks"] if c["name"] == "derivative_vs_jet")
     assert code == 1 and not check["pass"] and check["residual"] >= 1e-9

@@ -23,7 +23,7 @@ from ellsov.eqg import (
 from ellsov.params import ModelParams, ParameterError
 from ellsov.theta import ThetaEvaluator
 
-from conftest import hexes, sample_point
+from conftest import hexes, sample_point, theta_value
 
 ETA = 0.173 - 0.061j
 Z1 = (0.12 + 0.23j,)
@@ -43,7 +43,7 @@ def make_params(lattice, zs, lams):
 def _ref_delta(ev, params, x, sign):
     out = 1.0 + 0j
     for zi, li in zip(params.zs, params.lams):
-        out *= ev.theta(x - zi - sign * li * params.eta)
+        out *= theta_value(ev, x - zi - sign * li * params.eta)
     return out
 
 
@@ -51,20 +51,20 @@ def _ref_offdiag_product(ev, xs, i, z):
     out = 1.0 + 0j
     for j in range(len(xs)):
         if j != i:
-            out *= ev.theta(z + xs[j]) / ev.theta(xs[i] - xs[j])
+            out *= theta_value(ev, z + xs[j]) / theta_value(ev, xs[i] - xs[j])
     return out
 
 
 def _ref_a_coefficient(ev, params, grid, z, lam, idx):
     xs = grid.xs[idx]
-    pref = np.prod([ev.theta(z + x) for x in xs])
+    pref = np.prod([theta_value(ev, z + x) for x in xs])
     arg = lam - params.eta * grid.weights[idx] + params.eta * sum(params.lams)
-    return pref * ev.theta(arg) / ev.theta(lam)
+    return pref * theta_value(ev, arg) / theta_value(ev, lam)
 
 
 def _ref_b_coefficient(ev, params, grid, z, lam, idx, i, sign=1):
     xs = grid.xs[idx]
-    val = -ev.theta(lam + z + xs[i]) / ev.theta(lam)
+    val = -theta_value(ev, lam + z + xs[i]) / theta_value(ev, lam)
     val *= _ref_offdiag_product(ev, xs, i, z)
     return val * _ref_delta(ev, params, -xs[i], sign)
 
@@ -72,7 +72,7 @@ def _ref_b_coefficient(ev, params, grid, z, lam, idx, i, sign=1):
 def _ref_c_coefficient(ev, params, grid, z, lam, idx, i, sign=-1):
     xs = grid.xs[idx]
     s = complex(np.sum(xs + np.asarray(params.zs)))
-    val = -ev.theta(-lam + z + xs[i] - 2 * s) / ev.theta(lam)
+    val = -theta_value(ev, -lam + z + xs[i] - 2 * s) / theta_value(ev, lam)
     val *= _ref_offdiag_product(ev, xs, i, z)
     return val * _ref_delta(ev, params, -xs[i], sign)
 
@@ -121,7 +121,7 @@ def reference_quadruple(params):
     def d_op(z):
         det_z = det_scalar(params, z)
         diag = diagonal(
-            lambda lam, idx: ev.theta(lam - 2 * eta * grid.weights[idx]) / ev.theta(lam) * det_z, 0
+            lambda lam, idx: theta_value(ev, lam - 2 * eta * grid.weights[idx]) / theta_value(ev, lam) * det_z, 0
         )
         inner = diag + c_op(z + 2 * eta).compose(b_op(z))
         return a_inverse(z + 2 * eta).compose(inner)
@@ -179,7 +179,7 @@ def central_element_residual(params, z, w, lam_samples):
     # undo the weight-dependent prefactor per target grid point
     central = ShiftOp.diagonal(
         grid.dim, combo.step,
-        lambda lam: [ev.theta(lam) / ev.theta(lam - 2 * eta * h) for h in grid.weights],
+        lambda lam: [theta_value(ev, lam) / theta_value(ev, lam - 2 * eta * h) for h in grid.weights],
     ).compose(combo)
     det_z = det_scalar(params, z)
     scalar = ShiftOp.diagonal(grid.dim, combo.step, lambda lam: [det_z] * grid.dim)
@@ -192,16 +192,16 @@ def central_element_residual(params, z, w, lam_samples):
 
 
 def count_theta(monkeypatch):
-    """Record every argument of ThetaEvaluator.theta from now on."""
-    args = []
-    original = ThetaEvaluator.theta
+    """Record the points of every ThetaEvaluator.theta_array call from now on, a list per call."""
+    calls = []
+    original = ThetaEvaluator.theta_array
 
-    def counting(self, z):
-        args.append(complex(z))
-        return original(self, z)
+    def counting(self, zs, *args, **kwargs):
+        calls.append([complex(z) for z in zs])
+        return original(self, zs, *args, **kwargs)
 
-    monkeypatch.setattr(ThetaEvaluator, "theta", counting)
-    return args
+    monkeypatch.setattr(ThetaEvaluator, "theta_array", counting)
+    return calls
 
 
 def test_r_matrix_structure(lattice, rng):
@@ -213,8 +213,8 @@ def test_r_matrix_structure(lattice, rng):
     r = r_matrix(params, z, lam)
     # corners are exactly 1, the middle block carries alpha and beta
     assert r[0, 0] == 1.0 and r[3, 3] == 1.0
-    alpha = ev.theta(lam + 2 * ETA) * ev.theta(z) / (ev.theta(lam) * ev.theta(z - 2 * ETA))
-    beta = -ev.theta(lam + z) * ev.theta(2 * ETA) / (ev.theta(lam) * ev.theta(z - 2 * ETA))
+    alpha = theta_value(ev, lam + 2 * ETA) * theta_value(ev, z) / (theta_value(ev, lam) * theta_value(ev, z - 2 * ETA))
+    beta = -theta_value(ev, lam + z) * theta_value(ev, 2 * ETA) / (theta_value(ev, lam) * theta_value(ev, z - 2 * ETA))
     assert_allclose(r[1, 1], alpha, rtol=1e-13)
     assert_allclose(r[1, 2], beta, rtol=1e-13)
     assert np.max(np.abs(r[0, 1:])) == 0.0
@@ -373,17 +373,17 @@ def test_n1_example(lattice, rng):
         }
         for idx in range(grid.dim):
             h = grid.weights[idx]
-            a_ex = ev.theta(z - z1 - ETA * h) * ev.theta(lam - ETA * h + ETA) / ev.theta(lam)
-            d_ex = ev.theta(z - z1 + ETA * h) * ev.theta(lam - ETA * h - ETA) / ev.theta(lam)
+            a_ex = theta_value(ev, z - z1 - ETA * h) * theta_value(ev, lam - ETA * h + ETA) / theta_value(ev, lam)
+            d_ex = theta_value(ev, z - z1 + ETA * h) * theta_value(ev, lam - ETA * h - ETA) / theta_value(ev, lam)
             assert abs(mats["a"][-1][idx, idx] - a_ex) <= 1e-10 * max(1.0, abs(a_ex))
             assert abs(mats["d"][+1][idx, idx] - d_ex) <= 1e-10 * max(1.0, abs(d_ex))
             src = grid.shifted(idx, 0, -1)
             if src is not None:
-                b_ex = ev.theta(lam + z - z1 - ETA * h) / ev.theta(lam) * ev.theta(ETA - ETA * h)
+                b_ex = theta_value(ev, lam + z - z1 - ETA * h) / theta_value(ev, lam) * theta_value(ev, ETA - ETA * h)
                 assert abs(mats["b"][+1][idx, src] - b_ex) <= 1e-10 * max(1.0, abs(b_ex))
             src = grid.shifted(idx, 0, +1)
             if src is not None:
-                c_ex = -ev.theta(-lam + z - z1 + ETA * h) / ev.theta(lam) * ev.theta(ETA * h + ETA)
+                c_ex = -theta_value(ev, -lam + z - z1 + ETA * h) / theta_value(ev, lam) * theta_value(ev, ETA * h + ETA)
                 assert abs(mats["c"][-1][idx, src] - c_ex) <= 1e-10 * max(1.0, abs(c_ex))
 
 
@@ -400,43 +400,49 @@ def test_rll_relations(lattice, rng, zs, lams):
 
 def test_rll_theta_count(lattice, rng, monkeypatch):
     """Each operator evaluates its lambda-independent factors once, when it is
-    built: one RLL check at two sites reads the same 475 distinct theta
-    arguments as the per-entry coefficients in 1,758 calls, not 4,628, and
-    reports the same numbers."""
+    built, and each R-matrix, factor table and block takes its thetas from
+    one array call: one RLL check at two sites reads the same 475 distinct
+    theta arguments as the per-entry coefficients at 1,758 points in 284
+    calls, where the per-entry coefficients (one point per call, beside the
+    R-matrices of the multiplication operators) read 4,628 points in 4,142
+    calls, and reports the same numbers.  With one scalar call per theta it
+    made 1,758 calls."""
     params = make_params(lattice, Z2, (1, 1))
     z = sample_point(rng, lattice)
     w = sample_point(rng, lattice)
     samples = [sample_point(rng, lattice) for _ in range(5)]
-    args = count_theta(monkeypatch)
+    calls = count_theta(monkeypatch)
     report = rll_residual(params, z, w, samples)
-    calls, distinct = len(args), set(args)
+    points = [p for call in calls for p in call]
     assert report["max_residual"] <= 1e-9
-    assert len(distinct) == 475
-    assert calls <= 1_758
+    assert len(set(points)) == 475
+    assert len(calls) <= 284 and len(points) <= 1_758
 
-    args.clear()
+    calls.clear()
     monkeypatch.setattr(eqg, "build_quadruple", reference_quadruple)
     assert rll_residual(params, z, w, samples) == report
-    assert set(args) == distinct
-    assert len(args) == 4_628
+    assert {p for call in calls for p in call} == set(points)
+    assert (len(calls), sum(map(len, calls))) == (4_142, 4_628)
 
 
 def test_central_element_theta_count(lattice, rng, monkeypatch):
     """The centrality check reads its operators' factor tables too: 1,166
-    theta calls at two sites, not the per-entry coefficients' 3,608."""
+    theta points in 353 array calls at two sites (1,166 scalar calls before
+    the array calls), not the per-entry coefficients' 3,608 points (3,602
+    calls: each determinant takes one)."""
     params = make_params(lattice, Z2, (1, 1))
     z = sample_point(rng, lattice)
     w = sample_point(rng, lattice)
     samples = [sample_point(rng, lattice) for _ in range(3)]
-    args = count_theta(monkeypatch)
+    calls = count_theta(monkeypatch)
     report = central_element_residual(params, z, w, samples)
     assert report["scalar_residual"] <= 1e-10
-    assert len(args) <= 1_166
+    assert len(calls) <= 353 and sum(map(len, calls)) <= 1_166
 
-    args.clear()
+    calls.clear()
     monkeypatch.setattr(eqg, "build_quadruple", reference_quadruple)
     assert central_element_residual(params, z, w, samples) == report
-    assert len(args) == 3_608
+    assert (len(calls), sum(map(len, calls))) == (3_602, 3_608)
 
 
 def test_rll_residual_sees_perturbed_a_and_b(lattice, rng, monkeypatch):
@@ -473,10 +479,12 @@ def test_rll_residual_sees_perturbed_a_and_b(lattice, rng, monkeypatch):
 
     hop_factors = eqg._hop_factors
 
-    def perturbed_b_hops(ev, params, xs, i, z, sign):
-        off, delta = hop_factors(ev, params, xs, i, z, sign)
+    def perturbed_b_hops(ev, params, hops, z, sign):
         # b hops with sign +1, c with sign -1
-        return (off * (1.0 + 1e-6), delta) if (i, sign) == (0, +1) else (off, delta)
+        return [
+            (off * (1.0 + 1e-6), delta) if (i, sign) == (0, +1) else (off, delta)
+            for (_, i), (off, delta) in zip(hops, hop_factors(ev, params, hops, z, sign))
+        ]
 
     monkeypatch.setattr(eqg, "_hop_factors", perturbed_b_hops)
     assert rll_residual(params, z, w, samples)["max_residual"] > 1e-8
@@ -555,7 +563,7 @@ def test_centrality(lattice, rng):
     val = det_scalar(params, z)
     expected = 1.0
     for zi, li in zip(params.zs, params.lams):
-        expected *= ev.theta(z - zi - li * ETA) * ev.theta(z - zi + li * ETA + 2 * ETA)
+        expected *= theta_value(ev, z - zi - li * ETA) * theta_value(ev, z - zi + li * ETA + 2 * ETA)
     assert_allclose(val, expected, rtol=1e-13)
 
 

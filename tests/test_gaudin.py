@@ -334,33 +334,35 @@ def test_gaudin_check_builds_model_once(tmp_path, monkeypatch):
 
 
 def test_gaudin_check_work(monkeypatch, tmp_path):
-    """One cold gaudin check on configs/gaudin_n3.json: no scalar theta call
-    and 5 theta_array calls over 142 points, each reducing its points once:
-    the model (1, over 1 + 6 points), the Hamiltonians at the 4 lam0 (1,
-    over 1 + 2 * 4 + 2 * 4 * 6 + 6), S at the 5 z (2: h(z)'s zeta_wp over
-    5 * 3 points and the sigma pair's 1 + 2 + 2 * 15 + 15) and the 3
-    s_decomposition points (1, over 3 * 3).  The Hamiltonians are built once
-    as a stack over the 4 lam0, S once over the 5 z.  When each lam0 and
-    each z took its own build, the check made 18 calls over 175 points and
-    26 reductions, 8 of them distance passes of zeta_wp; with one call per
-    jet function, 31 calls over 227 points; with the scalar jets, 160 theta
-    calls; when every apply_jet formed its coefficients afresh, 468."""
+    """One cold gaudin check on configs/gaudin_n3.json: 4 theta_array calls
+    over 133 points, each reducing its points once: the model (1, over 1 + 6
+    points), the Hamiltonians at the 4 lam0 (1, over 1 + 2 * 4 + 2 * 4 * 6 +
+    6), zeta_bar and wp_bar at the 5 z (1, zeta_wp over 5 * 3 points: S's
+    h(z) and the s_decomposition's right-hand side share it) and S's sigma
+    pair (1, over 1 + 2 + 2 * 15 + 15).  The Hamiltonians are built once
+    as a stack over the 4 lam0, S once over the 5 z.  When the
+    s_decomposition took its own zeta_wp call over its 3 points, the check
+    made 5 calls over 142 points; when each lam0 and each z took its own
+    build, 18 calls over 175 points and 26 reductions, 8 of them distance
+    passes of zeta_wp; with one call per jet function, 31 calls over 227
+    points; with the scalar jets, 160 theta calls; when every apply_jet
+    formed its coefficients afresh, 468."""
     counts = count_theta_calls(monkeypatch)
     reductions = count_reductions(monkeypatch)
     builds = {"hams": [], "S": []}
     for name, key in (("build_hamiltonians", "hams"), ("build_S", "S")):
         original = getattr(gaudin, name)
 
-        def counted(params, *point, _original=original, _key=key):
+        def counted(params, *point, _original=original, _key=key, **kwargs):
             builds[_key].append(np.size(point[0]))
-            return _original(params, *point)
+            return _original(params, *point, **kwargs)
 
         monkeypatch.setattr(gaudin, name, counted)
     gaudin._gaudin_model.cache_clear()
     argv = ["gaudin", "check", "--config", str(CONFIGS / "gaudin_n3.json"), "--out", str(tmp_path / "c.json")]
     assert cli.main(argv) == 0
-    assert counts == {"theta": [0, 0], "theta_array": [5, 142]}
-    assert reductions == {"reduce_array": 5, "dist_to_lattice_array": 0}
+    assert counts == {"theta_array": [4, 133]}
+    assert reductions == {"reduce_array": 4, "dist_to_lattice_array": 0}
     assert builds == {"hams": [4], "S": [5]}
 
 
@@ -368,9 +370,10 @@ def test_gaudin_check_work(monkeypatch, tmp_path):
 def test_gaudin_task_theta_counts_cold_and_warm(monkeypatch, tmp_path, task, other):
     """No theta cache outlives a call: with the model cached, a task counts
     the same theta calls straight after itself and after the other task, one
-    fewer than cold.  A
-    cold gaudin bethe on configs/gaudin_n3.json makes no scalar theta call
-    and 14 theta_array calls, each reducing its points once: the model's,
+    fewer than cold.  A cold gaudin check makes 4 theta_array calls (see
+    test_gaudin_check_work), and a
+    cold gaudin bethe on configs/gaudin_n3.json 14, each reducing its
+    points once: the model's,
     one per Newton evaluation (11), one for the eigenvector's lowering
     fields at both lam0 and one for the Hamiltonians at both.  With two
     calls per lam0 it made 16, and 27 reductions, 11 of them the Newton's
@@ -389,9 +392,9 @@ def test_gaudin_task_theta_counts_cold_and_warm(monkeypatch, tmp_path, task, oth
 
     gaudin._gaudin_model.cache_clear()
     cold = run(task)
-    assert cold == {"check": [0, 5, 5], "bethe": [0, 14, 14]}[task]
+    assert cold == {"check": [4, 4], "bethe": [14, 14]}[task]
     warm = run(task)
-    assert warm == [0, cold[1] - 1, cold[2] - 1]  # all but the model's call
+    assert warm == [cold[0] - 1, cold[1] - 1]  # all but the model's call
     assert run(task) == warm
     run(other)
     assert run(task) == warm
@@ -693,8 +696,10 @@ def point_column(coeff, p):
 def test_stacked_builds_equal_one_point_builds(lattice, model):
     """build_hamiltonians over 4 lam0, build_S over 5 z and bethe_eigenvector over
     2 lam0 equal their one-point builds to 1e-13 relative, coefficients and
-    applications alike (a theta_array row depends on its batch).  A one-point
-    stack is the same kernel batch as the point's build: equal bit for bit."""
+    applications alike: the theta_array rows are the one-point values, but
+    jets.jdiv's sum over the terms of wp_bar's jet is pairwise at one lam0 and
+    in order in a stack (12 of the 247 coefficient jets here differ in their
+    last bits).  A one-point stack equals the point's build bit for bit."""
     params = stack_models(lattice)[model]
     rng = np.random.default_rng(model)
     dim, m = gaudin._gaudin_model(params).dim, sum(params.lams) // 2

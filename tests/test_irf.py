@@ -28,7 +28,9 @@ from ellsov.irf import (
 from ellsov.params import ModelParams, ParameterError
 from ellsov.theta import ThetaEvaluator
 
-from conftest import TAU, count_reductions, count_theta_calls, dense, hexes, membership_passes, pointwise, sample_point
+from conftest import (
+    TAU, count_reductions, count_theta_calls, dense, hexes, membership_passes, pointwise, sample_point, theta_value,
+)
 
 ETA = 0.173 - 0.061j
 Z1 = (0.12 + 0.23j,)
@@ -138,7 +140,7 @@ def test_paths_one_site_closed_form(lattice, rng):
         t = dense(build_T_irf_paths(params, z))
         # single column, single face: the off-diagonal weight at corner -1/2
         s = z - Z1[0]
-        off = -ev.theta(s - ETA) * ev.theta(2 * ETA) / (ev.theta(-ETA) * ev.theta(s - 2 * ETA))
+        off = -theta_value(ev, s - ETA) * theta_value(ev, 2 * ETA) / (theta_value(ev, -ETA) * theta_value(ev, s - 2 * ETA))
         assert t[0, 0] == 0.0 and t[1, 1] == 0.0
         assert_allclose(t[0, 1], off, rtol=1e-13)
         assert_allclose(t[1, 0], off, rtol=1e-13)
@@ -206,22 +208,22 @@ def test_paths_theta_count(lattice, monkeypatch):
     evaluates theta(z - z_i) and theta(z - z_i - 2 eta) per site (10),
     theta(l + z - z_i) for l = +/-lambda per pair (30), theta(l) and
     theta(l + 2 eta) per corner height pair {d, -d}, which share
-    {lambda, -lambda} (12), and theta(2 eta) once: 53, against 65 when
-    d and -d each evaluated theirs, 95 when C's 15 pairs were built too
-    and 270 when each pair built its own R-matrix.  A repeat build
-    evaluates only the z-dependent ones, 2n + 2 * 15 = 40 (70 with C's
-    pairs)."""
+    {lambda, -lambda} (12), and theta(2 eta) once: 53 points in two calls
+    (the model's 13, the build's 40), against 65 when d and -d each
+    evaluated theirs, 95 when C's 15 pairs were built too and 270 when each
+    pair built its own R-matrix.  A repeat build evaluates only the
+    z-dependent ones, 2n + 2 * 15 = 40 (70 with C's pairs), in one call.
+    With a scalar call per theta the cold build made 53 calls."""
     params = make_params(lattice, Z5)
     counts = count_theta_calls(monkeypatch)
     irf._path_model.cache_clear()
     build_T_irf_paths(params, 0.41 + 0.37j)
-    assert counts["theta"][0] == 53
+    assert counts["theta_array"] == [2, 53]
     pairs = sum(map(len, irf._path_model(params).corners))
     assert pairs == 15
-    counts["theta"][0] = 0
+    counts["theta_array"] = [0, 0]
     build_T_irf_paths(params, 0.29 - 0.13j)
-    assert counts["theta"][0] == 2 * params.n + 2 * pairs == 40
-    assert counts["theta_array"][0] == 0
+    assert counts["theta_array"] == [1, 2 * params.n + 2 * pairs] == [1, 40]
 
 
 def test_paths_cold_build_equals_warm(lattice):
@@ -328,31 +330,29 @@ def test_paths_spectral_check_on_warm_cache(lattice):
     assert irf._path_model.cache_info().hits == hits + 1
 
 
-def reference_sov(params, zeta, nudge=None, theta=None):
+def reference_sov(params, zeta, nudge=None):
     """The grid transfer matrix as the former loop over rows and site pairs, on
-    the scalar kernel, as an oracle; nudge = (j, s, factor) scales one spectral
-    theta(zdisp + z_j - s eta), and theta, if given, replaces the kernel for
-    the zeta-dependent (spectral and prefactor) thetas."""
+    one-point kernel values, as an oracle; nudge = (j, s, factor) scales one
+    spectral theta(zdisp + z_j - s eta)."""
     n, ev, eta, zs = params.n, params.evaluator(), params.eta, params.zs
-    theta = ev.theta if theta is None else theta
     zdisp = -complex(zeta)
     flip_coeff = {}
     for i in range(n):
         for s in (-1, 1):
             on_branch = 1.0 + 0.0j
             for zk in zs:
-                on_branch *= ev.theta(zk - zs[i] + 2 * s * eta)
+                on_branch *= theta_value(ev, zk - zs[i] + 2 * s * eta)
             flip_coeff[(i, s)] = on_branch
-    spect = {(j, s): theta(zdisp + zs[j] - s * eta) for j in range(n) for s in (-1, 1)}
+    spect = {(j, s): theta_value(ev, zdisp + zs[j] - s * eta) for j in range(n) for s in (-1, 1)}
     if nudge is not None:
         spect[nudge[:2]] *= nudge[2]
     cross = {
-        (i, si, j, sj): ev.theta(-zs[i] + zs[j] + (si - sj) * eta)
+        (i, si, j, sj): theta_value(ev, -zs[i] + zs[j] + (si - sj) * eta)
         for i in range(n) for j in range(n) if i != j for si in (-1, 1) for sj in (-1, 1)
     }
-    th_lam = {k: ev.theta(-eta * k) for k in range(-n, n + 1, 2)}
+    th_lam = {k: theta_value(ev, -eta * k) for k in range(-n, n + 1, 2)}
     head = {
-        (total, i, s): theta(-eta * total - zdisp + (-zs[i] + s * eta))
+        (total, i, s): theta_value(ev, -eta * total - zdisp + (-zs[i] + s * eta))
         for total in range(-n, n + 1, 2) for i in range(n) for s in (-1, 1)
         if abs(total - s) <= n - 1
     }
@@ -376,29 +376,17 @@ def relative_entry_gap(t, ref):
     return float(np.max(np.abs(t[live] - ref[live]) / np.abs(ref[live])))
 
 
-def test_sov_match_reference_loop(lattice, monkeypatch):
-    # the index-form build on the array kernel has the row loop's zeros
-    # exactly and its other entries to rounding; on the build's own
-    # array-kernel thetas the loop gives B's and C's bytes
-    recorded = {}
-    original = ThetaEvaluator.theta_array
-
-    def recording(self, zs, degree, *args, **kwargs):
-        out = original(self, zs, degree, *args, **kwargs)
-        recorded.update(zip(np.asarray(zs).tolist(), out[:, 0].tolist()))
-        return out
-
-    monkeypatch.setattr(ThetaEvaluator, "theta_array", recording)
+def test_sov_match_reference_loop(lattice):
+    # the index-form build equals the row loop on one-point kernel values byte
+    # for byte: each row of its theta_array calls is the one-point value
     rng2 = np.random.default_rng(19)
     for zs in (Z1, Z3, Z5, Z9[:7], Z9):
         params = make_params(lattice, zs)
         even, odd = irf._parity_order(params.n)
         for _ in range(2):
             zeta = spectral_point(params, rng2)
-            recorded.clear()
             b, c = build_T_irf_sov(params, zeta)
-            assert relative_entry_gap(dense((b, c)), reference_sov(params, zeta)) <= 1e-13
-            exact = reference_sov(params, zeta, theta=recorded.__getitem__)
+            exact = reference_sov(params, zeta)
             assert b.tobytes() == exact[np.ix_(even, odd)].tobytes()
             assert c.tobytes() == exact[np.ix_(odd, even)].tobytes()
     # negative control: one spectral theta off by 1e-10 breaks the bound
@@ -444,7 +432,6 @@ def test_sov_repeat_build_theta_count(lattice, monkeypatch):
     build_T_irf_sov(params, 0.41 + 0.37j)
     counts = count_theta_calls(monkeypatch)
     build_T_irf_sov(params, 0.29 - 0.13j)
-    assert counts["theta"][0] == 0
     assert counts["theta_array"] == [1, 60]
 
 
@@ -454,7 +441,7 @@ def test_sov_one_site_closed_form(lattice, rng):
     for _ in range(4):
         zeta = sample_point(rng, lattice)
         t = dense(build_T_irf_sov(params, zeta))
-        closed = -ev.theta(zeta - Z1[0]) * ev.theta(2 * ETA) / ev.theta(ETA)
+        closed = -theta_value(ev, zeta - Z1[0]) * theta_value(ev, 2 * ETA) / theta_value(ev, ETA)
         assert t[0, 0] == 0.0 and t[1, 1] == 0.0
         assert_allclose(t[0, 1], closed, rtol=1e-13)
         assert_allclose(t[1, 0], closed, rtol=1e-13)
@@ -481,8 +468,8 @@ def test_off_grid_coefficient_vanishes(lattice):
             raw = 1.0 + 0.0j
             reduced = 1.0 + 0.0j
             for zk in params.zs:
-                raw *= ev.theta(xi + zk - s * ETA)
-                reduced *= ev.theta(zk - zi)
+                raw *= theta_value(ev, xi + zk - s * ETA)
+                reduced *= theta_value(ev, zk - zi)
             assert reduced == 0.0
             assert abs(raw) <= 1e-12
 
@@ -891,15 +878,15 @@ def test_eigenvalue_map(lattice, rng):
     mu = np.linalg.eigvals(dense(build_T_irf_paths(params, zf)))
     scale = np.max(np.abs(mu))
     for cert in certs:
-        mapped = rec.map_eigenvalue(params, cert.eps)(zf)
+        mapped = irf.bridge_scalar(params, zf) * cert.eps(zf - params.eta)
         assert np.min(np.abs(mu - mapped)) <= 1e-9 * scale
 
 
 def test_bridge_scalar_is_the_kappa_product(lattice):
     """prod_k bridge_scalar(w_k) over N rows is (-1)^N prod_k kappa(w_k - eta)
     bit for bit, the bridge of irf partition's construction_consistency;
-    N = 1 is the scalar of map_eigenvalue and of reconcile_constructions'
-    pairing and residuals (test_working_set_rewrite_is_bit_identical)."""
+    N = 1 is the scalar of reconcile_constructions' pairing and residuals
+    (test_working_set_rewrite_is_bit_identical)."""
     rng2 = np.random.default_rng(29)
     for zs in (Z1, Z3, Z5):
         params = make_params(lattice, zs)
@@ -911,9 +898,6 @@ def test_bridge_scalar_is_the_kappa_product(lattice):
             assert hexes([math.prod(irf.bridge_scalar(params, w) for w in ws[:count])]) == hexes([ref])
     rec = reconcile_constructions(params, rng2)
     assert rec.constant == -1.0 + 0.0j
-    mapped = rec.map_eigenvalue(params, cmath.exp)
-    for w in ws:
-        assert hexes([mapped(w)]) == hexes([rec.constant * irf.kappa_factor(params, w - ETA) * cmath.exp(w - ETA)])
 
 
 def test_commuting_families(lattice, rng):
@@ -992,20 +976,20 @@ def test_certify_spectrum(lattice, rng):
 def test_certify_spectrum_theta_count(lattice, monkeypatch):
     """Five sites: every certificate shares one cardinal basis, so theta calls
     stay far below the 22,390 that per-certificate interpolation made.  The
-    model's flip coefficients, cross thetas and theta(lambda) take 136 scalar
-    calls.  Array calls: each of the 9 grid matrices takes its 60
-    zeta-dependent thetas in one, the basis its 20 node-difference thetas
-    and theta(b) in one, and the cardinal vectors at the 3 validation points
-    and the 10 points z_i -/+ eta their 130 thetas in one.  With the scalar
-    basis and cardinal vectors: 287 scalar calls and 9 array calls of 540
-    points; before the grid matrices' array calls, 852 scalar calls."""
+    model's flip coefficients, cross thetas and theta(lambda) take one array
+    call of 136 points (136 scalar calls before), each of the 9 grid
+    matrices its 60 zeta-dependent thetas one, the basis its 20
+    node-difference thetas and theta(b) one, and the cardinal vectors at the
+    3 validation points and the 10 points z_i -/+ eta their 130 thetas one.
+    With the scalar basis and cardinal vectors: 287 scalar calls and 9 array
+    calls of 540 points; before the grid matrices' array calls, 852 scalar
+    calls."""
     params = make_params(lattice, Z5)
     counts = count_theta_calls(monkeypatch)
     irf._grid_model.cache_clear()
     certs = certify_spectrum(params, 0.41 + 0.37j, rng=np.random.default_rng(7))
     assert len(certs) == 32 and all(c.passed for c in certs)
-    assert counts["theta"][0] == 136
-    assert counts["theta_array"] == [11, 691]
+    assert counts["theta_array"] == [12, 827]
 
 
 def reference_certificates(params, certs, seed):
@@ -1224,8 +1208,8 @@ def test_certify_rejects_impostor(lattice, rng):
             lhs = em * ep
             rhs = 1.0 + 0.0j
             for zk in params.zs:
-                rhs *= ev.theta(zk - params.zs[i] + 2 * ETA)
-                rhs *= ev.theta(zk - params.zs[i] - 2 * ETA)
+                rhs *= theta_value(ev, zk - params.zs[i] + 2 * ETA)
+                rhs *= theta_value(ev, zk - params.zs[i] - 2 * ETA)
             worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
         assert worst >= 1e-4
 
@@ -1295,7 +1279,7 @@ def continuous_grid_gaps(params, lattice, rng):
         for xs in stack:
             val = 1.0 + 0.0j
             for x, c in zip(xs, cs):
-                val *= ev.theta(x - c)
+                val *= theta_value(ev, x - c)
             vals.append(val)
         return np.array(vals)
 
@@ -1467,8 +1451,9 @@ def test_nine_sites_dense_spectrum(lattice, rng):
 
 def test_stacked_transfer_samples_equal_one_sample_calls():
     """apply_transfer_continuous and eps_value on a stack of 3 samples equal their
-    one-sample calls to 1e-13 relative (a theta_array row depends on its batch);
-    a one-sample stack is the same kernel batch and equals its call bit for bit."""
+    one-sample calls bit for bit: a theta_array row does not depend on its
+    batch, and the arithmetic after it is elementwise.  (When the kernel's rows
+    rounded by batch shape, they agreed to 1e-13 relative.)"""
     params = cli.build_params(json.loads((CONFIGS / "irf_bethe_n4.json").read_text()))
     rng = np.random.default_rng(3)
     cb = continuous_bethe(params, rng)
@@ -1478,17 +1463,18 @@ def test_stacked_transfer_samples_equal_one_sample_calls():
     assert lhs.shape == eps.shape == (3,)
     for p in range(3):
         one = apply_transfer_continuous(params, zetas[p], cb.u_value, xs[p])
-        assert isinstance(one, complex) and abs(lhs[p] - one) <= 1e-13 * abs(one)
-        assert abs(eps[p] - cb.eps_value(zetas[p])) <= 1e-13 * abs(eps[p])
+        assert isinstance(one, complex) and hexes([lhs[p]]) == hexes([one])
+        assert hexes([eps[p]]) == hexes([cb.eps_value(zetas[p])])
     first = apply_transfer_continuous(params, zetas[:1], cb.u_value, xs[:1])
     assert first.shape == (1,) and first[0] == apply_transfer_continuous(params, zetas[0], cb.u_value, xs[0])
     assert cb.eps_value(zetas[:1])[0] == cb.eps_value(zetas[0])
 
 
 def test_irf_bethe_work(monkeypatch, tmp_path):
-    """One cold irf bethe on configs/irf_bethe_n4.json: 22 scalar theta calls (the
-    solver's certificate at the accepted point), 34 theta_array calls and as
-    many reductions, and no distance pass.  The Newton makes 18 evaluations,
+    """One cold irf bethe on configs/irf_bethe_n4.json: 35 theta_array calls over
+    974 points and as many reductions, and no distance pass.  The solver's
+    certificate at the accepted point makes one call over 22 points (22
+    scalar calls before).  The Newton makes 18 evaluations,
     one call each, whose 11 Jacobians read the distances of the evaluation's
     own call; the 3 eigen samples make 10 as one stack (a basis and its
     cardinal vector per sample, u on every shifted set, A_plus and A_minus,
@@ -1499,5 +1485,5 @@ def test_irf_bethe_work(monkeypatch, tmp_path):
     reductions = count_reductions(monkeypatch)
     argv = ["irf", "bethe", "--config", str(CONFIGS / "irf_bethe_n4.json"), "--out", str(tmp_path / "b.json")]
     assert cli.main(argv) == 0
-    assert counts == {"theta": [22, 22], "theta_array": [34, 952]}
-    assert reductions == {"reduce_array": 34, "dist_to_lattice_array": 0}
+    assert counts == {"theta_array": [35, 974]}
+    assert reductions == {"reduce_array": 35, "dist_to_lattice_array": 0}

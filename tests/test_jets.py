@@ -10,7 +10,9 @@ from numpy.testing import assert_allclose
 from ellsov import jets
 from ellsov.jets import LambdaDiffOp
 
-from conftest import jet_wp_bar, jet_zeta_bar, sample_point, scalar_jet_mul, sigma, sigma_dlambda, wp_bar, zeta_bar
+from conftest import (
+    jet_wp_bar, jet_zeta_bar, sample_point, scalar_jet_mul, sigma, sigma_dlambda, theta_value, wp_bar, zeta_bar,
+)
 
 PI = math.pi
 
@@ -82,7 +84,7 @@ def test_sigma_jets_match_oracle(ev, rng):
     oracle_neg = jet_oracle(lambda u: sigma(ev, -u, z), lam0, 4)
     assert_allclose(neg[:, 0], oracle_neg, rtol=1e-8, atol=1e-10)
     # the third result is theta's own jet at lam0
-    assert_allclose(theta_lam, jet_oracle(ev.theta, lam0, 4), rtol=1e-8, atol=1e-10)
+    assert_allclose(theta_lam, jet_oracle(lambda w: theta_value(ev, w), lam0, 4), rtol=1e-8, atol=1e-10)
 
 
 def reference_sigma_neg(ev, lam0, zs, degree):

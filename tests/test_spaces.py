@@ -15,7 +15,6 @@ from ellsov.spaces import (
     ThetaSpaceBasis,
     character_of,
     difference_eigenvalue,
-    eval_elliptic_poly,
     eval_elliptic_polys,
     expected_multiplier,
     induced_eigenvalue_character,
@@ -32,7 +31,9 @@ from conftest import (
     elliptic_poly_logderiv,
     membership_passes,
     pointwise,
+    poly_value,
     sample_point,
+    theta_value,
     zeta_bar,
 )
 
@@ -56,8 +57,8 @@ def test_factored_form_multipliers(ev, rng):
         chi = character_of(p, tau)
         for (r, s) in ((1, 0), (0, 1), (-1, 2), (2, -1)):
             z = sample_point(rng, ev.lattice)
-            lhs = eval_elliptic_poly(ev, p, z + r + s * tau)
-            rhs = expected_multiplier(chi, k, z, r, s, tau) * eval_elliptic_poly(ev, p, z)
+            lhs = poly_value(ev, p, z + r + s * tau)
+            rhs = expected_multiplier(chi, k, z, r, s, tau) * poly_value(ev, p, z)
             assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs))
 
 
@@ -78,11 +79,11 @@ def test_interpolation_reproduces_members(ev, rng):
         p = random_poly(rng, ev.lattice, k)
         chi = character_of(p, tau)
         basis = make_basis(ev, k, chi, rng)
-        values = [eval_elliptic_poly(ev, p, z) for z in basis.nodes]
+        values = [poly_value(ev, p, z) for z in basis.nodes]
         f = basis.fit(values)
         for _ in range(6):
             z = sample_point(rng, ev.lattice, margin=1e-3)
-            expect = eval_elliptic_poly(ev, p, z)
+            expect = poly_value(ev, p, z)
             assert abs(f(z) - expect) <= 1e-9 * max(1.0, abs(expect))
 
 
@@ -103,16 +104,16 @@ def per_term_interpolant(basis, values, z):
     """The loop form of the cardinal interpolant, term by term, as a reference."""
     ev = basis.ev
     total = 0j
-    tb = ev.theta(basis.b)
+    tb = theta_value(ev, basis.b)
     for j, zj in enumerate(basis.nodes):
         if values[j] == 0:
             continue
         term = values[j] * cmath.exp(2j * PI * basis.a * (z - zj))
-        term *= ev.theta(z - zj + basis.b) / tb
+        term *= theta_value(ev, z - zj + basis.b) / tb
         for l, zl in enumerate(basis.nodes):
             if l == j:
                 continue
-            term *= ev.theta(z - zl) / ev.theta(zj - zl)
+            term *= theta_value(ev, z - zl) / theta_value(ev, zj - zl)
         total += term
     return total
 
@@ -143,8 +144,7 @@ def test_cardinal_vector_matches_per_term_formula(ev, rng):
 
 def test_cardinal_vector_on_arrays(ev, rng, monkeypatch):
     """cardinal_vector takes points of any shape and returns shape zs.shape + (k,)
-    from one theta_array call and no scalar one; each row is the per-point
-    formula's L(z) to 1e-13."""
+    from one theta_array call; each row is the per-point formula's L(z) to 1e-13."""
     k = 4
     chi = Character(cmath.exp(0.2j), cmath.exp(0.1 - 0.3j))
     basis = make_basis(ev, k, chi, rng)
@@ -153,7 +153,7 @@ def test_cardinal_vector_on_arrays(ev, rng, monkeypatch):
         counts = count_theta_calls(monkeypatch)
         got = basis.cardinal_vector(pts)
         monkeypatch.undo()
-        assert counts == {"theta": [0, 0], "theta_array": [1, 2 * k * np.size(pts)]}
+        assert counts == {"theta_array": [1, 2 * k * np.size(pts)]}
         assert got.shape == np.shape(pts) + (k,)
         for z, row in zip(np.ravel(pts), got.reshape(-1, k)):
             expect = np.array([per_term_interpolant(basis, np.eye(k)[j], z) for j in range(k)])
@@ -214,15 +214,15 @@ def test_bethe_solver_two_roots(ev, rng):
     # a solved pair satisfies the displayed (j != i) balance form as well
     for i in range(2):
         w = sol.roots[i]
-        lhs = eval_elliptic_poly(ev, A_plus, w) * cmath.exp(-2.0 * sol.a * gamma)
-        rhs = eval_elliptic_poly(ev, A_minus, w)
+        lhs = poly_value(ev, A_plus, w) * cmath.exp(-2.0 * sol.a * gamma)
+        rhs = poly_value(ev, A_minus, w)
         for j in range(2):
             if j == i:
                 continue
-            lhs *= ev.theta(w - sol.roots[j] - gamma)
-            rhs *= ev.theta(w - sol.roots[j] + gamma)
+            lhs *= theta_value(ev, w - sol.roots[j] - gamma)
+            rhs *= theta_value(ev, w - sol.roots[j] + gamma)
         # lhs = rhs  <=>  proof-form residual = 0 after dividing by theta(-gamma)
-        ratio = ev.theta(gamma) / ev.theta(-gamma)
+        ratio = theta_value(ev, gamma) / theta_value(ev, -gamma)
         assert abs(lhs * ratio + rhs) <= 1e-8 * max(1.0, abs(rhs))
 
 
@@ -263,32 +263,36 @@ def test_difference_eigenvalue_root_outside_cell(ev):
 
 
 def test_bethe_solver_theta_count(ev, monkeypatch):
-    """One theta_array call per system evaluation, none in the Jacobian; scalar calls
-    only for the certificate at the accepted point.  The sum form took 9
-    iterations here and two more scalar calls, for theta(-/+gamma)."""
+    """One theta_array call per system evaluation, none in the Jacobian, and one
+    for the certificate at the accepted point, over theta(-/+gamma) and the
+    2 * (2 * 4 + 2) factors of its two equations (22 scalar calls before).
+    The sum form took 9 iterations here."""
     lat = ev.lattice
     eta = 0.171 + 0.043j
     zs = [0.23 + 0.31j, 0.67 + 0.52j, 0.12 + 0.8j, 0.5 + 0.1j]
     A_plus = elliptic_poly(lat, 0.0, [-z - eta for z in zs])
     A_minus = elliptic_poly(lat, 0.0, [-z + eta for z in zs])
-    calls = {"theta": 0, "theta_array": 0, "system": 0}
+    calls = {"system": 0}
+    points = []  # per theta_array call
+    original = ThetaEvaluator.theta_array
 
-    def counting(key, fn):
+    def counting(fn):
         def wrapper(*args, **kwargs):
-            calls[key] += 1
+            calls["system"] += 1
             return fn(*args, **kwargs)
 
         return wrapper
 
-    for name in ("theta", "theta_array"):
-        monkeypatch.setattr(ThetaEvaluator, name, counting(name, getattr(ThetaEvaluator, name)))
+    def recording(self, zs, *args, **kwargs):
+        points.append(np.size(zs))
+        return original(self, zs, *args, **kwargs)
+
+    monkeypatch.setattr(ThetaEvaluator, "theta_array", recording)
     make_system = spaces._bethe_system
-    monkeypatch.setattr(spaces, "_bethe_system", lambda *args: counting("system", make_system(*args)))
+    monkeypatch.setattr(spaces, "_bethe_system", lambda *args: counting(make_system(*args)))
     sol = solve_difference_bethe(ev, A_plus, A_minus, 2.0 * eta, 2, np.random.default_rng(17))
     assert sol.iterations == 8
-    # the 2 * (2 * 4 + 2) factors of the certificate and its theta(-/+gamma)
-    assert calls["theta"] == 22
-    assert 0 < calls["theta_array"] <= calls["system"]
+    assert len(points) == calls["system"] + 1 and points[-1] == 22
 
 
 def test_damped_newton_restarts():
@@ -333,11 +337,11 @@ def reference_bethe_terms(ev, A_plus, A_minus, gamma, a, roots):
     ea_p = cmath.exp(gamma * a)
     terms = []
     for wi in roots:
-        t1 = eval_elliptic_poly(ev, A_plus, wi) * ea_m
-        t2 = eval_elliptic_poly(ev, A_minus, wi) * ea_p
+        t1 = poly_value(ev, A_plus, wi) * ea_m
+        t2 = poly_value(ev, A_minus, wi) * ea_p
         for wj in roots:
-            t1 *= ev.theta(wi - wj - gamma)
-            t2 *= ev.theta(wi - wj + gamma)
+            t1 *= theta_value(ev, wi - wj - gamma)
+            t2 *= theta_value(ev, wi - wj + gamma)
         terms.append((t1, t2))
     return terms
 

@@ -28,6 +28,7 @@ from conftest import (
     sigma,
     sigma_dlambda,
     theta_jet,
+    theta_value,
     wp_bar,
     zeta_bar,
 )
@@ -35,13 +36,24 @@ from conftest import (
 PI = math.pi
 
 
-def reference_theta(ev, z):
-    """theta(z) as the scalar kernel returned it: the degree-0 reference times 0! = 1."""
-    return complex(reference_taylor(ev, z, 0)[0][0]) * math.factorial(0)
+def series_scale(ev, z):
+    """|mult0| times the sum of the term moduli at the reduced point: the scale
+    of the q-series' rounding and truncation errors, which next to a zero of
+    theta (or on a flat lattice) can be far above |theta| and |theta'|."""
+    z0, _, s = ev.lattice.reduce(z)
+    tau = ev.lattice.tau
+    h = np.arange(theta_module._MAX_TERMS) + 0.5
+    y = abs(z0.imag)
+    sizes = np.exp(-PI * tau.imag * h * h + 2.0 * PI * h * y) * (1.0 + np.exp(-4.0 * PI * h * y))
+    return math.exp(PI * (s * s * tau + 2.0 * s * z0).imag) * float(np.sum(sizes))
 
 
 def assert_matches_reference(ev, z):
-    assert hexes([ev.theta(z)]) == hexes([reference_theta(ev, z)]), (ev.lattice.tau, z)
+    """theta_array's value within (2 trunc_tol + 1e-15) series_scale of the reference
+    kernel's: both cut the series by the same rule and differ by the order of their sums."""
+    want = complex(reference_taylor(ev, z, 0)[0][0])
+    tol = (2.0 * ev.trunc_tol + 1e-15) * series_scale(ev, z)
+    assert abs(theta_value(ev, z) - want) <= tol, (ev.lattice.tau, z, ev.trunc_tol)
 
 
 def array_jet(ev, z, degree):
@@ -121,7 +133,7 @@ def test_matches_mpmath_values(ev, rng):
     for _ in range(25):
         z = sample_point(rng, ev.lattice, spread=2.0)
         expect = mp_theta(tau, z)
-        got = ev.theta(z)
+        got = theta_value(ev, z)
         assert abs(got - expect) <= 1e-11 * max(1.0, abs(expect))
 
 
@@ -136,15 +148,15 @@ def test_matches_mpmath_derivatives(ev, rng):
 
 
 def test_theta_zero_is_exact(ev):
-    assert ev.theta(0.0) == 0.0
+    assert theta_value(ev, 0.0) == 0.0
     # lattice points reduce to the origin and stay exact zeros
-    assert ev.theta(3.0 + 2.0 * ev.lattice.tau) == 0.0
+    assert theta_value(ev, 3.0 + 2.0 * ev.lattice.tau) == 0.0
 
 
 def test_oddness(ev, rng):
     for _ in range(30):
         z = sample_point(rng, ev.lattice, spread=0.8)
-        a, b = ev.theta(z), ev.theta(-z)
+        a, b = theta_value(ev, z), theta_value(ev, -z)
         assert abs(a + b) <= 1e-12 * max(1.0, abs(a))
 
 
@@ -154,9 +166,9 @@ def test_quasi_periodicity_multipliers(ev, rng):
         z = sample_point(rng, ev.lattice, spread=0.4)
         r = int(rng.integers(-3, 4))
         s = int(rng.integers(-3, 4))
-        base = ev.theta(z)
+        base = theta_value(ev, z)
         mult = (-1.0) ** (r + s) * cmath.exp(-1j * PI * (s * s * tau + 2 * s * z))
-        shifted = ev.theta(z + r + s * tau)
+        shifted = theta_value(ev, z + r + s * tau)
         assert abs(shifted - mult * base) <= 1e-10 * max(1.0, abs(shifted))
 
 
@@ -164,7 +176,7 @@ def test_derivatives_match_cauchy_oracle(ev, rng):
     for d in (1, 2, 3):
         for _ in range(6):
             z = sample_point(rng, ev.lattice, margin=0.12)
-            expect = cauchy_derivative(lambda w: ev.theta(w), z, d)
+            expect = cauchy_derivative(lambda w: theta_value(ev, w), z, d)
             got = math.factorial(d) * array_jet(ev, z, d)[d]
             assert abs(got - expect) <= 1e-10 * max(1.0, abs(expect))
 
@@ -173,23 +185,15 @@ def test_taylor_jet_matches_cauchy(ev, rng):
     z = sample_point(rng, ev.lattice, margin=0.12)
     jet = array_jet(ev, z, 6)
     for d in range(7):
-        expect = cauchy_derivative(lambda w: ev.theta(w), z, d) / math.factorial(d)
+        expect = cauchy_derivative(lambda w: theta_value(ev, w), z, d) / math.factorial(d)
         assert abs(jet[d] - expect) <= 1e-9 * max(1.0, abs(expect))
 
 
-def test_theta_rejects_high_derivative(ev):
-    # the scalar kernel evaluates values only; derivatives are theta_array's
-    with pytest.raises(TypeError):
-        ev.theta(0.3, 1)
-
-
 def test_truncation_reports_tail():
-    from ellsov.theta import TruncationError
-
     # a flat lattice needs more q-series terms than the kernel sums
     flat = ThetaEvaluator(Lattice(0.3 + 0.002j))
     with pytest.raises(TruncationError) as err:
-        flat.theta(0.37 + 0.0006j)
+        theta_value(flat, 0.37 + 0.0006j)
     assert err.value.tail_bound > 0
 
 
@@ -341,7 +345,7 @@ def test_far_argument_stability(ev, rng):
     z = 0.377 + 0.213j
     far = z + 7 - 9 * tau
     expect = mp_theta(tau, far)
-    got = ev.theta(far)
+    got = theta_value(ev, far)
     assert abs(got - expect) <= 1e-9 * max(1.0, abs(expect))
 
 
@@ -356,7 +360,7 @@ def test_non_finite_arguments_are_typed(ev):
         with pytest.raises(NonFiniteArgumentError):
             ev.lattice.reduce(z)
         with pytest.raises(NonFiniteArgumentError):
-            ev.theta(z)
+            theta_value(ev, z)
         with pytest.raises(NonFiniteArgumentError):
             ev.zeta_wp(np.array([0.3 + 0.2j, z]))
     assert issubclass(NonFiniteArgumentError, ThetaError)
@@ -367,7 +371,7 @@ def test_overflow_far_from_cell_is_typed(ev):
     # |theta| grows like exp(pi Im(tau) s^2) at s cells out; s = 16 passes 1e308
     for z in (0.2 + 16 * tau, 0.2 - 16 * tau, 0.7 + 40 * tau, complex(1e300, 1e300)):
         with pytest.raises(ThetaOverflowError):
-            ev.theta(z)
+            theta_value(ev, z)
         with pytest.raises(ThetaOverflowError):
             array_jet(ev, z, 3)
     assert issubclass(ThetaOverflowError, ThetaError)
@@ -375,15 +379,15 @@ def test_overflow_far_from_cell_is_typed(ev):
     z = 0.2 + 0.3j
     s = 12
     mult = (-1.0) ** s * cmath.exp(-1j * PI * (s * s * tau + 2 * s * z))
-    far = ev.theta(z + s * tau)
+    far = theta_value(ev, z + s * tau)
     assert cmath.isfinite(far)
-    assert abs(far - mult * ev.theta(z)) <= 1e-12 * abs(far)
+    assert abs(far - mult * theta_value(ev, z)) <= 1e-12 * abs(far)
 
 
-# -- the term tables against the reference kernel -------------------------
+# -- the kernel against the reference kernel ------------------------------
 
 
-def test_kernel_matches_reference_bit_for_bit(ev):
+def test_kernel_matches_reference_at_seeded_points(ev):
     rng = np.random.default_rng(14)
     for x, y in rng.uniform(-3.0, 3.0, size=(2000, 2)):
         assert_matches_reference(ev, complex(x, y))
@@ -393,7 +397,7 @@ def test_kernel_matches_reference_on_lattice_and_real_axis(ev):
     tau = ev.lattice.tau
     for z in (0.0, 1.0, tau, 1.0 + tau):
         assert_matches_reference(ev, z)
-        assert ev.theta(z) == 0.0
+        assert theta_value(ev, z) == 0.0
     for x in np.linspace(-3.0, 3.0, 61):
         assert_matches_reference(ev, complex(x, 0.0))
         assert_matches_reference(ev, complex(x, -0.0))
@@ -404,20 +408,20 @@ def test_kernel_errors_match_reference(ev):
         with pytest.raises(ThetaOverflowError) as want:
             reference_taylor(ev, z, 0)
         with pytest.raises(ThetaOverflowError) as got:
-            ev.theta(z)
+            theta_value(ev, z)
         assert str(got.value) == str(want.value)
     flat = ThetaEvaluator(Lattice(0.3 + 0.002j))
     for z in (0.37 + 0.0006j, 0.37 + 0.0019j, -1.2 + 0.3j):
         with pytest.raises(TruncationError) as want:
             reference_taylor(flat, z, 0)
         with pytest.raises(TruncationError) as got:
-            flat.theta(z)
+            theta_value(flat, z)
         assert str(got.value) == str(want.value)
         assert got.value.tail_bound.hex() == want.value.tail_bound.hex()
 
 
 def test_term_tables_are_keyed_by_tau_and_degree():
-    """theta's degree-0 tables and theta_array's degree-8 ones, interleaved over three taus."""
+    """theta_array's degree-0 and degree-8 tables, interleaved over three taus."""
     evs = [ThetaEvaluator(Lattice(tau)) for tau in (0.31 + 1.07j, 0.5j, -0.2 + 0.8j)]
     rng = np.random.default_rng(15)
     for x, y in rng.uniform(-2.0, 2.0, size=(60, 2)):
@@ -429,60 +433,84 @@ def test_term_tables_are_keyed_by_tau_and_degree():
             assert_matches_reference(ev, z)
 
 
-def array_term_count(tau, degree, trunc_tol):
-    """theta_array's term count J as the per-call kernel would find it, and
-    the log bound on the next term at the last term it tried."""
+def array_term_count(tau, degree, trunc_tol, im0=None):
+    """The term count J at the top of the cell (im0 None), or by the point rule's
+    bound at Im z0 = im0 against the top-of-cell limit, and the log bound on the
+    next term at the last term it tried."""
     limit = math.log(trunc_tol) - PI * tau.imag / 4.0
     for j in range(theta_module._MAX_TERMS):
         nh = j + 1.5
-        log_next = -PI * tau.imag * nh * nh + 2.0 * PI * nh * tau.imag + degree * math.log(PI * (2 * j + 3))
+        y = tau.imag if im0 is None else im0
+        log_next = -PI * tau.imag * nh * nh + 2.0 * PI * nh * y + degree * math.log(PI * (2 * j + 3))
         if log_next < limit:
             return j + 1, log_next
     return None, log_next
 
 
 def test_term_tables_hold_the_array_term_count():
-    """A table is a tuple of exactly J rows, built whole; when J would pass
-    the term limit it holds all of them, and theta_array raises the
-    TruncationError the per-call count gives, tail bound included."""
+    """A table holds exactly J terms, each with its two exponents, built whole
+    and read-only, and the slices of a pairwise tree over the J terms; when J
+    would pass the term limit it holds all of them with the bounds of the
+    per-point rule, and a point that rule does not stop raises its
+    TruncationError, tail bound included."""
     for degree in range(11):
-        table = theta_module._term_table(TAU, degree, 1e-16)
+        base, ph, signs, weights, tree, bounds = theta_module._term_table(TAU, degree, 1e-16)
         terms, _ = array_term_count(TAU, degree, 1e-16)
-        assert isinstance(table, tuple) and len(table) == terms
-        assert theta_module._term_table(TAU, degree, 1e-16) is table
+        assert base.shape == ph.shape == (2 * terms, 1) and weights.shape == (terms, degree + 1, 1)
+        assert bounds is None and signs.ravel().tolist() == [-((-1.0) ** k) for k in range(degree + 1)]
+        assert np.array_equal(ph[terms:], -ph[:terms]) and np.array_equal(base[terms:], base[:terms])
+        assert len(tree) == math.ceil(math.log2(terms)) and theta_module._term_table(TAU, degree, 1e-16)[3] is weights
+        for arr in (base, ph, signs, weights):
+            with pytest.raises(ValueError):
+                arr[0] = 7
     flat = ThetaEvaluator(Lattice(0.3 + 0.002j))
+    z = 0.37 + 0.0006j  # a reduced point
     for degree in (0, 1, 5):
-        table = theta_module._term_table(flat.lattice.tau, degree, flat.trunc_tol)
-        assert len(table) == theta_module._MAX_TERMS
-        terms, log_next = array_term_count(flat.lattice.tau, degree, flat.trunc_tol)
+        _, _, _, weights, _, bounds = theta_module._term_table(flat.lattice.tau, degree, flat.trunc_tol)
+        assert len(weights) == len(bounds) == theta_module._MAX_TERMS
+        terms, _ = array_term_count(flat.lattice.tau, degree, flat.trunc_tol)
         assert terms is None
+        _, log_next = array_term_count(flat.lattice.tau, degree, flat.trunc_tol, im0=z.imag)
         with pytest.raises(TruncationError) as err:
-            flat.theta_array(np.array([0.37 + 0.0006j]), degree)
+            flat.theta_array(np.array([z]), degree)
         assert err.value.tail_bound.hex() == math.exp(min(log_next, 700.0)).hex()
 
 
 def test_kernel_matches_reference_across_the_admitted_range():
     """Seeded taus with Im tau log-uniform over [1e-3, 187] and two trunc_tol:
-    values and errors (message and tail bound) equal the per-call kernel's,
-    whose rows the whole tables must cover."""
+    values within assert_matches_reference's bound and errors (type, message
+    and tail bound) equal to the reference kernel's.  The flat draws that the
+    top-of-cell term count would reject evaluate by the per-point rule."""
     rng = np.random.default_rng(26)
     errors = 0
     for _ in range(3000):
         tau = complex(rng.uniform(-1.0, 1.0), math.exp(rng.uniform(math.log(1e-3), math.log(187.0))))
         ev = ThetaEvaluator(Lattice(tau), trunc_tol=float(rng.choice([1e-16, 1e-12])))
         u, v = rng.uniform(-1.5, 1.5, 2)
-        z = u + v * tau
+        z = complex(u + v * tau)
         try:
-            want = reference_theta(ev, z)
+            reference_taylor(ev, z, 0)
         except ThetaError as exc:
             errors += 1
             with pytest.raises(type(exc)) as got:
-                ev.theta(z)
+                theta_value(ev, z)
             assert str(got.value) == str(exc)
             assert getattr(got.value, "tail_bound", 0.0).hex() == getattr(exc, "tail_bound", 0.0).hex()
         else:
-            assert hexes([ev.theta(z)]) == hexes([want]), (tau, z, ev.trunc_tol)
+            assert_matches_reference(ev, z)
     assert errors > 0
+
+
+@pytest.mark.parametrize("degree", range(9))
+def test_rows_do_not_depend_on_the_batch(ev, degree):
+    """Every row of theta_array(zs, d) equals the one-point call at zs[i] bit for bit,
+    for batch sizes 1 to 65: no step of the kernel rounds by the batch's shape."""
+    rng = np.random.default_rng(40 + degree)
+    for size in range(1, 66):
+        zs = rng.uniform(-3.0, 3.0, size) + 1j * rng.uniform(-3.0, 3.0, size)
+        batch = ev.theta_array(zs, degree)
+        for i in range(size):
+            assert hexes(batch[i]) == hexes(ev.theta_array(zs[i : i + 1], degree)[0]), (size, i)
 
 
 # -- the array kernel against the reference jet ------------------------------
@@ -557,17 +585,14 @@ def test_theta_array_errors_are_typed(ev):
     for far in (0.2 + 16 * tau, 0.7 - 40 * tau, complex(1e300, 1e300)):
         with pytest.raises(ThetaOverflowError):
             ev.theta_array(np.array([far] + good), 0)
-        with pytest.raises(ThetaOverflowError):
-            ev.theta(far)
     with pytest.raises(ThetaOverflowError, match="degree"):
         ev.theta_array(np.array(good), 118)
     with pytest.raises(ValueError):
         ev.theta_array(np.array(good), -1)
     flat = ThetaEvaluator(Lattice(0.3 + 0.002j))
-    for kernel in (flat.theta, lambda z: flat.theta_array(np.array([z]), 1)):
-        with pytest.raises(TruncationError) as err:
-            kernel(0.37 + 0.0006j)
-        assert err.value.tail_bound > 0
+    with pytest.raises(TruncationError) as err:
+        flat.theta_array(np.array([0.37 + 0.0006j]), 1)
+    assert err.value.tail_bound > 0
     # at the top of the admitted range the array kernel works across the cell
     steep = ThetaEvaluator(Lattice(0.3 + 187.0j))
     zs = np.array([0.3, 0.3 + 93.5j, 0.3 + 186.999j, 0.8 - 0.3j])
@@ -581,38 +606,9 @@ def test_theta_array_errors_are_typed(ev):
             assert np.max(np.abs(row - want)) <= tol * np.max(np.abs(want))
 
 
-def reference_theta_array(ev, zs, degree):
-    """theta_array as it was when it rebuilt grid, weights and 1/(i k!) from the
-    term table on every call (the truncation test left out)."""
-    zs = np.asarray(zs, dtype=complex)
-    z0, r, s = ev.lattice.reduce_array(zs)
-    tau = ev.lattice.tau
-    rows = theta_module._term_table(tau, degree, ev.trunc_tol)
-    grid = np.array(
-        [v for row in rows for v in row[:3]] + [v for row in rows for v in (row[0], -row[1], -row[2])]
-    ).reshape(-1, 3)
-    weights = np.array(
-        [wk for row in rows for wk, _ in row[3]] + [wk for row in rows for _, wk in row[3]]
-    ).reshape(-1, degree + 1)
-    ifact = [1j]
-    for k in range(1, degree + 1):
-        ifact.append(ifact[-1] * k)
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = np.exp(grid[:, :1] + grid[:, 1:2] * z0) * grid[:, 2:]
-        inner = (terms.T @ weights) / ifact
-        mult = np.exp(-1j * PI * (s * s * tau + 2.0 * s * z0))
-        mult = np.where((r + s) % 2, -mult, mult)
-        out = mult[:, None] * inner
-        w = -2j * PI * s
-        for i in range(1, degree + 1):
-            mult = mult * w / i
-            out[:, i:] += mult[:, None] * inner[:, :-i]
-    return out
-
-
 def test_theta_array_prebuilt_tables_keep_its_bits(ev):
-    """theta_array reads grid, weights and 1/(i k!) from one read-only build
-    per term table, and returns the bits of the per-call build."""
+    """theta_array reads its read-only table from one build per (tau, degree,
+    trunc_tol): a warm call returns the bits of a call that built it afresh."""
     rng = np.random.default_rng(34)
     steep = ThetaEvaluator(Lattice(0.3 + 187.0j))
     for kernel in (ev, steep):
@@ -622,9 +618,10 @@ def test_theta_array_prebuilt_tables_keep_its_bits(ev):
             [0.0, 1.0, tau, 0.3 + 0.5 * tau],
         ])
         for degree in (0, 1, 2, 3, 117):
-            got = kernel.theta_array(zs, degree)
-            assert hexes(got.ravel()) == hexes(reference_theta_array(kernel, zs, degree).ravel())
-            for arr in theta_module._array_table(tau, degree, kernel.trunc_tol)[1:]:
+            theta_module._term_table.cache_clear()
+            cold = kernel.theta_array(zs, degree)
+            assert hexes(kernel.theta_array(zs, degree).ravel()) == hexes(cold.ravel())
+            for arr in theta_module._term_table(tau, degree, kernel.trunc_tol)[:4]:
                 with pytest.raises(ValueError):
                     arr[0] = 7
 
