@@ -12,6 +12,7 @@ solved for from the determinant relation inside the shift algebra.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 from typing import Callable, Sequence
@@ -19,6 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .params import ModelParams, ParameterError
+from .spaces import EllipticPoly
 from .theta import ThetaEvaluator
 
 # ---------------------------------------------------------------------------
@@ -141,11 +143,6 @@ class S0Grid:
     def dim(self) -> int:
         return len(self.points)
 
-    def shifted(self, idx: int, i: int, dm: int) -> int | None:
-        """Index of the grid point with m_i changed by dm, None if off the grid."""
-        m = self.points[idx][i] + dm
-        return idx + dm * self.strides[i] if 0 <= m <= self.params.lams[i] else None
-
 
 @dataclasses.dataclass
 class ShiftOp:
@@ -214,18 +211,106 @@ def _offset_pairs(a: ShiftOp, b: ShiftOp, lam_samples: Sequence[complex]):
 # The operator quadruple
 
 
-def _hop_factors(ev: ThetaEvaluator, params: ModelParams, hops, z: complex, sign: int) -> list:
-    """The lambda-independent factors of each hop (xs, i), site i onto the x-values xs, from one call.
+@dataclasses.dataclass(frozen=True)
+class _HopTable:
+    """b(z) and c(z) apart from their z- and lambda-dependent thetas, once per model.
 
-    They are prod_{j != i} theta(z + x_j)/theta(x_i - x_j) and Delta_+(-x_i)
-    (sign = +1) or Delta_-(-x_i) (sign = -1).
+    Direction d = 0 is b, which reads each target at m_i - 1, d = 1 is c,
+    which reads it at m_i + 1.  hops[d] has the rows target, source, site i
+    and head slot, and slots[d] holds each head slot's (lambda_w,
+    theta(lambda_w), x_i), lambda_w = eta w at the target's weight w.  spectral
+    holds the (z_j, (Lambda_j - 2 m_j) eta) of each site value x_j(m_j) =
+    -z_j - eta (Lambda_j - 2 m_j), cross the (spectral index of x_j,
+    theta(x_i - x_j)) of each pair of values at two sites, and coefs
+    A_plus(x_i) at m_i = 1..Lambda_i site by site, then A_minus(x_i) at
+    m_i = 0..Lambda_i - 1.  factors[d] indexes each hop's n - 1 cross
+    quotients (j != i ascending), then its coefficient, in the cross
+    quotients followed by coefs.  bits holds the grid points m.
     """
-    # every hop's off-diagonal thetas, then every hop's Delta thetas; each product factor by factor
-    args = [a for xs, i in hops for j in range(len(xs)) if j != i for a in (z + xs[j], xs[i] - xs[j])]
-    args += [-xs[i] - zk - sign * lk * params.eta for xs, i in hops for zk, lk in zip(params.zs, params.lams)]
-    thetas = iter(ev.theta_values(args))
-    off = [math.prod(next(thetas) / next(thetas) for _ in range(len(xs) - 1)) for xs, _ in hops]
-    return [(o, math.prod(next(thetas) for _ in params.zs)) for o in off]
+
+    hops: tuple[np.ndarray, np.ndarray]
+    slots: tuple[tuple[tuple[complex, complex, complex], ...], ...]
+    spectral: tuple[tuple[complex, complex], ...]
+    cross: tuple[tuple[int, complex], ...]
+    coefs: tuple[complex, ...]
+    factors: tuple[np.ndarray, np.ndarray]
+    bits: np.ndarray
+
+
+@functools.lru_cache(maxsize=8)  # an entry holds (n + 4) n 2^n int32 indices at weight 1
+def _hop_table(params: ModelParams, validate: Callable = ModelParams.validate_distinct_sites) -> _HopTable:
+    """The hop table of any weights, read-only; validate(params) runs first, so a
+    model that fails it keeps no entry.  Each argument is z_k - z_i or -z_i + z_j
+    plus an integer times eta, each coefficient a math.prod over k, all from one call."""
+    validate(params)
+    n, eta, zs, lams, ev = params.n, params.eta, params.zs, params.lams, params.evaluator()
+    grid = S0Grid(params)
+    bits, lams_before = np.array(grid.points), np.cumsum((0,) + lams[:-1])  # sum_{j < i} Lambda_j
+    site = np.repeat(np.arange(n), np.array(lams) + 1)  # of each site value, in site order
+    steps = [l - 2 * m for l in lams for m in range(l + 1)]
+    apart = site[:, None] != site[None, :]
+    args = [-zs[site[a]] + zs[site[b]] + (steps[b] - steps[a]) * eta for a, b in zip(*np.nonzero(apart))]
+    # A_plus(x_i) = prod_k theta(x_i + z_k + Lambda_k eta) where b hops, A_minus with -Lambda_k where c hops
+    coef_sites = [(d, i, m) for d in (0, 1) for i, l in enumerate(lams) for m in range(1 - d, l + 1 - d)]
+    args += [zk - zs[i] + ((1 - 2 * d) * lk - lams[i] + 2 * m) * eta
+             for d, i, m in coef_sites for zk, lk in zip(zs, lams)]
+    weights = sorted(set(grid.weights.tolist()))
+    values = iter(ev.theta_values(args + [eta * w for w in weights]))
+    cross = tuple((b, next(values)) for b in np.nonzero(apart)[1].tolist())
+    coefs = tuple(math.prod(next(values) for _ in zs) for _ in coef_sites)
+    dynamical = {w: (eta * w, next(values)) for w in weights}
+    # each grid point's site values, each pair's index in cross, and each site's others
+    point_values, cross_at = lams_before + np.arange(n) + bits, np.cumsum(apart).reshape(apart.shape) - 1
+    others = np.array([[j for j in range(n) if j != i] for i in range(n)], dtype=int)
+    hops, slots, factors = [], [], []
+    for d, dm in enumerate((-1, 1)):
+        target, i = np.nonzero((bits + dm >= 0) & (bits + dm <= lams))
+        m = bits[target, i]
+        # a head slot is the target's (w, i, m_i)
+        keys = list(zip(grid.weights[target].tolist(), i.tolist(), m.tolist()))
+        index = {k: s for s, k in enumerate(dict.fromkeys(keys))}
+        slot = np.array([index[k] for k in keys])
+        slots.append(tuple((*dynamical[w], -zs[j] + (2 * mj - lams[j]) * eta) for w, j, mj in index))
+        hops.append(np.stack([target, target + dm * np.array(grid.strides)[i], i, slot]).astype(np.int32))
+        cross_k = cross_at[point_values[target, i][:, None], point_values[target[:, None], others[i]]]
+        coef = len(cross) + d * sum(lams) + lams_before[i] + m - (1 - d)
+        factors.append(np.vstack([cross_k.T, coef]).astype(np.int32))
+    for arr in (*hops, *factors, bits):
+        arr.setflags(write=False)
+    spectral = tuple((zs[j], k * eta) for j, k in zip(site.tolist(), steps))
+    return _HopTable(tuple(hops), tuple(slots), spectral, cross, coefs, tuple(factors), bits)
+
+
+def _exact_product(factors) -> np.ndarray:
+    """Left-to-right product of complex arrays that broadcast together, each entry
+    equal to the scalar product of its factors bit for bit (numpy's complex
+    multiply rounds differently); a non-finite entry is the caller's to handle."""
+    factors = iter(factors)
+    first = next(factors)
+    re, im = first.real, first.imag
+    for f in factors:  # a generator's own work runs outside the errstate
+        with np.errstate(over="ignore", invalid="ignore"):
+            re, im = re * f.real - im * f.imag, re * f.imag + im * f.real
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _hop_entries(table: _HopTable, spectral: Sequence[complex], heads: dict[int, list[complex]]) -> np.ndarray:
+    """The entries of table.hops[d] for each direction d of heads, one direction after the other:
+    head quotient * prod_{j != i} theta(zdisp - x_j)/theta(x_i - x_j) * coefficient, in this order, through
+    _exact_product on Python-scalar quotients.  spectral holds theta(zdisp + z_j + shift) over
+    table.spectral, heads[d] the quotient of each of table.slots[d]."""
+    values = np.array([spectral[k] / th for k, th in table.cross] + list(table.coefs))
+    first = np.concatenate([np.array(h, dtype=complex)[table.hops[d][3]] for d, h in heads.items()])
+    return _exact_product(itertools.chain([first], values[np.hstack([table.factors[d] for d in heads])]))
+
+
+def _shift_polys(params: ModelParams) -> tuple[EllipticPoly, EllipticPoly]:
+    """The hop coefficients as functions of x: A_plus, A_minus = prod_k theta(x + z_k +/- eta Lambda_k)."""
+    plus = tuple(-zk - params.eta * lk for zk, lk in zip(params.zs, params.lams))
+    minus = tuple(-zk + params.eta * lk for zk, lk in zip(params.zs, params.lams))
+    return EllipticPoly(0.0, plus), EllipticPoly(0.0, minus)
 
 
 def det_scalar(params: ModelParams, z: complex) -> complex:
@@ -250,19 +335,18 @@ def build_quadruple(params: ModelParams) -> OperatorQuadruple:
     """Assemble the operator quadruple on the S0 grid.
 
     a is diagonal with a lambda step of -2 eta.  b and c move one grid
-    index by one step and shift lambda the opposite way; their boundary
-    terms vanish through the Delta factors, so off-grid reads never
-    appear.  d is solved from
+    index by one step and shift lambda the opposite way (_hop_entries on
+    the per-model _hop_table); a hop coefficient vanishes where the source
+    would leave the grid, so off-grid reads never appear.  d is solved from
         a(z + 2 eta) d(z) - c(z + 2 eta) b(z) = theta(lambda - 2 eta h)/theta(lambda) Det(z)
     by composing with the inverse of the diagonal operator a(z + 2 eta).
     Each operator computes its lambda-independent theta factors when it
-    is built; its blocks evaluate only the thetas that depend on lambda.
+    is built (b(z) and c(z) share theirs); blocks evaluate the rest.
     """
-    params.validate_distinct_sites()
+    table = _hop_table(params)
     ev = params.evaluator()
     eta = params.eta
     grid = S0Grid(params)
-    n = len(params.zs)
     step = 2 * eta
     top = eta * sum(params.lams)
 
@@ -276,33 +360,23 @@ def build_quadruple(params: ModelParams) -> OperatorQuadruple:
 
         return ShiftOp.diagonal(grid.dim, step, entries, k=-1)
 
-    def hop_op(z: complex, dm: int, argument) -> ShiftOp:
-        """Move one m_i by dm with lambda offset -dm: b for dm = -1, c for dm = +1.
+    @functools.cache
+    def spectral(z: complex) -> list[complex]:
+        # theta(-z - x_j) at every site value, shared by b(z) and c(z), from one call
+        return ev.theta_values([-z + zj + shift for zj, shift in table.spectral])
 
-        Off-grid sources are dropped: their coefficient carries Delta_+(-x_i),
-        zero at m_i = 0, for b and Delta_-(-x_i), zero at m_i = Lambda_i, for c.
-        argument(lam, t, x_i) is the hop's lambda-dependent theta argument.
-        """
-        moves = [(t, s, i) for t in range(grid.dim) for i in range(n) if (s := grid.shifted(t, i, dm)) is not None]
-        factors = _hop_factors(ev, params, [(grid.xs[t], i) for t, _, i in moves], z, -dm)
-        hops = [(t, src, grid.xs[t][i], off, delta) for (t, src, i), (off, delta) in zip(moves, factors)]
-
+    def hop_op(z: complex, d: int) -> ShiftOp:
+        """b(z) for d = 0, c(z) for d = 1.  The head slot of lambda_w and x_i reads
+        theta(mu + z + x_i)/theta(lambda), with mu = lambda for b and
+        -lambda + 2 lambda_w = -lambda - 2 sum_j (x_j + z_j) at the target for c."""
         def blocks(lam):
-            th_lam, *thetas = ev.theta_values([lam] + [argument(lam, t, x) for t, _, x, _, _ in hops])
+            args = [(lam if d == 0 else -lam + 2 * lw) + z + x for lw, _, x in table.slots[d]]
+            th_lam, *heads = ev.theta_values([lam] + args)
             m = np.zeros((grid.dim, grid.dim), dtype=complex)
-            for (t, src, _, off, delta), th in zip(hops, thetas):
-                m[t, src] = -th / th_lam * off * delta
-            return {-dm: m}
+            m[tuple(table.hops[d][:2])] = _hop_entries(table, spectral(z), {d: [th / th_lam for th in heads]})
+            return {1 - 2 * d: m}
 
         return ShiftOp(grid.dim, step, blocks)
-
-    def b_op(z: complex) -> ShiftOp:
-        return hop_op(z, -1, lambda lam, t, x: lam + z + x)
-
-    def c_op(z: complex) -> ShiftOp:
-        # 2 s at each target, s = sum_j (x_j + z_j)
-        two_s = [2 * complex(np.sum(xs + np.asarray(params.zs))) for xs in grid.xs]
-        return hop_op(z, +1, lambda lam, t, x: -lam + z + x - two_s[t])
 
     def d_op(z: complex) -> ShiftOp:
         det_z = det_scalar(params, z)
@@ -311,14 +385,15 @@ def build_quadruple(params: ModelParams) -> OperatorQuadruple:
             th_lam, *thetas = ev.theta_values([lam] + [lam - step * h for h in grid.weights])
             return [th / th_lam * det_z for th in thetas]
 
-        inner = ShiftOp.diagonal(grid.dim, step, weight_entries) + c_op(z + step).compose(b_op(z))
+        inner = ShiftOp.diagonal(grid.dim, step, weight_entries) + hop_op(z + step, 1).compose(hop_op(z, 0))
         # a(z + 2 eta) has offset -1, so its inverse reads it at lambda + 2 eta
         a_next = a_op(z + step)
         a_inverse = ShiftOp.diagonal(
             grid.dim, step, lambda lam: 1.0 / np.diag(a_next.blocks(lam + step)[-1]), k=1)
         return a_inverse.compose(inner)
 
-    return OperatorQuadruple(grid=grid, a=a_op, b=b_op, c=c_op, d=d_op)
+    return OperatorQuadruple(
+        grid=grid, a=a_op, b=functools.partial(hop_op, d=0), c=functools.partial(hop_op, d=1), d=d_op)
 
 
 # ---------------------------------------------------------------------------

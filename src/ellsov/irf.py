@@ -23,13 +23,12 @@ import cmath
 import dataclasses
 import functools
 import itertools
-import math
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import spaces
-from .eqg import S0Grid, _r_fill
+from .eqg import S0Grid, _exact_product, _hop_entries, _hop_table, _r_fill, _shift_polys
 from .params import ModelParams, ParameterError
 from .spaces import BetheSolution, Character, EllipticPoly, ThetaInterpolant
 from .theta import ThetaOverflowError
@@ -77,21 +76,6 @@ def _parity_order(n: int) -> tuple[np.ndarray, np.ndarray]:
     for idx in order:
         idx.setflags(write=False)
     return order
-
-
-def _exact_product(factors) -> np.ndarray:
-    """Left-to-right product of complex arrays that broadcast together, each entry
-    equal to the scalar product of its factors bit for bit (numpy's complex
-    multiply rounds differently); a non-finite entry is the caller's to handle."""
-    factors = iter(factors)
-    first = next(factors)
-    re, im = first.real, first.imag
-    for f in factors:  # a generator's own work runs outside the errstate
-        with np.errstate(over="ignore", invalid="ignore"):
-            re, im = re * f.real - im * f.imag, re * f.imag + im * f.real
-    out = np.empty(re.shape, dtype=complex)
-    out.real, out.imag = re, im
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -239,103 +223,40 @@ def build_T_irf_paths(params: ModelParams, z: complex) -> tuple[np.ndarray, np.n
 # transfer matrix, separated (one-flip) construction
 
 
-@dataclasses.dataclass(frozen=True)
-class _GridModel:
-    """The zeta-independent part of build_T_irf_sov, computed once per model.
-
-    flip[i][m] is the coefficient of flipping site i from grid sign 2m - 1.
-    heads holds (lambda, x_i, theta(lambda)) per prefactor slot (None where
-    no row reaches it) and cross the pairs (2j + m_j, theta(x_i - x_j)).
-    factors[f, r, i] indexes row r's f-th factor at site i in the per-zeta
-    values: the prefactor, the n - 1 cross quotients, the flip coefficient.
-    """
-
-    flip: tuple[tuple[complex, complex], ...]
-    heads: tuple[tuple[complex, complex, complex] | None, ...]
-    cross: tuple[tuple[int, complex], ...]
-    bits: np.ndarray
-    factors: np.ndarray
-
-
-@functools.lru_cache(maxsize=8)  # an entry holds (n + 1) n 2^n uint16 indices
-def _grid_model(params: ModelParams) -> _GridModel:
-    """Flip coefficients, cross thetas and grid indices, read-only.
-
-    Flipping sigma_i = s carries prod_k theta(z_k - z_i + 2 s eta); the
-    opposite shift's prod_k theta(z_k - z_i) holds the kernel's exact zero
-    theta(0.0) at k = i and is dropped (test_off_grid_coefficient_vanishes).
-    """
-    params.validate_for_irf()
-    n, eta, zs, ev = params.n, params.eta, params.zs, params.evaluator()
-    others = [[j for j in range(n) if j != i] for i in range(n)]
-    crossing = [(i, si, j, sj) for i in range(n) for si in (-1, 1) for j in others[i] for sj in (-1, 1)]
-    heights = range(-n, n + 1, 2)
-    # the flip factors theta(z_k - z_i + 2 s eta), the cross thetas and the denominators, in one call
-    args = [zk - zs[i] + 2 * s * eta for i in range(n) for s in (-1, 1) for zk in zs]
-    args += [-zs[i] + zs[j] + (si - sj) * eta for i, si, j, sj in crossing] + [-eta * t for t in heights]
-    values = iter(ev.theta_values(args))
-    flip = tuple(tuple(math.prod(next(values) for _ in zs) for _ in (-1, 1)) for _ in range(n))
-    cross = tuple((2 * j + (sj + 1) // 2, next(values)) for i, si, j, sj in crossing)
-    denom = {t: next(values) for t in heights}
-    # the row prefactor depends on the row only through (sum m, i, m_i): 2 n^2 slots
-    heads = tuple(
-        (-eta * t, -zs[i] + s * eta, denom[t]) if abs(t - s) <= n - 1 else None
-        for t in heights for i in range(n) for s in (-1, 1)
-    )
-    bits = np.array(S0Grid(params).points, dtype=int)
-    sites = np.arange(n)
-    # cross factor k of site i divides by theta(x_i - x_j), j the k-th site other than i
-    other_bits = np.moveaxis(bits[:, np.array(others, dtype=int).reshape(n, n - 1)], 2, 0)
-    cross_factors = 2 * ((2 * sites + bits) * (n - 1) + np.arange(n - 1)[:, None, None])
-    cross_factors += other_bits
-    factors = np.concatenate([
-        ((bits.sum(axis=1, keepdims=True) * n + sites) * 2 + bits)[None],
-        len(heads) + cross_factors,
-        (len(heads) + len(cross) + 2 * sites + bits)[None],
-    ])
-    factors = factors.astype(np.uint16)  # indices below 6 n^2
-    bits.setflags(write=False)
-    factors.setflags(write=False)
-    return _GridModel(flip, heads, cross, bits, factors)
-
-
 def build_T_irf_sov(params: ModelParams, zeta: complex) -> tuple[np.ndarray, np.ndarray]:
     """One-flip difference operator on the grid x_i = -z_i + sigma_i eta, as its parity blocks (B, C).
 
-    The displayed operator reads off the evaluation point -zeta; each
-    term flips one sigma_i, the opposite shift leaving the grid carries a
-    coefficient with an exact zero factor, dropped in _grid_model.
-    Entries are entire in zeta.  Row r's term at site i is
-    theta(lam - zdisp + x_i)/theta(lam) * prod_{j != i} theta(zdisp - x_j)/
-    theta(x_i - x_j) * flip, in this order.  The zeta-dependent thetas come
-    from one theta_array call, the rest from the per-model cache.  The
-    quotients are Python scalars and the product is _exact_product's, so
-    each entry equals the scalar product of the same factors bit for bit;
-    an entry that overflows is a ParameterError.
+    Row r is row r of eqg's b(zeta) + c(zeta) at lambda_r = eta (n - 2 sum m),
+    read off the evaluation point zdisp = -zeta: its term at site i flips
+    sigma_i and is theta(lambda_r - zdisp + x_i)/theta(lambda_r) *
+    prod_{j != i} theta(zdisp - x_j)/theta(x_i - x_j) * A(x_i), through
+    eqg._hop_entries on the per-model eqg._hop_table; the shift leaving the
+    grid, whose coefficient has an exact zero factor, is never formed.
+    Entries are entire in zeta.  The zeta-dependent thetas come from one
+    theta_array call; each entry equals the scalar product of its factors
+    bit for bit, and one that overflows is a ParameterError.
     """
-    model = _grid_model(params)
-    ev = params.evaluator()
-    eta, n, zdisp = params.eta, params.n, -complex(zeta)
+    table = _hop_table(params, ModelParams.validate_for_irf)
+    zdisp = -complex(zeta)
     # theta(zdisp - x_j) takes 2n distinct values across the whole grid; they and
-    # the live prefactor thetas come from one array-kernel call
-    args = [zdisp + zj - s * eta for zj in params.zs for s in (-1, 1)]
-    args += [h[0] - zdisp + h[1] for h in model.heads if h is not None]
-    thetas = ev.theta_values(args)
-    spect, heads = thetas[: 2 * n], iter(thetas[2 * n :])
-    values = [0j if h is None else next(heads) / h[2] for h in model.heads]
-    values += [spect[k] / c for k, c in model.cross]
-    entries = _exact_product(np.array(values + [f for pair in model.flip for f in pair])[model.factors])
+    # the head slots' thetas come from one array-kernel call
+    head_args = [lw - zdisp + x for slots in table.slots for lw, _, x in slots]
+    thetas = params.evaluator().theta_values([zdisp + zj + shift for zj, shift in table.spectral] + head_args)
+    spectral, heads = thetas[: len(table.spectral)], iter(thetas[len(table.spectral) :])
+    quotients = {d: [next(heads) / th_lw for _, th_lw, _ in slots] for d, slots in enumerate(table.slots)}
+    entries = _hop_entries(table, spectral, quotients)
     if not np.isfinite(entries).all():
         raise ParameterError("grid transfer-matrix entries overflow double precision")
-    rows = np.arange(2 ** n)[:, None]
-    # site i is bit n-1-i of the grid index, so flipping sigma_i flips that bit and
-    # the parity of sum m.  A parity class holds one of 2k and 2k + 1, so index r is
-    # row or column r >> 1 of its block; row r's terms go to block B or C by its parity
-    cols = rows ^ (1 << (n - 1 - np.arange(n)))
-    parity = np.bitwise_count(rows) % 2
-    blocks = np.zeros((2, 2 ** (n - 1), 2 ** (n - 1)), dtype=complex)
-    blocks[parity, rows >> 1, cols >> 1] = entries
-    return blocks[0], blocks[1]
+    # site i is bit n-1-i of the grid index, so a hop flips the parity of sum m.  A parity
+    # class holds one of 2k and 2k + 1, so index r is row or column r >> 1 of its block;
+    # a hop goes to block B or C by its target's parity
+    target, source = np.hstack([hops[:2] for hops in table.hops])
+    odd = np.bitwise_count(target) % 2 == 1
+    half = 2 ** (params.n - 1)
+    blocks = np.zeros((half, half), dtype=complex), np.zeros((half, half), dtype=complex)
+    for block, rows in zip(blocks, (~odd, odd)):
+        block[target[rows] >> 1, source[rows] >> 1] = entries[rows]
+    return blocks
 
 
 # ---------------------------------------------------------------------------
@@ -538,9 +459,12 @@ def reconcile_constructions(params: ModelParams, rng: np.random.Generator) -> Du
         zf = sample_spectral(params, rng)
         bridge = bridge_scalar(params, zf)
         bs, cs = build_T_irf_sov(params, zf - params.eta)
-        # the same-parity blocks are 0 on both sides: only B and C can differ
-        rhs = (bridge * blocks[0] @ bs @ inverses[1], bridge * blocks[1] @ cs @ inverses[0])
-        del bs, cs
+        # the same-parity blocks are 0 on both sides: only B and C can differ; each
+        # T_sov block is dropped once its product is formed
+        rhs = [bridge * blocks[0] @ bs @ inverses[1]]
+        del bs
+        rhs.append(bridge * blocks[1] @ cs @ inverses[0])
+        del cs
         lhs = build_T_irf_paths(params, zf)
         dev = np.max([np.max(np.abs(np.subtract(r, l, out=r))) for r, l in zip(rhs, lhs)])  # r - l in r
         residuals.append(dev / np.max(np.abs(lhs[0])))
@@ -641,8 +565,8 @@ def certify_spectrum(
     are read; validation, the quadratic relations and the reconstructions
     run for all clusters at once.
     """
-    # z-independent data of the quadratic relations (the flip coefficients) and the grid signs
-    model = _grid_model(params)
+    # z-independent data of the quadratic relations (the hop coefficients) and the grid signs
+    table = _hop_table(params, ModelParams.validate_for_irf)
     n = params.n
     ev = params.evaluator()
     chi0 = eigenvalue_character(params)
@@ -710,13 +634,14 @@ def certify_spectrum(
     member_dev = np.max(np.abs(ratios[:, n:] - fitted[:, : len(val_pts)]), axis=1)
     em, ep = fitted[:, len(val_pts) : -n], fitted[:, -n:]
     lhs = em * ep
-    rhs = np.array([f[1] * f[0] for f in model.flip])
+    # at weight 1 the coefficients are A_plus(x_i) at sigma_i = 1, then A_minus(x_i) at sigma_i = -1
+    q_plus, minus = table.coefs[:n], table.coefs[n:]
+    rhs = np.array([p * m for p, m in zip(q_plus, minus)])
     quad = np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
-    q_plus = [f[1] for f in model.flip]
 
     # u(sigma) = prod_i (q_minus_i if sigma_i < 0 else q_plus_i), one site at a time,
     # so it equals math.prod of the pairs; the grid sign 2m - 1 is negative where m_i = 0
-    negative = model.bits == 0
+    negative = table.bits == 0
     recon = _exact_product(itertools.chain(
         [np.ones((), dtype=complex)],  # math.prod starts at 1
         (np.where(negative[:, i], em[:, i, None], q_plus[i]) for i in range(n)),
@@ -798,13 +723,6 @@ def partition_function(
 
 # ---------------------------------------------------------------------------
 # continuous variables
-
-
-def _shift_polys(params: ModelParams) -> tuple[EllipticPoly, EllipticPoly]:
-    """The shift coefficients A_plus, A_minus = prod_k theta(x + z_k +/- eta Lambda_k)."""
-    plus = tuple(-zk - params.eta * lk for zk, lk in zip(params.zs, params.lams))
-    minus = tuple(-zk + params.eta * lk for zk, lk in zip(params.zs, params.lams))
-    return EllipticPoly(0.0, plus), EllipticPoly(0.0, minus)
 
 
 def apply_transfer_continuous(

@@ -498,7 +498,7 @@ def solve_difference_bethe(
         accept=lambda x: _check_root_separation(ev, x[1:]),
     )
     a, roots = complex(x[0]), tuple(complex(w) for w in x[1:])
-    # the reported residual comes from the scalar kernel at the accepted point
+    # the reported residual is the sum form's: _bethe_terms' Python-scalar products on one theta_array call
     terms = _bethe_terms(ev, A_plus, A_minus, gamma, a, roots)
     scale = max(max(abs(t1), abs(t2)) for t1, t2 in terms)
     residual = float(np.max([abs(t1 + t2) for t1, t2 in terms])) / max(scale, 1e-300)  # a NaN is kept

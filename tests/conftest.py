@@ -50,6 +50,12 @@ def hexes(values):
     return [(complex(c).real.hex(), complex(c).imag.hex()) for c in values]
 
 
+def grid_shifted(grid, idx, i, dm):
+    """Index of the S0Grid point idx with m_i changed by dm, None if off the grid."""
+    m = grid.points[idx][i] + dm
+    return idx + dm * grid.strides[i] if 0 <= m <= grid.params.lams[i] else None
+
+
 def dense(blocks):
     """The 2^n-square transfer matrix [[0, B], [C, 0]] of its parity blocks (B, C), in grid order."""
     b, c = blocks

@@ -564,8 +564,9 @@ def test_irf_partition_bridge_matches_kappa_reference(tmp_path):
 
 
 def test_irf_tasks_validate_each_model_once(tmp_path, monkeypatch):
-    """validate_for_irf is the first statement of the two per-model caches, so
-    a task validates its model once per cache it fills: at most twice per
+    """validate_for_irf runs first in the two per-model caches (the path model,
+    and the hop table as the grid matrix reads it), so a task validates its
+    model once per cache it fills: at most twice per
     irf build or partition task and once per irf spectrum task."""
     calls = []
     original = ModelParams.validate_for_irf
@@ -577,7 +578,7 @@ def test_irf_tasks_validate_each_model_once(tmp_path, monkeypatch):
     monkeypatch.setattr(ModelParams, "validate_for_irf", counted)
     for task, config, limit in (("build", "irf_n5", 2), ("spectrum", "irf_n5", 1), ("partition", "irf_n3", 2)):
         irf._path_model.cache_clear()
-        irf._grid_model.cache_clear()
+        eqg._hop_table.cache_clear()
         calls.clear()
         code, _ = run_to_file(tmp_path, ["irf", task, "--config", str(CONFIGS / ("%s.json" % config))])
         assert code == 0 and 1 <= len(calls) <= limit, (task, len(calls))

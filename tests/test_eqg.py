@@ -1,12 +1,14 @@
 """Dynamical R-matrix, shift-operator quadruple, RLL relations, highest weight."""
 
+import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ellsov import eqg
+from ellsov import eqg, spaces
 from ellsov.eqg import (
     OperatorQuadruple,
     ShiftOp,
@@ -23,7 +25,7 @@ from ellsov.eqg import (
 from ellsov.params import ModelParams, ParameterError
 from ellsov.theta import ThetaEvaluator
 
-from conftest import hexes, sample_point, theta_value
+from conftest import grid_shifted, hexes, sample_point, theta_value
 
 ETA = 0.173 - 0.061j
 Z1 = (0.12 + 0.23j,)
@@ -40,19 +42,19 @@ def make_params(lattice, zs, lams):
 # at every lambda.  The operators must equal these entry for entry.
 
 
-def _ref_delta(ev, params, x, sign):
-    out = 1.0 + 0j
-    for zi, li in zip(params.zs, params.lams):
-        out *= theta_value(ev, x - zi - sign * li * params.eta)
-    return out
-
-
-def _ref_offdiag_product(ev, xs, i, z):
-    out = 1.0 + 0j
-    for j in range(len(xs)):
+def _ref_hop_coefficient(ev, params, grid, z, lam, mu, idx, i, sign):
+    """head * prod_{j != i} theta(zdisp - x_j)/theta(x_i - x_j) * A(x_i), zdisp = -z, factor by
+    factor: the head is theta(mu - zdisp + x_i)/theta(lambda) and A is A_plus (sign = +1) or
+    A_minus, each argument z_k - z_i or -z_i + z_j plus an integer times eta."""
+    eta, zs, lams, m = params.eta, params.zs, params.lams, grid.points[idx]
+    steps = [l - 2 * mj for l, mj in zip(lams, m)]
+    zdisp = -z
+    val = theta_value(ev, mu - zdisp + (-zs[i] + (2 * m[i] - lams[i]) * eta)) / theta_value(ev, lam)
+    for j in range(params.n):
         if j != i:
-            out *= theta_value(ev, z + xs[j]) / theta_value(ev, xs[i] - xs[j])
-    return out
+            cross = theta_value(ev, -zs[i] + zs[j] + (steps[j] - steps[i]) * eta)
+            val *= theta_value(ev, zdisp + zs[j] + steps[j] * eta) / cross
+    return val * math.prod(theta_value(ev, zk - zs[i] + (sign * lk - steps[i]) * eta) for zk, lk in zip(zs, lams))
 
 
 def _ref_a_coefficient(ev, params, grid, z, lam, idx):
@@ -63,18 +65,15 @@ def _ref_a_coefficient(ev, params, grid, z, lam, idx):
 
 
 def _ref_b_coefficient(ev, params, grid, z, lam, idx, i, sign=1):
-    xs = grid.xs[idx]
-    val = -theta_value(ev, lam + z + xs[i]) / theta_value(ev, lam)
-    val *= _ref_offdiag_product(ev, xs, i, z)
-    return val * _ref_delta(ev, params, -xs[i], sign)
+    # -theta(lambda + z + x_i)/theta(lambda) prod_{j != i} theta(z + x_j)/theta(x_i - x_j) Delta_+(-x_i): the
+    # signs (-1)^(n-1) of theta(z + x_j) and (-1)^n of Delta_+(-x_i) = (-1)^n A_plus(x_i) cancel the minus
+    return _ref_hop_coefficient(ev, params, grid, z, lam, lam, idx, i, sign)
 
 
 def _ref_c_coefficient(ev, params, grid, z, lam, idx, i, sign=-1):
-    xs = grid.xs[idx]
-    s = complex(np.sum(xs + np.asarray(params.zs)))
-    val = -theta_value(ev, -lam + z + xs[i] - 2 * s) / theta_value(ev, lam)
-    val *= _ref_offdiag_product(ev, xs, i, z)
-    return val * _ref_delta(ev, params, -xs[i], sign)
+    # theta(-lambda + z + x_i - 2 s) in the head, s = sum_j (x_j + z_j) = -eta w at the target
+    mu = -lam + 2 * (params.eta * int(grid.weights[idx]))
+    return _ref_hop_coefficient(ev, params, grid, z, lam, mu, idx, i, sign)
 
 
 def reference_quadruple(params):
@@ -96,7 +95,7 @@ def reference_quadruple(params):
             (idx, src, i)
             for idx in range(grid.dim)
             for i in range(params.n)
-            if (src := grid.shifted(idx, i, dm)) is not None
+            if (src := grid_shifted(grid, idx, i, dm)) is not None
         ]
 
         def blocks(lam):
@@ -377,11 +376,11 @@ def test_n1_example(lattice, rng):
             d_ex = theta_value(ev, z - z1 + ETA * h) * theta_value(ev, lam - ETA * h - ETA) / theta_value(ev, lam)
             assert abs(mats["a"][-1][idx, idx] - a_ex) <= 1e-10 * max(1.0, abs(a_ex))
             assert abs(mats["d"][+1][idx, idx] - d_ex) <= 1e-10 * max(1.0, abs(d_ex))
-            src = grid.shifted(idx, 0, -1)
+            src = grid_shifted(grid, idx, 0, -1)
             if src is not None:
                 b_ex = theta_value(ev, lam + z - z1 - ETA * h) / theta_value(ev, lam) * theta_value(ev, ETA - ETA * h)
                 assert abs(mats["b"][+1][idx, src] - b_ex) <= 1e-10 * max(1.0, abs(b_ex))
-            src = grid.shifted(idx, 0, +1)
+            src = grid_shifted(grid, idx, 0, +1)
             if src is not None:
                 c_ex = -theta_value(ev, -lam + z - z1 + ETA * h) / theta_value(ev, lam) * theta_value(ev, ETA * h + ETA)
                 assert abs(mats["c"][-1][idx, src] - c_ex) <= 1e-10 * max(1.0, abs(c_ex))
@@ -400,44 +399,52 @@ def test_rll_relations(lattice, rng, zs, lams):
 
 def test_rll_theta_count(lattice, rng, monkeypatch):
     """Each operator evaluates its lambda-independent factors once, when it is
-    built, and each R-matrix, factor table and block takes its thetas from
-    one array call: one RLL check at two sites reads the same 475 distinct
-    theta arguments as the per-entry coefficients at 1,758 points in 284
-    calls, where the per-entry coefficients (one point per call, beside the
-    R-matrices of the multiplication operators) read 4,628 points in 4,142
-    calls, and reports the same numbers.  With one scalar call per theta it
-    made 1,758 calls."""
+    built (b(z) and c(z) share theirs, and the model's cross thetas and hop
+    coefficients come from the cached hop table), and each R-matrix, factor
+    table and block takes its thetas from one array call: one cold RLL check
+    at two sites reads the per-entry coefficients' 482 distinct theta
+    arguments and theta(0) at 1,665 points in 281 calls, where the per-entry
+    coefficients (one point per call, beside the R-matrices of the
+    multiplication operators) read 4,628 points in 4,142 calls, and reports
+    the same numbers.  theta(0) is the table's theta(lambda_w) at the weight
+    w = 0, which only the grid transfer matrix reads.  With per-operator hop
+    factors: 475 distinct arguments (b and c read a's theta(z + x_j) then,
+    where they now read theta(-z - x_j)) at 1,758 points in 284 calls; with
+    one scalar call per theta, 1,758 calls."""
     params = make_params(lattice, Z2, (1, 1))
     z = sample_point(rng, lattice)
     w = sample_point(rng, lattice)
     samples = [sample_point(rng, lattice) for _ in range(5)]
+    eqg._hop_table.cache_clear()
     calls = count_theta(monkeypatch)
     report = rll_residual(params, z, w, samples)
     points = [p for call in calls for p in call]
     assert report["max_residual"] <= 1e-9
-    assert len(set(points)) == 475
-    assert len(calls) <= 284 and len(points) <= 1_758
+    assert len(set(points)) == 483
+    assert len(calls) <= 281 and len(points) <= 1_665
 
     calls.clear()
     monkeypatch.setattr(eqg, "build_quadruple", reference_quadruple)
     assert rll_residual(params, z, w, samples) == report
-    assert {p for call in calls for p in call} == set(points)
+    assert {p for call in calls for p in call} == set(points) - {0j}
     assert (len(calls), sum(map(len, calls))) == (4_142, 4_628)
 
 
 def test_central_element_theta_count(lattice, rng, monkeypatch):
-    """The centrality check reads its operators' factor tables too: 1,166
-    theta points in 353 array calls at two sites (1,166 scalar calls before
-    the array calls), not the per-entry coefficients' 3,608 points (3,602
-    calls: each determinant takes one)."""
+    """The centrality check reads its operators' factor tables too: cold,
+    1,101 theta points in 351 array calls at two sites (1,166 in 353 with
+    per-operator hop factors, and 1,166 scalar calls before the array
+    calls), not the per-entry coefficients' 3,608 points (3,602 calls: each
+    determinant takes one)."""
     params = make_params(lattice, Z2, (1, 1))
     z = sample_point(rng, lattice)
     w = sample_point(rng, lattice)
     samples = [sample_point(rng, lattice) for _ in range(3)]
+    eqg._hop_table.cache_clear()
     calls = count_theta(monkeypatch)
     report = central_element_residual(params, z, w, samples)
     assert report["scalar_residual"] <= 1e-10
-    assert len(calls) <= 353 and sum(map(len, calls)) <= 1_166
+    assert len(calls) <= 351 and sum(map(len, calls)) <= 1_101
 
     calls.clear()
     monkeypatch.setattr(eqg, "build_quadruple", reference_quadruple)
@@ -445,9 +452,28 @@ def test_central_element_theta_count(lattice, rng, monkeypatch):
     assert (len(calls), sum(map(len, calls))) == (3_602, 3_608)
 
 
+@pytest.mark.parametrize("lams", [(1, 1, 1), (2, 1), (3, 1, 1)])
+def test_hop_coefficients_are_the_shift_polynomials(lattice, lams):
+    """Each hop's coefficient in the hop table is A_plus(x_i) for b and A_minus(x_i)
+    for c at its target: eqg._shift_polys, the pair that the off-grid operator
+    and continuous_bethe read, at S0Grid.xs through spaces.eval_elliptic_polys.
+    The other polynomial of the pair misses (negative control)."""
+    params = make_params(lattice, Z3[: len(lams)], lams)
+    table = eqg._hop_table(params)
+    polys = spaces.eval_elliptic_polys(params.evaluator(), eqg._shift_polys(params), S0Grid(params).xs)
+    for d in (0, 1):
+        target, _, site, _ = table.hops[d]
+        coefs = np.array(table.coefs)[table.factors[d][-1] - len(table.cross)]
+        assert np.max(np.abs(coefs - polys[d][target, site]) / np.abs(polys[d][target, site])) <= 1e-13
+        assert np.min(np.abs(coefs - polys[1 - d][target, site]) / np.abs(coefs)) > 1e-3
+    # every coefficient serves a hop
+    served = np.unique(np.concatenate([f[-1] for f in table.factors]))
+    assert np.array_equal(served, len(table.cross) + np.arange(len(table.coefs)))
+
+
 def test_rll_residual_sees_perturbed_a_and_b(lattice, rng, monkeypatch):
     """The sixteen relations hold the a-b exchange relation among them: a
-    1e-6 change of a(z) at grid point 0, or of b's site-0 hop factors (which
+    1e-6 change of a(z) at grid point 0, or of b's site-0 hop coefficient (which
     leaves a-b exchange, linear in b on both sides, intact), moves the
     residual from below 1e-12 to above 1e-8."""
     params = make_params(lattice, Z2, (1, 1))
@@ -477,16 +503,14 @@ def test_rll_residual_sees_perturbed_a_and_b(lattice, rng, monkeypatch):
         patch.setattr(eqg, "build_quadruple", perturbed_a)
         assert rll_residual(params, z, w, samples)["max_residual"] > 1e-8
 
-    hop_factors = eqg._hop_factors
+    hop_table = eqg._hop_table
 
-    def perturbed_b_hops(ev, params, hops, z, sign):
-        # b hops with sign +1, c with sign -1
-        return [
-            (off * (1.0 + 1e-6), delta) if (i, sign) == (0, +1) else (off, delta)
-            for (_, i), (off, delta) in zip(hops, hop_factors(ev, params, hops, z, sign))
-        ]
+    def perturbed_b_coefficient(params):
+        # the table's first coefficient is b's A_plus(x_0) at m_0 = 1
+        table = hop_table(params)
+        return dataclasses.replace(table, coefs=(table.coefs[0] * (1.0 + 1e-6),) + table.coefs[1:])
 
-    monkeypatch.setattr(eqg, "_hop_factors", perturbed_b_hops)
+    monkeypatch.setattr(eqg, "_hop_table", perturbed_b_coefficient)
     assert rll_residual(params, z, w, samples)["max_residual"] > 1e-8
 
 

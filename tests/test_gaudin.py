@@ -24,6 +24,7 @@ from ellsov.theta import PoleProximityError
 from conftest import (
     count_reductions,
     count_theta_calls,
+    grid_shifted,
     jet_wp_bar,
     sample_point,
     scalar_jet_mul,
@@ -283,13 +284,13 @@ def test_site_operators_match_kronecker(lattice, lams):
         for a, b in zip(got, want, strict=True):
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
-    # the strides S0Grid.shifted walks by agree with a lookup of the moved multi-index
+    # the strides agree with a lookup of the moved multi-index
     index = {m: i for i, m in enumerate(grid.points)}
     for idx, m in enumerate(grid.points):
         for i in range(len(lams)):
             for dm in (-1, 1):
                 moved = m[:i] + (m[i] + dm,) + m[i + 1:]
-                assert grid.shifted(idx, i, dm) == index.get(moved)
+                assert grid_shifted(grid, idx, i, dm) == index.get(moved)
 
 
 def test_rep_relations(lattice):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ellsov import cli, irf, spaces
+from ellsov import cli, eqg, irf, spaces
 from ellsov.eqg import S0Grid, r_matrix
 from ellsov.irf import (
     apply_transfer_continuous,
@@ -308,7 +308,7 @@ def test_irf_lattice_gate_is_the_validator(lattice, eta, message):
     params = ModelParams(lattice, eta, Z3, (1, 1, 1))
     with pytest.raises(ParameterError, match=message):
         params.validate_for_irf()
-    for cache, build in ((irf._grid_model, build_T_irf_sov), (irf._path_model, build_T_irf_paths)):
+    for cache, build in ((eqg._hop_table, build_T_irf_sov), (irf._path_model, build_T_irf_paths)):
         cache.cache_clear()
         with pytest.raises(ParameterError) as raised:
             build(params, 0.41 + 0.37j)
@@ -396,16 +396,37 @@ def test_sov_match_reference_loop(lattice):
     assert relative_entry_gap(dense(build_T_irf_sov(params, zeta)), nudged) > 1e-13
 
 
+def test_sov_rows_are_eqg_b_plus_c(lattice):
+    """Row r of T_sov(zeta) is row r of eqg's b(zeta) + c(zeta) at lambda_r = eta (n -
+    2 sum m), bit for bit, at n = 1, 3, 5 and 7: both read the one hop table through
+    the one product.  When irf and eqg coded the operator twice, the entries of
+    these four models agreed to a relative 7.8e-15, and 2 of the 1,082 bit for bit."""
+    rng2 = np.random.default_rng(23)
+    for zs in (Z1, Z3, Z5, Z9[:7]):
+        params = make_params(lattice, zs)
+        quad = eqg.build_quadruple(params)
+        zeta = spectral_point(params, rng2)
+        t = dense(build_T_irf_sov(params, zeta))
+        b, c = quad.b(zeta), quad.c(zeta)
+        for w in np.unique(quad.grid.weights).tolist():
+            lam = params.eta * w
+            rows = np.flatnonzero(quad.grid.weights == w)
+            displayed = b.blocks(lam)[1] + c.blocks(lam)[-1]
+            assert np.count_nonzero(displayed[rows]) == params.n * len(rows)
+            assert t[rows].tobytes() == displayed[rows].tobytes(), (params.n, w)
+
+
 def test_sov_cold_build_equals_warm(lattice):
     # the per-model data is a cache, never a second source of values
     params = make_params(lattice, Z5)
-    irf._grid_model.cache_clear()
+    eqg._hop_table.cache_clear()
     cold = dense(build_T_irf_sov(params, 0.41 + 0.37j))
-    assert irf._grid_model.cache_info().misses == 1
+    assert eqg._hop_table.cache_info().misses == 1
     warm = dense(build_T_irf_sov(params, 0.41 + 0.37j))
-    assert irf._grid_model.cache_info().hits == 1
+    assert eqg._hop_table.cache_info().hits == 1
     assert np.array_equal(cold, warm)
-    assert not irf._grid_model(params).factors.flags.writeable
+    table = eqg._hop_table(params, ModelParams.validate_for_irf)
+    assert not any(arr.flags.writeable for arr in (*table.hops, *table.factors, table.bits))
 
 
 def test_sov_cache_key_includes_eta(lattice):
@@ -413,12 +434,12 @@ def test_sov_cache_key_includes_eta(lattice):
     first = make_params(lattice, Z3)
     second = ModelParams(lattice=lattice, eta=ETA + 0.01, zs=Z3, lams=(1, 1, 1))
     zeta = 0.41 + 0.37j
-    irf._grid_model.cache_clear()
+    eqg._hop_table.cache_clear()
     a, b = dense(build_T_irf_sov(first, zeta)), dense(build_T_irf_sov(second, zeta))
     assert not np.allclose(a, b)
     # second's build must not have read first's entry: it equals its own cold build
-    assert irf._grid_model.cache_info().misses == 2
-    irf._grid_model.cache_clear()
+    assert eqg._hop_table.cache_info().misses == 2
+    eqg._hop_table.cache_clear()
     assert np.array_equal(b, dense(build_T_irf_sov(second, zeta)))
     assert relative_entry_gap(b, reference_sov(second, zeta)) <= 1e-13
 
@@ -662,7 +683,7 @@ def test_working_set_rewrite_is_bit_identical(lattice):
     for n in (1, 3, 5, 7, 9):
         params = make_params(lattice, Z9[:n])
         irf._path_model.cache_clear()
-        irf._grid_model.cache_clear()
+        eqg._hop_table.cache_clear()
         recs = [reconcile_constructions(params, np.random.default_rng(5)) for _ in ("cold", "warm")]
         expect = reconcile_reference(params, np.random.default_rng(5))
         for rec in recs:
@@ -697,10 +718,12 @@ def test_reconcile_working_set(lattice):
     blocks.  The former code read 16.1, 15.0 and 12.0 blocks: its first-order
     updates held the f11/f21, minus/plus and zeros_like temporaries, C was a
     copy, the pairing and min_gap ran on 2h x 2h tables, and T_sov's
-    eigensolver ran beside the path eigenbasis.  At n = 9 the peak is now in
-    the bridge samples: the conjugation and its inverse (four blocks),
-    T_sov's two, the first product and the second one's two temporaries."""
-    for n, pinned in ((7, 9.14), (9, 9.02)):
+    eigensolver ran beside the path eigenbasis.  At n = 9 the bridge samples
+    held 9.02 while T_sov's B and C were views of one array: the conjugation
+    and its inverse (four blocks), T_sov's two, the first product and the
+    second one's two temporaries.  With separate blocks, B is dropped once
+    its product is formed, and the peak is the eigensolver stage's."""
+    for n, pinned in ((7, 9.14), (9, 8.02)):
         params = make_params(lattice, Z9[:n])
         reconcile_constructions(params, np.random.default_rng(3))  # warm the per-model caches
         peak = traced_blocks(n, lambda: reconcile_constructions(params, np.random.default_rng(3)))
@@ -986,7 +1009,7 @@ def test_certify_spectrum_theta_count(lattice, monkeypatch):
     calls."""
     params = make_params(lattice, Z5)
     counts = count_theta_calls(monkeypatch)
-    irf._grid_model.cache_clear()
+    eqg._hop_table.cache_clear()
     certs = certify_spectrum(params, 0.41 + 0.37j, rng=np.random.default_rng(7))
     assert len(certs) == 32 and all(c.passed for c in certs)
     assert counts["theta_array"] == [12, 827]
