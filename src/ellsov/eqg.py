@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .params import ModelParams, ParameterError
-from .spaces import EllipticPoly
+from .spaces import EllipticPoly, eval_elliptic_polys
 from .theta import ThetaEvaluator
 
 # ---------------------------------------------------------------------------
@@ -238,11 +238,11 @@ class _HopTable:
 
 
 @functools.lru_cache(maxsize=8)  # an entry holds (n + 4) n 2^n int32 indices at weight 1
-def _hop_table(params: ModelParams, validate: Callable = ModelParams.validate_distinct_sites) -> _HopTable:
-    """The hop table of any weights, read-only; validate(params) runs first, so a
+def _hop_table(params: ModelParams) -> _HopTable:
+    """The hop table of any weights, read-only; validate_distinct_sites runs first, so a
     model that fails it keeps no entry.  Each argument is z_k - z_i or -z_i + z_j
     plus an integer times eta, each coefficient a math.prod over k, all from one call."""
-    validate(params)
+    params.validate_distinct_sites()
     n, eta, zs, lams, ev = params.n, params.eta, params.zs, params.lams, params.evaluator()
     grid = S0Grid(params)
     bits, lams_before = np.array(grid.points), np.cumsum((0,) + lams[:-1])  # sum_{j < i} Lambda_j
@@ -314,10 +314,11 @@ def _shift_polys(params: ModelParams) -> tuple[EllipticPoly, EllipticPoly]:
 
 
 def det_scalar(params: ModelParams, z: complex) -> complex:
-    """The central quantum determinant: a scalar function of z."""
-    ev, eta, sites = params.evaluator(), params.eta, zip(params.zs, params.lams)
-    thetas = iter(ev.theta_values([(z - zi - li * eta, z - zi + li * eta + 2 * eta) for zi, li in sites]))
-    return math.prod(next(thetas) * next(thetas) for _ in params.zs)
+    """The central quantum determinant Det(z) = A_plus(-z) A_minus(-z - 2 eta): one elliptic
+    polynomial at -z whose zeros are A_plus's and A_minus's shifted by 2 eta."""
+    a_plus, a_minus = _shift_polys(params)
+    det = EllipticPoly(0.0, a_plus.zeros + tuple(w + 2 * params.eta for w in a_minus.zeros))
+    return complex(eval_elliptic_polys(params.evaluator(), (det,), -z)[0])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -341,7 +342,7 @@ def build_quadruple(params: ModelParams) -> OperatorQuadruple:
         a(z + 2 eta) d(z) - c(z + 2 eta) b(z) = theta(lambda - 2 eta h)/theta(lambda) Det(z)
     by composing with the inverse of the diagonal operator a(z + 2 eta).
     Each operator computes its lambda-independent theta factors when it
-    is built (b(z) and c(z) share theirs); blocks evaluate the rest.
+    is built (a(z), b(z) and c(z) share theirs); blocks evaluate the rest.
     """
     table = _hop_table(params)
     ev = params.evaluator()
@@ -349,9 +350,18 @@ def build_quadruple(params: ModelParams) -> OperatorQuadruple:
     grid = S0Grid(params)
     step = 2 * eta
     top = eta * sum(params.lams)
+    # each grid point's site values as indices into table.spectral (site by site, m_j ascending)
+    site_index = (np.cumsum((0,) + tuple(l + 1 for l in params.lams[:-1])) + table.bits).tolist()
+
+    @functools.cache
+    def spectral(z: complex) -> list[complex]:
+        # theta(-z - x_j) at every site value, shared by a(z), b(z) and c(z), from one call
+        return ev.theta_values([-z + zj + shift for zj, shift in table.spectral])
 
     def a_op(z: complex) -> ShiftOp:
-        sites = [np.prod(row) for row in np.reshape(ev.theta_values(z + grid.xs), grid.xs.shape).tolist()]
+        # prod_j theta(z + x_j) = (-1)^n prod_j theta(-z - x_j), theta being odd
+        th = spectral(z)
+        sites = [math.prod((th[k] for k in row), start=(-1.0) ** params.n) for row in site_index]
         shifts = [eta * h for h in grid.weights]
 
         def entries(lam):
@@ -359,11 +369,6 @@ def build_quadruple(params: ModelParams) -> OperatorQuadruple:
             return [p * th / th_lam for p, th in zip(sites, thetas)]
 
         return ShiftOp.diagonal(grid.dim, step, entries, k=-1)
-
-    @functools.cache
-    def spectral(z: complex) -> list[complex]:
-        # theta(-z - x_j) at every site value, shared by b(z) and c(z), from one call
-        return ev.theta_values([-z + zj + shift for zj, shift in table.spectral])
 
     def hop_op(z: complex, d: int) -> ShiftOp:
         """b(z) for d = 0, c(z) for d = 1.  The head slot of lambda_w and x_i reads
@@ -415,41 +420,27 @@ def highest_weight_check(
     def f(lam):
         return vhw
 
-    eta = params.eta
+    ev, eta = params.evaluator(), params.eta
     lam_tot = sum(params.lams)
-    sites = list(zip(params.zs, params.lams))
-    # the a and d eigenvalue products' thetas at every z, then theta(lambda - 2 eta Lambda)
-    # and theta(lambda) at every lambda, from one call
-    args = [z - zi - li * eta for z in z_samples for zi, li in sites]
-    args += [z - zi + li * eta for z in z_samples for zi, li in sites]
-    args += [x for lam in lam_samples for x in (lam - 2 * eta * lam_tot, lam)]
-    thetas = params.evaluator().theta_values(args)
-    n, count = len(sites), len(z_samples) * len(sites)
-    products = [np.prod(thetas[k : k + n]) for k in range(0, 2 * count, n)]
-    ratios = [num / den for num, den in zip(thetas[2 * count :: 2], thetas[2 * count + 1 :: 2])]
+    # the a and d eigenvalues at m = 0 are (-1)^n A_plus(-z) and (-1)^n A_minus(-z), from one call
+    # over every z; theta(lambda - 2 eta Lambda) / theta(lambda) at every lambda from one more
+    polys = eval_elliptic_polys(ev, _shift_polys(params), -np.asarray(z_samples, dtype=complex))
+    a_values, d_values = ((-1.0) ** params.n * polys).tolist()
+    thetas = ev.theta_values([x for lam in lam_samples for x in (lam - 2 * eta * lam_tot, lam)])
+    ratios = [num / den for num, den in zip(thetas[::2], thetas[1::2])]
 
     # each residual's values, folded by np.max so that a NaN is kept
     misses = {key: [0.0] for key in ("c_residual", "a_residual", "d_residual", "pair_residual")}
-    for p, z in enumerate(z_samples):
-        a_expected, d_prod = products[p], products[len(z_samples) + p]
+    for z, a_expected, d_prod in zip(z_samples, a_values, d_values):
         kappa = 1.0 / a_expected
         c_op, a_op, d_op = quad.c(z), quad.a(z), quad.d(z)
         for lam, ratio in zip(lam_samples, ratios):
-            cv = c_op.apply(f, lam)
-            misses["c_residual"].append(np.max(np.abs(cv)))
-
-            av = a_op.apply(f, lam)
-            off = av.copy()
-            off[hw] = 0.0
-            res_a = np.max([np.max(np.abs(off)), abs(av[hw] - a_expected)])
-            misses["a_residual"].append(res_a / max(1.0, abs(a_expected)))
-
-            d_expected = ratio * d_prod
-            dv = d_op.apply(f, lam)
-            off = dv.copy()
-            off[hw] = 0.0
-            res_d = np.max([np.max(np.abs(off)), abs(dv[hw] - d_expected)])
-            misses["d_residual"].append(res_d / max(1.0, abs(d_expected)))
+            misses["c_residual"].append(np.max(np.abs(c_op.apply(f, lam))))
+            av, dv = a_op.apply(f, lam), d_op.apply(f, lam)
+            for key, v, expected in (("a_residual", av, a_expected), ("d_residual", dv, ratio * d_prod)):
+                off = v.copy()
+                off[hw] = 0.0
+                misses[key].append(np.max([np.max(np.abs(off)), abs(v[hw] - expected)]) / max(1.0, abs(expected)))
 
             # after the kappa normalization the pair of eigenvalues is (1, D-bar)
             dbar = ratio * d_prod / a_expected
@@ -579,16 +570,14 @@ def residue_sum(params: ModelParams, grid_index: int, i: int) -> complex:
     radius = min(0.1, 0.3 * sep)
     total = 0.0 + 0j
     ts = np.exp(2j * np.pi * np.arange(_RESIDUE_POINTS) / _RESIDUE_POINTS)
-    # f(v) = theta(v + c_0) / theta(v + c_1) * prod_l theta(v + c_l1) theta(v + c_l2)
-    #        / (theta(v + c_l3) theta(v + c_l4)), at every quadrature point from one call
-    shifts = [2 * s + xs[i] + 2 * eta, xs[i] + 2 * eta]
-    for zl, ll, xl in zip(params.zs, params.lams, xs):
-        shifts += [-zl - ll * eta, -zl + ll * eta + 2 * eta, xl, xl + 2 * eta]
+    # f(v) = theta(v + 2 s + x_i + 2 eta) Det(v) / (theta(v + x_i + 2 eta) prod_p theta(v - p)),
+    # with Det(v) = prod_l theta(v - z_l - Lambda_l eta) theta(v - z_l + Lambda_l eta + 2 eta):
+    # two elliptic polynomials, at every quadrature point from one call
+    det = [w for zl, ll in zip(params.zs, params.lams) for w in (zl + ll * eta, zl - ll * eta - 2 * eta)]
+    num, den = (-(2 * s + xs[i] + 2 * eta), *det), (-(xs[i] + 2 * eta), *poles)
     vs = (np.array(poles)[:, None] + radius * ts).ravel()
-    th = ev.theta_array((vs[:, None] + np.array(shifts)).ravel(), 0).reshape(len(vs), len(shifts))
-    vals = th[:, 0] / th[:, 1]
-    for k in range(2, len(shifts), 4):
-        vals = vals * (th[:, k] * th[:, k + 1]) / (th[:, k + 2] * th[:, k + 3])
+    top, bottom = eval_elliptic_polys(ev, (EllipticPoly(0.0, num), EllipticPoly(0.0, den)), vs)
+    vals = top / bottom
     for pole_vals in vals.reshape(len(poles), _RESIDUE_POINTS):
         total += np.sum(pole_vals * radius * ts) / _RESIDUE_POINTS
     return total

@@ -134,10 +134,16 @@ def _path_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rows[keep], cols[keep]
 
 
+@functools.lru_cache(maxsize=8)
+def _validated_for_irf(params: ModelParams) -> None:
+    """validate_for_irf once per model for both constructions; a model that fails keeps no entry."""
+    params.validate_for_irf()
+
+
 @functools.lru_cache(maxsize=8)  # an entry holds (3^n - 1)(4 + n)/2 bytes of indices
 def _path_model(params: ModelParams) -> _PathModel:
     """Support, face indices and the corner heights' thetas of B, read-only."""
-    params.validate_for_irf()
+    _validated_for_irf(params)
     n, eta, ev = params.n, params.eta, params.evaluator()
     # doubled heights from the path sign 1 - 2m: antiperiodicity fixes
     # 2 a_1 = sum sigma, and each step is -2 sigma_i
@@ -236,7 +242,8 @@ def build_T_irf_sov(params: ModelParams, zeta: complex) -> tuple[np.ndarray, np.
     theta_array call; each entry equals the scalar product of its factors
     bit for bit, and one that overflows is a ParameterError.
     """
-    table = _hop_table(params, ModelParams.validate_for_irf)
+    _validated_for_irf(params)
+    table = _hop_table(params)
     zdisp = -complex(zeta)
     # theta(zdisp - x_j) takes 2n distinct values across the whole grid; they and
     # the head slots' thetas come from one array-kernel call
@@ -566,7 +573,8 @@ def certify_spectrum(
     run for all clusters at once.
     """
     # z-independent data of the quadratic relations (the hop coefficients) and the grid signs
-    table = _hop_table(params, ModelParams.validate_for_irf)
+    _validated_for_irf(params)
+    table = _hop_table(params)
     n = params.n
     ev = params.evaluator()
     chi0 = eigenvalue_character(params)

@@ -61,8 +61,10 @@ def jdiv(a: np.ndarray, b: np.ndarray, degree: int | None = None) -> np.ndarray:
     out = np.zeros((degree + 1,) + np.broadcast_shapes(a.shape[1:], b.shape[1:]), dtype=complex)
     for k in range(degree + 1):
         i = min(k, len(b) - 1)
-        # a[k] - sum_{i >= 1} b[i] out[k - i], as one sum over the terms so far
-        out[k] = ((a[k] if k < len(a) else 0j) - (b[i:0:-1] * out[k - i : k]).sum(axis=0)) / b[0]
+        # a[k] - sum_{i >= 1} b[i] out[k - i], the terms added in order (add.accumulate is
+        # sequential, where .sum is pairwise on a contiguous axis), so a stack keeps one-point bits
+        terms = np.add.accumulate(b[i:0:-1] * out[k - i : k])[-1] if i else 0j
+        out[k] = ((a[k] if k < len(a) else 0j) - terms) / b[0]
     return out
 
 

@@ -387,34 +387,6 @@ def check_difference_compatibility(
         raise CompatibilityError("difference-equation characters violate the tau compatibility")
 
 
-def _bethe_terms(ev, A_plus, A_minus, gamma, a, roots):
-    """The summands (t1_i, t2_i) of equation i, with products over all roots (j = i: theta(-/+gamma)).
-
-    The sum form, not the Newton system's ratio form, from one theta_array
-    call: solve_difference_bethe certifies the accepted point with it.
-    Each product is Python-scalar arithmetic on the call's values, factor
-    by factor from exp(a w_i).
-    """
-    args = [0j - gamma, 0j + gamma]
-    for i, wi in enumerate(roots):
-        args += [wi - w for w in A_plus.zeros] + [wi - w for w in A_minus.zeros]
-        args += [wi - wj + shift for j, wj in enumerate(roots) if j != i for shift in (-gamma, gamma)]
-    thetas = iter(ev.theta_values(args))
-    th_m, th_p = next(thetas), next(thetas)
-    ea_m = cmath.exp(-gamma * a)
-    ea_p = cmath.exp(gamma * a)
-    terms = []
-    for i, wi in enumerate(roots):
-        t1 = math.prod((next(thetas) for _ in A_plus.zeros), start=cmath.exp(A_plus.a * wi)) * ea_m
-        t2 = math.prod((next(thetas) for _ in A_minus.zeros), start=cmath.exp(A_minus.a * wi)) * ea_p
-        for j in range(len(roots)):
-            below, above = (th_m, th_p) if j == i else (next(thetas), next(thetas))
-            t1 *= below
-            t2 *= above
-        terms.append((t1, t2))
-    return terms
-
-
 def _bethe_system(ev, A_plus, A_minus, gamma, m):
     """damped_newton's system(x) for the m-root Bethe system, x = (a, w_1..w_m).
 
@@ -498,10 +470,14 @@ def solve_difference_bethe(
         accept=lambda x: _check_root_separation(ev, x[1:]),
     )
     a, roots = complex(x[0]), tuple(complex(w) for w in x[1:])
-    # the reported residual is the sum form's: _bethe_terms' Python-scalar products on one theta_array call
-    terms = _bethe_terms(ev, A_plus, A_minus, gamma, a, roots)
-    scale = max(max(abs(t1), abs(t2)) for t1, t2 in terms)
-    residual = float(np.max([abs(t1 + t2) for t1, t2 in terms])) / max(scale, 1e-300)  # a NaN is kept
+    # the reported residual is the sum form's, independent of the ratio form: the TQ relation at
+    # the roots, A_plus(w) Q(w - gamma) + A_minus(w) Q(w + gamma) = 0, where Q(w -/+ gamma) is
+    # exp(-/+a gamma) times exp(a w) prod_j theta(w - w_j -/+ gamma).  Each side but its common
+    # exp(a w) is one elliptic polynomial, A_plus or A_minus with the zeros w_j +/- gamma added
+    sides = [EllipticPoly(p.a, p.zeros + tuple(w + shift for w in roots))
+             for p, shift in ((A_plus, gamma), (A_minus, -gamma))]
+    terms = eval_elliptic_polys(ev, sides, roots) * np.array([[cmath.exp(-gamma * a)], [cmath.exp(gamma * a)]])
+    residual = float(np.max(np.abs(terms.sum(axis=0)))) / max(float(np.max(np.abs(terms))), 1e-300)
     return BetheSolution(a, roots, residual, iterations)
 
 

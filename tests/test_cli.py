@@ -564,10 +564,11 @@ def test_irf_partition_bridge_matches_kappa_reference(tmp_path):
 
 
 def test_irf_tasks_validate_each_model_once(tmp_path, monkeypatch):
-    """validate_for_irf runs first in the two per-model caches (the path model,
-    and the hop table as the grid matrix reads it), so a task validates its
-    model once per cache it fills: at most twice per
-    irf build or partition task and once per irf spectrum task."""
+    """validate_for_irf runs through the per-model cache irf._validated_for_irf,
+    which both constructions read before their own caches (the path model, and
+    the hop table as the grid matrix reads it), so every irf build, spectrum
+    and partition task validates its model once (twice per build or partition
+    task when each cache ran its own validator)."""
     calls = []
     original = ModelParams.validate_for_irf
 
@@ -576,12 +577,12 @@ def test_irf_tasks_validate_each_model_once(tmp_path, monkeypatch):
         return original(self)
 
     monkeypatch.setattr(ModelParams, "validate_for_irf", counted)
-    for task, config, limit in (("build", "irf_n5", 2), ("spectrum", "irf_n5", 1), ("partition", "irf_n3", 2)):
-        irf._path_model.cache_clear()
-        eqg._hop_table.cache_clear()
+    for task, config in (("build", "irf_n5"), ("spectrum", "irf_n5"), ("partition", "irf_n3")):
+        for cache in (irf._validated_for_irf, irf._path_model, eqg._hop_table):
+            cache.cache_clear()
         calls.clear()
         code, _ = run_to_file(tmp_path, ["irf", task, "--config", str(CONFIGS / ("%s.json" % config))])
-        assert code == 0 and 1 <= len(calls) <= limit, (task, len(calls))
+        assert code == 0 and len(calls) == 1, (task, len(calls))
 
 
 def reference_gaudin_check(cfg, seed):

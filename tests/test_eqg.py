@@ -58,8 +58,10 @@ def _ref_hop_coefficient(ev, params, grid, z, lam, mu, idx, i, sign):
 
 
 def _ref_a_coefficient(ev, params, grid, z, lam, idx):
-    xs = grid.xs[idx]
-    pref = np.prod([theta_value(ev, z + x) for x in xs])
+    # prod_j theta(z + x_j) as (-1)^n prod_j theta(-z - x_j), each argument -z + z_j + (Lambda_j - 2 m_j) eta
+    sites = zip(params.zs, params.lams, grid.points[idx])
+    pref = math.prod((theta_value(ev, -z + zj + (l - 2 * mj) * params.eta) for zj, l, mj in sites),
+                     start=(-1.0) ** params.n)
     arg = lam - params.eta * grid.weights[idx] + params.eta * sum(params.lams)
     return pref * theta_value(ev, arg) / theta_value(ev, lam)
 
@@ -113,8 +115,9 @@ def reference_quadruple(params):
         return hop_op(z, +1, _ref_c_coefficient)
 
     def a_inverse(z):
+        # the operator takes the reciprocals on a numpy array, whose complex division is not Python's
         return diagonal(
-            lambda lam, idx: 1.0 / _ref_a_coefficient(ev, params, grid, z, lam + step, idx), +1
+            lambda lam, idx: 1.0 / np.complex128(_ref_a_coefficient(ev, params, grid, z, lam + step, idx)), +1
         )
 
     def d_op(z):
@@ -399,18 +402,19 @@ def test_rll_relations(lattice, rng, zs, lams):
 
 def test_rll_theta_count(lattice, rng, monkeypatch):
     """Each operator evaluates its lambda-independent factors once, when it is
-    built (b(z) and c(z) share theirs, and the model's cross thetas and hop
-    coefficients come from the cached hop table), and each R-matrix, factor
-    table and block takes its thetas from one array call: one cold RLL check
-    at two sites reads the per-entry coefficients' 482 distinct theta
-    arguments and theta(0) at 1,665 points in 281 calls, where the per-entry
+    built (a(z), b(z) and c(z) share theirs, and the model's cross thetas and
+    hop coefficients come from the cached hop table), and each R-matrix,
+    factor table and block takes its thetas from one array call: one cold RLL
+    check at two sites reads the per-entry coefficients' 467 distinct theta
+    arguments and theta(0) at 1,633 points in 277 calls, where the per-entry
     coefficients (one point per call, beside the R-matrices of the
     multiplication operators) read 4,628 points in 4,142 calls, and reports
     the same numbers.  theta(0) is the table's theta(lambda_w) at the weight
-    w = 0, which only the grid transfer matrix reads.  With per-operator hop
-    factors: 475 distinct arguments (b and c read a's theta(z + x_j) then,
-    where they now read theta(-z - x_j)) at 1,758 points in 284 calls; with
-    one scalar call per theta, 1,758 calls."""
+    w = 0, which only the grid transfer matrix reads.  With a(z)'s own
+    theta(z + x_j): 482 distinct arguments and theta(0) at 1,665 points in
+    281 calls; with per-operator hop factors: 475 distinct arguments (b and c
+    read a's theta(z + x_j) then) at 1,758 points in 284 calls; with one
+    scalar call per theta, 1,758 calls."""
     params = make_params(lattice, Z2, (1, 1))
     z = sample_point(rng, lattice)
     w = sample_point(rng, lattice)
@@ -420,8 +424,8 @@ def test_rll_theta_count(lattice, rng, monkeypatch):
     report = rll_residual(params, z, w, samples)
     points = [p for call in calls for p in call]
     assert report["max_residual"] <= 1e-9
-    assert len(set(points)) == 483
-    assert len(calls) <= 281 and len(points) <= 1_665
+    assert len(set(points)) == 468
+    assert len(calls) <= 277 and len(points) <= 1_633
 
     calls.clear()
     monkeypatch.setattr(eqg, "build_quadruple", reference_quadruple)
@@ -432,10 +436,10 @@ def test_rll_theta_count(lattice, rng, monkeypatch):
 
 def test_central_element_theta_count(lattice, rng, monkeypatch):
     """The centrality check reads its operators' factor tables too: cold,
-    1,101 theta points in 351 array calls at two sites (1,166 in 353 with
-    per-operator hop factors, and 1,166 scalar calls before the array
-    calls), not the per-entry coefficients' 3,608 points (3,602 calls: each
-    determinant takes one)."""
+    1,077 theta points in 348 array calls at two sites (1,101 in 351 with
+    a(z)'s own theta(z + x_j), 1,166 in 353 with per-operator hop factors,
+    and 1,166 scalar calls before the array calls), not the per-entry
+    coefficients' 3,608 points (3,602 calls: each determinant takes one)."""
     params = make_params(lattice, Z2, (1, 1))
     z = sample_point(rng, lattice)
     w = sample_point(rng, lattice)
@@ -444,7 +448,7 @@ def test_central_element_theta_count(lattice, rng, monkeypatch):
     calls = count_theta(monkeypatch)
     report = central_element_residual(params, z, w, samples)
     assert report["scalar_residual"] <= 1e-10
-    assert len(calls) <= 351 and sum(map(len, calls)) <= 1_101
+    assert len(calls) <= 348 and sum(map(len, calls)) <= 1_077
 
     calls.clear()
     monkeypatch.setattr(eqg, "build_quadruple", reference_quadruple)

@@ -683,11 +683,6 @@ def stack_models(lattice):
     return models
 
 
-def assert_close(got, want, rtol=1e-13):
-    assert got.shape == want.shape
-    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
-
-
 def point_column(coeff, p):
     """Point p's jet of a stacked coefficient, whose shared constants carry a one there."""
     return coeff[:, min(p, coeff.shape[1] - 1)]
@@ -696,11 +691,13 @@ def point_column(coeff, p):
 @pytest.mark.parametrize("model", range(5))
 def test_stacked_builds_equal_one_point_builds(lattice, model):
     """build_hamiltonians over 4 lam0, build_S over 5 z and bethe_eigenvector over
-    2 lam0 equal their one-point builds to 1e-13 relative, coefficients and
-    applications alike: the theta_array rows are the one-point values, but
-    jets.jdiv's sum over the terms of wp_bar's jet is pairwise at one lam0 and
-    in order in a stack (12 of the 247 coefficient jets here differ in their
-    last bits).  A one-point stack equals the point's build bit for bit."""
+    2 lam0 equal their one-point builds bit for bit, coefficients and
+    applications alike: the theta_array rows are the one-point values, and
+    jets.jdiv adds the terms of its recurrence in a fixed order (when numpy
+    summed them pairwise at one lam0 and in order in a stack, 12 of the 172
+    Hamiltonian coefficient jets here and 12 of their 76 applications
+    differed in their last bits).  A one-point stack equals the point's build
+    bit for bit too."""
     params = stack_models(lattice)[model]
     rng = np.random.default_rng(model)
     dim, m = gaudin._gaudin_model(params).dim, sum(params.lams) // 2
@@ -717,14 +714,14 @@ def test_stacked_builds_equal_one_point_builds(lattice, model):
         for p, point in enumerate(points):
             for op, single in zip(stack, build(point), strict=True):
                 for coeff, want in zip(op.coeffs, single.coeffs, strict=True):
-                    assert_close(point_column(coeff, p), want)
-                assert_close(op.apply_jet(u[:, None])[:, p], single.apply_jet(u))
+                    assert np.array_equal(point_column(coeff, p), want)
+                assert np.array_equal(op.apply_jet(u[:, None])[:, p], single.apply_jet(u))
         for op, single in zip(build(points[:1]), build(points[0]), strict=True):
             for coeff, want in zip(op.coeffs, single.coeffs, strict=True):
                 assert np.array_equal(coeff[:, 0], want)
     vecs = bethe_eigenvector(params, c, roots, lam0s[:2], DEGREE)
     for p in range(2):
-        assert_close(vecs[:, p], bethe_eigenvector(params, c, roots, lam0s[p], DEGREE))
+        assert np.array_equal(vecs[:, p], bethe_eigenvector(params, c, roots, lam0s[p], DEGREE))
     assert np.array_equal(bethe_eigenvector(params, c, roots, lam0s[:1], DEGREE)[:, 0],
                           bethe_eigenvector(params, c, roots, lam0s[0], DEGREE))
 

@@ -308,12 +308,14 @@ def test_irf_lattice_gate_is_the_validator(lattice, eta, message):
     params = ModelParams(lattice, eta, Z3, (1, 1, 1))
     with pytest.raises(ParameterError, match=message):
         params.validate_for_irf()
-    for cache, build in ((eqg._hop_table, build_T_irf_sov), (irf._path_model, build_T_irf_paths)):
-        cache.cache_clear()
+    caches = (irf._validated_for_irf, eqg._hop_table, irf._path_model)
+    for build in (build_T_irf_sov, build_T_irf_paths):
+        for cache in caches:
+            cache.cache_clear()
         with pytest.raises(ParameterError) as raised:
             build(params, 0.41 + 0.37j)
         assert str(raised.value) == message
-        assert cache.cache_info().currsize == 0
+        assert all(cache.cache_info().currsize == 0 for cache in caches)
 
 
 def test_paths_spectral_check_on_warm_cache(lattice):
@@ -416,6 +418,35 @@ def test_sov_rows_are_eqg_b_plus_c(lattice):
             assert t[rows].tobytes() == displayed[rows].tobytes(), (params.n, w)
 
 
+def test_eqg_and_grid_matrix_share_one_hop_table_entry(lattice):
+    """eqg's b and the grid transfer matrix of one model read one hop-table entry (two
+    when the table's key held the validator), and the IRF validation runs once."""
+    params = make_params(lattice, Z5)
+    for cache in (irf._validated_for_irf, eqg._hop_table):
+        cache.cache_clear()
+    eqg.build_quadruple(params).b(0.41 + 0.37j).blocks(0.29 - 0.13j)
+    build_T_irf_sov(params, 0.41 + 0.37j)
+    build_T_irf_sov(params, 0.52 + 0.18j)
+    tables, validations = eqg._hop_table.cache_info(), irf._validated_for_irf.cache_info()
+    assert (tables.misses, tables.currsize) == (1, 1)
+    assert (validations.misses, validations.hits) == (1, 1)
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 7])
+def test_quadratic_relation_is_the_quantum_determinant(lattice, n):
+    """The right side of certify_spectrum's quadratic relation at site i, A_plus(x_i) at
+    m_i = 1 times A_minus(x_i) at m_i = 0, is the quantum determinant Det(z_i - eta) =
+    A_plus(-z_i + eta) A_minus(-z_i - eta) to 1e-13 relative (3.6e-15 at most here, 7.2e-15
+    when Det took its own theta products); Det(z_i - eta + 0.05) misses it by more than
+    1e-3 (control)."""
+    params = make_params(lattice, Z9[:n])
+    table = eqg._hop_table(params)
+    for i, zi in enumerate(params.zs):
+        rhs, det = table.coefs[i] * table.coefs[n + i], eqg.det_scalar(params, zi - ETA)
+        assert abs(rhs - det) <= 1e-13 * abs(det)
+        assert abs(rhs - eqg.det_scalar(params, zi - ETA + 0.05)) > 1e-3 * abs(det)
+
+
 def test_sov_cold_build_equals_warm(lattice):
     # the per-model data is a cache, never a second source of values
     params = make_params(lattice, Z5)
@@ -425,7 +456,7 @@ def test_sov_cold_build_equals_warm(lattice):
     warm = dense(build_T_irf_sov(params, 0.41 + 0.37j))
     assert eqg._hop_table.cache_info().hits == 1
     assert np.array_equal(cold, warm)
-    table = eqg._hop_table(params, ModelParams.validate_for_irf)
+    table = eqg._hop_table(params)
     assert not any(arr.flags.writeable for arr in (*table.hops, *table.factors, table.bits))
 
 
@@ -1495,10 +1526,10 @@ def test_stacked_transfer_samples_equal_one_sample_calls():
 
 def test_irf_bethe_work(monkeypatch, tmp_path):
     """One cold irf bethe on configs/irf_bethe_n4.json: 35 theta_array calls over
-    974 points and as many reductions, and no distance pass.  The solver's
-    certificate at the accepted point makes one call over 22 points (22
-    scalar calls before).  The Newton makes 18 evaluations,
-    one call each, whose 11 Jacobians read the distances of the evaluation's
+    976 points and as many reductions, and no distance pass.  The solver's
+    certificate at the accepted point makes one call over 24 points (22 when
+    theta(-/+gamma) was evaluated once, not per root; 22 scalar calls before).
+    The Newton makes 18 evaluations, one call each, whose 11 Jacobians read the distances of the evaluation's
     own call; the 3 eigen samples make 10 as one stack (a basis and its
     cardinal vector per sample, u on every shifted set, A_plus and A_minus,
     eps, and u at the samples); q_membership 3 and character_match 3.  With
@@ -1508,5 +1539,5 @@ def test_irf_bethe_work(monkeypatch, tmp_path):
     reductions = count_reductions(monkeypatch)
     argv = ["irf", "bethe", "--config", str(CONFIGS / "irf_bethe_n4.json"), "--out", str(tmp_path / "b.json")]
     assert cli.main(argv) == 0
-    assert counts == {"theta_array": [35, 974]}
+    assert counts == {"theta_array": [35, 976]}
     assert reductions == {"reduce_array": 35, "dist_to_lattice_array": 0}

@@ -264,9 +264,9 @@ def test_difference_eigenvalue_root_outside_cell(ev):
 
 def test_bethe_solver_theta_count(ev, monkeypatch):
     """One theta_array call per system evaluation, none in the Jacobian, and one
-    for the certificate at the accepted point, over theta(-/+gamma) and the
-    2 * (2 * 4 + 2) factors of its two equations (22 scalar calls before).
-    The sum form took 9 iterations here."""
+    for the certificate at the accepted point, over the 2 * 2 * (4 + 2) factors
+    of its two equations (22 points when theta(-/+gamma) was evaluated once, not
+    per root; 22 scalar calls before).  The sum form took 9 iterations here."""
     lat = ev.lattice
     eta = 0.171 + 0.043j
     zs = [0.23 + 0.31j, 0.67 + 0.52j, 0.12 + 0.8j, 0.5 + 0.1j]
@@ -292,7 +292,7 @@ def test_bethe_solver_theta_count(ev, monkeypatch):
     monkeypatch.setattr(spaces, "_bethe_system", lambda *args: counting(make_system(*args)))
     sol = solve_difference_bethe(ev, A_plus, A_minus, 2.0 * eta, 2, np.random.default_rng(17))
     assert sol.iterations == 8
-    assert len(points) == calls["system"] + 1 and points[-1] == 22
+    assert len(points) == calls["system"] + 1 and points[-1] == 24
 
 
 def test_damped_newton_restarts():
@@ -332,7 +332,9 @@ def test_compatibility_guard(ev, rng):
 
 
 def reference_bethe_terms(ev, A_plus, A_minus, gamma, a, roots):
-    """_bethe_terms as it was: theta(wi - wi -/+ gamma) evaluated at every j = i."""
+    """The summands (t1_i, t2_i) of the sum form at the roots, A_plus(w_i) exp(-gamma a)
+    prod_j theta(w_i - w_j - gamma) and A_minus(w_i) exp(gamma a) prod_j theta(w_i - w_j + gamma),
+    by scalar loops."""
     ea_m = cmath.exp(-gamma * a)
     ea_p = cmath.exp(gamma * a)
     terms = []
@@ -346,19 +348,35 @@ def reference_bethe_terms(ev, A_plus, A_minus, gamma, a, roots):
     return terms
 
 
-def test_bethe_terms_match_per_factor_loop(ev, rng):
-    """theta(-/+gamma) is evaluated once per call and every summand keeps its bits."""
+def test_certificate_is_the_tq_relation_at_the_roots(ev, rng, monkeypatch):
+    """solve_difference_bethe's residual is the sum form at the accepted point: its
+    summands, A_plus(w_i) Q(w_i - gamma) and A_minus(w_i) Q(w_i + gamma) without Q's
+    common exp(a w_i), come from one eval_elliptic_polys call at the roots and equal
+    reference_bethe_terms' to 1e-13 relative, and the residual is max |t1 + t2| over
+    max |t|, read from that call."""
     lat = ev.lattice
     eta = 0.171 + 0.043j
-    zs = [0.23 + 0.31j, 0.67 + 0.52j, 0.12 + 0.8j, 0.5 + 0.1j]
-    A_plus = elliptic_poly(lat, 0.0, [-z - eta for z in zs])
-    A_minus = elliptic_poly(lat, 0.0, [-z + eta for z in zs])
-    for m in (1, 2, 3):
-        for _ in range(4):
-            a = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
-            roots = np.array([sample_point(rng, lat) for _ in range(m)])
-            got = spaces._bethe_terms(ev, A_plus, A_minus, 2.0 * eta, a, roots)
-            assert got == reference_bethe_terms(ev, A_plus, A_minus, 2.0 * eta, a, roots)
+    gamma = 2.0 * eta
+    sites = [0.23 + 0.31j, 0.67 + 0.52j, 0.12 + 0.8j, 0.5 + 0.1j]
+    calls = []
+    original = spaces.eval_elliptic_polys
+
+    def recording(ev, polys, zs):
+        calls.append((zs, original(ev, polys, zs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(spaces, "eval_elliptic_polys", recording)
+    for m in (1, 2):  # m roots for 2m sites of weight 1
+        A_plus = elliptic_poly(lat, 0.0, [-z - eta for z in sites[: 2 * m]])
+        A_minus = elliptic_poly(lat, 0.0, [-z + eta for z in sites[: 2 * m]])
+        calls.clear()
+        sol = solve_difference_bethe(ev, A_plus, A_minus, gamma, m, rng)
+        (points, sides), = calls
+        assert points == sol.roots
+        got = sides * np.array([[cmath.exp(-gamma * sol.a)], [cmath.exp(gamma * sol.a)]])
+        want = np.array(reference_bethe_terms(ev, A_plus, A_minus, gamma, sol.a, sol.roots)).T
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        assert sol.residual == np.max(np.abs(got.sum(axis=0))) / np.max(np.abs(got))
 
 
 def reference_bethe_jacobian(ev, A_plus, A_minus, gamma, roots):
