@@ -292,7 +292,6 @@ def _task_gaudin_bethe(block, params, rng, tol, csv_dir):
 
 def _task_eqg_rll(block, params, rng, tol, csv_dir):
     lam_count = _count(block, "lambda_samples", 5)
-    lat = params.lattice
     lam_samples = [params.sample_generic(rng, margin=5e-2) for _ in range(lam_count)]
     z = params.sample_generic(rng, margin=5e-2)
     w = params.sample_generic(rng, margin=5e-2, avoid=(z,))
@@ -363,25 +362,11 @@ def _task_irf_build(block, params, rng, tol, csv_dir):
     return {"checks": checks, "metrics": metrics}
 
 
-def _serialize_certificate(cert) -> dict:
-    return {
-        "eigenvalue": cert.eigenvalue,
-        "passed": cert.passed,
-        "degenerate": cert.degenerate,
-        "gap": cert.gap,
-        "angle": cert.angle,
-        "membership_residual": cert.membership_residual,
-        "cluster_residual": cert.cluster_residual,
-        "quadratic_residuals": list(cert.quadratic_residuals),
-        "q_pairs": [list(p) for p in cert.q_pairs],
-    }
-
-
-def _eps_at(certs, zs) -> np.ndarray:
-    """Every certificate's eps at the points zs, shape (len(certs), len(zs)): one
-    cardinal_vector call on the basis the certificates share, and one product."""
-    cards = certs[0].eps.basis.cardinal_vector(zs)
-    return np.stack([c.eps.values for c in certs]) @ cards.T
+def _pairs(values) -> list:
+    """A complex array as nested [re, im] lists from one tolist() call, so json's C encoder
+    writes it with no _json_default call per entry."""
+    values = np.ascontiguousarray(values, dtype=complex)
+    return values.view(float).reshape(values.shape + (2,)).tolist()
 
 
 def _task_irf_spectrum(block, params, rng, tol, csv_dir):
@@ -391,13 +376,10 @@ def _task_irf_spectrum(block, params, rng, tol, csv_dir):
         z0 = irf.sample_spectral(params, rng)
     certs = irf.certify_spectrum(params, z0, tol=tol, rng=rng)
 
-    worst = _worst([
-        r for c in certs for r in (c.membership_residual, c.cluster_residual, *c.quadratic_residuals)
-    ])
-    angles = [c.angle for c in certs if not c.degenerate]
-    recon = np.stack(
-        [c.reconstruction / np.linalg.norm(c.reconstruction) for c in certs], axis=1
-    )
+    worst = _worst(np.column_stack(
+        (certs.membership_residuals, certs.cluster_residuals, certs.quadratic_residuals)
+    ))
+    recon = np.stack([u / np.linalg.norm(u) for u in certs.reconstruction], axis=1)
     min_sv = float(np.linalg.svd(recon, compute_uv=False)[-1])
 
     chi0 = irf.eigenvalue_character(params)
@@ -405,32 +387,45 @@ def _task_irf_spectrum(block, params, rng, tol, csv_dir):
     zlaw = params.sample_generic(rng, margin=5e-2)
     # both multipliers before the shifted points: an overflowing multiplier is the error raised
     mults = [spaces.expected_multiplier(chi0, params.n, zlaw, r, s, tau) for (r, s) in ((1, 0), (0, 1))]
-    eps = _eps_at(certs, [zlaw, zlaw + 1, zlaw + tau])
+    eps = certs.eps([zlaw, zlaw + 1, zlaw + tau])
     expect = eps[:, :1] * mults
     law = np.abs(eps[:, 1:] - expect) / np.maximum(1.0, np.abs(expect))
 
     checks = [
         _check("certificate_residuals", worst, tol),
-        _check("reconstruction_angle", _worst(angles), irf._ANGLE_TOL),
+        _check("reconstruction_angle", _worst(certs.angles[~certs.degenerate]), irf._ANGLE_TOL),
         _check("reconstruction_span", _worst([1e-6 - min_sv]), 0.0),
         _check("character_laws", _worst(law), tol),
     ]
+    eigenvalues = _pairs(certs.eigenvalues)
     metrics = {
         "z0": z0,
-        "count": len(certs),
-        "eigenvalues": [c.eigenvalue for c in certs],
+        "count": len(eigenvalues),
+        "eigenvalues": eigenvalues,
         "min_singular_value": min_sv,
+    }
+    # one certificate row per cluster, its fields read column by column
+    columns = {
+        "eigenvalue": eigenvalues,
+        "passed": certs.passed.tolist(),
+        "degenerate": certs.degenerate.tolist(),
+        "gap": certs.gaps.tolist(),
+        "angle": certs.angles.tolist(),
+        "membership_residual": certs.membership_residuals.tolist(),
+        "cluster_residual": certs.cluster_residuals.tolist(),
+        "quadratic_residuals": certs.quadratic_residuals.tolist(),
+        "q_pairs": _pairs(np.stack(np.broadcast_arrays(certs.q_minus, certs.q_plus), axis=-1)),
     }
     body = {
         "checks": checks,
         "metrics": metrics,
-        "certificates": [_serialize_certificate(c) for c in certs],
+        "certificates": [dict(zip(columns, row)) for row in zip(*columns.values())],
     }
     if csv_dir:
         os.makedirs(csv_dir, exist_ok=True)
         zs = np.linspace(0.0, 1.0, _count(block, "csv_points", 129)) + 0.37 * tau
         body["csv_files"] = []
-        for k, curve in enumerate(_eps_at(certs, zs)):
+        for k, curve in enumerate(certs.eps(zs)):
             path = os.path.join(csv_dir, "spectrum_eps_%02d.csv" % k)
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write("z_re,z_im,eps_re,eps_im\n")

@@ -30,7 +30,7 @@ import numpy as np
 from . import spaces
 from .eqg import S0Grid, _exact_product, _hop_entries, _hop_table, _r_fill, _shift_polys
 from .params import ModelParams, ParameterError
-from .spaces import BetheSolution, Character, EllipticPoly, ThetaInterpolant
+from .spaces import BetheSolution, Character, EllipticPoly
 from .theta import ThetaOverflowError
 
 __all__ = [
@@ -41,7 +41,7 @@ __all__ = [
     "DualReconciliation",
     "reconcile_constructions",
     "sample_spectral",
-    "SpectralCertificate",
+    "SpectralCertificates",
     "certify_spectrum",
     "eigenvalue_character",
     "partition_function",
@@ -490,39 +490,44 @@ def eigenvalue_character(params: ModelParams) -> Character:
     return Character(sgn, sgn * cmath.exp(_2PI_I * sum(params.zs)))
 
 
-@dataclasses.dataclass(frozen=True)
-class SpectralCertificate:
-    """One certified eigenvalue function of the grid transfer matrices.
+@dataclasses.dataclass(frozen=True, eq=False)
+class SpectralCertificates:
+    """The certified eigenvalue functions of the grid transfer matrices, indexed by cluster.
 
-    vectors holds the eigensolver's (orthonormalized) eigenvectors of the
-    cluster as columns; reconstruction is the factorized vector built
-    from the per-site pair values (q_minus at x_i = -z_i - eta, q_plus at
-    x_i = -z_i + eta).  All residuals are relative to their own scales.
-    angle is against the eigensolver vector (a subspace angle when the
-    cluster is degenerate, in which case it is only advisory).
+    bases[k] holds cluster k's (orthonormalized) eigensolver vectors as columns, and
+    eps_nodes[k] its eigenvalue function's values at the nodes of the shared level-n basis.
+    reconstruction[k] is the factorized vector built from the separated factors q_minus[k, i]
+    at x_i = -z_i - eta and q_plus[i] at x_i = -z_i + eta, which every cluster shares.
+    Residuals are relative to their own scales; an angle is against the eigensolver vector
+    (a subspace angle, only advisory, where the cluster is degenerate).
     """
 
-    eigenvalue: complex
-    vectors: np.ndarray
-    eps: ThetaInterpolant
-    membership_residual: float
-    cluster_residual: float
-    quadratic_residuals: tuple[float, ...]
-    q_pairs: tuple[tuple[complex, complex], ...]
+    eigenvalues: np.ndarray
+    bases: tuple[np.ndarray, ...]
+    basis: spaces.ThetaSpaceBasis
+    eps_nodes: np.ndarray
+    membership_residuals: np.ndarray
+    cluster_residuals: np.ndarray
+    quadratic_residuals: np.ndarray
+    q_minus: np.ndarray
+    q_plus: np.ndarray
     reconstruction: np.ndarray
-    angle: float
-    degenerate: bool
-    gap: float
+    angles: np.ndarray
+    degenerate: np.ndarray
+    gaps: np.ndarray
     tol: float
 
     @property
-    def passed(self) -> bool:
-        ok = self.membership_residual <= self.tol
-        ok = ok and self.cluster_residual <= self.tol
-        ok = ok and bool(np.max(self.quadratic_residuals) <= self.tol)  # a NaN fails
-        if not self.degenerate:
-            ok = ok and self.angle <= _ANGLE_TOL
-        return ok
+    def passed(self) -> np.ndarray:
+        """Each cluster's verdict; a NaN residual fails."""
+        ok = (self.membership_residuals <= self.tol) & (self.cluster_residuals <= self.tol)
+        ok &= np.max(self.quadratic_residuals, axis=1) <= self.tol
+        return ok & (self.degenerate | (self.angles <= _ANGLE_TOL))
+
+    def eps(self, zs) -> np.ndarray:
+        """Every eigenvalue function at a point or a 1-D sequence of points, shape
+        (clusters,) or (clusters, points): one cardinal_vector call and one product."""
+        return self.eps_nodes @ self.basis.cardinal_vector(zs).T
 
 
 def _clusters(mu: np.ndarray, gap_tol: float) -> tuple[list[list[int]], np.ndarray]:
@@ -555,7 +560,7 @@ def certify_spectrum(
     tol: float = 1e-8,
     *,
     rng: np.random.Generator,
-) -> list[SpectralCertificate]:
+) -> SpectralCertificates:
     """Diagonalize the grid transfer matrix at z0 and certify every eigenvalue.
 
     Per cluster: the eigenvalue function is sampled through ratios of
@@ -566,11 +571,11 @@ def certify_spectrum(
 
     Every eigenvalue function lies in the same level-n space, so all
     clusters are fitted on one cardinal basis: one cardinal_vector call
-    at the 3 + 2n evaluation points serves all certificates, through one
+    at the 3 + 2n evaluation points serves all clusters, through one
     product.  Each sample matrix is applied once to
     the side-by-side cluster bases and its image dropped once the ratios
     are read; validation, the quadratic relations and the reconstructions
-    run for all clusters at once.
+    run for all clusters at once, and the certificate keeps their arrays.
     """
     # z-independent data of the quadratic relations (the hop coefficients) and the grid signs
     _validated_for_irf(params)
@@ -666,26 +671,14 @@ def certify_spectrum(
         outside[k] -= bases[k] @ (bases[k].conj().T @ outside[k])
     angles = np.where(found, np.arcsin(np.minimum(1.0, np.linalg.norm(outside, axis=1))), np.pi / 2)
 
-    certs = []
-    for k, group in enumerate(groups):
-        gap = float(np.min(nearest[group]))
-        certs.append(
-            SpectralCertificate(
-                eigenvalue=complex(np.mean(mu[group])),
-                vectors=bases[k],
-                eps=basis.fit(ratios[k, :n]),
-                membership_residual=float(member_dev[k] / scale[k]),
-                cluster_residual=float(cluster_dev[k] / scale[k]),
-                quadratic_residuals=tuple(quad[k].tolist()),
-                q_pairs=tuple(zip(em[k].tolist(), q_plus)),
-                reconstruction=recon[k],
-                angle=float(angles[k]),
-                degenerate=bool(dims[k] > 1),
-                gap=gap,
-                tol=tol,
-            )
-        )
-    return certs
+    eps_nodes = ratios[:, :n].copy()
+    eps_nodes.setflags(write=False)
+    return SpectralCertificates(
+        eigenvalues=np.array([np.mean(mu[group]) for group in groups]), bases=tuple(bases), basis=basis,
+        eps_nodes=eps_nodes, membership_residuals=member_dev / scale, cluster_residuals=cluster_dev / scale,
+        quadratic_residuals=quad, q_minus=em, q_plus=np.array(q_plus), reconstruction=recon, angles=angles,
+        degenerate=dims > 1, gaps=np.array([np.min(nearest[group]) for group in groups]), tol=tol,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ __all__ = [
     "InvalidSolutionError",
     "Character",
     "EllipticPoly",
-    "ThetaInterpolant",
     "ThetaSpaceBasis",
     "MembershipReport",
     "BetheSolution",
@@ -217,26 +216,6 @@ class ThetaSpaceBasis:
             z = complex(zs.ravel()[np.argmin(finite)])
             raise ThetaOverflowError("cardinal vector at %r overflows double precision" % (z,))
         return vecs.reshape(zs.shape + (self.k,))
-
-    def fit(self, values: Sequence[complex]) -> "ThetaInterpolant":
-        values = np.array(values, dtype=complex)
-        if values.shape != (self.k,):
-            raise ValueError("need exactly k node values")
-        values.setflags(write=False)
-        return ThetaInterpolant(self, values)
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class ThetaInterpolant:
-    """Member of a level-k character space, given by its values at the basis nodes."""
-
-    basis: ThetaSpaceBasis
-    values: np.ndarray
-
-    def __call__(self, zs):
-        """The member at zs: a complex for one point, an array of zs's shape for an array."""
-        vals = self.basis.cardinal_vector(zs) @ self.values
-        return complex(vals) if vals.ndim == 0 else vals
 
 
 def make_basis(

@@ -88,11 +88,11 @@ def test_criterion_02_space_toolkit(lattice, rng):
         p = random_poly(rng, lattice, k)
         chi = spaces.character_of(p, tau)
         basis = spaces.make_basis(ev, k, chi, rng)
-        f = basis.fit([poly_value(ev, p, z) for z in basis.nodes])
+        values = np.array([poly_value(ev, p, z) for z in basis.nodes])
         for _ in range(6):
             z = sample_point(rng, lattice, margin=1e-3)
             expect = poly_value(ev, p, z)
-            assert abs(f(z) - expect) <= 1e-9 * max(1.0, abs(expect))
+            assert abs(basis.cardinal_vector(z) @ values - expect) <= 1e-9 * max(1.0, abs(expect))
         assert abs(count_zeros(ev, p) - k) <= 1e-6
         phi = (cmath.log(chi.chiTau) - tau * cmath.log(chi.chi1)) / (2j * math.pi)
         target = phi + k * (1.0 + tau) / 2.0
@@ -300,25 +300,26 @@ def test_criterion_10_spectrum_certificates(lattice, rng):
     chi0 = irf.eigenvalue_character(params)
     start = time.perf_counter()
     certs = irf.certify_spectrum(params, 0.39 + 0.41j, tol=1e-8, rng=rng)
-    assert len(certs) == 8
-    for c in certs:
-        assert c.passed
-        assert membership_passes(spaces.membership_test(ev, c.eps, 3, chi0, rng))
-        assert max(c.quadratic_residuals) <= 1e-8
-        assert not c.degenerate and c.angle <= 1e-6
+    assert len(certs.eigenvalues) == 8 and certs.passed.all()
+    for k in range(8):
+        def eps_k(zs, k=k):
+            return certs.eps(zs)[k]
 
-    recon = np.stack(
-        [c.reconstruction / np.linalg.norm(c.reconstruction) for c in certs], axis=1
-    )
+        assert membership_passes(spaces.membership_test(ev, eps_k, 3, chi0, rng))
+    assert np.max(certs.quadratic_residuals) <= 1e-8
+    assert not certs.degenerate.any() and np.max(certs.angles) <= 1e-6
+
+    recon = np.stack([u / np.linalg.norm(u) for u in certs.reconstruction], axis=1)
     assert np.linalg.svd(recon, compute_uv=False)[-1] > 1e-6
 
     nodes = [params.sample_generic(rng, margin=5e-2) for _ in range(3)]
-    vals = [certs[0].eps(z) for z in nodes]
+    vals = np.array([certs.eps(z)[0] for z in nodes])
     vals[0] *= 1.0 + 1e-3
-    impostor = spaces.ThetaSpaceBasis(ev, 3, chi0, nodes).fit(vals)
+    impostor = spaces.ThetaSpaceBasis(ev, 3, chi0, nodes)
     worst = 0.0
     for i in range(3):
-        lhs = impostor(params.zs[i] - ETA) * impostor(params.zs[i] + ETA)
+        em, ep = impostor.cardinal_vector([params.zs[i] - ETA, params.zs[i] + ETA]) @ vals
+        lhs = em * ep
         rhs = 1.0 + 0.0j
         for zk in params.zs:
             rhs *= theta_value(ev, zk - params.zs[i] + 2 * ETA) * theta_value(ev, zk - params.zs[i] - 2 * ETA)

@@ -788,7 +788,9 @@ def _nan_membership(monkeypatch):
 
     def certify(*args, **kwargs):
         certs = original(*args, **kwargs)
-        return certs[:-1] + [dataclasses.replace(certs[-1], membership_residual=math.nan)]
+        residuals = certs.membership_residuals.copy()
+        residuals[-1] = math.nan
+        return dataclasses.replace(certs, membership_residuals=residuals)
 
     monkeypatch.setattr(irf, "certify_spectrum", certify)
 
@@ -832,28 +834,87 @@ def test_nan_residual_fails_its_check(tmp_path, monkeypatch, task, config, check
     assert all(c["pass"] for c in report["checks"] if c["name"] != check)
 
 
-def test_batched_character_law_matches_the_loop(tmp_path, monkeypatch):
-    """irf spectrum reads every certificate's eps at zlaw, zlaw + 1 and
-    zlaw + tau from one cardinal_vector call and one product.  The former loop,
-    one c.eps(z) call per certificate and point, gives the same values and the
-    same character_laws residual to 1e-13; theta_array rows depend on their
-    batch, so the two agree to a tolerance, not bit for bit."""
-    calls, original = [], cli._eps_at
+def reference_certificate_rows(certs):
+    """The former per-cluster serializer: one dict per cluster, each complex
+    written through the encoder hook."""
+    return [
+        {
+            "eigenvalue": certs.eigenvalues[k],
+            "passed": bool(certs.passed[k]),
+            "degenerate": bool(certs.degenerate[k]),
+            "gap": float(certs.gaps[k]),
+            "angle": float(certs.angles[k]),
+            "membership_residual": float(certs.membership_residuals[k]),
+            "cluster_residual": float(certs.cluster_residuals[k]),
+            "quadratic_residuals": list(certs.quadratic_residuals[k]),
+            "q_pairs": [list(p) for p in zip(certs.q_minus[k], certs.q_plus)],
+        }
+        for k in range(len(certs.eigenvalues))
+    ]
 
-    def eps_at(certs, zs):
+
+def test_certificate_rows_match_the_per_cluster_serializer(tmp_path, monkeypatch):
+    """irf spectrum writes its certificate rows column by column, each complex
+    column as [re, im] lists from one tolist() call; they encode to the bytes
+    of the per-cluster serializer through _json_default.  Covered on a bundled
+    config and on a certificate carrying -0.0 entries and a NaN residual."""
+    original, seen, reports = irf.certify_spectrum, [], []
+    dumps = json.dumps
+
+    def capture(obj, **kwargs):
+        reports.append(obj)
+        return dumps(obj, **kwargs)
+
+    def recorded(*args, **kwargs):
+        seen.append(original(*args, **kwargs))
+        return seen[-1]
+
+    def signed(*args, **kwargs):
+        certs = original(*args, **kwargs)
+        eigenvalues, q_minus = certs.eigenvalues.copy(), certs.q_minus.copy()
+        angles, residuals = certs.angles.copy(), certs.quadratic_residuals.copy()
+        eigenvalues[0], q_minus[1, 2], angles[2] = complex(-0.0, 1.5), complex(0.25, -0.0), -0.0
+        residuals[3, 1] = math.nan
+        seen.append(dataclasses.replace(
+            certs, eigenvalues=eigenvalues, q_minus=q_minus, angles=angles, quadratic_residuals=residuals
+        ))
+        return seen[-1]
+
+    monkeypatch.setattr(json, "dumps", capture)
+    for certify, code in ((recorded, 0), (signed, 1)):
+        monkeypatch.setattr(irf, "certify_spectrum", certify)
+        reports.clear()
+        out = tmp_path / "report.json"
+        assert cli.main(["irf", "spectrum", "--config", str(CONFIGS / "irf_n3.json"), "--out", str(out)]) == code
+        rows = dumps(reports[0]["certificates"], sort_keys=True, default=cli._json_default)
+        expect = dumps(reference_certificate_rows(seen[-1]), sort_keys=True, default=reference_json_default)
+        assert rows == expect
+    assert '"eigenvalue": [-0.0, 1.5]' in rows and '"angle": -0.0' in rows and "NaN" in rows
+
+
+def test_batched_character_law_matches_the_loop(tmp_path, monkeypatch):
+    """irf spectrum reads every eigenvalue function at zlaw, zlaw + 1 and
+    zlaw + tau from one cardinal_vector call and one product (certs.eps).
+    The former loop, one cardinal_vector(z) @ eps_nodes[k] per cluster and
+    point, gives the same values and the same character_laws residual to
+    1e-13."""
+    calls, original = [], irf.SpectralCertificates.eps
+
+    def eps(certs, zs):
         calls.append((certs, zs, original(certs, zs)))
         return calls[-1][2]
 
-    monkeypatch.setattr(cli, "_eps_at", eps_at)
+    monkeypatch.setattr(irf.SpectralCertificates, "eps", eps)
     params = cli.build_params(cli.load_config(str(CONFIGS / "irf_n5.json")))
     code, report = run_to_file(tmp_path, ["irf", "spectrum", "--config", str(CONFIGS / "irf_n5.json")])
     assert code == 0 and len(calls) == 1
     certs, (zlaw, _, _), batched = calls[0]
-    loop = np.array([[c.eps(z) for z in (zlaw, zlaw + 1, zlaw + params.lattice.tau)] for c in certs])
-    assert len(certs) == 32
+    points = (zlaw, zlaw + 1, zlaw + params.lattice.tau)
+    loop = np.array([[certs.basis.cardinal_vector(z) @ nodes for z in points] for nodes in certs.eps_nodes])
+    assert len(loop) == 32
     assert np.max(np.abs(batched - loop) / np.maximum(1.0, np.abs(loop))) <= 1e-13
     chi0, law = irf.eigenvalue_character(params), 0.0
-    for c, (base, *moved) in zip(certs, loop):
+    for base, *moved in loop:
         for (r, s), value in zip(((1, 0), (0, 1)), moved):
             expect = spaces.expected_multiplier(chi0, params.n, zlaw, r, s, params.lattice.tau) * base
             law = max(law, abs(value - expect) / max(1.0, abs(expect)))

@@ -905,22 +905,26 @@ def test_certify_spectrum_at_a_crossing(lattice):
     because the two functions differ away from z*."""
     params = make_params(lattice, Z3)
     certs = certify_spectrum(params, 0.39 + 0.41j, rng=np.random.default_rng(7))
-    a, b = certs[0], certs[1]
+
+    def split(z):  # eps_a - eps_b, a level-3 theta function, and eps_a
+        a, b = certs.eps(z)[:2]
+        return a - b, a
+
     z0, z1 = 0.3 + 0.4j, 0.31 + 0.42j
-    for _ in range(60):  # secant on eps_a - eps_b, a level-3 theta function
-        f0, f1 = a.eps(z0) - b.eps(z0), a.eps(z1) - b.eps(z1)
+    for _ in range(60):  # secant on eps_a - eps_b
+        f0, f1 = split(z0)[0], split(z1)[0]
         if f1 == f0:
             break
         z0, z1 = z1, z1 - f1 * (z1 - z0) / (f1 - f0)
-    assert abs(a.eps(z1) - b.eps(z1)) <= 1e-13 * abs(a.eps(z1))
+    assert abs(split(z1)[0]) <= 1e-13 * abs(split(z1)[1])
     crossing = certify_spectrum(params, z1, rng=np.random.default_rng(7))
-    clusters = [c for c in crossing if c.vectors.shape[1] > 1]
-    assert len(crossing) == 6 and len(clusters) == 2
-    assert all(c.passed and not c.degenerate for c in crossing if c.vectors.shape[1] == 1)
-    assert all(c.degenerate and not c.passed for c in clusters)
+    dims = np.array([v.shape[1] for v in crossing.bases])
+    assert len(dims) == 6 and np.count_nonzero(dims > 1) == 2
+    assert np.array_equal(crossing.degenerate, dims > 1)
+    assert np.array_equal(crossing.passed, dims == 1)
     # a's and b's eigenvectors (from the generic point) lie in one cluster's span
-    pair = np.concatenate([a.vectors, b.vectors], axis=1)
-    inside = max(np.linalg.norm(c.vectors.conj().T @ pair, axis=0).min() for c in clusters)
+    pair = np.concatenate(certs.bases[:2], axis=1)
+    inside = max(np.linalg.norm(v.conj().T @ pair, axis=0).min() for v in crossing.bases if v.shape[1] > 1)
     assert inside >= 1 - 1e-10
 
 
@@ -931,8 +935,7 @@ def test_eigenvalue_map(lattice, rng):
     zf = spectral_point(params, rng)
     mu = np.linalg.eigvals(dense(build_T_irf_paths(params, zf)))
     scale = np.max(np.abs(mu))
-    for cert in certs:
-        mapped = irf.bridge_scalar(params, zf) * cert.eps(zf - params.eta)
+    for mapped in irf.bridge_scalar(params, zf) * certs.eps(zf - params.eta):
         assert np.min(np.abs(mu - mapped)) <= 1e-9 * scale
 
 
@@ -999,30 +1002,27 @@ def test_certify_spectrum(lattice, rng):
     certs = certify_spectrum(params, 0.39 + 0.41j, tol=1e-8, rng=rng)
     elapsed = time.perf_counter() - start
 
-    assert len(certs) == 8
-    assert all(c.passed for c in certs)
-    assert all(not c.degenerate for c in certs)
-    for c in certs:
-        assert c.membership_residual <= 1e-10
-        assert c.cluster_residual <= 1e-10
-        assert max(c.quadratic_residuals) <= 1e-10
-        assert c.angle <= 1e-6
-        assert len(c.q_pairs) == 3
+    assert certs.eigenvalues.shape == (8,) and len(certs.bases) == 8
+    assert certs.passed.all()
+    assert not certs.degenerate.any()
+    assert np.max(certs.membership_residuals) <= 1e-10
+    assert np.max(certs.cluster_residuals) <= 1e-10
+    assert np.max(certs.quadratic_residuals) <= 1e-10
+    assert np.max(certs.angles) <= 1e-6
+    assert certs.q_minus.shape == (8, 3) and certs.q_plus.shape == (3,)
+    assert certs.reconstruction.shape == (8, 8) and certs.gaps.shape == (8,)
 
     # the eight factorized vectors span the whole space
-    recon = np.stack(
-        [c.reconstruction / np.linalg.norm(c.reconstruction) for c in certs], axis=1
-    )
+    recon = np.stack([u / np.linalg.norm(u) for u in certs.reconstruction], axis=1)
     assert np.linalg.svd(recon, compute_uv=False)[-1] > 1e-3
 
     # eigenvalue functions carry the antiperiodic character
     chi0 = eigenvalue_character(params)
     tau = lattice.tau
     z = sample_point(rng, lattice)
-    for c in certs[:3]:
-        for (r, s) in ((1, 0), (0, 1)):
-            expect = spaces.expected_multiplier(chi0, 3, z, r, s, tau) * c.eps(z)
-            assert abs(c.eps(z + r + s * tau) - expect) <= 1e-9 * abs(expect)
+    for (r, s) in ((1, 0), (0, 1)):
+        expect = spaces.expected_multiplier(chi0, 3, z, r, s, tau) * certs.eps(z)[:3]
+        assert np.all(np.abs(certs.eps(z + r + s * tau)[:3] - expect) <= 1e-9 * np.abs(expect))
 
     assert elapsed < 10.0
 
@@ -1042,8 +1042,29 @@ def test_certify_spectrum_theta_count(lattice, monkeypatch):
     counts = count_theta_calls(monkeypatch)
     eqg._hop_table.cache_clear()
     certs = certify_spectrum(params, 0.41 + 0.37j, rng=np.random.default_rng(7))
-    assert len(certs) == 32 and all(c.passed for c in certs)
+    assert len(certs.eigenvalues) == 32 and certs.passed.all()
     assert counts["theta_array"] == [12, 827]
+
+
+def test_certificate_eps_reads_the_node_values(lattice):
+    """certs.eps gives every eigenvalue function from one cardinal_vector call
+    and one product: at the basis nodes it returns eps_nodes (read-only) to
+    1e-12, and at any points the per-cluster loop cardinal_vector(z) @
+    eps_nodes[k] to rounding.  Not bit for bit: OpenBLAS's zgemm takes the
+    points four at a time, and the last (points mod 4) round differently
+    from a dot product."""
+    for zs in (Z3, Z5):
+        params = make_params(lattice, zs)
+        certs = certify_spectrum(params, 0.41 + 0.37j, rng=np.random.default_rng(7))
+        assert not certs.eps_nodes.flags.writeable
+        at_nodes = certs.eps(certs.basis.nodes)
+        assert np.max(np.abs(at_nodes - certs.eps_nodes)) <= 1e-12 * np.max(np.abs(certs.eps_nodes))
+        points = [spectral_point(params, np.random.default_rng(k)) for k in range(7)]
+        cards = certs.basis.cardinal_vector(points)
+        loop = np.array([[certs.basis.cardinal_vector(z) @ nodes for z in points] for nodes in certs.eps_nodes])
+        terms = np.abs(certs.eps_nodes) @ np.abs(cards).T
+        assert np.all(np.abs(certs.eps(points) - loop) <= 4 * params.n * np.finfo(float).eps * terms)
+        assert certs.eps(points[0]).shape == (len(certs.eigenvalues),)
 
 
 def reference_certificates(params, certs, seed):
@@ -1055,19 +1076,19 @@ def reference_certificates(params, certs, seed):
     chi0 = eigenvalue_character(params)
     basis = spaces.make_basis(params.evaluator(), params.n, chi0, rng2, margin=5e-2)
     val_pts = [irf.sample_spectral(params, rng2) for _ in range(3)]
-    stacked = np.concatenate([c.vectors for c in certs], axis=1)
+    stacked = np.concatenate(certs.bases, axis=1)
     node_images = [dense(build_T_irf_sov(params, z)) @ stacked for z in basis.nodes]
     val_images = [dense(build_T_irf_sov(params, z)) @ stacked for z in val_pts]
     signs = [[2 * m - 1 for m in point] for point in S0Grid(params).points]
     out = []
     end = 0
-    for c in certs:
-        dim = c.vectors.shape[1]
+    for vectors in certs.bases:
+        dim = vectors.shape[1]
         cols = slice(end, end + dim)
         end += dim
 
         def sample_ratio(image):
-            block = c.vectors.conj().T @ image[:, cols]
+            block = vectors.conj().T @ image[:, cols]
             val = complex(np.trace(block)) / dim
             return val, float(np.max(np.abs(block - val * np.eye(dim))))
 
@@ -1077,7 +1098,10 @@ def reference_certificates(params, certs, seed):
             vals.append(val)
             cluster_dev = max(cluster_dev, dev)
         scale = max(max(abs(v) for v in vals), 1e-300)
-        eps = basis.fit(vals)
+
+        def eps(z, vals=np.array(vals)):
+            return basis.cardinal_vector(z) @ vals
+
         member_dev = 0.0
         for zv, image in zip(val_pts, val_images):
             val, dev = sample_ratio(image)
@@ -1085,10 +1109,10 @@ def reference_certificates(params, certs, seed):
             member_dev = max(member_dev, abs(val - eps(zv)))
             scale = max(scale, abs(val))
         qm = [eps(zi - ETA) for zi in params.zs]
-        qp = [pair[1] for pair in c.q_pairs]
+        qp = certs.q_plus.tolist()
         u = np.array([math.prod(qm[i] if s < 0 else qp[i] for i, s in enumerate(sig)) for sig in signs])
         un = u / np.linalg.norm(u)
-        outside = np.linalg.norm(un - c.vectors @ (c.vectors.conj().T @ un))
+        outside = np.linalg.norm(un - vectors @ (vectors.conj().T @ un))
         out.append((vals, cluster_dev / scale, member_dev / scale, math.asin(min(1.0, outside))))
     return out
 
@@ -1100,14 +1124,12 @@ def test_certify_ratios_match_reference_loop(lattice):
     simple eigenvalue's cluster residual stays an exact zero."""
     params = make_params(lattice, Z5)
     certs = certify_spectrum(params, 0.41 + 0.37j, rng=np.random.default_rng(7))
-    assert all(c.vectors.shape[1] == 1 for c in certs)
-    for c, (vals, cluster_res, member_res, angle) in zip(
-        certs, reference_certificates(params, certs, 7)
-    ):
-        assert_allclose(c.eps.values, vals, rtol=1e-12)
-        assert c.cluster_residual == 0.0 == cluster_res
-        assert abs(c.membership_residual - member_res) <= 1e-13
-        assert abs(c.angle - angle) <= 1e-12
+    assert all(v.shape[1] == 1 for v in certs.bases)
+    for k, (vals, cluster_res, member_res, angle) in enumerate(reference_certificates(params, certs, 7)):
+        assert_allclose(certs.eps_nodes[k], vals, rtol=1e-12)
+        assert certs.cluster_residuals[k] == 0.0 == cluster_res
+        assert abs(certs.membership_residuals[k] - member_res) <= 1e-13
+        assert abs(certs.angles[k] - angle) <= 1e-12
 
 
 def test_certify_block_path_matches_reference_loop(lattice, monkeypatch):
@@ -1123,34 +1145,30 @@ def test_certify_block_path_matches_reference_loop(lattice, monkeypatch):
     monkeypatch.setattr(irf, "_clusters", merged)
     params = make_params(lattice, Z5)
     certs = certify_spectrum(params, 0.41 + 0.37j, rng=np.random.default_rng(7))
-    assert len(certs) == 31 and certs[0].vectors.shape[1] == 2
-    assert certs[0].degenerate and not certs[0].passed
-    assert all(c.passed for c in certs[1:])
-    for c, (vals, cluster_res, member_res, angle) in zip(
-        certs, reference_certificates(params, certs, 7)
-    ):
-        assert_allclose(c.eps.values, vals, rtol=1e-12)
-        assert_allclose(c.cluster_residual, cluster_res, rtol=1e-12)
-        assert abs(c.membership_residual - member_res) <= 1e-13
-        assert abs(c.angle - angle) <= 1e-12
+    assert len(certs.bases) == 31 and certs.bases[0].shape[1] == 2
+    assert certs.degenerate[0] and not certs.passed[0]
+    assert certs.passed[1:].all()
+    for k, (vals, cluster_res, member_res, angle) in enumerate(reference_certificates(params, certs, 7)):
+        assert_allclose(certs.eps_nodes[k], vals, rtol=1e-12)
+        assert_allclose(certs.cluster_residuals[k], cluster_res, rtol=1e-12)
+        assert abs(certs.membership_residuals[k] - member_res) <= 1e-13
+        assert abs(certs.angles[k] - angle) <= 1e-12
     # the two eigenvalues differ, so their block is far from a scalar
-    assert certs[0].cluster_residual > 1e-3
+    assert certs.cluster_residuals[0] > 1e-3
 
 
 def test_reconstruction_from_q_pairs(lattice):
-    """The report keeps only q_pairs; README's rule rebuilds the factorized
-    vector from them: q_minus where sigma_i < 0, q_plus elsewhere, byte for
-    byte as math.prod forms it."""
+    """The report keeps only the pairs (q_minus, q_plus); README's rule rebuilds
+    the factorized vector from them: q_minus where sigma_i < 0, q_plus
+    elsewhere, byte for byte as math.prod forms it."""
     for zs in (Z1, Z3, Z5, Z9[:7]):
         params = make_params(lattice, zs)
         certs = certify_spectrum(params, 0.41 + 0.37j, rng=np.random.default_rng(5))
         sigmas = [[2 * m - 1 for m in point] for point in S0Grid(params).points]
-        for c in certs:
-            u = [
-                math.prod(qm if s < 0 else qp for (qm, qp), s in zip(c.q_pairs, sig))
-                for sig in sigmas
-            ]
-            assert np.array(u).tobytes() == c.reconstruction.tobytes()
+        qp = certs.q_plus.tolist()
+        for qm, recon in zip(certs.q_minus.tolist(), certs.reconstruction):
+            u = [math.prod(m if s < 0 else p for m, p, s in zip(qm, qp, sig)) for sig in sigmas]
+            assert np.array(u).tobytes() == recon.tobytes()
 
 
 def pairwise_clusters(mu, gap_tol):
@@ -1235,12 +1253,11 @@ def test_reconstruction_angle_resolves_small_rotations(lattice, monkeypatch):
         return nu, vecs[even], vecs[odd]
 
     plain = certify_spectrum(params, 0.41 + 0.37j, rng=np.random.default_rng(7))
-    assert max(c.angle for c in plain) <= 1e-13
+    assert np.max(plain.angles) <= 1e-13
     monkeypatch.setattr(irf, "_chiral_eig", rotated)
     certs = certify_spectrum(params, 0.41 + 0.37j, rng=np.random.default_rng(7))
-    assert len(certs) == 32 and all(c.passed for c in certs)
-    for c in certs:
-        assert abs(c.angle - turn) <= 1e-12
+    assert len(certs.angles) == 32 and certs.passed.all()
+    assert np.max(np.abs(certs.angles - turn)) <= 1e-12
 
 
 def test_certify_rejects_impostor(lattice, rng):
@@ -1251,14 +1268,14 @@ def test_certify_rejects_impostor(lattice, rng):
     chi0 = eigenvalue_character(params)
     certs = certify_spectrum(params, 0.39 + 0.41j, tol=1e-8, rng=rng)
     nodes = [params.sample_generic(rng, margin=5e-2) for _ in range(3)]
-    for cert in certs[:3]:
-        vals = [cert.eps(zn) for zn in nodes]
+    impostor = spaces.ThetaSpaceBasis(ev, 3, chi0, nodes)
+    for k in range(3):
+        vals = np.array([certs.eps(zn)[k] for zn in nodes])
         vals[0] *= 1.0 + 1e-3
-        impostor = spaces.ThetaSpaceBasis(ev, 3, chi0, nodes).fit(vals)
         worst = 0.0
         for i in range(3):
-            em = impostor(params.zs[i] - ETA)
-            ep = impostor(params.zs[i] + ETA)
+            em = impostor.cardinal_vector(params.zs[i] - ETA) @ vals
+            ep = impostor.cardinal_vector(params.zs[i] + ETA) @ vals
             lhs = em * ep
             rhs = 1.0 + 0.0j
             for zk in params.zs:
@@ -1307,7 +1324,7 @@ def test_partition_single_row_matches_spectrum(lattice, rng):
     params = make_params(lattice, Z3)
     certs = certify_spectrum(params, 0.39 + 0.41j, tol=1e-8, rng=rng)
     w = spectral_point(params, rng)
-    eps_w = [c.eps(w) for c in certs]
+    eps_w = certs.eps(w)
     mass = sum(abs(v) for v in eps_w)
     trace = partition_function(params, [w], kind="sov")
     assert abs(trace - sum(eps_w)) <= 1e-9 * mass
@@ -1317,8 +1334,8 @@ def test_partition_single_row_matches_spectrum(lattice, rng):
     # two rows make the check nontrivial: tr T(w1) T(w2) = sum eps(w1) eps(w2)
     w2 = spectral_point(params, rng)
     two = partition_function(params, [w, w2], kind="sov")
-    expect = sum(c.eps(w) * c.eps(w2) for c in certs)
-    assert abs(two - expect) <= 1e-9 * sum(abs(c.eps(w) * c.eps(w2)) for c in certs)
+    products = eps_w * certs.eps(w2)
+    assert abs(two - sum(products)) <= 1e-9 * sum(abs(products))
 
 
 def continuous_grid_gaps(params, lattice, rng):
