@@ -403,6 +403,7 @@ def _task_irf_spectrum(block, params, rng, tol, csv_dir):
         "count": len(eigenvalues),
         "eigenvalues": eigenvalues,
         "min_singular_value": min_sv,
+        "q_plus": _pairs(certs.q_plus),
     }
     # one certificate row per cluster, its fields read column by column
     columns = {
@@ -414,7 +415,7 @@ def _task_irf_spectrum(block, params, rng, tol, csv_dir):
         "membership_residual": certs.membership_residuals.tolist(),
         "cluster_residual": certs.cluster_residuals.tolist(),
         "quadratic_residuals": certs.quadratic_residuals.tolist(),
-        "q_pairs": _pairs(np.stack(np.broadcast_arrays(certs.q_minus, certs.q_plus), axis=-1)),
+        "q_minus": _pairs(certs.q_minus),
     }
     body = {
         "checks": checks,

@@ -699,10 +699,12 @@ def test_spectrum_bundled_config(tmp_path):
         "membership_residual",
         "cluster_residual",
         "quadratic_residuals",
-        "q_pairs",
+        "q_minus",
     }
     assert all(set(c) == keys for c in certs)
-    assert all(len(c["q_pairs"]) == 3 for c in certs)
+    assert all(len(c["q_minus"]) == 3 for c in certs)
+    # q_plus is the same for every certificate, so the report holds it once
+    assert len(report["metrics"]["q_plus"]) == 3
     files = sorted(csv_dir.glob("spectrum_eps_*.csv"))
     assert len(files) == 8
     header, first = files[0].read_text().splitlines()[:2]
@@ -835,8 +837,8 @@ def test_nan_residual_fails_its_check(tmp_path, monkeypatch, task, config, check
 
 
 def reference_certificate_rows(certs):
-    """The former per-cluster serializer: one dict per cluster, each complex
-    written through the encoder hook."""
+    """A per-cluster serializer, as the report once was written: one dict per
+    cluster, each complex written through the encoder hook."""
     return [
         {
             "eigenvalue": certs.eigenvalues[k],
@@ -847,7 +849,7 @@ def reference_certificate_rows(certs):
             "membership_residual": float(certs.membership_residuals[k]),
             "cluster_residual": float(certs.cluster_residuals[k]),
             "quadratic_residuals": list(certs.quadratic_residuals[k]),
-            "q_pairs": [list(p) for p in zip(certs.q_minus[k], certs.q_plus)],
+            "q_minus": list(certs.q_minus[k]),
         }
         for k in range(len(certs.eigenvalues))
     ]
@@ -855,9 +857,10 @@ def reference_certificate_rows(certs):
 
 def test_certificate_rows_match_the_per_cluster_serializer(tmp_path, monkeypatch):
     """irf spectrum writes its certificate rows column by column, each complex
-    column as [re, im] lists from one tolist() call; they encode to the bytes
-    of the per-cluster serializer through _json_default.  Covered on a bundled
-    config and on a certificate carrying -0.0 entries and a NaN residual."""
+    column as [re, im] lists from one tolist() call; they, and q_plus in
+    metrics, encode to the bytes of the per-cluster serializer through
+    _json_default.  Covered on a bundled config and on a certificate carrying
+    -0.0 entries and a NaN residual."""
     original, seen, reports = irf.certify_spectrum, [], []
     dumps = json.dumps
 
@@ -889,6 +892,8 @@ def test_certificate_rows_match_the_per_cluster_serializer(tmp_path, monkeypatch
         rows = dumps(reports[0]["certificates"], sort_keys=True, default=cli._json_default)
         expect = dumps(reference_certificate_rows(seen[-1]), sort_keys=True, default=reference_json_default)
         assert rows == expect
+        q_plus = dumps(reports[0]["metrics"]["q_plus"], default=cli._json_default)
+        assert q_plus == dumps(list(seen[-1].q_plus), default=reference_json_default)
     assert '"eigenvalue": [-0.0, 1.5]' in rows and '"angle": -0.0' in rows and "NaN" in rows
 
 

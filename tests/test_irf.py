@@ -1157,10 +1157,10 @@ def test_certify_block_path_matches_reference_loop(lattice, monkeypatch):
     assert certs.cluster_residuals[0] > 1e-3
 
 
-def test_reconstruction_from_q_pairs(lattice):
-    """The report keeps only the pairs (q_minus, q_plus); README's rule rebuilds
-    the factorized vector from them: q_minus where sigma_i < 0, q_plus
-    elsewhere, byte for byte as math.prod forms it."""
+def test_reconstruction_from_q_minus_and_q_plus(lattice):
+    """The report keeps only q_minus per certificate and q_plus once per model;
+    README's rule rebuilds the factorized vector from them: q_minus where
+    sigma_i < 0, q_plus elsewhere, byte for byte as math.prod forms it."""
     for zs in (Z1, Z3, Z5, Z9[:7]):
         params = make_params(lattice, zs)
         certs = certify_spectrum(params, 0.41 + 0.37j, rng=np.random.default_rng(5))
