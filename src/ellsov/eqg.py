@@ -239,10 +239,10 @@ class _HopTable:
 
 @functools.lru_cache(maxsize=8)  # an entry holds (n + 4) n 2^n int32 indices at weight 1
 def _hop_table(params: ModelParams) -> _HopTable:
-    """The hop table of any weights, read-only; validate_distinct_sites runs first, so a
-    model that fails it keeps no entry.  Each argument is z_k - z_i or -z_i + z_j
-    plus an integer times eta, each coefficient a math.prod over k, all from one call."""
-    params.validate_distinct_sites()
+    """The hop table of any weights, read-only, for a model its caller has validated
+    (build_quadruple: validate_distinct_sites; the IRF callers: validate_for_irf), so a
+    failing model keeps no entry.  Each argument is z_k - z_i or -z_i + z_j plus an
+    integer times eta, each coefficient a math.prod over k, all from one call."""
     n, eta, zs, lams, ev = params.n, params.eta, params.zs, params.lams, params.evaluator()
     grid = S0Grid(params)
     bits, lams_before = np.array(grid.points), np.cumsum((0,) + lams[:-1])  # sum_{j < i} Lambda_j
@@ -344,6 +344,7 @@ def build_quadruple(params: ModelParams) -> OperatorQuadruple:
     Each operator computes its lambda-independent theta factors when it
     is built (a(z), b(z) and c(z) share theirs); blocks evaluate the rest.
     """
+    params.validate_distinct_sites()
     table = _hop_table(params)
     ev = params.evaluator()
     eta = params.eta

@@ -432,6 +432,35 @@ def test_eqg_and_grid_matrix_share_one_hop_table_entry(lattice):
     assert (validations.misses, validations.hits) == (1, 1)
 
 
+def test_each_model_is_validated_once(lattice, monkeypatch):
+    """build_quadruple, eqg's only entry to the hop table, checks the sites
+    before it reads the table: colliding sites raise the collision error before
+    any theta call and leave no entry.  The IRF callers run validate_for_irf,
+    whose array pass checks the same collisions, so a cold build_T_irf_sov
+    makes no validate_distinct_sites call."""
+    counts = count_theta_calls(monkeypatch)
+    calls, original = [], ModelParams.validate_distinct_sites
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(ModelParams, "validate_distinct_sites", counted)
+    eqg._hop_table.cache_clear()
+    colliding = make_params(lattice, (Z3[0], Z3[0] + 1.0, Z3[2]))
+    with pytest.raises(ParameterError, match=r"^sites 0 and 1 collide modulo the lattice$"):
+        eqg.build_quadruple(colliding)
+    assert counts["theta_array"] == [0, 0] and eqg._hop_table.cache_info().currsize == 0
+    calls.clear()
+    for cache in (irf._validated_for_irf, eqg._hop_table):
+        cache.cache_clear()
+    params = make_params(lattice, Z5)
+    build_T_irf_sov(params, 0.41 + 0.37j)
+    assert calls == [] and eqg._hop_table.cache_info().currsize == 1
+    eqg.build_quadruple(params)
+    assert calls == [params]
+
+
 @pytest.mark.parametrize("n", [1, 3, 5, 7])
 def test_quadratic_relation_is_the_quantum_determinant(lattice, n):
     """The right side of certify_spectrum's quadratic relation at site i, A_plus(x_i) at
