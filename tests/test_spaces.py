@@ -160,12 +160,6 @@ def test_cardinal_vector_on_arrays(ev, rng, monkeypatch):
         for z, row in zip(np.ravel(pts), got.reshape(-1, k)):
             expect = np.array([per_term_interpolant(basis, np.eye(k)[j], z) for j in range(k)])
             assert np.max(np.abs(row - expect)) <= 1e-13 * max(1.0, np.max(np.abs(expect)))
-    # a member with node values v is L(z) @ v, at one point or at an array
-    values = np.array([1.0, 2.0j, -0.5, 0.0])
-    assert np.ndim(basis.cardinal_vector(zs[0, 0]) @ values) == 0
-    assert (basis.cardinal_vector(zs) @ values).shape == zs.shape
-    with pytest.raises(ValueError):
-        basis.cardinal_vector(zs) @ np.array([1.0, 2.0])
 
 
 def test_cardinal_vector_overflow_names_the_point(ev, rng):
