@@ -11,6 +11,7 @@ schema error, or a typed model or range error raised while the task runs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -375,12 +376,18 @@ def _task_irf_spectrum(block, params, rng, tol, csv_dir):
     else:
         z0 = irf.sample_spectral(params, rng)
     certs = irf.certify_spectrum(params, z0, tol=tol, rng=rng)
+    # the report reads no cluster basis: dropping them frees the 2^n-square array they view
+    certs = dataclasses.replace(certs, bases=())
 
     worst = _worst(np.column_stack(
         (certs.membership_residuals, certs.cluster_residuals, certs.quadratic_residuals)
     ))
-    recon = np.stack([u / np.linalg.norm(u) for u in certs.reconstruction], axis=1)
-    min_sv = float(np.linalg.svd(recon, compute_uv=False)[-1])
+    # the unit reconstructions as the columns of one array, formed row by row
+    recon = np.empty_like(certs.reconstruction)
+    for u, out in zip(certs.reconstruction, recon):
+        np.divide(u, np.linalg.norm(u), out=out)
+    min_sv = float(np.linalg.svd(recon.T, compute_uv=False)[-1])
+    del recon
 
     chi0 = irf.eigenvalue_character(params)
     tau = params.lattice.tau

@@ -225,7 +225,12 @@ class _HopTable:
     A_plus(x_i) at m_i = 1..Lambda_i site by site, then A_minus(x_i) at
     m_i = 0..Lambda_i - 1.  factors[d] indexes each hop's n - 1 cross
     quotients (j != i ascending), then its coefficient, in the cross
-    quotients followed by coefs.  bits holds the grid points m.
+    quotients followed by coefs.  bits holds the grid points m.  A hop
+    flips the parity of sum m, so b + c is two parity blocks, rows of the
+    even targets and of the odd ones; blocks[p] holds, as intp, the
+    positions of those hops in the entries of both directions and their
+    flat index in block p, a point being row or column k of its block
+    when it is the k-th of its parity.
     """
 
     hops: tuple[np.ndarray, np.ndarray]
@@ -235,9 +240,11 @@ class _HopTable:
     coefs: tuple[complex, ...]
     factors: tuple[np.ndarray, np.ndarray]
     bits: np.ndarray
+    blocks: tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
-@functools.lru_cache(maxsize=8)  # an entry holds (n + 4) n 2^n int32 indices at weight 1
+# one model: a process runs one CLI task, and a benchmark pass its models one after another
+@functools.lru_cache(maxsize=1)  # (n + 4) n 2^n int32 and 2 n 2^n intp indices at weight 1
 def _hop_table(params: ModelParams) -> _HopTable:
     """The hop table of any weights, read-only, for a model its caller has validated
     (build_quadruple: validate_distinct_sites; the IRF callers: validate_for_irf), so a
@@ -275,10 +282,17 @@ def _hop_table(params: ModelParams) -> _HopTable:
         cross_k = cross_at[point_values[target, i][:, None], point_values[target[:, None], others[i]]]
         coef = len(cross) + d * sum(lams) + lams_before[i] + m - (1 - d)
         factors.append(np.vstack([cross_k.T, coef]).astype(np.int32))
-    for arr in (*hops, *factors, bits):
+    parity = bits.sum(axis=1) % 2
+    rank = np.where(parity, np.cumsum(parity), np.cumsum(1 - parity)) - 1  # a point's place in its parity
+    target, source = np.hstack([h[:2] for h in hops])
+    blocks = []
+    for p in (0, 1):
+        sel = np.flatnonzero(parity[target] == p)
+        blocks.append((sel, rank[target[sel]] * np.count_nonzero(parity != p) + rank[source[sel]]))
+    for arr in (*hops, *factors, bits, *blocks[0], *blocks[1]):
         arr.setflags(write=False)
     spectral = tuple((zs[j], k * eta) for j, k in zip(site.tolist(), steps))
-    return _HopTable(tuple(hops), tuple(slots), spectral, cross, coefs, tuple(factors), bits)
+    return _HopTable(tuple(hops), tuple(slots), spectral, cross, coefs, tuple(factors), bits, tuple(blocks))
 
 
 def _exact_product(factors) -> np.ndarray:
@@ -303,7 +317,9 @@ def _hop_entries(table: _HopTable, spectral: Sequence[complex], heads: dict[int,
     table.spectral, heads[d] the quotient of each of table.slots[d]."""
     values = np.array([spectral[k] / th for k, th in table.cross] + list(table.coefs))
     first = np.concatenate([np.array(h, dtype=complex)[table.hops[d][3]] for d, h in heads.items()])
-    return _exact_product(itertools.chain([first], values[np.hstack([table.factors[d] for d in heads])]))
+    # numpy converts int32 indices chunk by chunk as it gathers; one astype is cheaper
+    index = np.hstack([table.factors[d] for d in heads]).astype(np.intp)
+    return _exact_product(itertools.chain([first], values[index]))
 
 
 def _shift_polys(params: ModelParams) -> tuple[EllipticPoly, EllipticPoly]:

@@ -62,6 +62,12 @@ _VALIDATION_POINTS = 3
 # _ANGLE_TOL
 _GAP_TOL = 1e-7
 _ANGLE_TOL = 1e-6
+# certify_spectrum forms its eigenvector columns, reconstructions and projections this many
+# clusters at a time, so that no temporary of those stages is 2^n square
+_COLUMNS = 128
+# a callable that forms a transfer matrix's parity blocks (B, C) afresh, for the
+# eigensolvers, which drop them as soon as they are read
+_Blocks = Callable[[], tuple[np.ndarray, np.ndarray]]
 
 
 # ---------------------------------------------------------------------------
@@ -134,13 +140,15 @@ def _path_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rows[keep], cols[keep]
 
 
-@functools.lru_cache(maxsize=8)
+# the IRF per-model caches, this one, _path_model and eqg._hop_table, hold one model: a
+# process runs one CLI task, and a benchmark pass its models one after another
+@functools.lru_cache(maxsize=1)
 def _validated_for_irf(params: ModelParams) -> None:
     """validate_for_irf once per model for both constructions; a model that fails keeps no entry."""
     params.validate_for_irf()
 
 
-@functools.lru_cache(maxsize=8)  # an entry holds (3^n - 1)(4 + n)/2 bytes of indices
+@functools.lru_cache(maxsize=1)  # (3^n - 1)(4 + n)/2 bytes of indices
 def _path_model(params: ModelParams) -> _PathModel:
     """Support, face indices and the corner heights' thetas of B, read-only."""
     _validated_for_irf(params)
@@ -242,6 +250,12 @@ def build_T_irf_sov(params: ModelParams, zeta: complex) -> tuple[np.ndarray, np.
     theta_array call; each entry equals the scalar product of its factors
     bit for bit, and one that overflows is a ParameterError.
     """
+    return _sov_blocks(params, zeta)()
+
+
+def _sov_blocks(params: ModelParams, zeta: complex) -> _Blocks:
+    """build_T_irf_sov(params, zeta) as a callable that forms fresh blocks (B, C) at each
+    call from the entries of one theta_array call, so a caller can drop them and form them again."""
     _validated_for_irf(params)
     table = _hop_table(params)
     zdisp = -complex(zeta)
@@ -254,15 +268,16 @@ def build_T_irf_sov(params: ModelParams, zeta: complex) -> tuple[np.ndarray, np.
     entries = _hop_entries(table, spectral, quotients)
     if not np.isfinite(entries).all():
         raise ParameterError("grid transfer-matrix entries overflow double precision")
-    # site i is bit n-1-i of the grid index, so a hop flips the parity of sum m.  A parity
-    # class holds one of 2k and 2k + 1, so index r is row or column r >> 1 of its block;
-    # a hop goes to block B or C by its target's parity
-    target, source = np.hstack([hops[:2] for hops in table.hops])
-    odd = np.bitwise_count(target) % 2 == 1
     half = 2 ** (params.n - 1)
-    blocks = np.zeros((half, half), dtype=complex), np.zeros((half, half), dtype=complex)
-    for block, rows in zip(blocks, (~odd, odd)):
-        block[target[rows] >> 1, source[rows] >> 1] = entries[rows]
+
+    def blocks() -> tuple[np.ndarray, np.ndarray]:
+        out = []
+        for sel, flat in table.blocks:
+            block = np.zeros(half * half, dtype=complex)
+            block[flat] = entries[sel]
+            out.append(block.reshape(half, half))
+        return out[0], out[1]
+
     return blocks
 
 
@@ -352,31 +367,48 @@ def _divide_gaps(f: np.ndarray, nu: np.ndarray, op: np.ufunc, tol: float) -> Non
     f[~keep] = 0
 
 
-def _chiral_eig(b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _chiral_eig(blocks: _Blocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(nu, x, y): the eigenpairs of t = [[0, B], [C, 0]] are (+nu, [x; y]) and (-nu, [x; -y]).
 
-    x holds the even-parity rows and y the odd ones, in the order of
-    _parity_order.  eig(B C) at half the size gives nu^2 and x, and
-    y = C x / nu.  Squaring loses the digits of small |nu|, so two
-    first-order refinement steps (Dongarra, Moler & Wilkinson 1983) run on
-    the unsquared t, in blocks: with G = x^-1 B y and H = y^-1 C x,
+    blocks() forms fresh (B, C); x holds the even-parity rows and y the odd
+    ones, in the order of _parity_order.  eig(B C) at half the size gives
+    nu^2 and x, and y = C x / nu.  Squaring loses the digits of small |nu|,
+    so two first-order refinement steps (Dongarra, Moler & Wilkinson 1983)
+    run on the unsquared t, in blocks: with G = x^-1 B y and H = y^-1 C x,
     nu = diag(G + H) / 2, F11 = (G + H) / 2 / (nu_j - nu_i) off the
     diagonal and F21 = (G - H) / 2 / (nu_j + nu_i) with its diagonal, the
     x/y mismatch of each +/- pair; x += x (F11 + F21), y += y (F11 - F21).
     Denominators below _GAP_TOL * max |nu| (clusters, nu_i near -nu_j) get
     no correction.  A (near) zero nu cannot be split into its +/- pair and
-    is a ParameterError.  F11 and F21 fill the buffers of G + H and G - H,
-    and x + x F is formed as (x F) += x: six blocks besides B and C.
+    is a ParameterError.
+
+    Working set: solve copies both of its operands, so B and C are dropped
+    once B y and C x are formed, and the second step forms them again; C x
+    serves both y and the first step's H.  F11 and F21 fill the buffers of
+    G + H and G - H, and x + x F is formed as (x F) += x.  The traced peak,
+    5.6 blocks, is _divide_gaps's tables beside x, y, G and G - H; the
+    solves hold seven blocks with their untraced copies.
     """
+    b, c = blocks()
     sq, x = np.linalg.eig(b @ c)
     nu = np.sqrt(sq)
     tol = _GAP_TOL * float(np.max(np.abs(nu)))
     if not np.min(np.abs(nu)) > tol:  # also a zero or non-finite matrix
         raise ParameterError("transfer matrix has a (near) zero eigenvalue; its +/- pair does not split")
-    y = (c @ x) / nu
-    for _ in range(2):
-        g = np.linalg.solve(x, b @ y)
-        h = np.linalg.solve(y, c @ x)
+    cx = c @ x
+    del c
+    y = cx / nu
+    for step in range(2):
+        if step:
+            b, c = blocks()
+            cx = c @ x
+            del c
+        by = b @ y
+        del b
+        g = np.linalg.solve(x, by)
+        del by
+        h = np.linalg.solve(y, cx)
+        del cx
         d = g - h
         g += h
         del h
@@ -385,33 +417,42 @@ def _chiral_eig(b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
         nu = g.diagonal().copy()
         _divide_gaps(g, nu, np.subtract, tol)
         _divide_gaps(d, nu, np.add, tol)
-        xf = x @ (g + d)
-        xf += x
+        f = g + d
         g -= d
         del d
+        xf = x @ f
+        del f
+        xf += x
         yf = y @ g
+        del g
         yf += y
         x, y = xf, yf
+        del xf, yf
     return nu, x, y
 
 
-def _reflected_eig(b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _reflected_eig(blocks: _Blocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(nu, x, x[::-1]), _chiral_eig's eigenpairs of t = [[0, B], [B[::-1, ::-1], 0]].
 
-    With R the index reversal, C = R B R and (nu, u) an eigenpair of
-    M = B R, t [u; +/-R u] = +/-nu [u; +/-R u]: eig(M) at half the size
-    gives the spectrum with no squaring.  One first-order refinement step
-    (Dongarra, Moler & Wilkinson 1983) runs on M: with G = x^-1 M x,
-    nu = diag G and x += x F, F = G / (nu_j - nu_i) off the diagonal,
-    formed in G's buffer.  Denominators below _GAP_TOL * max |nu| get no
-    correction, and a (near) zero nu is a ParameterError, as in _chiral_eig.
+    blocks() gives (B, C), of which only B is read.  With R the index
+    reversal, C = R B R and (nu, u) an eigenpair of M = B R,
+    t [u; +/-R u] = +/-nu [u; +/-R u]: eig(M) at half the size gives the
+    spectrum with no squaring.  One first-order refinement step (Dongarra,
+    Moler & Wilkinson 1983) runs on M: with G = x^-1 M x, nu = diag G and
+    x += x F, F = G / (nu_j - nu_i) off the diagonal, formed in G's buffer.
+    Denominators below _GAP_TOL * max |nu| get no correction, and a (near)
+    zero nu is a ParameterError, as in _chiral_eig.  B is not held past M's
+    copy, nor M past M x, so the solve runs beside x, M x and G only.
     """
-    m = np.ascontiguousarray(b[:, ::-1])
+    m = np.ascontiguousarray(blocks()[0][:, ::-1])
     nu, x = np.linalg.eig(m)
     tol = _GAP_TOL * float(np.max(np.abs(nu)))
     if not np.min(np.abs(nu)) > tol:  # also a zero or non-finite matrix
         raise ParameterError("transfer matrix has a (near) zero eigenvalue; its +/- pair does not split")
-    g = np.linalg.solve(x, m @ x)
+    mx = m @ x
+    del m
+    g = np.linalg.solve(x, mx)
+    del mx
     nu = g.diagonal().copy()
     _divide_gaps(g, nu, np.subtract, tol)
     xf = x @ g
@@ -429,20 +470,21 @@ def reconcile_constructions(params: ModelParams, rng: np.random.Generator) -> Du
     spectra, which reads each pair's sign.  The conjugation is then block-diagonal in the parity
     order: x_p x_s^-1 on the even states and (y_p sign) y_s^-1 on the odd
     ones, so the bridge's products, inverses and residual run on
-    2^(n-1)-square blocks, and each eigenbasis is dropped once its block
-    is formed.  Raises ParameterError when the probe spectrum is too
-    clustered to pair up eigenvalues.
+    2^(n-1)-square blocks.  The path matrix is dropped once M = B R is
+    formed, and each eigenbasis once its block is.  Raises ParameterError
+    when the probe spectrum is too clustered to pair up eigenvalues.
     """
     z0 = sample_spectral(params, rng)
     # T_sov first: its solves then run beside its own blocks only, not the path eigenbasis
-    nu_s, xs, ys = _chiral_eig(*build_T_irf_sov(params, z0 - params.eta))
+    nu_s, xs, ys = _chiral_eig(_sov_blocks(params, z0 - params.eta))
     tp = build_T_irf_paths(params, z0)
     bridge = bridge_scalar(params, z0)
     # same-parity blocks are 0; max |C| is max |B| (np.abs of C's reversed view can differ in the last bit)
     gap = max(float(np.max(np.abs(p - s))) for p, s in zip(tp, build_T_irf_sov(params, z0)))
     literal = gap / float(np.max(np.abs(tp[0])))
-    nu_p, xp, yp = _reflected_eig(tp[0])
+    held = [tp]
     del tp
+    nu_p, xp, yp = _reflected_eig(held.pop)  # hands over the only reference to the path matrix
     half = len(nu_p)
     scale = float(np.max(np.abs(nu_p)))
     perm = _pair_spectra(nu_p, bridge * nu_s, 1e-8 * scale)
@@ -451,10 +493,15 @@ def reconcile_constructions(params: ModelParams, rng: np.random.Generator) -> Du
     # the distances within [nu_p, -nu_p] are |nu_i - nu_j| (i != j) and |nu_i + nu_j|, exactly
     within = np.min(np.abs(nu_p[:, None] - nu_p[None, :]), where=~np.eye(half, dtype=bool), initial=np.inf)
     min_gap = float(min(within, np.min(np.abs(nu_p[:, None] + nu_p[None, :])))) / scale
-    k_even = xp @ np.linalg.inv(xs[:, perm])
+    # each eigenbasis is dropped once its block is formed, and the unpermuted one before inv
+    xs = xs[:, perm]
+    k_even = xp @ np.linalg.inv(xs)
     del xs
-    blocks = (k_even, (yp * sign) @ np.linalg.inv(ys[:, perm]))
-    del xp, yp, ys, k_even
+    yp = yp * sign
+    del xp
+    ys = ys[:, perm]
+    blocks = (k_even, yp @ np.linalg.inv(ys))
+    del yp, ys, k_even
 
     inverses = tuple(np.linalg.inv(k) for k in blocks)
     # a block-diagonal matrix's 1-norm is its blocks' largest
@@ -554,6 +601,13 @@ def _clusters(mu: np.ndarray, gap_tol: float) -> tuple[list[list[int]], np.ndarr
     return list(groups.values()), dist
 
 
+def _run(index: np.ndarray) -> np.ndarray | slice:
+    """An increasing index as a slice where it is a run of consecutive integers, so that it reads a view."""
+    if index.size and index[-1] - index[0] == index.size - 1:
+        return slice(int(index[0]), int(index[-1]) + 1)
+    return index
+
+
 def certify_spectrum(
     params: ModelParams,
     z0: complex,
@@ -576,6 +630,9 @@ def certify_spectrum(
     the side-by-side cluster bases and its image dropped once the ratios
     are read; validation, the quadratic relations and the reconstructions
     run for all clusters at once, and the certificate keeps their arrays.
+    The cluster bases are column views of the one array the eigenvectors
+    are written into, and no other array of the certificate's stages is
+    2^n square but the sample matrix's image and the reconstructions.
     """
     # z-independent data of the quadratic relations (the hop coefficients) and the grid signs
     _validated_for_irf(params)
@@ -588,14 +645,10 @@ def certify_spectrum(
     except spaces.ResonantCharacterError as exc:
         raise ParameterError(str(exc)) from exc
 
-    nu, x, y = _chiral_eig(*build_T_irf_sov(params, z0))
+    nu, x, y = _chiral_eig(_sov_blocks(params, z0))
     half = len(nu)
     mu = np.concatenate([nu, -nu])
     even, odd = _parity_order(n)
-    vecs = np.empty((2 * half, 2 * half), dtype=complex)
-    vecs[even, :half], vecs[even, half:] = x, x
-    vecs[odd, :half], vecs[odd, half:] = y, -y
-    del x, y
     val_pts = [sample_spectral(params, rng) for _ in range(_VALIDATION_POINTS)]
 
     groups, dist = _clusters(mu, _GAP_TOL)
@@ -606,18 +659,32 @@ def certify_spectrum(
     dist[label[:, None] == label[None, :]] = np.inf
     nearest = dist.min(axis=1)
     del dist
-    # orthonormal cluster bases side by side: a unit column for a simple eigenvalue
-    bases = [
-        vecs[:, g] / np.linalg.norm(vecs[:, g]) if len(g) == 1 else np.linalg.qr(vecs[:, g])[0]
-        for g in groups
-    ]
+    # one array holds the orthonormal cluster bases side by side, in cluster order: the
+    # eigenvectors [x; +/-y] are written in place and each cluster's columns normalized
+    # there, a unit column for a simple eigenvalue; bases[k] is a view of its columns
     dims = np.array([len(g) for g in groups])
     starts = np.cumsum(dims) - dims
-    stacked = np.concatenate(bases, axis=1)
-    del vecs
+    order = np.concatenate(groups)
+    stacked = np.empty((2 * half, 2 * half), dtype=complex)
+    for lo in range(0, len(order), _COLUMNS):
+        cols = order[lo : lo + _COLUMNS]
+        stacked[even, lo : lo + len(cols)] = x[:, cols % half]
+        odd_part = y[:, cols % half]
+        np.negative(odd_part, out=odd_part, where=cols >= half)
+        stacked[odd, lo : lo + len(cols)] = odd_part
+        del odd_part
+    del x, y
+    bases = tuple(stacked[:, start : start + dim] for start, dim in zip(starts.tolist(), dims.tolist()))
+    for v in bases:
+        if v.shape[1] == 1:
+            v /= np.linalg.norm(v)
+        else:
+            v[...] = np.linalg.qr(v)[0]
     unit = dims == 1
-    units = stacked[:, starts[unit]].conj()
     blocks = np.flatnonzero(~unit)
+    # the simple clusters and their columns, _COLUMNS at a time
+    simple = np.flatnonzero(unit)
+    chunks = [(_run(k), _run(starts[k])) for k in np.split(simple, range(_COLUMNS, simple.size, _COLUMNS))]
     # ratios[k, p]: cluster k's eigenvalue of the p-th sample matrix, nodes first;
     # a simple eigenvalue's ratio is v* T v, a cluster's the mean of its block's trace
     points = list(basis.nodes) + val_pts
@@ -626,17 +693,21 @@ def certify_spectrum(
     for p, zp in enumerate(points):
         b, c = build_T_irf_sov(params, zp)
         image = np.empty_like(stacked)
-        image[even], image[odd] = b @ stacked[odd], c @ stacked[even]
-        del b, c
-        ratios[unit, p] = np.einsum("rk,rk->k", units, image[:, starts[unit]])
+        image[even] = b @ stacked[odd]
+        del b
+        image[odd] = c @ stacked[even]
+        del c
         for k in blocks:
             cols = slice(starts[k], starts[k] + dims[k])
             block = bases[k].conj().T @ image[:, cols]
             ratios[k, p] = complex(np.trace(block)) / dims[k]
             dev = float(np.max(np.abs(block - ratios[k, p] * np.eye(dims[k]))))
             cluster_dev[k] = np.maximum(cluster_dev[k], dev)  # a NaN is kept
+        # v* (T v) is conj(sum_r v_r conj(T v)_r) bit for bit: the image is conjugated in place
+        np.conjugate(image, out=image)
+        for k, cols in chunks:
+            ratios[k, p] = np.einsum("rk,rk->k", stacked[:, cols], image[:, cols]).conj()
         del image
-    del stacked
     scale = np.maximum(np.max(np.abs(ratios), axis=1), 1e-300)
 
     # every eigenvalue function at the validation points and at z_i -/+ eta, as one
@@ -653,28 +724,40 @@ def certify_spectrum(
     quad = np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
 
     # u(sigma) = prod_i (q_minus_i if sigma_i < 0 else q_plus_i), one site at a time,
-    # so it equals math.prod of the pairs; the grid sign 2m - 1 is negative where m_i = 0
+    # so it equals math.prod of the pairs; the grid sign 2m - 1 is negative where m_i = 0.
+    # It and its norm are formed _COLUMNS clusters at a time, so their temporaries are not 2^n square
     negative = table.bits == 0
-    recon = _exact_product(itertools.chain(
-        [np.ones((), dtype=complex)],  # math.prod starts at 1
-        (np.where(negative[:, i], em[:, i, None], q_plus[i]) for i in range(n)),
-    ))
-    norms = np.linalg.norm(recon, axis=1)
+    recon = np.empty((len(groups), 2 * half), dtype=complex)
+    norms = np.empty(len(groups))
+    for lo in range(0, len(groups), _COLUMNS):
+        rows = slice(lo, lo + _COLUMNS)
+        recon[rows] = _exact_product(itertools.chain(
+            [np.ones((), dtype=complex)],  # math.prod starts at 1
+            (np.where(negative[:, i], em[rows, i, None], q_plus[i]) for i in range(n)),
+        ))
+        norms[rows] = np.linalg.norm(recon[rows], axis=1)
     found = norms > 0.0
     # the sine of the angle is the norm of the part of u/|u| outside the cluster basis
-    # (arccos of the overlap resolves nothing below 1.5e-8)
-    outside = recon / np.where(found, norms, 1.0)[:, None]
-    projection = np.einsum("rk,kr->k", units, outside[unit])[:, None] * units.T.conj()
-    outside[unit] -= projection
-    del projection
+    # (arccos of the overlap resolves nothing below 1.5e-8), formed for the chunks of
+    # simple clusters and then per block; a simple cluster's overlap v* u is
+    # conj(sum_r v_r conj(u_r))
+    divisors = np.where(found, norms, 1.0)[:, None]
+    sines = np.empty(len(groups))
+    for k, cols in chunks:
+        outside = recon[k] / divisors[k]
+        overlap = np.einsum("rk,kr->k", stacked[:, cols], outside.conj()).conj()
+        outside -= overlap[:, None] * stacked[:, cols].T
+        sines[k] = np.linalg.norm(outside, axis=1)
     for k in blocks:
-        outside[k] -= bases[k] @ (bases[k].conj().T @ outside[k])
-    angles = np.where(found, np.arcsin(np.minimum(1.0, np.linalg.norm(outside, axis=1))), np.pi / 2)
+        outside = recon[k : k + 1] / divisors[k : k + 1]
+        outside[0] -= bases[k] @ (bases[k].conj().T @ outside[0])
+        sines[k] = np.linalg.norm(outside, axis=1)[0]
+    angles = np.where(found, np.arcsin(np.minimum(1.0, sines)), np.pi / 2)
 
     eps_nodes = ratios[:, :n].copy()
     eps_nodes.setflags(write=False)
     return SpectralCertificates(
-        eigenvalues=np.array([np.mean(mu[group]) for group in groups]), bases=tuple(bases), basis=basis,
+        eigenvalues=np.array([np.mean(mu[group]) for group in groups]), bases=bases, basis=basis,
         eps_nodes=eps_nodes, membership_residuals=member_dev / scale, cluster_residuals=cluster_dev / scale,
         quadratic_residuals=quad, q_minus=em, q_plus=np.array(q_plus), reconstruction=recon, angles=angles,
         degenerate=dims > 1, gaps=np.array([np.min(nearest[group]) for group in groups]), tol=tol,

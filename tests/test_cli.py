@@ -585,6 +585,30 @@ def test_irf_tasks_validate_each_model_once(tmp_path, monkeypatch):
         assert code == 0 and len(calls) == 1, (task, len(calls))
 
 
+def test_irf_caches_hold_one_model(tmp_path):
+    """The IRF per-model caches (the validator, the path model and the hop table)
+    keep one model each: after a task on a second model every one holds one
+    entry, and the first model's task, rerun on the evicted caches, writes the
+    report of a cold run, timing aside."""
+    caches = (irf._validated_for_irf, irf._path_model, eqg._hop_table)
+    assert all(cache.cache_info().maxsize == 1 for cache in caches)
+    first = str(CONFIGS / "irf_n3.json")
+    second = rewrite_config(tmp_path, "irf_n3.json", "moved.json", lambda cfg: cfg["sites"][2].update(z=[0.34, 0.49]))
+    for task in ("build", "spectrum", "partition"):
+        reports = []
+        for run, config in enumerate((first, second, first)):
+            if run == 0:
+                for cache in caches:
+                    cache.cache_clear()
+            code, report = run_to_file(tmp_path, ["irf", task, "--config", config], "%s-%d.json" % (task, run))
+            assert code == 0, (task, run)
+            report.pop("timing")
+            reports.append(report)
+            if run == 1:
+                assert [cache.cache_info().currsize for cache in caches] == [1, 1 if task != "spectrum" else 0, 1]
+        assert reports[2] == reports[0] != reports[1], task
+
+
 def reference_gaudin_check(cfg, seed):
     """gaudin check's residuals with every operator stack built and applied afresh, as a reference.
 

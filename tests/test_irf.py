@@ -657,6 +657,11 @@ def chiral_eig_reference(b, c):
     return nu, x, y
 
 
+def path_blocks(b):
+    """The eigensolvers' blocks() for the path parity blocks (B, B[::-1, ::-1])."""
+    return lambda: (b, b[::-1, ::-1])
+
+
 def reflected_eig_reference(b):
     """The former _reflected_eig, with a fresh array for every intermediate."""
     m = np.ascontiguousarray(b[:, ::-1])
@@ -710,6 +715,98 @@ def reconcile_reference(params, rng):
     return irf.DualReconciliation(constant, blocks, residual, literal, condition, min_gap)
 
 
+def certify_spectrum_reference(params, z0, tol=1e-8, *, rng):
+    """The former certify_spectrum: the eigenvectors in a fresh 2^n-square array, a
+    copy per cluster basis, their concatenation, the conjugated unit columns and
+    a K x 2^n projection, and the reconstruction formed for all clusters at once."""
+    irf._validated_for_irf(params)
+    table = eqg._hop_table(params)
+    n = params.n
+    chi0 = eigenvalue_character(params)
+    basis = spaces.make_basis(params.evaluator(), n, chi0, rng, margin=5e-2)
+    nu, x, y = chiral_eig_reference(*build_T_irf_sov(params, z0))
+    half = len(nu)
+    mu = np.concatenate([nu, -nu])
+    even, odd = irf._parity_order(n)
+    vecs = np.empty((2 * half, 2 * half), dtype=complex)
+    vecs[even, :half], vecs[even, half:] = x, x
+    vecs[odd, :half], vecs[odd, half:] = y, -y
+    val_pts = [irf.sample_spectral(params, rng) for _ in range(irf._VALIDATION_POINTS)]
+    groups, dist = irf._clusters(mu, irf._GAP_TOL)
+    label = np.empty(len(mu), dtype=int)
+    for k, group in enumerate(groups):
+        label[group] = k
+    dist[label[:, None] == label[None, :]] = np.inf
+    nearest = dist.min(axis=1)
+    bases = [
+        vecs[:, g] / np.linalg.norm(vecs[:, g]) if len(g) == 1 else np.linalg.qr(vecs[:, g])[0]
+        for g in groups
+    ]
+    dims = np.array([len(g) for g in groups])
+    starts = np.cumsum(dims) - dims
+    stacked = np.concatenate(bases, axis=1)
+    unit = dims == 1
+    units = stacked[:, starts[unit]].conj()
+    blocks = np.flatnonzero(~unit)
+    points = list(basis.nodes) + val_pts
+    ratios = np.empty((len(groups), len(points)), dtype=complex)
+    cluster_dev = np.zeros(len(groups))
+    for p, zp in enumerate(points):
+        b, c = build_T_irf_sov(params, zp)
+        image = np.empty_like(stacked)
+        image[even], image[odd] = b @ stacked[odd], c @ stacked[even]
+        ratios[unit, p] = np.einsum("rk,rk->k", units, image[:, starts[unit]])
+        for k in blocks:
+            cols = slice(starts[k], starts[k] + dims[k])
+            block = bases[k].conj().T @ image[:, cols]
+            ratios[k, p] = complex(np.trace(block)) / dims[k]
+            dev = float(np.max(np.abs(block - ratios[k, p] * np.eye(dims[k]))))
+            cluster_dev[k] = np.maximum(cluster_dev[k], dev)
+    scale = np.maximum(np.max(np.abs(ratios), axis=1), 1e-300)
+    zs = params.zs
+    evals = val_pts + [zi - params.eta for zi in zs] + [zi + params.eta for zi in zs]
+    fitted = ratios[:, :n] @ basis.cardinal_vector(evals).T
+    member_dev = np.max(np.abs(ratios[:, n:] - fitted[:, : len(val_pts)]), axis=1)
+    em, ep = fitted[:, len(val_pts) : -n], fitted[:, -n:]
+    lhs = em * ep
+    q_plus, minus = table.coefs[:n], table.coefs[n:]
+    rhs = np.array([p * m for p, m in zip(q_plus, minus)])
+    quad = np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
+    negative = table.bits == 0
+    recon = eqg._exact_product(itertools.chain(
+        [np.ones((), dtype=complex)],
+        (np.where(negative[:, i], em[:, i, None], q_plus[i]) for i in range(n)),
+    ))
+    norms = np.linalg.norm(recon, axis=1)
+    found = norms > 0.0
+    outside = recon / np.where(found, norms, 1.0)[:, None]
+    outside[unit] -= np.einsum("rk,kr->k", units, outside[unit])[:, None] * units.T.conj()
+    for k in blocks:
+        outside[k] -= bases[k] @ (bases[k].conj().T @ outside[k])
+    angles = np.where(found, np.arcsin(np.minimum(1.0, np.linalg.norm(outside, axis=1))), np.pi / 2)
+    return irf.SpectralCertificates(
+        eigenvalues=np.array([np.mean(mu[group]) for group in groups]), bases=tuple(bases), basis=basis,
+        eps_nodes=ratios[:, :n].copy(), membership_residuals=member_dev / scale,
+        cluster_residuals=cluster_dev / scale, quadratic_residuals=quad, q_minus=em, q_plus=np.array(q_plus),
+        reconstruction=recon, angles=angles, degenerate=dims > 1,
+        gaps=np.array([np.min(nearest[group]) for group in groups]), tol=tol,
+    )
+
+
+def assert_certificates_equal(got, ref):
+    """Every SpectralCertificates field bit for bit: the arrays, each cluster basis,
+    and the shared basis by its nodes and its cardinal vectors at them."""
+    for field in dataclasses.fields(got):
+        a, r = getattr(got, field.name), getattr(ref, field.name)
+        if field.name == "bases":
+            assert len(a) == len(r) and all(np.array_equal(u, v) for u, v in zip(a, r)), field.name
+        elif field.name == "basis":
+            assert a.nodes == r.nodes
+            assert np.array_equal(a.cardinal_vector(a.nodes), r.cardinal_vector(r.nodes))
+        else:
+            assert np.array_equal(a, r), field.name
+
+
 def test_pair_spectra():
     """nu against [t, -t] reads the same perm as the former 2h x 2h pairing
     of [nu, -nu] against [t, -t] (its first half), and fails where it does."""
@@ -735,11 +832,30 @@ def test_pair_spectra():
             pair_spectra_reference(np.concatenate([n, -n]), np.concatenate([t, -t]), 1e-9)
 
 
-def test_working_set_rewrite_is_bit_identical(lattice):
-    """The in-place refinements, the h x 2h pairing, the h x h gap tables and
-    the reversed-view C against the former code, bit for bit, on the Z9
-    prefixes: (nu, x, y) of both eigensolvers and every DualReconciliation
-    field, from cold per-model caches and warm."""
+def test_working_set_rewrite_is_bit_identical(lattice, monkeypatch):
+    """The in-place refinements, the h x 2h pairing, the h x h gap tables, the
+    reversed-view C, the blocks formed afresh for each refinement step, and the
+    cluster bases as column views of one array, against the former code, bit
+    for bit, on the Z9 prefixes: (nu, x, y) of both eigensolvers, every
+    DualReconciliation field from cold per-model caches and warm, and every
+    SpectralCertificates field; at n = 5 also with two clusters merged, so
+    that the QR block path runs."""
+    for n in (1, 3, 5, 7, 9):
+        params = make_params(lattice, Z9[:n])
+        got = certify_spectrum(params, 0.41 + 0.37j, rng=np.random.default_rng(7))
+        assert_certificates_equal(got, certify_spectrum_reference(params, 0.41 + 0.37j, rng=np.random.default_rng(7)))
+    original = irf._clusters
+
+    def merged(mu, gap_tol):
+        groups, dist = original(mu, gap_tol)
+        return [groups[0] + groups[1]] + groups[2:], dist
+
+    monkeypatch.setattr(irf, "_clusters", merged)
+    params = make_params(lattice, Z5)
+    got = certify_spectrum(params, 0.41 + 0.37j, rng=np.random.default_rng(7))
+    assert got.degenerate[0]
+    assert_certificates_equal(got, certify_spectrum_reference(params, 0.41 + 0.37j, rng=np.random.default_rng(7)))
+    monkeypatch.undo()
     for n in (1, 3, 5, 7, 9):
         params = make_params(lattice, Z9[:n])
         irf._path_model.cache_clear()
@@ -755,8 +871,8 @@ def test_working_set_rewrite_is_bit_identical(lattice):
                     assert got == ref, (n, field.name)
         sov = build_T_irf_sov(params, 0.41 + 0.37j)
         b = build_T_irf_paths(params, 0.41 + 0.37j)[0]
-        for got, ref in ((irf._chiral_eig(*sov), chiral_eig_reference(*sov)),
-                         (irf._reflected_eig(b), reflected_eig_reference(b))):
+        for got, ref in ((irf._chiral_eig(lambda: sov), chiral_eig_reference(*sov)),
+                         (irf._reflected_eig(path_blocks(b)), reflected_eig_reference(b))):
             assert all(np.array_equal(a, r) for a, r in zip(got, ref)), n
 
 
@@ -782,7 +898,13 @@ def test_reconcile_working_set(lattice):
     held 9.02 while T_sov's B and C were views of one array: the conjugation
     and its inverse (four blocks), T_sov's two, the first product and the
     second one's two temporaries.  With separate blocks, B is dropped once
-    its product is formed, and the peak is the eigensolver stage's."""
+    its product is formed, and the peak, 8.02, is the bridge samples' again.
+    _chiral_eig read 6.01 while it held B and C through its refinement: it
+    now drops them once B y and C x are formed and forms them again for the
+    second step, and its peak is _divide_gaps's tables beside x, y, G and D.
+    tracemalloc does not see the operand copies that solve makes, so the
+    n = 7 and 9 pins stay where they were, though the eigensolver stage no
+    longer holds B and C beside those copies."""
     for n, pinned in ((7, 9.14), (9, 8.02)):
         params = make_params(lattice, Z9[:n])
         reconcile_constructions(params, np.random.default_rng(3))  # warm the per-model caches
@@ -790,9 +912,27 @@ def test_reconcile_working_set(lattice):
         assert abs(peak - pinned) <= 0.05, (n, peak)
     params = make_params(lattice, Z9)
     blocks = build_T_irf_sov(params, 0.41 + 0.37j)
-    irf._chiral_eig(*blocks)
-    peak = traced_blocks(9, lambda: irf._chiral_eig(*blocks))
-    assert abs(peak - 6.01) <= 0.05, peak
+    irf._chiral_eig(lambda: blocks)
+    peak = traced_blocks(9, lambda: irf._chiral_eig(lambda: blocks))
+    assert abs(peak - 5.57) <= 0.05, peak
+
+
+def test_certify_spectrum_working_set(lattice):
+    """The traced numpy peak of a warm certify_spectrum at n = 9, in 2^n-square
+    complex matrices.  The former code read 6.17: the eigenvectors, their
+    per-cluster copies and the concatenation of those, the conjugated unit
+    columns and the per-sample copy of their images, and at the angle stage a
+    K x 2^n projection beside the full-size reconstruction temporaries.  The
+    cluster bases are now column views of the one array the eigenvectors are
+    written into, and the reconstruction and its projection run 128 clusters
+    at a time (3.0 at that stage).  The peak, 3.57, is the sample loop's: the
+    bases, the image, B and C, and one half-height product with the rows it
+    reads."""
+    params = make_params(lattice, Z9)
+    run = lambda: certify_spectrum(params, 0.41 + 0.37j, rng=np.random.default_rng(7))
+    run()  # warm the per-model caches
+    peak = traced_blocks(9, run) / 4
+    assert abs(peak - 3.57) <= 0.05, peak
 
 
 def test_transfer_matrices_flip_parity(lattice, rng):
@@ -852,9 +992,9 @@ def test_chiral_eig_matches_lapack(lattice, rng):
             ref_v /= np.linalg.norm(ref_v, axis=0)
             scale = float(np.max(np.abs(ref_mu)))
             ref_residual = float(np.max(np.abs(t @ ref_v - ref_v * ref_mu))) / scale
-            solved = [irf._chiral_eig(*blocks)]
+            solved = [irf._chiral_eig(lambda: blocks)]
             if build is build_T_irf_paths:
-                solved.append(irf._reflected_eig(blocks[0]))
+                solved.append(irf._reflected_eig(lambda: blocks))
                 assert np.array_equal(solved[1][2], solved[1][1][::-1])
             residuals = []
             for nu, x, y in solved:
@@ -875,23 +1015,23 @@ def test_chiral_eig_rejects_broken_structure(lattice):
     params = make_params(lattice, Z3)
     b, c = build_T_irf_sov(params, 0.41 + 0.37j)
     b_paths = build_T_irf_paths(params, 0.41 + 0.37j)[0]
-    assert np.all(np.isfinite(irf._chiral_eig(b, c)[0]))
-    assert np.all(np.isfinite(irf._reflected_eig(b_paths)[0]))
+    assert np.all(np.isfinite(irf._chiral_eig(lambda: (b, c))[0]))
+    assert np.all(np.isfinite(irf._reflected_eig(path_blocks(b_paths))[0]))
     # a zero (or tiny) row of B makes B C and B[:, ::-1] singular: nu = 0 has
     # no +/- pair to split
     for factor in (0.0, 1e-20):
         singular = b.copy()
         singular[0] *= factor
         with pytest.raises(ParameterError, match="zero eigenvalue"):
-            irf._chiral_eig(singular, c)
+            irf._chiral_eig(lambda: (singular, c))
         singular = b_paths.copy()
         singular[0] *= factor
         with pytest.raises(ParameterError, match="zero eigenvalue"):
-            irf._reflected_eig(singular)
+            irf._reflected_eig(path_blocks(singular))
     with pytest.raises(ParameterError, match="zero eigenvalue"):
-        irf._chiral_eig(np.zeros_like(b), np.zeros_like(c))
+        irf._chiral_eig(lambda: (np.zeros_like(b), np.zeros_like(c)))
     with pytest.raises(ParameterError, match="zero eigenvalue"):
-        irf._reflected_eig(np.zeros_like(b))
+        irf._reflected_eig(path_blocks(np.zeros_like(b)))
 
 
 def test_chiral_eig_skips_cluster_denominators():
@@ -904,7 +1044,7 @@ def test_chiral_eig_skips_cluster_denominators():
     x = rng2.standard_normal((8, 8)) + 1j * rng2.standard_normal((8, 8))
     y = rng2.standard_normal((8, 8)) + 1j * rng2.standard_normal((8, 8))
     blocks = (x @ np.diag(true_nu) @ np.linalg.inv(y), y @ np.diag(true_nu) @ np.linalg.inv(x))
-    nu, xs, ys = irf._chiral_eig(*blocks)
+    nu, xs, ys = irf._chiral_eig(lambda: blocks)
     assert np.all(np.isfinite(nu)) and np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))
     residual, _ = chiral_check(blocks, nu, xs, ys)
     assert residual <= 1e-13
@@ -918,7 +1058,7 @@ def test_chiral_eig_skips_cluster_denominators():
     # cluster's denominators in _reflected_eig get no correction either
     b = (x @ np.diag(true_nu) @ np.linalg.inv(x))[:, ::-1]
     blocks = (b, b[::-1, ::-1])
-    nu, xs, ys = irf._reflected_eig(b)
+    nu, xs, ys = irf._reflected_eig(path_blocks(b))
     assert np.all(np.isfinite(nu)) and np.all(np.isfinite(xs))
     assert chiral_check(blocks, nu, xs, ys)[0] <= 1e-13
     dist = np.abs(nu[:, None] - true_nu[None, :])
@@ -1268,8 +1408,8 @@ def test_reconstruction_angle_resolves_small_rotations(lattice, monkeypatch):
     even, odd = irf._parity_order(params.n)
     chiral_eig = irf._chiral_eig
 
-    def rotated(b, c):
-        nu, x, y = chiral_eig(b, c)
+    def rotated(blocks):
+        nu, x, y = chiral_eig(blocks)
         vecs = np.empty((2 * len(nu), len(nu)), dtype=complex)
         vecs[even], vecs[odd] = x, y
         vecs /= np.linalg.norm(vecs, axis=0)
