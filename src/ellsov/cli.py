@@ -23,7 +23,7 @@ import numpy as np
 
 from . import eqg, gaudin, irf, spaces
 from .params import ModelParams, ParameterError
-from .theta import Lattice, ThetaError, ThetaOverflowError
+from .theta import Lattice, ThetaError, _require_finite
 
 __all__ = ["main", "ConfigError", "load_config", "build_params"]
 
@@ -257,15 +257,9 @@ def _task_gaudin_check(block, params, rng, tol, csv_dir):
 
 def _task_gaudin_bethe(block, params, rng, tol, csv_dir):
     degree = _count(block, "degree", 8, least=2)  # H_0 takes two derivatives
-    try:
-        sol = gaudin.solve_gaudin_bethe(params, rng)
-    except spaces.SpacesError as exc:
-        return {
-            "checks": [_check("solver_converged", 1.0, 1e-10)],
-            "metrics": {"solver_error": str(exc)},
-        }
+    sol = gaudin.solve_gaudin_bethe(params, rng)
     lam0s = np.array([params.sample_generic(rng, margin=5e-2) for _ in range(2)])
-    u = gaudin.bethe_eigenvector(params, sol.c, sol.roots, lam0s, degree)
+    u = gaudin.bethe_eigenvector(params, sol.a, sol.roots, lam0s, degree)
     outs = [H.apply_jet(u) for H in gaudin.build_hamiltonians(params, lam0s, degree)]
     eigen_dev = []
     for p in range(len(lam0s)):
@@ -283,7 +277,7 @@ def _task_gaudin_bethe(block, params, rng, tol, csv_dir):
         _check("eigenvalue_sum", eps_sum, 1e-9),
     ]
     metrics = {
-        "c": complex(sol.c),
+        "c": sol.a,
         "roots": list(sol.roots),
         "eigenvalues": eps,
         "iterations": sol.iterations,
@@ -474,13 +468,7 @@ def _task_irf_partition(block, params, rng, tol, csv_dir):
 
 
 def _task_irf_bethe(block, params, rng, tol, csv_dir):
-    try:
-        cb = irf.continuous_bethe(params, rng)
-    except spaces.SpacesError as exc:
-        return {
-            "checks": [_check("solver_converged", 1.0, 1e-10)],
-            "metrics": {"solver_error": str(exc)},
-        }
+    cb = irf.continuous_bethe(params, rng)
     # each sample draws its n coordinates xs, then zeta; the samples are evaluated as one stack
     samples = range(_count(block, "eigen_samples", 3))
     draws = np.array([[params.sample_generic(rng, margin=5e-2) for _ in range(params.n + 1)] for _ in samples])
@@ -489,12 +477,10 @@ def _task_irf_bethe(block, params, rng, tol, csv_dir):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # a non-finite miss raises below
         rhs = cb.eps_value(zetas) * cb.u_value(xs)
         eigen = np.abs(lhs - rhs) / np.maximum(np.abs(lhs), np.abs(rhs))
-    if not np.isfinite(eigen).all():
-        zeta = complex(zetas[np.argmin(np.isfinite(eigen))])
-        raise ThetaOverflowError("eps u at zeta = %r leaves double range" % (zeta,))
+    _require_finite(eigen, zetas, "eps u at zeta = %r leaves double range")
     m = sum(params.lams) // 2
     ev = params.evaluator()
-    member = spaces.membership_test(ev, cb.q_value, m, cb.chi, rng)
+    membership = spaces.membership_test(ev, cb.q_value, m, cb.chi, rng)
     # eps carries the character the difference equation induces from A_plus
     chi_plus = spaces.character_of(cb.a_plus, params.lattice.tau)
     chi_eps = spaces.induced_eigenvalue_character(chi_plus, 2 * params.eta, m)
@@ -506,7 +492,7 @@ def _task_irf_bethe(block, params, rng, tol, csv_dir):
         _check("solver_converged", cb.solution.residual, 1e-10),
         _check("eigen_residual", _worst(eigen), 1e-8),
         _check("character_match", chi_dev, 1e-9),
-        _check("q_membership", _worst([member.deviation, member.qp_residual]) / member.scale, 1e-8),
+        _check("q_membership", membership, 1e-8),
     ]
     metrics = {
         "a": complex(cb.solution.a),
@@ -570,7 +556,10 @@ def main(argv=None) -> int:
         tol = _positive(tols, "residual_tol", 1e-9)
         rng = np.random.default_rng(seed)
         start = time.perf_counter()
-        body = _DISPATCH[task](block, params, rng, tol, args.emit_csv)
+        try:
+            body = _DISPATCH[task](block, params, rng, tol, args.emit_csv)
+        except spaces.SpacesError as exc:  # a Bethe solver, or the membership test, gave up
+            body = {"checks": [_check("solver_converged", 1.0, 1e-10)], "metrics": {"solver_error": str(exc)}}
         elapsed = time.perf_counter() - start
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
@@ -579,19 +568,8 @@ def main(argv=None) -> int:
         print("task error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 2
 
-    report = {
-        "task": task,
-        "config": cfg,
-        "seed": seed,
-        "checks": body["checks"],
-        "pass": all(c["pass"] for c in body["checks"]),
-        "metrics": body.get("metrics", {}),
-    }
-    if "certificates" in body:
-        report["certificates"] = body["certificates"]
-    if "csv_files" in body:
-        report["csv_files"] = body["csv_files"]
-    report["timing"] = {"seconds": elapsed}
+    passed = all(c["pass"] for c in body["checks"])
+    report = {**body, "task": task, "config": cfg, "seed": seed, "pass": passed, "timing": {"seconds": elapsed}}
 
     text = json.dumps(report, sort_keys=True, default=_json_default)
     if args.out:

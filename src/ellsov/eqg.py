@@ -50,20 +50,12 @@ def _r_matrix_raw(ev: ThetaEvaluator, eta: complex, z: complex, lam: complex) ->
     return r
 
 
-def _check_lambda(params: ModelParams, lam: complex) -> None:
-    if params.lattice.dist_to_lattice(lam) < params.rho:
-        raise ParameterError("dynamical parameter lambda is within rho of a lattice point")
-
-
-def _check_spectral(params: ModelParams, z: complex) -> None:
-    if params.lattice.dist_to_lattice(z - 2 * params.eta) < params.rho:
-        raise ParameterError("spectral parameter z is within rho of 2 eta mod the lattice")
-
-
 def r_matrix(params: ModelParams, z: complex, lam: complex) -> np.ndarray:
     """The 4x4 dynamical R-matrix R(z, lambda) for step 2 eta."""
-    _check_lambda(params, lam)
-    _check_spectral(params, z)
+    if params.lattice.dist_to_lattice(lam) < params.rho:
+        raise ParameterError("dynamical parameter lambda is within rho of a lattice point")
+    if params.lattice.dist_to_lattice(z - 2 * params.eta) < params.rho:
+        raise ParameterError("spectral parameter z is within rho of 2 eta mod the lattice")
     return _r_matrix_raw(params.evaluator(), params.eta, z, lam)
 
 

@@ -26,7 +26,7 @@ from . import jets
 from .eqg import S0Grid
 from .jets import LambdaDiffOp
 from .params import ModelParams
-from .spaces import damped_newton
+from .spaces import BetheSolution, damped_newton
 from .theta import ThetaEvaluator
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "spectral_weight",
     "solve_gaudin_bethe",
     "bethe_eigenvector",
-    "GaudinBetheResult",
 ]
 
 
@@ -206,14 +205,6 @@ def spectral_weight(params: ModelParams, k: int) -> float:
 # -- Bethe system -------------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
-class GaudinBetheResult:
-    c: complex
-    roots: tuple[complex, ...]
-    residual: float
-    iterations: int
-
-
 def _gaudin_equations(ev: ThetaEvaluator, params: ModelParams, x: np.ndarray):
     """damped_newton's system(x) for the Gaudin Bethe equations, x = (c, w_1..w_m).
 
@@ -237,12 +228,13 @@ def _gaudin_equations(ev: ThetaEvaluator, params: ModelParams, x: np.ndarray):
     return res, lambda: jac
 
 
-def solve_gaudin_bethe(params: ModelParams, rng: np.random.Generator) -> GaudinBetheResult:
+def solve_gaudin_bethe(params: ModelParams, rng: np.random.Generator) -> BetheSolution:
     """spaces.damped_newton on the n-site Gaudin Bethe equations in (c, w_1..w_m).
 
     m = sum(Lambda_i)/2 roots: the Bethe vector f(w_1)..f(w_m) v_0 lies in
     the zero-weight space only for that m.  Each start draws the roots,
-    then c.
+    then c.  The solution's exponent a is the c of e^{c lambda} in
+    bethe_eigenvector.
     """
     ev = _gaudin_model(params).ev  # the cached model checks the sites and the weight sum
     m = sum(params.lams) // 2
@@ -252,7 +244,7 @@ def solve_gaudin_bethe(params: ModelParams, rng: np.random.Generator) -> GaudinB
         return np.array([complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4))] + roots)
 
     x, residual, iterations = damped_newton(functools.partial(_gaudin_equations, ev, params), start)
-    return GaudinBetheResult(complex(x[0]), tuple(complex(w) for w in x[1:]), residual, iterations)
+    return BetheSolution(complex(x[0]), tuple(complex(w) for w in x[1:]), residual, iterations)
 
 
 def bethe_eigenvector(

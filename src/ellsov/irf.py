@@ -31,7 +31,7 @@ from . import spaces
 from .eqg import S0Grid, _exact_product, _hop_entries, _hop_table, _r_fill, _shift_polys
 from .params import ModelParams, ParameterError
 from .spaces import BetheSolution, Character, EllipticPoly
-from .theta import ThetaOverflowError
+from .theta import ThetaOverflowError, _require_finite
 
 __all__ = [
     "build_T_irf_paths",
@@ -845,9 +845,7 @@ def apply_transfer_continuous(
     down, up = spaces.eval_elliptic_polys(ev, (a_plus, a_minus), xs)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum raises below
         total = np.sum(weights * (down * values[..., :n] + up * values[..., n:]), axis=-1)
-    if not np.isfinite(total).all():
-        z = complex(zeta.flat[np.argmin(np.isfinite(total).flat)])
-        raise ThetaOverflowError("the off-grid transfer operator overflows double precision at %r" % (z,))
+    _require_finite(total, zeta.ravel(), "the off-grid transfer operator overflows double precision at %r")
     return complex(total) if total.ndim == 0 else total
 
 

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .theta import PoleProximityError, ThetaEvaluator, ThetaOverflowError
+from .theta import PoleProximityError, ThetaEvaluator, ThetaOverflowError, _require_finite
 
 __all__ = [
     "SpacesError",
@@ -36,7 +36,6 @@ __all__ = [
     "Character",
     "EllipticPoly",
     "ThetaSpaceBasis",
-    "MembershipReport",
     "BetheSolution",
     "eval_elliptic_polys",
     "character_of",
@@ -130,9 +129,7 @@ def eval_elliptic_polys(ev: ThetaEvaluator, polys: Sequence[EllipticPoly], zs) -
             val[:] = np.exp(p.a * flat)
             for _ in p.zeros:
                 val *= next(thetas)
-    if not np.isfinite(vals).all():
-        z = complex(flat[np.argmin(np.isfinite(vals).all(axis=0))])
-        raise ThetaOverflowError("elliptic polynomial at %r overflows double precision" % (z,))
+    _require_finite(vals.T, flat, "elliptic polynomial at %r overflows double precision")
     return vals.reshape((len(polys),) + zs.shape)
 
 
@@ -211,10 +208,7 @@ class ThetaSpaceBasis:
             # row j of a point holds theta(z - z_l) for l != j and a one on the diagonal
             others = np.where(self._diag, 1.0, tz[:, None, :]).prod(axis=2)
             vecs = np.exp(_2PI_I * self.a * diff) * shifted * others / self._denoms
-        finite = np.isfinite(vecs).all(axis=1)
-        if not finite.all():
-            z = complex(zs.ravel()[np.argmin(finite)])
-            raise ThetaOverflowError("cardinal vector at %r overflows double precision" % (z,))
+        _require_finite(vecs, zs.ravel(), "cardinal vector at %r overflows double precision")
         return vecs.reshape(zs.shape + (self.k,))
 
 
@@ -239,26 +233,21 @@ def make_basis(
     raise ResonantCharacterError("no admissible node set found for the character")
 
 
-@dataclasses.dataclass(frozen=True)
-class MembershipReport:
-    deviation: float
-    qp_residual: float
-    scale: float
-
-
 def membership_test(
     ev: ThetaEvaluator,
     f: Callable[[np.ndarray], np.ndarray],
     k: int,
     chi: Character,
     rng: np.random.Generator,
-) -> MembershipReport:
+) -> float:
     """Interpolate f from k generic samples and test it at validation points.
 
     Also samples the quasi-periodicity multipliers directly, so functions
     in the wrong character class cannot pass by interpolation accident.
     f maps an array of points to its values there; it is called once, on
-    every point, after the multipliers are formed.  A NaN miss is kept.
+    every point, after the multipliers are formed.  Returns the residual:
+    the larger of the interpolation and multiplier misses over the largest
+    value sampled.  A NaN miss is kept.
     """
     basis = make_basis(ev, k, chi, rng)
     lat, tau = ev.lattice, ev.lattice.tau
@@ -275,7 +264,7 @@ def membership_test(
         deviation = np.max(np.abs(at_val - basis.cardinal_vector(val_pts) @ values))
         qp = np.max(np.abs(at_moved - expect))
     scale = np.max(np.abs(np.concatenate((values, at_val, expect))), initial=1e-300)
-    return MembershipReport(deviation=float(deviation), qp_residual=float(qp), scale=float(scale))
+    return float(np.max([deviation, qp], initial=0.0)) / float(scale)  # Python floats: inf / inf is NaN with no warning
 
 
 # -- damped Newton -------------------------------------------------------
@@ -344,6 +333,9 @@ def _newton_run(system, x, accept):
 
 @dataclasses.dataclass(frozen=True)
 class BetheSolution:
+    """A Bethe root set from damped_newton, for both solvers: a is the exponent of
+    Q(z) = e^{a z} prod_j theta(z - w_j), or the c of Gaudin's e^{c lambda}."""
+
     a: complex
     roots: tuple[complex, ...]
     residual: float
@@ -404,9 +396,8 @@ def _bethe_system(ev, A_plus, A_minus, gamma, m):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # a non-finite F raises below
             ratio = np.where(num, jets[:, 0], 1.0).prod(axis=1) / np.where(den, jets[:, 0], 1.0).prod(axis=1)
             res = np.log(np.exp(expo @ x) * ratio)
-        if not np.isfinite(res).all():  # named by the root of the first non-finite equation
-            w = complex(x[1 + int(np.argmin(np.isfinite(res)))])
-            raise ThetaOverflowError("Bethe system overflows double precision at root %r" % (w,))
+        # named by the root of the first non-finite equation
+        _require_finite(res, x[1:], "Bethe system overflows double precision at root %r")
 
         def jacobian():
             near = int(np.argmin(dist))
@@ -490,9 +481,7 @@ def difference_eigenvalue(
         # the ratios of Q first: A_plus(z) Q(z - gamma) alone can overflow where eps does not
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # a non-finite value raises below
             val = ap * (q_down / qz) + am * (q_up / qz)
-        if not np.isfinite(val).all():
-            z = complex(flat[np.argmin(np.isfinite(val))])
-            raise ThetaOverflowError("the difference eigenvalue at %r leaves double range" % (z,))
+        _require_finite(val, flat, "the difference eigenvalue at %r leaves double range")
         return complex(val[0]) if z.ndim == 0 else val.reshape(z.shape)
 
     return eps

@@ -249,9 +249,7 @@ class ThetaEvaluator:
             for i in range(1, degree + 1):
                 mult = mult * w / i
                 out[:, i:] += mult[:, None] * inner[:, :-i]
-            finite = np.isfinite(out).all()
-        if not finite:
-            raise _overflow(complex(zs[np.argmin(np.isfinite(out).all(axis=1))]))
+        _require_finite(out, zs, _OVERFLOW)
         return (out, self.lattice._reduced_dist(zs, z0)) if dist else out
 
     def theta_values(self, zs) -> list[complex]:
@@ -305,10 +303,17 @@ class ThetaEvaluator:
         return zeta, zeta ** 2 - 2.0 * jet[:, 2] / jet[:, 0]
 
 
-def _overflow(z: complex) -> ThetaOverflowError:
-    return ThetaOverflowError(
-        "theta overflows double precision at %r, too far from the fundamental cell" % (z,)
-    )
+_OVERFLOW = "theta overflows double precision at %r, too far from the fundamental cell"
+
+
+def _require_finite(values: np.ndarray, points: np.ndarray, message: str) -> None:
+    """The one overflow guard: values holds one row per entry of the 1-d points, as
+    values.reshape(len(points), -1); a non-finite entry raises
+    ThetaOverflowError(message % z) for the first point z whose row holds one."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        row = np.argmin(finite.reshape(len(points), -1).all(axis=1))
+        raise ThetaOverflowError(message % (complex(points[row]),))
 
 
 # (tau, degree, trunc_tol) term tables kept; each holds at most _MAX_TERMS rows

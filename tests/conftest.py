@@ -7,7 +7,7 @@ import pytest
 from ellsov import irf, jets
 from ellsov import theta as theta_module
 from ellsov.spaces import EllipticPoly
-from ellsov.theta import Lattice, PoleProximityError, ThetaEvaluator, TruncationError
+from ellsov.theta import Lattice, PoleProximityError, ThetaEvaluator, ThetaOverflowError, TruncationError
 
 TAU = 0.31 + 1.07j
 
@@ -128,7 +128,7 @@ def reference_taylor(ev, z, degree):
     try:
         mult0 = parity * cmath.exp(-1j * math.pi * (s * s * tau + 2.0 * s * z0))
     except OverflowError:
-        raise theta_module._overflow(z) from None
+        raise ThetaOverflowError(theta_module._OVERFLOW % (z,)) from None
     out = np.zeros(degree + 1, dtype=complex)
     if s == 0:
         for k in range(degree + 1):
@@ -144,7 +144,7 @@ def reference_taylor(ev, z, degree):
             acc += expjet[i] * inner[k - i]
         val = mult0 * acc
         if not cmath.isfinite(val):
-            raise theta_module._overflow(z)
+            raise ThetaOverflowError(theta_module._OVERFLOW % (z,))
         out[k] = val
     return out, terms
 
@@ -237,11 +237,6 @@ def elliptic_poly(lattice, a, zeros):
 def pointwise(f):
     """A function of one point as the array function spaces.membership_test samples."""
     return np.vectorize(f, otypes=[complex])
-
-
-def membership_passes(report, tol=1e-8):
-    """A spaces.membership_test report passes: both residuals within tol of its scale."""
-    return report.deviation <= tol * report.scale and report.qp_residual <= tol * report.scale
 
 
 def elliptic_poly_logderiv(ev, p, z):

@@ -775,6 +775,21 @@ def test_gaudin_bethe_solver_failure(tmp_path, monkeypatch):
     assert "residual evaluated at a pole" in report["metrics"]["solver_error"]
 
 
+def test_spaces_error_after_the_solve_is_the_solver_failure_report(tmp_path, monkeypatch):
+    """main writes the one solver-failure report for any SpacesError a task raises:
+    irf bethe's membership test giving up on its node sets, once a traceback,
+    is that report with exit 1."""
+
+    def no_nodes(*args, **kwargs):
+        raise spaces.ResonantCharacterError("no admissible node set found for the character")
+
+    monkeypatch.setattr(spaces, "make_basis", no_nodes)
+    code, report = run_to_file(tmp_path, ["irf", "bethe", "--config", str(CONFIGS / "irf_bethe_n2.json")])
+    assert code == 1 and report["pass"] is False
+    assert [(c["name"], c["pass"]) for c in report["checks"]] == [("solver_converged", False)]
+    assert report["metrics"] == {"solver_error": "no admissible node set found for the character"}
+
+
 def test_gaudin_bethe_root_near_site_difference(tmp_path):
     """Under seed 4 the three-site config's eigen_residual read 1.3e-6 (exit 1)
     while the jet of d sigma/d lambda cancelled a zero against a pole."""
@@ -833,9 +848,8 @@ def _nan_second_qybe(monkeypatch):
 
 def _nan_qp_residual(monkeypatch):
     original = spaces.membership_test
-    monkeypatch.setattr(
-        spaces, "membership_test", lambda *args: dataclasses.replace(original(*args), qp_residual=math.nan)
-    )
+    # the original still runs, so the later checks draw the same samples
+    monkeypatch.setattr(spaces, "membership_test", lambda *args: original(*args) * math.nan)
 
 
 @pytest.mark.parametrize(

@@ -750,7 +750,7 @@ def test_bethe_solver(lattice, rng):
     # independent restatement of the equations, root-root terms doubled
     ev = params.evaluator()
     for j, wj in enumerate(sol.roots):
-        val = -2.0 * sol.c
+        val = -2.0 * sol.a
         for zl, ll in zip(params.zs, params.lams):
             val += ll * zeta_bar(ev, wj - zl)
         for k, wk in enumerate(sol.roots):
@@ -798,7 +798,7 @@ def test_bethe_eigenvector(lattice, rng, zs, lams):
 
     eps_per_point = []
     for lam0 in [sample_point(rng, lattice) for _ in range(5)]:
-        u = bethe_eigenvector(params, sol.c, sol.roots, lam0, DEGREE)
+        u = bethe_eigenvector(params, sol.a, sol.roots, lam0, DEGREE)
         scale = float(np.max(np.abs(u)))
         eps = []
         for H in build_hamiltonians(params, lam0, DEGREE):
@@ -819,7 +819,7 @@ def test_bethe_eigenvector(lattice, rng, zs, lams):
     eps = eps_per_point[0]
     ev = params.evaluator()
     lam0 = 0.43 + 0.29j
-    u = bethe_eigenvector(params, sol.c, sol.roots, lam0, DEGREE)
+    u = bethe_eigenvector(params, sol.a, sol.roots, lam0, DEGREE)
     for _ in range(2):
         z = params.sample_generic(rng, avoid=params.zs)
         q = eps[0]
@@ -848,7 +848,7 @@ def test_frozen_lambda_reading_fails(lattice, rng):
     # freezing lambda inside the lowering fields breaks the eigen relation
     params = make_params(lattice, Z2, (1, 1))
     sol = solve_gaudin_bethe(params, rng)
-    u = frozen_eigenvector(params, sol.c, sol.roots, LAM0, DEGREE)
+    u = frozen_eigenvector(params, sol.a, sol.roots, LAM0, DEGREE)
     scale = float(np.max(np.abs(u)))
     out = build_hamiltonians(params, LAM0, DEGREE)[0].apply_jet(u)
     ej = rayleigh(out, u)

@@ -29,7 +29,6 @@ from conftest import (
     count_zeros,
     elliptic_poly,
     elliptic_poly_logderiv,
-    membership_passes,
     pointwise,
     poly_value,
     sample_point,
@@ -165,12 +164,29 @@ def test_cardinal_vector_on_arrays(ev, rng, monkeypatch):
 def test_cardinal_vector_overflow_names_the_point(ev, rng):
     """A non-finite entry raises ThetaOverflowError naming the first such point
     in the order of zs: with chi(1) = -e^100, exp(2 pi i a (z - z_j)) grows like
-    e^(100 Re z), and leaves double range at Re z = 9.4 while theta stays finite."""
+    e^(100 Re z), and leaves double range at Re z = 9.4 while theta stays finite.
+    The same guard serves the elliptic polynomials, whose values are laid out
+    (polys, points), so the overflowing second polynomial must not name the
+    second point, and the difference eigenvalue on a stack of points, which is
+    not finite where Q has a zero."""
     basis = make_basis(ev, 2, Character(-math.exp(100.0), -1.0), rng)
     good, bad = 0.4 + 0.3j, 9.4 + 0.3j
     assert np.isfinite(basis.cardinal_vector([good])).all()
     with pytest.raises(ThetaOverflowError, match=r"cardinal vector at \(9\.4\+0\.3j\) overflows"):
         basis.cardinal_vector([[good, bad], [bad + 1.0, good]])
+
+    polys = (elliptic_poly(ev.lattice, 0.0, [0.2 + 0.1j, 0.7 + 0.6j]), elliptic_poly(ev.lattice, 100.0, [0.5 + 0.5j]))
+    zs = [[good, good + 0.1], [bad, good]]
+    assert np.isfinite(eval_elliptic_polys(ev, polys, [good, good + 0.1])).all()
+    with pytest.raises(ThetaOverflowError, match=r"^elliptic polynomial at \(9\.4\+0\.3j\) overflows double precision$"):
+        eval_elliptic_polys(ev, polys, zs)
+
+    root = 0.35 + 0.25j
+    sol = spaces.BetheSolution(0j, (root,), 0.0, 0)
+    eps = difference_eigenvalue(ev, polys[0], elliptic_poly(ev.lattice, 0.0, [0.6 + 0.5j, 0.1 + 0.9j]), 0.3 + 0.1j, sol)
+    assert np.isfinite(eps(np.array([good, good + 0.1]))).all()
+    with pytest.raises(ThetaOverflowError, match=r"^the difference eigenvalue at \(0\.35\+0\.25j\) leaves double range$"):
+        eps(np.array([[good, good + 0.1], [root, good]]))
 
 
 def test_degenerate_nodes_rejected(ev, rng):
@@ -184,11 +200,11 @@ def test_membership_distinguishes_characters(ev, rng):
     p = random_poly(rng, ev.lattice, 3)
     chi = character_of(p, tau)
     f = lambda zs: eval_elliptic_polys(ev, (p,), zs)[0]
-    report = membership_test(ev, f, 3, chi, rng)
-    assert membership_passes(report)
+    residual = membership_test(ev, f, 3, chi, rng)
+    assert residual <= 1e-8
     wrong = Character(chi.chi1 * cmath.exp(0.05j), chi.chiTau)
-    report_bad = membership_test(ev, f, 3, wrong, rng)
-    assert not membership_passes(report_bad)
+    residual_bad = membership_test(ev, f, 3, wrong, rng)
+    assert not residual_bad <= 1e-8
 
 
 def test_zero_count_contour(ev, rng):
@@ -239,8 +255,8 @@ def test_bethe_solution_solves_difference_equation(ev, rng):
     sol = solve_difference_bethe(ev, A_plus, A_minus, gamma, m, rng)
     eps = difference_eigenvalue(ev, A_plus, A_minus, gamma, sol)
     chi_eps = induced_eigenvalue_character(character_of(A_plus, tau), gamma, m)
-    report = membership_test(ev, pointwise(eps), n, chi_eps, rng)
-    assert membership_passes(report)
+    residual = membership_test(ev, pointwise(eps), n, chi_eps, rng)
+    assert residual <= 1e-8
 
 
 def test_difference_eigenvalue_root_outside_cell(ev):
@@ -257,7 +273,7 @@ def test_difference_eigenvalue_root_outside_cell(ev):
     assert any(lat.reduce(w)[2] != 0 for w in sol.roots)
     eps = difference_eigenvalue(ev, A_plus, A_minus, gamma, sol)
     chi_eps = induced_eigenvalue_character(character_of(A_plus, lat.tau), gamma, 2)
-    assert membership_passes(membership_test(ev, pointwise(eps), len(zs), chi_eps, rng), 1e-12)
+    assert membership_test(ev, pointwise(eps), len(zs), chi_eps, rng) <= 1e-12
 
 
 def test_bethe_solver_theta_count(ev, monkeypatch):
